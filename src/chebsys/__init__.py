@@ -10,6 +10,7 @@ complex evaluation.
 """
 
 from .algebraic import (
+    BranchBatch,
     BranchCoefficients,
     BranchSet,
     DegenerateBranches,
@@ -25,6 +26,8 @@ from .algebraic import (
     region_classify,
     seeded_offstar_points,
     solve_branches,
+    solve_branches_aberth,
+    solve_branches_many,
     star_geometry,
     star_radius,
 )
@@ -40,6 +43,7 @@ from .exactpoly import (
 )
 from .operators import (
     BandedOperator,
+    TruncationOverflow,
     apply_T,
     apply_T_transpose,
     basis_vector,

@@ -12,8 +12,16 @@ the recurrence's initial data, evaluates the branch-sum representation
 
     t_r(z) = sum_j b_j * lambda_j**(r+m),
 
-and realizes the large-r limit ``t_r / lambda_m**r -> 1/(c*m - lambda_m**-(m+1))``
+and realizes the large-r limit ``t_r / lambda_m**r -> c/(c*m - lambda_m**-(m+1))``
 together with its observed geometric error decay.
+
+At the default 53-bit precision the branches of many points are solved in
+blocks: stacked companion eigenvalues, two Newton steps in double and two
+with the polynomial in double-double arithmetic (Dekker, Numer. Math. 1971),
+after the seed-then-polish scheme of MPSolve (Bini and Robol, JCAM 2014).
+A point whose result fails the residual gate, or whose moduli come close to
+a tie, is solved again by per-point mpmath Aberth iteration, so every tie
+decision is made at full working precision.
 
 Star geometry: the bounded star is the m+1 segments of length
 ``a = ((m+1)/m) * (m*c)**(1/(m+1))`` along the angles ``2*pi*k/(m+1)``; the
@@ -27,17 +35,25 @@ family for even m and the odd family for odd m.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass
 
 import mpmath
+import numpy as np
+from mpmath.libmp import from_float, mpf_add, round_nearest
 
-from .rationals import as_rational, rat_to_mpf
+from .rationals import Rational, as_rational, rat_to_mpf
 from .recurrence import Params, gen_type1_scalar
 from .rootfind import RootRefinementError, complex_roots
 
 TIE_RELATIVE_GAP = 1e-10
+# the batched path accepts a point only if consecutive moduli differ by more
+# than this relative gap, far above the tie threshold
+BATCH_RELATIVE_GAP = 1e4 * TIE_RELATIVE_GAP
+# points per block of the batched path, which bounds its array sizes
+BATCH_BLOCK = 1024
 
 
 class SolverDivergence(Exception):
@@ -86,14 +102,12 @@ def _work_bits(precision: int, m: int, z) -> int:
     return precision + 48 + max(0, int((m + 1) * math.log2(1 + size)))
 
 
-def solve_branches(p: Params, z, precision: int = 53) -> BranchSet:
-    """All m+1 roots of ``c*w**(m+1) - z*w + 1`` at the point z, modulus-sorted.
+def _residual_tolerance(precision: int) -> float:
+    return 10.0 ** (2 - 0.3 * precision)
 
-    Each root is refined until its residual is below ``10**(2 - 0.3*precision)``;
-    the tie flag marks consecutive moduli closer than a relative 1e-10.
-    """
-    if precision < 53:
-        raise ValueError("precision must be at least 53 bits")
+
+def solve_branches_aberth(p: Params, z, precision: int) -> BranchSet:
+    """The branches at one point by mpmath Aberth iteration at the working precision."""
     m, c = p.m, p.c
     workbits = _work_bits(precision, m, z)
     with mpmath.workprec(workbits):
@@ -110,7 +124,7 @@ def solve_branches(p: Params, z, precision: int = 53) -> BranchSet:
         cmpf = rat_to_mpf(c)
         for lam in roots:
             residuals.append(float(abs(cmpf * lam ** (m + 1) - zz * lam + 1)))
-        tolerance = 10.0 ** (2 - 0.3 * precision)
+        tolerance = _residual_tolerance(precision)
         if max(residuals) > tolerance:
             raise SolverDivergence(
                 f"residual {max(residuals):.3e} above {tolerance:.3e} at z={complex(z)}"
@@ -121,6 +135,220 @@ def solve_branches(p: Params, z, precision: int = 53) -> BranchSet:
             if gap < TIE_RELATIVE_GAP * max(abs(hi), mpmath.mpf(1e-300)):
                 tie = True
         return BranchSet(complex(z), tuple(roots), tuple(residuals), tie, precision)
+
+
+# ---- double-double arithmetic on float64 arrays (Dekker 1971)
+#
+# A real double-double is a pair (hi, lo) with |lo| <= ulp(hi)/2 and value
+# hi + lo; a complex one is a pair (re, im) of those.  Every primitive is a
+# separate NumPy operation, so no step is contracted into a fused multiply-add.
+
+_SPLIT = 134217729.0  # 2**27 + 1
+
+
+def _two_sum(a, b):
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _fast_two_sum(a, b):
+    s = a + b
+    return s, b - (s - a)
+
+
+def _split(a):
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_add(x, y):
+    s, e = _two_sum(x[0], y[0])
+    return _fast_two_sum(s, e + (x[1] + y[1]))
+
+
+def _dd_mul(x, y):
+    p, e = _two_prod(x[0], y[0])
+    return _fast_two_sum(p, e + (x[0] * y[1] + x[1] * y[0]))
+
+
+def _dd_neg(x):
+    return -x[0], -x[1]
+
+
+def _cdd_mul(x, y):
+    (xr, xi), (yr, yi) = x, y
+    re = _dd_add(_dd_mul(xr, yr), _dd_neg(_dd_mul(xi, yi)))
+    im = _dd_add(_dd_mul(xr, yi), _dd_mul(xi, yr))
+    return re, im
+
+
+def _cdd_hi(x):
+    return x[0][0] + 1j * x[1][0]
+
+
+def _dd_to_mpc(hi: complex, lo: complex, prec: int):
+    """``mpc(hi) + mpc(lo)`` rounded to ``prec`` bits, without the context switch."""
+    return mpmath.mp.make_mpc(
+        (
+            mpf_add(from_float(hi.real), from_float(lo.real), prec, round_nearest),
+            mpf_add(from_float(hi.imag), from_float(lo.imag), prec, round_nearest),
+        )
+    )
+
+
+def _branch_poly_dd(w, m: int, c_dd, z):
+    """``c*w**(m+1) - z*w + 1`` in double-double, as ``w*(c*w**m - z) + 1``.
+
+    ``w`` is a complex double-double of shape (n, m+1), ``z`` a complex array
+    of shape (n, 1) and ``c_dd`` the real double-double of c.
+    """
+    zero = np.zeros_like(w[0][0])
+    power = w
+    for _ in range(m - 1):
+        power = _cdd_mul(power, w)
+    inner = (
+        _dd_add(_dd_mul(power[0], c_dd), (-z.real, zero)),
+        _dd_add(_dd_mul(power[1], c_dd), (-z.imag, zero)),
+    )
+    value = _cdd_mul(inner, w)
+    return _dd_add(value[0], (np.ones_like(zero), zero)), value[1]
+
+
+@np.errstate(all="ignore")
+def _solve_block(m: int, c_dd, z, precision: int) -> list:
+    """Batched branch sets at the points ``z`` (a complex array of shape (n,)).
+
+    Entry i is the BranchSet of ``z[i]``, or None if the point fails a check.
+    """
+    n, size, c = len(z), m + 1, c_dd[0]
+    # points whose z/c overflows are rejected; z = 0 stands in for them
+    finite = np.isfinite(z / c)
+    z = np.where(finite, z, 0)
+    zc = z[:, None]
+    # companion matrix of the monic w**(m+1) - (z/c)*w + 1/c
+    companion = np.zeros((n, size, size), dtype=complex)
+    companion[:, np.arange(1, size), np.arange(size - 1)] = 1
+    companion[:, 0, m] = -1 / c
+    companion[:, 1, m] += z / c
+    try:
+        w = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError:
+        # the QR iteration failed on some matrix: leave the block to Aberth
+        w = np.full((n, size), np.nan, dtype=complex)
+
+    def derivative(v):
+        return c * size * v**m - zc
+
+    for _ in range(2):
+        w = w - (c * w**size - zc * w + 1) / derivative(w)
+    zero = np.zeros(w.shape)
+    wdd = ((w.real, zero), (w.imag, zero))
+    for _ in range(2):
+        step = _cdd_hi(_branch_poly_dd(wdd, m, c_dd, zc)) / derivative(_cdd_hi(wdd))
+        wdd = _dd_add(wdd[0], (-step.real, zero)), _dd_add(wdd[1], (-step.imag, zero))
+    residuals = np.abs(_cdd_hi(_branch_poly_dd(wdd, m, c_dd, zc)))
+
+    hi = _cdd_hi(wdd)
+    lo = wdd[0][1] + 1j * wdd[1][1]
+    order = np.argsort(np.abs(hi), axis=1)
+    hi = np.take_along_axis(hi, order, axis=1)
+    lo = np.take_along_axis(lo, order, axis=1)
+    residuals = np.take_along_axis(residuals, order, axis=1)
+    moduli = np.abs(hi)
+    # a gap between consecutive moduli bounds every pairwise distance from
+    # below, so this one test also rejects collided or duplicated roots
+    gaps = np.diff(moduli, axis=1) > BATCH_RELATIVE_GAP * moduli[:, 1:]
+    accepted = (
+        finite
+        & np.isfinite(hi).all(axis=1)
+        & np.isfinite(lo).all(axis=1)
+        & (residuals.max(axis=1) <= _residual_tolerance(precision))
+        & gaps.all(axis=1)
+    )
+    out = []
+    rows = zip(z.tolist(), hi.tolist(), lo.tolist(), residuals.tolist(), accepted)
+    for zi, his, los, res, ok in rows:
+        if ok:
+            bits = _work_bits(precision, m, zi)
+            lambdas = tuple(_dd_to_mpc(h, l, bits) for h, l in zip(his, los))
+            out.append(BranchSet(zi, lambdas, tuple(res), False, precision))
+        else:
+            out.append(None)
+    return out
+
+
+@dataclass(frozen=True)
+class BranchBatch:
+    """Branch sets of many points, in input order, and the path that solved them.
+
+    ``results[i]`` is the BranchSet of the i-th point, or the
+    SolverDivergence raised there.  ``batched`` counts the points the
+    double-double path accepted and ``fallback`` those solved by per-point
+    mpmath Aberth iteration (every point above 53 bits).
+    """
+
+    results: tuple
+    batched: int
+    fallback: int
+
+
+def solve_branches_many(p: Params, points, precision: int = 53) -> BranchBatch:
+    """``solve_branches`` at every point, batched at the default 53 bits.
+
+    At 53 bits, and when c lies well inside the range of a double, points
+    that are exact complex doubles go through the batched path in blocks of
+    ``BATCH_BLOCK``.  A point is accepted when its values are finite, its
+    double-double residual passes the gate ``10**(2 - 0.3*precision)`` and
+    consecutive moduli differ by more than ``BATCH_RELATIVE_GAP`` relative to
+    the larger (so its tie flag is false).  Every other point, and every
+    point above 53 bits, is solved by ``solve_branches_aberth``.
+    """
+    if precision < 53:
+        raise ValueError("precision must be at least 53 bits")
+    points = list(points)
+    results: list = [None] * len(points)
+    # c and its low part must be normal doubles for c_dd to carry c exactly
+    # enough; a point that is not a double (an exact branch point from
+    # ``branch_points``, say) must not be rounded to one
+    if precision == 53 and 1e-300 < p.c < 1e300:
+        c = float(p.c)
+        c_dd = (c, float(p.c - Rational(c)))
+        batch = [i for i, z in enumerate(points) if complex(z) == z]
+        for start in range(0, len(batch), BATCH_BLOCK):
+            block = batch[start : start + BATCH_BLOCK]
+            z = np.array([complex(points[i]) for i in block])
+            for i, bs in zip(block, _solve_block(p.m, c_dd, z, precision)):
+                results[i] = bs
+    batched = sum(bs is not None for bs in results)
+    for i, z in enumerate(points):
+        if results[i] is None:
+            try:
+                results[i] = solve_branches_aberth(p, z, precision)
+            except SolverDivergence as exc:
+                results[i] = exc
+    return BranchBatch(tuple(results), batched, len(points) - batched)
+
+
+def solve_branches(p: Params, z, precision: int = 53) -> BranchSet:
+    """All m+1 roots of ``c*w**(m+1) - z*w + 1`` at the point z, modulus-sorted.
+
+    Each root is refined until its residual is below ``10**(2 - 0.3*precision)``;
+    the tie flag marks consecutive moduli closer than a relative 1e-10.  This
+    is the one-point case of ``solve_branches_many``.
+    """
+    result = solve_branches_many(p, [z], precision).results[0]
+    if isinstance(result, SolverDivergence):
+        raise result
+    return result
 
 
 def coefficients_b(bs: BranchSet, p: Params) -> BranchCoefficients:
@@ -196,7 +424,9 @@ def star_radius(p: Params) -> float:
         return float(mpmath.mpf(m + 1) / m * mpmath.root(mc, m + 1))
 
 
+@functools.lru_cache(maxsize=64)
 def star_geometry(p: Params) -> StarGeometry:
+    """The star skeleton of ``p``, computed once per parameter pair."""
     m = p.m
     odd = tuple(2 * math.pi * k / (m + 1) for k in range(m + 1))
     even = tuple((2 * k + 1) * math.pi / (m + 1) for k in range(m + 1))
@@ -281,7 +511,11 @@ def _limit_gate_distance(p: Params, geom: StarGeometry, z) -> float:
 
 
 def limit_L(p: Params, z, precision: int = 53, tol: float = 1e-9):
-    """The limit value ``1 / (c*m - lambda_m**-(m+1))`` of ``t_r / lambda_m**r``.
+    """The limit value ``c / (c*m - lambda_m**-(m+1))`` of ``t_r / lambda_m**r``.
+
+    It is ``b_m * lambda_m**m = c * lambda_m**m / P'(lambda_m)`` for
+    ``P(w) = c*w**(m+1) - z*w + 1``, with ``P'(w) = c*m*w**m - 1/w`` on the
+    roots of P.
 
     Raises OnStarSet when z is within ``tol`` of the attractor set (or when
     the top two branch moduli tie, which is the same set seen numerically).
@@ -295,7 +529,7 @@ def limit_L(p: Params, z, precision: int = 53, tol: float = 1e-9):
         raise OnStarSet(f"largest branch modulus is tied at z={complex(z)}")
     with mpmath.workprec(_work_bits(precision, p.m, z)):
         cmpf = rat_to_mpf(p.c)
-        return 1 / (cmpf * p.m - mpmath.mpc(top) ** (-(p.m + 1)))
+        return cmpf / (cmpf * p.m - mpmath.mpc(top) ** (-(p.m + 1)))
 
 
 @dataclass(frozen=True)
@@ -343,7 +577,7 @@ def asymptotic_scan(
     errors = []
     with mpmath.workprec(workbits):
         cmpf = rat_to_mpf(p.c)
-        limit_value = 1 / (cmpf * p.m - mpmath.mpc(top) ** (-(p.m + 1)))
+        limit_value = cmpf / (cmpf * p.m - mpmath.mpc(top) ** (-(p.m + 1)))
         zz = mpmath.mpc(z)
         power = mpmath.mpc(1)
         for r in range(r_max + 1):

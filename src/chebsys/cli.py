@@ -9,7 +9,9 @@ Every output embeds the full run configuration and a schema version, exact
 rationals are serialized losslessly as "p/q" strings, floats are written with
 17 significant digits, and no timestamps or environment details leak into
 the files, so identical configurations (seed included) produce byte-identical
-output.  Exit codes: 0 success, 1 verification failure, 2 invalid input.
+output.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
+3 numeric failure (a solver that did not converge, tied branches, or an
+operator truncation that overflowed).
 
 The environment variable CHEBSYS_PRECISION overrides the default working
 precision (53 bits) when --precision is not given.
@@ -26,11 +28,13 @@ import random
 import sys
 
 from . import algebraic, operators, roots
-from .algebraic import OnStarSet, SolverDivergence
+from .algebraic import DegenerateBranches, OnStarSet, SolverDivergence
 from .exactpoly import Poly, compose_star
+from .operators import TruncationOverflow
 from .rationals import as_rational, rat_str
 from .recurrence import (
     FactorizationViolation,
+    NoVariantMatches,
     Params,
     decompose_index,
     gen_type1_records,
@@ -39,6 +43,7 @@ from .recurrence import (
     verify_h_recurrence,
     verify_shift,
 )
+from .rootfind import RootRefinementError
 from .roots import ConvergenceFailure
 
 SCHEMA = "chebsys/1"
@@ -46,6 +51,17 @@ REGION_TOL = 1e-9
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+EXIT_NUMERIC = 3
+
+# failures of the numeric machinery, as opposed to bad input or a failed check
+NUMERIC_FAILURES = (
+    SolverDivergence,
+    DegenerateBranches,
+    ConvergenceFailure,
+    NoVariantMatches,
+    RootRefinementError,
+    TruncationOverflow,
+)
 
 
 class UsageError(Exception):
@@ -416,12 +432,12 @@ def cmd_branches(args) -> int:
         args, "branches", precision, z=args.z, grid=args.grid
     )
     geometry = _geometry_payload(p)
+    batch = algebraic.solve_branches_many(p, points, precision)
+    solver = {"batched": batch.batched, "fallback": batch.fallback}
     rows = []
-    for z in points:
+    for z, bs in zip(points, batch.results):
         row: dict = {"z_re": z.real, "z_im": z.imag, "error": ""}
-        try:
-            bs = algebraic.solve_branches(p, z, precision)
-        except SolverDivergence:
+        if isinstance(bs, SolverDivergence):
             row["error"] = "solver-divergence"
             rows.append(row)
             continue
@@ -438,7 +454,13 @@ def cmd_branches(args) -> int:
     if args.format == "json":
         write_json(
             args.out,
-            {"schema": SCHEMA, "config": config, "geometry": geometry, "rows": rows},
+            {
+                "schema": SCHEMA,
+                "config": config,
+                "geometry": geometry,
+                "solver": solver,
+                "rows": rows,
+            },
         )
         return EXIT_OK
     header = ["z_re", "z_im"]
@@ -475,7 +497,7 @@ def cmd_branches(args) -> int:
             writer.writerow(out)
     write_json(
         args.out + ".geometry.json",
-        {"schema": SCHEMA, "config": config, "geometry": geometry},
+        {"schema": SCHEMA, "config": config, "geometry": geometry, "solver": solver},
     )
     return EXIT_OK
 
@@ -732,6 +754,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"chebsys: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NUMERIC_FAILURES as exc:
+        print(f"chebsys: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

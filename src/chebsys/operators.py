@@ -22,6 +22,10 @@ from .rationals import Rational, ZERO, as_rational
 from .recurrence import Params, gen_type1_vectors, gen_type2
 
 
+class TruncationOverflow(RuntimeError):
+    """An operator image reached past a truncation size chosen to contain it."""
+
+
 @dataclass(frozen=True, init=False)
 class BandedOperator:
     """N x N truncation of the banded operator for parameters (m, c)."""
@@ -168,7 +172,9 @@ def biorthogonality(p: Params, n: int, r: int) -> Rational:
     u, fu = type1_image(p, r, size)
     w, fw = type2_image(p, n, size)
     if fu or fw:
-        raise RuntimeError("truncation overflow with auto-chosen size; internal error")
+        raise TruncationOverflow(
+            "truncation overflow with auto-chosen size; internal error"
+        )
     return dot(u, w)
 
 
@@ -180,12 +186,16 @@ def gram_matrix(p: Params, r_max: int, n_max: int, size: int | None = None) -> l
     for r in range(r_max + 1):
         u, flag = type1_image(p, r, size)
         if flag:
-            raise RuntimeError(f"truncation overflow for type I image r={r}, size={size}")
+            raise TruncationOverflow(
+                f"truncation overflow for type I image r={r}, size={size}"
+            )
         us.append(u)
     ws = []
     for n in range(n_max + 1):
         w, flag = type2_image(p, n, size)
         if flag:
-            raise RuntimeError(f"truncation overflow for type II image n={n}, size={size}")
+            raise TruncationOverflow(
+                f"truncation overflow for type II image n={n}, size={size}"
+            )
         ws.append(w)
     return [[dot(u, w) for w in ws] for u in us]

@@ -123,6 +123,11 @@ class TestLimit:
         value = complex(limit_L(p, 1e5 * cmath.exp(0.4j)))
         assert abs(value - 1 / 2) < 1e-3
 
+    def test_large_z_tends_to_reciprocal_m_for_c_other_than_one(self):
+        # c / (c*m - l_m^-(m+1)) -> 1/m as |z| grows, whatever c is
+        value = complex(limit_L(Params(2, "3"), 1e5 * cmath.exp(0.4j)))
+        assert abs(value - 1 / 2) < 1e-3
+
     def test_on_star_rejected_for_even_m(self):
         with pytest.raises(OnStarSet):
             limit_L(Params(2, "1"), cmath.exp(1j * math.pi / 3))
@@ -146,6 +151,10 @@ class TestAsymptoticScan:
         scan = asymptotic_scan(Params(2, "1"), 3, 60, precision=160)
         assert abs(scan.decay_estimate - scan.ratio) <= 0.05
         assert scan.window == 6
+
+    def test_decay_matches_ratio_for_c_other_than_one(self):
+        scan = asymptotic_scan(Params(1, "3/2"), complex(3, 1), 60, precision=200)
+        assert abs(scan.decay_estimate - scan.ratio) <= 0.05
 
     def test_on_star_rejected(self):
         with pytest.raises(OnStarSet):

@@ -3,7 +3,12 @@ import math
 
 import pytest
 
-from chebsys.cli import main
+from chebsys import algebraic, cli, operators
+from chebsys import roots as roots_module
+from chebsys.algebraic import DegenerateBranches
+from chebsys.cli import EXIT_NUMERIC, main
+from chebsys.recurrence import NoVariantMatches
+from chebsys.rootfind import RootRefinementError
 
 
 def run(*argv):
@@ -139,6 +144,29 @@ class TestBranches:
         sidecar = load(tmp_path / "branches.csv.geometry.json")
         assert abs(sidecar["geometry"]["a"] - 1.8898815748423097) < 1e-9
         assert len(sidecar["geometry"]["branch_points"]) == 3
+
+    def test_solver_counts_which_path_ran(self, tmp_path):
+        # z = 1 has a conjugate pair of branches and z = 2 is a branch point,
+        # so both go to mpmath; z = 3 is solved by the batched path
+        grid = ["--grid", "1:3:3,0:0:1"]
+        out = tmp_path / "branches.json"
+        assert run("branches", "--m", "1", "--c", "1", *grid, "--out", str(out)) == 0
+        payload = load(out)
+        assert payload["solver"] == {"batched": 1, "fallback": 2}
+        assert [row["tie_flag"] for row in payload["rows"]] == [True, True, False]
+        csv_out = tmp_path / "branches.csv"
+        assert run(
+            "branches", "--m", "1", "--c", "1", *grid,
+            "--format", "csv", "--out", str(csv_out),
+        ) == 0
+        sidecar = load(tmp_path / "branches.csv.geometry.json")
+        assert sidecar["solver"] == {"batched": 1, "fallback": 2}
+        assert len(csv_out.read_text().splitlines()) == 2 + 3
+        assert run(
+            "branches", "--m", "1", "--c", "1", *grid,
+            "--precision", "80", "--out", str(out),
+        ) == 0
+        assert load(out)["solver"] == {"batched": 0, "fallback": 3}
 
     def test_requires_point_or_grid(self, tmp_path):
         out = tmp_path / "branches.json"
@@ -281,3 +309,83 @@ class TestEnvironmentPrecision:
         monkeypatch.setenv("CHEBSYS_PRECISION", "soon")
         out = tmp_path / "gen.json"
         assert run("gen", "--m", "1", "--c", "1", "--R", "2", "--out", str(out)) == 2
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+class TestNumericFailures:
+    """Each numeric failure exits 3 with a one-line message, never a traceback."""
+
+    def expect_numeric(self, capsys, error, *argv):
+        assert run(*argv) == EXIT_NUMERIC == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"chebsys: error: {error}: ")
+        assert err.count("\n") == 1
+
+    def test_solver_divergence(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            algebraic, "complex_roots", _raise(RootRefinementError("stuck"))
+        )
+        self.expect_numeric(
+            capsys, "SolverDivergence",
+            "asymptote", "--m", "1", "--c", "1", "--z", "3,0",
+            "--precision", "80", "--out", str(tmp_path / "scan.json"),
+        )
+
+    def test_root_refinement_error(self, tmp_path, monkeypatch, capsys):
+        # branch_points calls the root finder directly for the geometry
+        monkeypatch.setattr(
+            algebraic, "complex_roots", _raise(RootRefinementError("stuck"))
+        )
+        self.expect_numeric(
+            capsys, "RootRefinementError",
+            "branches", "--m", "2", "--c", "1", "--z", "3,1",
+            "--out", str(tmp_path / "branches.json"),
+        )
+
+    def test_degenerate_branches(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            algebraic, "asymptotic_scan", _raise(DegenerateBranches("tied"))
+        )
+        self.expect_numeric(
+            capsys, "DegenerateBranches",
+            "asymptote", "--m", "1", "--c", "1", "--z", "3,0",
+            "--out", str(tmp_path / "scan.json"),
+        )
+
+    def test_convergence_failure(self, tmp_path, monkeypatch, capsys):
+        # the verify probe's root extraction turns this into ConvergenceFailure
+        monkeypatch.setattr(
+            roots_module, "complex_roots", _raise(RootRefinementError("stuck"))
+        )
+        self.expect_numeric(
+            capsys, "ConvergenceFailure",
+            "verify", "--m", "1", "--c", "1", "--R", "6",
+            "--out", str(tmp_path / "verify.json"),
+        )
+
+    def test_no_variant_matches(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            cli, "verify_h_recurrence", _raise(NoVariantMatches("none"))
+        )
+        self.expect_numeric(
+            capsys, "NoVariantMatches",
+            "verify", "--m", "2", "--c", "1", "--R", "6",
+            "--out", str(tmp_path / "verify.json"),
+        )
+
+    def test_truncation_overflow(self, tmp_path, monkeypatch, capsys):
+        image = operators.type1_image
+        monkeypatch.setattr(
+            operators, "type1_image", lambda p, r, size: (image(p, r, size)[0], True)
+        )
+        self.expect_numeric(
+            capsys, "TruncationOverflow",
+            "verify", "--m", "1", "--c", "1", "--R", "4",
+            "--out", str(tmp_path / "verify.json"),
+        )
