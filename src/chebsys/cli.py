@@ -20,6 +20,7 @@ precision (53 bits) when --precision is not given.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -31,15 +32,15 @@ from . import algebraic, operators, roots
 from .algebraic import DegenerateBranches, OnStarSet, SolverDivergence
 from .exactpoly import Poly, compose_star
 from .operators import TruncationOverflow
-from .rationals import as_rational, rat_str
+from .rationals import Rational, as_rational, rat_str, rat_strs
 from .recurrence import (
     FactorizationViolation,
     NoVariantMatches,
     Params,
-    decompose_index,
     gen_type1_records,
     gen_type1_vectors,
     gen_type2,
+    verify_denominators,
     verify_h_recurrence,
     verify_shift,
 )
@@ -172,7 +173,7 @@ def _base_config(args, command: str, precision: int, **extra) -> dict:
 
 
 def _coeff_strings(poly: Poly) -> list:
-    return [rat_str(c) for c in poly.coeffs]
+    return rat_strs(poly.nums, poly.den)
 
 
 # ---------------------------------------------------------------- gen
@@ -250,11 +251,7 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _check_factorization(p: Params, R: int):
-    try:
-        records = gen_type1_records(p, R)
-    except FactorizationViolation as exc:
-        return "FAIL", {"witness": str(exc)}
+def _check_factorization(p: Params, records: list):
     for rec in records:
         if compose_star(rec.h, p.m, rec.k, rec.ell) != rec.t:
             return "FAIL", {"witness": f"round trip mismatch at r={rec.r}"}
@@ -266,14 +263,28 @@ def _check_factorization(p: Params, R: int):
     return "PASS", {"checked": len(records)}
 
 
-def _check_leading_structure(p: Params, R: int):
-    for rec in gen_type1_records(p, R):
+def _check_leading_structure(p: Params, records: list):
+    # |lead(t_r)| * c^d must be a positive integer: |num| * P^d over den * Q^d
+    P, Q = p.c.numerator, p.c.denominator
+    for rec in records:
         if rec.tau < 0:
             continue
-        scaled = abs(rec.t.leading) * p.c**rec.d
-        if scaled.denominator != 1 or scaled <= 0:
-            return "FAIL", {"witness": f"|lead(t_{rec.r})| * c^{rec.d} = {rat_str(scaled)}"}
-    return "PASS", {"checked": R + 1}
+        num = abs(rec.t.nums[-1]) * P**rec.d
+        den = rec.t.den * Q**rec.d
+        if num % den:
+            return "FAIL", {
+                "witness": f"|lead(t_{rec.r})| * c^{rec.d} = {rat_strs([num], den)[0]}"
+            }
+    return "PASS", {"checked": len(records)}
+
+
+def _check_denominators(p: Params, records: list, vectors: list, type2: list):
+    report = verify_denominators(p, [rec.t for rec in records], vectors, type2)
+    if not report.all_pass:
+        return "FAIL", {"checked": report.checked, "witness": report.witness}
+    return "PASS", {
+        "checked": report.checked, "r_max": len(records) - 1, "n_max": len(type2) - 1
+    }
 
 
 def _check_adjointness(p: Params, seed: int, trials: int = 20):
@@ -283,8 +294,7 @@ def _check_adjointness(p: Params, seed: int, trials: int = 20):
 
     def random_vector():
         return tuple(
-            as_rational(rng.randint(-9, 9)) / as_rational(rng.randint(1, 3))
-            for _ in range(size)
+            Rational(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(size)
         )
 
     for _ in range(trials):
@@ -310,10 +320,27 @@ def cmd_verify(args) -> int:
     def add(name, kind, status, details):
         checks.append({"name": name, "kind": kind, "status": status, "details": details})
 
-    status, details = _check_factorization(p, args.R)
+    def report() -> int:
+        passed = all(c["status"] == "PASS" for c in checks if c["kind"] == "hard")
+        write_json(
+            args.out,
+            {"schema": SCHEMA, "config": config, "passed": passed, "checks": checks},
+        )
+        return EXIT_OK if passed else EXIT_VERIFY_FAILED
+
+    # every check below shares these three generations
+    try:
+        records = gen_type1_records(p, args.R)
+    except FactorizationViolation as exc:
+        add("factorization", "hard", "FAIL", {"witness": str(exc)})
+        return report()
+    vectors = gen_type1_vectors(p, args.R)
+    type2 = gen_type2(p, n_max)
+
+    status, details = _check_factorization(p, records)
     add("factorization", "hard", status, details)
 
-    shift = verify_shift(gen_type1_vectors(p, args.R))
+    shift = verify_shift(vectors)
     add(
         "shift_identity",
         "hard",
@@ -321,8 +348,8 @@ def cmd_verify(args) -> int:
         {"checked": shift.checked, "mismatches": list(shift.mismatches)},
     )
 
-    scalars = [rec.t for rec in gen_type1_records(p, args.R)]
-    firsts = [rec.components[0] for rec in gen_type1_vectors(p, args.R)]
+    scalars = [rec.t for rec in records]
+    firsts = [rec.components[0] for rec in vectors]
     add(
         "vector_scalar_agreement",
         "hard",
@@ -330,8 +357,11 @@ def cmd_verify(args) -> int:
         {"checked": args.R + 1},
     )
 
-    status, details = _check_leading_structure(p, args.R)
+    status, details = _check_leading_structure(p, records)
     add("leading_coefficient_structure", "hard", status, details)
+
+    status, details = _check_denominators(p, records, vectors, type2)
+    add("denominator_structure", "hard", status, details)
 
     bad_n = [n for n in range(n_max + 1) if not operators.jump_check_typeII(p, n)]
     add(
@@ -365,8 +395,7 @@ def cmd_verify(args) -> int:
     status, details = _check_adjointness(p, args.seed)
     add("transpose_adjointness", "hard", status, details)
 
-    hs = [rec.h for rec in gen_type1_records(p, args.R)]
-    sign_report = verify_h_recurrence(hs, p)
+    sign_report = verify_h_recurrence([rec.h for rec in records], p)
     add(
         "h_recurrence_signs",
         "informational",
@@ -394,13 +423,7 @@ def cmd_verify(args) -> int:
             "reason": probe.reason,
         },
     )
-
-    passed = all(c["status"] == "PASS" for c in checks if c["kind"] == "hard")
-    write_json(
-        args.out,
-        {"schema": SCHEMA, "config": config, "passed": passed, "checks": checks},
-    )
-    return EXIT_OK if passed else EXIT_VERIFY_FAILED
+    return report()
 
 
 # ---------------------------------------------------------------- branches
@@ -441,9 +464,16 @@ def cmd_branches(args) -> int:
             row["error"] = "solver-divergence"
             rows.append(row)
             continue
+        lambdas = [complex(l) for l in bs.lambdas]
+        moduli = [float(mod) for mod in bs.moduli]
+        if not all(map(cmath.isfinite, lambdas)) or not all(map(math.isfinite, moduli)):
+            # a finite branch value beyond the range of a double
+            row["error"] = "overflow"
+            rows.append(row)
+            continue
         region = algebraic.region_classify(p, z, REGION_TOL)
-        row["lambdas"] = [[complex(l).real, complex(l).imag] for l in bs.lambdas]
-        row["moduli"] = [float(mod) for mod in bs.moduli]
+        row["lambdas"] = [[l.real, l.imag] for l in lambdas]
+        row["moduli"] = moduli
         row["tie_flag"] = bs.tie_flag
         row["max_residual"] = max(bs.residuals)
         row["dist_s0"] = region.dist_s0

@@ -1,11 +1,14 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials with exact rational coefficients, in integers.
 
-A polynomial is a tuple of rational coefficients indexed by power, with
-trailing zeros stripped, so the zero polynomial holds an empty tuple and
-reports degree -1.  Every operation except complex evaluation is exact;
-complex evaluation rounds the coefficients to an explicit working precision
-(in bits) and is the single bridge between the exact and numeric halves of
-the package.
+A polynomial is a tuple of integer numerators ``nums`` (indexed by power,
+trailing zeros stripped) over one positive denominator ``den``, normalised so
+that ``gcd(den, *nums) == 1``; the zero polynomial is ``((), 1)`` and reports
+degree -1.  The normal form is unique, so equality is a tuple compare.
+Every operation except complex evaluation is exact and runs on Python
+integers; the reduced rational coefficients are available as ``coeffs``.
+Complex evaluation rounds each reduced coefficient to an explicit working
+precision (in bits) and is the single bridge between the exact and numeric
+halves of the package.
 
 All values are immutable and the functions are pure, so everything here is
 safe to share across threads.
@@ -13,82 +16,110 @@ safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable
 
 import mpmath
+from mpmath.libmp import fzero, mpc_add_mpf, mpc_mul, round_nearest
 
-from .rationals import Rational, ZERO, as_rational, rat_to_mpf
+from .rationals import Rational, as_rational, round_ratio, scaled
 
 DEFAULT_PRECISION = 53
 
 
-def _normalized(coeffs: Iterable) -> tuple:
-    out = [as_rational(c) for c in coeffs]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
 @dataclass(frozen=True, init=False)
 class Poly:
-    """Dense polynomial; ``coeffs[i]`` is the coefficient of ``x**i``."""
+    """Dense polynomial ``sum(nums[i] * x**i) / den``.
 
-    coeffs: tuple
+    ``Poly(coeffs)`` takes exact rational coefficients (ints, Fractions or
+    ``"p/q"`` strings), ``coeffs[i]`` being the coefficient of ``x**i``;
+    ``Poly.scaled(nums, den)`` takes integer numerators over a nonzero
+    integer denominator.
+    """
+
+    nums: tuple
+    den: int
+    # caches: the reduced coefficients, and (precision, roundings) of the
+    # last precision evaluated at
+    _coeffs: tuple | None = field(default=None, compare=False, repr=False)
+    _rounded: tuple | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, coeffs: Iterable = ()):
-        object.__setattr__(self, "coeffs", _normalized(coeffs))
+        self._set(*scaled(coeffs))
+
+    def _set(self, nums: list, den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        if not nums:
+            den = 1
+        else:
+            g = math.gcd(den, *nums)
+            if den < 0:
+                g = -g
+            if g != 1:
+                nums = [n // g for n in nums]
+                den //= g
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_coeffs", None)
+        object.__setattr__(self, "_rounded", None)
+
+    @classmethod
+    def scaled(cls, nums: Iterable, den: int = 1) -> "Poly":
+        """``sum(nums[i] * x**i) / den`` for integers with ``den != 0``."""
+        if not den:
+            raise ZeroDivisionError("polynomial denominator is zero")
+        poly = cls.__new__(cls)
+        poly._set(list(nums), den)
+        return poly
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls((1,))
+        return cls.scaled(())
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((0, 1))
+        return cls.scaled((0, 1))
 
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, power: int, coeff=1) -> "Poly":
-        if power < 0:
-            raise ValueError("monomial power must be nonnegative")
-        return cls((0,) * power + (coeff,))
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as reduced rationals, ``coeffs[i]`` of ``x**i``."""
+        if self._coeffs is None:
+            den = self.den
+            object.__setattr__(self, "_coeffs", tuple(Fraction(n, den) for n in self.nums))
+        return self._coeffs
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 encodes the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def leading(self) -> Rational:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        den = math.lcm(self.den, other.den)
+        a = [n * (den // self.den) for n in self.nums]
+        b = [n * (den // other.den) for n in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+        for i, n in enumerate(b):
+            a[i] += n
+        return Poly.scaled(a, den)
 
     def __radd__(self, other) -> "Poly":
         if other == 0:  # lets sum() work over polynomials
@@ -96,24 +127,26 @@ class Poly:
         return NotImplemented
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly.scaled([-n for n in self.nums], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly(())
-            out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Poly(out)
+            a, b = self.nums, other.nums
+            if not a or not b:
+                return Poly.zero()
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+            return Poly.scaled(out, self.den * other.den)
         scalar = as_rational(other)
-        return Poly(tuple(c * scalar for c in self.coeffs))
+        return Poly.scaled(
+            [n * scalar.numerator for n in self.nums], self.den * scalar.denominator
+        )
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -122,38 +155,52 @@ class Poly:
         """Multiply by x**k."""
         if k < 0:
             raise ValueError("negative shift")
-        if not self.coeffs:
+        if not self.nums:
             return self
-        return Poly((ZERO,) * k + self.coeffs)
+        return Poly.scaled((0,) * k + self.nums, self.den)
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return Poly.scaled([i * n for i, n in enumerate(self.nums) if i], self.den)
 
     def eval_exact(self, x) -> Rational:
         """Exact Horner evaluation at a rational point."""
         x = as_rational(x)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        # sum nums[i] * p**i * q**(deg-i), over den * q**deg
+        acc = 0
+        qpow = 1
+        for n in reversed(self.nums):
+            acc = acc * p + n * qpow
+            qpow *= q
+        return Fraction(acc, self.den * qpow // q if self.nums else 1)
 
     def eval_complex(self, z, precision: int = DEFAULT_PRECISION):
         """Horner evaluation at a complex point.
 
-        Coefficients are rounded to ``precision`` bits; the result is an
-        mpmath complex carrying that working precision.
+        Each reduced coefficient is rounded to ``precision`` bits as
+        ``rat_to_mpf`` rounds it (the roundings are kept for the next call at
+        the same precision); the result is an mpmath complex carrying that
+        working precision.
         """
         if precision < 53:
             raise ValueError("precision must be at least 53 bits")
+        cached = self._rounded
+        if cached is None or cached[0] != precision:
+            den = self.den
+            rounded = [round_ratio(n, den, precision) for n in reversed(self.nums)]
+            cached = (precision, rounded)
+            object.__setattr__(self, "_rounded", cached)
         with mpmath.workprec(precision):
-            zz = mpmath.mpc(z)
-            acc = mpmath.mpc(0)
-            for c in reversed(self.coeffs):
-                acc = acc * zz + rat_to_mpf(c)
-            return acc
+            zz = mpmath.mpc(z)._mpc_
+        # acc*zz + c on raw mpmath values, rounded as the mpc operators round
+        acc = (fzero, fzero)
+        for c in cached[1]:
+            acc = mpc_mul(acc, zz, precision, round_nearest)
+            acc = mpc_add_mpf(acc, c, precision, round_nearest)
+        return mpmath.mp.make_mpc(acc)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -197,36 +244,40 @@ def compose_star(h: Poly, m: int, k: int, ell: int) -> Poly:
     if not 0 <= ell <= m:
         raise ValueError("ell must lie in 0..m")
     if h.is_zero:
-        return Poly(())
+        return Poly.zero()
     sign = -1 if k % 2 else 1
-    out = [ZERO] * (ell + (m + 1) * h.degree + 1)
-    for i, c in enumerate(h.coeffs):
-        if c:
-            out[ell + (m + 1) * i] = sign * c
-    return Poly(out)
+    out = [0] * (ell + (m + 1) * h.degree + 1)
+    out[ell :: m + 1] = [sign * n for n in h.nums]
+    return Poly.scaled(out, h.den)
 
 
-def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    quo = [ZERO] * max(0, a.degree - b.degree + 1)
-    rem = list(a.coeffs)
-    lead = b.leading
-    for i in range(a.degree - b.degree, -1, -1):
-        factor = rem[i + b.degree] / lead
-        if not factor:
-            continue
-        quo[i] = factor
-        for j, c in enumerate(b.coeffs):
-            rem[i + j] = rem[i + j] - factor * c
-    return Poly(quo), Poly(rem)
+def _primitive(nums: list) -> list:
+    g = math.gcd(*nums)
+    return [n // g for n in nums] if g != 1 else nums
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """Remainder of ``lead(b)**e * a`` by ``b`` over the integers, stripped."""
+    rem = list(a)
+    lead = b[-1]
+    while len(rem) >= len(b):
+        factor = rem[-1]
+        offset = len(rem) - len(b)
+        rem = [lead * x for x in rem]
+        for j, y in enumerate(b):
+            rem[offset + j] -= factor * y
+        while rem and not rem[-1]:
+            rem.pop()
+    return rem
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd via the Euclidean algorithm (exact)."""
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a.is_zero:
-        return a
-    return a * (as_rational(1) / a.leading)
+    """Monic gcd (exact), by Euclid's algorithm on primitive integer remainders."""
+    a, b = list(p.nums), list(q.nums)
+    while b:
+        a, b = b, _pseudo_remainder(a, b)
+        if b:
+            b = _primitive(b)
+    if not a:
+        return Poly.zero()
+    return Poly.scaled(a, a[-1])

@@ -5,6 +5,15 @@ when ``j = i - m``, ``1`` when ``j = i + 1`` and ``0`` otherwise.  On basis
 vectors this reads ``T e_j = e_{j-1} + c e_{j+m}`` (with ``e_{-1}`` dropped)
 and ``T^t e_j = e_{j+1} + c e_{j-m}`` (with ``e_{j-m}`` dropped for j < m).
 
+Everything runs on one integer kernel.  With ``c = P/Q`` the scaled operator
+``Q*T`` has integer entries, so ``Q**d * D * p(T) v`` is an integer vector
+for a polynomial ``p`` of degree d with denominator D applied to an integer
+vector v, and Horner's rule computes it without a single fraction.  An
+operator image is therefore an integer vector with a tracked scale
+(``Scaled``), a Gram entry is an integer dot product over the product of two
+scales, and ``apply_T``, ``apply_T_transpose``, ``poly_of_operator`` and
+``dot`` convert rational vectors to and from that form at their edges.
+
 Truncation to N components is exact as long as the support of every
 intermediate vector stays below the top band; the boolean overflow flag
 returned by each application reports when entries of the untruncated image
@@ -16,10 +25,13 @@ materialized: each application walks the band in O(N).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
+from typing import NamedTuple
 
 from .exactpoly import Poly
-from .rationals import Rational, ZERO, as_rational
-from .recurrence import Params, gen_type1_vectors, gen_type2
+from .rationals import Rational, as_rational, scaled
+from .recurrence import Params, scaled_type1, scaled_type2, unit_start
 
 
 class TruncationOverflow(RuntimeError):
@@ -48,14 +60,74 @@ class BandedOperator:
         return cls(size, p.m, p.c)
 
 
+class Scaled(NamedTuple):
+    """The vector ``nums[i] / scale`` with integer entries and ``scale > 0``."""
+
+    nums: list
+    scale: int
+
+
 def basis_vector(size: int, j: int) -> tuple:
     if not 0 <= j < size:
         raise ValueError(f"basis index {j} outside 0..{size - 1}")
-    return tuple(as_rational(1) if i == j else ZERO for i in range(size))
+    return tuple(1 if i == j else 0 for i in range(size))
 
 
-def zero_vector(size: int) -> tuple:
-    return (ZERO,) * size
+# ---------------------------------------------------------------- integer kernel
+
+
+def _step(op: BandedOperator, v: list, transpose: bool) -> tuple[list, bool]:
+    """``(Q*T) v`` or ``(Q*T^t) v`` for an integer vector, with the overflow flag.
+
+    ``(Q*T v)_i = Q*v_{i+1} + P*v_{i-m}``; the flag is set when v has support
+    in the top m slots.  ``(Q*T^t v)_i = Q*v_{i-1} + P*v_{i+m}``; the flag is
+    set when v has support in the last slot.
+    """
+    n, m = op.size, op.m
+    P, Q = op.c.numerator, op.c.denominator
+    if transpose:
+        qv, pv = [0] + v[:-1], v[m:] + [0] * min(m, n)
+        return [Q * a + P * b for a, b in zip(qv, pv)], bool(v[n - 1])
+    qv, pv = v[1:] + [0], [0] * min(m, n) + v[: max(0, n - m)]
+    return [Q * a + P * b for a, b in zip(qv, pv)], any(v[max(0, n - m) :])
+
+
+def _poly_image(op: BandedOperator, nums, transpose: bool, v: list) -> tuple[Scaled, bool]:
+    """The integer polynomial ``nums`` at the (transposed) operator, applied to v.
+
+    Horner's rule on ``Q*T``: with ``d = len(nums) - 1`` the accumulator
+    after the step for power k holds ``Q**(d-k) * sum_{i>=k} nums[i] T**(i-k) v``,
+    so the result is the image scaled by ``Q**d``.  The overflow flag is
+    sticky over the d applications.
+    """
+    if not nums:
+        return Scaled([0] * op.size, 1), False
+    Q = op.c.denominator
+    top = nums[-1]
+    acc = [top * x for x in v]
+    qpow = 1
+    overflow = False
+    for coeff in reversed(nums[:-1]):
+        acc, flag = _step(op, acc, transpose)
+        overflow = overflow or flag
+        qpow *= Q
+        if coeff:
+            weight = qpow * coeff
+            acc = [a + weight * x for a, x in zip(acc, v)]
+    return Scaled(acc, qpow), overflow
+
+
+def _int_dot(u: list, w: list) -> int:
+    return sum(map(mul, u, w))
+
+
+def _is_unit(image: Scaled, j: int) -> bool:
+    """True iff the image is exactly ``e_j``."""
+    nums = image.nums
+    return nums[j] == image.scale and not any(nums[:j]) and not any(nums[j + 1 :])
+
+
+# ---------------------------------------------------------------- rational edges
 
 
 def apply_T(op: BandedOperator, v: tuple) -> tuple[tuple, bool]:
@@ -64,32 +136,12 @@ def apply_T(op: BandedOperator, v: tuple) -> tuple[tuple, bool]:
     The overflow flag is set when the untruncated image would be nonzero at
     some index >= N, i.e. when v has support in the top m slots.
     """
-    n, m, c = op.size, op.m, op.c
-    if len(v) != n:
-        raise ValueError(f"vector length {len(v)} != operator size {n}")
-    out = []
-    for i in range(n):
-        val = v[i + 1] if i + 1 < n else ZERO
-        if i >= m:
-            val = val + c * v[i - m]
-        out.append(val)
-    overflow = any(v[j] for j in range(max(0, n - m), n))
-    return tuple(out), overflow
+    return poly_of_operator(op, Poly.x(), False, v)
 
 
 def apply_T_transpose(op: BandedOperator, v: tuple) -> tuple[tuple, bool]:
     """Apply the transposed truncation: ``(T^t v)_i = v_{i-1} + c*v_{i+m}``."""
-    n, m, c = op.size, op.m, op.c
-    if len(v) != n:
-        raise ValueError(f"vector length {len(v)} != operator size {n}")
-    out = []
-    for i in range(n):
-        val = v[i - 1] if i >= 1 else ZERO
-        if i + m < n:
-            val = val + c * v[i + m]
-        out.append(val)
-    overflow = bool(v[n - 1])
-    return tuple(out), overflow
+    return poly_of_operator(op, Poly.x(), True, v)
 
 
 def poly_of_operator(
@@ -103,65 +155,72 @@ def poly_of_operator(
     """
     if len(v) != op.size:
         raise ValueError(f"vector length {len(v)} != operator size {op.size}")
-    if p.is_zero:
-        return zero_vector(op.size), False
-    step = apply_T_transpose if transpose else apply_T
-    acc = tuple(p.coeffs[-1] * x for x in v)
-    overflow = False
-    for coeff in reversed(p.coeffs[:-1]):
-        acc, flag = step(op, acc)
-        overflow = overflow or flag
-        if coeff:
-            acc = tuple(a + coeff * x for a, x in zip(acc, v))
-    return acc, overflow
+    nums, den = scaled(v)
+    image, overflow = _poly_image(op, p.nums, transpose, nums)
+    scale = image.scale * p.den * den
+    return tuple(Fraction(x, scale) for x in image.nums), overflow
 
 
 def dot(u: tuple, v: tuple) -> Rational:
     if len(u) != len(v):
         raise ValueError("length mismatch")
-    acc = ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b
-    return acc
+    (a, a_den), (b, b_den) = scaled(u), scaled(v)
+    return Fraction(_int_dot(a, b), a_den * b_den)
 
 
-def type1_image(p: Params, r: int, size: int) -> tuple[tuple, bool]:
-    """``sum_j t_{j,r}(T) e_j`` over the m vector components, truncated to size."""
+# ---------------------------------------------------------------- images and pairings
+
+
+def type1_image(p: Params, r: int, size: int) -> tuple[Scaled, bool]:
+    """``sum_j t_{j,r}(T) e_j`` over the m vector components, truncated to size.
+
+    Each component enters as its integer numerator ``P**(r//m) * t_{j,r}``;
+    the parts are brought to the common scale ``Q**d * P**(r//m)``, d being
+    the largest component degree.
+    """
     op = BandedOperator.for_params(p, size)
-    comps = gen_type1_vectors(p, r)[r].components
-    acc = zero_vector(size)
+    parts = []
     overflow = False
-    for j, poly in enumerate(comps):
-        vec, flag = poly_of_operator(op, poly, False, basis_vector(size, j))
+    for j in range(p.m):
+        nums = scaled_type1(p, unit_start(p.m, j), r)[r]
+        part, flag = _poly_image(op, nums, False, list(basis_vector(size, j)))
         overflow = overflow or flag
-        acc = tuple(a + b for a, b in zip(acc, vec))
-    return acc, overflow
+        parts.append(part)
+    scale = max(part.scale for part in parts)
+    acc = [0] * size
+    for part in parts:
+        factor = scale // part.scale
+        acc = [a + factor * x for a, x in zip(acc, part.nums)]
+    return Scaled(acc, scale * p.c.numerator ** (r // p.m)), overflow
 
 
-def type2_image(p: Params, n: int, size: int) -> tuple[tuple, bool]:
-    """``T_n(T^t) e_0`` truncated to size."""
+def type2_image(p: Params, n: int, size: int) -> tuple[Scaled, bool]:
+    """``T_n(T^t) e_0`` truncated to size, from ``U_n = Q**(n//(m+1)) * T_n``."""
     op = BandedOperator.for_params(p, size)
-    poly = gen_type2(p, n)[n]
-    return poly_of_operator(op, poly, True, basis_vector(size, 0))
+    e0 = list(basis_vector(size, 0))
+    image, overflow = _poly_image(op, scaled_type2(p, n)[n], True, e0)
+    scale = image.scale * p.c.denominator ** (n // (p.m + 1))
+    return Scaled(image.nums, scale), overflow
 
 
 def jump_check_typeII(p: Params, n: int) -> bool:
     """True iff the n-th companion polynomial maps e_0 onto e_n exactly."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    size = n + p.m + 2
-    vec, overflow = type2_image(p, n, size)
-    return not overflow and vec == basis_vector(size, n)
+    image, overflow = type2_image(p, n, n + p.m + 2)
+    return not overflow and _is_unit(image, n)
 
 
 def jump_check_typeI(p: Params, r: int) -> bool:
     """True iff the r-th vector term applied to the operator hits e_r exactly."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    size = r + p.m + 2
-    vec, overflow = type1_image(p, r, size)
-    return not overflow and vec == basis_vector(size, r)
+    image, overflow = type1_image(p, r, r + p.m + 2)
+    return not overflow and _is_unit(image, r)
+
+
+def _pairing(u: Scaled, w: Scaled) -> Rational:
+    return Fraction(_int_dot(u.nums, w.nums), u.scale * w.scale)
 
 
 def biorthogonality(p: Params, n: int, r: int) -> Rational:
@@ -175,7 +234,7 @@ def biorthogonality(p: Params, n: int, r: int) -> Rational:
         raise TruncationOverflow(
             "truncation overflow with auto-chosen size; internal error"
         )
-    return dot(u, w)
+    return _pairing(u, w)
 
 
 def gram_matrix(p: Params, r_max: int, n_max: int, size: int | None = None) -> list:
@@ -198,4 +257,4 @@ def gram_matrix(p: Params, r_max: int, n_max: int, size: int | None = None) -> l
                 f"truncation overflow for type II image n={n}, size={size}"
             )
         ws.append(w)
-    return [[dot(u, w) for w in ws] for u in us]
+    return [[_pairing(u, w) for w in ws] for u in us]

@@ -1,52 +1,48 @@
-"""Exact rational scalar backend.
+"""Exact rationals at the edges of the integer core.
 
-All structural identities in this package are checked with exact rational
-arithmetic.  When gmpy2 is importable its GMP-backed ``mpq`` is used (roughly
-an order of magnitude faster on the dense recurrence and Gram-matrix runs);
-otherwise the pure-Python ``fractions.Fraction`` is a drop-in fallback.  Both
-store values in lowest terms with a positive denominator.
-
-Set ``CHEBSYS_RATIONAL_BACKEND=fractions`` in the environment to force the
-pure-Python backend (used by the backend benchmark and useful for debugging).
+The exact half of the package computes in plain Python integers: an exact
+polynomial or vector is a tuple of integer numerators over one positive
+denominator (see ``exactpoly.Poly`` and ``operators``).  ``fractions.Fraction``
+appears only where exact values cross that boundary: parsing input
+(``as_rational``), canonical strings (``rat_str``, ``rat_strs``) and rounding
+into mpmath (``rat_to_mpf``, ``round_ratio``).
 """
 
 from __future__ import annotations
 
-import fractions
-import os
+import math
+from fractions import Fraction
 
-if os.environ.get("CHEBSYS_RATIONAL_BACKEND", "").lower() == "fractions":
-    Rational = fractions.Fraction
-    BACKEND = "fractions"
-else:
-    try:
-        from gmpy2 import mpq as Rational  # type: ignore[no-redef]
+# the representation the exact half computes in: integer numerators over one
+# positive denominator per polynomial or vector
+BACKEND = "scaled-int"
 
-        BACKEND = "gmpy2"
-    except ImportError:  # pragma: no cover - exercised via env override
-        Rational = fractions.Fraction  # type: ignore[misc]
-        BACKEND = "fractions"
-
-ZERO = Rational(0)
-ONE = Rational(1)
+Rational = Fraction
 
 
 def as_rational(value) -> Rational:
-    """Coerce to the backend rational type.
+    """Coerce to an exact rational.
 
-    Accepts backend rationals, ints, ``fractions.Fraction`` and strings such
-    as ``"3"`` or ``"-5/7"``.  Floats are rejected: they would silently smuggle
-    binary roundoff into computations whose whole point is exactness.
+    Accepts Fractions, ints and strings such as ``"3"`` or ``"-5/7"``.
+    Floats are rejected: they would silently smuggle binary roundoff into
+    computations whose whole point is exactness.
     """
-    if isinstance(value, Rational):
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError(
             "float %r rejected for exact arithmetic; pass a 'p/q' string instead" % (value,)
         )
-    if isinstance(value, (int, str, fractions.Fraction)):
-        return Rational(value)
+    if isinstance(value, (int, str)):
+        return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def scaled(values) -> tuple[list, int]:
+    """Integer numerators over the least common denominator of ``values``."""
+    fracs = [as_rational(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 def rat_str(q) -> str:
@@ -55,8 +51,13 @@ def rat_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def is_integer(q) -> bool:
-    return as_rational(q).denominator == 1
+def rat_strs(nums, den: int) -> list:
+    """``rat_str`` of every ``num/den`` (``den > 0``), straight from the integers."""
+    out = []
+    for num in nums:
+        g = math.gcd(num, den)
+        out.append(f"{num // g}/{den // g}")
+    return out
 
 
 def rat_to_mpf(q):
@@ -64,4 +65,16 @@ def rat_to_mpf(q):
     import mpmath
 
     q = as_rational(q)
-    return mpmath.mpf(int(q.numerator)) / mpmath.mpf(int(q.denominator))
+    return mpmath.mp.make_mpf(round_ratio(q.numerator, q.denominator, mpmath.mp.prec))
+
+
+def round_ratio(num: int, den: int, prec: int) -> tuple:
+    """``num/den`` (``den > 0``) rounded as the raw mpmath value of
+    ``mpf(p) / mpf(q)`` at ``prec`` bits, ``p/q`` being the reduced fraction."""
+    from mpmath.libmp import from_int, mpf_div, round_nearest
+
+    g = math.gcd(num, den)
+    value = from_int(num // g, prec, round_nearest)
+    if den == g:
+        return value
+    return mpf_div(value, from_int(den // g, prec, round_nearest), prec, round_nearest)

@@ -17,16 +17,21 @@ reduced polynomial ``h_r`` exactly from that support structure, and the
 ``verify_*`` helpers check the shift identity and the induced sign-variant
 recurrence for the ``h_r`` without assuming either.
 
-Generation is sequential but memoized per ``(m, c)``; the returned records
-are immutable and safe to share across threads.
+Generation runs in integers.  With ``c = P/Q`` the denominators have a
+fixed structure: ``P**(r//m) * t_r`` and ``P**(r//m) * t_{j,r}`` have integer
+coefficients, and so does ``Q**(n//(m+1)) * T_n``.  One generic three-term
+recurrence steps these integer numerators (Bareiss's fraction-free idea) and
+each term is returned as a ``Poly`` over its known denominator;
+``verify_denominators`` checks the structure on the reduced terms.  Nothing
+is cached: every call generates afresh, and the returned records are
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
-from .exactpoly import Poly, compose_star
+from .exactpoly import Poly
 from .rationals import Rational, as_rational
 
 
@@ -90,71 +95,86 @@ def decompose_index(r: int, m: int) -> tuple[int, int, int, int]:
     return d, k, tau, ell
 
 
-_lock = threading.Lock()
-_scalar_cache: dict = {}
-_vector_cache: dict = {}
-_type2_cache: dict = {}
+def _recurrence(first: list, R: int, i: int, j: int, a, b) -> list:
+    """Integer coefficient lists ``u_0 .. u_R`` of a three-term recurrence.
+
+    ``u_r`` is ``first[r]`` for ``r < len(first)`` and otherwise
+    ``a(r) * x * u_{r-i} + b(r) * u_{r-j}`` with integer weights, terms of
+    negative index being zero.
+    """
+    seq = [list(u) for u in first[: R + 1]]
+    for r in range(len(seq), R + 1):
+        xs = seq[r - i]
+        ys = seq[r - j] if r >= j else ()
+        ar = a(r)
+        out = [0] + [ar * v for v in xs] if xs else []
+        if ys:
+            br = b(r)
+            if len(out) < len(ys):
+                out += [0] * (len(ys) - len(out))
+            for k, v in enumerate(ys):
+                out[k] += br * v
+        while out and not out[-1]:
+            out.pop()
+        seq.append(out)
+    return seq
+
+
+def unit_start(m: int, j: int) -> list:
+    """The first m terms of vector component j: ``t_{j,r} = [r == j]``."""
+    return [[1] if r == j else [] for r in range(m)]
+
+
+def scaled_type1(p: Params, first: list, R: int) -> list:
+    """Integer numerators ``u_r = P**(r//m) * t_r`` for ``r = 0..R``.
+
+    ``t_r`` follows ``c*t_r = x*t_{r-m} - t_{r-m-1}`` from the m integer
+    polynomials ``first``; with ``c = P/Q`` the numerators satisfy
+    ``u_r = Q*(x*u_{r-m} - P**[m | r] * u_{r-m-1})``.
+    """
+    m, P, Q = p.m, p.c.numerator, p.c.denominator
+    return _recurrence(
+        first, R, m, m + 1, lambda r: Q, lambda r: -Q * P if r % m == 0 else -Q
+    )
+
+
+def scaled_type2(p: Params, N: int) -> list:
+    """Integer numerators ``U_n = Q**(n//(m+1)) * T_n`` for ``n = 0..N``.
+
+    With ``c = P/Q`` they satisfy ``U_n = Q**[(m+1) | n] * x*U_{n-1} - P*U_{n-m-1}``.
+    """
+    m, P, Q = p.m, p.c.numerator, p.c.denominator
+    return _recurrence(
+        [[1]], N, 1, m + 1, lambda n: Q if n % (m + 1) == 0 else 1, lambda n: -P
+    )
+
+
+def _type1_polys(p: Params, first: list, R: int) -> list[Poly]:
+    us = scaled_type1(p, first, R)
+    return [Poly.scaled(u, p.c.numerator ** (r // p.m)) for r, u in enumerate(us)]
 
 
 def gen_type1_scalar(p: Params, R: int) -> list[Poly]:
     """Scalar terms ``t_0 .. t_R`` (terms with negative index are zero)."""
     if R < 0:
         raise ValueError("R must be >= 0")
-    key = (p.m, p.c)
-    with _lock:
-        seq = _scalar_cache.setdefault(key, [])
-        while len(seq) <= R:
-            r = len(seq)
-            if r == 0:
-                seq.append(Poly.one())
-            elif r < p.m:
-                seq.append(Poly.zero())
-            else:
-                prev_m = seq[r - p.m]
-                prev_m1 = seq[r - p.m - 1] if r - p.m - 1 >= 0 else Poly.zero()
-                seq.append((prev_m.shift(1) - prev_m1) * (1 / p.c))
-        return seq[: R + 1]
+    return _type1_polys(p, [[1]] + [[]] * (p.m - 1), R)
 
 
 def gen_type1_vectors(p: Params, R: int) -> list[TypeIVectorRecord]:
     """Vector terms ``t_0 .. t_R``; the first m records are unit coordinate vectors."""
     if R < 0:
         raise ValueError("R must be >= 0")
-    key = (p.m, p.c)
-    zero_vec = tuple(Poly.zero() for _ in range(p.m))
-    with _lock:
-        seq = _vector_cache.setdefault(key, [])
-        while len(seq) <= R:
-            r = len(seq)
-            if r < p.m:
-                comps = tuple(
-                    Poly.one() if j == r else Poly.zero() for j in range(p.m)
-                )
-            else:
-                prev_m = seq[r - p.m].components
-                prev_m1 = seq[r - p.m - 1].components if r - p.m - 1 >= 0 else zero_vec
-                comps = tuple(
-                    (a.shift(1) - b) * (1 / p.c) for a, b in zip(prev_m, prev_m1)
-                )
-            seq.append(TypeIVectorRecord(r, comps))
-        return seq[: R + 1]
+    comps = [_type1_polys(p, unit_start(p.m, j), R) for j in range(p.m)]
+    return [TypeIVectorRecord(r, tuple(c[r] for c in comps)) for r in range(R + 1)]
 
 
 def gen_type2(p: Params, N: int) -> list[Poly]:
     """Companion terms ``T_0 .. T_N``; ``T_n = x**n`` for ``n < m``."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    key = (p.m, p.c)
-    with _lock:
-        seq = _type2_cache.setdefault(key, [])
-        while len(seq) <= N:
-            n = len(seq)
-            if n == 0:
-                seq.append(Poly.one())
-            else:
-                prev_m = seq[n - 1 - p.m] if n - 1 - p.m >= 0 else Poly.zero()
-                seq.append(seq[n - 1].shift(1) - p.c * prev_m)
-        return seq[: N + 1]
+    us = scaled_type2(p, N)
+    return [Poly.scaled(u, p.c.denominator ** (n // (p.m + 1))) for n, u in enumerate(us)]
 
 
 def extract_h(t: Poly, r: int, m: int) -> Poly:
@@ -177,8 +197,8 @@ def extract_h(t: Poly, r: int, m: int) -> Poly:
             f"t_{r} is nonzero but tau=-1 predicts the zero polynomial (m={m})"
         )
     sign = -1 if k % 2 else 1
-    coeffs = [as_rational(0)] * (tau + 1)
-    for i, c in enumerate(t.coeffs):
+    nums = [0] * (tau + 1)
+    for i, c in enumerate(t.nums):
         if not c:
             continue
         if i % (m + 1) != ell:
@@ -192,8 +212,8 @@ def extract_h(t: Poly, r: int, m: int) -> Poly:
                 f"t_{r} has degree {t.degree} exceeding ell + (m+1)*tau = "
                 f"{ell + (m + 1) * tau}"
             )
-        coeffs[j] = sign * c
-    h = Poly(coeffs)
+        nums[j] = sign * c
+    h = Poly.scaled(nums, t.den)
     if h.degree != tau:
         raise FactorizationViolation(
             f"extracted h for r={r} has degree {h.degree}, expected tau={tau}"
@@ -232,6 +252,43 @@ def verify_shift(records: list[TypeIVectorRecord]) -> ShiftReport:
             if rec.components[j] != nxt.components[j + 1]:
                 mismatches.append((j, rec.r))
     return ShiftReport(checked, tuple(mismatches))
+
+
+@dataclass(frozen=True)
+class DenominatorReport:
+    checked: int  # polynomials checked
+    witness: str | None  # the first polynomial whose denominator breaks the structure
+
+    @property
+    def all_pass(self) -> bool:
+        return self.witness is None
+
+
+def verify_denominators(
+    p: Params, scalars: list[Poly], vectors: list[TypeIVectorRecord], type2: list[Poly]
+) -> DenominatorReport:
+    """Check that the reduced denominators of ``t_r`` and of every ``t_{j,r}``
+    divide ``P**(r//m)`` and those of ``T_n`` divide ``Q**(n//(m+1))``.
+
+    A ``Poly``'s denominator is the lcm of its reduced coefficient
+    denominators, so one divisibility test per polynomial decides it.
+    """
+    m, P, Q = p.m, p.c.numerator, p.c.denominator
+    polys = [(f"t_{r}", t, P, r // m) for r, t in enumerate(scalars)]
+    polys += [
+        (f"t_{j},{rec.r}", comp, P, rec.r // m)
+        for rec in vectors
+        for j, comp in enumerate(rec.components)
+    ]
+    polys += [(f"T_{n}", poly, Q, n // (m + 1)) for n, poly in enumerate(type2)]
+    for name, poly, base, power in polys:
+        if base**power % poly.den:
+            return DenominatorReport(
+                len(polys),
+                f"denominator {poly.den} of {name} does not divide "
+                f"{base}^{power} = {base**power}",
+            )
+    return DenominatorReport(len(polys), None)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,9 @@ def _initial_guesses(coeffs):
     try:
         arr = np.array([complex(c / scale) for c in reversed(coeffs)])
         if np.all(np.isfinite(arr)):
-            seeds = np.roots(arr)
+            # overflowing seeds are rejected below, so numpy need not warn
+            with np.errstate(all="ignore"):
+                seeds = np.roots(arr)
             if len(seeds) == n and np.all(np.isfinite(seeds)):
                 return [mpmath.mpc(complex(s)) for s in seeds]
     except Exception:
