@@ -7,30 +7,16 @@ recurrence generators, the banded-operator biorthogonality checks) and a
 numeric half (the algebraic branch solver, the explicit branch-sum formula,
 strong-asymptotics scans, and root studies) bridged only by explicit-precision
 complex evaluation.
+
+Importing the package loads only the exact half, which needs nothing beyond
+the standard library.  The names of the numeric half, and its modules
+``algebraic``, ``rootfind`` and ``roots``, resolve on first use, which is
+when numpy and mpmath are imported.
 """
 
-from .algebraic import (
-    BranchBatch,
-    BranchCoefficients,
-    BranchSet,
-    DegenerateBranches,
-    OnStarSet,
-    ScanResult,
-    SolverDivergence,
-    StarGeometry,
-    asymptotic_scan,
-    branch_points,
-    coefficients_b,
-    explicit_t,
-    limit_L,
-    region_classify,
-    seeded_offstar_points,
-    solve_branches,
-    solve_branches_aberth,
-    solve_branches_many,
-    star_geometry,
-    star_radius,
-)
+import importlib
+
+from .errors import ConvergenceFailure, DegenerateBranches, OnStarSet, SolverDivergence
 from .exactpoly import (
     DEFAULT_PRECISION,
     Poly,
@@ -69,16 +55,58 @@ from .recurrence import (
     verify_h_recurrence,
     verify_shift,
 )
-from .roots import (
-    AttractionStudy,
-    ConvergenceFailure,
-    ProbeReport,
-    RootReport,
-    attraction_study,
-    conjecture_probe,
-    distance_to_star,
-    roots_of_h,
-    roots_of_t,
-)
 
 __version__ = "0.1.0"
+
+_NUMERIC_MODULES = ("algebraic", "rootfind", "roots")
+
+# name -> the numeric module that defines it, imported on first access
+_NUMERIC_NAMES = {
+    name: "algebraic"
+    for name in (
+        "BranchBatch",
+        "BranchCoefficients",
+        "BranchSet",
+        "ScanResult",
+        "StarGeometry",
+        "asymptotic_scan",
+        "branch_points",
+        "coefficients_b",
+        "explicit_t",
+        "limit_L",
+        "region_classify",
+        "seeded_offstar_points",
+        "solve_branches",
+        "solve_branches_aberth",
+        "solve_branches_many",
+        "star_geometry",
+        "star_radius",
+    )
+} | {
+    name: "roots"
+    for name in (
+        "AttractionStudy",
+        "ProbeReport",
+        "RootReport",
+        "attraction_study",
+        "conjecture_probe",
+        "distance_to_star",
+        "roots_of_h",
+        "roots_of_t",
+    )
+}
+
+
+def __getattr__(name):
+    if name in _NUMERIC_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    home = _NUMERIC_NAMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_NUMERIC_MODULES, *_NUMERIC_NAMES})

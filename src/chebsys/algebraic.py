@@ -44,9 +44,10 @@ import mpmath
 import numpy as np
 from mpmath.libmp import from_float, mpf_add, round_nearest
 
+from .errors import DegenerateBranches, OnStarSet, RootRefinementError, SolverDivergence
 from .rationals import Rational, as_rational, rat_to_mpf
 from .recurrence import Params, gen_type1_scalar
-from .rootfind import RootRefinementError, complex_roots
+from .rootfind import complex_roots
 
 TIE_RELATIVE_GAP = 1e-10
 # the batched path accepts a point only if consecutive moduli differ by more
@@ -54,18 +55,6 @@ TIE_RELATIVE_GAP = 1e-10
 BATCH_RELATIVE_GAP = 1e4 * TIE_RELATIVE_GAP
 # points per block of the batched path, which bounds its array sizes
 BATCH_BLOCK = 1024
-
-
-class SolverDivergence(Exception):
-    """Branch root iteration failed to converge at the requested point."""
-
-
-class DegenerateBranches(Exception):
-    """Two branch moduli are numerically tied; coefficients are ill-conditioned."""
-
-
-class OnStarSet(Exception):
-    """The point lies (within tolerance) on the exceptional star of the largest branch."""
 
 
 @dataclass(frozen=True)
@@ -611,8 +600,10 @@ def branch_points(p: Params, precision: int = 80) -> list:
 
     Solving ``P_z(w) = 0`` together with ``P_z'(w) = 0`` eliminates z and
     leaves ``w**(m+1) = 1/(c*m)``; each critical value ``z = c*(m+1)*w**m`` is
-    then verified to carry a numerically vanishing discriminant (a collapsed
-    pair of branch values).
+    then verified to carry a vanishing discriminant (a collapsed pair of
+    branch values).  The discriminant of ``c*w**(m+1) - z*w + 1`` in w
+    vanishes exactly where ``m**m * z**(m+1) = (m+1)**(m+1) * c``, which is
+    checked to the relative tolerance ``2**(8 - precision)``.
     """
     m, c = p.m, p.c
     with mpmath.workprec(precision + 32):
@@ -621,21 +612,15 @@ def branch_points(p: Params, precision: int = 80) -> list:
         crit = complex_roots(coeffs, precision=precision)
         cmpf = rat_to_mpf(c)
         exact_points = [cmpf * (m + 1) * w**m for w in crit]
-    # verify with the unrounded values: rounding z by eps splits the double
-    # branch value by about sqrt(eps), which would mask the collision
-    for pt in exact_points:
-        bs = solve_branches(p, pt, precision)
-        lams = bs.lambdas
-        scale = max(1.0, max(float(abs(l)) for l in lams))
-        min_sep = min(
-            float(abs(lams[i] - lams[j]))
-            for i in range(len(lams))
-            for j in range(i + 1, len(lams))
-        )
-        if min_sep / scale > 1e-8:
-            raise SolverDivergence(
-                f"no collapsed branch pair at candidate branch point {complex(pt)}"
-            )
+        # check the unrounded values: rounding z to a double would leave a
+        # relative discriminant of about 1e-16
+        target = rat_to_mpf((m + 1) ** (m + 1) * c)
+        tol = mpmath.mpf(2) ** (8 - precision)
+        for pt in exact_points:
+            if abs(m**m * pt ** (m + 1) - target) > tol * target:
+                raise SolverDivergence(
+                    f"no collapsed branch pair at candidate branch point {complex(pt)}"
+                )
     points = [complex(pt) for pt in exact_points]
     points.sort(key=lambda w: (round(math.atan2(w.imag, w.real), 12), w.real))
     return points

@@ -11,7 +11,10 @@ rationals are serialized losslessly as "p/q" strings, floats are written with
 the files, so identical configurations (seed included) produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 numeric failure (a solver that did not converge, tied branches, or an
-operator truncation that overflowed).
+operator truncation that overflowed); the error classes live in
+``chebsys.errors``.  The numeric half, and with it numpy and mpmath, is
+imported only by the commands that use it, so ``gen`` runs on the standard
+library alone.
 
 The environment variable CHEBSYS_PRECISION overrides the default working
 precision (53 bits) when --precision is not given.
@@ -28,14 +31,21 @@ import os
 import random
 import sys
 
-from . import algebraic, operators, roots
-from .algebraic import DegenerateBranches, OnStarSet, SolverDivergence
+from . import operators
+from .errors import (
+    ConvergenceFailure,
+    DegenerateBranches,
+    NoVariantMatches,
+    OnStarSet,
+    RootRefinementError,
+    SolverDivergence,
+    TruncationOverflow,
+    UsageError,
+)
 from .exactpoly import Poly, compose_star
-from .operators import TruncationOverflow
 from .rationals import Rational, as_rational, rat_str, rat_strs
 from .recurrence import (
     FactorizationViolation,
-    NoVariantMatches,
     Params,
     gen_type1_records,
     gen_type1_vectors,
@@ -44,8 +54,6 @@ from .recurrence import (
     verify_h_recurrence,
     verify_shift,
 )
-from .rootfind import RootRefinementError
-from .roots import ConvergenceFailure
 
 SCHEMA = "chebsys/1"
 REGION_TOL = 1e-9
@@ -63,10 +71,6 @@ NUMERIC_FAILURES = (
     RootRefinementError,
     TruncationOverflow,
 )
-
-
-class UsageError(Exception):
-    pass
 
 
 def fmt_float(x) -> str:
@@ -410,6 +414,8 @@ def cmd_verify(args) -> int:
         },
     )
 
+    from . import roots  # the numeric half: loads numpy and mpmath
+
     probe = roots.conjecture_probe(p, max(args.R, p.m), precision)
     add(
         "conjecture_probe",
@@ -430,6 +436,8 @@ def cmd_verify(args) -> int:
 
 
 def _geometry_payload(p: Params) -> dict:
+    from . import algebraic
+
     geom = algebraic.star_geometry(p)
     points = algebraic.branch_points(p)
     return {
@@ -443,6 +451,8 @@ def _geometry_payload(p: Params) -> dict:
 
 
 def cmd_branches(args) -> int:
+    from . import algebraic
+
     p = _params(args)
     precision = _precision(args)
     if args.z is not None:
@@ -536,6 +546,8 @@ def cmd_branches(args) -> int:
 
 
 def cmd_asymptote(args) -> int:
+    from . import algebraic
+
     p = _params(args)
     precision = _precision(args)
     if args.r_max < 0:
@@ -598,6 +610,8 @@ def _resolve_r_list(args) -> list:
 
 
 def cmd_roots(args) -> int:
+    from . import algebraic, roots
+
     p = _params(args)
     precision = _precision(args)
     if args.r_max < 0:
@@ -609,15 +623,22 @@ def cmd_roots(args) -> int:
     records = gen_type1_records(p, max(r_list))
     geom = algebraic.star_geometry(p)
     rows = []
+    # each index is solved once: its report feeds both the rows and the
+    # attraction study, which reports the first failing index
+    reports = []
+    failure = None
     for r in r_list:
         rec = records[r]
         if rec.t.is_zero or rec.t.degree == 0:
+            reports.append((r, None))
             continue
         try:
             report = roots.roots_of_t(rec, p, precision)
-        except ConvergenceFailure:
+        except ConvergenceFailure as exc:
+            failure = failure or exc
             rows.append({"r": r, "error": "convergence-failure"})
             continue
+        reports.append((r, report))
         for root, mult in report.t_roots:
             rows.append(
                 {
@@ -631,8 +652,10 @@ def cmd_roots(args) -> int:
                 }
             )
     summary: dict = {}
-    try:
-        study = roots.attraction_study(p, r_list, precision)
+    if failure is not None:
+        summary["attraction"] = {"error": str(failure)}
+    else:
+        study = roots.summarize_attraction(reports)
         summary["attraction"] = {
             "rows": [
                 {
@@ -646,8 +669,6 @@ def cmd_roots(args) -> int:
             "verdict_max": study.verdict_max,
             "verdict_mean": study.verdict_mean,
         }
-    except ConvergenceFailure as exc:
-        summary["attraction"] = {"error": str(exc)}
     try:
         probe = roots.conjecture_probe(p, max(max(r_list), p.m), precision)
         summary["conjecture"] = {

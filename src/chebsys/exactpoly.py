@@ -21,9 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-import mpmath
-from mpmath.libmp import fzero, mpc_add_mpf, mpc_mul, round_nearest
-
 from .rationals import Rational, as_rational, round_ratio, scaled
 
 DEFAULT_PRECISION = 53
@@ -182,6 +179,10 @@ class Poly:
         the same precision); the result is an mpmath complex carrying that
         working precision.
         """
+        # imported here so that the exact half loads without mpmath
+        import mpmath
+        from mpmath.libmp import fzero, mpc_add_mpf, mpc_mul, round_nearest
+
         if precision < 53:
             raise ValueError("precision must be at least 53 bits")
         cached = self._rounded

@@ -29,13 +29,10 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
+from .errors import TruncationOverflow
 from .exactpoly import Poly
 from .rationals import Rational, as_rational, scaled
 from .recurrence import Params, scaled_type1, scaled_type2, unit_start
-
-
-class TruncationOverflow(RuntimeError):
-    """An operator image reached past a truncation size chosen to contain it."""
 
 
 @dataclass(frozen=True, init=False)

@@ -31,16 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import NoVariantMatches
 from .exactpoly import Poly
 from .rationals import Rational, as_rational
 
 
 class FactorizationViolation(Exception):
     """The coefficient support of a scalar term contradicts its star factorization."""
-
-
-class NoVariantMatches(Exception):
-    """Neither sign variant reproduces an extracted h-polynomial exactly."""
 
 
 @dataclass(frozen=True, init=False)

@@ -12,15 +12,8 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 
+from .errors import RootRefinementError
 from .rationals import rat_to_mpf
-
-
-class RootRefinementError(Exception):
-    """Root iteration failed to converge; the offending coefficients are attached."""
-
-    def __init__(self, message: str, coeffs=None):
-        super().__init__(message)
-        self.coeffs = coeffs
 
 
 def to_mpc(value):

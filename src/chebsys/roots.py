@@ -18,20 +18,13 @@ from dataclasses import dataclass
 import mpmath
 
 from .algebraic import StarGeometry, ray_family_distance, star_geometry
+from .errors import ConvergenceFailure, RootRefinementError
 from .exactpoly import Poly, poly_gcd
 from .recurrence import Params, TypeIRecord, gen_type1_records
-from .rootfind import RootRefinementError, complex_roots, residual_scale
+from .rootfind import complex_roots, residual_scale
 
 CLUSTER_RELATIVE_TOL = 1e-7
 RESIDUAL_RELATIVE_TOL = 1e-8
-
-
-class ConvergenceFailure(Exception):
-    """Root extraction failed; the offending polynomial is attached."""
-
-    def __init__(self, message: str, poly: Poly | None = None):
-        super().__init__(message)
-        self.poly = poly
 
 
 def _cluster(roots) -> list:
@@ -196,21 +189,32 @@ def attraction_study(p: Params, r_list, precision: int = 53) -> AttractionStudy:
     if r_list != sorted(r_list):
         raise ValueError("r_list must be ascending")
     records = gen_type1_records(p, max(r_list)) if r_list else []
-    rows = []
+    reports = []
     for r in r_list:
         rec = records[r]
-        if rec.t.is_zero or rec.t.degree == 0:
-            rows.append(AttractionRow(r, 0, None, None))
-            continue
-        report = roots_of_t(rec, p, precision)
-        rows.append(
-            AttractionRow(
-                r,
-                report.total_root_count,
-                report.max_star_distance,
-                report.mean_star_distance,
-            )
+        constant = rec.t.is_zero or rec.t.degree == 0
+        reports.append((r, None if constant else roots_of_t(rec, p, precision)))
+    return summarize_attraction(reports)
+
+
+def summarize_attraction(reports) -> AttractionStudy:
+    """The attraction study of zero sets already computed.
+
+    ``reports`` holds ``(r, report)`` pairs in ascending ``r``; ``report`` is
+    the ``RootReport`` of ``t_r``, or None where ``t_r`` is zero or constant,
+    which gives an empty row.
+    """
+    rows = [
+        AttractionRow(r, 0, None, None)
+        if report is None
+        else AttractionRow(
+            r,
+            report.total_root_count,
+            report.max_star_distance,
+            report.mean_star_distance,
         )
+        for r, report in reports
+    ]
     return AttractionStudy(
         rows=tuple(rows),
         verdict_max=_trend([row.max_distance for row in rows]),

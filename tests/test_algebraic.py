@@ -4,9 +4,11 @@ import math
 import mpmath
 import pytest
 
+from chebsys import algebraic
 from chebsys.algebraic import (
     DegenerateBranches,
     OnStarSet,
+    SolverDivergence,
     asymptotic_scan,
     branch_points,
     coefficients_b,
@@ -188,6 +190,19 @@ class TestGeometry:
                 round(theta * (m + 1) / (2 * math.pi)) % (m + 1) for theta in angles
             )
             assert indices == list(range(m + 1))
+
+    def test_branch_points_reject_candidates_off_the_discriminant(self, monkeypatch):
+        # critical points scaled by 1 + 1e-6 give candidates whose
+        # discriminant is far from zero
+        solve = algebraic.complex_roots
+
+        def perturbed(coeffs, precision=53, maxiter=None):
+            return [w * (1 + mpmath.mpf("1e-6")) for w in solve(coeffs, precision)]
+
+        monkeypatch.setattr(algebraic, "complex_roots", perturbed)
+        for m, c in ((1, "1"), (2, "7/3"), (4, "3")):
+            with pytest.raises(SolverDivergence, match="candidate branch point"):
+                branch_points(Params(m, c))
 
     def test_region_on_segment(self):
         report = region_classify(Params(1, "1"), 1.0, tol=1e-9)

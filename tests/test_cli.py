@@ -7,8 +7,9 @@ from chebsys import algebraic, cli, operators
 from chebsys import roots as roots_module
 from chebsys.algebraic import DegenerateBranches
 from chebsys.cli import EXIT_NUMERIC, main
-from chebsys.recurrence import NoVariantMatches
+from chebsys.recurrence import NoVariantMatches, Params
 from chebsys.rootfind import RootRefinementError
+from chebsys.roots import ConvergenceFailure
 
 
 def run(*argv):
@@ -228,6 +229,64 @@ class TestAsymptote:
 
 
 class TestRoots:
+    R_LIST = "5,9,12,15"  # for m = 3, t_5 is zero and the others are not constant
+
+    def spy_roots_of_t(self, monkeypatch, fail=()):
+        calls = []
+        solve = roots_module.roots_of_t
+
+        def roots_of_t(rec, p, precision=53):
+            calls.append(rec.r)
+            if rec.r in fail:
+                raise ConvergenceFailure(f"stuck at r={rec.r}")
+            return solve(rec, p, precision)
+
+        monkeypatch.setattr(roots_module, "roots_of_t", roots_of_t)
+        return calls
+
+    def test_each_index_is_solved_once(self, tmp_path, monkeypatch):
+        calls = self.spy_roots_of_t(monkeypatch)
+        out = tmp_path / "roots.json"
+        assert run(
+            "roots", "--m", "3", "--c", "1", "--r-list", self.R_LIST, "--out", str(out)
+        ) == 0
+        assert calls == [9, 12, 15]
+        monkeypatch.undo()
+        study = roots_module.attraction_study(Params(3, "1"), [5, 9, 12, 15])
+        attraction = load(out)["summary"]["attraction"]
+        assert attraction["rows"][0] == {
+            "r": 5, "root_count": 0, "max_distance": None, "mean_distance": None
+        }
+        assert [
+            (row["r"], row["root_count"], row["max_distance"], row["mean_distance"])
+            for row in attraction["rows"]
+        ] == [
+            (row.r, row.root_count, row.max_distance, row.mean_distance)
+            for row in study.rows
+        ]
+        assert (attraction["verdict_max"], attraction["verdict_mean"]) == (
+            study.verdict_max, study.verdict_mean
+        )
+
+    def test_failing_indices_keep_their_rows_and_name_the_first(
+        self, tmp_path, monkeypatch
+    ):
+        calls = self.spy_roots_of_t(monkeypatch, fail={12, 15})
+        out = tmp_path / "roots.json"
+        assert run(
+            "roots", "--m", "3", "--c", "1", "--r-list", self.R_LIST, "--out", str(out)
+        ) == 0
+        assert calls == [9, 12, 15]
+        payload = load(out)
+        assert payload["summary"]["attraction"] == {"error": "stuck at r=12"}
+        failed = [row for row in payload["roots"] if row["error"]]
+        assert failed == [
+            {"r": 12, "error": "convergence-failure"},
+            {"r": 15, "error": "convergence-failure"},
+        ]
+        assert {row["r"] for row in payload["roots"]} == {9, 12, 15}
+        assert "classification" in payload["summary"]["conjecture"]
+
     def test_r6_roots_and_summary(self, tmp_path):
         out = tmp_path / "roots.json"
         assert run(
