@@ -45,6 +45,7 @@ import numpy as np
 from mpmath.libmp import from_float, mpf_add, round_nearest
 
 from .errors import DegenerateBranches, OnStarSet, RootRefinementError, SolverDivergence
+from .parallel import fork_map
 from .rationals import Rational, as_rational, rat_to_mpf
 from .recurrence import Params, gen_type1_scalar
 from .rootfind import complex_roots
@@ -499,6 +500,20 @@ def _limit_gate_distance(p: Params, geom: StarGeometry, z) -> float:
     return ray_family_distance(z, geom.attractor_angles)
 
 
+def _limit(p: Params, z, precision: int, tol: float) -> tuple:
+    """``(lambda_m, lambda_{m-1}, L)`` at z, behind the star gate and the tie check."""
+    geom = star_geometry(p)
+    if _limit_gate_distance(p, geom, z) < tol:
+        raise OnStarSet(f"z={complex(z)} lies within {tol} of the attractor star")
+    bs = solve_branches(p, z, precision)
+    top, second = bs.lambdas[-1], bs.lambdas[-2]
+    if abs(top) - abs(second) < TIE_RELATIVE_GAP * abs(top):
+        raise OnStarSet(f"largest branch modulus is tied at z={complex(z)}")
+    with mpmath.workprec(_work_bits(precision, p.m, z)):
+        cmpf = rat_to_mpf(p.c)
+        return top, second, cmpf / (cmpf * p.m - mpmath.mpc(top) ** (-(p.m + 1)))
+
+
 def limit_L(p: Params, z, precision: int = 53, tol: float = 1e-9):
     """The limit value ``c / (c*m - lambda_m**-(m+1))`` of ``t_r / lambda_m**r``.
 
@@ -509,16 +524,7 @@ def limit_L(p: Params, z, precision: int = 53, tol: float = 1e-9):
     Raises OnStarSet when z is within ``tol`` of the attractor set (or when
     the top two branch moduli tie, which is the same set seen numerically).
     """
-    geom = star_geometry(p)
-    if _limit_gate_distance(p, geom, z) < tol:
-        raise OnStarSet(f"z={complex(z)} lies within {tol} of the attractor star")
-    bs = solve_branches(p, z, precision)
-    top, second = bs.lambdas[-1], bs.lambdas[-2]
-    if abs(top) - abs(second) < TIE_RELATIVE_GAP * abs(top):
-        raise OnStarSet(f"largest branch modulus is tied at z={complex(z)}")
-    with mpmath.workprec(_work_bits(precision, p.m, z)):
-        cmpf = rat_to_mpf(p.c)
-        return cmpf / (cmpf * p.m - mpmath.mpc(top) ** (-(p.m + 1)))
+    return _limit(p, z, precision, tol)[2]
 
 
 @dataclass(frozen=True)
@@ -553,26 +559,23 @@ def asymptotic_scan(
     """
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
-    geom = star_geometry(p)
-    if _limit_gate_distance(p, geom, z) < tol:
-        raise OnStarSet(f"z={complex(z)} lies within {tol} of the attractor star")
-    bs = solve_branches(p, z, precision)
-    top, second = bs.lambdas[-1], bs.lambdas[-2]
-    if abs(top) - abs(second) < TIE_RELATIVE_GAP * abs(top):
-        raise OnStarSet(f"largest branch modulus is tied at z={complex(z)}")
+    top, second, limit_value = _limit(p, z, precision, tol)
     ratio = float(abs(second) / abs(top))
     terms = gen_type1_scalar(p, r_max)
     workbits = _work_bits(precision, p.m, z)
-    errors = []
     with mpmath.workprec(workbits):
-        cmpf = rat_to_mpf(p.c)
-        limit_value = cmpf / (cmpf * p.m - mpmath.mpc(top) ** (-(p.m + 1)))
         zz = mpmath.mpc(z)
-        power = mpmath.mpc(1)
-        for r in range(r_max + 1):
+        powers = [mpmath.mpc(1)]
+        for _ in range(r_max):
+            powers.append(powers[-1] * top)
+
+    def error(r):
+        with mpmath.workprec(workbits):
             tval = terms[r].eval_complex(zz, workbits)
-            errors.append(float(abs(tval / power - limit_value)))
-            power *= top
+            return float(abs(tval / powers[r] - limit_value))
+
+    # each evaluation is one Horner pass over the coefficients of t_r
+    errors = fork_map(error, range(r_max + 1), cost=lambda r: terms[r].degree + 1)
     window = p.m * (p.m + 1)
     rates: list[float | None] = [None] * len(errors)
     for r in range(window, len(errors)):

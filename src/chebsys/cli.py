@@ -10,11 +10,13 @@ rationals are serialized losslessly as "p/q" strings, floats are written with
 17 significant digits, and no timestamps or environment details leak into
 the files, so identical configurations (seed included) produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 numeric failure (a solver that did not converge, tied branches, or an
-operator truncation that overflowed); the error classes live in
-``chebsys.errors``.  The numeric half, and with it numpy and mpmath, is
-imported only by the commands that use it, so ``gen`` runs on the standard
-library alone.
+3 numeric failure (a solver that did not converge, tied branches, an
+operator truncation that overflowed, or a worker process that was lost); the
+error classes live in ``chebsys.errors``.  The numeric half, and with it
+numpy and mpmath, is imported only by the commands that use it, so ``gen``
+runs on the standard library alone.  Its independent root solves and
+evaluations run on every CPU the process may use (``chebsys.parallel``), and
+the outputs do not depend on how many there are.
 
 The environment variable CHEBSYS_PRECISION overrides the default working
 precision (53 bits) when --precision is not given.
@@ -41,6 +43,7 @@ from .errors import (
     SolverDivergence,
     TruncationOverflow,
     UsageError,
+    WorkerLost,
 )
 from .exactpoly import Poly, compose_star
 from .rationals import Rational, as_rational, rat_str, rat_strs
@@ -70,6 +73,7 @@ NUMERIC_FAILURES = (
     NoVariantMatches,
     RootRefinementError,
     TruncationOverflow,
+    WorkerLost,
 )
 
 
@@ -623,22 +627,18 @@ def cmd_roots(args) -> int:
     records = gen_type1_records(p, max(r_list))
     geom = algebraic.star_geometry(p)
     rows = []
-    # each index is solved once: its report feeds both the rows and the
-    # attraction study, which reports the first failing index
+    # each index is solved once: its report feeds the rows, the attraction
+    # study, which reports the first failing index, and the probe
     reports = []
     failure = None
-    for r in r_list:
-        rec = records[r]
-        if rec.t.is_zero or rec.t.degree == 0:
-            reports.append((r, None))
-            continue
-        try:
-            report = roots.roots_of_t(rec, p, precision)
-        except ConvergenceFailure as exc:
-            failure = failure or exc
+    for r, report in roots.solve_indices(p, records, r_list, precision):
+        if isinstance(report, ConvergenceFailure):
+            failure = failure or report
             rows.append({"r": r, "error": "convergence-failure"})
             continue
         reports.append((r, report))
+        if report is None:
+            continue
         for root, mult in report.t_roots:
             rows.append(
                 {
@@ -670,7 +670,7 @@ def cmd_roots(args) -> int:
             "verdict_mean": study.verdict_mean,
         }
     try:
-        probe = roots.conjecture_probe(p, max(max(r_list), p.m), precision)
+        probe = roots.conjecture_probe(p, max(max(r_list), p.m), precision, reports)
         summary["conjecture"] = {
             "classification": probe.classification,
             "max_imag_normalized": _json_safe(probe.max_imag_normalized),

@@ -49,3 +49,7 @@ class NoVariantMatches(Exception):
 
 class TruncationOverflow(RuntimeError):
     """An operator image reached past a truncation size chosen to contain it."""
+
+
+class WorkerLost(Exception):
+    """A forked worker process ended without sending its results."""

@@ -38,10 +38,9 @@ class Poly:
 
     nums: tuple
     den: int
-    # caches: the reduced coefficients, and (precision, roundings) of the
-    # last precision evaluated at
+    # caches: the reduced coefficients, and their roundings by precision
     _coeffs: tuple | None = field(default=None, compare=False, repr=False)
-    _rounded: tuple | None = field(default=None, compare=False, repr=False)
+    _rounded: dict | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, coeffs: Iterable = ()):
         self._set(*scaled(coeffs))
@@ -171,13 +170,28 @@ class Poly:
             qpow *= q
         return Fraction(acc, self.den * qpow // q if self.nums else 1)
 
+    def rounded(self, precision: int) -> tuple:
+        """The coefficients rounded to ``precision`` bits, as raw mpmath values.
+
+        ``rounded(precision)[i]`` is the coefficient of ``x**i`` rounded as
+        ``rat_to_mpf`` rounds it; each precision is rounded once.
+        """
+        cache = self._rounded
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_rounded", cache)
+        values = cache.get(precision)
+        if values is None:
+            den = self.den
+            values = cache[precision] = tuple(round_ratio(n, den, precision) for n in self.nums)
+        return values
+
     def eval_complex(self, z, precision: int = DEFAULT_PRECISION):
         """Horner evaluation at a complex point.
 
         Each reduced coefficient is rounded to ``precision`` bits as
-        ``rat_to_mpf`` rounds it (the roundings are kept for the next call at
-        the same precision); the result is an mpmath complex carrying that
-        working precision.
+        ``rat_to_mpf`` rounds it (see ``rounded``); the result is an mpmath
+        complex carrying that working precision.
         """
         # imported here so that the exact half loads without mpmath
         import mpmath
@@ -185,17 +199,11 @@ class Poly:
 
         if precision < 53:
             raise ValueError("precision must be at least 53 bits")
-        cached = self._rounded
-        if cached is None or cached[0] != precision:
-            den = self.den
-            rounded = [round_ratio(n, den, precision) for n in reversed(self.nums)]
-            cached = (precision, rounded)
-            object.__setattr__(self, "_rounded", cached)
         with mpmath.workprec(precision):
             zz = mpmath.mpc(z)._mpc_
         # acc*zz + c on raw mpmath values, rounded as the mpc operators round
         acc = (fzero, fzero)
-        for c in cached[1]:
+        for c in reversed(self.rounded(precision)):
             acc = mpc_mul(acc, zz, precision, round_nearest)
             acc = mpc_add_mpf(acc, c, precision, round_nearest)
         return mpmath.mp.make_mpc(acc)

@@ -11,9 +11,30 @@ from __future__ import annotations
 
 import mpmath
 import numpy as np
+from mpmath.libmp import (
+    fone,
+    fzero,
+    mpc_abs,
+    mpc_add,
+    mpc_add_mpf,
+    mpc_div,
+    mpc_mpf_div,
+    mpc_mul,
+    mpc_sub,
+    mpf_abs,
+    mpf_add,
+    mpf_gt,
+    mpf_le,
+    mpf_mul,
+    mpf_rdiv_int,
+    round_nearest,
+)
 
 from .errors import RootRefinementError
 from .rationals import rat_to_mpf
+
+_CZERO = (fzero, fzero)
+_CONE = (fone, fzero)
 
 
 def to_mpc(value):
@@ -22,16 +43,6 @@ def to_mpc(value):
     if num is not None and not isinstance(value, (int, float, complex)):
         return mpmath.mpc(rat_to_mpf(value))
     return mpmath.mpc(value)
-
-
-def _horner_pair(coeffs, x):
-    """Value and derivative at x; coeffs are mpc, ordered by ascending power."""
-    p = coeffs[-1]
-    dp = mpmath.mpc(0)
-    for c in reversed(coeffs[:-1]):
-        dp = dp * x + p
-        p = p * x + c
-    return p, dp
 
 
 def _initial_guesses(coeffs):
@@ -98,69 +109,117 @@ def complex_roots(coeffs, precision: int = 53, maxiter: int | None = None) -> li
         xs = _separate(_initial_guesses(cs))
         if maxiter is None:
             maxiter = max(100, 2 * precision)
-        step_tol = mpmath.mpf(2) ** -(workbits - 6)
-        floor_eps = mpmath.mpf(2) ** -(workbits - 4)
-        abs_cs = [abs(c) for c in cs]
-        done = [False] * n
-        for _ in range(maxiter):
-            for i in range(n):
-                if done[i]:
-                    continue
-                x = xs[i]
-                # fused Horner for value, derivative, and local coefficient scale
-                p = cs[-1]
-                dp = mpmath.mpc(0)
-                scale = abs_cs[-1]
-                ax = abs(x)
-                for c, ac in zip(reversed(cs[:-1]), reversed(abs_cs[:-1])):
-                    dp = dp * x + p
-                    p = p * x + c
-                    scale = scale * ax + ac
-                if abs(p) <= floor_eps * scale:
-                    # backward error at the rounding floor; cannot improve
-                    done[i] = True
-                    continue
-                if dp == 0:
-                    xs[i] = x + mpmath.mpf(2) ** -16 * (1 + ax)
-                    continue
-                newton = p / dp
-                coupling = mpmath.mpc(0)
-                for j in range(n):
-                    if j == i:
-                        continue
-                    diff = x - xs[j]
-                    if diff == 0:
-                        diff = mpmath.mpf(2) ** -(workbits // 2) * (1 + ax)
-                    coupling += 1 / diff
-                denom = 1 - newton * coupling
-                w = newton if denom == 0 else newton / denom
-                xs[i] = x - w
-                if abs(w) <= step_tol * (1 + abs(xs[i])):
-                    done[i] = True
-            if all(done):
-                break
-        else:
+        raw = [c._mpc_ for c in cs]
+        abs_cs = [mpc_abs(c, workbits, round_nearest) for c in raw]
+        xs, settled = _aberth(raw, abs_cs, [x._mpc_ for x in xs], workbits, maxiter)
+        if not settled:
             # allow a loose residual pass before declaring failure
-            scale = max(abs_cs)
+            scale = max(mpmath.mp.make_mpf(a) for a in abs_cs)
             for x in xs:
-                p, _ = _horner_pair(cs, x)
-                local = scale * max(1, abs(x)) ** n
-                if abs(p) > mpmath.mpf(2) ** -(precision // 2) * local:
+                p = _fused_horner(raw, abs_cs, x, fzero, workbits)[0]
+                local = scale * max(1, abs(mpmath.mp.make_mpc(x))) ** n
+                if abs(mpmath.mp.make_mpc(p)) > mpmath.mpf(2) ** -(precision // 2) * local:
                     raise RootRefinementError(
                         f"root refinement did not converge in {maxiter} iterations",
                         coeffs=tuple(coeffs),
                     )
-        return zeros + xs
+        return zeros + [mpmath.mp.make_mpc(x) for x in xs]
+
+
+# The Aberth iteration runs on raw mpmath values (libmp tuples): each step
+# below is the libmp call the mpc/mpf operator would make at the working
+# precision with round-to-nearest, in the same order, so the iterates are
+# bit for bit those of the operator form, without its object overhead.
+
+
+def _fused_horner(cs, abs_cs, x, ax, prec):
+    """Value, derivative and local coefficient scale ``sum |c_i| ax**i`` at x."""
+    p = cs[-1]
+    dp = _CZERO
+    scale = abs_cs[-1]
+    for i in range(len(cs) - 2, -1, -1):
+        dp = mpc_add(mpc_mul(dp, x, prec, round_nearest), p, prec, round_nearest)
+        p = mpc_add(mpc_mul(p, x, prec, round_nearest), cs[i], prec, round_nearest)
+        scale = mpf_add(mpf_mul(scale, ax, prec, round_nearest), abs_cs[i], prec, round_nearest)
+    return p, dp, scale
+
+
+def _aberth(cs, abs_cs, xs, prec, maxiter):
+    """Gauss-Seidel Aberth-Ehrlich sweeps from the seeds ``xs``.
+
+    Returns the iterates and whether every root settled within ``maxiter``
+    sweeps.
+    """
+    rnd = round_nearest
+    n = len(xs)
+    step_tol = (mpmath.mpf(2) ** -(prec - 6))._mpf_
+    floor_eps = (mpmath.mpf(2) ** -(prec - 4))._mpf_
+    nudge = (mpmath.mpf(2) ** -16)._mpf_
+    collide = (mpmath.mpf(2) ** -(prec // 2))._mpf_
+    done = [False] * n
+    for _ in range(maxiter):
+        for i in range(n):
+            if done[i]:
+                continue
+            x = xs[i]
+            ax = mpc_abs(x, prec, rnd)
+            p, dp, scale = _fused_horner(cs, abs_cs, x, ax, prec)
+            if mpf_le(mpc_abs(p, prec, rnd), mpf_mul(floor_eps, scale, prec, rnd)):
+                # backward error at the rounding floor; cannot improve
+                done[i] = True
+                continue
+            if dp == _CZERO:
+                bump = mpf_mul(nudge, mpf_add(ax, fone, prec, rnd), prec, rnd)
+                xs[i] = mpc_add_mpf(x, bump, prec, rnd)
+                continue
+            newton = mpc_div(p, dp, prec, rnd)
+            coupling = _CZERO
+            for j in range(n):
+                if j == i:
+                    continue
+                diff = mpc_sub(x, xs[j], prec, rnd)
+                if diff == _CZERO:
+                    # the operator form divides 1 by a real here
+                    gap = mpf_mul(collide, mpf_add(ax, fone, prec, rnd), prec, rnd)
+                    coupling = mpc_add_mpf(coupling, mpf_rdiv_int(1, gap, prec, rnd), prec, rnd)
+                else:
+                    coupling = mpc_add(coupling, mpc_mpf_div(fone, diff, prec, rnd), prec, rnd)
+            denom = mpc_sub(_CONE, mpc_mul(newton, coupling, prec, rnd), prec, rnd)
+            w = newton if denom == _CZERO else mpc_div(newton, denom, prec, rnd)
+            xs[i] = x = mpc_sub(x, w, prec, rnd)
+            size = mpf_add(mpc_abs(x, prec, rnd), fone, prec, rnd)
+            if mpf_le(mpc_abs(w, prec, rnd), mpf_mul(step_tol, size, prec, rnd)):
+                done[i] = True
+        if all(done):
+            return xs, True
+    return xs, False
 
 
 def residual_scale(coeffs, x) -> mpmath.mpf:
     """Backward-error denominator ``max_i |c_i| |x|**i`` at the point x."""
-    ax = abs(mpmath.mpc(x))
-    best = mpmath.mpf(0)
-    power = mpmath.mpf(1)
-    for c in coeffs:
-        term = abs(to_mpc(c)) * power
-        if term > best:
+    prec = mpmath.mp.prec
+    return max_term([mpc_abs(to_mpc(c)._mpc_, prec, round_nearest) for c in coeffs], x)
+
+
+def coefficient_moduli(poly, prec: int) -> list:
+    """``|c_i|`` of an exact polynomial's coefficients rounded to ``prec`` bits, raw."""
+    return [mpf_abs(c) for c in poly.rounded(prec)]
+
+
+def max_term(moduli, x) -> mpmath.mpf:
+    """``max_i moduli[i] * |x|**i`` at the current precision, for raw mpf moduli.
+
+    With ``coefficient_moduli`` at the current precision this is
+    ``residual_scale`` of the polynomial's coefficients, bit for bit, without
+    rounding them again at every point.
+    """
+    prec = mpmath.mp.prec
+    ax = mpc_abs(mpmath.mpc(x)._mpc_, prec, round_nearest)
+    best = fzero
+    power = fone
+    for c in moduli:
+        term = mpf_mul(c, power, prec, round_nearest)
+        if mpf_gt(term, best):
             best = term
-        power *= ax
-    return best
+        power = mpf_mul(power, ax, prec, round_nearest)
+    return mpmath.mp.make_mpf(best)

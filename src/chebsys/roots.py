@@ -21,7 +21,8 @@ from .algebraic import StarGeometry, ray_family_distance, star_geometry
 from .errors import ConvergenceFailure, RootRefinementError
 from .exactpoly import Poly, poly_gcd
 from .recurrence import Params, TypeIRecord, gen_type1_records
-from .rootfind import complex_roots, residual_scale
+from .parallel import fork_map
+from .rootfind import coefficient_moduli, complex_roots, max_term
 
 CLUSTER_RELATIVE_TOL = 1e-7
 RESIDUAL_RELATIVE_TOL = 1e-8
@@ -56,11 +57,13 @@ def roots_of_h(h: Poly, precision: int = 53) -> list:
         raw = complex_roots(h.coeffs, precision=precision)
     except RootRefinementError as exc:
         raise ConvergenceFailure(f"root refinement failed: {exc}", poly=h) from exc
-    with mpmath.workprec(precision + 32):
+    bits = precision + 32
+    with mpmath.workprec(bits):
         bound = mpmath.mpf(2) ** (8 - precision)
+        moduli = coefficient_moduli(h, bits)
         for y in raw:
-            value = h.eval_complex(y, precision + 32)
-            if abs(value) > bound * residual_scale(h.coeffs, y):
+            value = h.eval_complex(y, bits)
+            if abs(value) > bound * max_term(moduli, y):
                 raise ConvergenceFailure(
                     f"residual {float(abs(value)):.3e} too large at root {complex(y)}",
                     poly=h,
@@ -108,12 +111,13 @@ def roots_of_t(rec: TypeIRecord, p: Params, precision: int = 53) -> RootReport:
     if origin_mult:
         t_pairs.append((complex(0), origin_mult))
     with mpmath.workprec(check_bits + 32):
-        coeff_norm = residual_scale(rec.t.coeffs, 1)  # max coefficient magnitude
+        moduli = coefficient_moduli(rec.t, check_bits + 32)
+        coeff_norm = max_term(moduli, 1)  # max coefficient magnitude
         for y, mult in h_pairs:
             for k in range(m + 1):
                 root = mpmath.root(y, m + 1, k)
                 value = rec.t.eval_complex(root, check_bits)
-                scale = max(residual_scale(rec.t.coeffs, root), coeff_norm)
+                scale = max(max_term(moduli, root), coeff_norm)
                 if abs(value) > RESIDUAL_RELATIVE_TOL * scale:
                     raise ConvergenceFailure(
                         f"mapped root {complex(root)} of t_{rec.r} has residual "
@@ -183,17 +187,50 @@ def _trend(values, slack: float = 1e-9) -> str:
     return "mixed"
 
 
+def _solve_cost(poly: Poly) -> int:
+    """Work of one root solve of ``poly`` in Horner steps, for ``fork_map``.
+
+    A probe step of degree d (certificate, solve and residual gate) took
+    about as long as 25*d**2 Horner steps at 53 and 128 bits, d = 2..13.
+    """
+    return 25 * poly.degree**2
+
+
+def solve_indices(p: Params, records, r_list, precision: int = 53) -> list:
+    """``(r, result)`` for every r of ``r_list``, the indices solved in parallel.
+
+    ``result`` is the RootReport of ``t_r``, None where ``t_r`` is zero or
+    constant, or the ConvergenceFailure its solve raised.
+    """
+
+    def solve(r):
+        rec = records[r]
+        if rec.t.is_zero or rec.t.degree == 0:
+            return None
+        try:
+            return roots_of_t(rec, p, precision)
+        except ConvergenceFailure as exc:
+            return exc
+
+    def cost(r):
+        # the solve of h_r, then two passes over t_r at each mapped root
+        h, t = records[r].h, records[r].t
+        return _solve_cost(h) + 2 * (p.m + 1) * max(h.degree, 0) * (t.degree + 1)
+
+    r_list = list(r_list)
+    return list(zip(r_list, fork_map(solve, r_list, cost=cost)))
+
+
 def attraction_study(p: Params, r_list, precision: int = 53) -> AttractionStudy:
     """Star distances of the zero sets over an ascending index grid."""
     r_list = list(r_list)
     if r_list != sorted(r_list):
         raise ValueError("r_list must be ascending")
     records = gen_type1_records(p, max(r_list)) if r_list else []
-    reports = []
-    for r in r_list:
-        rec = records[r]
-        constant = rec.t.is_zero or rec.t.degree == 0
-        reports.append((r, None if constant else roots_of_t(rec, p, precision)))
+    reports = solve_indices(p, records, r_list, precision)
+    for _, result in reports:
+        if isinstance(result, ConvergenceFailure):
+            raise result
     return summarize_attraction(reports)
 
 
@@ -240,51 +277,83 @@ class ProbeReport:
     escalations: int
 
 
-def conjecture_probe(p: Params, r_max: int, precision: int = 53) -> ProbeReport:
+def _worst_imag(pairs) -> float:
+    return max(
+        (abs(float(y.imag)) / max(1.0, abs(complex(y))) for y, _ in pairs),
+        default=0.0,
+    )
+
+
+def _probe_index(rec: TypeIRecord, precision: int, pairs) -> tuple | None:
+    """The probe's evidence at one index, or None if h_r has a repeated root.
+
+    Returns the worst normalized imaginary part, the least normalized
+    separation and whether the precision was escalated.  ``pairs`` are the
+    h-root pairs at ``precision`` if already known.
+    """
+    h = rec.h
+    certificate = poly_gcd(h, h.derivative())
+    if certificate.degree > 0:
+        return None
+    if pairs is None:
+        pairs = roots_of_h(h, precision)
+    worst = _worst_imag(pairs)
+    escalated = worst > 1e-9 or any(mult >= 2 for _, mult in pairs)
+    if escalated:
+        # one escalation before anything is flagged: clusters of simple
+        # roots and spurious imaginary parts usually resolve at twice the
+        # precision
+        pairs = roots_of_h(h, 2 * precision)
+        worst = _worst_imag(pairs)
+    min_sep = math.inf
+    centers = [y for y, _ in pairs]
+    for i, a in enumerate(centers):
+        for b in centers[i + 1 :]:
+            sep = float(abs(a - b)) / max(1.0, abs(complex(a)), abs(complex(b)))
+            min_sep = min(min_sep, sep)
+    return worst, min_sep, escalated
+
+
+def conjecture_probe(
+    p: Params, r_max: int, precision: int = 53, reports=()
+) -> ProbeReport:
+    """Realness and simplicity evidence for every h_r with r <= r_max.
+
+    ``reports`` holds ``(r, RootReport)`` pairs already solved at
+    ``precision`` (other entries are ignored); wherever ``roots_of_t`` solved
+    the unstripped h_r, its h-root pairs are used instead of a new solve.
+    """
     if r_max < p.m:
         raise ValueError("r_max must be at least m")
-    records = gen_type1_records(p, r_max)
+    records = [rec for rec in gen_type1_records(p, r_max) if rec.tau >= 1]
+    known = {r: report.h_roots for r, report in reports if isinstance(report, RootReport)}
+
+    def reused(rec):
+        # roots_of_t strips a zero of h at the origin before solving
+        return known.get(rec.r) if rec.h.nums[0] else None
+
+    steps = fork_map(
+        lambda rec: _probe_index(rec, precision, reused(rec)),
+        records,
+        cost=lambda rec: 0 if reused(rec) is not None else _solve_cost(rec.h),
+    )
     max_imag = 0.0
     min_sep = math.inf
     offending = None
     reason = None
-    checked = 0
     escalations = 0
-    for rec in records:
-        if rec.tau < 1:
-            continue
-        checked += 1
-        h = rec.h
-        certificate = poly_gcd(h, h.derivative())
-        if certificate.degree > 0:
+    for rec, step in zip(records, steps):
+        if step is None:
             offending = offending if offending is not None else rec.r
             reason = reason or "repeated-root"
             continue
-        pairs = roots_of_h(h, precision)
-        worst = max(
-            (abs(float(y.imag)) / max(1.0, abs(complex(y))) for y, _ in pairs),
-            default=0.0,
-        )
-        clustered = any(mult >= 2 for _, mult in pairs)
-        if worst > 1e-9 or clustered:
-            # one escalation before anything is flagged: clusters of simple
-            # roots and spurious imaginary parts usually resolve at twice the
-            # precision
-            escalations += 1
-            pairs = roots_of_h(h, 2 * precision)
-            worst = max(
-                (abs(float(y.imag)) / max(1.0, abs(complex(y))) for y, _ in pairs),
-                default=0.0,
-            )
+        worst, sep, escalated = step
+        escalations += escalated
         if worst > max_imag:
             max_imag = worst
             if worst > 1e-9 and offending is None:
                 offending = rec.r
-        centers = [y for y, _ in pairs]
-        for i, a in enumerate(centers):
-            for b in centers[i + 1 :]:
-                sep = float(abs(a - b)) / max(1.0, abs(complex(a)), abs(complex(b)))
-                min_sep = min(min_sep, sep)
+        min_sep = min(min_sep, sep)
     if reason == "repeated-root":
         classification = "COUNTEREXAMPLE"
     elif max_imag > 1e-6:
@@ -302,6 +371,6 @@ def conjecture_probe(p: Params, r_max: int, precision: int = 53) -> ProbeReport:
         min_separation_normalized=min_sep,
         offending_r=offending,
         reason=reason,
-        checked=checked,
+        checked=len(records),
         escalations=escalations,
     )

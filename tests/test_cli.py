@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from chebsys import algebraic, cli, operators
+from chebsys import algebraic, cli, operators, parallel
 from chebsys import roots as roots_module
 from chebsys.algebraic import DegenerateBranches
 from chebsys.cli import EXIT_NUMERIC, main
@@ -286,6 +286,29 @@ class TestRoots:
         ]
         assert {row["r"] for row in payload["roots"]} == {9, 12, 15}
         assert "classification" in payload["summary"]["conjecture"]
+
+    def test_each_h_is_solved_once_with_the_probe(self, tmp_path, monkeypatch):
+        # one process, so the spy sees every solve; the probe reuses the
+        # h-root pairs of the r-list reports instead of solving h_r again
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
+        calls = []
+        solve = roots_module.roots_of_h
+
+        def roots_of_h(h, precision=53):
+            calls.append((h, precision))
+            return solve(h, precision)
+
+        monkeypatch.setattr(roots_module, "roots_of_h", roots_of_h)
+        out = tmp_path / "roots.json"
+        assert run(
+            "roots", "--m", "2", "--c", "59/62", "--r-max", "30", "--out", str(out)
+        ) == 0
+        assert len(calls) == len(set(calls))
+        records = roots_module.gen_type1_records(Params(2, "59/62"), 30)
+        assert {(records[r].h, 53) for r in (10, 20, 30)} <= set(calls)
+        assert load(out)["summary"]["conjecture"]["checked"] == sum(
+            rec.tau >= 1 for rec in records
+        )
 
     def test_r6_roots_and_summary(self, tmp_path):
         out = tmp_path / "roots.json"

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from chebsys import cli
+from chebsys import cli, parallel
 from chebsys.cli import main
 
 PINNED = {
@@ -29,6 +29,16 @@ PINNED = {
     "asymptote.json": "8003bbe3fafd40e47754540e113494f9e1c55b0913fc61cdd6d80546280ecd7e",
     "branches.csv": "118033037a27112f1c73d13fbbde89b28c5b7c8fbf87557d4aefcb7baa4c70b9",
     "branches.csv.geometry.json": "e25bad7d096404769c6f0b60acbad258f6034a3c4b9e1047d3024160c882072e",
+}
+
+# taken before the root work was spread over worker processes; each must
+# come out the same from one process and from three
+PINNED_PARALLEL = {
+    "roots60.json": "a836db5aeddca8a8a49c5e122f29336900afaf1579b37eea9728f6f4f4f3a5e0",
+    "roots60.csv": "d11117cd40b7b999d70c5772a931fbea6305a923937e3df9bed262c36570c996",
+    "roots60.csv.summary.json": "7bd5ca254ee968a2e99fc64c02a63f5e5249c4d965c0b153e8b672faa8424a7c",
+    "verify30.json": "e670741bdcd583275c2fd2c3c8ad8aa04ab368e439e9c84f0f3c08406d4d550c",
+    "asymptote200.json": "61998cedf6d6c90167da414b8642c6d5a37b8e41036662adf4a87dbd871a382e",
 }
 
 
@@ -121,3 +131,33 @@ def test_branch_values_beyond_double_range_are_an_overflow_row(workdir, fmt):
         last = text.splitlines()[-1].split(",")
         assert last[:2] == ["1e+308", "0"] and last[-1] == "overflow"
         assert set(last[2:-1]) == {""}
+
+
+@pytest.fixture(params=[1, 3], ids=["1-worker", "3-workers"])
+def workers(request, monkeypatch):
+    monkeypatch.setattr(parallel, "cpu_count", lambda: request.param)
+    if request.param > 1:
+        # fork for every map, however little its work
+        monkeypatch.setattr(parallel, "MIN_COST", 0)
+    return request.param
+
+
+def test_roots_json_csv_and_summary_are_pinned(workdir, workers):
+    argv = ["roots", "--m", "2", "--c", "59/62", "--r-max", "60"]
+    assert main(argv + ["--out", "roots60.json"]) == 0
+    assert main(argv + ["--format", "csv", "--out", "roots60.csv"]) == 0
+    for name in ("roots60.json", "roots60.csv", "roots60.csv.summary.json"):
+        assert digest((workdir / name).read_bytes()) == PINNED_PARALLEL[name], name
+
+
+def test_verify_with_the_probe_is_pinned(workdir, workers):
+    argv = ["verify", "--m", "3", "--c", "23/41", "--R", "30", "--out", "verify30.json"]
+    assert main(argv) == 0
+    assert digest((workdir / "verify30.json").read_bytes()) == PINNED_PARALLEL["verify30.json"]
+
+
+def test_deep_asymptote_scan_is_pinned(workdir, workers):
+    argv = ["asymptote", "--m", "3", "--c", "1", "--z", "3,1", "--r-max", "200"]
+    assert main(argv + ["--precision", "200", "--out", "asymptote200.json"]) == 0
+    digest_out = digest((workdir / "asymptote200.json").read_bytes())
+    assert digest_out == PINNED_PARALLEL["asymptote200.json"]
