@@ -421,19 +421,22 @@ def cmd_verify(args) -> int:
     from . import roots  # the numeric half: loads numpy and mpmath
 
     probe = roots.conjecture_probe(p, max(args.R, p.m), precision)
-    add(
-        "conjecture_probe",
-        "informational",
-        "INFO",
-        {
-            "classification": probe.classification,
-            "max_imag_normalized": _json_safe(probe.max_imag_normalized),
-            "min_separation_normalized": _json_safe(probe.min_separation_normalized),
-            "offending_r": probe.offending_r,
-            "reason": probe.reason,
-        },
-    )
+    add("conjecture_probe", "informational", "INFO", _probe_block(probe))
     return report()
+
+
+def _probe_block(probe) -> dict:
+    """The probe's report, as ``verify`` and ``roots`` both write it."""
+    return {
+        "classification": probe.classification,
+        "max_imag_normalized": _json_safe(probe.max_imag_normalized),
+        "min_separation_normalized": _json_safe(probe.min_separation_normalized),
+        "offending_r": probe.offending_r,
+        "reason": probe.reason,
+        "checked": probe.checked,
+        "certified": probe.certified,
+        "first_uncertified_r": probe.first_uncertified_r,
+    }
 
 
 # ---------------------------------------------------------------- branches
@@ -627,8 +630,8 @@ def cmd_roots(args) -> int:
     records = gen_type1_records(p, max(r_list))
     geom = algebraic.star_geometry(p)
     rows = []
-    # each index is solved once: its report feeds the rows, the attraction
-    # study, which reports the first failing index, and the probe
+    # each index is solved once: its report feeds the rows and the attraction
+    # study, which reports the first failing index
     reports = []
     failure = None
     for r, report in roots.solve_indices(p, records, r_list, precision):
@@ -670,15 +673,8 @@ def cmd_roots(args) -> int:
             "verdict_mean": study.verdict_mean,
         }
     try:
-        probe = roots.conjecture_probe(p, max(max(r_list), p.m), precision, reports)
-        summary["conjecture"] = {
-            "classification": probe.classification,
-            "max_imag_normalized": _json_safe(probe.max_imag_normalized),
-            "min_separation_normalized": _json_safe(probe.min_separation_normalized),
-            "offending_r": probe.offending_r,
-            "reason": probe.reason,
-            "checked": probe.checked,
-        }
+        probe = roots.conjecture_probe(p, max(max(r_list), p.m), precision)
+        summary["conjecture"] = _probe_block(probe)
     except ConvergenceFailure as exc:
         summary["conjecture"] = {"error": str(exc)}
     if args.format == "json":

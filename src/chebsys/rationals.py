@@ -55,6 +55,9 @@ def rat_strs(nums, den: int) -> list:
     """``rat_str`` of every ``num/den`` (``den > 0``), straight from the integers."""
     out = []
     for num in nums:
+        if not num:
+            out.append("0/1")
+            continue
         g = math.gcd(num, den)
         out.append(f"{num // g}/{den // g}")
     return out
@@ -68,13 +71,24 @@ def rat_to_mpf(q):
     return mpmath.mp.make_mpf(round_ratio(q.numerator, q.denominator, mpmath.mp.prec))
 
 
+# the libmp calls of ``round_ratio``, resolved on its first call so that the
+# exact half loads without mpmath
+_from_int = _mpf_div = _round_nearest = _fzero = None
+
+
 def round_ratio(num: int, den: int, prec: int) -> tuple:
     """``num/den`` (``den > 0``) rounded as the raw mpmath value of
     ``mpf(p) / mpf(q)`` at ``prec`` bits, ``p/q`` being the reduced fraction."""
-    from mpmath.libmp import from_int, mpf_div, round_nearest
-
+    global _from_int, _mpf_div, _round_nearest, _fzero
+    if _from_int is None:
+        from mpmath.libmp import from_int as _from_int
+        from mpmath.libmp import fzero as _fzero
+        from mpmath.libmp import mpf_div as _mpf_div
+        from mpmath.libmp import round_nearest as _round_nearest
+    if not num:
+        return _fzero
     g = math.gcd(num, den)
-    value = from_int(num // g, prec, round_nearest)
+    value = _from_int(num // g, prec, _round_nearest)
     if den == g:
         return value
-    return mpf_div(value, from_int(den // g, prec, round_nearest), prec, round_nearest)
+    return _mpf_div(value, _from_int(den // g, prec, _round_nearest), prec, _round_nearest)

@@ -195,12 +195,6 @@ def _aberth(cs, abs_cs, xs, prec, maxiter):
     return xs, False
 
 
-def residual_scale(coeffs, x) -> mpmath.mpf:
-    """Backward-error denominator ``max_i |c_i| |x|**i`` at the point x."""
-    prec = mpmath.mp.prec
-    return max_term([mpc_abs(to_mpc(c)._mpc_, prec, round_nearest) for c in coeffs], x)
-
-
 def coefficient_moduli(poly, prec: int) -> list:
     """``|c_i|`` of an exact polynomial's coefficients rounded to ``prec`` bits, raw."""
     return [mpf_abs(c) for c in poly.rounded(prec)]
@@ -209,9 +203,9 @@ def coefficient_moduli(poly, prec: int) -> list:
 def max_term(moduli, x) -> mpmath.mpf:
     """``max_i moduli[i] * |x|**i`` at the current precision, for raw mpf moduli.
 
-    With ``coefficient_moduli`` at the current precision this is
-    ``residual_scale`` of the polynomial's coefficients, bit for bit, without
-    rounding them again at every point.
+    With ``coefficient_moduli`` at the current precision this is the
+    backward-error denominator of the polynomial at x, each coefficient
+    rounded once and not again at every point.
     """
     prec = mpmath.mp.prec
     ax = mpc_abs(mpmath.mpc(x)._mpc_, prec, round_nearest)

@@ -5,9 +5,10 @@ root computation to the far smaller polynomial ``h_r`` (degree roughly
 ``r/(m*(m+1))`` instead of ``r/m``): the zeros of ``t_r`` are the origin with
 multiplicity ``ell`` plus all (m+1)-th roots of each zero of ``h_r``.  The
 attraction study quantifies how close these zeros sit to the parity-selected
-unbounded star, and the probe gathers evidence for (never asserts) the
-conjecture that the zeros of the ``h_r`` are real and simple, backed by an
-exact square-freeness certificate.
+unbounded star, and the probe tests the conjecture that the zeros of every
+``h_r`` are real and simple.  It proves that exactly wherever an integer sign
+certificate holds (``exactpoly.certify_real_roots``) and falls back to
+numeric evidence, never an assertion, where it does not.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ import math
 from dataclasses import dataclass
 
 import mpmath
+import numpy as np
 
 from .algebraic import StarGeometry, ray_family_distance, star_geometry
 from .errors import ConvergenceFailure, RootRefinementError
-from .exactpoly import Poly, poly_gcd
+from .exactpoly import Poly, certify_real_roots, poly_gcd
 from .recurrence import Params, TypeIRecord, gen_type1_records
 from .parallel import fork_map
 from .rootfind import coefficient_moduli, complex_roots, max_term
@@ -190,7 +192,7 @@ def _trend(values, slack: float = 1e-9) -> str:
 def _solve_cost(poly: Poly) -> int:
     """Work of one root solve of ``poly`` in Horner steps, for ``fork_map``.
 
-    A probe step of degree d (certificate, solve and residual gate) took
+    A probe step of degree d (gcd, solve and residual gate) took
     about as long as 25*d**2 Horner steps at 53 and 128 bits, d = 2..13.
     """
     return 25 * poly.degree**2
@@ -261,11 +263,16 @@ def summarize_attraction(reports) -> AttractionStudy:
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Numeric evidence for the real-and-simple root hypothesis; never an assertion.
+    """Realness and simplicity of the zeros of every h_r, certified or observed.
 
-    Simplicity is certified exactly per index via gcd(h, h'); realness is a
-    numeric observation with one precision escalation before anything is
-    flagged.  Classification is PASS, INCONCLUSIVE, or COUNTEREXAMPLE.
+    An index is certified when the integer h_r has nonzero alternating signs
+    at d+1 dyadic points, which proves d distinct real zeros; its imaginary
+    part counts as 0 and its separation is that of the certifying root
+    hints.  Every other index falls back to numeric evidence: simplicity is
+    certified exactly via gcd(h, h'), realness is observed with one precision
+    escalation before anything is flagged.  Classification is PASS,
+    INCONCLUSIVE, or COUNTEREXAMPLE; a PASS with ``certified == checked`` is
+    a proof.
     """
 
     classification: str
@@ -275,6 +282,8 @@ class ProbeReport:
     reason: str | None
     checked: int
     escalations: int
+    certified: int
+    first_uncertified_r: int | None
 
 
 def _worst_imag(pairs) -> float:
@@ -284,19 +293,52 @@ def _worst_imag(pairs) -> float:
     )
 
 
-def _probe_index(rec: TypeIRecord, precision: int, pairs) -> tuple | None:
-    """The probe's evidence at one index, or None if h_r has a repeated root.
+def _separation(a, b) -> float:
+    return float(abs(a - b)) / max(1.0, abs(complex(a)), abs(complex(b)))
+
+
+def _root_hints(rec: TypeIRecord, p: Params) -> list:
+    """Float estimates of the zeros of h_r, sorted by real part.
+
+    For m = 1, ``c**(r/2) * t_r(x) = U_r(x / (2*sqrt(c)))`` puts them at
+    ``4c cos(k pi/(r+1))**2``, k = 1..deg h_r; otherwise they are the real
+    parts of companion-matrix eigenvalues of the scaled coefficients.
+    """
+    if p.m == 1:
+        try:
+            c4 = 4 * float(p.c)
+        except OverflowError:  # zeros beyond the range of a double: no hints
+            return []
+        angle = math.pi / (rec.r + 1)
+        return sorted(c4 * math.cos(k * angle) ** 2 for k in range(1, rec.h.degree + 1))
+    nums = rec.h.nums
+    scale = max(abs(n) for n in nums)
+    # ratios of at most 1 in modulus, so huge integers neither overflow nor raise
+    with np.errstate(all="ignore"):
+        found = np.roots([n / scale for n in reversed(nums)])
+    return sorted(float(y.real) for y in found)
+
+
+def _certify_index(rec: TypeIRecord, p: Params) -> tuple | None:
+    """The probe step of a certified index, or None if h_r is not certified."""
+    hints = _root_hints(rec, p)
+    if not certify_real_roots(rec.h, hints):
+        return None
+    sep = min(map(_separation, hints, hints[1:]), default=math.inf)
+    return 0.0, sep, False
+
+
+def _probe_index(rec: TypeIRecord, precision: int) -> tuple | None:
+    """The numeric evidence at one index, or None if h_r has a repeated root.
 
     Returns the worst normalized imaginary part, the least normalized
-    separation and whether the precision was escalated.  ``pairs`` are the
-    h-root pairs at ``precision`` if already known.
+    separation and whether the precision was escalated.
     """
     h = rec.h
     certificate = poly_gcd(h, h.derivative())
     if certificate.degree > 0:
         return None
-    if pairs is None:
-        pairs = roots_of_h(h, precision)
+    pairs = roots_of_h(h, precision)
     worst = _worst_imag(pairs)
     escalated = worst > 1e-9 or any(mult >= 2 for _, mult in pairs)
     if escalated:
@@ -309,40 +351,34 @@ def _probe_index(rec: TypeIRecord, precision: int, pairs) -> tuple | None:
     centers = [y for y, _ in pairs]
     for i, a in enumerate(centers):
         for b in centers[i + 1 :]:
-            sep = float(abs(a - b)) / max(1.0, abs(complex(a)), abs(complex(b)))
-            min_sep = min(min_sep, sep)
+            min_sep = min(min_sep, _separation(a, b))
     return worst, min_sep, escalated
 
 
-def conjecture_probe(
-    p: Params, r_max: int, precision: int = 53, reports=()
-) -> ProbeReport:
-    """Realness and simplicity evidence for every h_r with r <= r_max.
+def conjecture_probe(p: Params, r_max: int, precision: int = 53) -> ProbeReport:
+    """Realness and simplicity of the zeros of every h_r with r <= r_max.
 
-    ``reports`` holds ``(r, RootReport)`` pairs already solved at
-    ``precision`` (other entries are ignored); wherever ``roots_of_t`` solved
-    the unstripped h_r, its h-root pairs are used instead of a new solve.
+    Every index is first tried with the exact sign certificate; only the
+    indices it does not certify are solved, in parallel, at ``precision``.
     """
     if r_max < p.m:
         raise ValueError("r_max must be at least m")
     records = [rec for rec in gen_type1_records(p, r_max) if rec.tau >= 1]
-    known = {r: report.h_roots for r, report in reports if isinstance(report, RootReport)}
-
-    def reused(rec):
-        # roots_of_t strips a zero of h at the origin before solving
-        return known.get(rec.r) if rec.h.nums[0] else None
-
-    steps = fork_map(
-        lambda rec: _probe_index(rec, precision, reused(rec)),
-        records,
-        cost=lambda rec: 0 if reused(rec) is not None else _solve_cost(rec.h),
+    steps = {rec.r: _certify_index(rec, p) for rec in records}
+    rest = [rec for rec in records if steps[rec.r] is None]
+    solved = fork_map(
+        lambda rec: _probe_index(rec, precision),
+        rest,
+        cost=lambda rec: _solve_cost(rec.h),
     )
+    steps.update((rec.r, step) for rec, step in zip(rest, solved))
     max_imag = 0.0
     min_sep = math.inf
     offending = None
     reason = None
     escalations = 0
-    for rec, step in zip(records, steps):
+    for rec in records:
+        step = steps[rec.r]
         if step is None:
             offending = offending if offending is not None else rec.r
             reason = reason or "repeated-root"
@@ -373,4 +409,6 @@ def conjecture_probe(
         reason=reason,
         checked=len(records),
         escalations=escalations,
+        certified=len(records) - len(rest),
+        first_uncertified_r=rest[0].r if rest else None,
     )

@@ -288,8 +288,8 @@ class TestRoots:
         assert "classification" in payload["summary"]["conjecture"]
 
     def test_each_h_is_solved_once_with_the_probe(self, tmp_path, monkeypatch):
-        # one process, so the spy sees every solve; the probe reuses the
-        # h-root pairs of the r-list reports instead of solving h_r again
+        # one process, so the spy sees every solve; the probe certifies the
+        # r-list h_r from their signs instead of solving them again
         monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
         calls = []
         solve = roots_module.roots_of_h
@@ -441,7 +441,9 @@ class TestNumericFailures:
         )
 
     def test_convergence_failure(self, tmp_path, monkeypatch, capsys):
-        # the verify probe's root extraction turns this into ConvergenceFailure
+        # with no index certified, the verify probe's root extraction turns
+        # this into ConvergenceFailure
+        monkeypatch.setattr(roots_module, "certify_real_roots", lambda h, hints: False)
         monkeypatch.setattr(
             roots_module, "complex_roots", _raise(RootRefinementError("stuck"))
         )

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from chebsys import cli
 from chebsys.exactpoly import Poly
 from chebsys.operators import gram_matrix, type1_image, type2_image
-from chebsys.rationals import rat_to_mpf
+from chebsys.rationals import rat_strs, rat_to_mpf
 from chebsys.recurrence import (
     Params,
     gen_type1_records,
@@ -178,6 +178,36 @@ def test_eval_complex_rounds_each_reduced_coefficient():
         assert poly.eval_complex(0, bits) == expected
     with mpmath.workprec(53):
         assert mpmath.mpf(p * g) / mpmath.mpf(q * g) != rat_to_mpf(Fraction(p, q))
+
+
+def _eval_every_coefficient(poly, z, bits):
+    """Horner's rule over every rounded coefficient, zeros included."""
+    from mpmath.libmp import fzero, mpc_add_mpf, mpc_mul, round_nearest
+
+    with mpmath.workprec(bits):
+        zz = mpmath.mpc(z)._mpc_
+    acc = (fzero, fzero)
+    for c in reversed(poly.rounded(bits)):
+        acc = mpc_mul(acc, zz, bits, round_nearest)
+        acc = mpc_add_mpf(acc, c, bits, round_nearest)
+    return acc
+
+
+@pytest.mark.parametrize("bits", [53, 200, 400])
+def test_eval_complex_skips_zero_coefficients_bit_for_bit(bits):
+    # t_r has one nonzero coefficient in m+1; skipping the zeros must not
+    # change a bit of the value
+    rng = random.Random(bits)
+    for m, c in ((1, "3/2"), (2, "59/62"), (3, "23/41"), (4, "640/17")):
+        records = gen_type1_records(Params(m, c), 90)
+        for _ in range(12):
+            t = records[rng.randint(m, 90)].t
+            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            assert t.eval_complex(z, bits)._mpc_ == _eval_every_coefficient(t, z, bits)
+
+
+def test_rat_strs_write_zero_as_0_over_1():
+    assert rat_strs([0, 6, -4, 0], 8) == ["0/1", "3/4", "-1/2", "0/1"]
 
 
 class TestDenominatorStructure:

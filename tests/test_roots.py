@@ -1,12 +1,13 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
 from chebsys.algebraic import star_geometry
 from chebsys.exactpoly import Poly
 from chebsys.recurrence import Params, gen_type1_records
-from chebsys.rootfind import residual_scale
+from chebsys.rootfind import coefficient_moduli, max_term
 from chebsys.roots import (
     attraction_study,
     conjecture_probe,
@@ -100,12 +101,10 @@ class TestRootsOfT:
         for r in (60, 90):
             rec = gen_type1_records(p, 90)[r]
             report = roots_of_t(rec, p, 128)
+            moduli = coefficient_moduli(rec.t, mpmath.mp.prec)
             for z, _ in report.t_roots:
                 value = rec.t.eval_complex(z, 128)
-                scale = max(
-                    float(residual_scale(rec.t.coeffs, z)),
-                    float(residual_scale(rec.t.coeffs, 1)),
-                )
+                scale = max(float(max_term(moduli, z)), float(max_term(moduli, 1)))
                 assert abs(value) <= 1e-8 * scale
 
 
