@@ -18,6 +18,14 @@ runs on the standard library alone.  Its independent root solves and
 evaluations run on every CPU the process may use (``chebsys.parallel``), and
 the outputs do not depend on how many there are.
 
+Output layout: with --format json a command writes one JSON file at --out.
+With --format csv each table goes to --out plus a suffix (none for the main
+table, ``.type2.csv`` and ``.vectors.csv`` for ``gen``) under a ``# schema=...
+config=...`` line, and what is not a table goes to a JSON sidecar,
+``<out>.geometry.json`` for ``branches`` and ``<out>.summary.json`` for
+``roots``, or to a ``# summary=...`` line under the schema line for
+``asymptote``.  ``verify`` always writes JSON.
+
 The environment variable CHEBSYS_PRECISION overrides the default working
 precision (53 bits) when --precision is not given.
 """
@@ -77,10 +85,6 @@ NUMERIC_FAILURES = (
 )
 
 
-def fmt_float(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _json_safe(x):
     if isinstance(x, float) and not math.isfinite(x):
         return None
@@ -92,9 +96,12 @@ def parse_point(text: str) -> complex:
     if len(parts) != 2:
         raise UsageError(f"expected RE,IM for --z, got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        z = complex(float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise UsageError(f"bad --z value {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise UsageError(f"--z value {text!r} is not finite")
+    return z
 
 
 def _parse_axis(text: str) -> list:
@@ -107,10 +114,14 @@ def _parse_axis(text: str) -> list:
         raise UsageError(f"bad grid axis {text!r}") from exc
     if count < 1:
         raise UsageError("grid axis count must be >= 1")
-    if count == 1:
-        return [start]
-    step = (stop - start) / (count - 1)
-    return [start + i * step for i in range(count)]
+    axis = [start]
+    if count > 1:
+        step = (stop - start) / (count - 1)
+        axis = [start + i * step for i in range(count)]
+    # an infinite or NaN end, or a step beyond the range of a double
+    if not all(map(math.isfinite, axis)):
+        raise UsageError(f"--grid axis {text!r} has a coordinate that is not finite")
+    return axis
 
 
 def parse_grid(text: str) -> list:
@@ -150,34 +161,71 @@ def _precision(args) -> int:
     return precision
 
 
-def write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _cell(value):
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, list):  # exact coefficients, "p/q" strings
+        return ";".join(value)
+    return value
 
 
-def _csv_writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _cells(row, width: int) -> list:
+    cells = [_cell(value) for value in row]
+    if len(cells) < width:
+        # an error row: blank cells up to its final error cell
+        cells[-1:] = [""] * (width - len(cells)) + cells[-1:]
+    return cells
 
 
-def _open_csv(path: str, config: dict):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    fh.write(f"# schema={SCHEMA} config={json.dumps(config, sort_keys=True)}\n")
-    return fh
+def emit(args, config: dict, doc: dict, tables=(), sidecar=(), notes=()) -> None:
+    """Write a command's output in the layout of the module docstring; no
+    other code in the CLI writes files.
+
+    ``doc`` is the JSON document.  Each table is ``(suffix, header, rows)``,
+    its rows a view over ``doc`` with a value per column, or fewer with the
+    error last.  ``notes`` and ``sidecar`` name keys of ``doc``.
+    """
+
+    def dump(path: str, payload: dict) -> None:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            payload = {"schema": SCHEMA, "config": config, **payload}
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+
+    if args.format == "json" or not tables:
+        dump(args.out, doc)
+        return
+    head = f"# schema={SCHEMA} config={json.dumps(config, sort_keys=True)}\n"
+    head += "".join(f"# {key}={json.dumps(doc[key], sort_keys=True)}\n" for key in notes)
+    for suffix, header, rows in tables:
+        with open(args.out + suffix, "w", encoding="utf-8", newline="") as fh:
+            fh.write(head)
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(_cells(row, len(header)) for row in rows)
+    if sidecar:
+        dump(f"{args.out}.{sidecar[0]}.json", {key: doc[key] for key in sidecar})
 
 
-def _base_config(args, command: str, precision: int, **extra) -> dict:
+def _setup(args, **extra):
+    """The parameters, working precision and output configuration of a run."""
+    p = _params(args)
+    precision = _precision(args)
     config = {
-        "command": command,
+        "command": args.command,
         "m": args.m,
         "c": rat_str(as_rational(args.c)),
         "precision": precision,
         "seed": args.seed,
         "format": args.format,
         "out": args.out,
+        **extra,
     }
-    config.update(extra)
-    return config
+    return p, precision, config
 
 
 def _coeff_strings(poly: Poly) -> list:
@@ -188,71 +236,45 @@ def _coeff_strings(poly: Poly) -> list:
 
 
 def cmd_gen(args) -> int:
-    p = _params(args)
-    precision = _precision(args)
+    p, precision, config = _setup(args, R=args.R)
     if args.R < 0:
         raise UsageError("--R must be >= 0")
-    config = _base_config(args, "gen", precision, R=args.R)
     records = gen_type1_records(p, args.R)
     vectors = gen_type1_vectors(p, args.R)
     type2 = gen_type2(p, args.R)
-    scalar_rows = [
-        {
-            "r": rec.r,
-            "d": rec.d,
-            "k": rec.k,
-            "tau": rec.tau,
-            "ell": rec.ell,
-            "t_degree": rec.t.degree,
-            "h_degree": rec.h.degree,
-            "t": _coeff_strings(rec.t),
-            "h": _coeff_strings(rec.h),
-        }
-        for rec in records
-    ]
-    if args.format == "json":
-        write_json(
-            args.out,
+    doc = {
+        "scalar": [
             {
-                "schema": SCHEMA,
-                "config": config,
-                "scalar": scalar_rows,
-                "type2": [
-                    {"n": n, "degree": poly.degree, "coeffs": _coeff_strings(poly)}
-                    for n, poly in enumerate(type2)
-                ],
-                "vectors": [
-                    {
-                        "r": rec.r,
-                        "components": [_coeff_strings(c) for c in rec.components],
-                    }
-                    for rec in vectors
-                ],
-            },
-        )
-        return EXIT_OK
-    with _open_csv(args.out, config) as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["r", "d", "k", "tau", "ell", "t_degree", "h_degree", "t", "h"])
-        for row in scalar_rows:
-            writer.writerow(
-                [
-                    row["r"], row["d"], row["k"], row["tau"], row["ell"],
-                    row["t_degree"], row["h_degree"],
-                    ";".join(row["t"]), ";".join(row["h"]),
-                ]
-            )
-    with _open_csv(args.out + ".type2.csv", config) as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["n", "degree", "coeffs"])
-        for n, poly in enumerate(type2):
-            writer.writerow([n, poly.degree, ";".join(_coeff_strings(poly))])
-    with _open_csv(args.out + ".vectors.csv", config) as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["r", "j", "degree", "coeffs"])
-        for rec in vectors:
-            for j, comp in enumerate(rec.components):
-                writer.writerow([rec.r, j, comp.degree, ";".join(_coeff_strings(comp))])
+                "r": rec.r,
+                "d": rec.d,
+                "k": rec.k,
+                "tau": rec.tau,
+                "ell": rec.ell,
+                "t_degree": rec.t.degree,
+                "h_degree": rec.h.degree,
+                "t": _coeff_strings(rec.t),
+                "h": _coeff_strings(rec.h),
+            }
+            for rec in records
+        ],
+        "type2": [
+            {"n": n, "degree": poly.degree, "coeffs": _coeff_strings(poly)}
+            for n, poly in enumerate(type2)
+        ],
+        "vectors": [
+            {"r": rec.r, "components": [_coeff_strings(c) for c in rec.components]}
+            for rec in vectors
+        ],
+    }
+    emit(args, config, doc, [
+        ("", ["r", "d", "k", "tau", "ell", "t_degree", "h_degree", "t", "h"],
+         (row.values() for row in doc["scalar"])),
+        (".type2.csv", ["n", "degree", "coeffs"], (row.values() for row in doc["type2"])),
+        # a component's degree is one less than its coefficient count
+        (".vectors.csv", ["r", "j", "degree", "coeffs"],
+         ([row["r"], j, len(coeffs) - 1, coeffs]
+          for row in doc["vectors"] for j, coeffs in enumerate(row["components"]))),
+    ])
     return EXIT_OK
 
 
@@ -315,76 +337,51 @@ def _check_adjointness(p: Params, seed: int, trials: int = 20):
 
 
 def cmd_verify(args) -> int:
-    p = _params(args)
-    precision = _precision(args)
+    p, precision, config = _setup(args, R=args.R)
     if args.R < 0:
         raise UsageError("--R must be >= 0")
-    n_max = args.n_max if args.n_max is not None else args.R
+    n_max = config["n_max"] = args.n_max if args.n_max is not None else args.R
     if n_max < 0:
         raise UsageError("--n-max must be >= 0")
-    config = _base_config(args, "verify", precision, R=args.R, n_max=n_max)
     checks = []
 
     def add(name, kind, status, details):
         checks.append({"name": name, "kind": kind, "status": status, "details": details})
 
+    def hard(name, ok, details):
+        add(name, "hard", "PASS" if ok else "FAIL", details)
+
     def report() -> int:
         passed = all(c["status"] == "PASS" for c in checks if c["kind"] == "hard")
-        write_json(
-            args.out,
-            {"schema": SCHEMA, "config": config, "passed": passed, "checks": checks},
-        )
+        emit(args, config, {"passed": passed, "checks": checks})
         return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
     # every check below shares these three generations
     try:
         records = gen_type1_records(p, args.R)
     except FactorizationViolation as exc:
-        add("factorization", "hard", "FAIL", {"witness": str(exc)})
+        hard("factorization", False, {"witness": str(exc)})
         return report()
     vectors = gen_type1_vectors(p, args.R)
     type2 = gen_type2(p, n_max)
 
-    status, details = _check_factorization(p, records)
-    add("factorization", "hard", status, details)
+    add("factorization", "hard", *_check_factorization(p, records))
 
     shift = verify_shift(vectors)
-    add(
-        "shift_identity",
-        "hard",
-        "PASS" if shift.all_pass else "FAIL",
-        {"checked": shift.checked, "mismatches": list(shift.mismatches)},
-    )
+    hard("shift_identity", shift.all_pass,
+         {"checked": shift.checked, "mismatches": list(shift.mismatches)})
 
     scalars = [rec.t for rec in records]
     firsts = [rec.components[0] for rec in vectors]
-    add(
-        "vector_scalar_agreement",
-        "hard",
-        "PASS" if scalars == firsts else "FAIL",
-        {"checked": args.R + 1},
-    )
+    hard("vector_scalar_agreement", scalars == firsts, {"checked": args.R + 1})
 
-    status, details = _check_leading_structure(p, records)
-    add("leading_coefficient_structure", "hard", status, details)
-
-    status, details = _check_denominators(p, records, vectors, type2)
-    add("denominator_structure", "hard", status, details)
+    add("leading_coefficient_structure", "hard", *_check_leading_structure(p, records))
+    add("denominator_structure", "hard", *_check_denominators(p, records, vectors, type2))
 
     bad_n = [n for n in range(n_max + 1) if not operators.jump_check_typeII(p, n)]
-    add(
-        "jump_type2",
-        "hard",
-        "PASS" if not bad_n else "FAIL",
-        {"checked": n_max + 1, "failures": bad_n},
-    )
+    hard("jump_type2", not bad_n, {"checked": n_max + 1, "failures": bad_n})
     bad_r = [r for r in range(args.R + 1) if not operators.jump_check_typeI(p, r)]
-    add(
-        "jump_type1",
-        "hard",
-        "PASS" if not bad_r else "FAIL",
-        {"checked": args.R + 1, "failures": bad_r},
-    )
+    hard("jump_type1", not bad_r, {"checked": args.R + 1, "failures": bad_r})
 
     gram = operators.gram_matrix(p, args.R, n_max)
     off = [
@@ -393,15 +390,10 @@ def cmd_verify(args) -> int:
         for n, value in enumerate(row)
         if value != (1 if n == r else 0)
     ]
-    add(
-        "biorthogonality_gram",
-        "hard",
-        "PASS" if not off else "FAIL",
-        {"shape": [args.R + 1, n_max + 1], "offenders": off[:10]},
-    )
+    hard("biorthogonality_gram", not off,
+         {"shape": [args.R + 1, n_max + 1], "offenders": off[:10]})
 
-    status, details = _check_adjointness(p, args.seed)
-    add("transpose_adjointness", "hard", status, details)
+    add("transpose_adjointness", "hard", *_check_adjointness(p, args.seed))
 
     sign_report = verify_h_recurrence([rec.h for rec in records], p)
     add(
@@ -442,51 +434,34 @@ def _probe_block(probe) -> dict:
 # ---------------------------------------------------------------- branches
 
 
-def _geometry_payload(p: Params) -> dict:
+def cmd_branches(args) -> int:
     from . import algebraic
 
+    p, precision, config = _setup(args, z=args.z, grid=args.grid)
+    points = [parse_point(args.z)] if args.z is not None else parse_grid(args.grid)
     geom = algebraic.star_geometry(p)
-    points = algebraic.branch_points(p)
-    return {
+    geometry = {
         "a": geom.a,
         "s0_angles": list(geom.s0_angles),
         "even_star_angles": list(geom.even_angles),
         "odd_star_angles": list(geom.odd_angles),
         "attractor": geom.attractor,
-        "branch_points": [[pt.real, pt.imag] for pt in points],
+        "branch_points": [[pt.real, pt.imag] for pt in algebraic.branch_points(p)],
     }
-
-
-def cmd_branches(args) -> int:
-    from . import algebraic
-
-    p = _params(args)
-    precision = _precision(args)
-    if args.z is not None:
-        points = [parse_point(args.z)]
-    elif args.grid is not None:
-        points = parse_grid(args.grid)
-    else:
-        raise UsageError("branches requires --z or --grid")
-    config = _base_config(
-        args, "branches", precision, z=args.z, grid=args.grid
-    )
-    geometry = _geometry_payload(p)
     batch = algebraic.solve_branches_many(p, points, precision)
     solver = {"batched": batch.batched, "fallback": batch.fallback}
     rows = []
     for z, bs in zip(points, batch.results):
-        row: dict = {"z_re": z.real, "z_im": z.imag, "error": ""}
+        row: dict = {"z_re": z.real, "z_im": z.imag}
+        rows.append(row)
         if isinstance(bs, SolverDivergence):
             row["error"] = "solver-divergence"
-            rows.append(row)
             continue
         lambdas = [complex(l) for l in bs.lambdas]
         moduli = [float(mod) for mod in bs.moduli]
         if not all(map(cmath.isfinite, lambdas)) or not all(map(math.isfinite, moduli)):
             # a finite branch value beyond the range of a double
             row["error"] = "overflow"
-            rows.append(row)
             continue
         region = algebraic.region_classify(p, z, REGION_TOL)
         row["lambdas"] = [[l.real, l.imag] for l in lambdas]
@@ -497,19 +472,7 @@ def cmd_branches(args) -> int:
         row["dist_even_star"] = region.dist_even_star
         row["dist_odd_star"] = region.dist_odd_star
         row["omega"] = list(region.omega)
-        rows.append(row)
-    if args.format == "json":
-        write_json(
-            args.out,
-            {
-                "schema": SCHEMA,
-                "config": config,
-                "geometry": geometry,
-                "solver": solver,
-                "rows": rows,
-            },
-        )
-        return EXIT_OK
+        row["error"] = ""
     header = ["z_re", "z_im"]
     for j in range(p.m + 1):
         header += [f"lambda{j}_re", f"lambda{j}_im"]
@@ -517,35 +480,18 @@ def cmd_branches(args) -> int:
     header += ["tie_flag", "max_residual", "dist_s0", "dist_even_star", "dist_odd_star"]
     header += [f"omega_{j}" for j in range(p.m + 1)]
     header += ["error"]
-    with _open_csv(args.out, config) as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            if row["error"]:
-                writer.writerow(
-                    [fmt_float(row["z_re"]), fmt_float(row["z_im"])]
-                    + [""] * (len(header) - 3)
-                    + [row["error"]]
-                )
-                continue
-            out = [fmt_float(row["z_re"]), fmt_float(row["z_im"])]
-            for re, im in row["lambdas"]:
-                out += [fmt_float(re), fmt_float(im)]
-            out += [fmt_float(mod) for mod in row["moduli"]]
-            out += [
-                str(row["tie_flag"]).lower(),
-                fmt_float(row["max_residual"]),
-                fmt_float(row["dist_s0"]),
-                fmt_float(row["dist_even_star"]),
-                fmt_float(row["dist_odd_star"]),
-            ]
-            out += [str(flag).lower() for flag in row["omega"]]
-            out += [""]
-            writer.writerow(out)
-    write_json(
-        args.out + ".geometry.json",
-        {"schema": SCHEMA, "config": config, "geometry": geometry, "solver": solver},
-    )
+
+    def cells(row):
+        if row["error"]:
+            return row.values()
+        return [
+            row["z_re"], row["z_im"], *(x for pair in row["lambdas"] for x in pair),
+            *row["moduli"], row["tie_flag"], row["max_residual"], row["dist_s0"],
+            row["dist_even_star"], row["dist_odd_star"], *row["omega"], "",
+        ]
+
+    doc = {"geometry": geometry, "solver": solver, "rows": rows}
+    emit(args, config, doc, [("", header, map(cells, rows))], sidecar=("geometry", "solver"))
     return EXIT_OK
 
 
@@ -555,12 +501,10 @@ def cmd_branches(args) -> int:
 def cmd_asymptote(args) -> int:
     from . import algebraic
 
-    p = _params(args)
-    precision = _precision(args)
+    p, precision, config = _setup(args, z=args.z, r_max=args.r_max)
     if args.r_max < 0:
         raise UsageError("--r-max must be >= 0")
     z = parse_point(args.z)
-    config = _base_config(args, "asymptote", precision, z=args.z, r_max=args.r_max)
     scan = algebraic.asymptotic_scan(p, z, args.r_max, precision)
     summary = {
         "L": [scan.limit_value.real, scan.limit_value.imag],
@@ -568,34 +512,15 @@ def cmd_asymptote(args) -> int:
         "window": scan.window,
         "decay_estimate": _json_safe(scan.decay_estimate),
     }
-    if args.format == "json":
-        write_json(
-            args.out,
-            {
-                "schema": SCHEMA,
-                "config": config,
-                "summary": summary,
-                "rows": [
-                    {"r": r, "error": scan.errors[r], "rate": scan.rates[r]}
-                    for r in range(len(scan.errors))
-                ],
-            },
-        )
-        return EXIT_OK
-    with _open_csv(args.out, config) as fh:
-        fh.write(f"# summary={json.dumps(summary, sort_keys=True)}\n")
-        writer = _csv_writer(fh)
-        writer.writerow(["r", "e_r", "rate", "ratio"])
-        for r in range(len(scan.errors)):
-            rate = scan.rates[r]
-            writer.writerow(
-                [
-                    r,
-                    fmt_float(scan.errors[r]),
-                    "" if rate is None else fmt_float(rate),
-                    fmt_float(scan.ratio),
-                ]
-            )
+    rows = [
+        {"r": r, "error": scan.errors[r], "rate": scan.rates[r]}
+        for r in range(len(scan.errors))
+    ]
+    emit(
+        args, config, {"summary": summary, "rows": rows},
+        [("", ["r", "e_r", "rate", "ratio"], ([*row.values(), scan.ratio] for row in rows))],
+        notes=("summary",),
+    )
     return EXIT_OK
 
 
@@ -619,14 +544,10 @@ def _resolve_r_list(args) -> list:
 def cmd_roots(args) -> int:
     from . import algebraic, roots
 
-    p = _params(args)
-    precision = _precision(args)
+    p, precision, config = _setup(args, r_max=args.r_max)
     if args.r_max < 0:
         raise UsageError("--r-max must be >= 0")
-    r_list = _resolve_r_list(args)
-    config = _base_config(
-        args, "roots", precision, r_max=args.r_max, r_list=r_list
-    )
+    r_list = config["r_list"] = _resolve_r_list(args)
     records = gen_type1_records(p, max(r_list))
     geom = algebraic.star_geometry(p)
     rows = []
@@ -677,35 +598,10 @@ def cmd_roots(args) -> int:
         summary["conjecture"] = _probe_block(probe)
     except ConvergenceFailure as exc:
         summary["conjecture"] = {"error": str(exc)}
-    if args.format == "json":
-        write_json(
-            args.out,
-            {"schema": SCHEMA, "config": config, "summary": summary, "roots": rows},
-        )
-        return EXIT_OK
-    with _open_csv(args.out, config) as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(
-            ["r", "root_re", "root_im", "multiplicity", "star_distance", "is_origin", "error"]
-        )
-        for row in rows:
-            if row.get("error"):
-                writer.writerow([row["r"], "", "", "", "", "", row["error"]])
-                continue
-            writer.writerow(
-                [
-                    row["r"],
-                    fmt_float(row["root_re"]),
-                    fmt_float(row["root_im"]),
-                    row["multiplicity"],
-                    fmt_float(row["star_distance"]),
-                    str(row["is_origin"]).lower(),
-                    "",
-                ]
-            )
-    write_json(
-        args.out + ".summary.json",
-        {"schema": SCHEMA, "config": config, "summary": summary},
+    header = ["r", "root_re", "root_im", "multiplicity", "star_distance", "is_origin", "error"]
+    emit(
+        args, config, {"summary": summary, "roots": rows},
+        [("", header, (row.values() for row in rows))], sidecar=("summary",),
     )
     return EXIT_OK
 
@@ -742,8 +638,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("branches", help="solve the branch equation on a point or grid")
     common(sp)
-    sp.add_argument("--z", type=str, default=None, help="single point RE,IM")
-    sp.add_argument("--grid", type=str, default=None, help="grid re0:re1:n,im0:im1:n")
+    where = sp.add_mutually_exclusive_group(required=True)
+    where.add_argument("--z", type=str, default=None, help="single point RE,IM")
+    where.add_argument("--grid", type=str, default=None, help="grid re0:re1:n,im0:im1:n")
     sp.set_defaults(func=cmd_branches)
 
     sp = sub.add_parser("asymptote", help="scan the scaled-term error decay at a point")
@@ -789,16 +686,7 @@ def main(argv=None) -> int:
         return 0 if code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"chebsys: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OnStarSet as exc:
-        print(f"chebsys: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, TypeError) as exc:
-        print(f"chebsys: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (UsageError, OnStarSet, ValueError, TypeError, OSError) as exc:
         print(f"chebsys: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NUMERIC_FAILURES as exc:

@@ -370,6 +370,33 @@ class TestUsageErrors:
             "asymptote", "--m", "1", "--c", "1", "--z", "3", "--out", str(out)
         ) == 2
 
+    @pytest.mark.parametrize(
+        "command, where",
+        [
+            ("branches", ["--z", "inf,0"]),
+            ("branches", ["--z", "nan,0"]),
+            ("asymptote", ["--z", "inf,1", "--r-max", "5"]),
+            # finite ends, but the step overflows to inf and the points to NaN
+            ("branches", ["--grid=-1e308:1e308:3,0:1:1"]),
+        ],
+    )
+    def test_non_finite_coordinates(self, tmp_path, capsys, command, where):
+        out = tmp_path / "x.json"
+        assert run(command, "--m", "1", "--c", "1", *where, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chebsys: error: ") and err.count("\n") == 1
+        assert where[0].partition("=")[0] in err
+        assert not out.exists()
+
+    def test_point_and_grid_exclude_each_other(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run(
+            "branches", "--m", "1", "--c", "1", "--z", "3,0", "--grid", "0:1:2,0:1:2",
+            "--out", str(out),
+        ) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEnvironmentPrecision:
     def test_env_override(self, tmp_path, monkeypatch):

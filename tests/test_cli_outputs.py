@@ -32,6 +32,16 @@ PINNED = {
     "asymptote.json": "8003bbe3fafd40e47754540e113494f9e1c55b0913fc61cdd6d80546280ecd7e",
     "branches.csv": "118033037a27112f1c73d13fbbde89b28c5b7c8fbf87557d4aefcb7baa4c70b9",
     "branches.csv.geometry.json": "e25bad7d096404769c6f0b60acbad258f6034a3c4b9e1047d3024160c882072e",
+    # taken before the commands shared one output writer
+    "branches.json": "98f9561cb0d8a38af9f8074275f63a82e0744f8eb20af24b8c3e3db4d6ceaef4",
+    "asymptote.csv": "8c6adb0e73e15a9237f38f29fd4158cfc1aa6ff079c60c1483dbb131cf98632c",
+    "roots.csv": "8de44ed349ead7271be8dffae1fd4cd72bf75ceef36206f23320a9defb0a74fa",
+    "roots.csv.summary.json": "4a9068b804434e2ef26ab67c6cef01f162e9c463301aeaa09f516ba790f297bc",
+    "verify.csv": "9da81417cf577e25460dcc56c88112e2878ea190503e82f68adfffb9ba6ee05c",
+    "gen0.json": "5a441dde49a99ff2fc0451428805746c67ef4d5eca05eb4de00b1a1ce99480a5",
+    "gen0.csv": "c6714aad9a13c42253bef2299bf64a8a07310117883b30207eede69d6ca945c2",
+    "gen0.csv.type2.csv": "5537f45a6f5ec05fa02b2820f6ef110a3a946976481c92cec5f23799b555565f",
+    "gen0.csv.vectors.csv": "73910268105be546157f9afb41b6d6c2fa2a6109e5659bb6e39b7c4b4bb55b21",
 }
 
 # taken before the root work was spread over worker processes; each must
@@ -179,6 +189,29 @@ def test_branches_is_pinned(workdir):
     argv = ["branches", "--m", "2", "--c", "7/3", "--grid=-2:2:3,-1:1:2", "--format", "csv"]
     assert main(argv + ["--out", "branches.csv"]) == 0
     for name in ("branches.csv", "branches.csv.geometry.json"):
+        assert digest((workdir / name).read_bytes()) == PINNED[name], name
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["branches", "--m", "2", "--c", "7/3", "--grid=-2:2:3,-1:1:2"], ["branches.json"]),
+        (["asymptote", "--m", "1", "--c", "1", "--z", "3,1", "--r-max", "30", "--format", "csv"],
+         ["asymptote.csv"]),
+        (["roots", "--m", "1", "--c", "3/2", "--r-list", "0,1,5,20", "--format", "csv"],
+         ["roots.csv", "roots.csv.summary.json"]),
+        # verify writes JSON whatever the format
+        (["verify", "--m", "2", "--c", "3/2", "--R", "6", "--format", "csv"], ["verify.csv"]),
+        (["gen", "--m", "2", "--c", "5/3", "--R", "0"], ["gen0.json"]),
+        (["gen", "--m", "2", "--c", "5/3", "--R", "0", "--format", "csv"],
+         ["gen0.csv", "gen0.csv.type2.csv", "gen0.csv.vectors.csv"]),
+    ],
+    ids=["branches-json", "asymptote-csv", "roots-csv", "verify-csv", "gen0-json", "gen0-csv"],
+)
+def test_each_layout_is_pinned(workdir, argv, names):
+    assert main(argv + ["--out", names[0]]) == 0
+    assert sorted(p.name for p in workdir.iterdir()) == sorted(names)
+    for name in names:
         assert digest((workdir / name).read_bytes()) == PINNED[name], name
 
 
