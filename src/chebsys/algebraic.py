@@ -38,7 +38,7 @@ import cmath
 import functools
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -58,8 +58,7 @@ BATCH_RELATIVE_GAP = 1e4 * TIE_RELATIVE_GAP
 BATCH_BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class BranchSet:
+class BranchSet(NamedTuple):
     """The m+1 branch values at one point, sorted by ascending modulus."""
 
     z: complex
@@ -73,8 +72,7 @@ class BranchSet:
         return tuple(abs(l) for l in self.lambdas)
 
 
-@dataclass(frozen=True)
-class BranchCoefficients:
+class BranchCoefficients(NamedTuple):
     """Dual-Vandermonde coefficients with the recorded derivative-identity check.
 
     ``identity_error`` is the worst relative mismatch of
@@ -276,8 +274,7 @@ def _solve_block(m: int, c_dd, z, precision: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class BranchBatch:
+class BranchBatch(NamedTuple):
     """Branch sets of many points, in input order, and the path that solved them.
 
     ``results[i]`` is the BranchSet of the i-th point, or the
@@ -392,8 +389,7 @@ def explicit_t(p: Params, r: int, z, precision: int = 53):
         return total
 
 
-@dataclass(frozen=True)
-class StarGeometry:
+class StarGeometry(NamedTuple):
     """Ray/segment skeleton for one parameter pair."""
 
     m: int
@@ -456,8 +452,7 @@ def segment_family_distance(z, angles, length: float) -> float:
     return min(segment_distance(z, ang, length) for ang in angles)
 
 
-@dataclass(frozen=True)
-class RegionReport:
+class RegionReport(NamedTuple):
     """Distances from a point to the three stars and the induced domain flags.
 
     ``omega[j]`` is True when the point lies in the holomorphy domain of
@@ -527,8 +522,7 @@ def limit_L(p: Params, z, precision: int = 53, tol: float = 1e-9):
     return _limit(p, z, precision, tol)[2]
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Observed error decay of the scaled scalar terms against the limit value.
 
     ``errors[r] = |t_r(z)/lambda_m**r - L|`` from the exact-recurrence

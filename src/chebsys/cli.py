@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import gc
 import json
 import math
 import os
@@ -107,13 +108,13 @@ def parse_point(text: str) -> complex:
 def _parse_axis(text: str) -> list:
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"expected start:stop:count, got {text!r}")
+        raise UsageError(f"expected start:stop:count for a --grid axis, got {text!r}")
     try:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise UsageError(f"bad grid axis {text!r}") from exc
+        raise UsageError(f"bad --grid axis {text!r}") from exc
     if count < 1:
-        raise UsageError("grid axis count must be >= 1")
+        raise UsageError(f"--grid axis count must be >= 1, got {text!r}")
     axis = [start]
     if count > 1:
         step = (stop - start) / (count - 1)
@@ -225,6 +226,19 @@ def _setup(args, **extra):
         "out": args.out,
         **extra,
     }
+    return p, precision, config
+
+
+def _numeric_setup(args, **extra):
+    """``_setup`` for ``branches``, ``asymptote`` and ``roots``, whose star
+    geometry and 53-bit solver take c as a double."""
+    p, precision, config = _setup(args, **extra)
+    try:
+        float(p.c)
+    except OverflowError:
+        raise UsageError(
+            f"--c is too large for {args.command}: c must fit in a double (below about 1.8e308)"
+        ) from None
     return p, precision, config
 
 
@@ -437,7 +451,7 @@ def _probe_block(probe) -> dict:
 def cmd_branches(args) -> int:
     from . import algebraic
 
-    p, precision, config = _setup(args, z=args.z, grid=args.grid)
+    p, precision, config = _numeric_setup(args, z=args.z, grid=args.grid)
     points = [parse_point(args.z)] if args.z is not None else parse_grid(args.grid)
     geom = algebraic.star_geometry(p)
     geometry = {
@@ -501,7 +515,7 @@ def cmd_branches(args) -> int:
 def cmd_asymptote(args) -> int:
     from . import algebraic
 
-    p, precision, config = _setup(args, z=args.z, r_max=args.r_max)
+    p, precision, config = _numeric_setup(args, z=args.z, r_max=args.r_max)
     if args.r_max < 0:
         raise UsageError("--r-max must be >= 0")
     z = parse_point(args.z)
@@ -544,7 +558,7 @@ def _resolve_r_list(args) -> list:
 def cmd_roots(args) -> int:
     from . import algebraic, roots
 
-    p, precision, config = _setup(args, r_max=args.r_max)
+    p, precision, config = _numeric_setup(args, r_max=args.r_max)
     if args.r_max < 0:
         raise UsageError("--r-max must be >= 0")
     r_list = config["r_list"] = _resolve_r_list(args)
@@ -694,5 +708,21 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
 
 
+def run(argv=None) -> int:
+    """``main`` for a process that ends when it returns: ``python -m
+    chebsys.cli`` and the ``chebsys`` console script.
+
+    Once the command has returned, ``gc.freeze()`` moves every live object
+    to the permanent generation, which the collections of interpreter
+    shutdown skip; on a numeric job they would otherwise walk the whole
+    numpy and mpmath heap.  The interpreter still exits normally, so atexit
+    handlers run, stdio is flushed and a profiler sees the exit.  Tests and
+    other in-process callers use ``main``, which leaves the collector alone.
+    """
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

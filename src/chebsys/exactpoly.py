@@ -19,8 +19,8 @@ safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable
 
 from .rationals import Rational, as_rational, round_ratio, scaled
@@ -28,21 +28,21 @@ from .rationals import Rational, as_rational, round_ratio, scaled
 DEFAULT_PRECISION = 53
 
 
-@dataclass(frozen=True, init=False)
 class Poly:
     """Dense polynomial ``sum(nums[i] * x**i) / den``.
 
     ``Poly(coeffs)`` takes exact rational coefficients (ints, Fractions or
     ``"p/q"`` strings), ``coeffs[i]`` being the coefficient of ``x**i``;
     ``Poly.scaled(nums, den)`` takes integer numerators over a nonzero
-    integer denominator.
+    integer denominator.  ``nums`` and ``den`` are read-only; equality,
+    hashing and pickling see them and not the caches.
     """
 
-    nums: tuple
-    den: int
-    # caches: the reduced coefficients, and their roundings by precision
-    _coeffs: tuple | None = field(default=None, compare=False, repr=False)
-    _rounded: dict | None = field(default=None, compare=False, repr=False)
+    # the caches: the reduced coefficients, and their roundings by precision
+    __slots__ = ("_nums", "_den", "_coeffs", "_rounded")
+
+    nums = property(attrgetter("_nums"))
+    den = property(attrgetter("_den"))
 
     def __init__(self, coeffs: Iterable = ()):
         self._set(*scaled(coeffs))
@@ -59,10 +59,10 @@ class Poly:
             if g != 1:
                 nums = [n // g for n in nums]
                 den //= g
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_coeffs", None)
-        object.__setattr__(self, "_rounded", None)
+        self._nums = tuple(nums)
+        self._den = den
+        self._coeffs = None
+        self._rounded = None
 
     @classmethod
     def scaled(cls, nums: Iterable, den: int = 1) -> "Poly":
@@ -81,38 +81,52 @@ class Poly:
     def x(cls) -> "Poly":
         return cls.scaled((0, 1))
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._nums == other._nums and self._den == other._den
+
+    def __hash__(self) -> int:
+        return hash((self._nums, self._den))
+
+    def __repr__(self) -> str:
+        return f"Poly(nums={self._nums!r}, den={self._den!r})"
+
+    def __reduce__(self):
+        return Poly.scaled, (self._nums, self._den)
+
     @property
     def coeffs(self) -> tuple:
         """The coefficients as reduced rationals, ``coeffs[i]`` of ``x**i``."""
         if self._coeffs is None:
-            den = self.den
-            object.__setattr__(self, "_coeffs", tuple(Fraction(n, den) for n in self.nums))
+            den = self._den
+            self._coeffs = tuple(Fraction(n, den) for n in self._nums)
         return self._coeffs
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 encodes the zero polynomial."""
-        return len(self.nums) - 1
+        return len(self._nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.nums
+        return not self._nums
 
     @property
     def leading(self) -> Rational:
-        if not self.nums:
+        if not self._nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.nums[-1], self.den)
+        return Fraction(self._nums[-1], self._den)
 
     def __bool__(self) -> bool:
-        return bool(self.nums)
+        return bool(self._nums)
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        den = math.lcm(self.den, other.den)
-        a = [n * (den // self.den) for n in self.nums]
-        b = [n * (den // other.den) for n in other.nums]
+        den = math.lcm(self._den, other._den)
+        a = [n * (den // self._den) for n in self._nums]
+        b = [n * (den // other._den) for n in other._nums]
         if len(a) < len(b):
             a, b = b, a
         for i, n in enumerate(b):
@@ -125,14 +139,14 @@ class Poly:
         return NotImplemented
 
     def __neg__(self) -> "Poly":
-        return Poly.scaled([-n for n in self.nums], self.den)
+        return Poly.scaled([-n for n in self._nums], self._den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            a, b = self.nums, other.nums
+            a, b = self._nums, other._nums
             if not a or not b:
                 return Poly.zero()
             out = [0] * (len(a) + len(b) - 1)
@@ -140,10 +154,10 @@ class Poly:
                 if x:
                     for j, y in enumerate(b):
                         out[i + j] += x * y
-            return Poly.scaled(out, self.den * other.den)
+            return Poly.scaled(out, self._den * other._den)
         scalar = as_rational(other)
         return Poly.scaled(
-            [n * scalar.numerator for n in self.nums], self.den * scalar.denominator
+            [n * scalar.numerator for n in self._nums], self._den * scalar.denominator
         )
 
     def __rmul__(self, other):
@@ -153,12 +167,12 @@ class Poly:
         """Multiply by x**k."""
         if k < 0:
             raise ValueError("negative shift")
-        if not self.nums:
+        if not self._nums:
             return self
-        return Poly.scaled((0,) * k + self.nums, self.den)
+        return Poly.scaled((0,) * k + self._nums, self._den)
 
     def derivative(self) -> "Poly":
-        return Poly.scaled([i * n for i, n in enumerate(self.nums) if i], self.den)
+        return Poly.scaled([i * n for i, n in enumerate(self._nums) if i], self._den)
 
     def eval_exact(self, x) -> Rational:
         """Exact Horner evaluation at a rational point."""
@@ -167,10 +181,10 @@ class Poly:
         # sum nums[i] * p**i * q**(deg-i), over den * q**deg
         acc = 0
         qpow = 1
-        for n in reversed(self.nums):
+        for n in reversed(self._nums):
             acc = acc * p + n * qpow
             qpow *= q
-        return Fraction(acc, self.den * qpow // q if self.nums else 1)
+        return Fraction(acc, self._den * qpow // q if self._nums else 1)
 
     def rounded(self, precision: int) -> tuple:
         """The coefficients rounded to ``precision`` bits, as raw mpmath values.
@@ -180,12 +194,11 @@ class Poly:
         """
         cache = self._rounded
         if cache is None:
-            cache = {}
-            object.__setattr__(self, "_rounded", cache)
+            cache = self._rounded = {}
         values = cache.get(precision)
         if values is None:
-            den = self.den
-            values = cache[precision] = tuple(round_ratio(n, den, precision) for n in self.nums)
+            den = self._den
+            values = cache[precision] = tuple(round_ratio(n, den, precision) for n in self._nums)
         return values
 
     def eval_complex(self, z, precision: int = DEFAULT_PRECISION):
@@ -206,14 +219,14 @@ class Poly:
         # acc*zz + c on raw mpmath values, rounded as the mpc operators round;
         # adding a zero c would only round acc again, which leaves it as it is
         acc = (fzero, fzero)
-        for n, c in zip(reversed(self.nums), reversed(self.rounded(precision))):
+        for n, c in zip(reversed(self._nums), reversed(self.rounded(precision))):
             acc = mpc_mul(acc, zz, precision, round_nearest)
             if n:
                 acc = mpc_add_mpf(acc, c, precision, round_nearest)
         return mpmath.mp.make_mpc(acc)
 
     def __str__(self) -> str:
-        if not self.nums:
+        if not self._nums:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):

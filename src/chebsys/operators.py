@@ -24,9 +24,8 @@ materialized: each application walks the band in O(N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 from typing import NamedTuple
 
 from .errors import TruncationOverflow
@@ -35,22 +34,38 @@ from .rationals import Rational, as_rational, scaled
 from .recurrence import Params, scaled_type1, scaled_type2, unit_start
 
 
-@dataclass(frozen=True, init=False)
 class BandedOperator:
-    """N x N truncation of the banded operator for parameters (m, c)."""
+    """N x N truncation of the banded operator for parameters (m, c).
 
-    size: int
-    m: int
-    c: Rational
+    ``size``, ``m`` and ``c`` are read-only, and equality and hashing see all
+    three.
+    """
+
+    __slots__ = ("_size", "_m", "_c")
+
+    size = property(attrgetter("_size"))
+    m = property(attrgetter("_m"))
+    c = property(attrgetter("_c"))
 
     def __init__(self, size: int, m: int, c):
         if size < 1:
             raise ValueError("size must be >= 1")
         if m < 1:
             raise ValueError("m must be >= 1")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "c", as_rational(c))
+        self._size = size
+        self._m = m
+        self._c = as_rational(c)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._size, self._m, self._c) == (other._size, other._m, other._c)
+
+    def __hash__(self) -> int:
+        return hash((self._size, self._m, self._c))
+
+    def __repr__(self) -> str:
+        return f"BandedOperator(size={self._size!r}, m={self._m!r}, c={self._c!r})"
 
     @classmethod
     def for_params(cls, p: Params, size: int) -> "BandedOperator":

@@ -29,23 +29,28 @@ immutable and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import NoVariantMatches
 from .exactpoly import Poly
-from .rationals import Rational, as_rational
+from .rationals import as_rational
 
 
 class FactorizationViolation(Exception):
     """The coefficient support of a scalar term contradicts its star factorization."""
 
 
-@dataclass(frozen=True, init=False)
 class Params:
-    """Recurrence parameters: band offset ``m >= 1`` and exact weight ``c > 0``."""
+    """Recurrence parameters: band offset ``m >= 1`` and exact weight ``c > 0``.
 
-    m: int
-    c: Rational
+    ``m`` and ``c`` are read-only, and equality and hashing see both.
+    """
+
+    __slots__ = ("_m", "_c")
+
+    m = property(attrgetter("_m"))
+    c = property(attrgetter("_c"))
 
     def __init__(self, m: int, c):
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
@@ -53,18 +58,27 @@ class Params:
         cc = as_rational(c)
         if cc <= 0:
             raise ValueError(f"c must be a positive rational, got {c!r}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "c", cc)
+        self._m = m
+        self._c = cc
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._m == other._m and self._c == other._c
+
+    def __hash__(self) -> int:
+        return hash((self._m, self._c))
+
+    def __repr__(self) -> str:
+        return f"Params(m={self._m!r}, c={self._c!r})"
 
 
-@dataclass(frozen=True)
-class TypeIVectorRecord:
+class TypeIVectorRecord(NamedTuple):
     r: int
     components: tuple  # m polynomials
 
 
-@dataclass(frozen=True)
-class TypeIRecord:
+class TypeIRecord(NamedTuple):
     """One scalar index with its decomposition and extracted reduced polynomial."""
 
     r: int
@@ -228,8 +242,7 @@ def gen_type1_records(p: Params, R: int) -> list[TypeIRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class ShiftReport:
+class ShiftReport(NamedTuple):
     checked: int
     mismatches: tuple  # (j, r) pairs where t_{j,r} != t_{j+1,r+1}
 
@@ -251,8 +264,7 @@ def verify_shift(records: list[TypeIVectorRecord]) -> ShiftReport:
     return ShiftReport(checked, tuple(mismatches))
 
 
-@dataclass(frozen=True)
-class DenominatorReport:
+class DenominatorReport(NamedTuple):
     checked: int  # polynomials checked
     witness: str | None  # the first polynomial whose denominator breaks the structure
 
@@ -288,8 +300,7 @@ def verify_denominators(
     return DenominatorReport(len(polys), None)
 
 
-@dataclass(frozen=True)
-class SignCheckRow:
+class SignCheckRow(NamedTuple):
     r: int
     k: int
     ell: int
@@ -297,8 +308,7 @@ class SignCheckRow:
     degenerate: bool  # h_{r-m-1} == 0, so both variants coincide
 
 
-@dataclass(frozen=True)
-class HRecurrenceReport:
+class HRecurrenceReport(NamedTuple):
     """Empirical sign study for the induced recurrence of the h-polynomials.
 
     For each ``r >= m`` the report records which ``s in {+1, -1}`` satisfies

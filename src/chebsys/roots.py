@@ -14,7 +14,7 @@ numeric evidence, never an assertion, where it does not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -73,8 +73,7 @@ def roots_of_h(h: Poly, precision: int = 53) -> list:
     return _cluster(raw)
 
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(NamedTuple):
     """Zeros of one scalar term in both the reduced and the original plane."""
 
     r: int
@@ -163,16 +162,14 @@ def distance_to_star(z, geom: StarGeometry) -> float:
     return ray_family_distance(z, geom.attractor_angles)
 
 
-@dataclass(frozen=True)
-class AttractionRow:
+class AttractionRow(NamedTuple):
     r: int
     root_count: int
     max_distance: float | None
     mean_distance: float | None
 
 
-@dataclass(frozen=True)
-class AttractionStudy:
+class AttractionStudy(NamedTuple):
     rows: tuple
     verdict_max: str  # non-increasing / increasing / mixed / vacuous
     verdict_mean: str
@@ -261,8 +258,7 @@ def summarize_attraction(reports) -> AttractionStudy:
     )
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Realness and simplicity of the zeros of every h_r, certified or observed.
 
     An index is certified when the integer h_r has nonzero alternating signs

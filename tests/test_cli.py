@@ -388,6 +388,41 @@ class TestUsageErrors:
         assert where[0].partition("=")[0] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis", ["a:1:2", "0:1", "0:1:0"])
+    def test_malformed_grid_axis_names_the_flag(self, tmp_path, capsys, axis):
+        out = tmp_path / "x.json"
+        assert run(
+            "branches", "--m", "1", "--c", "1", "--grid", f"0:1:2,{axis}", "--out", str(out)
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chebsys: error: ") and err.count("\n") == 1
+        assert "--grid" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, where",
+        [
+            ("roots", ["--r-max", "6"]),
+            ("branches", ["--z", "1,1"]),
+            ("asymptote", ["--z", "3,1", "--r-max", "10"]),
+        ],
+    )
+    def test_c_beyond_a_double_in_numeric_commands(self, tmp_path, capsys, command, where):
+        out = tmp_path / "x.json"
+        huge = str(10**400)
+        assert run(command, "--m", "1", "--c", huge, *where, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chebsys: error: ") and err.count("\n") == 1
+        assert "--c" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, m", [("gen", "1"), ("verify", "2")])
+    def test_c_beyond_a_double_in_exact_commands(self, tmp_path, command, m):
+        out = tmp_path / "x.json"
+        huge = str(10**400)
+        assert run(command, "--m", m, "--c", huge, "--R", "6", "--out", str(out)) == 0
+        assert load(out)["config"]["c"] == f"{huge}/1"
+
     def test_point_and_grid_exclude_each_other(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert run(

@@ -1,13 +1,24 @@
 """What a process loads at start-up, and the names the package exposes."""
 
+import functools
+import gc
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import chebsys
+from chebsys import cli
+from chebsys.errors import ConvergenceFailure
+from chebsys.exactpoly import Poly
+from chebsys.operators import BandedOperator
+from chebsys.recurrence import Params
 
 # gen in JSON and CSV must not load the numeric half; verify's probe must
 SCRIPT = """
@@ -62,14 +73,39 @@ SUBMODULES = (
 )
 
 
-def test_gen_loads_neither_numpy_nor_mpmath(tmp_path):
+# the records are NamedTuples and slots classes, so nothing loads dataclasses
+DIET = """
+import json, sys
+import chebsys.cli
+print(json.dumps("dataclasses" in sys.modules))
+import chebsys.algebraic, chebsys.roots
+print(json.dumps("dataclasses" in sys.modules))
+"""
+
+# the module entry point, with an atexit handler that reports the collector
+MODULE_EXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count() > 0, gc.isenabled()))
+sys.argv = ["chebsys", *sys.argv[1:]]
+runpy.run_module("chebsys.cli", run_name="__main__")
+"""
+
+ROOT = Path(chebsys.__file__).resolve().parents[2]
+
+
+def python(script: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter that imports this checkout's chebsys."""
     src = str(Path(chebsys.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_gen_loads_neither_numpy_nor_mpmath(tmp_path):
+    done = python(SCRIPT, str(tmp_path))
     assert done.returncode == 0, done.stderr
     after_gen, after_verify = map(json.loads, done.stdout.splitlines())
     assert after_gen == []
@@ -85,3 +121,123 @@ def test_public_names_resolve_to_their_home_objects():
     for name in SUBMODULES:
         assert getattr(chebsys, name) is sys.modules[f"chebsys.{name}"]
     assert set(dir(chebsys)) >= {*SUBMODULES, *(n for ns in PUBLIC.values() for n in ns)}
+
+
+def test_no_module_loads_dataclasses():
+    done = python(DIET)
+    assert done.returncode == 0, done.stderr
+    assert list(map(json.loads, done.stdout.splitlines())) == [False, False]
+
+
+# ---------------------------------------------------------------- slots records
+
+
+def test_poly_equality_and_hash_ignore_the_caches():
+    p = Poly.scaled((3, -1, 4), 7)
+    q = Poly.scaled((3, -1, 4), 7)
+    before = hash(p)
+    assert p.coeffs == (Fraction(3, 7), Fraction(-1, 7), Fraction(4, 7))
+    assert len(p.rounded(53)) == 3
+    assert p == q and hash(p) == hash(q) == before
+    assert p != Poly.scaled((3, -1, 4), 5)
+    assert p != (p.nums, p.den)
+    assert {p: 1}[q] == 1
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (Poly.scaled((1, 2), 3), "nums"),
+        (Poly.scaled((1, 2), 3), "den"),
+        (Params(2, "3/7"), "m"),
+        (Params(2, "3/7"), "c"),
+        (BandedOperator(5, 2, "3/7"), "size"),
+        (BandedOperator(5, 2, "3/7"), "c"),
+    ],
+)
+def test_assigning_a_field_raises(record, field):
+    value = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, field) == value
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        Poly.scaled((-6, 0, 9, 12), 10),
+        Poly.zero(),
+        Params(3, "23/41"),
+        BandedOperator(9, 3, "23/41"),
+    ],
+)
+def test_pickle_round_trip_keeps_the_value(record):
+    if isinstance(record, Poly):
+        record.coeffs, record.rounded(64)  # fill the caches first
+    restored = pickle.loads(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
+    assert restored == record and hash(restored) == hash(record)
+    assert repr(restored) == repr(record)
+
+
+def test_convergence_failure_carries_its_poly_through_pickle():
+    # fork_map sends a worker's ConvergenceFailure, poly attached, over a pipe
+    poly = Poly.scaled((1, 0, -2), 3)
+    exc = pickle.loads(pickle.dumps(ConvergenceFailure("no root", poly=poly)))
+    assert exc.poly == poly and exc.poly.coeffs == poly.coeffs
+
+
+def test_params_validation_and_cache_key():
+    for m, c in [(0, 1), (True, 1), (1.0, 1), (1, 0), (1, "-1/2")]:
+        with pytest.raises(ValueError):
+            Params(m, c)
+    with pytest.raises(ValueError, match=r"m must be an integer >= 1, got 0"):
+        Params(0, 1)
+    assert Params(2, "3/7") == Params(2, Fraction(3, 7))
+    assert Params(2, "3/7") != Params(3, "3/7")
+    assert Params(2, "3/7") != BandedOperator(1, 2, "3/7")
+    assert repr(Params(2, 1)) == "Params(m=2, c=Fraction(1, 1))"
+
+    @functools.lru_cache(maxsize=None)
+    def keyed(p):
+        return object()
+
+    assert keyed(Params(2, "3/7")) is keyed(Params(2, Fraction(6, 14)))
+    assert keyed.cache_info().hits == 1
+
+
+# ---------------------------------------------------------------- exit path
+
+
+def test_console_script_is_the_freezing_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"chebsys": "chebsys.cli:run"}
+
+
+def test_run_freezes_after_main_returns(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda argv=None: calls.append(("main", argv)) or 7)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append(("freeze",)))
+    assert cli.run(["gen"]) == 7
+    assert calls == [("main", ["gen"]), ("freeze",)]
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path):
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    out = tmp_path / "gen.json"
+    assert cli.main(["gen", "--m", "2", "--c", "3/7", "--R", "4", "--out", str(out)]) == 0
+    assert cli.main(["branches", "--m", "1", "--c", "1", "--z", "3,0", "--out", str(out)]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+
+def test_module_entry_freezes_and_still_exits_normally(tmp_path):
+    out = tmp_path / "gen.json"
+    done = python(MODULE_EXIT, "gen", "--m", "1", "--c", "1", "--R", "2", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True True\n"  # atexit ran, stdout was flushed
+    assert json.loads(out.read_text())["config"]["R"] == 2
+    bad = python(MODULE_EXIT, "gen", "--m", "0", "--c", "1", "--out", str(out))
+    assert bad.returncode == 2 and bad.stdout == "True True\n"
