@@ -231,14 +231,18 @@ def _setup(args, **extra):
 
 def _numeric_setup(args, **extra):
     """``_setup`` for ``branches``, ``asymptote`` and ``roots``, whose star
-    geometry and 53-bit solver take c as a double."""
+    geometry and 53-bit solver take c as a normal double."""
     p, precision, config = _setup(args, **extra)
     try:
-        float(p.c)
+        tiny = float(p.c) < sys.float_info.min
     except OverflowError:
         raise UsageError(
             f"--c is too large for {args.command}: c must fit in a double (below about 1.8e308)"
         ) from None
+    if tiny:
+        raise UsageError(
+            f"--c is too small for {args.command}: c must be a normal double (above about 2.2e-308)"
+        )
     return p, precision, config
 
 
@@ -392,15 +396,21 @@ def cmd_verify(args) -> int:
     add("leading_coefficient_structure", "hard", *_check_leading_structure(p, records))
     add("denominator_structure", "hard", *_check_denominators(p, records, vectors, type2))
 
-    bad_n = [n for n in range(n_max + 1) if not operators.jump_check_typeII(p, n)]
+    # One size for every image.  By the shift identity deg t_{j,r} <= (r-j)/m,
+    # and deg T_n = n, so no Horner intermediate of an index reaches the top
+    # band at its own size r+m+2 (resp. n+m+2), nor at any larger one: each
+    # image, and with it each jump verdict, is the one the index's own size
+    # gives.  A vector table that breaks the bound already fails
+    # factorization, shift_identity or vector_scalar_agreement.
+    us, ws = operators.images(p, vectors, type2, max(args.R, n_max) + p.m + 2)
+    bad_n = [n for n, w in enumerate(ws) if not operators.is_unit(w, n)]
     hard("jump_type2", not bad_n, {"checked": n_max + 1, "failures": bad_n})
-    bad_r = [r for r in range(args.R + 1) if not operators.jump_check_typeI(p, r)]
+    bad_r = [r for r, u in enumerate(us) if not operators.is_unit(u, r)]
     hard("jump_type1", not bad_r, {"checked": args.R + 1, "failures": bad_r})
 
-    gram = operators.gram_matrix(p, args.R, n_max)
     off = [
         (r, n)
-        for r, row in enumerate(gram)
+        for r, row in enumerate(operators.pairings(us, ws))
         for n, value in enumerate(row)
         if value != (1 if n == r else 0)
     ]

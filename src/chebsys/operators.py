@@ -13,6 +13,10 @@ operator image is therefore an integer vector with a tracked scale
 (``Scaled``), a Gram entry is an integer dot product over the product of two
 scales, and ``apply_T``, ``apply_T_transpose``, ``poly_of_operator`` and
 ``dot`` convert rational vectors to and from that form at their edges.
+Every image comes from one routine, ``_image``.  ``images`` builds all of
+them from a pair of generated tables at one size, so ``verify`` reads both
+jump identities and the Gram matrix off one pass over the tables it holds;
+the per-index functions generate their tables and call the same routine.
 
 Truncation to N components is exact as long as the support of every
 intermediate vector stays below the top band; the boolean overflow flag
@@ -24,6 +28,7 @@ materialized: each application walks the band in O(N).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import attrgetter, mul
 from typing import NamedTuple
@@ -31,7 +36,7 @@ from typing import NamedTuple
 from .errors import TruncationOverflow
 from .exactpoly import Poly
 from .rationals import Rational, as_rational, scaled
-from .recurrence import Params, scaled_type1, scaled_type2, unit_start
+from .recurrence import Params, gen_type1_vectors, gen_type2
 
 
 class BandedOperator:
@@ -129,11 +134,26 @@ def _poly_image(op: BandedOperator, nums, transpose: bool, v: list) -> tuple[Sca
     return Scaled(acc, qpow), overflow
 
 
+def _image(op: BandedOperator, polys, transpose: bool) -> tuple[Scaled, bool]:
+    """``sum_j polys[j](T) e_j`` (at ``T^t`` when transposed), one Horner
+    application per member, with the sticky overflow flag."""
+    acc, scale, overflow = [0] * op.size, 1, False
+    for j, poly in enumerate(polys):
+        part, flag = _poly_image(op, poly.nums, transpose, list(basis_vector(op.size, j)))
+        overflow = overflow or flag
+        part_scale = part.scale * poly.den
+        common = math.lcm(scale, part_scale)
+        a, b = common // scale, common // part_scale
+        acc = [a * x + b * y for x, y in zip(acc, part.nums)]
+        scale = common
+    return Scaled(acc, scale), overflow
+
+
 def _int_dot(u: list, w: list) -> int:
     return sum(map(mul, u, w))
 
 
-def _is_unit(image: Scaled, j: int) -> bool:
+def is_unit(image: Scaled, j: int) -> bool:
     """True iff the image is exactly ``e_j``."""
     nums = image.nums
     return nums[j] == image.scale and not any(nums[:j]) and not any(nums[j + 1 :])
@@ -184,35 +204,35 @@ def dot(u: tuple, v: tuple) -> Rational:
 
 
 def type1_image(p: Params, r: int, size: int) -> tuple[Scaled, bool]:
-    """``sum_j t_{j,r}(T) e_j`` over the m vector components, truncated to size.
-
-    Each component enters as its integer numerator ``P**(r//m) * t_{j,r}``;
-    the parts are brought to the common scale ``Q**d * P**(r//m)``, d being
-    the largest component degree.
-    """
+    """``sum_j t_{j,r}(T) e_j`` over the m vector components, truncated to size."""
     op = BandedOperator.for_params(p, size)
-    parts = []
-    overflow = False
-    for j in range(p.m):
-        nums = scaled_type1(p, unit_start(p.m, j), r)[r]
-        part, flag = _poly_image(op, nums, False, list(basis_vector(size, j)))
-        overflow = overflow or flag
-        parts.append(part)
-    scale = max(part.scale for part in parts)
-    acc = [0] * size
-    for part in parts:
-        factor = scale // part.scale
-        acc = [a + factor * x for a, x in zip(acc, part.nums)]
-    return Scaled(acc, scale * p.c.numerator ** (r // p.m)), overflow
+    return _image(op, gen_type1_vectors(p, r)[r].components, False)
 
 
 def type2_image(p: Params, n: int, size: int) -> tuple[Scaled, bool]:
-    """``T_n(T^t) e_0`` truncated to size, from ``U_n = Q**(n//(m+1)) * T_n``."""
+    """``T_n(T^t) e_0`` truncated to size."""
     op = BandedOperator.for_params(p, size)
-    e0 = list(basis_vector(size, 0))
-    image, overflow = _poly_image(op, scaled_type2(p, n)[n], True, e0)
-    scale = image.scale * p.c.denominator ** (n // (p.m + 1))
-    return Scaled(image.nums, scale), overflow
+    return _image(op, [gen_type2(p, n)[n]], True)
+
+
+def images(p: Params, vectors: list, type2: list, size: int) -> tuple[list, list]:
+    """The type I images of the vector records and the type II images of the
+    companion terms, all truncated to one size.
+
+    The tables are used as given, so the images test them.  Raises
+    TruncationOverflow naming the first image that overflowed.
+    """
+    op = BandedOperator.for_params(p, size)
+
+    def checked(polys, transpose, name):
+        image, overflow = _image(op, polys, transpose)
+        if overflow:
+            raise TruncationOverflow(f"truncation overflow for {name}, size={size}")
+        return image
+
+    us = [checked(rec.components, False, f"type I image r={rec.r}") for rec in vectors]
+    ws = [checked([T], True, f"type II image n={n}") for n, T in enumerate(type2)]
+    return us, ws
 
 
 def jump_check_typeII(p: Params, n: int) -> bool:
@@ -220,7 +240,7 @@ def jump_check_typeII(p: Params, n: int) -> bool:
     if n < 0:
         raise ValueError("n must be >= 0")
     image, overflow = type2_image(p, n, n + p.m + 2)
-    return not overflow and _is_unit(image, n)
+    return not overflow and is_unit(image, n)
 
 
 def jump_check_typeI(p: Params, r: int) -> bool:
@@ -228,45 +248,23 @@ def jump_check_typeI(p: Params, r: int) -> bool:
     if r < 0:
         raise ValueError("r must be >= 0")
     image, overflow = type1_image(p, r, r + p.m + 2)
-    return not overflow and _is_unit(image, r)
+    return not overflow and is_unit(image, r)
 
 
-def _pairing(u: Scaled, w: Scaled) -> Rational:
-    return Fraction(_int_dot(u.nums, w.nums), u.scale * w.scale)
+def pairings(us: list, ws: list) -> list:
+    """The exact pairing matrix of two lists of images, entry [r][n]."""
+    return [[Fraction(_int_dot(u.nums, w.nums), u.scale * w.scale) for w in ws] for u in us]
 
 
 def biorthogonality(p: Params, n: int, r: int) -> Rational:
     """Exact pairing of the two operator images; equals 1 iff n == r, else 0."""
     if n < 0 or r < 0:
         raise ValueError("indices must be >= 0")
-    size = max(n, r) + p.m + 2
-    u, fu = type1_image(p, r, size)
-    w, fw = type2_image(p, n, size)
-    if fu or fw:
-        raise TruncationOverflow(
-            "truncation overflow with auto-chosen size; internal error"
-        )
-    return _pairing(u, w)
+    return gram_matrix(p, r, n)[r][n]
 
 
 def gram_matrix(p: Params, r_max: int, n_max: int, size: int | None = None) -> list:
-    """Full exact pairing matrix, entry [r][n], sharing one image computation per index."""
+    """Full exact pairing matrix, entry [r][n], from one image per index."""
     if size is None:
         size = max(r_max, n_max) + p.m + 2
-    us = []
-    for r in range(r_max + 1):
-        u, flag = type1_image(p, r, size)
-        if flag:
-            raise TruncationOverflow(
-                f"truncation overflow for type I image r={r}, size={size}"
-            )
-        us.append(u)
-    ws = []
-    for n in range(n_max + 1):
-        w, flag = type2_image(p, n, size)
-        if flag:
-            raise TruncationOverflow(
-                f"truncation overflow for type II image n={n}, size={size}"
-            )
-        ws.append(w)
-    return [[_pairing(u, w) for w in ws] for u in us]
+    return pairings(*images(p, gen_type1_vectors(p, r_max), gen_type2(p, n_max), size))

@@ -131,61 +131,50 @@ def _recurrence(first: list, R: int, i: int, j: int, a, b) -> list:
     return seq
 
 
-def unit_start(m: int, j: int) -> list:
-    """The first m terms of vector component j: ``t_{j,r} = [r == j]``."""
-    return [[1] if r == j else [] for r in range(m)]
+def _type1_polys(p: Params, j: int, R: int) -> list[Poly]:
+    """Terms ``t_0 .. t_R`` of vector component j, whose first m terms are
+    ``t_{j,r} = [r == j]``.
 
-
-def scaled_type1(p: Params, first: list, R: int) -> list:
-    """Integer numerators ``u_r = P**(r//m) * t_r`` for ``r = 0..R``.
-
-    ``t_r`` follows ``c*t_r = x*t_{r-m} - t_{r-m-1}`` from the m integer
-    polynomials ``first``; with ``c = P/Q`` the numerators satisfy
+    ``t_r`` follows ``c*t_r = x*t_{r-m} - t_{r-m-1}``; with ``c = P/Q`` the
+    integer numerators ``u_r = P**(r//m) * t_r`` satisfy
     ``u_r = Q*(x*u_{r-m} - P**[m | r] * u_{r-m-1})``.
     """
     m, P, Q = p.m, p.c.numerator, p.c.denominator
-    return _recurrence(
+    first = [[1] if r == j else [] for r in range(m)]
+    us = _recurrence(
         first, R, m, m + 1, lambda r: Q, lambda r: -Q * P if r % m == 0 else -Q
     )
-
-
-def scaled_type2(p: Params, N: int) -> list:
-    """Integer numerators ``U_n = Q**(n//(m+1)) * T_n`` for ``n = 0..N``.
-
-    With ``c = P/Q`` they satisfy ``U_n = Q**[(m+1) | n] * x*U_{n-1} - P*U_{n-m-1}``.
-    """
-    m, P, Q = p.m, p.c.numerator, p.c.denominator
-    return _recurrence(
-        [[1]], N, 1, m + 1, lambda n: Q if n % (m + 1) == 0 else 1, lambda n: -P
-    )
-
-
-def _type1_polys(p: Params, first: list, R: int) -> list[Poly]:
-    us = scaled_type1(p, first, R)
-    return [Poly.scaled(u, p.c.numerator ** (r // p.m)) for r, u in enumerate(us)]
+    return [Poly.scaled(u, P ** (r // m)) for r, u in enumerate(us)]
 
 
 def gen_type1_scalar(p: Params, R: int) -> list[Poly]:
     """Scalar terms ``t_0 .. t_R`` (terms with negative index are zero)."""
     if R < 0:
         raise ValueError("R must be >= 0")
-    return _type1_polys(p, [[1]] + [[]] * (p.m - 1), R)
+    return _type1_polys(p, 0, R)
 
 
 def gen_type1_vectors(p: Params, R: int) -> list[TypeIVectorRecord]:
     """Vector terms ``t_0 .. t_R``; the first m records are unit coordinate vectors."""
     if R < 0:
         raise ValueError("R must be >= 0")
-    comps = [_type1_polys(p, unit_start(p.m, j), R) for j in range(p.m)]
+    comps = [_type1_polys(p, j, R) for j in range(p.m)]
     return [TypeIVectorRecord(r, tuple(c[r] for c in comps)) for r in range(R + 1)]
 
 
 def gen_type2(p: Params, N: int) -> list[Poly]:
-    """Companion terms ``T_0 .. T_N``; ``T_n = x**n`` for ``n < m``."""
+    """Companion terms ``T_0 .. T_N``; ``T_n = x**n`` for ``n < m``.
+
+    With ``c = P/Q`` the integer numerators ``U_n = Q**(n//(m+1)) * T_n``
+    satisfy ``U_n = Q**[(m+1) | n] * x*U_{n-1} - P*U_{n-m-1}``.
+    """
     if N < 0:
         raise ValueError("N must be >= 0")
-    us = scaled_type2(p, N)
-    return [Poly.scaled(u, p.c.denominator ** (n // (p.m + 1))) for n, u in enumerate(us)]
+    m, P, Q = p.m, p.c.numerator, p.c.denominator
+    us = _recurrence(
+        [[1]], N, 1, m + 1, lambda n: Q if n % (m + 1) == 0 else 1, lambda n: -P
+    )
+    return [Poly.scaled(u, Q ** (n // (m + 1))) for n, u in enumerate(us)]
 
 
 def extract_h(t: Poly, r: int, m: int) -> Poly:

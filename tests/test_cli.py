@@ -7,9 +7,18 @@ from chebsys import algebraic, cli, operators, parallel
 from chebsys import roots as roots_module
 from chebsys.algebraic import DegenerateBranches
 from chebsys.cli import EXIT_NUMERIC, main
+from chebsys.exactpoly import Poly
 from chebsys.recurrence import NoVariantMatches, Params
 from chebsys.rootfind import RootRefinementError
 from chebsys.roots import ConvergenceFailure
+
+
+# the numeric commands, each with the arguments it needs besides --m and --c
+NUMERIC_COMMANDS = [
+    ("roots", ["--r-max", "6"]),
+    ("branches", ["--z", "1,1"]),
+    ("asymptote", ["--z", "3,1", "--r-max", "10"]),
+]
 
 
 def run(*argv):
@@ -98,11 +107,16 @@ class TestVerify:
         assert names["factorization"]["status"] == "PASS"
 
     def test_hard_failure_yields_exit_one(self, tmp_path, monkeypatch):
-        from chebsys import cli as cli_module
+        # a wrong T_2 in the table verify generates: the jump check must read
+        # verify's own tables to see it
+        real = cli.gen_type2
 
-        monkeypatch.setattr(
-            cli_module.operators, "jump_check_typeII", lambda p, n: False
-        )
+        def tampered(p, n):
+            terms = real(p, n)
+            terms[2] = terms[2] + Poly((1,))
+            return terms
+
+        monkeypatch.setattr(cli, "gen_type2", tampered)
         out = tmp_path / "verify.json"
         assert run(
             "verify", "--m", "1", "--c", "1", "--R", "4", "--out", str(out)
@@ -111,6 +125,27 @@ class TestVerify:
         assert payload["passed"] is False
         names = {check["name"]: check for check in payload["checks"]}
         assert names["jump_type2"]["status"] == "FAIL"
+        assert names["jump_type2"]["details"]["failures"] == [2]
+
+    def test_each_image_runs_horner_once_per_polynomial(self, tmp_path, monkeypatch):
+        # the adjointness trials apply T to random vectors; with them stubbed
+        # out, only the operator images run Horner's rule: m per type I
+        # image and one per type II image, each built once
+        monkeypatch.setattr(cli, "_check_adjointness", lambda p, seed: ("PASS", {}))
+        horner = operators._poly_image
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return horner(*args)
+
+        monkeypatch.setattr(operators, "_poly_image", counted)
+        m, R, n_max = 3, 9, 13
+        assert run(
+            "verify", "--m", str(m), "--c", "23/41", "--R", str(R), "--n-max", str(n_max),
+            "--out", str(tmp_path / "verify.json"),
+        ) == 0
+        assert len(calls) == m * (R + 1) + (n_max + 1)
 
 
 class TestBranches:
@@ -399,18 +434,22 @@ class TestUsageErrors:
         assert "--grid" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "command, where",
-        [
-            ("roots", ["--r-max", "6"]),
-            ("branches", ["--z", "1,1"]),
-            ("asymptote", ["--z", "3,1", "--r-max", "10"]),
-        ],
-    )
+    @pytest.mark.parametrize("command, where", NUMERIC_COMMANDS)
     def test_c_beyond_a_double_in_numeric_commands(self, tmp_path, capsys, command, where):
         out = tmp_path / "x.json"
         huge = str(10**400)
         assert run(command, "--m", "1", "--c", huge, *where, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chebsys: error: ") and err.count("\n") == 1
+        assert "--c" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, where", NUMERIC_COMMANDS)
+    def test_c_below_a_double_in_numeric_commands(self, tmp_path, capsys, command, where):
+        # float(c) is 0.0 here; a subnormal c such as 1/10**310 is refused too
+        out = tmp_path / "x.json"
+        tiny = f"1/{10**400}"
+        assert run(command, "--m", "1", "--c", tiny, *where, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("chebsys: error: ") and err.count("\n") == 1
         assert "--c" in err
@@ -526,9 +565,10 @@ class TestNumericFailures:
         )
 
     def test_truncation_overflow(self, tmp_path, monkeypatch, capsys):
-        image = operators.type1_image
+        # every operator image comes from this one routine
+        image = operators._image
         monkeypatch.setattr(
-            operators, "type1_image", lambda p, r, size: (image(p, r, size)[0], True)
+            operators, "_image", lambda op, polys, transpose: (image(op, polys, transpose)[0], True)
         )
         self.expect_numeric(
             capsys, "TruncationOverflow",

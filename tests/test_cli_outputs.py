@@ -42,6 +42,9 @@ PINNED = {
     "gen0.csv": "c6714aad9a13c42253bef2299bf64a8a07310117883b30207eede69d6ca945c2",
     "gen0.csv.type2.csv": "5537f45a6f5ec05fa02b2820f6ef110a3a946976481c92cec5f23799b555565f",
     "gen0.csv.vectors.csv": "73910268105be546157f9afb41b6d6c2fa2a6109e5659bb6e39b7c4b4bb55b21",
+    # taken while verify still built each image on its own, at its own size
+    "verify_nlow.json": "8891d6b82ad70b350619e838c14648d1f621901edfb20d817c22a85a16403c15",
+    "verify_nhigh.json": "3ae7fcc867806b918d3f5a6a23f2f1346aec9491ee109405a17f610dd2d94d69",
 }
 
 # taken before the root work was spread over worker processes; each must
@@ -152,6 +155,19 @@ def test_verify_is_pinned_apart_from_the_denominator_check(workdir):
     assert [(ch["kind"], ch["status"]) for ch in added] == [("hard", "PASS")]
     payload["checks"] = [ch for ch in payload["checks"] if ch not in added]
     assert digest_apart_from_the_probe(payload, "verify.json") == PINNED["verify.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--m", "2", "--c", "7/3", "--R", "10", "--n-max", "6"], "verify_nlow.json"),
+        (["--m", "3", "--c", "23/41", "--R", "8", "--n-max", "14"], "verify_nhigh.json"),
+    ],
+    ids=["n-max-below-R", "n-max-above-R"],
+)
+def test_verify_with_n_max_apart_from_r_is_pinned(workdir, argv, name):
+    assert main(["verify", *argv, "--out", name]) == 0
+    assert digest((workdir / name).read_bytes()) == PINNED[name]
 
 
 def test_verify_reports_a_broken_denominator(workdir, monkeypatch):
