@@ -23,7 +23,15 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable
 
-from .rationals import Rational, as_rational, round_ratio, scaled
+from .rationals import (
+    Rational,
+    add_man_exp,
+    as_rational,
+    man_exp,
+    raw_mpf,
+    round_ratio,
+    scaled,
+)
 
 DEFAULT_PRECISION = 53
 
@@ -206,24 +214,29 @@ class Poly:
 
         Each reduced coefficient is rounded to ``precision`` bits as
         ``rat_to_mpf`` rounds it (see ``rounded``); the result is an mpmath
-        complex carrying that working precision.
+        complex carrying that working precision.  Every step rounds as the
+        mpc operators round ``acc*z + c``, on the integer kernel.
         """
         # imported here so that the exact half loads without mpmath
         import mpmath
-        from mpmath.libmp import fzero, mpc_add_mpf, mpc_mul, round_nearest
 
         if precision < 53:
             raise ValueError("precision must be at least 53 bits")
         with mpmath.workprec(precision):
             zz = mpmath.mpc(z)._mpc_
-        # acc*zz + c on raw mpmath values, rounded as the mpc operators round;
-        # adding a zero c would only round acc again, which leaves it as it is
-        acc = (fzero, fzero)
+        zr, er = man_exp(zz[0])
+        zi, ei = man_exp(zz[1])
+        # acc*z as mpc_mul rounds it, then + c as mpc_add_mpf; adding a zero
+        # c would only round acc again, which leaves it as it is
+        re = im = ere = eim = 0
         for n, c in zip(reversed(self._nums), reversed(self.rounded(precision))):
-            acc = mpc_mul(acc, zz, precision, round_nearest)
+            (re, ere), (im, eim) = (
+                add_man_exp(re * zr, ere + er, -(im * zi), eim + ei, precision),
+                add_man_exp(re * zi, ere + ei, im * zr, eim + er, precision),
+            )
             if n:
-                acc = mpc_add_mpf(acc, c, precision, round_nearest)
-        return mpmath.mp.make_mpc(acc)
+                re, ere = add_man_exp(re, ere, *man_exp(c), precision)
+        return mpmath.mp.make_mpc((raw_mpf(re, ere), raw_mpf(im, eim)))
 
     def __str__(self) -> str:
         if not self._nums:

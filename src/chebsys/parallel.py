@@ -31,9 +31,11 @@ import sys
 from .errors import WorkerLost
 
 # Costs are in Horner steps, one complex multiply-add at a few hundred bits
-# (about 7 us on a 2-core x86 VM).  Forking a worker and unpickling its
-# results takes about 4 ms there, so a map of less work than this runs inline.
-MIN_COST = 1000
+# on the integer kernel (about 2.9 us on a 2-core x86 VM, Python 3.11).
+# Forking a worker and unpickling its results takes about 4.4 ms there, and
+# a map split in two saves half its work, so a map of less work than twice
+# the fork runs inline.
+MIN_COST = 3000
 
 # true inside a map, in the parent and in every worker: a nested map runs inline
 _busy = False

@@ -6,6 +6,12 @@ denominator (see ``exactpoly.Poly`` and ``operators``).  ``fractions.Fraction``
 appears only where exact values cross that boundary: parsing input
 (``as_rational``), canonical strings (``rat_str``, ``rat_strs``) and rounding
 into mpmath (``rat_to_mpf``, ``round_ratio``).
+
+The same boundary holds the numeric half's integer kernel: a binary float
+as a signed integer mantissa and an exponent, ``man * 2**exp``, added and
+rounded in plain integers exactly as mpmath's libmp rounds (see
+``add_man_exp``).  Horner loops run on it and convert to raw mpmath values
+(``raw_mpf``) only at their ends.
 """
 
 from __future__ import annotations
@@ -92,3 +98,72 @@ def round_ratio(num: int, den: int, prec: int) -> tuple:
     if den == g:
         return value
     return _mpf_div(value, _from_int(den // g, prec, _round_nearest), prec, _round_nearest)
+
+
+# ---------------------------------------------------------------- the kernel
+# A libmp add or multiply rounds the exact result to prec bits, half to even,
+# except for one shortcut of mpf_add, which ``add_man_exp`` copies; so any
+# code that forms each result exactly and rounds it so gives the same bits.
+# Mantissas here carry a sign and need not be odd: rounding depends on the
+# value alone, and ``raw_mpf`` strips the trailing zeros libmp strips.
+
+
+def man_exp(x) -> tuple:
+    """The raw mpmath float ``x`` as ``(man, exp)``, its value ``man * 2**exp``."""
+    sign, man, exp, _ = x
+    if not man and exp:
+        raise ValueError("the integer kernel takes finite values only")
+    return (-man if sign else man), exp
+
+
+_from_man_exp = None
+
+
+def raw_mpf(man: int, exp: int) -> tuple:
+    """The raw mpmath float of ``man * 2**exp``, in libmp's normal form."""
+    global _from_man_exp
+    if _from_man_exp is None:
+        from mpmath.libmp import from_man_exp as _from_man_exp
+    return _from_man_exp(man, exp)
+
+
+def round_man_exp(man: int, exp: int, prec: int) -> tuple:
+    """``man * 2**exp`` rounded to ``prec`` bits, half to even.
+
+    With ``man = a*b`` and ``exp = ea + eb`` this is libmp's ``mpf_mul``.
+    """
+    n = man.bit_length() - prec
+    if n <= 0:
+        return man, exp
+    # for a negative man the floor shift and the two's-complement low bits
+    # still give the half-to-even rounding of its magnitude, negated
+    t = man >> (n - 1)
+    if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+        return (t >> 1) + 1, exp + n
+    return t >> 1, exp + n
+
+
+def add_man_exp(a: int, ea: int, b: int, eb: int, prec: int) -> tuple:
+    """``a * 2**ea + b * 2**eb`` rounded to ``prec`` bits as libmp's ``mpf_add``.
+
+    libmp rounds the exact sum, except where one addend lies more than
+    ``prec + 4`` bits below the other and the lowest set bits of the two
+    are more than 100 apart: there it rounds the larger one nudged toward
+    the smaller by less than its own last bit, which is not always the
+    correctly rounded sum.  The same rule is applied here.
+    """
+    if not a:
+        a, ea = b, eb
+    elif b:
+        shift = ea - eb
+        gap = a.bit_length() - b.bit_length() + shift  # of the leading bits
+        # the lowest set bits are shift + low apart; low is needed only here
+        if gap > prec + 4 and shift + (a & -a).bit_length() - (b & -b).bit_length() > 100:
+            a, ea = (a << prec + 4) + (1 if b > 0 else -1), ea - prec - 4
+        elif gap < -prec - 4 and shift + (a & -a).bit_length() - (b & -b).bit_length() < -100:
+            a, ea = (b << prec + 4) + (1 if a > 0 else -1), eb - prec - 4
+        elif shift >= 0:
+            a, ea = (a << shift) + b, eb
+        else:
+            a += b << -shift
+    return round_man_exp(a, ea, prec)

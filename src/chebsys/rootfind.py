@@ -21,9 +21,7 @@ from mpmath.libmp import (
     mpc_mpf_div,
     mpc_mul,
     mpc_sub,
-    mpf_abs,
     mpf_add,
-    mpf_gt,
     mpf_le,
     mpf_mul,
     mpf_rdiv_int,
@@ -31,7 +29,7 @@ from mpmath.libmp import (
 )
 
 from .errors import RootRefinementError
-from .rationals import rat_to_mpf
+from .rationals import add_man_exp, man_exp, rat_to_mpf, raw_mpf, round_man_exp
 
 _CZERO = (fzero, fzero)
 _CONE = (fone, fzero)
@@ -115,8 +113,9 @@ def complex_roots(coeffs, precision: int = 53, maxiter: int | None = None) -> li
         if not settled:
             # allow a loose residual pass before declaring failure
             scale = max(mpmath.mp.make_mpf(a) for a in abs_cs)
+            kernel = _on_kernel(raw, abs_cs)
             for x in xs:
-                p = _fused_horner(raw, abs_cs, x, fzero, workbits)[0]
+                p = _fused_horner(*kernel, x, fzero, workbits)[0]
                 local = scale * max(1, abs(mpmath.mp.make_mpc(x))) ** n
                 if abs(mpmath.mp.make_mpc(p)) > mpmath.mpf(2) ** -(precision // 2) * local:
                     raise RootRefinementError(
@@ -129,19 +128,53 @@ def complex_roots(coeffs, precision: int = 53, maxiter: int | None = None) -> li
 # The Aberth iteration runs on raw mpmath values (libmp tuples): each step
 # below is the libmp call the mpc/mpf operator would make at the working
 # precision with round-to-nearest, in the same order, so the iterates are
-# bit for bit those of the operator form, without its object overhead.
+# bit for bit those of the operator form, without its object overhead.  Its
+# Horner loop runs on the integer kernel, which rounds as those calls do.
+
+
+def _on_kernel(cs, abs_cs) -> tuple:
+    """Raw coefficients and moduli as ``_fused_horner`` takes them."""
+    return [(*man_exp(a), *man_exp(b)) for a, b in cs], [man_exp(a) for a in abs_cs]
 
 
 def _fused_horner(cs, abs_cs, x, ax, prec):
-    """Value, derivative and local coefficient scale ``sum |c_i| ax**i`` at x."""
-    p = cs[-1]
-    dp = _CZERO
-    scale = abs_cs[-1]
+    """Value, derivative and local coefficient scale ``sum |c_i| ax**i`` at x.
+
+    ``cs`` holds the coefficients as ``(re, re_exp, im, im_exp)`` and
+    ``abs_cs`` their moduli as ``(man, exp)``, on the integer kernel; x, ax
+    and the three results are raw.  Each step rounds as ``mpc_mul``,
+    ``mpc_add``, ``mpf_mul`` and ``mpf_add`` round it.
+    """
+    xr, er = man_exp(x[0])
+    xi, ei = man_exp(x[1])
+    a, ea = man_exp(ax)
+    pr, epr, pi, epi = cs[-1]
+    dr = edr = di = edi = 0
+    s, es = abs_cs[-1]
     for i in range(len(cs) - 2, -1, -1):
-        dp = mpc_add(mpc_mul(dp, x, prec, round_nearest), p, prec, round_nearest)
-        p = mpc_add(mpc_mul(p, x, prec, round_nearest), cs[i], prec, round_nearest)
-        scale = mpf_add(mpf_mul(scale, ax, prec, round_nearest), abs_cs[i], prec, round_nearest)
-    return p, dp, scale
+        # dp*x + p, with the p of the step before
+        (dr, edr), (di, edi) = (
+            add_man_exp(dr * xr, edr + er, -(di * xi), edi + ei, prec),
+            add_man_exp(dr * xi, edr + ei, di * xr, edi + er, prec),
+        )
+        dr, edr = add_man_exp(dr, edr, pr, epr, prec)
+        di, edi = add_man_exp(di, edi, pi, epi, prec)
+        # p*x + c_i
+        (pr, epr), (pi, epi) = (
+            add_man_exp(pr * xr, epr + er, -(pi * xi), epi + ei, prec),
+            add_man_exp(pr * xi, epr + ei, pi * xr, epi + er, prec),
+        )
+        cr, ecr, ci, eci = cs[i]
+        pr, epr = add_man_exp(pr, epr, cr, ecr, prec)
+        pi, epi = add_man_exp(pi, epi, ci, eci, prec)
+        # scale*ax + |c_i|
+        s, es = round_man_exp(s * a, es + ea, prec)
+        s, es = add_man_exp(s, es, *abs_cs[i], prec)
+    return (
+        (raw_mpf(pr, epr), raw_mpf(pi, epi)),
+        (raw_mpf(dr, edr), raw_mpf(di, edi)),
+        raw_mpf(s, es),
+    )
 
 
 def _aberth(cs, abs_cs, xs, prec, maxiter):
@@ -152,6 +185,7 @@ def _aberth(cs, abs_cs, xs, prec, maxiter):
     """
     rnd = round_nearest
     n = len(xs)
+    cs, abs_cs = _on_kernel(cs, abs_cs)
     step_tol = (mpmath.mpf(2) ** -(prec - 6))._mpf_
     floor_eps = (mpmath.mpf(2) ** -(prec - 4))._mpf_
     nudge = (mpmath.mpf(2) ** -16)._mpf_
@@ -196,24 +230,32 @@ def _aberth(cs, abs_cs, xs, prec, maxiter):
 
 
 def coefficient_moduli(poly, prec: int) -> list:
-    """``|c_i|`` of an exact polynomial's coefficients rounded to ``prec`` bits, raw."""
-    return [mpf_abs(c) for c in poly.rounded(prec)]
+    """``|c_i|`` of an exact polynomial's coefficients rounded to ``prec`` bits,
+    as ``(man, exp)`` pairs on the integer kernel."""
+    return [(abs(man), exp) for man, exp in map(man_exp, poly.rounded(prec))]
 
 
 def max_term(moduli, x) -> mpmath.mpf:
-    """``max_i moduli[i] * |x|**i`` at the current precision, for raw mpf moduli.
+    """``max_i moduli[i] * |x|**i`` at the current precision.
 
     With ``coefficient_moduli`` at the current precision this is the
     backward-error denominator of the polynomial at x, each coefficient
-    rounded once and not again at every point.
+    rounded once and not again at every point.  Each product rounds as
+    ``mpf_mul`` rounds it; the first of equal greatest terms is kept.
     """
     prec = mpmath.mp.prec
-    ax = mpc_abs(mpmath.mpc(x)._mpc_, prec, round_nearest)
-    best = fzero
-    power = fone
-    for c in moduli:
-        term = mpf_mul(c, power, prec, round_nearest)
-        if mpf_gt(term, best):
-            best = term
-        power = mpf_mul(power, ax, prec, round_nearest)
-    return mpmath.mp.make_mpf(best)
+    a, ea = man_exp(mpc_abs(mpmath.mpc(x)._mpc_, prec, round_nearest))
+    best = eb = top = 0
+    power, ep = 1, 0
+    for c, ec in moduli:
+        term, et = round_man_exp(c * power, ec + ep, prec)
+        if term:
+            # a greater leading bit decides; at the same one, both mantissas
+            # fit prec + 1 bits, so aligning them shifts by little
+            lead = term.bit_length() + et
+            if not best or lead > top or lead == top and (
+                term << et - eb > best if et >= eb else term > best << eb - et
+            ):
+                best, eb, top = term, et, lead
+        power, ep = round_man_exp(power * a, ep + ea, prec)
+    return mpmath.mp.make_mpf(raw_mpf(best, eb))

@@ -189,10 +189,11 @@ def _trend(values, slack: float = 1e-9) -> str:
 def _solve_cost(poly: Poly) -> int:
     """Work of one root solve of ``poly`` in Horner steps, for ``fork_map``.
 
-    A probe step of degree d (gcd, solve and residual gate) took
-    about as long as 25*d**2 Horner steps at 53 and 128 bits, d = 2..13.
+    A probe step of degree d (gcd, solve and residual gate) took about as
+    long as 30*d**2 Horner steps at 53 bits and 42*d**2 at 128 bits (medians
+    over d = 2..13, m = 1..3); its Aberth coupling still runs on libmp.
     """
-    return 25 * poly.degree**2
+    return 35 * poly.degree**2
 
 
 def solve_indices(p: Params, records, r_list, precision: int = 53) -> list:
@@ -293,21 +294,10 @@ def _separation(a, b) -> float:
     return float(abs(a - b)) / max(1.0, abs(complex(a)), abs(complex(b)))
 
 
-def _root_hints(rec: TypeIRecord, p: Params) -> list:
-    """Float estimates of the zeros of h_r, sorted by real part.
-
-    For m = 1, ``c**(r/2) * t_r(x) = U_r(x / (2*sqrt(c)))`` puts them at
-    ``4c cos(k pi/(r+1))**2``, k = 1..deg h_r; otherwise they are the real
-    parts of companion-matrix eigenvalues of the scaled coefficients.
-    """
-    if p.m == 1:
-        try:
-            c4 = 4 * float(p.c)
-        except OverflowError:  # zeros beyond the range of a double: no hints
-            return []
-        angle = math.pi / (rec.r + 1)
-        return sorted(c4 * math.cos(k * angle) ** 2 for k in range(1, rec.h.degree + 1))
-    nums = rec.h.nums
+def _root_hints(h: Poly) -> list:
+    """Float estimates of the zeros of h, sorted: the real parts of
+    companion-matrix eigenvalues of the scaled coefficients."""
+    nums = h.nums
     scale = max(abs(n) for n in nums)
     # ratios of at most 1 in modulus, so huge integers neither overflow nor raise
     with np.errstate(all="ignore"):
@@ -316,12 +306,41 @@ def _root_hints(rec: TypeIRecord, p: Params) -> list:
 
 
 def _certify_index(rec: TypeIRecord, p: Params) -> tuple | None:
-    """The probe step of a certified index, or None if h_r is not certified."""
-    hints = _root_hints(rec, p)
+    """The probe step of a certified index, or None if h_r is not certified.
+
+    For m = 1, ``c**(r/2) * t_r(x) = U_r(x / (2*sqrt(c)))`` puts the zeros of
+    h_r at ``4c * cos(k pi/(r+1))**2``, k = 1..deg h_r.  They are certified
+    in the scaled variable ``y = x/(4c)``, where the hints ``cos(k pi/(r+1))**2``
+    lie in [0, 1] whatever c is, so no hint overflows or underflows.
+    """
+    if p.m == 1:
+        angle = math.pi / (rec.r + 1)
+        hints = sorted(math.cos(k * angle) ** 2 for k in range(1, rec.h.degree + 1))
+        # den * q**d * h(4c*y) in integers, for 4c = p4/q
+        p4, q = 4 * p.c.numerator, p.c.denominator
+        d = rec.h.degree
+        scaled = Poly.scaled([n * p4**i * q ** (d - i) for i, n in enumerate(rec.h.nums)])
+        if not certify_real_roots(scaled, hints):
+            return None
+        return 0.0, _separation_at_4c(hints, p.c), False
+    hints = _root_hints(rec.h)
     if not certify_real_roots(rec.h, hints):
         return None
     sep = min(map(_separation, hints, hints[1:]), default=math.inf)
     return 0.0, sep, False
+
+
+def _separation_at_4c(hints, c) -> float:
+    """The least normalized separation of the zeros ``4c*y``, y the sorted hints."""
+    try:
+        c4 = 4 * float(c)
+    except OverflowError:
+        c4 = math.inf
+    if c4 < math.inf:
+        xs = [c4 * y for y in hints]
+        return min(map(_separation, xs, xs[1:]), default=math.inf)
+    # every zero lies beyond 1 here, so the normalized gaps are ratios of hints
+    return min(((b - a) / b for a, b in zip(hints, hints[1:])), default=math.inf)
 
 
 def _probe_index(rec: TypeIRecord, precision: int) -> tuple | None:

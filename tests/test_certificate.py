@@ -129,10 +129,24 @@ def test_c1_has_exact_dyadic_roots_and_still_certifies():
         assert certify_real_roots(records[r].h, closed_form_hints(p, records[r]))
 
 
-def test_a_c_beyond_double_range_falls_back_instead_of_raising():
-    p = Params(1, 10**400)
-    rec = gen_type1_records(p, 4)[4]
-    assert roots_module._certify_index(rec, p) is None
+@pytest.mark.parametrize(
+    "c", [10**400, Fraction(1, 10**400), 4 * 10**307], ids=["huge", "tiny", "4c-overflows"]
+)
+def test_a_c_beyond_double_range_certifies_in_the_scaled_variable(c):
+    # the zeros 4c*cos(k pi/(r+1))**2 overflow or underflow a double, their
+    # hints cos(k pi/(r+1))**2 in y = x/(4c) do not
+    p = Params(1, c)
+    report = conjecture_probe(p, 12)
+    assert report.classification == "PASS"
+    assert report.certified == report.checked == 11
+    imag, sep, escalated = roots_module._certify_index(gen_type1_records(p, 4)[4], p)
+    assert imag == 0.0 and not escalated
+    # beyond 1 the normalized gaps no longer depend on c; below 1/4 they shrink with it
+    if c > 1:
+        low, high = (math.cos(k * math.pi / 5) ** 2 for k in (2, 1))
+        assert sep == pytest.approx(1 - low / high)
+    else:
+        assert sep == 0.0
 
 
 @pytest.fixture

@@ -462,6 +462,14 @@ class TestUsageErrors:
         assert run(command, "--m", m, "--c", huge, "--R", "6", "--out", str(out)) == 0
         assert load(out)["config"]["c"] == f"{huge}/1"
 
+    @pytest.mark.parametrize("c", [str(10**400), f"1/{10**400}"], ids=["huge", "tiny"])
+    def test_verify_m1_certifies_a_c_beyond_a_double(self, tmp_path, c):
+        out = tmp_path / "x.json"
+        assert run("verify", "--m", "1", "--c", c, "--R", "6", "--out", str(out)) == 0
+        (probe,) = [ch["details"] for ch in load(out)["checks"] if ch["name"] == "conjecture_probe"]
+        assert probe["classification"] == "PASS"
+        assert probe["certified"] == probe["checked"] == 5
+
     def test_point_and_grid_exclude_each_other(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert run(

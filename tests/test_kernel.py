@@ -1,0 +1,260 @@
+"""The integer kernel against the libmp loops it replaced, bit for bit.
+
+Each reference below is the loop of raw libmp calls that ``Poly.eval_complex``,
+``rootfind._fused_horner`` and ``rootfind.max_term`` ran before they moved
+onto the kernel in ``chebsys.rationals``; the kernel must return the same
+raw tuples, not merely close values.
+"""
+
+import random
+from fractions import Fraction
+
+import mpmath
+import pytest
+from mpmath.libmp import (
+    fone,
+    from_man_exp,
+    fzero,
+    mpc_abs,
+    mpc_add,
+    mpc_add_mpf,
+    mpc_mul,
+    mpf_abs,
+    mpf_add,
+    mpf_gt,
+    mpf_mul,
+    mpf_sub,
+    round_nearest,
+)
+
+from chebsys import rootfind
+from chebsys.exactpoly import Poly
+from chebsys.rationals import add_man_exp, man_exp, raw_mpf, round_man_exp
+from chebsys.recurrence import Params, gen_type1_records
+
+RND = round_nearest
+PRECISIONS = (53, 64, 113, 200, 333, 640, 1200)
+
+
+# ---------------------------------------------------------------- references
+
+
+def libmp_eval(poly, z, bits):
+    with mpmath.workprec(bits):
+        zz = mpmath.mpc(z)._mpc_
+    acc = (fzero, fzero)
+    for n, c in zip(reversed(poly.nums), reversed(poly.rounded(bits))):
+        acc = mpc_mul(acc, zz, bits, RND)
+        if n:
+            acc = mpc_add_mpf(acc, c, bits, RND)
+    return acc
+
+
+def libmp_fused(cs, abs_cs, x, ax, prec):
+    p = cs[-1]
+    dp = (fzero, fzero)
+    scale = abs_cs[-1]
+    for i in range(len(cs) - 2, -1, -1):
+        dp = mpc_add(mpc_mul(dp, x, prec, RND), p, prec, RND)
+        p = mpc_add(mpc_mul(p, x, prec, RND), cs[i], prec, RND)
+        scale = mpf_add(mpf_mul(scale, ax, prec, RND), abs_cs[i], prec, RND)
+    return p, dp, scale
+
+
+def libmp_max_term(poly, x, prec):
+    ax = mpc_abs(mpmath.mpc(x)._mpc_, prec, RND)
+    best = fzero
+    power = fone
+    for c in poly.rounded(prec):
+        term = mpf_mul(mpf_abs(c), power, prec, RND)
+        if mpf_gt(term, best):
+            best = term
+        power = mpf_mul(power, ax, prec, RND)
+    return best
+
+
+def kernel_fused(cs, abs_cs, x, ax, prec):
+    return rootfind._fused_horner(*rootfind._on_kernel(cs, abs_cs), x, ax, prec)
+
+
+def kernel_max_term(poly, x, prec):
+    with mpmath.workprec(prec):
+        return rootfind.max_term(rootfind.coefficient_moduli(poly, prec), x)._mpf_
+
+
+def raw(man, exp):
+    return from_man_exp(man, exp)
+
+
+def complex_at(z, prec):
+    with mpmath.workprec(prec):
+        return mpmath.mpc(z)._mpc_
+
+
+def spread_poly(rng, degree, spread):
+    """Random rationals whose sizes span about 2**spread, with some zeros."""
+    coeffs = []
+    for _ in range(degree + 1):
+        if rng.random() < 0.25:
+            coeffs.append(0)
+            continue
+        scale = Fraction(2) ** rng.randint(-spread, spread)
+        coeffs.append(Fraction(rng.randint(-10**12, 10**12) or 1, rng.randint(1, 10**9)) * scale)
+    if not coeffs[-1]:
+        coeffs[-1] = 1
+    return Poly(coeffs)
+
+
+def random_point(rng):
+    size = 10.0 ** rng.uniform(-3, 3)
+    return complex(rng.uniform(-size, size), rng.uniform(-size, size))
+
+
+# ---------------------------------------------------------------- the kernel itself
+
+
+def test_man_exp_round_trips_and_refuses_non_finite_values():
+    for value in (fzero, fone, (1, 3, -7, 2), (0, 12345, 40, 14)):
+        assert raw_mpf(*man_exp(value)) == value
+    assert man_exp((1, 3, -7, 2)) == (-3, -7)
+    for special in (mpmath.inf._mpf_, (-mpmath.inf)._mpf_, mpmath.nan._mpf_):
+        with pytest.raises(ValueError):
+            man_exp(special)
+
+
+def test_raw_mpf_strips_trailing_zeros_as_libmp_does():
+    assert raw_mpf(12, 5) == (0, 3, 7, 2)
+    assert raw_mpf(-(1 << 80), -3) == (1, 1, 77, 1)
+    assert raw_mpf(0, 99) == fzero
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+def test_exact_half_way_cases_round_to_even(prec):
+    half = 1 << prec - 1
+    for kept in (half, half + 1, half + 2, half + 3, 2 * half - 1):
+        # prec kept bits and one dropped bit, a half: the tie goes to an even
+        # mantissa, carrying into prec + 1 bits from all ones
+        man = kept << 1 | 1
+        for sign in (1, -1):
+            got = round_man_exp(sign * man, -9, prec)
+            want = mpf_mul((int(sign < 0), man, -9, man.bit_length()), fone, prec, RND)
+            assert raw(*got) == want
+            assert got[0] % 2 == 0 and abs(got[0]) - kept in (0, 1)
+    # the tie goes to the even neighbour, down and up
+    assert round_man_exp(0b1010_1, 0, 4) == (0b1010, 1)
+    assert round_man_exp(0b1011_1, 0, 4) == (0b1100, 1)
+    assert round_man_exp(-0b1010_1, 0, 4) == (-0b1010, 1)
+    assert round_man_exp(-0b1011_1, 0, 4) == (-0b1100, 1)
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+def test_add_man_exp_matches_mpf_add_and_mpf_sub(prec):
+    rng = random.Random(prec)
+    for _ in range(400):
+        operands = []
+        for _ in range(2):
+            if rng.random() < 0.1:
+                operands.append((0, 0))
+                continue
+            bits = rng.choice((1, 3, prec // 2, prec, 2 * prec + 3))
+            man = rng.getrandbits(bits) | 1
+            operands.append((rng.choice((1, -1)) * man, rng.randint(-3 * prec, 3 * prec)))
+        (a, ea), (b, eb) = operands
+        s, t = raw(a, ea), raw(b, eb)
+        assert raw(*add_man_exp(a, ea, b, eb, prec)) == mpf_add(s, t, prec, RND)
+        assert raw(*add_man_exp(a, ea, -b, eb, prec)) == mpf_sub(s, t, prec, RND)
+
+
+@pytest.mark.parametrize("prec", (53, 200, 1200))
+def test_far_apart_addends_take_libmp_shortcut_not_the_rounded_sum(prec):
+    # s ends just above a half-way point at prec bits; t lies more than prec + 4
+    # bits below s, with its lowest set bit 101 below that of s.  libmp rounds
+    # s nudged toward t, which stays above the half and rounds up, while the
+    # exact sum s + t falls below the half and would round down.
+    s = ((1 << prec - 1) + 1 << 61) + (1 << 60) + 1
+    t = -((1 << 103) + 1)
+    for sign in (1, -1):
+        a, b = sign * s, sign * t
+        got = add_man_exp(a, 0, b, -101, prec)
+        assert raw(*got) == mpf_add(raw(a, 0), raw(b, -101), prec, RND)
+        assert raw(*add_man_exp(b, -101, a, 0, prec)) == raw(*got)
+        exact = round_man_exp((a << 101) + b, -101, prec)
+        assert raw(*exact) != raw(*got)
+    # 100 bits apart is not far enough: the exact sum is rounded
+    near = add_man_exp(s, 0, (1 << 102) + 1, -100, prec)
+    assert raw(*near) == mpf_add(raw(s, 0), raw((1 << 102) + 1, -100), prec, RND)
+    assert near == round_man_exp((s << 100) + (1 << 102) + 1, -100, prec)
+
+
+# ---------------------------------------------------------------- the three loops
+
+
+@pytest.mark.parametrize("bits", PRECISIONS)
+def test_eval_complex_is_the_libmp_loop(bits):
+    rng = random.Random(bits + 1)
+    for _ in range(25):
+        poly = spread_poly(rng, rng.randint(0, 30), rng.choice((4, 40, 400)))
+        z = random_point(rng)
+        for point in (z, z.real, complex(0, z.imag), 0, complex(rng.randint(-3, 3), 0)):
+            assert poly.eval_complex(point, bits)._mpc_ == libmp_eval(poly, point, bits)
+
+
+@pytest.mark.parametrize("bits", (53, 200, 451))
+def test_eval_complex_of_scalar_terms_is_the_libmp_loop(bits):
+    # t_r: one nonzero coefficient in m+1, evaluated as the asymptote scan does
+    rng = random.Random(bits)
+    for m, c in ((1, "1"), (2, "59/62"), (3, "23/41")):
+        records = gen_type1_records(Params(m, c), 120)
+        for _ in range(6):
+            t = records[rng.randint(m, 120)].t
+            z = mpmath.mp.make_mpc(complex_at(complex(rng.uniform(-6, 6), rng.uniform(-6, 6)), bits))
+            assert t.eval_complex(z, bits)._mpc_ == libmp_eval(t, z, bits)
+
+
+def test_eval_complex_over_a_point_of_more_bits_than_the_precision():
+    # roots_of_t evaluates at roots carrying 32 more bits than it rounds to
+    rng = random.Random(7)
+    poly = spread_poly(rng, 40, 40)
+    for bits in (128, 160):
+        with mpmath.workprec(bits + 32):
+            z = mpmath.mpc(1) / 3 + mpmath.mpc(0, 2) / 7
+        assert poly.eval_complex(z, bits)._mpc_ == libmp_eval(poly, z, bits)
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+def test_fused_horner_is_the_libmp_loop(prec):
+    rng = random.Random(prec + 2)
+    for _ in range(12):
+        poly = spread_poly(rng, rng.randint(1, 25), rng.choice((4, 60, 300)))
+        with mpmath.workprec(prec):
+            cs = [mpmath.mpc(mpmath.mp.make_mpf(c), 0)._mpc_ for c in poly.rounded(prec)]
+            if rng.random() < 0.5:  # complex coefficients, some imaginary only
+                cs = [
+                    (fzero, a) if i % 3 == 1 else (a, mpmath.mpf(rng.uniform(-1, 1))._mpf_)
+                    for i, (a, _) in enumerate(cs)
+                ]
+            abs_cs = [mpc_abs(c, prec, RND) for c in cs]
+            points = [random_point(rng), rng.uniform(-2, 2), complex(0, rng.uniform(-2, 2)), 0]
+        for point in points:
+            x = complex_at(point, prec)
+            for ax in (mpc_abs(x, prec, RND), fzero):
+                assert kernel_fused(cs, abs_cs, x, ax, prec) == libmp_fused(cs, abs_cs, x, ax, prec)
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+def test_max_term_is_the_libmp_loop(prec):
+    rng = random.Random(prec + 3)
+    for _ in range(20):
+        poly = spread_poly(rng, rng.randint(0, 40), rng.choice((4, 60, 300)))
+        for point in (random_point(rng), 1, 0, complex(0, 0.5), 2.0**-70):
+            with mpmath.workprec(prec):
+                assert kernel_max_term(poly, point, prec) == libmp_max_term(poly, point, prec)
+
+
+def test_max_term_keeps_the_first_of_equal_terms_and_reads_zero_when_all_vanish():
+    poly = Poly([1, 2, 4, 8, 0])
+    with mpmath.workprec(80):
+        moduli = rootfind.coefficient_moduli(poly, 80)
+        assert rootfind.max_term(moduli, 0.5) == 1
+        assert rootfind.max_term(moduli, 0.5)._mpf_ == libmp_max_term(poly, 0.5, 80)
+        assert rootfind.max_term([(0, 0)] * 3, 2)._mpf_ == fzero

@@ -35,6 +35,17 @@ assert main(["verify", *common, "--out", out + "/verify.json"]) == 0
 print(json.dumps(loaded()))
 """
 
+# the exact half, integer kernel included, loads neither numpy nor mpmath
+EXACT_HALF = """
+import json, sys
+import chebsys.rationals
+loaded = lambda: [name for name in ("numpy", "mpmath") if name in sys.modules]
+print(json.dumps(loaded()))
+import chebsys.exactpoly
+print(json.dumps(loaded()))
+print(json.dumps(callable(chebsys.rationals.add_man_exp)))
+"""
+
 # every public name of chebsys at the commit before the numeric half was
 # loaded on demand, by the module that defines it
 PUBLIC = {
@@ -111,6 +122,12 @@ def test_gen_loads_neither_numpy_nor_mpmath(tmp_path):
     assert after_gen == []
     assert after_verify == ["numpy", "mpmath"]
     assert (tmp_path / "gen.csv.vectors.csv").exists()
+
+
+def test_exact_half_and_kernel_load_neither_numpy_nor_mpmath():
+    done = python(EXACT_HALF)
+    assert done.returncode == 0, done.stderr
+    assert list(map(json.loads, done.stdout.splitlines())) == [[], [], True]
 
 
 def test_public_names_resolve_to_their_home_objects():
