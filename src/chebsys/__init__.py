@@ -86,14 +86,16 @@ _NUMERIC_NAMES = {
     name: "roots"
     for name in (
         "AttractionStudy",
-        "ProbeReport",
         "RootReport",
         "attraction_study",
-        "conjecture_probe",
         "distance_to_star",
         "roots_of_h",
         "roots_of_t",
     )
+} | {
+    # the probe's home loads neither numpy nor mpmath; roots re-exports both
+    name: "probe"
+    for name in ("ProbeReport", "conjecture_probe")
 }
 
 

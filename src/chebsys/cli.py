@@ -13,8 +13,10 @@ output.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 numeric failure (a solver that did not converge, tied branches, an
 operator truncation that overflowed, or a worker process that was lost); the
 error classes live in ``chebsys.errors``.  The numeric half, and with it
-numpy and mpmath, is imported only by the commands that use it, so ``gen``
-runs on the standard library alone.  Its independent root solves and
+numpy and mpmath, is imported only by the commands that use it: ``gen``
+loads neither, ``verify`` loads numpy for the root hints of its probe when
+m >= 2, and mpmath only when an index is not certified, and ``branches``,
+``asymptote`` and ``roots`` load both.  Independent root solves and
 evaluations run on every CPU the process may use (``chebsys.parallel``), and
 the outputs do not depend on how many there are.
 
@@ -36,6 +38,7 @@ import argparse
 import cmath
 import csv
 import gc
+import itertools
 import json
 import math
 import os
@@ -162,7 +165,9 @@ def _precision(args) -> int:
     return precision
 
 
-def _cell(value):
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, float):
         return f"{value:.17g}"
     if isinstance(value, bool):
@@ -171,7 +176,7 @@ def _cell(value):
         return ""
     if isinstance(value, list):  # exact coefficients, "p/q" strings
         return ";".join(value)
-    return value
+    return str(value)  # as the csv module writes any other value
 
 
 def _cells(row, width: int) -> list:
@@ -180,6 +185,31 @@ def _cells(row, width: int) -> list:
         # an error row: blank cells up to its final error cell
         cells[-1:] = [""] * (width - len(cells)) + cells[-1:]
     return cells
+
+
+def _write_rows(fh, rows) -> None:
+    """Write rows of string cells exactly as ``csv.writer(fh,
+    lineterminator="\\n").writerows(rows)`` does.
+
+    The csv module quotes a row's cells only where one holds a comma, a
+    quote or a line break, or where the row is one empty cell.  A joined row
+    with one comma fewer than it has cells and none of the others therefore
+    needs no quoting and is written as joined; any other row goes through
+    the csv module.
+    """
+    writer = csv.writer(fh, lineterminator="\n")
+    for cells in rows:
+        line = ",".join(cells)
+        if (
+            line.count(",") == len(cells) - 1
+            and '"' not in line
+            and "\n" not in line
+            and "\r" not in line
+            and (line or len(cells) > 1)
+        ):
+            fh.write(line + "\n")
+        else:
+            writer.writerow(cells)
 
 
 def emit(args, config: dict, doc: dict, tables=(), sidecar=(), notes=()) -> None:
@@ -205,9 +235,8 @@ def emit(args, config: dict, doc: dict, tables=(), sidecar=(), notes=()) -> None
     for suffix, header, rows in tables:
         with open(args.out + suffix, "w", encoding="utf-8", newline="") as fh:
             fh.write(head)
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(_cells(row, len(header)) for row in rows)
+            cells = (_cells(row, len(header)) for row in rows)
+            _write_rows(fh, itertools.chain([header], cells))
     if sidecar:
         dump(f"{args.out}.{sidecar[0]}.json", {key: doc[key] for key in sidecar})
 
@@ -246,10 +275,6 @@ def _numeric_setup(args, **extra):
     return p, precision, config
 
 
-def _coeff_strings(poly: Poly) -> list:
-    return rat_strs(poly.nums, poly.den)
-
-
 # ---------------------------------------------------------------- gen
 
 
@@ -258,8 +283,26 @@ def cmd_gen(args) -> int:
     if args.R < 0:
         raise UsageError("--R must be >= 0")
     records = gen_type1_records(p, args.R)
-    vectors = gen_type1_vectors(p, args.R)
     type2 = gen_type2(p, args.R)
+    # each distinct coefficient is formatted once; those of h_r are the
+    # coefficients of t_r up to sign
+    memo = {}  # den -> {num: rat_str of num/den}
+
+    def strings(poly: Poly) -> list:
+        den = poly.den
+        known = memo.setdefault(den, {})
+
+        def miss(num):
+            mag = abs(num)
+            text = known.get(mag) or rat_strs((mag,), den)[0]
+            known[mag] = text
+            if num < 0:
+                text = known[num] = "-" + text
+            return text
+
+        return [known.get(num) or miss(num) for num in poly.nums]
+
+    ts = [strings(rec.t) for rec in records]
     doc = {
         "scalar": [
             {
@@ -270,18 +313,20 @@ def cmd_gen(args) -> int:
                 "ell": rec.ell,
                 "t_degree": rec.t.degree,
                 "h_degree": rec.h.degree,
-                "t": _coeff_strings(rec.t),
-                "h": _coeff_strings(rec.h),
+                "t": t,
+                "h": strings(rec.h),
             }
-            for rec in records
+            for rec, t in zip(records, ts)
         ],
         "type2": [
-            {"n": n, "degree": poly.degree, "coeffs": _coeff_strings(poly)}
+            {"n": n, "degree": poly.degree, "coeffs": strings(poly)}
             for n, poly in enumerate(type2)
         ],
+        # t_{j,r} = t_{r-j}, and 0 for r < j: the shift identity and the
+        # scalar agreement that verify checks on gen_type1_vectors
         "vectors": [
-            {"r": rec.r, "components": [_coeff_strings(c) for c in rec.components]}
-            for rec in vectors
+            {"r": r, "components": [ts[r - j] if r >= j else [] for j in range(p.m)]}
+            for r in range(args.R + 1)
         ],
     }
     emit(args, config, doc, [
@@ -434,9 +479,11 @@ def cmd_verify(args) -> int:
         },
     )
 
-    from . import roots  # the numeric half: loads numpy and mpmath
+    # loads numpy for the root hints when m >= 2, and mpmath only for an
+    # index the sign certificate misses
+    from .probe import conjecture_probe
 
-    probe = roots.conjecture_probe(p, max(args.R, p.m), precision)
+    probe = conjecture_probe(p, max(args.R, p.m), precision)
     add("conjecture_probe", "informational", "INFO", _probe_block(probe))
     return report()
 

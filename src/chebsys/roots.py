@@ -5,10 +5,9 @@ root computation to the far smaller polynomial ``h_r`` (degree roughly
 ``r/(m*(m+1))`` instead of ``r/m``): the zeros of ``t_r`` are the origin with
 multiplicity ``ell`` plus all (m+1)-th roots of each zero of ``h_r``.  The
 attraction study quantifies how close these zeros sit to the parity-selected
-unbounded star, and the probe tests the conjecture that the zeros of every
-``h_r`` are real and simple.  It proves that exactly wherever an integer sign
-certificate holds (``exactpoly.certify_real_roots``) and falls back to
-numeric evidence, never an assertion, where it does not.
+unbounded star.  The probe of the conjecture that the zeros of every
+``h_r`` are real and simple is ``chebsys.probe``; the numeric evidence it
+falls back to where its sign certificate fails is ``_probe_index`` here.
 """
 
 from __future__ import annotations
@@ -17,13 +16,14 @@ import math
 from typing import NamedTuple
 
 import mpmath
-import numpy as np
 
 from .algebraic import StarGeometry, ray_family_distance, star_geometry
 from .errors import ConvergenceFailure, RootRefinementError
-from .exactpoly import Poly, certify_real_roots, poly_gcd
-from .recurrence import Params, TypeIRecord, gen_type1_records
+from .exactpoly import Poly, poly_gcd
 from .parallel import fork_map
+# the probe lives in ``probe``, which loads no mpmath; its names stay here too
+from .probe import ProbeReport, _separation, conjecture_probe
+from .recurrence import Params, TypeIRecord, gen_type1_records
 from .rootfind import coefficient_moduli, complex_roots, max_term
 
 CLUSTER_RELATIVE_TOL = 1e-7
@@ -259,30 +259,6 @@ def summarize_attraction(reports) -> AttractionStudy:
     )
 
 
-class ProbeReport(NamedTuple):
-    """Realness and simplicity of the zeros of every h_r, certified or observed.
-
-    An index is certified when the integer h_r has nonzero alternating signs
-    at d+1 dyadic points, which proves d distinct real zeros; its imaginary
-    part counts as 0 and its separation is that of the certifying root
-    hints.  Every other index falls back to numeric evidence: simplicity is
-    certified exactly via gcd(h, h'), realness is observed with one precision
-    escalation before anything is flagged.  Classification is PASS,
-    INCONCLUSIVE, or COUNTEREXAMPLE; a PASS with ``certified == checked`` is
-    a proof.
-    """
-
-    classification: str
-    max_imag_normalized: float
-    min_separation_normalized: float
-    offending_r: int | None
-    reason: str | None
-    checked: int
-    escalations: int
-    certified: int
-    first_uncertified_r: int | None
-
-
 def _worst_imag(pairs) -> float:
     return max(
         (abs(float(y.imag)) / max(1.0, abs(complex(y))) for y, _ in pairs),
@@ -290,61 +266,9 @@ def _worst_imag(pairs) -> float:
     )
 
 
-def _separation(a, b) -> float:
-    return float(abs(a - b)) / max(1.0, abs(complex(a)), abs(complex(b)))
-
-
-def _root_hints(h: Poly) -> list:
-    """Float estimates of the zeros of h, sorted: the real parts of
-    companion-matrix eigenvalues of the scaled coefficients."""
-    nums = h.nums
-    scale = max(abs(n) for n in nums)
-    # ratios of at most 1 in modulus, so huge integers neither overflow nor raise
-    with np.errstate(all="ignore"):
-        found = np.roots([n / scale for n in reversed(nums)])
-    return sorted(float(y.real) for y in found)
-
-
-def _certify_index(rec: TypeIRecord, p: Params) -> tuple | None:
-    """The probe step of a certified index, or None if h_r is not certified.
-
-    For m = 1, ``c**(r/2) * t_r(x) = U_r(x / (2*sqrt(c)))`` puts the zeros of
-    h_r at ``4c * cos(k pi/(r+1))**2``, k = 1..deg h_r.  They are certified
-    in the scaled variable ``y = x/(4c)``, where the hints ``cos(k pi/(r+1))**2``
-    lie in [0, 1] whatever c is, so no hint overflows or underflows.
-    """
-    if p.m == 1:
-        angle = math.pi / (rec.r + 1)
-        hints = sorted(math.cos(k * angle) ** 2 for k in range(1, rec.h.degree + 1))
-        # den * q**d * h(4c*y) in integers, for 4c = p4/q
-        p4, q = 4 * p.c.numerator, p.c.denominator
-        d = rec.h.degree
-        scaled = Poly.scaled([n * p4**i * q ** (d - i) for i, n in enumerate(rec.h.nums)])
-        if not certify_real_roots(scaled, hints):
-            return None
-        return 0.0, _separation_at_4c(hints, p.c), False
-    hints = _root_hints(rec.h)
-    if not certify_real_roots(rec.h, hints):
-        return None
-    sep = min(map(_separation, hints, hints[1:]), default=math.inf)
-    return 0.0, sep, False
-
-
-def _separation_at_4c(hints, c) -> float:
-    """The least normalized separation of the zeros ``4c*y``, y the sorted hints."""
-    try:
-        c4 = 4 * float(c)
-    except OverflowError:
-        c4 = math.inf
-    if c4 < math.inf:
-        xs = [c4 * y for y in hints]
-        return min(map(_separation, xs, xs[1:]), default=math.inf)
-    # every zero lies beyond 1 here, so the normalized gaps are ratios of hints
-    return min(((b - a) / b for a, b in zip(hints, hints[1:])), default=math.inf)
-
-
 def _probe_index(rec: TypeIRecord, precision: int) -> tuple | None:
-    """The numeric evidence at one index, or None if h_r has a repeated root.
+    """The numeric evidence of ``probe.conjecture_probe`` at an index the
+    sign certificate misses, or None if h_r has a repeated root.
 
     Returns the worst normalized imaginary part, the least normalized
     separation and whether the precision was escalated.
@@ -368,62 +292,3 @@ def _probe_index(rec: TypeIRecord, precision: int) -> tuple | None:
         for b in centers[i + 1 :]:
             min_sep = min(min_sep, _separation(a, b))
     return worst, min_sep, escalated
-
-
-def conjecture_probe(p: Params, r_max: int, precision: int = 53) -> ProbeReport:
-    """Realness and simplicity of the zeros of every h_r with r <= r_max.
-
-    Every index is first tried with the exact sign certificate; only the
-    indices it does not certify are solved, in parallel, at ``precision``.
-    """
-    if r_max < p.m:
-        raise ValueError("r_max must be at least m")
-    records = [rec for rec in gen_type1_records(p, r_max) if rec.tau >= 1]
-    steps = {rec.r: _certify_index(rec, p) for rec in records}
-    rest = [rec for rec in records if steps[rec.r] is None]
-    solved = fork_map(
-        lambda rec: _probe_index(rec, precision),
-        rest,
-        cost=lambda rec: _solve_cost(rec.h),
-    )
-    steps.update((rec.r, step) for rec, step in zip(rest, solved))
-    max_imag = 0.0
-    min_sep = math.inf
-    offending = None
-    reason = None
-    escalations = 0
-    for rec in records:
-        step = steps[rec.r]
-        if step is None:
-            offending = offending if offending is not None else rec.r
-            reason = reason or "repeated-root"
-            continue
-        worst, sep, escalated = step
-        escalations += escalated
-        if worst > max_imag:
-            max_imag = worst
-            if worst > 1e-9 and offending is None:
-                offending = rec.r
-        min_sep = min(min_sep, sep)
-    if reason == "repeated-root":
-        classification = "COUNTEREXAMPLE"
-    elif max_imag > 1e-6:
-        classification = "COUNTEREXAMPLE"
-        reason = "complex-root"
-    elif max_imag > 1e-9:
-        classification = "INCONCLUSIVE"
-        reason = "borderline-imaginary-part"
-    else:
-        classification = "PASS"
-        offending = None
-    return ProbeReport(
-        classification=classification,
-        max_imag_normalized=max_imag,
-        min_separation_normalized=min_sep,
-        offending_r=offending,
-        reason=reason,
-        checked=len(records),
-        escalations=escalations,
-        certified=len(records) - len(rest),
-        first_uncertified_r=rest[0].r if rest else None,
-    )

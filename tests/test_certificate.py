@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from chebsys import parallel
+from chebsys import parallel, probe
 from chebsys import roots as roots_module
 from chebsys.exactpoly import Poly, certify_real_roots, dyadic_sign, isolating_points
 from chebsys.recurrence import Params, gen_type1_records
@@ -139,7 +139,7 @@ def test_a_c_beyond_double_range_certifies_in_the_scaled_variable(c):
     report = conjecture_probe(p, 12)
     assert report.classification == "PASS"
     assert report.certified == report.checked == 11
-    imag, sep, escalated = roots_module._certify_index(gen_type1_records(p, 4)[4], p)
+    imag, sep, escalated = probe._certify_index(gen_type1_records(p, 4)[4], p)
     assert imag == 0.0 and not escalated
     # beyond 1 the normalized gaps no longer depend on c; below 1/4 they shrink with it
     if c > 1:
@@ -188,7 +188,7 @@ NUMERIC_REPORTS = {
 
 @pytest.mark.parametrize("key", list(NUMERIC_REPORTS))
 def test_without_the_certificate_the_probe_is_the_numeric_path(monkeypatch, workers, key):
-    monkeypatch.setattr(roots_module, "certify_real_roots", lambda h, hints: False)
+    monkeypatch.setattr(probe, "certify_real_roots", lambda h, hints: False)
     m, c, r_max = key
     report = conjecture_probe(Params(m, c), r_max, 53)
     classification, worst, sep, checked, escalations = NUMERIC_REPORTS[key]
@@ -210,9 +210,9 @@ def test_only_uncertified_indices_are_solved(monkeypatch):
     p = Params(2, "59/62")
     records = gen_type1_records(p, 40)
     refused = {records[r].h for r in (17, 23, 40)}
-    certify = roots_module.certify_real_roots
+    certify = probe.certify_real_roots
     monkeypatch.setattr(
-        roots_module, "certify_real_roots", lambda h, hints: h not in refused and certify(h, hints)
+        probe, "certify_real_roots", lambda h, hints: h not in refused and certify(h, hints)
     )
     solved = []
     solve = roots_module.roots_of_h

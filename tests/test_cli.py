@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from chebsys import algebraic, cli, operators, parallel
+from chebsys import algebraic, cli, operators, parallel, probe
 from chebsys import roots as roots_module
 from chebsys.algebraic import DegenerateBranches
 from chebsys.cli import EXIT_NUMERIC, main
@@ -552,7 +552,7 @@ class TestNumericFailures:
     def test_convergence_failure(self, tmp_path, monkeypatch, capsys):
         # with no index certified, the verify probe's root extraction turns
         # this into ConvergenceFailure
-        monkeypatch.setattr(roots_module, "certify_real_roots", lambda h, hints: False)
+        monkeypatch.setattr(probe, "certify_real_roots", lambda h, hints: False)
         monkeypatch.setattr(
             roots_module, "complex_roots", _raise(RootRefinementError("stuck"))
         )

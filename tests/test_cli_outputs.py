@@ -12,7 +12,9 @@ real-and-simple probe: those outputs are pinned apart from their probe
 block, which is pinned on its own.
 """
 
+import csv
 import hashlib
+import io
 import json
 import warnings
 from fractions import Fraction
@@ -21,6 +23,8 @@ import pytest
 
 from chebsys import cli, parallel
 from chebsys.cli import main
+from chebsys.rationals import rat_strs
+from chebsys.recurrence import Params, gen_type1_vectors
 
 PINNED = {
     "gen.json": "0616b9332e5d54d00e60072b2bf659f0ce9693b66b1690fc22e22c80d36865dc",
@@ -45,6 +49,16 @@ PINNED = {
     # taken while verify still built each image on its own, at its own size
     "verify_nlow.json": "8891d6b82ad70b350619e838c14648d1f621901edfb20d817c22a85a16403c15",
     "verify_nhigh.json": "3ae7fcc867806b918d3f5a6a23f2f1346aec9491ee109405a17f610dd2d94d69",
+    # taken while gen still formatted every vector component on its own and
+    # wrote every CSV row through the csv module
+    "gen1.json": "15b490862e0208635aebb3c96488f14abd0879b2f12a8cedc5d67fcb24fac515",
+    "gen1.csv": "c5e4daa6934605b9de4c9cc5834038abb41d202c4eb1d64d0d81b45fe1b1d877",
+    "gen1.csv.type2.csv": "d73d66892d7db9d2cd65c2c1d773678c915ac16a5f7b71f8ff5cfb05bee1a110",
+    "gen1.csv.vectors.csv": "0a326e0204c671501bc73bbd6a01980dfbe6e0562f12d494f349e3563de6403b",
+    "gen5.json": "0ed003ebc017cc4b403e36cb69e6bef0e1cbff1786cb4a3bc7b96e42f9c07706",
+    "gen5.csv": "035e2081f26c3fdc86f063ac092179b40bb6deb0989a29b63c3825a997d3919f",
+    "gen5.csv.type2.csv": "79b3ae9344cfe48dbdcd99cfcdc6913b8c0ee73019884b7467ba432d1c4fe7ca",
+    "gen5.csv.vectors.csv": "75130f23f7d41e719c0d2ac6afa84e83a6bd53e54dc06fc3635ceda973dd6f25",
 }
 
 # taken before the root work was spread over worker processes; each must
@@ -145,6 +159,81 @@ def test_gen_csv_and_sidecars_are_pinned(workdir):
     assert main(argv + ["--out", "gen.csv"]) == 0
     for name in ("gen.csv", "gen.csv.type2.csv", "gen.csv.vectors.csv"):
         assert digest((workdir / name).read_bytes()) == PINNED[name], name
+
+
+@pytest.mark.parametrize(
+    "m, c, R, name", [(1, "37/29", 34, "gen1"), (5, "83/61", 38, "gen5")], ids=["m1", "m5"]
+)
+def test_gen_at_the_smallest_and_largest_m_is_pinned(workdir, m, c, R, name):
+    argv = ["gen", "--m", str(m), "--c", c, "--R", str(R)]
+    assert main(argv + ["--out", f"{name}.json"]) == 0
+    assert main(argv + ["--format", "csv", "--out", f"{name}.csv"]) == 0
+    names = [f"{name}.json", f"{name}.csv", f"{name}.csv.type2.csv", f"{name}.csv.vectors.csv"]
+    assert sorted(p.name for p in workdir.iterdir()) == sorted(names)
+    for path in names:
+        assert digest((workdir / path).read_bytes()) == PINNED[path], path
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_each_vector_row_is_the_generated_component(workdir, m):
+    # gen derives the vector table from the scalar terms; it must hold the
+    # coefficients of the recurrence run for each component
+    p = Params(m, "17/23")
+    for R in sorted({0, m - 1, m, 25}):
+        assert main(["gen", "--m", str(m), "--c", "17/23", "--R", str(R),
+                     "--format", "csv", "--out", "gen.csv"]) == 0
+        lines = (workdir / "gen.csv.vectors.csv").read_text().splitlines()
+        assert lines[1] == "r,j,degree,coeffs"
+        expected = [
+            f"{rec.r},{j},{comp.degree},{';'.join(rat_strs(comp.nums, comp.den))}"
+            for rec in gen_type1_vectors(p, R)
+            for j, comp in enumerate(rec.components)
+        ]
+        assert lines[2:] == expected, R
+
+
+# rows of cells as emit hands them to its row writer
+CELL_ROWS = [
+    ["a,b", "plain"],
+    ['say "hi"', "x"],
+    ["line\nbreak", "y"],
+    ["carriage\rreturn", "z"],
+    ["\r\n", ",", '"'],
+    [""],  # a lone empty cell
+    ["", ""],
+    ["", "", ""],
+    [],
+    [" lead", "trail ", " both ", " "],
+    [";", "a;b", "'", "\t", "#"],
+    cli._cells([0, -7, 10**40], 3),
+    cli._cells([0.1, -2.5e-300, 1e308, float("nan"), float("inf"), -0.0], 6),
+    cli._cells([True, False, None, ["1/2", "-3/4"], []], 5),
+    cli._cells([1.5, -2.0, "solver-divergence"], 6),  # an error row, padded
+]
+
+
+def written(rows, write=None) -> str:
+    """The text ``write(fh, rows)`` writes, by default the csv module's."""
+    fh = io.StringIO(newline="")
+    if write is None:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    else:
+        write(fh, rows)
+    return fh.getvalue()
+
+
+@pytest.mark.parametrize("cells", CELL_ROWS)
+def test_row_writer_writes_what_the_csv_module_writes(cells):
+    assert written([cells], cli._write_rows) == written([cells])
+
+
+def test_row_writer_matches_the_csv_module_over_a_table():
+    assert written(CELL_ROWS, cli._write_rows) == written(CELL_ROWS)
+
+
+def test_int_cells_are_written_as_the_csv_module_writes_ints():
+    row = [0, -7, 10**40, True]
+    assert written([cli._cells(row, 4)], cli._write_rows) == written([[0, -7, 10**40, "true"]])
 
 
 def test_verify_is_pinned_apart_from_the_denominator_check(workdir):
