@@ -11,7 +11,9 @@ complex evaluation.
 Importing the package loads only the exact half, which needs nothing beyond
 the standard library.  The names of the numeric half, and its modules
 ``algebraic``, ``rootfind`` and ``roots``, resolve on first use, which is
-when numpy and mpmath are imported.
+when numpy is imported, and mpmath where they compute in it (``algebraic``
+alone loads no mpmath: its 53-bit batched path and star geometry do
+without).
 """
 
 import importlib

@@ -21,15 +21,20 @@ with the polynomial in double-double arithmetic (Dekker, Numer. Math. 1971),
 after the seed-then-polish scheme of MPSolve (Bini and Robol, JCAM 2014).
 A point whose result fails the residual gate, or whose moduli come close to
 a tie, is solved again by per-point mpmath Aberth iteration, so every tie
-decision is made at full working precision.
+decision is made at full working precision.  An accepted point keeps each
+value as its double-double parts summed on the integer kernel of
+``chebsys.rationals``, so a run whose every point is accepted loads no
+mpmath; this module imports it only where it is used.
 
 Star geometry: the bounded star is the m+1 segments of length
-``a = ((m+1)/m) * (m*c)**(1/(m+1))`` along the angles ``2*pi*k/(m+1)``; the
-unbounded stars are the ray families at ``2*pi*k/(m+1)`` ("odd") and
-``(2k+1)*pi/(m+1)`` ("even").  For odd m each family is closed under the
-antipode, so rays and full lines coincide; both families are therefore
-implemented as rays uniformly.  The attractor of the root sets is the even
-family for even m and the odd family for odd m.
+``a = ((m+1)/m) * (m*c)**(1/(m+1))`` along the angles ``2*pi*k/(m+1)``, whose
+tips are the branch points; a is bracketed exactly in integers, so the radius
+and the tips are correctly rounded without mpmath.  The unbounded stars are
+the ray families at ``2*pi*k/(m+1)`` ("odd") and ``(2k+1)*pi/(m+1)``
+("even").  For odd m each family is closed under the antipode, so rays and
+full lines coincide; both families are therefore implemented as rays
+uniformly.  The attractor of the root sets is the even family for even m
+and the odd family for odd m.
 """
 
 from __future__ import annotations
@@ -40,15 +45,20 @@ import math
 import random
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
-from mpmath.libmp import from_float, mpf_add, round_nearest
 
 from .errors import DegenerateBranches, OnStarSet, RootRefinementError, SolverDivergence
 from .parallel import fork_map
-from .rationals import Rational, as_rational, rat_to_mpf
+from .rationals import (
+    Rational,
+    add_man_exp,
+    from_float,
+    hypot_man_exp,
+    rat_to_mpf,
+    raw_mpf,
+    to_float,
+)
 from .recurrence import Params, gen_type1_scalar
-from .rootfind import complex_roots
 
 TIE_RELATIVE_GAP = 1e-10
 # the batched path accepts a point only if consecutive moduli differ by more
@@ -58,18 +68,50 @@ BATCH_RELATIVE_GAP = 1e4 * TIE_RELATIVE_GAP
 BATCH_BLOCK = 1024
 
 
-class BranchSet(NamedTuple):
-    """The m+1 branch values at one point, sorted by ascending modulus."""
+class BranchSet:
+    """The m+1 branch values at one point, sorted by ascending modulus.
 
-    z: complex
-    lambdas: tuple
-    residuals: tuple
-    tie_flag: bool
-    precision: int
+    ``lambdas`` are the values as mpmath complex numbers.  ``values`` are
+    them as ``complex(l)`` rounds each, and ``moduli`` their moduli as
+    ``float(abs(l))`` rounds them in the default 53-bit context.  A point
+    of the batched path keeps each value as its double-double parts summed
+    on the integer kernel (``parts``): its ``values`` and ``moduli`` are
+    rounded there, and its ``lambdas`` are built on first use.
+    """
+
+    __slots__ = ("z", "parts", "residuals", "tie_flag", "precision", "_lambdas")
+
+    def __init__(self, z, parts, residuals, tie_flag, precision, lambdas=None):
+        self.z = z
+        # (re, re_exp, im, im_exp) per branch, or None for mpmath values
+        self.parts = parts
+        self.residuals = residuals
+        self.tie_flag = tie_flag
+        self.precision = precision
+        self._lambdas = lambdas
+
+    @property
+    def lambdas(self) -> tuple:
+        if self._lambdas is None:
+            import mpmath
+
+            make = mpmath.mp.make_mpc
+            self._lambdas = tuple(
+                make((raw_mpf(re, ere), raw_mpf(im, eim))) for re, ere, im, eim in self.parts
+            )
+        return self._lambdas
+
+    @property
+    def values(self) -> tuple:
+        if self.parts is None:
+            return tuple(complex(l) for l in self._lambdas)
+        return tuple(complex(to_float(re, ere), to_float(im, eim)) for re, ere, im, eim in self.parts)
 
     @property
     def moduli(self) -> tuple:
-        return tuple(abs(l) for l in self.lambdas)
+        if self.parts is None:
+            return tuple(float(abs(l)) for l in self._lambdas)
+        return tuple(to_float(*hypot_man_exp(*part, 53)) for part in self.parts)
 
 
 class BranchCoefficients(NamedTuple):
@@ -96,6 +138,10 @@ def _residual_tolerance(precision: int) -> float:
 
 def solve_branches_aberth(p: Params, z, precision: int) -> BranchSet:
     """The branches at one point by mpmath Aberth iteration at the working precision."""
+    import mpmath
+
+    from .rootfind import complex_roots
+
     m, c = p.m, p.c
     workbits = _work_bits(precision, m, z)
     with mpmath.workprec(workbits):
@@ -122,7 +168,7 @@ def solve_branches_aberth(p: Params, z, precision: int) -> BranchSet:
             gap = abs(hi) - abs(lo)
             if gap < TIE_RELATIVE_GAP * max(abs(hi), mpmath.mpf(1e-300)):
                 tie = True
-        return BranchSet(complex(z), tuple(roots), tuple(residuals), tie, precision)
+        return BranchSet(complex(z), None, tuple(residuals), tie, precision, tuple(roots))
 
 
 # ---- double-double arithmetic on float64 arrays (Dekker 1971)
@@ -183,13 +229,11 @@ def _cdd_hi(x):
     return x[0][0] + 1j * x[1][0]
 
 
-def _dd_to_mpc(hi: complex, lo: complex, prec: int):
-    """``mpc(hi) + mpc(lo)`` rounded to ``prec`` bits, without the context switch."""
-    return mpmath.mp.make_mpc(
-        (
-            mpf_add(from_float(hi.real), from_float(lo.real), prec, round_nearest),
-            mpf_add(from_float(hi.imag), from_float(lo.imag), prec, round_nearest),
-        )
+def _dd_parts(hi: complex, lo: complex, prec: int) -> tuple:
+    """``mpc(hi) + mpc(lo)`` rounded to ``prec`` bits, as ``(re, re_exp, im, im_exp)``."""
+    return (
+        *add_man_exp(*from_float(hi.real), *from_float(lo.real), prec),
+        *add_man_exp(*from_float(hi.imag), *from_float(lo.imag), prec),
     )
 
 
@@ -267,8 +311,8 @@ def _solve_block(m: int, c_dd, z, precision: int) -> list:
     for zi, his, los, res, ok in rows:
         if ok:
             bits = _work_bits(precision, m, zi)
-            lambdas = tuple(_dd_to_mpc(h, l, bits) for h, l in zip(his, los))
-            out.append(BranchSet(zi, lambdas, tuple(res), False, precision))
+            parts = tuple(_dd_parts(h, l, bits) for h, l in zip(his, los))
+            out.append(BranchSet(zi, parts, tuple(res), False, precision))
         else:
             out.append(None)
     return out
@@ -348,6 +392,8 @@ def coefficients_b(bs: BranchSet, p: Params) -> BranchCoefficients:
         raise DegenerateBranches(
             f"tied branch moduli at z={bs.z}; coefficients are ill-conditioned"
         )
+    import mpmath
+
     m, c = p.m, p.c
     workbits = _work_bits(bs.precision, m, bs.z) + 16
     with mpmath.workprec(workbits):
@@ -377,6 +423,8 @@ def explicit_t(p: Params, r: int, z, precision: int = 53):
     Indices ``r = -m .. -1`` are admitted and return (numerically) zero, the
     initial data of the recurrence.
     """
+    import mpmath
+
     if r < -p.m:
         raise ValueError(f"r must be >= -m = {-p.m}")
     bs = solve_branches(p, z, precision)
@@ -402,12 +450,139 @@ class StarGeometry(NamedTuple):
     attractor_angles: tuple
 
 
+# ---- exact star geometry
+#
+# The star radius a solves a**(m+1) = ((m+1)/m)**(m+1) * m*c, a rational, so
+# it is bracketed exactly in fixed point, A * 2**e <= a < (A+1) * 2**e.  The
+# star tips a*exp(2*pi*i*k/(m+1)) multiply that bracket by fixed-point unit
+# roots, and each component is rounded once to a double on the kernel.
+
+# bits of the fixed-point radius and of the unit roots
+_STAR_BITS = 128
+
+
+def _iroot(x: int, n: int) -> int:
+    """``floor(x**(1/n))`` for ``x >= 0``, by Newton's method from above."""
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
+
+
+def _radius_fixed(p: Params) -> tuple:
+    """``(A, e)`` with ``A = floor(a * 2**-e)`` of more than ``_STAR_BITS`` bits."""
+    m, n = p.m, p.m + 1
+    power = Rational((m + 1) ** n, m**m) * p.c  # a**(m+1)
+    num, den = power.numerator, power.denominator
+    e = (num.bit_length() - den.bit_length()) // n - _STAR_BITS - 2
+    shift = -e * n
+    scaled = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    return _iroot(scaled, n), e
+
+
+def _discriminant_sign(p: Params, man: int, e: int) -> int:
+    """The sign of ``m**m * z**(m+1) - (m+1)**(m+1) * c`` at ``z = man * 2**e``.
+
+    The discriminant of ``c*w**(m+1) - z*w + 1`` in w vanishes exactly
+    where that difference does; on the rays of the star tips ``z**(m+1)``
+    is ``|z|**(m+1)``, so this is also its sign there at modulus ``man * 2**e``.
+    """
+    m, n = p.m, p.m + 1
+    lhs = m**m * man**n * p.c.denominator
+    rhs = (m + 1) ** n * p.c.numerator
+    if e >= 0:
+        lhs <<= e * n
+    else:
+        rhs <<= -e * n
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _radius_bracket(p: Params) -> tuple:
+    """``(man, exp)`` whose value ``man * 2**exp`` rounds to any precision of
+    at most ``_STAR_BITS`` bits as the star radius a does.
+
+    With ``A * 2**e <= a < (A+1) * 2**e`` it is ``(2A + s) * 2**(e-1)``, s = 1
+    when a is not ``A * 2**e``: a point strictly inside the bracket, which
+    holds no rounding boundary.  The bracket is checked exactly on the
+    discriminant, so a wrong one raises SolverDivergence.
+    """
+    A, e = _radius_fixed(p)
+    low = _discriminant_sign(p, A, e)
+    if not low <= 0 < _discriminant_sign(p, A + 1, e):
+        raise SolverDivergence(
+            f"no collapsed branch pair at candidate branch point of modulus {to_float(A, e)}"
+        )
+    return 2 * A + (low != 0), e - 1
+
+
 def star_radius(p: Params) -> float:
-    """Common modulus ``((m+1)/m) * (m*c)**(1/(m+1))`` of the segment endpoints."""
-    m = p.m
-    with mpmath.workprec(80):
-        mc = rat_to_mpf(as_rational(m) * p.c)
-        return float(mpmath.mpf(m + 1) / m * mpmath.root(mc, m + 1))
+    """Common modulus ``((m+1)/m) * (m*c)**(1/(m+1))`` of the segment endpoints,
+    correctly rounded to a double (below the normal range as ``float(mpf)``
+    rounds, see ``to_float``)."""
+    return to_float(*_radius_bracket(p))
+
+
+def _pi_fixed(bits: int) -> int:
+    """``pi * 2**bits`` to within a thousand units, by Machin's formula."""
+
+    def atan_inv(x):  # atan(1/x) * 2**bits
+        total, power, k = 0, (1 << bits) // x, 1
+        while power:
+            total += power // k if k % 4 == 1 else -(power // k)
+            power //= x * x
+            k += 2
+        return total
+
+    return 16 * atan_inv(5) - 4 * atan_inv(239)
+
+
+def _quarter_cos_sin(r: int, n: int) -> tuple:
+    """``cos`` and ``sin`` of ``(pi/2) * r/n``, ``2r <= n``, at ``_STAR_BITS`` bits.
+
+    The angles 0, pi/6 and pi/4 are taken exactly or by an integer square
+    root, the others by Taylor series at 32 guard bits.
+    """
+    bits = _STAR_BITS
+    if r == 0:
+        return 1 << bits, 0
+    if 2 * r == n:
+        half = math.isqrt(1 << 2 * bits - 1)
+        return half, half
+    if 3 * r == n:
+        return math.isqrt(3 << 2 * bits - 2), 1 << bits - 1
+    g = bits + 32
+    x = _pi_fixed(g) * r // (2 * n)
+    sums = [0, 0]  # x**k/k! summed with alternating signs, k even and k odd
+    term, k = 1 << g, 0
+    while term:
+        sums[k % 2] += -term if k % 4 >= 2 else term
+        k += 1
+        term = term * x // (k << g)
+    return tuple((v + (1 << 31)) >> 32 for v in sums)
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_roots(n: int) -> tuple:
+    """``(cos, sin)`` of ``2*pi*k/n`` for k < n, in fixed point at ``_STAR_BITS`` bits.
+
+    Each angle is reduced to ``[0, pi/4]`` by exact quarter turns and
+    reflections, so zeros are exact and mirrored values equal.
+    """
+    out = []
+    for k in range(n):
+        q, r = divmod(4 * k, n)  # the angle is (pi/2) * (q + r/n)
+        if 2 * r <= n:
+            cos, sin = _quarter_cos_sin(r, n)
+        else:
+            sin, cos = _quarter_cos_sin(n - r, n)
+        for _ in range(q):
+            cos, sin = -sin, cos
+        out.append((cos, sin))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=64)
@@ -497,6 +672,8 @@ def _limit_gate_distance(p: Params, geom: StarGeometry, z) -> float:
 
 def _limit(p: Params, z, precision: int, tol: float) -> tuple:
     """``(lambda_m, lambda_{m-1}, L)`` at z, behind the star gate and the tie check."""
+    import mpmath
+
     geom = star_geometry(p)
     if _limit_gate_distance(p, geom, z) < tol:
         raise OnStarSet(f"z={complex(z)} lies within {tol} of the attractor star")
@@ -551,6 +728,8 @@ def asymptotic_scan(
     precision, so the decay floor is set by ``precision`` alone.  Deep scans
     need roughly ``r_max * log2(lambda_m/lambda_{m-1})`` extra bits.
     """
+    import mpmath
+
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
     top, second, limit_value = _limit(p, z, precision, tol)
@@ -592,33 +771,23 @@ def asymptotic_scan(
     )
 
 
-def branch_points(p: Params, precision: int = 80) -> list:
-    """The m+1 points where two branches collide, from the critical-point system.
+def branch_points(p: Params) -> list:
+    """The m+1 points where two branches collide: the tips of the bounded star.
 
     Solving ``P_z(w) = 0`` together with ``P_z'(w) = 0`` eliminates z and
-    leaves ``w**(m+1) = 1/(c*m)``; each critical value ``z = c*(m+1)*w**m`` is
-    then verified to carry a vanishing discriminant (a collapsed pair of
-    branch values).  The discriminant of ``c*w**(m+1) - z*w + 1`` in w
-    vanishes exactly where ``m**m * z**(m+1) = (m+1)**(m+1) * c``, which is
-    checked to the relative tolerance ``2**(8 - precision)``.
+    leaves ``w**(m+1) = 1/(c*m)``, whose critical values ``z = c*(m+1)*w**m``
+    are the points ``a*exp(2*pi*i*k/(m+1))``, a the star radius.  There the
+    discriminant of ``c*w**(m+1) - z*w + 1`` vanishes, ``m**m * z**(m+1) =
+    (m+1)**(m+1) * c``, which the radius bracket is checked against exactly.
+    Each component is rounded once from fixed-point integers, so a zero
+    component is exactly 0.0.
     """
-    m, c = p.m, p.c
-    with mpmath.workprec(precision + 32):
-        cm = rat_to_mpf(as_rational(m) * c)
-        coeffs = [mpmath.mpc(-1) / cm] + [mpmath.mpc(0)] * m + [mpmath.mpc(1)]
-        crit = complex_roots(coeffs, precision=precision)
-        cmpf = rat_to_mpf(c)
-        exact_points = [cmpf * (m + 1) * w**m for w in crit]
-        # check the unrounded values: rounding z to a double would leave a
-        # relative discriminant of about 1e-16
-        target = rat_to_mpf((m + 1) ** (m + 1) * c)
-        tol = mpmath.mpf(2) ** (8 - precision)
-        for pt in exact_points:
-            if abs(m**m * pt ** (m + 1) - target) > tol * target:
-                raise SolverDivergence(
-                    f"no collapsed branch pair at candidate branch point {complex(pt)}"
-                )
-    points = [complex(pt) for pt in exact_points]
+    man, exp = _radius_bracket(p)
+    exp -= _STAR_BITS
+    points = [
+        complex(to_float(man * cos, exp), to_float(man * sin, exp))
+        for cos, sin in _unit_roots(p.m + 1)
+    ]
     points.sort(key=lambda w: (round(math.atan2(w.imag, w.real), 12), w.real))
     return points
 

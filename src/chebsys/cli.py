@@ -15,10 +15,11 @@ operator truncation that overflowed, or a worker process that was lost); the
 error classes live in ``chebsys.errors``.  The numeric half, and with it
 numpy and mpmath, is imported only by the commands that use it: ``gen``
 loads neither, ``verify`` loads numpy for the root hints of its probe when
-m >= 2, and mpmath only when an index is not certified, and ``branches``,
-``asymptote`` and ``roots`` load both.  Independent root solves and
-evaluations run on every CPU the process may use (``chebsys.parallel``), and
-the outputs do not depend on how many there are.
+m >= 2, and mpmath only when an index is not certified, ``branches`` loads
+numpy, and mpmath only for a point that falls back to the Aberth solver or
+above 53 bits, and ``asymptote`` and ``roots`` load both.  Independent root
+solves and evaluations run on every CPU the process may use
+(``chebsys.parallel``), and the outputs do not depend on how many there are.
 
 Output layout: with --format json a command writes one JSON file at --out.
 With --format csv each table goes to --out plus a suffix (none for the main
@@ -528,8 +529,7 @@ def cmd_branches(args) -> int:
         if isinstance(bs, SolverDivergence):
             row["error"] = "solver-divergence"
             continue
-        lambdas = [complex(l) for l in bs.lambdas]
-        moduli = [float(mod) for mod in bs.moduli]
+        lambdas, moduli = bs.values, bs.moduli
         if not all(map(cmath.isfinite, lambdas)) or not all(map(math.isfinite, moduli)):
             # a finite branch value beyond the range of a double
             row["error"] = "overflow"

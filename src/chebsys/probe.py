@@ -13,6 +13,7 @@ neither numpy nor mpmath.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .exactpoly import Poly, certify_real_roots
@@ -29,12 +30,15 @@ class ProbeReport(NamedTuple):
     certified exactly via gcd(h, h'), realness is observed with one precision
     escalation before anything is flagged.  Classification is PASS,
     INCONCLUSIVE, or COUNTEREXAMPLE; a PASS with ``certified == checked`` is
-    a proof.
+    a proof.  ``min_separation_normalized`` is None when the least gap is
+    one between certified zeros that underflows a double: they are proven
+    distinct, so a gap that reads 0.0 there has lost its digits and does
+    not mean a repeated zero.
     """
 
     classification: str
     max_imag_normalized: float
-    min_separation_normalized: float
+    min_separation_normalized: float | None
     offending_r: int | None
     reason: str | None
     checked: int
@@ -45,6 +49,11 @@ class ProbeReport(NamedTuple):
 
 def _separation(a, b) -> float:
     return float(abs(a - b)) / max(1.0, abs(complex(a)), abs(complex(b)))
+
+
+def _certified_gap(sep: float) -> float | None:
+    """The least gap of certified zeros, or None below the normal range of a double."""
+    return sep if sep >= sys.float_info.min else None
 
 
 def _root_hints(h: Poly) -> list:
@@ -77,12 +86,12 @@ def _certify_index(rec: TypeIRecord, p: Params) -> tuple | None:
         scaled = Poly.scaled([n * p4**i * q ** (d - i) for i, n in enumerate(rec.h.nums)])
         if not certify_real_roots(scaled, hints):
             return None
-        return 0.0, _separation_at_4c(hints, p.c), False
+        return 0.0, _certified_gap(_separation_at_4c(hints, p.c)), False
     hints = _root_hints(rec.h)
     if not certify_real_roots(rec.h, hints):
         return None
     sep = min(map(_separation, hints, hints[1:]), default=math.inf)
-    return 0.0, sep, False
+    return 0.0, _certified_gap(sep), False
 
 
 def _separation_at_4c(hints, c) -> float:
@@ -121,6 +130,7 @@ def conjecture_probe(p: Params, r_max: int, precision: int = 53) -> ProbeReport:
         steps.update((rec.r, step) for rec, step in zip(rest, solved))
     max_imag = 0.0
     min_sep = math.inf
+    underflow = False  # a certified gap below the range of a double
     offending = None
     reason = None
     escalations = 0
@@ -136,7 +146,12 @@ def conjecture_probe(p: Params, r_max: int, precision: int = 53) -> ProbeReport:
             max_imag = worst
             if worst > 1e-9 and offending is None:
                 offending = rec.r
-        min_sep = min(min_sep, sep)
+        if sep is None:
+            underflow = True
+        else:
+            min_sep = min(min_sep, sep)
+    if underflow and min_sep > 0:
+        min_sep = None
     if reason == "repeated-root":
         classification = "COUNTEREXAMPLE"
     elif max_imag > 1e-6:

@@ -8,10 +8,12 @@ appears only where exact values cross that boundary: parsing input
 into mpmath (``rat_to_mpf``, ``round_ratio``).
 
 The same boundary holds the numeric half's integer kernel: a binary float
-as a signed integer mantissa and an exponent, ``man * 2**exp``, added and
-rounded in plain integers exactly as mpmath's libmp rounds (see
-``add_man_exp``).  Horner loops run on it and convert to raw mpmath values
-(``raw_mpf``) only at their ends.
+as a signed integer mantissa and an exponent, ``man * 2**exp``, added,
+multiplied, divided and square-rooted in plain integers and rounded
+exactly as mpmath's libmp rounds (see ``add_man_exp``).  Horner loops and
+the rounding of rationals run on it and convert to raw mpmath values
+(``raw_mpf``) only at their ends; the 53-bit branch values convert to and
+from doubles (``from_float``, ``to_float``) without mpmath at all.
 """
 
 from __future__ import annotations
@@ -77,33 +79,12 @@ def rat_to_mpf(q):
     return mpmath.mp.make_mpf(round_ratio(q.numerator, q.denominator, mpmath.mp.prec))
 
 
-# the libmp calls of ``round_ratio``, resolved on its first call so that the
-# exact half loads without mpmath
-_from_int = _mpf_div = _round_nearest = _fzero = None
-
-
-def round_ratio(num: int, den: int, prec: int) -> tuple:
-    """``num/den`` (``den > 0``) rounded as the raw mpmath value of
-    ``mpf(p) / mpf(q)`` at ``prec`` bits, ``p/q`` being the reduced fraction."""
-    global _from_int, _mpf_div, _round_nearest, _fzero
-    if _from_int is None:
-        from mpmath.libmp import from_int as _from_int
-        from mpmath.libmp import fzero as _fzero
-        from mpmath.libmp import mpf_div as _mpf_div
-        from mpmath.libmp import round_nearest as _round_nearest
-    if not num:
-        return _fzero
-    g = math.gcd(num, den)
-    value = _from_int(num // g, prec, _round_nearest)
-    if den == g:
-        return value
-    return _mpf_div(value, _from_int(den // g, prec, _round_nearest), prec, _round_nearest)
-
-
 # ---------------------------------------------------------------- the kernel
-# A libmp add or multiply rounds the exact result to prec bits, half to even,
-# except for one shortcut of mpf_add, which ``add_man_exp`` copies; so any
-# code that forms each result exactly and rounds it so gives the same bits.
+# A libmp add, multiply, divide or square root rounds the exact result to
+# prec bits, half to even, except for one shortcut of mpf_add, which
+# ``add_man_exp`` copies; so any code that forms each result exactly, or
+# with a sticky bit below enough exact bits, and rounds it so gives the
+# same bits.
 # Mantissas here carry a sign and need not be odd: rounding depends on the
 # value alone, and ``raw_mpf`` strips the trailing zeros libmp strips.
 
@@ -116,15 +97,41 @@ def man_exp(x) -> tuple:
     return (-man if sign else man), exp
 
 
-_from_man_exp = None
+_RAW_ZERO = (0, 0, 0, 0)
 
 
 def raw_mpf(man: int, exp: int) -> tuple:
     """The raw mpmath float of ``man * 2**exp``, in libmp's normal form."""
-    global _from_man_exp
-    if _from_man_exp is None:
-        from mpmath.libmp import from_man_exp as _from_man_exp
-    return _from_man_exp(man, exp)
+    if not man:
+        return _RAW_ZERO
+    sign = 0
+    if man < 0:
+        sign, man = 1, -man
+    zeros = (man & -man).bit_length() - 1
+    if zeros:
+        man >>= zeros
+        exp += zeros
+    return (sign, man, exp, man.bit_length())
+
+
+def from_float(x: float) -> tuple:
+    """The finite double ``x`` as ``(man, exp)``, exactly."""
+    num, den = x.as_integer_ratio()
+    return num, 1 - den.bit_length()
+
+
+def to_float(man: int, exp: int) -> float:
+    """``man * 2**exp`` as a double, as ``float(mpf)`` rounds it.
+
+    libmp rounds to 53 bits, half to even, and then scales by
+    ``math.ldexp``, so a result below the normal range is rounded twice;
+    one beyond the range is an infinity.
+    """
+    man, exp = round_man_exp(man, exp, 53)
+    try:
+        return math.ldexp(man, exp)
+    except OverflowError:
+        return math.copysign(math.inf, man)
 
 
 def round_man_exp(man: int, exp: int, prec: int) -> tuple:
@@ -143,14 +150,26 @@ def round_man_exp(man: int, exp: int, prec: int) -> tuple:
     return t >> 1, exp + n
 
 
-def add_man_exp(a: int, ea: int, b: int, eb: int, prec: int) -> tuple:
+def truncate_man_exp(man: int, exp: int, prec: int) -> tuple:
+    """``man * 2**exp`` (``man >= 0``) rounded down to ``prec`` bits (libmp's ``round_down``)."""
+    n = man.bit_length() - prec
+    if n <= 0:
+        return man, exp
+    return man >> n, exp + n
+
+
+def add_man_exp(
+    a: int, ea: int, b: int, eb: int, prec: int, rounding=round_man_exp
+) -> tuple:
     """``a * 2**ea + b * 2**eb`` rounded to ``prec`` bits as libmp's ``mpf_add``.
 
     libmp rounds the exact sum, except where one addend lies more than
     ``prec + 4`` bits below the other and the lowest set bits of the two
     are more than 100 apart: there it rounds the larger one nudged toward
     the smaller by less than its own last bit, which is not always the
-    correctly rounded sum.  The same rule is applied here.
+    correctly rounded sum.  The same rule is applied here.  ``rounding``
+    is ``round_man_exp`` for libmp's round-to-nearest, or
+    ``truncate_man_exp`` for its ``round_down``.
     """
     if not a:
         a, ea = b, eb
@@ -166,4 +185,72 @@ def add_man_exp(a: int, ea: int, b: int, eb: int, prec: int) -> tuple:
             a, ea = (a << shift) + b, eb
         else:
             a += b << -shift
-    return round_man_exp(a, ea, prec)
+    return rounding(a, ea, prec)
+
+
+def div_man_exp(a: int, ea: int, b: int, eb: int, prec: int) -> tuple:
+    """``(a * 2**ea) / (b * 2**eb)`` rounded to ``prec`` bits as libmp's ``mpf_div``.
+
+    That is the correctly rounded quotient, half to even: it is formed to
+    at least ``prec + 2`` bits, with a sticky bit below them for a nonzero
+    remainder, and rounded once.
+    """
+    if not a:
+        return 0, 0
+    if b < 0:
+        a, b = -a, -b
+    extra = max(0, prec + 3 + b.bit_length() - a.bit_length())
+    if a > 0:
+        quot, rem = divmod(a << extra, b)
+        quot = quot << 1 | (rem != 0)
+    else:
+        quot, rem = divmod(-a << extra, b)
+        quot = -(quot << 1 | (rem != 0))
+    return round_man_exp(quot, ea - eb - extra - 1, prec)
+
+
+def sqrt_man_exp(man: int, exp: int, prec: int) -> tuple:
+    """The square root of ``man * 2**exp`` (``man >= 0``) as libmp's ``mpf_sqrt``.
+
+    That is the correctly rounded root, half to even, formed as the
+    quotient of ``div_man_exp`` is.
+    """
+    if exp & 1:
+        man, exp = man << 1, exp - 1
+    shift = max(0, 2 * prec + 4 - man.bit_length())
+    shift += shift & 1
+    root = math.isqrt(man << shift)
+    sticky = root * root != man << shift
+    return round_man_exp(root << 1 | sticky, ((exp - shift) >> 1) - 1, prec)
+
+
+def hypot_man_exp(a: int, ea: int, b: int, eb: int, prec: int) -> tuple:
+    """``|a * 2**ea + i * b * 2**eb|`` as libmp's ``mpf_hypot`` rounds it.
+
+    With one part zero that is the other's modulus rounded to ``prec``
+    bits.  Otherwise libmp truncates the sum of the exact squares to
+    ``prec + 4`` bits (``mpf_add`` at ``round_down``) and takes its
+    correctly rounded square root.
+    """
+    if not b:
+        return round_man_exp(abs(a), ea, prec)
+    if not a:
+        return round_man_exp(abs(b), eb, prec)
+    total = add_man_exp(a * a, 2 * ea, b * b, 2 * eb, prec + 4, truncate_man_exp)
+    return sqrt_man_exp(*total, prec)
+
+
+def round_ratio(num: int, den: int, prec: int) -> tuple:
+    """``num/den`` (``den > 0``) rounded as the raw mpmath value of
+    ``mpf(p) / mpf(q)`` at ``prec`` bits, ``p/q`` being the reduced fraction.
+
+    p and q are each rounded to ``prec`` bits first, as ``mpf`` rounds them,
+    and their quotient is then rounded once, on the integer kernel.
+    """
+    if not num:
+        return _RAW_ZERO
+    g = math.gcd(num, den)
+    a, ea = round_man_exp(num // g, 0, prec)
+    if den == g:
+        return raw_mpf(a, ea)
+    return raw_mpf(*div_man_exp(a, ea, *round_man_exp(den // g, 0, prec), prec))

@@ -192,14 +192,15 @@ class TestGeometry:
             assert indices == list(range(m + 1))
 
     def test_branch_points_reject_candidates_off_the_discriminant(self, monkeypatch):
-        # critical points scaled by 1 + 1e-6 give candidates whose
+        # a star radius scaled by 1 + 1e-6 gives candidates whose
         # discriminant is far from zero
-        solve = algebraic.complex_roots
+        bracket = algebraic._radius_fixed
 
-        def perturbed(coeffs, precision=53, maxiter=None):
-            return [w * (1 + mpmath.mpf("1e-6")) for w in solve(coeffs, precision)]
+        def perturbed(p):
+            man, exp = bracket(p)
+            return man + man // 10**6, exp
 
-        monkeypatch.setattr(algebraic, "complex_roots", perturbed)
+        monkeypatch.setattr(algebraic, "_radius_fixed", perturbed)
         for m, c in ((1, "1"), (2, "7/3"), (4, "3")):
             with pytest.raises(SolverDivergence, match="candidate branch point"):
                 branch_points(Params(m, c))

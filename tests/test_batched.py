@@ -6,8 +6,9 @@ import random
 
 import mpmath
 import pytest
+from mpmath.libmp import from_float, mpf_add, round_nearest
 
-from chebsys import algebraic
+from chebsys import algebraic, rootfind
 from chebsys.algebraic import (
     BATCH_BLOCK,
     SolverDivergence,
@@ -103,6 +104,44 @@ def test_point_that_is_not_a_double_uses_aberth():
     assert (batch.batched, batch.fallback) == (0, 1)
 
 
+def dd_to_mpc(hi, lo, prec):
+    """The mpmath value the batched path built for each branch before it kept
+    its parts on the integer kernel: ``mpc(hi) + mpc(lo)`` at ``prec`` bits."""
+    return mpmath.mp.make_mpc(
+        (
+            mpf_add(from_float(hi.real), from_float(lo.real), prec, round_nearest),
+            mpf_add(from_float(hi.imag), from_float(lo.imag), prec, round_nearest),
+        )
+    )
+
+
+@pytest.mark.parametrize("m, c", [(1, "3/7"), (2, "7/3"), (3, "5/2"), (4, "9/8")])
+@pytest.mark.parametrize("far", [False, True])
+def test_kernel_values_are_the_mpmath_values_rounded(monkeypatch, m, c, far):
+    # every accepted branch: its values and moduli are complex(l) and
+    # float(abs(l)) of the mpmath value l the double-double parts sum to,
+    # and its lazy lambdas are those values themselves
+    sums = []
+    parts = algebraic._dd_parts
+
+    def record(hi, lo, prec):
+        sums.append(dd_to_mpc(hi, lo, prec))
+        return parts(hi, lo, prec)
+
+    monkeypatch.setattr(algebraic, "_dd_parts", record)
+    p = Params(m, c)
+    points = box(random.Random(f"kernel:{m}:{far}"), star_radius(p), far)
+    batch = solve_branches_many(p, points)
+    assert batch.batched >= len(points) - 2
+    accepted = [bs for bs in batch.results if bs.parts is not None]
+    assert len(sums) == (m + 1) * len(accepted) == (m + 1) * batch.batched
+    for k, bs in enumerate(accepted):
+        want = sums[(m + 1) * k : (m + 1) * (k + 1)]
+        assert bs.values == tuple(complex(l) for l in want)
+        assert bs.moduli == tuple(float(abs(l)) for l in want)
+        assert all(a._mpc_ == b._mpc_ for a, b in zip(bs.lambdas, want))
+
+
 def test_batched_lambdas_carry_more_than_double():
     bs = solve_branches(Params(1, "1"), complex(3, 0.5))
     assert any(complex(lam) != lam for lam in bs.lambdas)
@@ -113,7 +152,7 @@ def test_divergence_is_returned_for_its_point(monkeypatch):
     def fail(*args, **kwargs):
         raise RootRefinementError("no convergence")
 
-    monkeypatch.setattr(algebraic, "complex_roots", fail)
+    monkeypatch.setattr(rootfind, "complex_roots", fail)
     batch = solve_branches_many(Params(1, "1"), [2, 3])
     assert isinstance(batch.results[0], SolverDivergence)
     assert not isinstance(batch.results[1], SolverDivergence)

@@ -141,12 +141,14 @@ def test_a_c_beyond_double_range_certifies_in_the_scaled_variable(c):
     assert report.certified == report.checked == 11
     imag, sep, escalated = probe._certify_index(gen_type1_records(p, 4)[4], p)
     assert imag == 0.0 and not escalated
-    # beyond 1 the normalized gaps no longer depend on c; below 1/4 they shrink with it
+    # beyond 1 the normalized gaps no longer depend on c; below 1/4 they
+    # shrink with it, here below the range of a double
     if c > 1:
         low, high = (math.cos(k * math.pi / 5) ** 2 for k in (2, 1))
         assert sep == pytest.approx(1 - low / high)
     else:
-        assert sep == 0.0
+        assert sep is None
+        assert report.min_separation_normalized is None
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from chebsys import algebraic, cli, operators, parallel, probe
+from chebsys import algebraic, cli, operators, parallel, probe, rootfind
 from chebsys import roots as roots_module
 from chebsys.algebraic import DegenerateBranches
 from chebsys.cli import EXIT_NUMERIC, main
@@ -470,6 +470,17 @@ class TestUsageErrors:
         assert probe["classification"] == "PASS"
         assert probe["certified"] == probe["checked"] == 5
 
+    def test_verify_reports_a_certified_gap_below_a_double_as_null(self, tmp_path):
+        # at c = 1/10**400 the zeros 4c*cos(k pi/(r+1))**2 are proven
+        # distinct, but their gaps underflow: null, not the 0.0 of a
+        # repeated zero
+        out = tmp_path / "x.json"
+        assert run("verify", "--m", "1", "--c", f"1/{10**400}", "--R", "6", "--out", str(out)) == 0
+        (probe,) = [ch["details"] for ch in load(out)["checks"] if ch["name"] == "conjecture_probe"]
+        assert probe["certified"] == probe["checked"] == 5
+        assert probe["min_separation_normalized"] is None
+        assert '"min_separation_normalized": null' in out.read_text()
+
     def test_point_and_grid_exclude_each_other(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert run(
@@ -520,7 +531,7 @@ class TestNumericFailures:
 
     def test_solver_divergence(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
-            algebraic, "complex_roots", _raise(RootRefinementError("stuck"))
+            rootfind, "complex_roots", _raise(RootRefinementError("stuck"))
         )
         self.expect_numeric(
             capsys, "SolverDivergence",
@@ -529,9 +540,10 @@ class TestNumericFailures:
         )
 
     def test_root_refinement_error(self, tmp_path, monkeypatch, capsys):
-        # branch_points calls the root finder directly for the geometry
+        # every caller of the root finder now catches its error; one that
+        # escaped from the geometry would still map to the numeric exit
         monkeypatch.setattr(
-            algebraic, "complex_roots", _raise(RootRefinementError("stuck"))
+            algebraic, "branch_points", _raise(RootRefinementError("stuck"))
         )
         self.expect_numeric(
             capsys, "RootRefinementError",

@@ -1,0 +1,158 @@
+"""The exact star geometry against the mpmath geometry it replaced.
+
+``star_radius`` was the 80-bit ``mpmath.root`` of m*c, and ``branch_points``
+an 80-bit Aberth solve of the critical-point system, both kept below as the
+reference.  On a seeded sample the exact versions must give the same
+doubles, except that a component that is exactly zero reads 0.0 where the
+solve left noise; next to a half-way point they round correctly where the
+80-bit radius did not.
+"""
+
+import hashlib
+import json
+import math
+import random
+from fractions import Fraction
+
+import mpmath
+import pytest
+
+from chebsys import algebraic
+from chebsys.algebraic import branch_points, star_radius
+from chebsys.cli import main
+from chebsys.rationals import as_rational, rat_to_mpf
+from chebsys.recurrence import Params
+from chebsys.rootfind import complex_roots
+
+# ---------------------------------------------------------------- references
+
+
+def mpmath_star_radius(p):
+    m = p.m
+    with mpmath.workprec(80):
+        mc = rat_to_mpf(as_rational(m) * p.c)
+        return float(mpmath.mpf(m + 1) / m * mpmath.root(mc, m + 1))
+
+
+def mpmath_branch_points(p, precision=80):
+    m, c = p.m, p.c
+    with mpmath.workprec(precision + 32):
+        cm = rat_to_mpf(as_rational(m) * c)
+        coeffs = [mpmath.mpc(-1) / cm] + [mpmath.mpc(0)] * m + [mpmath.mpc(1)]
+        crit = complex_roots(coeffs, precision=precision)
+        cmpf = rat_to_mpf(c)
+        return [complex(cmpf * (m + 1) * w**m) for w in crit]
+
+
+def seeded_params(count, seed):
+    """(m, c) with m = 1..8 and c = P/Q spread over 1e-300 .. 1e300."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m = rng.randint(1, 8)
+        mantissa = Fraction(rng.randint(10**5, 10**6), rng.randint(10**5, 10**6))
+        out.append(Params(m, mantissa * Fraction(10) ** rng.randint(-300, 299)))
+    return out
+
+
+def tip_index(w, n):
+    return round(math.atan2(w.imag, w.real) * n / (2 * math.pi)) % n
+
+
+# ---------------------------------------------------------------- the geometry
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_radius_and_tips_match_the_mpmath_geometry(seed):
+    zeros = 0
+    for p in seeded_params(260, seed):
+        n = p.m + 1
+        a = star_radius(p)
+        assert a == mpmath_star_radius(p), p
+        tips = branch_points(p)
+        reference = {tip_index(w, n): w for w in mpmath_branch_points(p)}
+        assert sorted(map(lambda w: tip_index(w, n), tips)) == list(range(n))
+        for w in tips:
+            k = tip_index(w, n)
+            for got, want, zero in (
+                (w.real, reference[k].real, 4 * k % n == 0 and 4 * k // n % 2 == 1),
+                (w.imag, reference[k].imag, 2 * k % n == 0),
+            ):
+                if zero:
+                    # exactly zero, where the solve left noise far below a
+                    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+                    assert abs(want) < 1e-30 * a
+                    zeros += 1
+                else:
+                    assert got == want, (p, k)
+    assert zeros > 260
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_radius_bracket_lies_on_the_discriminant(seed):
+    # m**m * z**(m+1) = (m+1)**(m+1) * c on the tips, where z**(m+1) = a**(m+1):
+    # the fixed-point radius A * 2**e brackets its root exactly
+    for p in seeded_params(260, seed):
+        m, n = p.m, p.m + 1
+        man, e = algebraic._radius_fixed(p)
+        scale = Fraction(2) ** (e * n)
+        target = (m + 1) ** n * p.c
+        assert m**m * man**n * scale <= target < m**m * (man + 1) ** n * scale
+        assert man.bit_length() > algebraic._STAR_BITS
+
+
+def test_radius_is_exact_where_a_is_a_double():
+    # a = 2*sqrt(c) for m = 1, and (3/2) * (2c)**(1/3) for m = 2
+    assert star_radius(Params(1, "1")) == 2.0
+    assert star_radius(Params(1, "9/4")) == 3.0
+    assert star_radius(Params(2, "4")) == 3.0
+    assert branch_points(Params(1, "1")) == [complex(2, 0), complex(-2, 0)]
+
+
+def test_radius_rounds_correctly_next_to_a_half_way_point():
+    # a = 2*sqrt(c) = 1 + 2**-53 + d lies on, just above or just below the
+    # half-way point between 1 and the next double; 2**-140 is below the
+    # fixed-point bracket, so only its exactness flag tells the cases apart
+    # (the 80-bit mpmath radius rounded the first one down as well)
+    half = 1 + Fraction(1, 2**53)
+    for d, a in ((Fraction(1, 2**140), 1 + 2.0**-52), (0, 1.0), (-Fraction(1, 2**140), 1.0)):
+        p = Params(1, (half + d) ** 2 / 4)
+        assert star_radius(p) == a
+        assert branch_points(p) == [complex(a, 0.0), complex(-a, 0.0)]
+
+
+def test_unit_roots_are_mirrored_exactly():
+    for n in range(2, 13):
+        roots = algebraic._unit_roots(n)
+        for k in range(1, n):
+            cos, sin = roots[k]
+            assert roots[n - k] == (cos, -sin)
+        assert roots[0] == (1 << algebraic._STAR_BITS, 0)
+        assert sum(cos == 0 for cos, _ in roots) == (2 if n % 4 == 0 else 0)
+        assert sum(sin == 0 for _, sin in roots) == (2 if n % 2 == 0 else 1)
+
+
+def test_odd_m_puts_the_negative_tip_at_angle_pi():
+    # for m = 3, -a sorts last at its exact angle pi; the solve's noise put
+    # it first or last by the sign of its imaginary part
+    a = star_radius(Params(3, "7/3"))
+    assert branch_points(Params(3, "7/3")) == [
+        complex(0.0, -a), complex(a, 0.0), complex(0.0, a), complex(-a, 0.0)
+    ]
+
+
+# taken after the geometry became exact: the Aberth solve it replaced left
+# noise such as -5.8e-47 in the zero components of these tips and listed -a
+# first, so the output before differs in its branch points
+PINNED_ODD = "b46f91b5219e27f5c8f249836db8ecb84b0a66e9cf64ed44d58b93515f850c0e"
+
+
+def test_odd_m_branches_output_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["branches", "--m", "3", "--c", "7/3", "--grid=-3:3:3,-2:2:2", "--out", "odd.json"]
+    assert main(argv) == 0
+    data = (tmp_path / "odd.json").read_bytes()
+    geometry = json.loads(data)["geometry"]
+    a = geometry["a"]
+    assert geometry["branch_points"] == [[0.0, -a], [a, 0.0], [0.0, a], [-a, 0.0]]
+    assert hashlib.sha256(data).hexdigest() == PINNED_ODD

@@ -1,11 +1,13 @@
-"""The integer kernel against the libmp loops it replaced, bit for bit.
+"""The integer kernel against the libmp calls and loops it replaced, bit for bit.
 
 Each reference below is the loop of raw libmp calls that ``Poly.eval_complex``,
 ``rootfind._fused_horner`` and ``rootfind.max_term`` ran before they moved
-onto the kernel in ``chebsys.rationals``; the kernel must return the same
-raw tuples, not merely close values.
+onto the kernel in ``chebsys.rationals``, or the libmp call that
+``round_ratio`` and the 53-bit branch values made; the kernel must return
+the same raw tuples, or the same doubles, not merely close values.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +15,8 @@ import mpmath
 import pytest
 from mpmath.libmp import (
     fone,
+    from_float,
+    from_int,
     from_man_exp,
     fzero,
     mpc_abs,
@@ -21,15 +25,28 @@ from mpmath.libmp import (
     mpc_mul,
     mpf_abs,
     mpf_add,
+    mpf_div,
     mpf_gt,
     mpf_mul,
+    mpf_sqrt,
     mpf_sub,
     round_nearest,
+    to_float,
 )
 
 from chebsys import rootfind
 from chebsys.exactpoly import Poly
-from chebsys.rationals import add_man_exp, man_exp, raw_mpf, round_man_exp
+from chebsys import rationals
+from chebsys.rationals import (
+    add_man_exp,
+    div_man_exp,
+    hypot_man_exp,
+    man_exp,
+    raw_mpf,
+    round_man_exp,
+    round_ratio,
+    sqrt_man_exp,
+)
 from chebsys.recurrence import Params, gen_type1_records
 
 RND = round_nearest
@@ -184,6 +201,103 @@ def test_far_apart_addends_take_libmp_shortcut_not_the_rounded_sum(prec):
     near = add_man_exp(s, 0, (1 << 102) + 1, -100, prec)
     assert raw(*near) == mpf_add(raw(s, 0), raw((1 << 102) + 1, -100), prec, RND)
     assert near == round_man_exp((s << 100) + (1 << 102) + 1, -100, prec)
+
+
+def random_man_exp(rng, prec, signed=True):
+    bits = rng.choice((1, 3, prec // 2, prec, prec + 1, 2 * prec + 3))
+    man = rng.getrandbits(bits) | 1
+    return (rng.choice((1, -1)) if signed else 1) * man, rng.randint(-3 * prec, 3 * prec)
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+def test_div_man_exp_matches_mpf_div(prec):
+    rng = random.Random(prec + 4)
+    cases = []
+    for _ in range(300):
+        cases.append((*random_man_exp(rng, prec), *random_man_exp(rng, prec)))
+    for _ in range(60):
+        # exact quotients, of at most prec bits and of more
+        (q, eq), (b, eb) = random_man_exp(rng, prec), random_man_exp(rng, prec)
+        cases.append((q * b, eq + eb, b, eb))
+    for _ in range(60):
+        # quotients half way between two prec-bit numbers: (2k+1)/2 with k of
+        # prec bits, over divisors that are not powers of two
+        k = rng.getrandbits(prec - 1) | 1 << prec - 1
+        b = rng.choice((3, 6, 10, rng.getrandbits(40) | 1))
+        sign = rng.choice((1, -1))
+        cases.append((sign * (2 * k + 1) * b, rng.randint(-50, 50), 2 * b, rng.randint(-50, 50)))
+    ties = 0
+    for a, ea, b, eb in cases:
+        want = mpf_div(raw(a, ea), raw(b, eb), prec, RND)
+        assert raw(*div_man_exp(a, ea, b, eb, prec)) == want
+        assert raw(*div_man_exp(-a, ea, b, eb, prec)) == mpf_div(raw(-a, ea), raw(b, eb), prec, RND)
+        assert raw(*div_man_exp(a, ea, -b, eb, prec)) == mpf_div(raw(a, ea), raw(-b, eb), prec, RND)
+        ties += Fraction(a, b) * 2 % 2 == 1 and abs(a // b).bit_length() == prec
+    assert ties >= 60
+    assert div_man_exp(0, 5, 3, 1, prec) == (0, 0)
+
+
+def test_div_man_exp_rounds_ties_to_even():
+    # 4 bits: 19/2 = 1001.1 rounds up to 1010, 17/2 = 1000.1 down to 1000
+    assert div_man_exp(19 * 3, 0, 6, 0, 4) == (0b1010, 0)
+    assert div_man_exp(17 * 3, 0, 6, 0, 4) == (0b1000, 0)
+    assert div_man_exp(-19 * 3, 0, 6, 0, 4) == (-0b1010, 0)
+    assert div_man_exp(-17 * 3, 0, 6, 0, 4) == (-0b1000, 0)
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+def test_round_ratio_is_mpf_over_mpf(prec):
+    rng = random.Random(prec + 5)
+    pairs = [(0, 7), (5, 1), (-5, 1), (6, 4), (-(1 << prec + 9) - 1, 3)]
+    for _ in range(300):
+        num = rng.choice((1, -1)) * rng.getrandbits(rng.choice((2, prec // 2, prec, 3 * prec)))
+        den = rng.getrandbits(rng.choice((2, prec // 2, prec, 3 * prec))) or 1
+        pairs.append((num, den))
+    for num, den in pairs:
+        q = Fraction(num, den)
+        want = mpf_div(
+            from_int(q.numerator, prec, RND), from_int(q.denominator, prec, RND), prec, RND
+        )
+        assert round_ratio(num, den, prec) == want
+
+
+@pytest.mark.parametrize("prec", PRECISIONS)
+def test_sqrt_and_hypot_match_libmp(prec):
+    rng = random.Random(prec + 6)
+    for _ in range(300):
+        (a, ea), (b, eb) = random_man_exp(rng, prec), random_man_exp(rng, prec)
+        assert raw(*sqrt_man_exp(abs(a), ea, prec)) == mpf_sqrt(raw(abs(a), ea), prec, RND)
+        want = mpc_abs((raw(a, ea), raw(b, eb)), prec, RND)
+        assert raw(*hypot_man_exp(a, ea, b, eb, prec)) == want
+        # far apart parts take mpf_add's shortcut inside the hypot
+        far = eb - 2 * prec - 150
+        assert raw(*hypot_man_exp(a, ea, b, far, prec)) == mpc_abs(
+            (raw(a, ea), raw(b, far)), prec, RND
+        )
+        for zero in ((a, ea, 0, 0), (0, 0, b, eb)):
+            assert raw(*hypot_man_exp(*zero, prec)) == mpc_abs(
+                (raw(*zero[:2]), raw(*zero[2:])), prec, RND
+            )
+    assert raw(*sqrt_man_exp(4, -2, prec)) == fone
+    assert sqrt_man_exp(0, 0, prec)[0] == 0
+
+
+def test_floats_round_trip_and_round_as_to_float():
+    rng = random.Random(8)
+    for _ in range(2000):
+        x = rng.uniform(-1, 1) * 2.0 ** rng.randint(-1074, 1023)
+        assert raw(*rationals.from_float(x)) == from_float(x)
+        assert rationals.to_float(*rationals.from_float(x)) == x
+    # rounding to 53 bits, and twice below the normal range, overflow included
+    for exp in (-1130, -1100, -1075, -1074, -1060, -1040, -200, 0, 900, 950, 960, 971, 1000):
+        for _ in range(100):
+            man = rng.choice((1, -1)) * rng.getrandbits(rng.choice((54, 60, 120)))
+            got = rationals.to_float(man, exp)
+            assert got == to_float(raw(man, exp), rnd=RND)
+            assert math.copysign(1, got) == math.copysign(1, to_float(raw(man, exp), rnd=RND))
+    assert rationals.to_float(1, 1024) == math.inf
+    assert rationals.to_float(-1, 1024) == -math.inf
+    assert rationals.to_float(0, 7) == 0.0
 
 
 # ---------------------------------------------------------------- the three loops

@@ -47,6 +47,62 @@ print(json.dumps(loaded()))
 print(json.dumps(callable(chebsys.rationals.add_man_exp)))
 """
 
+# one command in a fresh process, in the current directory: what it loaded,
+# and the digest of every file it wrote
+COMMAND = """
+import hashlib, json, os, sys
+from chebsys.cli import main
+assert main(sys.argv[1:]) == 0
+print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
+files = {f: hashlib.sha256(open(f, "rb").read()).hexdigest() for f in sorted(os.listdir())}
+print(json.dumps(files))
+"""
+
+# the branch solver and the star geometry load numpy but not mpmath
+ALGEBRAIC = """
+import json, sys
+import chebsys.algebraic
+print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
+"""
+
+# digests taken before the batched path kept its values on the integer
+# kernel; the star geometry of m = 2, c = 7/3 has no zero component, so its
+# bytes did not change (the same digests pin branches.json, asymptote.json
+# and the roots CSV in test_cli_outputs.py)
+BRANCHES = ["branches", "--m", "2", "--c", "7/3"]
+LOADS = {
+    "batched-grid": (
+        [*BRANCHES, "--grid=-2:2:3,-1:1:2", "--out", "branches.json"],
+        ["numpy"],
+        {"branches.json": "98f9561cb0d8a38af9f8074275f63a82e0744f8eb20af24b8c3e3db4d6ceaef4"},
+    ),
+    # z = -2 lies on the attractor star and z = 0 ties all three moduli
+    "fallback-grid": (
+        [*BRANCHES, "--grid=-2:2:3,0:1:2", "--out", "branches_fallback.json"],
+        ["numpy", "mpmath"],
+        {"branches_fallback.json": "fbf7261caae8c4b508090927ae90e6dcf4d72d092c31a319eba63c9ecf41ef54"},
+    ),
+    "precision-64": (
+        [*BRANCHES, "--grid=-2:2:3,-1:1:2", "--precision", "64", "--out", "branches64.json"],
+        ["numpy", "mpmath"],
+        {"branches64.json": "4c1a5821ec73d90ba77cab38e25f33011a9c0725346313acbd52697b33064687"},
+    ),
+    "asymptote": (
+        ["asymptote", "--m", "1", "--c", "1", "--z", "3,1", "--r-max", "30", "--out", "asymptote.json"],
+        ["numpy", "mpmath"],
+        {"asymptote.json": "8003bbe3fafd40e47754540e113494f9e1c55b0913fc61cdd6d80546280ecd7e"},
+    ),
+    "roots": (
+        ["roots", "--m", "1", "--c", "3/2", "--r-list", "0,1,5,20", "--format", "csv",
+         "--out", "roots.csv"],
+        ["numpy", "mpmath"],
+        {
+            "roots.csv": "8de44ed349ead7271be8dffae1fd4cd72bf75ceef36206f23320a9defb0a74fa",
+            "roots.csv.summary.json": "4a9068b804434e2ef26ab67c6cef01f162e9c463301aeaa09f516ba790f297bc",
+        },
+    ),
+}
+
 # every public name of chebsys at the commit before the numeric half was
 # loaded on demand, by the module that defines it
 PUBLIC = {
@@ -105,14 +161,15 @@ runpy.run_module("chebsys.cli", run_name="__main__")
 ROOT = Path(chebsys.__file__).resolve().parents[2]
 
 
-def python(script: str, *argv: str) -> subprocess.CompletedProcess:
+def python(script: str, *argv: str, cwd=None) -> subprocess.CompletedProcess:
     """Run a script in a fresh interpreter that imports this checkout's chebsys."""
     src = str(Path(chebsys.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("CHEBSYS_PRECISION", None)
     return subprocess.run(
         [sys.executable, "-c", script, *argv],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, timeout=120, cwd=cwd,
     )
 
 
@@ -129,6 +186,24 @@ def test_exact_half_and_kernel_load_neither_numpy_nor_mpmath():
     done = python(EXACT_HALF)
     assert done.returncode == 0, done.stderr
     assert list(map(json.loads, done.stdout.splitlines())) == [[], [], True]
+
+
+def test_algebraic_loads_numpy_but_not_mpmath():
+    done = python(ALGEBRAIC)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["numpy"]
+
+
+@pytest.mark.parametrize("case", list(LOADS))
+def test_mpmath_loads_only_where_a_command_solves_in_it(tmp_path, case):
+    # a 53-bit grid whose every point the batched path accepts stays off
+    # mpmath; a fallback point, more bits, a scan and a root solve load it
+    argv, loaded, files = LOADS[case]
+    done = python(COMMAND, *argv, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    got_loaded, got_files = map(json.loads, done.stdout.splitlines())
+    assert got_loaded == loaded
+    assert got_files == files
 
 
 def test_public_names_resolve_to_their_home_objects():
