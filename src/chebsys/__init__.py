@@ -10,10 +10,11 @@ complex evaluation.
 
 Importing the package loads only the exact half, which needs nothing beyond
 the standard library.  The names of the numeric half, and its modules
-``algebraic``, ``rootfind`` and ``roots``, resolve on first use, which is
-when numpy is imported, and mpmath where they compute in it (``algebraic``
-alone loads no mpmath: its 53-bit batched path and star geometry do
-without).
+``algebraic``, ``rootfind`` and ``roots``, resolve on first use.  mpmath is
+loaded with ``rootfind`` and ``roots`` and where ``algebraic`` computes in
+it (its 53-bit batched path and star geometry do without); numpy only
+where a computation uses it: the 53-bit batched branch solve and
+companion-matrix root seeds.
 """
 
 import importlib

@@ -24,7 +24,10 @@ a tie, is solved again by per-point mpmath Aberth iteration, so every tie
 decision is made at full working precision.  An accepted point keeps each
 value as its double-double parts summed on the integer kernel of
 ``chebsys.rationals``, so a run whose every point is accepted loads no
-mpmath; this module imports it only where it is used.
+mpmath.  The per-point solver, and every point above 53 bits, seeds Aberth
+with the roots of the trinomial found in plain complex doubles, so it needs
+no numpy.  Importing this module loads neither: numpy is imported by the
+batched path alone, and mpmath where it is used.
 
 Star geometry: the bounded star is the m+1 segments of length
 ``a = ((m+1)/m) * (m*c)**(1/(m+1))`` along the angles ``2*pi*k/(m+1)``, whose
@@ -44,8 +47,6 @@ import functools
 import math
 import random
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DegenerateBranches, OnStarSet, RootRefinementError, SolverDivergence
 from .parallel import fork_map
@@ -136,21 +137,76 @@ def _residual_tolerance(precision: int) -> float:
     return 10.0 ** (2 - 0.3 * precision)
 
 
+# sweeps of the double-precision seed iteration; from the Newton-polygon
+# circles it settles in far fewer
+_SEED_SWEEPS = 64
+# phase offset of the start points: with a real z, real or conjugate-symmetric
+# starts would keep every iterate so, and miss roots that are not
+_SEED_PHASE = 0.7
+
+
+def _trinomial_seeds(m: int, c, z) -> list:
+    """The roots of ``c*w**(m+1) - z*w + 1`` in complex doubles, by Aberth
+    iteration, or an empty list where a root lies beyond the range of a
+    double (or the iteration divides by zero).
+
+    The start is the Newton polygon of the trinomial: when
+    ``|z|**(m+1) > c``, one point of modulus ``1/|z|`` and m spread on
+    ``|w| = (|z|/c)**(1/m)``, otherwise m+1 on ``|w| = c**(-1/(m+1))``, each
+    turned by ``_SEED_PHASE``.  Newton's correction is taken as
+    ``w * (P(w)/w) / P'(w)`` with ``c*w**m`` formed as
+    ``(c**(1/m) * w)**m``, so no intermediate is much larger than z or the
+    roots.  The values may still be non-finite; ``rootfind.complex_roots``
+    then spreads its seeds on a circle instead.
+    """
+    n = m + 1
+    try:
+        c, z = float(c), complex(z)
+        size = abs(z)
+        if size and n * math.log(size) > math.log(c):
+            big = math.exp((math.log(size) - math.log(c)) / m)
+            arg = cmath.phase(z)
+            ws = [cmath.rect(1 / size, _SEED_PHASE - arg)]
+            ws += [cmath.rect(big, (arg + _SEED_PHASE + 2 * math.pi * k) / m) for k in range(m)]
+        else:
+            small = math.exp(-math.log(c) / n)
+            ws = [cmath.rect(small, _SEED_PHASE + 2 * math.pi * k / n) for k in range(n)]
+        root_c = c ** (1 / m)
+        for _ in range(_SEED_SWEEPS):
+            moved = False
+            for i, w in enumerate(ws):
+                cw = scaled = root_c * w  # c*w**m
+                for _ in range(m - 1):
+                    cw *= scaled
+                newton = w * ((cw - z + 1 / w) / (n * cw - z))
+                coupling = sum(1 / (w - v) for j, v in enumerate(ws) if j != i)
+                step = newton / (1 - newton * coupling)
+                ws[i] = w - step
+                moved = moved or abs(step) > 1e-15 * abs(w)
+            if not moved:
+                break
+    except (OverflowError, ZeroDivisionError):
+        return []
+    return ws
+
+
 def solve_branches_aberth(p: Params, z, precision: int) -> BranchSet:
-    """The branches at one point by mpmath Aberth iteration at the working precision."""
+    """The branches at one point by mpmath Aberth iteration at the working
+    precision, seeded with the trinomial's roots in doubles."""
     import mpmath
 
     from .rootfind import complex_roots
 
     m, c = p.m, p.c
     workbits = _work_bits(precision, m, z)
+    seeds = _trinomial_seeds(m, c, z)
     with mpmath.workprec(workbits):
         zz = mpmath.mpc(z)
         coeffs = [mpmath.mpc(1), -zz] + [mpmath.mpc(0)] * (m - 1) + [
             mpmath.mpc(rat_to_mpf(c))
         ]
         try:
-            roots = complex_roots(coeffs, precision=workbits - 16)
+            roots = complex_roots(coeffs, precision=workbits - 16, seeds=seeds)
         except RootRefinementError as exc:
             raise SolverDivergence(f"branch solve failed at z={complex(z)}") from exc
         roots.sort(key=lambda l: (abs(l), mpmath.arg(l)))
@@ -243,6 +299,8 @@ def _branch_poly_dd(w, m: int, c_dd, z):
     ``w`` is a complex double-double of shape (n, m+1), ``z`` a complex array
     of shape (n, 1) and ``c_dd`` the real double-double of c.
     """
+    import numpy as np
+
     zero = np.zeros_like(w[0][0])
     power = w
     for _ in range(m - 1):
@@ -255,67 +313,70 @@ def _branch_poly_dd(w, m: int, c_dd, z):
     return _dd_add(value[0], (np.ones_like(zero), zero)), value[1]
 
 
-@np.errstate(all="ignore")
 def _solve_block(m: int, c_dd, z, precision: int) -> list:
     """Batched branch sets at the points ``z`` (a complex array of shape (n,)).
 
     Entry i is the BranchSet of ``z[i]``, or None if the point fails a check.
     """
-    n, size, c = len(z), m + 1, c_dd[0]
-    # points whose z/c overflows are rejected; z = 0 stands in for them
-    finite = np.isfinite(z / c)
-    z = np.where(finite, z, 0)
-    zc = z[:, None]
-    # companion matrix of the monic w**(m+1) - (z/c)*w + 1/c
-    companion = np.zeros((n, size, size), dtype=complex)
-    companion[:, np.arange(1, size), np.arange(size - 1)] = 1
-    companion[:, 0, m] = -1 / c
-    companion[:, 1, m] += z / c
-    try:
-        w = np.linalg.eigvals(companion)
-    except np.linalg.LinAlgError:
-        # the QR iteration failed on some matrix: leave the block to Aberth
-        w = np.full((n, size), np.nan, dtype=complex)
+    import numpy as np
 
-    def derivative(v):
-        return c * size * v**m - zc
+    # overflow and NaN in the array steps are rejected by the acceptance test
+    with np.errstate(all="ignore"):
+        n, size, c = len(z), m + 1, c_dd[0]
+        # points whose z/c overflows are rejected; z = 0 stands in for them
+        finite = np.isfinite(z / c)
+        z = np.where(finite, z, 0)
+        zc = z[:, None]
+        # companion matrix of the monic w**(m+1) - (z/c)*w + 1/c
+        companion = np.zeros((n, size, size), dtype=complex)
+        companion[:, np.arange(1, size), np.arange(size - 1)] = 1
+        companion[:, 0, m] = -1 / c
+        companion[:, 1, m] += z / c
+        try:
+            w = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError:
+            # the QR iteration failed on some matrix: leave the block to Aberth
+            w = np.full((n, size), np.nan, dtype=complex)
 
-    for _ in range(2):
-        w = w - (c * w**size - zc * w + 1) / derivative(w)
-    zero = np.zeros(w.shape)
-    wdd = ((w.real, zero), (w.imag, zero))
-    for _ in range(2):
-        step = _cdd_hi(_branch_poly_dd(wdd, m, c_dd, zc)) / derivative(_cdd_hi(wdd))
-        wdd = _dd_add(wdd[0], (-step.real, zero)), _dd_add(wdd[1], (-step.imag, zero))
-    residuals = np.abs(_cdd_hi(_branch_poly_dd(wdd, m, c_dd, zc)))
+        def derivative(v):
+            return c * size * v**m - zc
 
-    hi = _cdd_hi(wdd)
-    lo = wdd[0][1] + 1j * wdd[1][1]
-    order = np.argsort(np.abs(hi), axis=1)
-    hi = np.take_along_axis(hi, order, axis=1)
-    lo = np.take_along_axis(lo, order, axis=1)
-    residuals = np.take_along_axis(residuals, order, axis=1)
-    moduli = np.abs(hi)
-    # a gap between consecutive moduli bounds every pairwise distance from
-    # below, so this one test also rejects collided or duplicated roots
-    gaps = np.diff(moduli, axis=1) > BATCH_RELATIVE_GAP * moduli[:, 1:]
-    accepted = (
-        finite
-        & np.isfinite(hi).all(axis=1)
-        & np.isfinite(lo).all(axis=1)
-        & (residuals.max(axis=1) <= _residual_tolerance(precision))
-        & gaps.all(axis=1)
-    )
-    out = []
-    rows = zip(z.tolist(), hi.tolist(), lo.tolist(), residuals.tolist(), accepted)
-    for zi, his, los, res, ok in rows:
-        if ok:
-            bits = _work_bits(precision, m, zi)
-            parts = tuple(_dd_parts(h, l, bits) for h, l in zip(his, los))
-            out.append(BranchSet(zi, parts, tuple(res), False, precision))
-        else:
-            out.append(None)
-    return out
+        for _ in range(2):
+            w = w - (c * w**size - zc * w + 1) / derivative(w)
+        zero = np.zeros(w.shape)
+        wdd = ((w.real, zero), (w.imag, zero))
+        for _ in range(2):
+            step = _cdd_hi(_branch_poly_dd(wdd, m, c_dd, zc)) / derivative(_cdd_hi(wdd))
+            wdd = _dd_add(wdd[0], (-step.real, zero)), _dd_add(wdd[1], (-step.imag, zero))
+        residuals = np.abs(_cdd_hi(_branch_poly_dd(wdd, m, c_dd, zc)))
+
+        hi = _cdd_hi(wdd)
+        lo = wdd[0][1] + 1j * wdd[1][1]
+        order = np.argsort(np.abs(hi), axis=1)
+        hi = np.take_along_axis(hi, order, axis=1)
+        lo = np.take_along_axis(lo, order, axis=1)
+        residuals = np.take_along_axis(residuals, order, axis=1)
+        moduli = np.abs(hi)
+        # a gap between consecutive moduli bounds every pairwise distance from
+        # below, so this one test also rejects collided or duplicated roots
+        gaps = np.diff(moduli, axis=1) > BATCH_RELATIVE_GAP * moduli[:, 1:]
+        accepted = (
+            finite
+            & np.isfinite(hi).all(axis=1)
+            & np.isfinite(lo).all(axis=1)
+            & (residuals.max(axis=1) <= _residual_tolerance(precision))
+            & gaps.all(axis=1)
+        )
+        out = []
+        rows = zip(z.tolist(), hi.tolist(), lo.tolist(), residuals.tolist(), accepted)
+        for zi, his, los, res, ok in rows:
+            if ok:
+                bits = _work_bits(precision, m, zi)
+                parts = tuple(_dd_parts(h, l, bits) for h, l in zip(his, los))
+                out.append(BranchSet(zi, parts, tuple(res), False, precision))
+            else:
+                out.append(None)
+        return out
 
 
 class BranchBatch(NamedTuple):
@@ -351,6 +412,8 @@ def solve_branches_many(p: Params, points, precision: int = 53) -> BranchBatch:
     # enough; a point that is not a double (an exact branch point from
     # ``branch_points``, say) must not be rounded to one
     if precision == 53 and 1e-300 < p.c < 1e300:
+        import numpy as np
+
         c = float(p.c)
         c_dd = (c, float(p.c - Rational(c)))
         batch = [i for i, z in enumerate(points) if complex(z) == z]
@@ -438,7 +501,12 @@ def explicit_t(p: Params, r: int, z, precision: int = 53):
 
 
 class StarGeometry(NamedTuple):
-    """Ray/segment skeleton for one parameter pair."""
+    """Ray/segment skeleton for one parameter pair.
+
+    Each family's ``*_rotations`` are ``cmath.exp(-1j*angle)`` of its
+    angles, which turn a point onto the family's rays; the bounded star's
+    segments lie along the odd angles.
+    """
 
     m: int
     c_float: float
@@ -448,6 +516,9 @@ class StarGeometry(NamedTuple):
     odd_angles: tuple
     attractor: str  # "even" for even m, "odd" for odd m
     attractor_angles: tuple
+    even_rotations: tuple
+    odd_rotations: tuple
+    attractor_rotations: tuple
 
 
 # ---- exact star geometry
@@ -592,6 +663,8 @@ def star_geometry(p: Params) -> StarGeometry:
     odd = tuple(2 * math.pi * k / (m + 1) for k in range(m + 1))
     even = tuple((2 * k + 1) * math.pi / (m + 1) for k in range(m + 1))
     attractor = "even" if m % 2 == 0 else "odd"
+    even_rotations = tuple(cmath.exp(-1j * angle) for angle in even)
+    odd_rotations = tuple(cmath.exp(-1j * angle) for angle in odd)
     return StarGeometry(
         m=m,
         c_float=float(p.c),
@@ -601,30 +674,32 @@ def star_geometry(p: Params) -> StarGeometry:
         odd_angles=odd,
         attractor=attractor,
         attractor_angles=even if attractor == "even" else odd,
+        even_rotations=even_rotations,
+        odd_rotations=odd_rotations,
+        attractor_rotations=even_rotations if attractor == "even" else odd_rotations,
     )
 
 
-def ray_distance(z, angle: float) -> float:
-    """Euclidean distance from z to the ray ``[0, inf) * exp(i*angle)``."""
-    u = complex(z) * cmath.exp(-1j * angle)
-    if u.real >= 0:
-        return abs(u.imag)
-    return abs(u)
+def ray_family_distance(z, rotations) -> float:
+    """Euclidean distance from z to the nearest ray ``[0, inf) * exp(i*angle)``,
+    each ray given by its rotation ``exp(-1j*angle)``."""
+    z = complex(z)
+    best = math.inf
+    for rotation in rotations:
+        u = z * rotation
+        best = min(best, abs(u.imag) if u.real >= 0 else abs(u))
+    return best
 
 
-def segment_distance(z, angle: float, length: float) -> float:
-    """Euclidean distance from z to the segment ``[0, length] * exp(i*angle)``."""
-    u = complex(z) * cmath.exp(-1j * angle)
-    t = min(max(u.real, 0.0), length)
-    return abs(u - t)
-
-
-def ray_family_distance(z, angles) -> float:
-    return min(ray_distance(z, ang) for ang in angles)
-
-
-def segment_family_distance(z, angles, length: float) -> float:
-    return min(segment_distance(z, ang, length) for ang in angles)
+def segment_family_distance(z, rotations, length: float) -> float:
+    """Euclidean distance from z to the nearest segment ``[0, length] * exp(i*angle)``,
+    each segment given by its rotation ``exp(-1j*angle)``."""
+    z = complex(z)
+    best = math.inf
+    for rotation in rotations:
+        u = z * rotation
+        best = min(best, abs(u - min(max(u.real, 0.0), length)))
+    return best
 
 
 class RegionReport(NamedTuple):
@@ -650,9 +725,9 @@ def region_classify(p: Params, z, tol: float) -> RegionReport:
         raise ValueError("tol must be positive")
     geom = star_geometry(p)
     z = complex(z)
-    d0 = segment_family_distance(z, geom.s0_angles, geom.a)
-    de = ray_family_distance(z, geom.even_angles)
-    do = ray_family_distance(z, geom.odd_angles)
+    d0 = segment_family_distance(z, geom.odd_rotations, geom.a)
+    de = ray_family_distance(z, geom.even_rotations)
+    do = ray_family_distance(z, geom.odd_rotations)
     da = de if geom.attractor == "even" else do
     flags = [d0 >= tol]
     for _ in range(1, p.m):
@@ -666,8 +741,8 @@ def _limit_gate_distance(p: Params, geom: StarGeometry, z) -> float:
     # the full real line, so the gate uses the segments there; for m >= 2 the
     # tie set is the unbounded parity star.
     if p.m == 1:
-        return segment_family_distance(z, geom.s0_angles, geom.a)
-    return ray_family_distance(z, geom.attractor_angles)
+        return segment_family_distance(z, geom.odd_rotations, geom.a)
+    return ray_family_distance(z, geom.attractor_rotations)
 
 
 def _limit(p: Params, z, precision: int, tol: float) -> tuple:
@@ -820,11 +895,11 @@ def seeded_offstar_points(
         rho = rmin + (rmax - rmin) * rng.random()
         theta = 2 * math.pi * rng.random()
         z = complex(rho * math.cos(theta), rho * math.sin(theta))
-        if segment_family_distance(z, geom.s0_angles, a) < margin:
+        if segment_family_distance(z, geom.odd_rotations, a) < margin:
             continue
-        if ray_family_distance(z, geom.even_angles) < margin:
+        if ray_family_distance(z, geom.even_rotations) < margin:
             continue
-        if ray_family_distance(z, geom.odd_angles) < margin:
+        if ray_family_distance(z, geom.odd_rotations) < margin:
             continue
         if min(abs(z - bp) for bp in bps) < margin:
             continue

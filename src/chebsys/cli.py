@@ -16,8 +16,11 @@ error classes live in ``chebsys.errors``.  The numeric half, and with it
 numpy and mpmath, is imported only by the commands that use it: ``gen``
 loads neither, ``verify`` loads numpy for the root hints of its probe when
 m >= 2, and mpmath only when an index is not certified, ``branches`` loads
-numpy, and mpmath only for a point that falls back to the Aberth solver or
-above 53 bits, and ``asymptote`` and ``roots`` load both.  Independent root
+numpy at 53 bits, and mpmath only for a point that falls back to the
+Aberth solver or above 53 bits, ``asymptote`` loads mpmath, and numpy only
+at 53 bits, where its one-point branch solve is batched, and ``roots``
+loads mpmath, and numpy only when m >= 2, for companion-matrix seeds and
+the probe's root hints (m = 1 seeds from the closed form).  Independent root
 solves and evaluations run on every CPU the process may use
 (``chebsys.parallel``), and the outputs do not depend on how many there are.
 

@@ -12,7 +12,10 @@ round-robin.
 A worker computes its items from the memory it inherited, so neither ``fn``
 nor the items are pickled (closures over exact polynomials work as they
 are); it sends its results, pickled, over a pipe and ends with ``os._exit``,
-which runs no atexit handler and flushes no inherited stdio buffer.  Forking
+which runs no atexit handler and flushes no inherited stdio buffer.  Nor
+does it share imports with the parent after the fork: a module that ``fn``
+imports on first use (numpy, for companion-matrix seeds) must be imported
+by the caller before the map, or every worker pays for the import.  Forking
 is safe here because the package starts no threads, and numpy's OpenBLAS
 stops its thread pool before a fork and starts it again when next needed.
 If items fail, the exception of the lowest failing index is raised, as the

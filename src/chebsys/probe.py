@@ -6,8 +6,9 @@ The probe proves that exactly wherever an integer sign certificate holds
 an assertion, where it does not.  The certificate needs numpy's
 ``roots`` for its hints when m >= 2 and nothing beyond the exact half when
 m = 1; the fallback, ``roots._probe_index``, loads mpmath with ``roots``
-on the first index the certificate misses.  Importing this module loads
-neither numpy nor mpmath.
+on the first index the certificate misses, and numpy for the companion
+seeds of its root solves.  Importing this module loads neither numpy nor
+mpmath.
 """
 
 from __future__ import annotations
@@ -69,6 +70,13 @@ def _root_hints(h: Poly) -> list:
     return sorted(float(y.real) for y in found)
 
 
+def closed_form_hints(rec: TypeIRecord) -> list:
+    """``cos(k pi/(r+1))**2`` for k = 1..deg h_r, sorted: for m = 1 the zeros
+    of h_r divided by 4c (see ``_certify_index``)."""
+    angle = math.pi / (rec.r + 1)
+    return sorted(math.cos(k * angle) ** 2 for k in range(1, rec.h.degree + 1))
+
+
 def _certify_index(rec: TypeIRecord, p: Params) -> tuple | None:
     """The probe step of a certified index, or None if h_r is not certified.
 
@@ -78,8 +86,7 @@ def _certify_index(rec: TypeIRecord, p: Params) -> tuple | None:
     lie in [0, 1] whatever c is, so no hint overflows or underflows.
     """
     if p.m == 1:
-        angle = math.pi / (rec.r + 1)
-        hints = sorted(math.cos(k * angle) ** 2 for k in range(1, rec.h.degree + 1))
+        hints = closed_form_hints(rec)
         # den * q**d * h(4c*y) in integers, for 4c = p4/q
         p4, q = 4 * p.c.numerator, p.c.denominator
         d = rec.h.degree
@@ -119,6 +126,10 @@ def conjecture_probe(p: Params, r_max: int, precision: int = 53) -> ProbeReport:
     steps = {rec.r: _certify_index(rec, p) for rec in records}
     rest = [rec for rec in records if steps[rec.r] is None]
     if rest:
+        # the solves build companion seeds: load numpy once here, not in
+        # every worker the map forks
+        import numpy  # noqa: F401
+
         from .parallel import fork_map
         from .roots import _probe_index, _solve_cost
 

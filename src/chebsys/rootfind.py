@@ -1,16 +1,20 @@
 """Complex root extraction at a caller-chosen bit precision.
 
-Strategy: seed with double-precision companion-matrix eigenvalues (numpy) on
-normalized coefficients, then refine all roots simultaneously with
-Aberth-Ehrlich iteration evaluated against the original coefficients at the
-working precision.  The simultaneous scheme keeps clustered and multiple
-roots honest where per-root Newton would stall or double-count.
+Strategy: seed with double-precision root estimates, then refine all roots
+simultaneously with Aberth-Ehrlich iteration evaluated against the original
+coefficients at the working precision.  The simultaneous scheme keeps
+clustered and multiple roots honest where per-root Newton would stall or
+double-count.  A caller that knows its roots approximately passes them as
+the seeds (the branch trinomial, and h_r for m = 1, do); otherwise the
+seeds are companion-matrix eigenvalues of the normalized coefficients,
+which is the only use of numpy here, so numpy is imported only then.
 """
 
 from __future__ import annotations
 
+import cmath
+
 import mpmath
-import numpy as np
 from mpmath.libmp import (
     fone,
     fzero,
@@ -43,8 +47,11 @@ def to_mpc(value):
     return mpmath.mpc(value)
 
 
-def _initial_guesses(coeffs):
-    """Companion-matrix seeds in double precision; circle fallback."""
+def _companion_seeds(coeffs) -> list | None:
+    """Companion-matrix eigenvalues of the normalized coefficients, in double
+    precision, or None where numpy cannot give n finite ones."""
+    import numpy as np
+
     n = len(coeffs) - 1
     scale = max(abs(c) for c in coeffs)
     try:
@@ -54,9 +61,25 @@ def _initial_guesses(coeffs):
             with np.errstate(all="ignore"):
                 seeds = np.roots(arr)
             if len(seeds) == n and np.all(np.isfinite(seeds)):
-                return [mpmath.mpc(complex(s)) for s in seeds]
+                return [complex(s) for s in seeds]
     except Exception:
         pass
+    return None
+
+
+def _initial_guesses(coeffs, seeds=None):
+    """The Aberth seeds of the polynomial ``coeffs``: the caller's ``seeds``, or
+    companion-matrix seeds when ``seeds`` is None; circle fallback.
+
+    Caller seeds are used when there is one per root and each is finite;
+    otherwise, and where numpy gives no finite companion seeds, the seeds
+    are spread on a circle.
+    """
+    n = len(coeffs) - 1
+    if seeds is None:
+        seeds = _companion_seeds(coeffs)
+    if seeds is not None and len(seeds) == n and all(map(cmath.isfinite, seeds)):
+        return [mpmath.mpc(s) for s in seeds]
     # evenly spread on a circle sized by the root bound, phase-offset to dodge symmetry
     radius = 1 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
     return [
@@ -79,11 +102,16 @@ def _separate(points):
     return out
 
 
-def complex_roots(coeffs, precision: int = 53, maxiter: int | None = None) -> list:
+def complex_roots(
+    coeffs, precision: int = 53, maxiter: int | None = None, seeds=None
+) -> list:
     """All roots (with multiplicity) of ``sum coeffs[i] * x**i``.
 
-    Coefficients may be exact rationals or complex scalars.  Returns mpc
-    values accurate to roughly the requested precision; raises
+    Coefficients may be exact rationals or complex scalars.  ``seeds`` are
+    double-precision estimates of the roots other than the exact zeros at
+    the origin, which are split off first; without them the seeds are
+    companion-matrix eigenvalues, from numpy (see ``_initial_guesses``).
+    Returns mpc values accurate to roughly the requested precision; raises
     RootRefinementError when the iteration fails to settle.
     """
     workbits = precision + 32
@@ -104,7 +132,7 @@ def complex_roots(coeffs, precision: int = 53, maxiter: int | None = None) -> li
             return zeros
         if n == 1:
             return zeros + [-cs[0] / cs[1]]
-        xs = _separate(_initial_guesses(cs))
+        xs = _separate(_initial_guesses(cs, seeds))
         if maxiter is None:
             maxiter = max(100, 2 * precision)
         raw = [c._mpc_ for c in cs]

@@ -8,6 +8,12 @@ attraction study quantifies how close these zeros sit to the parity-selected
 unbounded star.  The probe of the conjecture that the zeros of every
 ``h_r`` are real and simple is ``chebsys.probe``; the numeric evidence it
 falls back to where its sign certificate fails is ``_probe_index`` here.
+
+For m = 1 the zeros of h_r are known in closed form, ``4c*cos(k pi/(r+1))**2``,
+and seed the root solves of ``roots_of_t``, which then load no numpy.  Every
+other solve (m >= 2, and the probe's fallback ``_probe_index``) is seeded
+with companion-matrix eigenvalues (``rootfind``), and numpy is imported
+before a map of such solves forks its workers.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .errors import ConvergenceFailure, RootRefinementError
 from .exactpoly import Poly, poly_gcd
 from .parallel import fork_map
 # the probe lives in ``probe``, which loads no mpmath; its names stay here too
-from .probe import ProbeReport, _separation, conjecture_probe
+from .probe import ProbeReport, _separation, closed_form_hints, conjecture_probe
 from .recurrence import Params, TypeIRecord, gen_type1_records
 from .rootfind import coefficient_moduli, complex_roots, max_term
 
@@ -45,18 +51,32 @@ def _cluster(roots) -> list:
     return [(entry[0] / entry[1], entry[1]) for entry in clusters]
 
 
-def roots_of_h(h: Poly, precision: int = 53) -> list:
+def _seeds(rec: TypeIRecord, p: Params) -> list | None:
+    """Seeds for the zeros of h_r: for m = 1 the closed form ``4c*cos(k pi/(r+1))**2``,
+    real as h_r is, so the Aberth iterates stay real; None for m >= 2, where
+    ``rootfind`` builds companion seeds."""
+    if p.m != 1:
+        return None
+    try:
+        c4 = 4 * float(p.c)
+    except OverflowError:
+        c4 = math.inf  # non-finite seeds: rootfind spreads them on a circle
+    return [c4 * y for y in closed_form_hints(rec)]
+
+
+def roots_of_h(h: Poly, precision: int = 53, seeds=None) -> list:
     """Zeros of a nonzero reduced polynomial as (value, multiplicity) pairs.
 
     Roots are refined against the exact rational coefficients and required to
-    have backward error at the 2**(8-precision) level.
+    have backward error at the 2**(8-precision) level.  ``seeds`` are double
+    estimates of the zeros, as ``rootfind.complex_roots`` takes them.
     """
     if h.is_zero:
         raise ValueError("the zero polynomial has no root set")
     if h.degree == 0:
         return []
     try:
-        raw = complex_roots(h.coeffs, precision=precision)
+        raw = complex_roots(h.coeffs, precision=precision, seeds=seeds)
     except RootRefinementError as exc:
         raise ConvergenceFailure(f"root refinement failed: {exc}", poly=h) from exc
     bits = precision + 32
@@ -106,7 +126,7 @@ def roots_of_t(rec: TypeIRecord, p: Params, precision: int = 53) -> RootReport:
         # a zero of h at the origin lifts to m+1 extra zeros of t at the origin
         origin_mult += (m + 1) * low_zeros
         h = Poly(h.coeffs[low_zeros:])
-    h_pairs = roots_of_h(h, precision) if h.degree >= 1 else []
+    h_pairs = roots_of_h(h, precision, _seeds(rec, p)) if h.degree >= 1 else []
     check_bits = max(precision, 128)
     t_pairs = []
     if origin_mult:
@@ -159,7 +179,7 @@ def roots_of_t(rec: TypeIRecord, p: Params, precision: int = 53) -> RootReport:
 
 def distance_to_star(z, geom: StarGeometry) -> float:
     """Distance to the parity-selected attractor rays."""
-    return ray_family_distance(z, geom.attractor_angles)
+    return ray_family_distance(z, geom.attractor_rotations)
 
 
 class AttractionRow(NamedTuple):
@@ -218,6 +238,10 @@ def solve_indices(p: Params, records, r_list, precision: int = 53) -> list:
         return _solve_cost(h) + 2 * (p.m + 1) * max(h.degree, 0) * (t.degree + 1)
 
     r_list = list(r_list)
+    if p.m >= 2:
+        # the solves build companion seeds: load numpy once here, not in
+        # every worker the map forks
+        import numpy  # noqa: F401
     return list(zip(r_list, fork_map(solve, r_list, cost=cost)))
 
 

@@ -329,9 +329,9 @@ class TestRoots:
         calls = []
         solve = roots_module.roots_of_h
 
-        def roots_of_h(h, precision=53):
+        def roots_of_h(h, precision=53, seeds=None):
             calls.append((h, precision))
-            return solve(h, precision)
+            return solve(h, precision, seeds)
 
         monkeypatch.setattr(roots_module, "roots_of_h", roots_of_h)
         out = tmp_path / "roots.json"

@@ -32,14 +32,17 @@ PINNED = {
     "gen.csv.type2.csv": "96454e25c3a8774c81925c357954a7a1c2e7c2f6769999749c6eaed3890ffa4b",
     "gen.csv.vectors.csv": "acc0452abceefe76c1bc07974c3383efc8410b04fc5f8fb953a0f4d13cdd4d4f",
     "verify.json": "d2733d3446829d4101797855a7fea839f376cb13c13163126b912b96763de1a0",
-    "roots.json": "0aa990d4f9f74aeed70dae93934e0cc68fd956d04ccbe9ac92a4797ca02c2c08",
+    # m = 1 roots, re-taken when h_r was seeded from its closed form: the
+    # real parts print as before, and every imaginary part (and the star
+    # distance of every positive root) is exactly 0 instead of noise
+    "roots.json": "f462440b61235ad70fef77c1f1e16a2df7846bf05592e8f837c5f8fb0c761649",
     "asymptote.json": "8003bbe3fafd40e47754540e113494f9e1c55b0913fc61cdd6d80546280ecd7e",
     "branches.csv": "118033037a27112f1c73d13fbbde89b28c5b7c8fbf87557d4aefcb7baa4c70b9",
     "branches.csv.geometry.json": "e25bad7d096404769c6f0b60acbad258f6034a3c4b9e1047d3024160c882072e",
     # taken before the commands shared one output writer
     "branches.json": "98f9561cb0d8a38af9f8074275f63a82e0744f8eb20af24b8c3e3db4d6ceaef4",
     "asymptote.csv": "8c6adb0e73e15a9237f38f29fd4158cfc1aa6ff079c60c1483dbb131cf98632c",
-    "roots.csv": "8de44ed349ead7271be8dffae1fd4cd72bf75ceef36206f23320a9defb0a74fa",
+    "roots.csv": "8dc321e95e1464cb41aaf32bcf5f1a4b81c75efb3038f1b88636bc7c49dde7a4",  # m = 1, as roots.json
     "roots.csv.summary.json": "4a9068b804434e2ef26ab67c6cef01f162e9c463301aeaa09f516ba790f297bc",
     "verify.csv": "9da81417cf577e25460dcc56c88112e2878ea190503e82f68adfffb9ba6ee05c",
     "gen0.json": "5a441dde49a99ff2fc0451428805746c67ef4d5eca05eb4de00b1a1ce99480a5",

@@ -8,6 +8,7 @@ solve left noise; next to a half-way point they round correctly where the
 80-bit radius did not.
 """
 
+import cmath
 import hashlib
 import json
 import math
@@ -156,3 +157,35 @@ def test_odd_m_branches_output_is_pinned(tmp_path, monkeypatch):
     a = geometry["a"]
     assert geometry["branch_points"] == [[0.0, -a], [a, 0.0], [0.0, a], [-a, 0.0]]
     assert hashlib.sha256(data).hexdigest() == PINNED_ODD
+
+
+# ---------------------------------------------------------------- star distances
+
+
+def angle_ray_distance(z, angle):
+    """The distance to a ray as it was computed: one rotation per call."""
+    u = complex(z) * cmath.exp(-1j * angle)
+    return abs(u.imag) if u.real >= 0 else abs(u)
+
+
+def angle_segment_distance(z, angle, length):
+    u = complex(z) * cmath.exp(-1j * angle)
+    return abs(u - min(max(u.real, 0.0), length))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_star_distances_from_cached_rotations_are_the_per_angle_ones(seed):
+    rng = random.Random(seed)
+    for m in range(1, 9):
+        p = Params(m, Fraction(rng.randint(1, 999), rng.randint(1, 999)))
+        geom = algebraic.star_geometry(p)
+        points = [complex(rng.uniform(-5, 5), rng.uniform(-5, 5)) * geom.a for _ in range(40)]
+        points += [cmath.rect(geom.a * rng.uniform(0, 3), angle) for angle in geom.even_angles]
+        points += [0j, *branch_points(p)]
+        for z in points:
+            region = algebraic.region_classify(p, z, 1e-9)
+            assert region.dist_s0 == min(angle_segment_distance(z, a, geom.a) for a in geom.s0_angles)
+            assert region.dist_even_star == min(angle_ray_distance(z, a) for a in geom.even_angles)
+            assert region.dist_odd_star == min(angle_ray_distance(z, a) for a in geom.odd_angles)
+            attractor = min(angle_ray_distance(z, a) for a in geom.attractor_angles)
+            assert region.dist_attractor == attractor

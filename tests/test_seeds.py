@@ -1,0 +1,147 @@
+"""Aberth seeds without numpy: the branch trinomial solved in plain doubles,
+the closed-form zeros of h_r for m = 1, and the companion-matrix seeds both
+replace, kept here as the reference."""
+
+import cmath
+import math
+import random
+from fractions import Fraction
+
+import mpmath
+import pytest
+
+from chebsys import algebraic, rootfind, roots
+from chebsys.algebraic import SolverDivergence
+from chebsys.recurrence import Params, gen_type1_records
+
+
+def solve(p, z, precision):
+    """The per-point Aberth solve, or the SolverDivergence its residual gate raised."""
+    try:
+        return algebraic.solve_branches_aberth(p, z, precision)
+    except SolverDivergence as exc:
+        return exc
+
+
+def companion_seeded(monkeypatch, p, z, precision):
+    """The same solve seeded with numpy's companion eigenvalues, as before."""
+    with monkeypatch.context() as patch:
+        patch.setattr(algebraic, "_trinomial_seeds", lambda m, c, z: None)
+        return solve(p, z, precision)
+
+
+def seeded_points(rng):
+    """Points off the stars, at moduli from 1e-3 to 1e300."""
+    points = [cmath.rect(10 ** rng.uniform(-3, 3), rng.uniform(0, 2 * math.pi)) for _ in range(4)]
+    points += [cmath.rect(10 ** rng.uniform(100, 300), rng.uniform(0, 2 * math.pi))]
+    return points + [cmath.rect(1e300, 0.3)]
+
+
+def star_points(p):
+    """z = 0, where all moduli tie, the branch points, and points on each star."""
+    geom = algebraic.star_geometry(p)
+    points = [0j, *algebraic.branch_points(p)]
+    points.append(cmath.rect(geom.a / 2, geom.odd_angles[0]))
+    points.append(cmath.rect(2 * geom.a, geom.attractor_angles[-1]))
+    return points
+
+
+def denoised(bs, precision):
+    """``complex()`` of each branch with any part below the requested precision
+    relative to the branch set to 0, sorted: the branches up to the noise and
+    the order of exactly tied moduli.  At a double root (a branch point) the
+    solve is accurate to about half its working bits, which is still more
+    than the requested precision."""
+    floor = 2.0 ** -precision
+    out = []
+    for v in bs.values:
+        size = abs(v)
+        out.append(complex(v.real if abs(v.real) > floor * size else 0.0,
+                           v.imag if abs(v.imag) > floor * size else 0.0))
+    return sorted(out, key=lambda v: (v.real, v.imag))
+
+
+CASES = [(m, c) for m in range(1, 7) for c in ("1", "7/3", "2/97")]
+
+
+@pytest.mark.parametrize("precision", [53, 200])
+@pytest.mark.parametrize("m, c", CASES)
+def test_trinomial_seeds_give_the_companion_seeded_branches(monkeypatch, m, c, precision):
+    p = Params(m, c)
+    rng = random.Random(f"{m}:{c}:{precision}")
+    for z in seeded_points(rng):
+        seeds = algebraic._trinomial_seeds(m, p.c, z)
+        assert len(seeds) == m + 1 and all(map(cmath.isfinite, seeds)), z
+        got, ref = solve(p, z, precision), companion_seeded(monkeypatch, p, z, precision)
+        assert type(got) is type(ref), z
+        if isinstance(ref, SolverDivergence):
+            continue
+        assert got.values == ref.values, z
+        assert got.tie_flag == ref.tie_flag, z
+        tolerance = algebraic._residual_tolerance(precision)
+        assert max(got.residuals) <= tolerance and max(ref.residuals) <= tolerance
+
+
+@pytest.mark.parametrize("m, c", CASES)
+def test_tied_and_star_points_differ_only_in_noise_and_tie_order(monkeypatch, m, c):
+    p = Params(m, c)
+    for z in star_points(p):
+        got, ref = solve(p, z, 53), companion_seeded(monkeypatch, p, z, 53)
+        assert type(got) is type(ref), z
+        if isinstance(ref, SolverDivergence):
+            continue
+        assert denoised(got, 53) == denoised(ref, 53), z
+        assert got.tie_flag == ref.tie_flag, z
+        tolerance = algebraic._residual_tolerance(53)
+        assert max(got.residuals) <= tolerance and max(ref.residuals) <= tolerance
+
+
+@pytest.mark.parametrize("z", [1e300, cmath.rect(3e299, 2.0)])
+def test_a_root_beyond_a_double_takes_the_circle_seeds(monkeypatch, z):
+    # for m = 1 the large root is about z/c, here beyond the range of a double
+    p = Params(1, Fraction(1, 10**20))
+    assert algebraic._trinomial_seeds(1, p.c, z) == []
+    circles = []
+    initial = rootfind._initial_guesses
+
+    def spy(coeffs, seeds=None):
+        circles.append(seeds is not None)
+        return initial(coeffs, seeds)
+
+    monkeypatch.setattr(rootfind, "_initial_guesses", spy)
+    got = solve(p, z, 53)
+    assert circles == [True]
+    ref = companion_seeded(monkeypatch, p, z, 53)
+    if isinstance(ref, SolverDivergence):  # the same residual gate fails
+        assert str(got) == str(ref)
+    else:
+        assert got.values == ref.values and got.residuals == ref.residuals
+
+
+def test_unusable_caller_seeds_fall_back_to_the_circle():
+    with mpmath.workprec(80):
+        cs = [rootfind.to_mpc(q) for q in (2, -3, 1)]
+        circle = rootfind._initial_guesses(cs, [])
+        assert rootfind._initial_guesses(cs, [1.0, math.inf]) == circle
+        assert rootfind._initial_guesses(cs, [1.0]) == circle
+        assert rootfind._initial_guesses(cs, [1.0, 2.5]) == [mpmath.mpc(1), mpmath.mpc(2.5)]
+        assert all(abs(x) == 1 + mpmath.mpf(3) for x in circle)
+
+
+@pytest.mark.parametrize("precision", [53, 128])
+@pytest.mark.parametrize("c", ["1", "3/2", "8/9", "41/11", Fraction(1, 10**12)])
+def test_m1_roots_are_real_and_print_as_the_companion_seeded_ones(monkeypatch, c, precision):
+    p = Params(1, c)
+    records = gen_type1_records(p, 27)
+    for r in (2, 9, 16, 20, 27):
+        got = roots.roots_of_t(records[r], p, precision)
+        with monkeypatch.context() as patch:
+            patch.setattr(roots, "_seeds", lambda rec, p: None)
+            ref = roots.roots_of_t(records[r], p, precision)
+        assert [mult for _, mult in got.h_roots] == [mult for _, mult in ref.h_roots]
+        assert all(y.imag == 0 for y, _ in got.h_roots), r
+        assert [repr(float(y.real)) for y, _ in got.h_roots] == [
+            repr(float(y.real)) for y, _ in ref.h_roots
+        ], r
+        assert [repr(x.real) for x, _ in got.t_roots] == [repr(x.real) for x, _ in ref.t_roots]
+        assert got.max_imag_h == 0.0

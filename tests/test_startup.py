@@ -58,7 +58,8 @@ files = {f: hashlib.sha256(open(f, "rb").read()).hexdigest() for f in sorted(os.
 print(json.dumps(files))
 """
 
-# the branch solver and the star geometry load numpy but not mpmath
+# the branch solver and the star geometry load neither numpy nor mpmath
+# until a solve needs one
 ALGEBRAIC = """
 import json, sys
 import chebsys.algebraic
@@ -67,8 +68,10 @@ print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 
 # digests taken before the batched path kept its values on the integer
 # kernel; the star geometry of m = 2, c = 7/3 has no zero component, so its
-# bytes did not change (the same digests pin branches.json, asymptote.json
-# and the roots CSV in test_cli_outputs.py)
+# bytes did not change (the same digests pin branches.json and
+# asymptote.json in test_cli_outputs.py).  Numpy is loaded by the batched
+# 53-bit path and by companion seeds alone: a fallback point, a scan above
+# 53 bits and an m = 1 root solve seed Aberth in plain doubles.
 BRANCHES = ["branches", "--m", "2", "--c", "7/3"]
 LOADS = {
     "batched-grid": (
@@ -76,15 +79,18 @@ LOADS = {
         ["numpy"],
         {"branches.json": "98f9561cb0d8a38af9f8074275f63a82e0744f8eb20af24b8c3e3db4d6ceaef4"},
     ),
-    # z = -2 lies on the attractor star and z = 0 ties all three moduli
+    # z = -2 lies on the attractor star and z = 0 ties all three moduli;
+    # re-taken when the Aberth path was seeded from the trinomial in
+    # doubles: at those tied points the noise below the working precision,
+    # and the order of exactly tied branches, changed
     "fallback-grid": (
         [*BRANCHES, "--grid=-2:2:3,0:1:2", "--out", "branches_fallback.json"],
         ["numpy", "mpmath"],
-        {"branches_fallback.json": "fbf7261caae8c4b508090927ae90e6dcf4d72d092c31a319eba63c9ecf41ef54"},
+        {"branches_fallback.json": "90c930cbd4b8104878dcd0342e95a816c10658f2ff468ec8040b526f5f20b589"},
     ),
     "precision-64": (
         [*BRANCHES, "--grid=-2:2:3,-1:1:2", "--precision", "64", "--out", "branches64.json"],
-        ["numpy", "mpmath"],
+        ["mpmath"],
         {"branches64.json": "4c1a5821ec73d90ba77cab38e25f33011a9c0725346313acbd52697b33064687"},
     ),
     "asymptote": (
@@ -92,16 +98,45 @@ LOADS = {
         ["numpy", "mpmath"],
         {"asymptote.json": "8003bbe3fafd40e47754540e113494f9e1c55b0913fc61cdd6d80546280ecd7e"},
     ),
+    "asymptote-200": (
+        ["asymptote", "--m", "1", "--c", "1", "--z", "3,1", "--r-max", "30", "--precision", "200",
+         "--out", "asymptote200.json"],
+        ["mpmath"],
+        {"asymptote200.json": "e0909c73fe83c03fb21897db22e2f1140baf8b50dc2123e5cc7d4c1a6a8e68d3"},
+    ),
+    # the m = 1 digest of test_cli_outputs.py, re-taken there
     "roots": (
         ["roots", "--m", "1", "--c", "3/2", "--r-list", "0,1,5,20", "--format", "csv",
          "--out", "roots.csv"],
-        ["numpy", "mpmath"],
+        ["mpmath"],
         {
-            "roots.csv": "8de44ed349ead7271be8dffae1fd4cd72bf75ceef36206f23320a9defb0a74fa",
+            "roots.csv": "8dc321e95e1464cb41aaf32bcf5f1a4b81c75efb3038f1b88636bc7c49dde7a4",
             "roots.csv.summary.json": "4a9068b804434e2ef26ab67c6cef01f162e9c463301aeaa09f516ba790f297bc",
         },
     ),
 }
+
+# roots --m 2 with every map forked over three workers; each companion-seed
+# call records its process and whether numpy was loaded there before it
+FORKED_SEEDS = """
+import json, os, sys
+from chebsys import parallel, rootfind
+from chebsys.cli import main
+
+log, out = sys.argv[1:]
+parallel.cpu_count = lambda: 3
+parallel.MIN_COST = 0
+companion = rootfind._companion_seeds
+
+def spy(coeffs):
+    with open(log, "a") as fh:
+        fh.write(json.dumps([os.getpid(), "numpy" in sys.modules]) + "\\n")
+    return companion(coeffs)
+
+rootfind._companion_seeds = spy
+assert main(["roots", "--m", "2", "--c", "59/62", "--r-list", "20,30,40,50", "--out", out]) == 0
+print(os.getpid())
+"""
 
 # every public name of chebsys at the commit before the numeric half was
 # loaded on demand, by the module that defines it
@@ -188,22 +223,34 @@ def test_exact_half_and_kernel_load_neither_numpy_nor_mpmath():
     assert list(map(json.loads, done.stdout.splitlines())) == [[], [], True]
 
 
-def test_algebraic_loads_numpy_but_not_mpmath():
+def test_algebraic_loads_neither_numpy_nor_mpmath():
     done = python(ALGEBRAIC)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == ["numpy"]
+    assert json.loads(done.stdout) == []
 
 
 @pytest.mark.parametrize("case", list(LOADS))
 def test_mpmath_loads_only_where_a_command_solves_in_it(tmp_path, case):
     # a 53-bit grid whose every point the batched path accepts stays off
-    # mpmath; a fallback point, more bits, a scan and a root solve load it
+    # mpmath; a fallback point, more bits, a scan and a root solve load it,
+    # and only the batched path and companion seeds load numpy
     argv, loaded, files = LOADS[case]
     done = python(COMMAND, *argv, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     got_loaded, got_files = map(json.loads, done.stdout.splitlines())
     assert got_loaded == loaded
     assert got_files == files
+
+
+def test_no_worker_imports_numpy_for_its_companion_seeds(tmp_path):
+    # the parent loads numpy before the map forks, so every worker inherits it
+    log = tmp_path / "seeds.jsonl"
+    done = python(FORKED_SEEDS, str(log), str(tmp_path / "roots.json"))
+    assert done.returncode == 0, done.stderr
+    parent = int(done.stdout)
+    calls = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len({pid for pid, _ in calls} - {parent}) == 2  # both workers seeded
+    assert all(loaded for _, loaded in calls)
 
 
 def test_public_names_resolve_to_their_home_objects():
