@@ -15,7 +15,7 @@ operator truncation that overflowed, or a worker process that was lost); the
 error classes live in ``chebsys.errors``.  The numeric half, and with it
 numpy and mpmath, is imported only by the commands that use it: ``gen``
 loads neither, ``verify`` loads numpy for the root hints of its probe when
-m >= 2, and mpmath only when an index is not certified, ``branches`` loads
+m >= 2 and never mpmath, as the probe is exact, ``branches`` loads
 numpy at 53 bits, and mpmath only for a point that falls back to the
 Aberth solver or above 53 bits, ``asymptote`` loads mpmath, and numpy only
 at 53 bits, where its one-point branch solve is batched, and ``roots``
@@ -483,8 +483,7 @@ def cmd_verify(args) -> int:
         },
     )
 
-    # loads numpy for the root hints when m >= 2, and mpmath only for an
-    # index the sign certificate misses
+    # loads numpy for the root hints when m >= 2, and never mpmath
     from .probe import conjecture_probe
 
     probe = conjecture_probe(p, max(args.R, p.m), precision)
@@ -667,11 +666,8 @@ def cmd_roots(args) -> int:
             "verdict_max": study.verdict_max,
             "verdict_mean": study.verdict_mean,
         }
-    try:
-        probe = roots.conjecture_probe(p, max(max(r_list), p.m), precision)
-        summary["conjecture"] = _probe_block(probe)
-    except ConvergenceFailure as exc:
-        summary["conjecture"] = {"error": str(exc)}
+    probe = roots.conjecture_probe(p, max(max(r_list), p.m), precision)
+    summary["conjecture"] = _probe_block(probe)
     header = ["r", "root_re", "root_im", "multiplicity", "star_distance", "is_origin", "error"]
     emit(
         args, config, {"summary": summary, "roots": rows},

@@ -290,13 +290,14 @@ def compose_star(h: Poly, m: int, k: int, ell: int) -> Poly:
     return Poly.scaled(out, h.den)
 
 
-def _primitive(nums: list) -> list:
-    g = math.gcd(*nums)
-    return [n // g for n in nums] if g != 1 else nums
-
-
 def _pseudo_remainder(a: list, b: list) -> list:
-    """Remainder of ``lead(b)**e * a`` by ``b`` over the integers, stripped."""
+    """Remainder of ``|lead(b)|**e * a`` by ``b`` over the integers, stripped.
+
+    The factor is positive, so the result is a positive multiple of the
+    remainder of ``a`` by ``b`` over the rationals.
+    """
+    if b[-1] < 0:
+        b = [-y for y in b]  # the same remainder, by a positive lead
     rem = list(a)
     lead = b[-1]
     while len(rem) >= len(b):
@@ -310,16 +311,49 @@ def _pseudo_remainder(a: list, b: list) -> list:
     return rem
 
 
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd (exact), by Euclid's algorithm on primitive integer remainders."""
-    a, b = list(p.nums), list(q.nums)
+def _remainder_chain(a: list, b: list):
+    """``a``, ``b`` and then each negated primitive pseudo-remainder of the
+    last two, up to the last nonzero one, which is a gcd of ``a`` and ``b``.
+
+    Each element is a positive multiple of the term of the Euclidean
+    sequence ``p[i+1] = -rem(p[i-1], p[i])``, so for ``(p, p')`` the chain is
+    a Sturm sequence up to positive factors.
+    """
+    yield a
     while b:
+        yield b
         a, b = b, _pseudo_remainder(a, b)
         if b:
-            b = _primitive(b)
-    if not a:
+            g = math.gcd(*b)
+            b = [-n // g for n in b]
+
+
+def poly_gcd(p: Poly, q: Poly) -> Poly:
+    """Monic gcd (exact), by Euclid's algorithm on primitive integer remainders."""
+    for last in _remainder_chain(list(p.nums), list(q.nums)):
+        pass
+    if not last:
         return Poly.zero()
-    return Poly.scaled(a, a[-1])
+    return Poly.scaled(last, last[-1])
+
+
+def _sturm_count(p: Poly) -> tuple:
+    """The number of distinct real roots of ``p``, of degree >= 1, and the
+    degree of ``gcd(p, p')``, exactly.
+
+    Sturm's theorem on the remainder chain of ``(p, p')`` (Brown and Traub,
+    J. ACM 1971): the count is V(-inf) - V(+inf), the sign changes of the
+    chain at either end, which the leading coefficients and degrees give.
+    """
+    plus, minus = [], []  # the chain's signs at +inf and at -inf
+    for nums in _remainder_chain(list(p.nums), list(p.derivative().nums)):
+        plus.append(nums[-1] > 0)
+        minus.append(plus[-1] == (len(nums) % 2 == 1))  # odd degree flips it
+
+    def changes(signs):
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return changes(minus) - changes(plus), len(nums) - 1
 
 
 def dyadic_sign(p: Poly, a: int, k: int) -> int:

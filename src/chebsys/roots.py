@@ -6,14 +6,13 @@ root computation to the far smaller polynomial ``h_r`` (degree roughly
 multiplicity ``ell`` plus all (m+1)-th roots of each zero of ``h_r``.  The
 attraction study quantifies how close these zeros sit to the parity-selected
 unbounded star.  The probe of the conjecture that the zeros of every
-``h_r`` are real and simple is ``chebsys.probe``; the numeric evidence it
-falls back to where its sign certificate fails is ``_probe_index`` here.
+``h_r`` are real and simple is ``chebsys.probe``, which is exact and solves
+nothing; its names are re-exported here.
 
 For m = 1 the zeros of h_r are known in closed form, ``4c*cos(k pi/(r+1))**2``,
 and seed the root solves of ``roots_of_t``, which then load no numpy.  Every
-other solve (m >= 2, and the probe's fallback ``_probe_index``) is seeded
-with companion-matrix eigenvalues (``rootfind``), and numpy is imported
-before a map of such solves forks its workers.
+solve for m >= 2 is seeded with companion-matrix eigenvalues (``rootfind``),
+and numpy is imported before a map of such solves forks its workers.
 """
 
 from __future__ import annotations
@@ -25,10 +24,10 @@ import mpmath
 
 from .algebraic import StarGeometry, ray_family_distance, star_geometry
 from .errors import ConvergenceFailure, RootRefinementError
-from .exactpoly import Poly, poly_gcd
+from .exactpoly import Poly
 from .parallel import fork_map
 # the probe lives in ``probe``, which loads no mpmath; its names stay here too
-from .probe import ProbeReport, _separation, closed_form_hints, conjecture_probe
+from .probe import ProbeReport, closed_form_hints, conjecture_probe
 from .recurrence import Params, TypeIRecord, gen_type1_records
 from .rootfind import coefficient_moduli, complex_roots, max_term
 
@@ -209,9 +208,10 @@ def _trend(values, slack: float = 1e-9) -> str:
 def _solve_cost(poly: Poly) -> int:
     """Work of one root solve of ``poly`` in Horner steps, for ``fork_map``.
 
-    A probe step of degree d (gcd, solve and residual gate) took about as
-    long as 30*d**2 Horner steps at 53 bits and 42*d**2 at 128 bits (medians
-    over d = 2..13, m = 1..3); its Aberth coupling still runs on libmp.
+    A solve of degree d with its residual gate, timed with a gcd of h and h'
+    beside it, took about as long as 30*d**2 Horner steps at 53 bits and
+    42*d**2 at 128 bits (medians over d = 2..13, m = 1..3); its Aberth
+    coupling still runs on libmp.
     """
     return 35 * poly.degree**2
 
@@ -281,38 +281,3 @@ def summarize_attraction(reports) -> AttractionStudy:
         verdict_max=_trend([row.max_distance for row in rows]),
         verdict_mean=_trend([row.mean_distance for row in rows]),
     )
-
-
-def _worst_imag(pairs) -> float:
-    return max(
-        (abs(float(y.imag)) / max(1.0, abs(complex(y))) for y, _ in pairs),
-        default=0.0,
-    )
-
-
-def _probe_index(rec: TypeIRecord, precision: int) -> tuple | None:
-    """The numeric evidence of ``probe.conjecture_probe`` at an index the
-    sign certificate misses, or None if h_r has a repeated root.
-
-    Returns the worst normalized imaginary part, the least normalized
-    separation and whether the precision was escalated.
-    """
-    h = rec.h
-    certificate = poly_gcd(h, h.derivative())
-    if certificate.degree > 0:
-        return None
-    pairs = roots_of_h(h, precision)
-    worst = _worst_imag(pairs)
-    escalated = worst > 1e-9 or any(mult >= 2 for _, mult in pairs)
-    if escalated:
-        # one escalation before anything is flagged: clusters of simple
-        # roots and spurious imaginary parts usually resolve at twice the
-        # precision
-        pairs = roots_of_h(h, 2 * precision)
-        worst = _worst_imag(pairs)
-    min_sep = math.inf
-    centers = [y for y, _ in pairs]
-    for i, a in enumerate(centers):
-        for b in centers[i + 1 :]:
-            min_sep = min(min_sep, _separation(a, b))
-    return worst, min_sep, escalated

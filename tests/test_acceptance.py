@@ -218,7 +218,7 @@ def test_criterion_10_reports_emitted():
                 f"k_parity_rule={sign_report.k_parity_rule_holds}"
             )
             probe = conjecture_probe(p, 60, 80)
-            assert probe.classification in {"PASS", "INCONCLUSIVE", "COUNTEREXAMPLE"}
+            assert probe.classification in {"PASS", "COUNTEREXAMPLE"}
             print(
                 f"  probe m={m}: {probe.classification} "
                 f"max|Im|={probe.max_imag_normalized:.2e} "

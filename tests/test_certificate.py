@@ -4,16 +4,22 @@
 real roots from nonzero alternating signs at d+1 dyadic points.  It must
 reject every polynomial without that property whatever the hints, and the
 probe must certify the whole acceptance range with no numeric solve.  With
-the certificate switched off, the probe must give the report of the numeric
-path it replaced, figure for figure.
+the certificate switched off, the Sturm count must prove the same indices
+exactly, on any number of workers, without a root solve or mpmath.
 """
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import chebsys
 from chebsys import parallel, probe
 from chebsys import roots as roots_module
 from chebsys.exactpoly import Poly, certify_real_roots, dyadic_sign, isolating_points
@@ -139,15 +145,14 @@ def test_a_c_beyond_double_range_certifies_in_the_scaled_variable(c):
     report = conjecture_probe(p, 12)
     assert report.classification == "PASS"
     assert report.certified == report.checked == 11
-    imag, sep, escalated = probe._certify_index(gen_type1_records(p, 4)[4], p)
-    assert imag == 0.0 and not escalated
+    sep = probe._certify_index(gen_type1_records(p, 4)[4], p)
     # beyond 1 the normalized gaps no longer depend on c; below 1/4 they
     # shrink with it, here below the range of a double
     if c > 1:
         low, high = (math.cos(k * math.pi / 5) ** 2 for k in (2, 1))
         assert sep == pytest.approx(1 - low / high)
     else:
-        assert sep is None
+        assert sep < sys.float_info.min
         assert report.min_separation_normalized is None
 
 
@@ -179,36 +184,32 @@ def workers(request, monkeypatch):
     return request.param
 
 
-# the numeric probe's reports before the certificate: classification, worst
-# normalized imaginary part, least normalized separation, checked, escalations
-NUMERIC_REPORTS = {
-    (1, "1", 40): ("PASS", 8.055355186024805e-17, 0.017544824818565445, 39, 0),
-    (2, "59/62", 40): ("PASS", 7.97365053259729e-43, 0.07995384363927235, 34, 0),
-    (1, "3/2", 12): ("PASS", 1.775728647249422e-40, 0.16833661172876996, 11, 0),
-}
+# the probe's indices checked at (m, c, r_max)
+CHECKED = {(1, "1", 40): 39, (2, "59/62", 40): 34, (1, "3/2", 12): 11}
 
 
-@pytest.mark.parametrize("key", list(NUMERIC_REPORTS))
-def test_without_the_certificate_the_probe_is_the_numeric_path(monkeypatch, workers, key):
+@pytest.mark.parametrize("key", list(CHECKED))
+def test_without_the_certificate_the_probe_is_the_numeric_path(monkeypatch, no_solve, workers, key):
+    # every index the certificate misses is proven by the Sturm count, which
+    # has no hints to measure a separation by
     monkeypatch.setattr(probe, "certify_real_roots", lambda h, hints: False)
     m, c, r_max = key
     report = conjecture_probe(Params(m, c), r_max, 53)
-    classification, worst, sep, checked, escalations = NUMERIC_REPORTS[key]
     first = next(rec.r for rec in gen_type1_records(Params(m, c), r_max) if rec.tau >= 1)
     assert report == roots_module.ProbeReport(
-        classification=classification,
-        max_imag_normalized=worst,
-        min_separation_normalized=sep,
+        classification="PASS",
+        max_imag_normalized=0.0,
+        min_separation_normalized=None,
         offending_r=None,
         reason=None,
-        checked=checked,
-        escalations=escalations,
+        checked=CHECKED[key],
+        escalations=0,
         certified=0,
         first_uncertified_r=first,
     )
 
 
-def test_only_uncertified_indices_are_solved(monkeypatch):
+def test_only_uncertified_indices_are_solved(monkeypatch, no_solve):
     p = Params(2, "59/62")
     records = gen_type1_records(p, 40)
     refused = {records[r].h for r in (17, 23, 40)}
@@ -216,19 +217,65 @@ def test_only_uncertified_indices_are_solved(monkeypatch):
     monkeypatch.setattr(
         probe, "certify_real_roots", lambda h, hints: h not in refused and certify(h, hints)
     )
-    solved = []
-    solve = roots_module.roots_of_h
+    counted = []
+    count = probe._sturm_count
 
-    def roots_of_h(h, precision=53):
-        solved.append(h)
-        return solve(h, precision)
+    def sturm_count(h):
+        counted.append(h)
+        return count(h)
 
-    monkeypatch.setattr(roots_module, "roots_of_h", roots_of_h)
+    monkeypatch.setattr(probe, "_sturm_count", sturm_count)
     monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
     report = conjecture_probe(p, 40, 53)
-    assert set(solved) == refused and len(solved) == 3
+    assert set(counted) == refused and len(counted) == 3
     assert report.checked == 34 and report.certified == 31
     assert report.first_uncertified_r == 17
     assert report.classification == "PASS" and report.escalations == 0
-    assert 0 < report.max_imag_normalized <= 1e-9
-    assert report.min_separation_normalized == pytest.approx(0.07995384363927235, rel=1e-12)
+    assert report.max_imag_normalized == 0.0
+    assert report.min_separation_normalized is None
+
+
+# the probe with the certificate switched off, in a fresh interpreter
+UNCERTIFIED = """
+import json, sys
+from chebsys import probe
+from chebsys.recurrence import Params
+probe.certify_real_roots = lambda h, hints: False
+report = probe.conjecture_probe(Params(2, "59/62"), 40)
+print(json.dumps([report.classification, report.certified, "mpmath" in sys.modules]))
+"""
+
+
+def test_the_count_loads_no_mpmath():
+    env = dict(os.environ)
+    src = str(Path(chebsys.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", UNCERTIFIED], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["PASS", 0, False]
+
+
+@pytest.mark.parametrize(
+    "h, reason",
+    [
+        (from_roots(2, 5) * Poly((1, 1, 1)), "complex-root"),  # x^2 + x + 1
+        (from_roots(2, 5, 5, 7), "repeated-root"),
+    ],
+    ids=["complex-pair", "double-root"],
+)
+def test_an_index_without_real_simple_zeros_is_a_counterexample(monkeypatch, no_solve, h, reason):
+    p = Params(2, "1")
+    records = gen_type1_records(p, 30)
+    bad = next(rec.r for rec in records if rec.tau == h.degree)
+    fed = [rec._replace(h=h) if rec.r in (bad, 30) else rec for rec in records]
+    monkeypatch.setattr(probe, "gen_type1_records", lambda p, r_max: fed)
+    monkeypatch.setattr(probe, "certify_real_roots", lambda h, hints: False)
+    report = conjecture_probe(p, 30)
+    assert report.classification == "COUNTEREXAMPLE"
+    assert report.reason == reason
+    assert report.offending_r == bad
+    assert report.max_imag_normalized is None
+    assert report.min_separation_normalized is None
+    assert report.certified == 0 and report.escalations == 0

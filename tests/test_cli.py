@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from chebsys import algebraic, cli, operators, parallel, probe, rootfind
+from chebsys import algebraic, cli, operators, parallel, rootfind
 from chebsys import roots as roots_module
 from chebsys.algebraic import DegenerateBranches
 from chebsys.cli import EXIT_NUMERIC, main
@@ -93,7 +93,7 @@ class TestVerify:
         assert names["h_recurrence_signs"]["kind"] == "informational"
         assert names["h_recurrence_signs"]["details"]["k_parity_rule_holds"] is True
         assert names["conjecture_probe"]["details"]["classification"] in {
-            "PASS", "INCONCLUSIVE", "COUNTEREXAMPLE",
+            "PASS", "COUNTEREXAMPLE",
         }
 
     def test_m1_shift_vacuous(self, tmp_path):
@@ -354,7 +354,7 @@ class TestRoots:
         nonorigin = [row for row in payload["roots"] if not row["is_origin"]]
         assert len(nonorigin) == 3
         assert payload["summary"]["conjecture"]["classification"] in {
-            "PASS", "INCONCLUSIVE", "COUNTEREXAMPLE",
+            "PASS", "COUNTEREXAMPLE",
         }
 
     def test_attraction_trend_field(self, tmp_path):
@@ -470,6 +470,18 @@ class TestUsageErrors:
         assert probe["classification"] == "PASS"
         assert probe["certified"] == probe["checked"] == 5
 
+    @pytest.mark.parametrize("c", [str(10**400), f"1/{10**400}"], ids=["huge", "tiny"])
+    @pytest.mark.parametrize("m", ["2", "3", "4"])
+    def test_verify_m2_to_4_proves_a_c_beyond_a_double(self, tmp_path, m, c):
+        # the certificate misses indices here, and the Sturm count proves them
+        out = tmp_path / "x.json"
+        assert run("verify", "--m", m, "--c", c, "--R", "40", "--out", str(out)) == 0
+        (probe,) = [ch["details"] for ch in load(out)["checks"] if ch["name"] == "conjecture_probe"]
+        assert probe["classification"] == "PASS"
+        assert probe["certified"] < probe["checked"]
+        assert probe["max_imag_normalized"] == 0.0
+        assert probe["min_separation_normalized"] is None
+
     def test_verify_reports_a_certified_gap_below_a_double_as_null(self, tmp_path):
         # at c = 1/10**400 the zeros 4c*cos(k pi/(r+1))**2 are proven
         # distinct, but their gaps underflow: null, not the 0.0 of a
@@ -562,16 +574,15 @@ class TestNumericFailures:
         )
 
     def test_convergence_failure(self, tmp_path, monkeypatch, capsys):
-        # with no index certified, the verify probe's root extraction turns
-        # this into ConvergenceFailure
-        monkeypatch.setattr(probe, "certify_real_roots", lambda h, hints: False)
+        # ``roots`` writes a failed index as a row; one that escaped the
+        # per-index solves would still map to the numeric exit
         monkeypatch.setattr(
-            roots_module, "complex_roots", _raise(RootRefinementError("stuck"))
+            roots_module, "solve_indices", _raise(ConvergenceFailure("stuck"))
         )
         self.expect_numeric(
             capsys, "ConvergenceFailure",
-            "verify", "--m", "1", "--c", "1", "--R", "6",
-            "--out", str(tmp_path / "verify.json"),
+            "roots", "--m", "1", "--c", "1", "--r-list", "6",
+            "--out", str(tmp_path / "roots.json"),
         )
 
     def test_no_variant_matches(self, tmp_path, monkeypatch, capsys):

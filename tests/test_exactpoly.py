@@ -1,4 +1,5 @@
 import fractions
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from chebsys.exactpoly import (
     Poly,
+    _sturm_count,
     compose_star,
     poly_add,
     poly_eval_complex,
@@ -142,6 +144,73 @@ def test_gcd_shared_factor():
 
 def test_gcd_coprime_is_one():
     assert poly_gcd(P(1, 1), P(2, 1)) == P(1)
+
+
+def test_gcd_with_negative_leads():
+    # the chain's signs change with |lead|, its monic last element does not
+    shared = P(-3, 0, 2)  # 2x^2 - 3
+    assert poly_gcd(-shared * P(1, -5), shared * P(-7, 0, 0, -4)) == P("-3/2", 0, 1)
+    assert poly_gcd(P(-1, -1), P(-2, -1)) == P(1)
+    assert poly_gcd(P(0, 0, -2), Poly()) == P(0, 0, 1)
+    assert poly_gcd(Poly(), P(5, -3)) == P("-5/3", 1)
+
+
+def from_roots(*values, lead=1):
+    poly = P(lead)
+    for v in values:
+        poly = poly * P(-fractions.Fraction(v), 1)
+    return poly
+
+
+def euclid_gcd(p, q):
+    """Monic gcd by Euclid's algorithm over the rationals, the slow way."""
+    a, b = list(p.coeffs), list(q.coeffs)
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        rem = list(a)
+        while len(rem) >= len(b):
+            factor = rem[-1] / b[-1]
+            for j, y in enumerate(b):
+                rem[len(rem) - len(b) + j] -= factor * y
+            rem.pop()
+        a, b = b, rem
+    return Poly(a) * (1 / Poly(a).leading) if Poly(a) else Poly()
+
+
+@given(small_polys, small_polys, small_polys)
+@settings(max_examples=80)
+def test_gcd_matches_euclid_over_the_rationals(p, q, shared):
+    assert poly_gcd(shared * p, shared * q) == euclid_gcd(shared * p, shared * q)
+
+
+@pytest.mark.parametrize("lead", [1, -3, fractions.Fraction(-2, 7)])
+def test_sturm_count_of_distinct_real_roots(lead):
+    rng = random.Random(2)
+    for d in range(1, 9):
+        values = rng.sample([fractions.Fraction(n, rng.randint(1, 9)) for n in range(-40, 40)], d)
+        if len(set(values)) < d:
+            continue
+        assert _sturm_count(from_roots(*values, lead=lead)) == (d, 0), values
+    # roots symmetric about 0 give odd or even polynomials, whose pseudo-
+    # remainders take an odd power of the divisor's leading coefficient
+    for values in ((-2, 0, 2), (-3, -1, 1, 3), (-5, "-1/2", 0, "1/2", 5)):
+        assert _sturm_count(from_roots(*values, lead=lead)) == (len(values), 0), values
+
+
+@pytest.mark.parametrize("lead", [1, -5])
+def test_sturm_count_sees_a_repeated_root(lead):
+    assert _sturm_count(from_roots(1, 1, 2, lead=lead)) == (2, 1)
+    assert _sturm_count(from_roots("1/3", "1/3", "1/3", -4, -4, lead=lead)) == (2, 3)
+
+
+@pytest.mark.parametrize("lead", [1, -1, fractions.Fraction(-9, 4)])
+def test_sturm_count_misses_a_complex_pair(lead):
+    pair = P(1, 1, 1)  # x^2 + x + 1
+    assert _sturm_count(pair * lead) == (0, 0)
+    assert _sturm_count(from_roots(-2, "3/5", 6, lead=lead) * pair) == (3, 0)
+    assert _sturm_count(from_roots(2, 2, lead=lead) * pair) == (1, 1)
+    assert _sturm_count(from_roots(0, lead=lead) * pair * pair) == (1, 2)
 
 
 def test_derivative_and_shift():

@@ -162,7 +162,7 @@ class TestConjectureProbe:
 
     def test_m2_emits_classification(self):
         report = conjecture_probe(Params(2, "1"), 60, 80)
-        assert report.classification in {"PASS", "INCONCLUSIVE", "COUNTEREXAMPLE"}
+        assert report.classification in {"PASS", "COUNTEREXAMPLE"}
         assert report.checked > 0
 
     def test_requires_r_max_at_least_m(self):

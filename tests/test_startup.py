@@ -21,7 +21,7 @@ from chebsys.operators import BandedOperator
 from chebsys.recurrence import Params
 
 # gen in JSON and CSV must not load the numeric half; verify's probe loads
-# numpy for its root hints, and mpmath only where the certificate misses
+# numpy for its root hints, and never mpmath
 SCRIPT = """
 import json, sys
 from chebsys.cli import main
