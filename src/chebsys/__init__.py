@@ -12,8 +12,7 @@ Importing the package loads only the exact half, which needs nothing beyond
 the standard library.  The names of the numeric half, and its modules
 ``algebraic``, ``rootfind`` and ``roots``, resolve on first use.  mpmath is
 loaded with ``rootfind`` and ``roots`` and where ``algebraic`` computes in
-it (its 53-bit batched path and star geometry do without); numpy only
-where a computation uses it: the 53-bit batched branch solve and
+it (its 53-bit fast path and star geometry do without); numpy only for
 companion-matrix root seeds.
 """
 

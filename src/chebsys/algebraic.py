@@ -15,19 +15,18 @@ the recurrence's initial data, evaluates the branch-sum representation
 and realizes the large-r limit ``t_r / lambda_m**r -> c/(c*m - lambda_m**-(m+1))``
 together with its observed geometric error decay.
 
-At the default 53-bit precision the branches of many points are solved in
-blocks: stacked companion eigenvalues, two Newton steps in double and two
-with the polynomial in double-double arithmetic (Dekker, Numer. Math. 1971),
-after the seed-then-polish scheme of MPSolve (Bini and Robol, JCAM 2014).
-A point whose result fails the residual gate, or whose moduli come close to
-a tie, is solved again by per-point mpmath Aberth iteration, so every tie
-decision is made at full working precision.  An accepted point keeps each
-value as its double-double parts summed on the integer kernel of
-``chebsys.rationals``, so a run whose every point is accepted loads no
-mpmath.  The per-point solver, and every point above 53 bits, seeds Aberth
-with the roots of the trinomial found in plain complex doubles, so it needs
-no numpy.  Importing this module loads neither: numpy is imported by the
-batched path alone, and mpmath where it is used.
+At the default 53-bit precision each point is first solved by a fast path
+on plain floats: the roots of the trinomial found in complex doubles, two
+Newton steps in double and two with the polynomial in double-double
+arithmetic (Dekker, Numer. Math. 1971), after the seed-then-polish scheme of
+MPSolve (Bini and Robol, JCAM 2014).  A point whose result fails the
+residual gate, or whose moduli come close to a tie, is solved again by
+per-point mpmath Aberth iteration, so every tie decision is made at full
+working precision.  An accepted point keeps each value as its double-double
+parts summed on the integer kernel of ``chebsys.rationals``, so a run whose
+every point is accepted loads no mpmath.  The per-point solver, and every
+point above 53 bits, seeds Aberth with the same roots in doubles.  This
+module uses no numpy, and imports mpmath only where it is used.
 
 Star geometry: the bounded star is the m+1 segments of length
 ``a = ((m+1)/m) * (m*c)**(1/(m+1))`` along the angles ``2*pi*k/(m+1)``, whose
@@ -62,11 +61,9 @@ from .rationals import (
 from .recurrence import Params, gen_type1_scalar
 
 TIE_RELATIVE_GAP = 1e-10
-# the batched path accepts a point only if consecutive moduli differ by more
-# than this relative gap, far above the tie threshold
+# the 53-bit fast path accepts a point only if consecutive moduli differ by
+# more than this relative gap, far above the tie threshold
 BATCH_RELATIVE_GAP = 1e4 * TIE_RELATIVE_GAP
-# points per block of the batched path, which bounds its array sizes
-BATCH_BLOCK = 1024
 
 
 class BranchSet:
@@ -75,9 +72,9 @@ class BranchSet:
     ``lambdas`` are the values as mpmath complex numbers.  ``values`` are
     them as ``complex(l)`` rounds each, and ``moduli`` their moduli as
     ``float(abs(l))`` rounds them in the default 53-bit context.  A point
-    of the batched path keeps each value as its double-double parts summed
-    on the integer kernel (``parts``): its ``values`` and ``moduli`` are
-    rounded there, and its ``lambdas`` are built on first use.
+    of the 53-bit fast path keeps each value as its double-double parts
+    summed on the integer kernel (``parts``): its ``values`` and ``moduli``
+    are rounded there, and its ``lambdas`` are built on first use.
     """
 
     __slots__ = ("z", "parts", "residuals", "tie_flag", "precision", "_lambdas")
@@ -192,7 +189,12 @@ def _trinomial_seeds(m: int, c, z) -> list:
 
 def solve_branches_aberth(p: Params, z, precision: int) -> BranchSet:
     """The branches at one point by mpmath Aberth iteration at the working
-    precision, seeded with the trinomial's roots in doubles."""
+    precision, seeded with the trinomial's roots in doubles.
+
+    A root passes when its residual is at most ``10**(2 - 0.3*precision)``
+    times the largest of 1, ``|c*lambda**(m+1)|`` and ``|z*lambda|``;
+    ``residuals`` are the absolute values.
+    """
     import mpmath
 
     from .rootfind import complex_roots
@@ -211,13 +213,20 @@ def solve_branches_aberth(p: Params, z, precision: int) -> BranchSet:
             raise SolverDivergence(f"branch solve failed at z={complex(z)}") from exc
         roots.sort(key=lambda l: (abs(l), mpmath.arg(l)))
         residuals = []
+        # each residual against the gate, relative to the larger of 1 and the
+        # trinomial's terms, which far from the origin are much larger than 1
+        relative = []
         cmpf = rat_to_mpf(c)
         for lam in roots:
-            residuals.append(float(abs(cmpf * lam ** (m + 1) - zz * lam + 1)))
+            power, linear = cmpf * lam ** (m + 1), zz * lam
+            residual = abs(power - linear + 1)
+            residuals.append(float(residual))
+            relative.append(residual / max(1, abs(power), abs(linear)))
         tolerance = _residual_tolerance(precision)
-        if max(residuals) > tolerance:
+        if max(relative) > tolerance:
             raise SolverDivergence(
-                f"residual {max(residuals):.3e} above {tolerance:.3e} at z={complex(z)}"
+                f"relative residual {float(max(relative)):.3e} above {tolerance:.3e}"
+                f" at z={complex(z)}"
             )
         tie = False
         for lo, hi in zip(roots, roots[1:]):
@@ -227,11 +236,11 @@ def solve_branches_aberth(p: Params, z, precision: int) -> BranchSet:
         return BranchSet(complex(z), None, tuple(residuals), tie, precision, tuple(roots))
 
 
-# ---- double-double arithmetic on float64 arrays (Dekker 1971)
+# ---- double-double arithmetic on floats (Dekker 1971)
 #
 # A real double-double is a pair (hi, lo) with |lo| <= ulp(hi)/2 and value
 # hi + lo; a complex one is a pair (re, im) of those.  Every primitive is a
-# separate NumPy operation, so no step is contracted into a fused multiply-add.
+# separate float operation, so no step is contracted into a fused multiply-add.
 
 _SPLIT = 134217729.0  # 2**27 + 1
 
@@ -281,8 +290,8 @@ def _cdd_mul(x, y):
     return re, im
 
 
-def _cdd_hi(x):
-    return x[0][0] + 1j * x[1][0]
+def _cdd_hi(x) -> complex:
+    return complex(x[0][0], x[1][0])
 
 
 def _dd_parts(hi: complex, lo: complex, prec: int) -> tuple:
@@ -293,98 +302,74 @@ def _dd_parts(hi: complex, lo: complex, prec: int) -> tuple:
     )
 
 
-def _branch_poly_dd(w, m: int, c_dd, z):
-    """``c*w**(m+1) - z*w + 1`` in double-double, as ``w*(c*w**m - z) + 1``.
-
-    ``w`` is a complex double-double of shape (n, m+1), ``z`` a complex array
-    of shape (n, 1) and ``c_dd`` the real double-double of c.
-    """
-    import numpy as np
-
-    zero = np.zeros_like(w[0][0])
+def _branch_poly_dd(w, m: int, c_dd, z: complex):
+    """``c*w**(m+1) - z*w + 1`` in double-double, as ``w*(c*w**m - z) + 1``,
+    for the complex double-double w and the real double-double c_dd."""
     power = w
     for _ in range(m - 1):
         power = _cdd_mul(power, w)
     inner = (
-        _dd_add(_dd_mul(power[0], c_dd), (-z.real, zero)),
-        _dd_add(_dd_mul(power[1], c_dd), (-z.imag, zero)),
+        _dd_add(_dd_mul(power[0], c_dd), (-z.real, 0.0)),
+        _dd_add(_dd_mul(power[1], c_dd), (-z.imag, 0.0)),
     )
     value = _cdd_mul(inner, w)
-    return _dd_add(value[0], (np.ones_like(zero), zero)), value[1]
+    return _dd_add(value[0], (1.0, 0.0)), value[1]
 
 
-def _solve_block(m: int, c_dd, z, precision: int) -> list:
-    """Batched branch sets at the points ``z`` (a complex array of shape (n,)).
+def _solve_fast(m: int, c_dd, z: complex, precision: int):
+    """The BranchSet of the 53-bit fast path at the complex double z, or None
+    where the point fails its acceptance test.
 
-    Entry i is the BranchSet of ``z[i]``, or None if the point fails a check.
+    The trinomial's roots in doubles are polished by two Newton steps in
+    double and two with the polynomial in double-double.  The point is
+    accepted when every value is finite, every double-double residual passes
+    the gate ``10**(2 - 0.3*precision)`` and consecutive moduli differ by
+    more than ``BATCH_RELATIVE_GAP`` relative to the larger.
     """
-    import numpy as np
+    c, size = c_dd[0], m + 1
+    # a point whose z/c overflows is rejected
+    ws = _trinomial_seeds(m, c, z) if cmath.isfinite(z / c) else []
+    if not ws:
+        return None
 
-    # overflow and NaN in the array steps are rejected by the acceptance test
-    with np.errstate(all="ignore"):
-        n, size, c = len(z), m + 1, c_dd[0]
-        # points whose z/c overflows are rejected; z = 0 stands in for them
-        finite = np.isfinite(z / c)
-        z = np.where(finite, z, 0)
-        zc = z[:, None]
-        # companion matrix of the monic w**(m+1) - (z/c)*w + 1/c
-        companion = np.zeros((n, size, size), dtype=complex)
-        companion[:, np.arange(1, size), np.arange(size - 1)] = 1
-        companion[:, 0, m] = -1 / c
-        companion[:, 1, m] += z / c
-        try:
-            w = np.linalg.eigvals(companion)
-        except np.linalg.LinAlgError:
-            # the QR iteration failed on some matrix: leave the block to Aberth
-            w = np.full((n, size), np.nan, dtype=complex)
+    def derivative(v):
+        return c * size * v**m - z
 
-        def derivative(v):
-            return c * size * v**m - zc
-
+    try:
         for _ in range(2):
-            w = w - (c * w**size - zc * w + 1) / derivative(w)
-        zero = np.zeros(w.shape)
-        wdd = ((w.real, zero), (w.imag, zero))
+            ws = [v - (c * v**size - z * v + 1) / derivative(v) for v in ws]
+        wdd = [((v.real, 0.0), (v.imag, 0.0)) for v in ws]
         for _ in range(2):
-            step = _cdd_hi(_branch_poly_dd(wdd, m, c_dd, zc)) / derivative(_cdd_hi(wdd))
-            wdd = _dd_add(wdd[0], (-step.real, zero)), _dd_add(wdd[1], (-step.imag, zero))
-        residuals = np.abs(_cdd_hi(_branch_poly_dd(wdd, m, c_dd, zc)))
-
-        hi = _cdd_hi(wdd)
-        lo = wdd[0][1] + 1j * wdd[1][1]
-        order = np.argsort(np.abs(hi), axis=1)
-        hi = np.take_along_axis(hi, order, axis=1)
-        lo = np.take_along_axis(lo, order, axis=1)
-        residuals = np.take_along_axis(residuals, order, axis=1)
-        moduli = np.abs(hi)
-        # a gap between consecutive moduli bounds every pairwise distance from
-        # below, so this one test also rejects collided or duplicated roots
-        gaps = np.diff(moduli, axis=1) > BATCH_RELATIVE_GAP * moduli[:, 1:]
-        accepted = (
-            finite
-            & np.isfinite(hi).all(axis=1)
-            & np.isfinite(lo).all(axis=1)
-            & (residuals.max(axis=1) <= _residual_tolerance(precision))
-            & gaps.all(axis=1)
-        )
-        out = []
-        rows = zip(z.tolist(), hi.tolist(), lo.tolist(), residuals.tolist(), accepted)
-        for zi, his, los, res, ok in rows:
-            if ok:
-                bits = _work_bits(precision, m, zi)
-                parts = tuple(_dd_parts(h, l, bits) for h, l in zip(his, los))
-                out.append(BranchSet(zi, parts, tuple(res), False, precision))
-            else:
-                out.append(None)
-        return out
+            for k, v in enumerate(wdd):
+                step = _cdd_hi(_branch_poly_dd(v, m, c_dd, z)) / derivative(_cdd_hi(v))
+                wdd[k] = _dd_add(v[0], (-step.real, 0.0)), _dd_add(v[1], (-step.imag, 0.0))
+        wdd.sort(key=lambda v: abs(_cdd_hi(v)))
+        his = [_cdd_hi(v) for v in wdd]
+        moduli = [abs(hi) for hi in his]
+        residuals = tuple(abs(_cdd_hi(_branch_poly_dd(v, m, c_dd, z))) for v in wdd)
+    except (OverflowError, ZeroDivisionError):
+        # a power or a modulus beyond the range of a double, or a vanishing
+        # derivative
+        return None
+    los = [complex(v[0][1], v[1][1]) for v in wdd]
+    tolerance = _residual_tolerance(precision)
+    if not all(map(cmath.isfinite, his + los)) or not all(r <= tolerance for r in residuals):
+        return None
+    # a gap between consecutive moduli bounds every pairwise distance from
+    # below, so this one test also rejects collided or duplicated roots
+    if not all(high - low > BATCH_RELATIVE_GAP * high for low, high in zip(moduli, moduli[1:])):
+        return None
+    bits = _work_bits(precision, m, z)
+    parts = tuple(_dd_parts(hi, lo, bits) for hi, lo in zip(his, los))
+    return BranchSet(z, parts, residuals, False, precision)
 
 
 class BranchBatch(NamedTuple):
     """Branch sets of many points, in input order, and the path that solved them.
 
     ``results[i]`` is the BranchSet of the i-th point, or the
-    SolverDivergence raised there.  ``batched`` counts the points the
-    double-double path accepted and ``fallback`` those solved by per-point
+    SolverDivergence raised there.  ``batched`` counts the points accepted
+    by the 53-bit fast path and ``fallback`` those solved by per-point
     mpmath Aberth iteration (every point above 53 bits).
     """
 
@@ -394,15 +379,13 @@ class BranchBatch(NamedTuple):
 
 
 def solve_branches_many(p: Params, points, precision: int = 53) -> BranchBatch:
-    """``solve_branches`` at every point, batched at the default 53 bits.
+    """``solve_branches`` at every point, by the fast path at the default 53 bits.
 
-    At 53 bits, and when c lies well inside the range of a double, points
-    that are exact complex doubles go through the batched path in blocks of
-    ``BATCH_BLOCK``.  A point is accepted when its values are finite, its
-    double-double residual passes the gate ``10**(2 - 0.3*precision)`` and
-    consecutive moduli differ by more than ``BATCH_RELATIVE_GAP`` relative to
-    the larger (so its tie flag is false).  Every other point, and every
-    point above 53 bits, is solved by ``solve_branches_aberth``.
+    At 53 bits, and when c lies well inside the range of a double, a point
+    that is an exact complex double is first solved by ``_solve_fast``,
+    whose accepted points have a false tie flag.  Every point it rejects,
+    every other point, and every point above 53 bits is solved by
+    ``solve_branches_aberth``.
     """
     if precision < 53:
         raise ValueError("precision must be at least 53 bits")
@@ -412,16 +395,11 @@ def solve_branches_many(p: Params, points, precision: int = 53) -> BranchBatch:
     # enough; a point that is not a double (an exact branch point from
     # ``branch_points``, say) must not be rounded to one
     if precision == 53 and 1e-300 < p.c < 1e300:
-        import numpy as np
-
         c = float(p.c)
         c_dd = (c, float(p.c - Rational(c)))
-        batch = [i for i, z in enumerate(points) if complex(z) == z]
-        for start in range(0, len(batch), BATCH_BLOCK):
-            block = batch[start : start + BATCH_BLOCK]
-            z = np.array([complex(points[i]) for i in block])
-            for i, bs in zip(block, _solve_block(p.m, c_dd, z, precision)):
-                results[i] = bs
+        for i, z in enumerate(points):
+            if complex(z) == z:
+                results[i] = _solve_fast(p.m, c_dd, complex(z), precision)
     batched = sum(bs is not None for bs in results)
     for i, z in enumerate(points):
         if results[i] is None:

@@ -15,10 +15,9 @@ operator truncation that overflowed, or a worker process that was lost); the
 error classes live in ``chebsys.errors``.  The numeric half, and with it
 numpy and mpmath, is imported only by the commands that use it: ``gen``
 loads neither, ``verify`` loads numpy for the root hints of its probe when
-m >= 2 and never mpmath, as the probe is exact, ``branches`` loads
-numpy at 53 bits, and mpmath only for a point that falls back to the
-Aberth solver or above 53 bits, ``asymptote`` loads mpmath, and numpy only
-at 53 bits, where its one-point branch solve is batched, and ``roots``
+m >= 2 and never mpmath, as the probe is exact, ``branches`` loads no
+numpy, and mpmath only for a point that falls back to the Aberth solver or
+above 53 bits, ``asymptote`` loads mpmath and no numpy, and ``roots``
 loads mpmath, and numpy only when m >= 2, for companion-matrix seeds and
 the probe's root hints (m = 1 seeds from the closed form).  Independent root
 solves and evaluations run on every CPU the process may use

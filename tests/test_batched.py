@@ -1,4 +1,4 @@
-"""The batched 53-bit branch solver against the per-point mpmath Aberth path."""
+"""The 53-bit fast branch solver against the per-point mpmath Aberth path."""
 
 import cmath
 import math
@@ -10,7 +10,6 @@ from mpmath.libmp import from_float, mpf_add, round_nearest
 
 from chebsys import algebraic, rootfind
 from chebsys.algebraic import (
-    BATCH_BLOCK,
     SolverDivergence,
     solve_branches,
     solve_branches_aberth,
@@ -76,16 +75,22 @@ def test_equal_moduli_fall_back_and_tie():
     assert not batch.results[1].tie_flag
 
 
-def test_grid_one_point_longer_than_a_block():
-    p = Params(2, "3/7")
-    n = BATCH_BLOCK + 1
-    points = [complex(0.31 + 0.0137 * k, 0.53 + 0.0029 * k) for k in range(n)]
+def test_mixed_points_keep_their_input_order():
+    # accepted points around a tie (z = 1 lies on the bounded segment of
+    # c = 1/2, where the two moduli are equal), a point that is not a double
+    # and one whose z/c overflows a double; the last three fall back
+    p = Params(1, "1/2")
+    with mpmath.workprec(120):
+        exact = mpmath.mpc(1) / 3 + mpmath.mpc(0, 1)
+    points = [complex(3, 0.5), 1, complex(-1, 2), exact, complex(1e308, 0), complex(0.5, -4)]
     batch = solve_branches_many(p, points)
-    assert len(batch.results) == n
-    assert batch.batched + batch.fallback == n
-    assert [bs.z for bs in batch.results] == points
-    for k in (0, BATCH_BLOCK - 1, BATCH_BLOCK):
-        assert cells(batch.results[k]) == cells(solve_branches_aberth(p, points[k], 53))
+    assert (batch.batched, batch.fallback) == (3, 3)
+    assert [bs.z for bs in batch.results] == [complex(z) for z in points]
+    accepted = [bs.parts is not None for bs in batch.results]
+    assert accepted == [True, False, True, False, False, True]
+    assert [bs.tie_flag for bs in batch.results] == [False, True, False, False, False, False]
+    for z, bs in zip(points, batch.results):
+        assert cells(bs) == cells(solve_branches_aberth(p, z, 53))
 
 
 def test_above_53_bits_every_point_uses_aberth():
@@ -161,7 +166,7 @@ def test_divergence_is_returned_for_its_point(monkeypatch):
 
 
 def test_residual_gate_sends_points_to_aberth(monkeypatch):
-    # with a gate no residual can pass, no point is accepted by the batched
+    # with a gate no residual can pass, no point is accepted by the fast
     # path, and the Aberth path then reports the divergence
     monkeypatch.setattr(algebraic, "_residual_tolerance", lambda precision: -1.0)
     batch = solve_branches_many(Params(1, "1"), [complex(3, 0.5)])

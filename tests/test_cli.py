@@ -183,7 +183,7 @@ class TestBranches:
 
     def test_solver_counts_which_path_ran(self, tmp_path):
         # z = 1 has a conjugate pair of branches and z = 2 is a branch point,
-        # so both go to mpmath; z = 3 is solved by the batched path
+        # so both go to mpmath; z = 3 is solved by the 53-bit fast path
         grid = ["--grid", "1:3:3,0:0:1"]
         out = tmp_path / "branches.json"
         assert run("branches", "--m", "1", "--c", "1", *grid, "--out", str(out)) == 0

@@ -37,10 +37,13 @@ PINNED = {
     # distance of every positive root) is exactly 0 instead of noise
     "roots.json": "f462440b61235ad70fef77c1f1e16a2df7846bf05592e8f837c5f8fb0c761649",
     "asymptote.json": "8003bbe3fafd40e47754540e113494f9e1c55b0913fc61cdd6d80546280ecd7e",
-    "branches.csv": "118033037a27112f1c73d13fbbde89b28c5b7c8fbf87557d4aefcb7baa4c70b9",
+    # the two branches digests were re-taken when the 53-bit fast path moved
+    # from numpy's companion seeds to the trinomial's roots in doubles: the
+    # low words of the double-double values, and with them the roundoff-level
+    # max_residual cells, changed; every value, modulus and flag is the same
+    "branches.csv": "67daf2749588a9a11f4533f1c3cb240e9583935c354ad6d43c453c7a5d67f805",
     "branches.csv.geometry.json": "e25bad7d096404769c6f0b60acbad258f6034a3c4b9e1047d3024160c882072e",
-    # taken before the commands shared one output writer
-    "branches.json": "98f9561cb0d8a38af9f8074275f63a82e0744f8eb20af24b8c3e3db4d6ceaef4",
+    "branches.json": "21bf6a5ca6c18d1accbdb74c2de485b174d0be37aa93b844d9f392e236d57bd0",
     "asymptote.csv": "8c6adb0e73e15a9237f38f29fd4158cfc1aa6ff079c60c1483dbb131cf98632c",
     "roots.csv": "8dc321e95e1464cb41aaf32bcf5f1a4b81c75efb3038f1b88636bc7c49dde7a4",  # m = 1, as roots.json
     "roots.csv.summary.json": "4a9068b804434e2ef26ab67c6cef01f162e9c463301aeaa09f516ba790f297bc",
@@ -342,6 +345,19 @@ def test_branch_values_beyond_double_range_are_an_overflow_row(workdir, fmt):
         last = text.splitlines()[-1].split(",")
         assert last[:2] == ["1e+308", "0"] and last[-1] == "overflow"
         assert set(last[2:-1]) == {""}
+
+
+def test_non_real_branch_values_beyond_double_range_are_an_overflow_row(workdir):
+    # |z/c| is about 3e319: the Aberth path's residual gate is relative to
+    # the trinomial's terms, so this point solves as the real z = 1e300 does
+    argv = ["branches", "--m", "1", "--c", "1/100000000000000000000",
+            "--z=-1.2484405096414273e299,2.727892280477045e299", "--precision", "64"]
+    assert main(argv + ["--out", "b.json"]) == 0
+    doc = json.loads((workdir / "b.json").read_text())
+    assert doc["solver"] == {"batched": 0, "fallback": 1}
+    assert doc["rows"] == [
+        {"z_re": -1.2484405096414273e299, "z_im": 2.727892280477045e299, "error": "overflow"}
+    ]
 
 
 @pytest.fixture(params=[1, 3], ids=["1-worker", "3-workers"])

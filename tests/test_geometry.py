@@ -144,8 +144,10 @@ def test_odd_m_puts_the_negative_tip_at_angle_pi():
 
 # taken after the geometry became exact: the Aberth solve it replaced left
 # noise such as -5.8e-47 in the zero components of these tips and listed -a
-# first, so the output before differs in its branch points
-PINNED_ODD = "b46f91b5219e27f5c8f249836db8ecb84b0a66e9cf64ed44d58b93515f850c0e"
+# first, so the output before differs in its branch points.  Re-taken when
+# the 53-bit fast path was seeded from the trinomial's roots in doubles: only
+# max_residual cells of its accepted points changed
+PINNED_ODD = "5de70b137c454370737da2a82d5d176cebe6202c908538d497027415ff3d83f9"
 
 
 def test_odd_m_branches_output_is_pinned(tmp_path, monkeypatch):

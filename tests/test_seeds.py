@@ -112,10 +112,10 @@ def test_a_root_beyond_a_double_takes_the_circle_seeds(monkeypatch, z):
     got = solve(p, z, 53)
     assert circles == [True]
     ref = companion_seeded(monkeypatch, p, z, 53)
-    if isinstance(ref, SolverDivergence):  # the same residual gate fails
-        assert str(got) == str(ref)
-    else:
-        assert got.values == ref.values and got.residuals == ref.residuals
+    # the gate is relative to the trinomial's terms, about |z|**2/c here, so
+    # the non-real z solves as the real one does
+    assert not isinstance(got, SolverDivergence) and not isinstance(ref, SolverDivergence)
+    assert got.values == ref.values and got.residuals == ref.residuals
 
 
 def test_unusable_caller_seeds_fall_back_to_the_circle():

@@ -66,18 +66,19 @@ import chebsys.algebraic
 print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 """
 
-# digests taken before the batched path kept its values on the integer
-# kernel; the star geometry of m = 2, c = 7/3 has no zero component, so its
-# bytes did not change (the same digests pin branches.json and
-# asymptote.json in test_cli_outputs.py).  Numpy is loaded by the batched
-# 53-bit path and by companion seeds alone: a fallback point, a scan above
-# 53 bits and an m = 1 root solve seed Aberth in plain doubles.
+# the digests of the two 53-bit grids were re-taken when the fast path was
+# seeded from the trinomial's roots in doubles instead of numpy's companion
+# eigenvalues: only the max_residual cells of accepted points changed (the
+# same digests pin branches.json in test_cli_outputs.py).  Numpy is loaded
+# only for companion seeds and the probe's root hints, that is by roots and
+# verify at m >= 2: the 53-bit fast path, a fallback point, a scan and an
+# m = 1 root solve run in plain doubles.
 BRANCHES = ["branches", "--m", "2", "--c", "7/3"]
 LOADS = {
     "batched-grid": (
         [*BRANCHES, "--grid=-2:2:3,-1:1:2", "--out", "branches.json"],
-        ["numpy"],
-        {"branches.json": "98f9561cb0d8a38af9f8074275f63a82e0744f8eb20af24b8c3e3db4d6ceaef4"},
+        [],
+        {"branches.json": "21bf6a5ca6c18d1accbdb74c2de485b174d0be37aa93b844d9f392e236d57bd0"},
     ),
     # z = -2 lies on the attractor star and z = 0 ties all three moduli;
     # re-taken when the Aberth path was seeded from the trinomial in
@@ -85,8 +86,8 @@ LOADS = {
     # and the order of exactly tied branches, changed
     "fallback-grid": (
         [*BRANCHES, "--grid=-2:2:3,0:1:2", "--out", "branches_fallback.json"],
-        ["numpy", "mpmath"],
-        {"branches_fallback.json": "90c930cbd4b8104878dcd0342e95a816c10658f2ff468ec8040b526f5f20b589"},
+        ["mpmath"],
+        {"branches_fallback.json": "85d1d37c08f15c05b007046d6bb60afaf24625940acfed9ba8b1dc472314edf7"},
     ),
     "precision-64": (
         [*BRANCHES, "--grid=-2:2:3,-1:1:2", "--precision", "64", "--out", "branches64.json"],
@@ -95,7 +96,7 @@ LOADS = {
     ),
     "asymptote": (
         ["asymptote", "--m", "1", "--c", "1", "--z", "3,1", "--r-max", "30", "--out", "asymptote.json"],
-        ["numpy", "mpmath"],
+        ["mpmath"],
         {"asymptote.json": "8003bbe3fafd40e47754540e113494f9e1c55b0913fc61cdd6d80546280ecd7e"},
     ),
     "asymptote-200": (
@@ -103,6 +104,16 @@ LOADS = {
          "--out", "asymptote200.json"],
         ["mpmath"],
         {"asymptote200.json": "e0909c73fe83c03fb21897db22e2f1140baf8b50dc2123e5cc7d4c1a6a8e68d3"},
+    ),
+    # companion seeds of h_r and the probe's root hints
+    "roots-m2": (
+        ["roots", "--m", "2", "--c", "59/62", "--r-list", "20,30", "--format", "csv",
+         "--out", "roots2.csv"],
+        ["numpy", "mpmath"],
+        {
+            "roots2.csv": "e9b5536ab9ed420deefede9385598978bded7e894eae62400e58b7dae8070cbc",
+            "roots2.csv.summary.json": "f7430bb5145ec0ae65b37884d1d0dd1f22709df107d854228d1555f31c70fa13",
+        },
     ),
     # the m = 1 digest of test_cli_outputs.py, re-taken there
     "roots": (
@@ -115,6 +126,18 @@ LOADS = {
         },
     ),
 }
+
+# one 53-bit solve at a point the fast path accepts; 1+1j would not do, as it
+# lies on the even star of m = 3, where two moduli tie and the point falls
+# back to mpmath
+ONE_POINT = """
+import json, sys
+from chebsys.algebraic import solve_branches
+from chebsys.recurrence import Params
+bs = solve_branches(Params(3, "7/3"), complex(1, 0.5))
+print(json.dumps([bs.parts is not None, bs.tie_flag]))
+print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
+"""
 
 # roots --m 2 with every map forked over three workers; each companion-seed
 # call records its process and whether numpy was loaded there before it
@@ -229,11 +252,17 @@ def test_algebraic_loads_neither_numpy_nor_mpmath():
     assert json.loads(done.stdout) == []
 
 
+def test_one_point_solve_loads_neither_numpy_nor_mpmath():
+    done = python(ONE_POINT)
+    assert done.returncode == 0, done.stderr
+    assert list(map(json.loads, done.stdout.splitlines())) == [[True, False], []]
+
+
 @pytest.mark.parametrize("case", list(LOADS))
 def test_mpmath_loads_only_where_a_command_solves_in_it(tmp_path, case):
-    # a 53-bit grid whose every point the batched path accepts stays off
-    # mpmath; a fallback point, more bits, a scan and a root solve load it,
-    # and only the batched path and companion seeds load numpy
+    # a 53-bit grid whose every point the fast path accepts loads neither;
+    # a fallback point, more bits, a scan and a root solve load mpmath, and
+    # only the companion seeds of roots at m >= 2 load numpy
     argv, loaded, files = LOADS[case]
     done = python(COMMAND, *argv, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
