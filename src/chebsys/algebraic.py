@@ -48,7 +48,6 @@ import random
 from typing import NamedTuple
 
 from .errors import DegenerateBranches, OnStarSet, RootRefinementError, SolverDivergence
-from .parallel import fork_map
 from .rationals import (
     Rational,
     add_man_exp,
@@ -58,7 +57,7 @@ from .rationals import (
     raw_mpf,
     to_float,
 )
-from .recurrence import Params, gen_type1_scalar
+from .recurrence import Params
 
 TIE_RELATIVE_GAP = 1e-10
 # the 53-bit fast path accepts a point only if consecutive moduli differ by
@@ -130,8 +129,15 @@ def _work_bits(precision: int, m: int, z) -> int:
     return precision + 48 + max(0, int((m + 1) * math.log2(1 + size)))
 
 
-def _residual_tolerance(precision: int) -> float:
-    return 10.0 ** (2 - 0.3 * precision)
+def _residual_tolerance(precision: int):
+    """``10**(2 - 0.3*precision)``, a float while that does not underflow to
+    0.0 (to about 1085 bits) and an mpmath value of the current context beyond."""
+    exponent = 2 - 0.3 * precision
+    if tolerance := 10.0**exponent:
+        return tolerance
+    import mpmath
+
+    return mpmath.mpf(10) ** exponent
 
 
 # sweeps of the double-precision seed iteration; from the Newton-polygon
@@ -224,10 +230,12 @@ def solve_branches_aberth(p: Params, z, precision: int) -> BranchSet:
             relative.append(residual / max(1, abs(power), abs(linear)))
         tolerance = _residual_tolerance(precision)
         if max(relative) > tolerance:
-            raise SolverDivergence(
-                f"relative residual {float(max(relative)):.3e} above {tolerance:.3e}"
-                f" at z={complex(z)}"
+            # a value below the range of a double is shown by mpmath
+            worst, gate = (
+                f"{float(v):.3e}" if float(v) or not v else mpmath.nstr(v, 4)
+                for v in (max(relative), tolerance)
             )
+            raise SolverDivergence(f"relative residual {worst} above {gate} at z={complex(z)}")
         tie = False
         for lo, hi in zip(roots, roots[1:]):
             gap = abs(hi) - abs(lo)
@@ -755,10 +763,11 @@ def limit_L(p: Params, z, precision: int = 53, tol: float = 1e-9):
 class ScanResult(NamedTuple):
     """Observed error decay of the scaled scalar terms against the limit value.
 
-    ``errors[r] = |t_r(z)/lambda_m**r - L|`` from the exact-recurrence
-    coefficients; ``rates[r] = (errors[r]/errors[r-w])**(1/w)`` over the
-    window ``w = m*(m+1)``; ``decay_estimate`` averages over the trailing
-    half of the scan and should approach ``ratio = |lambda_{m-1}/lambda_m|``.
+    ``errors[r] = |t_r(z)/lambda_m**r - L|`` with t_r(z) stepped by the
+    scalar recurrence at z; ``rates[r] = (errors[r]/errors[r-w])**(1/w)``
+    over the window ``w = m*(m+1)``; ``decay_estimate`` averages over the
+    trailing half of the scan and should approach
+    ``ratio = |lambda_{m-1}/lambda_m|``.
     """
 
     z: complex
@@ -777,9 +786,12 @@ def asymptotic_scan(
 ) -> ScanResult:
     """Error table ``e_r = |t_r/lambda_m**r - L|`` for r = 0..r_max.
 
-    The scalar terms are generated exactly and only evaluated at the working
-    precision, so the decay floor is set by ``precision`` alone.  Deep scans
-    need roughly ``r_max * log2(lambda_m/lambda_{m-1})`` extra bits.
+    Each t_r(z) is stepped by ``c*t_r = z*t_{r-m} - t_{r-m-1}`` from t_0 = 1,
+    t_1 .. t_{m-1} = 0 at the working precision, O(r_max) work in all.  Off the
+    attractor star, which the limit's gate excludes, t_r is the dominant
+    solution, so forward recursion is stable (Gautschi, SIAM Rev. 1967) and
+    the decay floor is set by ``precision`` alone: deep scans need roughly
+    ``r_max * log2(lambda_m/lambda_{m-1})`` extra bits.
     """
     import mpmath
 
@@ -787,22 +799,18 @@ def asymptotic_scan(
         raise ValueError("r_max must be >= 0")
     top, second, limit_value = _limit(p, z, precision, tol)
     ratio = float(abs(second) / abs(top))
-    terms = gen_type1_scalar(p, r_max)
-    workbits = _work_bits(precision, p.m, z)
-    with mpmath.workprec(workbits):
-        zz = mpmath.mpc(z)
-        powers = [mpmath.mpc(1)]
-        for _ in range(r_max):
-            powers.append(powers[-1] * top)
-
-    def error(r):
-        with mpmath.workprec(workbits):
-            tval = terms[r].eval_complex(zz, workbits)
-            return float(abs(tval / powers[r] - limit_value))
-
-    # each evaluation is one Horner pass over the coefficients of t_r
-    errors = fork_map(error, range(r_max + 1), cost=lambda r: terms[r].degree + 1)
-    window = p.m * (p.m + 1)
+    m = p.m
+    with mpmath.workprec(_work_bits(precision, m, z)):
+        zz, cmpf = mpmath.mpc(z), rat_to_mpf(p.c)
+        # t_{-m-1} .. t_{-1} are zero, then t_0 .. t_{m-1} are the unit start
+        values = [mpmath.mpc(0)] * (m + 1) + [mpmath.mpc(1)] + [mpmath.mpc(0)] * (m - 1)
+        for _ in range(m, r_max + 1):
+            values.append((zz * values[-m] - values[-m - 1]) / cmpf)
+        errors, power = [], mpmath.mpc(1)
+        for tval in values[m + 1 : m + 2 + r_max]:
+            errors.append(float(abs(tval / power - limit_value)))
+            power *= top
+    window = m * (m + 1)
     rates: list[float | None] = [None] * len(errors)
     for r in range(window, len(errors)):
         if errors[r - window] > 0 and errors[r] > 0:

@@ -4,7 +4,7 @@ import math
 import mpmath
 import pytest
 
-from chebsys import algebraic
+from chebsys import algebraic, exactpoly, parallel, recurrence
 from chebsys.algebraic import (
     DegenerateBranches,
     OnStarSet,
@@ -22,6 +22,18 @@ from chebsys.algebraic import (
 )
 from chebsys.exactpoly import poly_eval_complex
 from chebsys.recurrence import Params, gen_type1_scalar
+
+
+def horner_scan_errors(p, z, r_max, precision):
+    """The scan's errors with each t_r from its exact coefficients by Horner."""
+    top, _, limit = algebraic._limit(p, z, precision, 1e-9)
+    workbits = algebraic._work_bits(precision, p.m, z)
+    errors, power = [], mpmath.mpc(1)
+    with mpmath.workprec(workbits):
+        for t in gen_type1_scalar(p, r_max):
+            errors.append(float(abs(t.eval_complex(z, workbits) / power - limit)))
+            power *= top
+    return errors
 
 
 class TestSolveBranches:
@@ -45,6 +57,21 @@ class TestSolveBranches:
     def test_residuals_below_tolerance(self):
         bs = solve_branches(Params(4, "1/2"), complex(1.7, -0.4), precision=128)
         assert max(bs.residuals) <= 10 ** (2 - 0.3 * 128)
+
+    @pytest.mark.parametrize("precision", [1090, 1200])
+    def test_solves_above_the_range_of_a_float_gate(self, precision):
+        # 10**(2 - 0.3*precision) is below the smallest double here
+        tolerance = algebraic._residual_tolerance(precision)
+        assert tolerance > 0 and float(tolerance) == 0.0
+        p, z = Params(2, "1"), complex(3, 1)
+        deep, double = solve_branches(p, z, precision), solve_branches(p, z)
+        assert all(abs(a - b) < 1e-14 for a, b in zip(deep.values, double.values))
+
+    def test_divergence_message_keeps_values_below_a_double(self, monkeypatch):
+        gate = mpmath.mpf(10) ** -2000
+        monkeypatch.setattr(algebraic, "_residual_tolerance", lambda precision: gate)
+        with pytest.raises(SolverDivergence, match=r"above 1\.0e-2000 at"):
+            solve_branches(Params(2, "1"), complex(3, 1), 1100)
 
     def test_vieta_sum_and_product(self):
         # the coefficient of w^m is -z when m == 1 and 0 for m >= 2
@@ -161,6 +188,47 @@ class TestAsymptoticScan:
     def test_on_star_rejected(self):
         with pytest.raises(OnStarSet):
             asymptotic_scan(Params(2, "1"), -2.5, 20)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("c", ["1", "3/7", "5/2"])
+    def test_recursion_equals_exact_evaluation(self, m, c):
+        # 400 bits cover Horner's cancellation at these depths, so every cell
+        # above 2**-200 is resolved by both and must round to the same float
+        p = Params(m, c)
+        z = seeded_offstar_points(p, 1, seed=m)[0]
+        r_max, precision = 60 * m, 400
+        got = asymptotic_scan(p, z, r_max, precision).errors
+        ref = horner_scan_errors(p, z, r_max, precision)
+        resolved = [r for r in range(r_max + 1) if ref[r] > 2.0 ** (-precision / 2)]
+        assert len(resolved) > r_max // 3
+        assert [got[r] for r in resolved] == [ref[r] for r in resolved]
+
+    def test_recursion_resolves_a_scan_that_horner_cancels(self):
+        # near the segment, t_r's coefficients grow like mu**r with mu = 2.6
+        # against |lambda_m| = 1.6, so Horner loses about 0.7 bits per term,
+        # 70 bits by r = 100; the recursion loses none
+        p, z, r_max, precision = Params(1, "1"), complex(2.2, 0.1), 100, 120
+        got = asymptotic_scan(p, z, r_max, precision).errors
+        horner = horner_scan_errors(p, z, r_max, precision)
+        ref = horner_scan_errors(p, z, r_max, 2 * precision)
+        assert all(abs(g - e) <= abs(h - e) for g, h, e in zip(got, horner, ref))
+        assert max(abs(g - e) for g, e in zip(got, ref)) < 1e-40 < horner[-1]
+
+    def test_scan_is_a_recursion_that_forks_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan must not call this")
+
+        monkeypatch.setattr(recurrence, "gen_type1_scalar", refuse)
+        monkeypatch.setattr(parallel, "fork_map", refuse)
+        monkeypatch.setattr(exactpoly.Poly, "eval_complex", refuse)
+        p, z, r_max = Params(2, "1"), 1.5, 1200
+        moduli = solve_branches(p, z).moduli
+        # the README's rule r_max*log2(l_m/l_{m-1}) plus a margin: above the
+        # 1085 bits where the residual gate would underflow as a float
+        precision = math.ceil(r_max * math.log2(moduli[-1] / moduli[-2])) + 128
+        assert precision > 1085
+        scan = asymptotic_scan(p, z, r_max, precision)
+        assert abs(scan.decay_estimate - scan.ratio) <= 0.05
 
 
 class TestGeometry:

@@ -262,6 +262,17 @@ class TestAsymptote:
         assert lines[1].startswith("# summary=")
         assert lines[2] == "r,e_r,rate,ratio"
 
+    @pytest.mark.parametrize("precision", ["1090", "1200"])
+    def test_precision_above_a_float_residual_gate(self, tmp_path, precision):
+        # 10**(2 - 0.3*precision) underflows a double from about 1086 bits
+        out = tmp_path / "scan.json"
+        assert run(
+            "asymptote", "--m", "2", "--c", "1", "--z=-0.763635,3.246", "--r-max", "100",
+            "--precision", precision, "--out", str(out),
+        ) == 0
+        summary = load(out)["summary"]
+        assert abs(summary["decay_estimate"] - summary["ratio"]) <= 0.05
+
 
 class TestRoots:
     R_LIST = "5,9,12,15"  # for m = 3, t_5 is zero and the others are not constant
