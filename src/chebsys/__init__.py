@@ -13,7 +13,8 @@ the standard library.  The names of the numeric half, and its modules
 ``algebraic``, ``rootfind`` and ``roots``, resolve on first use.  mpmath is
 loaded with ``rootfind`` and ``roots`` and where ``algebraic`` computes in
 it (its 53-bit fast path and star geometry do without); numpy only for
-companion-matrix root seeds.
+companion-matrix root seeds, which ``roots`` needs at m >= 2.  The probe
+(``probe``) works on integer signs and loads neither.
 """
 
 import importlib

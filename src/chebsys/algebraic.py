@@ -45,6 +45,7 @@ import cmath
 import functools
 import math
 import random
+import sys
 from typing import NamedTuple
 
 from .errors import DegenerateBranches, OnStarSet, RootRefinementError, SolverDivergence
@@ -767,7 +768,9 @@ class ScanResult(NamedTuple):
     scalar recurrence at z; ``rates[r] = (errors[r]/errors[r-w])**(1/w)``
     over the window ``w = m*(m+1)``; ``decay_estimate`` averages over the
     trailing half of the scan and should approach
-    ``ratio = |lambda_{m-1}/lambda_m|``.
+    ``ratio = |lambda_{m-1}/lambda_m|``.  Both are computed in doubles,
+    except where an error cell they need lies below the range of a normal
+    double: there they come from the errors at the working precision.
     """
 
     z: complex
@@ -806,19 +809,26 @@ def asymptotic_scan(
         values = [mpmath.mpc(0)] * (m + 1) + [mpmath.mpc(1)] + [mpmath.mpc(0)] * (m - 1)
         for _ in range(m, r_max + 1):
             values.append((zz * values[-m] - values[-m - 1]) / cmpf)
-        errors, power = [], mpmath.mpc(1)
+        exact, power = [], mpmath.mpc(1)
         for tval in values[m + 1 : m + 2 + r_max]:
-            errors.append(float(abs(tval / power - limit_value)))
+            exact.append(abs(tval / power - limit_value))
             power *= top
-    window = m * (m + 1)
-    rates: list[float | None] = [None] * len(errors)
-    for r in range(window, len(errors)):
-        if errors[r - window] > 0 and errors[r] > 0:
-            rates[r] = (errors[r] / errors[r - window]) ** (1.0 / window)
-    estimate = None
-    tail = window * max(1, r_max // (2 * window))
-    if r_max >= window and errors[r_max] > 0 and errors[r_max - tail] > 0:
-        estimate = (errors[r_max] / errors[r_max - tail]) ** (1.0 / tail)
+        errors = [float(e) for e in exact]
+
+        def root(r, s, n):
+            # (e_r/e_s)**(1/n) in doubles where both cells are normal ones,
+            # else from the errors at the working precision, which a deep
+            # scan resolves below the range of a double
+            if min(errors[r], errors[s]) >= sys.float_info.min:
+                return (errors[r] / errors[s]) ** (1.0 / n)
+            if exact[r] and exact[s]:
+                return float((exact[r] / exact[s]) ** (mpmath.mpf(1) / n))
+            return None
+
+        window = m * (m + 1)
+        rates = [root(r, r - window, window) if r >= window else None for r in range(r_max + 1)]
+        tail = window * max(1, r_max // (2 * window))
+        estimate = root(r_max, r_max - tail, tail) if r_max >= window else None
     return ScanResult(
         z=complex(z),
         r_max=r_max,

@@ -14,12 +14,11 @@ output.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
 operator truncation that overflowed, or a worker process that was lost); the
 error classes live in ``chebsys.errors``.  The numeric half, and with it
 numpy and mpmath, is imported only by the commands that use it: ``gen``
-loads neither, ``verify`` loads numpy for the root hints of its probe when
-m >= 2 and never mpmath, as the probe is exact, ``branches`` loads no
+and ``verify`` load neither, as the probe is exact, ``branches`` loads no
 numpy, and mpmath only for a point that falls back to the Aberth solver or
 above 53 bits, ``asymptote`` loads mpmath and no numpy, and ``roots``
-loads mpmath, and numpy only when m >= 2, for companion-matrix seeds and
-the probe's root hints (m = 1 seeds from the closed form).  Independent root
+loads mpmath, and numpy only when m >= 2, for companion-matrix seeds
+(m = 1 seeds from the closed form).  Independent root
 solves and evaluations run on every CPU the process may use
 (``chebsys.parallel``), and the outputs do not depend on how many there are.
 
@@ -482,7 +481,7 @@ def cmd_verify(args) -> int:
         },
     )
 
-    # loads numpy for the root hints when m >= 2, and never mpmath
+    # exact: loads neither numpy nor mpmath
     from .probe import conjecture_probe
 
     probe = conjecture_probe(p, max(args.R, p.m), precision)

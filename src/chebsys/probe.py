@@ -1,44 +1,57 @@
 """The probe of the conjecture that the zeros of every ``h_r`` are real and
 simple.
 
-The probe decides that exactly, index by index.  It first tries an integer
-sign certificate (``exactpoly.certify_real_roots``), whose hints come from
-numpy's ``roots`` when m >= 2 and from the closed form when m = 1; an index
-the certificate misses is decided by a Sturm count on the remainder chain
-of (h_r, h_r') (``exactpoly._sturm_count``), on the exact half alone.  The
-probe never loads mpmath, and importing this module loads neither numpy
-nor mpmath.
+The probe decides that exactly, index by index, with integer signs at dyadic
+points: d sign changes of h_r along them prove d real, simple zeros.  For
+m = 1 the points sit between the closed-form zeros
+(``exactpoly.certify_real_roots``).  For m >= 2 each index is proved from the
+isolating intervals of the last index proved before it (``_step``): their
+ends are the points, and an interval whose ends show h_r no sign change is
+split by the sign of the previous polynomial until the count comes out
+right.  The zeros of consecutive h_r interlace, which is why the points are
+found (Haneczok and Van Assche, J. Math. Anal. Appl. 2012), but only the
+sign count proves anything.  An index the signs miss is decided by a Sturm
+count on the remainder chain of (h_r, h_r') (``exactpoly._sturm_count``).
+The probe imports nothing beyond the exact half: no numeric library.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from typing import NamedTuple
 
-from .exactpoly import Poly, _sturm_count, certify_real_roots
+from .exactpoly import Poly, _sturm_count, certify_real_roots, dyadic_sign
 from .recurrence import Params, TypeIRecord, gen_type1_records
+
+ROUNDS = 48  # rounds of splits the step tries at one index before the Sturm count
+BISECTIONS = 2  # bisections of a gap in the search for the least one before it is measured
+NEWTON = 64  # Newton or bisection steps in floats toward a zero
 
 
 class ProbeReport(NamedTuple):
     """Realness and simplicity of the zeros of every h_r, proven index by index.
 
-    An index is certified when the integer h_r has nonzero alternating signs
-    at d+1 dyadic points placed between root hints, which proves d distinct
-    real zeros; its separation is that of the certifying hints.  Every other
-    index is decided by a Sturm count on the remainder chain of (h_r, h_r'),
-    which proves d distinct real zeros or finds fewer.  Classification is
-    PASS, a proof for every index, or COUNTEREXAMPLE, with the first
-    offending index and its ``reason``: ``repeated-root`` when
-    gcd(h_r, h_r') is not constant, ``complex-root`` otherwise.
-    ``max_imag_normalized`` is 0.0 on a PASS and None on a COUNTEREXAMPLE,
-    where no zero is computed.  ``min_separation_normalized`` is None when
-    an index was decided by the count, which has no hints to measure, or
-    when the least gap is one between certified zeros that underflows a
-    double: they are proven distinct, so a gap that reads 0.0 there has
-    lost its digits and does not mean a repeated zero.  ``certified``
-    counts the indices the sign certificate proved, ``first_uncertified_r``
-    names the first it missed, and ``escalations`` is always 0.
+    An index is certified when the integer h_r has d sign changes along
+    increasing dyadic points with nonzero signs, which proves d distinct
+    real zeros: for m = 1 at points between the closed-form zeros, for
+    m >= 2 at points the step takes from the previous index's isolating
+    intervals.  Every other index is decided by a Sturm count on the
+    remainder chain of (h_r, h_r'), which proves d distinct real zeros or
+    finds fewer.  Classification is PASS, a proof for every index, or
+    COUNTEREXAMPLE, with the first offending index and its ``reason``:
+    ``repeated-root`` when gcd(h_r, h_r') is not constant, ``complex-root``
+    otherwise.  ``max_imag_normalized`` is 0.0 on a PASS and None on a
+    COUNTEREXAMPLE, where no zero is computed.  ``min_separation_normalized``
+    is the least of ``|x - y| / max(1, |x|, |y|)`` over consecutive zeros,
+    from the closed form for m = 1 and from isolating intervals refined to
+    2**-53 relative for m >= 2.  It is None when an index was decided by the
+    count, which isolates no zero, or when the least gap underflows a
+    double: the zeros are proven distinct, so a gap that reads 0.0 there
+    has lost its digits and does not mean a repeated zero.  ``certified``
+    counts the indices the signs proved, ``first_uncertified_r`` names the
+    first they missed, and ``escalations`` is always 0.
     """
 
     classification: str
@@ -56,19 +69,6 @@ def _separation(a, b) -> float:
     return float(abs(a - b)) / max(1.0, abs(complex(a)), abs(complex(b)))
 
 
-def _root_hints(h: Poly) -> list:
-    """Float estimates of the zeros of h, sorted: the real parts of
-    companion-matrix eigenvalues of the scaled coefficients."""
-    import numpy as np
-
-    nums = h.nums
-    scale = max(abs(n) for n in nums)
-    # ratios of at most 1 in modulus, so huge integers neither overflow nor raise
-    with np.errstate(all="ignore"):
-        found = np.roots([n / scale for n in reversed(nums)])
-    return sorted(float(y.real) for y in found)
-
-
 def closed_form_hints(rec: TypeIRecord) -> list:
     """``cos(k pi/(r+1))**2`` for k = 1..deg h_r, sorted: for m = 1 the zeros
     of h_r divided by 4c (see ``_certify_index``)."""
@@ -77,27 +77,22 @@ def closed_form_hints(rec: TypeIRecord) -> list:
 
 
 def _certify_index(rec: TypeIRecord, p: Params) -> float | None:
-    """The least normalized separation of the certifying hints of h_r, or
-    None if h_r is not certified.
+    """The least normalized separation of the zeros of h_r, m = 1, or None
+    if h_r is not certified.
 
-    For m = 1, ``c**(r/2) * t_r(x) = U_r(x / (2*sqrt(c)))`` puts the zeros of
-    h_r at ``4c * cos(k pi/(r+1))**2``, k = 1..deg h_r.  They are certified
-    in the scaled variable ``y = x/(4c)``, where the hints ``cos(k pi/(r+1))**2``
+    ``c**(r/2) * t_r(x) = U_r(x / (2*sqrt(c)))`` puts the zeros of h_r at
+    ``4c * cos(k pi/(r+1))**2``, k = 1..deg h_r.  They are certified in the
+    scaled variable ``y = x/(4c)``, where the hints ``cos(k pi/(r+1))**2``
     lie in [0, 1] whatever c is, so no hint overflows or underflows.
     """
-    if p.m == 1:
-        hints = closed_form_hints(rec)
-        # den * q**d * h(4c*y) in integers, for 4c = p4/q
-        p4, q = 4 * p.c.numerator, p.c.denominator
-        d = rec.h.degree
-        scaled = Poly.scaled([n * p4**i * q ** (d - i) for i, n in enumerate(rec.h.nums)])
-        if not certify_real_roots(scaled, hints):
-            return None
-        return _separation_at_4c(hints, p.c)
-    hints = _root_hints(rec.h)
-    if not certify_real_roots(rec.h, hints):
+    hints = closed_form_hints(rec)
+    # den * q**d * h(4c*y) in integers, for 4c = p4/q
+    p4, q = 4 * p.c.numerator, p.c.denominator
+    d = rec.h.degree
+    scaled = Poly.scaled([n * p4**i * q ** (d - i) for i, n in enumerate(rec.h.nums)])
+    if not certify_real_roots(scaled, hints):
         return None
-    return min(map(_separation, hints, hints[1:]), default=math.inf)
+    return _separation_at_4c(hints, p.c)
 
 
 def _separation_at_4c(hints, c) -> float:
@@ -113,47 +108,385 @@ def _separation_at_4c(hints, c) -> float:
     return min(((b - a) / b for a, b in zip(hints, hints[1:])), default=math.inf)
 
 
-def _count_cost(h: Poly) -> int:
-    """Work of the Sturm count of ``h`` in Horner steps, for ``fork_map``.
+# ---------------------------------------------------------------- the step
+#
+# A dyadic point is a pair (a, k) meaning a / 2**k, with k >= 0 and a odd
+# unless k = 0.  An isolating interval is (lo, hi, s): one zero lies in the
+# open interval between the points lo < hi (or at lo = hi), and the
+# polynomial has the sign s at lo and -s at hi.
 
-    The count of an index of degree d took about as long as 20 + d**5/8000
-    Horner steps, within a factor of 2.2 over m = 2..4, d = 8..67 and
-    c = 1, 311/457, 23/41, 5/2; the size of c barely shows, as the chain's
-    primitive parts do not carry it.  Counts for m = 1 ran far cheaper.
+
+class _Proved(NamedTuple):
+    """An index the step proved: its polynomial in y and its isolating
+    intervals in increasing order."""
+
+    g: Poly | None
+    intervals: tuple
+
+
+def _reduced(a: int, k: int) -> tuple:
+    if not a:
+        return 0, 0
+    t = min((a & -a).bit_length() - 1, k)
+    return a >> t, k - t
+
+
+def _log2_floor(c) -> int:
+    """floor(log2 c) for a positive rational c."""
+    num, den = c.numerator, c.denominator
+    e = num.bit_length() - den.bit_length()
+    return e - 1 if (num << max(-e, 0)) < (den << max(e, 0)) else e
+
+
+def _in_y(h: Poly, E: int) -> Poly:
+    """``h(2**E * y)`` up to a positive factor, as an integer polynomial."""
+    d = h.degree
+    if not E:
+        return h
+    if E > 0:
+        return Poly.scaled([n << (E * i) for i, n in enumerate(h.nums)])
+    return Poly.scaled([n << (-E * (d - i)) for i, n in enumerate(h.nums)])
+
+
+def _outer_exponent(g: Poly) -> int:
+    """e with every zero of g below 2**(e-1) in modulus, if they are real.
+
+    Real zeros lie within ``sqrt(d-1)`` standard deviations of their mean
+    (Laguerre and Samuelson), both read off the top three coefficients, in
+    floats; the spare factor of two covers their rounding.  A bound that
+    fails only shortens the sign count, which then proves nothing.
     """
-    return 20 + h.degree**5 // 8000
+    nums, d = g.nums, g.degree
+    mean = -nums[-2] / nums[-1] / d
+    squares = (nums[-2] / nums[-1]) ** 2 - (2 * nums[-3] / nums[-1] if d > 1 else 0)
+    spread = math.sqrt(max(squares / d - mean * mean, 0.0) * (d - 1))
+    return math.frexp(2 * (abs(mean) + spread))[1]
+
+
+def _inside(point: tuple, e: int) -> bool:
+    """True if the point lies strictly between -2**e and 2**e."""
+    a, k = point
+    return abs(a).bit_length() <= e + k if e + k >= 0 else not a
+
+
+def _split(lo: tuple, hi: tuple) -> tuple:
+    """The dyadic of fewest bits in the middle half of [lo, hi]."""
+    (a, k), (b, j) = lo, hi
+    n = max(k, j)
+    a, b = a << (n - k), b << (n - j)
+    low, high = 3 * a + b, a + 3 * b  # the quarter points, over 2**(n+2)
+    if low <= 0 <= high:
+        return 0, 0
+    sign = 1
+    if high < 0:
+        low, high, sign = -high, -low, -1
+    # the multiple of the highest power of two in [low, high]: high and
+    # low - 1 agree above bit t, where high has a 1 and low - 1 a 0
+    t = ((low - 1) ^ high).bit_length() - 1
+    return _reduced(sign * (high >> t << t), n + 2)
+
+
+def _step(h: Poly, E: int, last: _Proved) -> tuple | None:
+    """Prove that the zeros of h are real and simple from the intervals of
+    ``last``: h in y = x/2**E proved, and the intervals of ``last`` as the
+    step narrowed them; or None.
+
+    The points are ``-2**e`` and ``2**e``, beyond every zero of g, h in y,
+    and the ends of the intervals of ``last``; d = deg g sign changes of g
+    along them put one zero of g in each of d disjoint open gaps (Collins
+    and Akritas, SYMSAC 1976), and those gaps are g's isolating intervals.
+    While the count comes out short, each interval of ``last`` whose ends
+    give g no sign change is split, by the sign of ``last.g``, at the
+    shortest dyadic in its middle half, and the split point joins the
+    points: the zeros of consecutive h_r interlace, so a zero of ``last.g``
+    with a zero of g on either side gets a point between those two.  The
+    step gives up after ``ROUNDS`` rounds of splits, or at once for an h of
+    more than one degree above ``last``, which has too few points.
+    """
+    g = _in_y(h, E)
+    if g.degree > len(last.intervals) + 1:
+        return None
+    e = _outer_exponent(g)
+    top = (1 << e, 0) if e >= 0 else (1, -e)
+    signs = {}
+    # the points in each interval of last, ascending: its zero lies between
+    # those at cut - 1 and cut
+    rows = [[lo, hi] for lo, hi, _ in last.intervals]
+    cuts = [1] * len(rows)
+    for _ in range(ROUNDS):
+        inner = [point for row in rows for point in row]
+        i, j = 0, len(inner)
+        while i < j and not _inside(inner[i], e):
+            i += 1
+        while j > i and not _inside(inner[j - 1], e):
+            j -= 1
+        # neighbouring intervals may share an end: one point
+        points = dict.fromkeys(((-top[0], top[1]), *inner[i:j], top))
+        for point in points:
+            if point not in signs:
+                signs[point] = dyadic_sign(g, *point)
+        signed = [(point, s) for point in points if (s := signs[point])]
+        gaps = tuple((a, b, s) for (a, s), (b, t) in zip(signed, signed[1:]) if s != t)
+        if len(gaps) == g.degree:
+            narrowed = tuple(
+                (row[cut - 1], row[cut], s) for row, cut, (_, _, s) in zip(rows, cuts, last.intervals)
+            )
+            return _Proved(g, gaps), last._replace(intervals=narrowed)
+        split = False
+        for k, (row, cut, (_, _, s_lo)) in enumerate(zip(rows, cuts, last.intervals)):
+            lo, hi = row[cut - 1], row[cut]
+            if lo != hi and signs.get(lo, 0) * signs.get(hi, 0) >= 0:
+                point = _split(lo, hi)
+                s = dyadic_sign(last.g, *point)
+                # twice where it is the zero itself: the interval (point, point)
+                row[cut:cut] = [point] * (2 - abs(s))
+                if s != -s_lo:
+                    cuts[k] += 1
+                split = True
+        if not split:
+            return None
+    return None
+
+
+def _stepped(records: list, c) -> tuple:
+    """The records the step missed, m >= 2, and the least normalized gap
+    between consecutive zeros if it missed none, else None.
+
+    The step runs in y = x/2**E, E = floor(log2 c), where the zeros are of
+    the order of one whatever c is.  The first index has degree 1 and is
+    proved from no intervals at all; an index the step misses is skipped,
+    and the next is proved from the last index proved.
+    """
+    E = _log2_floor(c)
+    proved = [_Proved(None, ())]
+    missed = []
+    for rec in records:
+        found = _step(rec.h, E, proved[-1])
+        if found is None:
+            missed.append(rec)
+        else:
+            # the step narrowed the intervals of the last index proved
+            proved[-1:] = found[::-1]
+    return missed, None if missed else _least_gap(proved[1:], E)
+
+
+# ---------------------------------------------------------------- separation
+
+
+def _float(a: int, k: int) -> float:
+    """a / 2**k as a float: plain ``ldexp``, a quarter of the cost of
+    ``rationals.to_float``, which rounds as mpmath does, in the hot loop of
+    the search for the least gap."""
+    try:
+        return math.ldexp(a, -k)
+    except OverflowError:  # a beyond a double, a / 2**k perhaps not
+        cut = a.bit_length() - 64
+        return math.ldexp(a >> cut, cut - k)
+
+
+def _normalized(gap: float, top: float, E: int) -> float:
+    """``gap * 2**E / max(1, top * 2**E)``: the normalized separation in x
+    of zeros in y = x/2**E that lie a gap apart, the larger at modulus top."""
+    if top and math.frexp(top)[1] + E >= 1:  # top * 2**E >= 1
+        return gap / top
+    try:
+        return math.ldexp(gap, E)
+    except OverflowError:
+        return math.inf
+
+
+# In the search for the least gap an isolating interval is a span
+# (lo, hi, k, s, a, b): its ends lo / 2**k <= hi / 2**k, the sign s of its
+# polynomial at lo, and its ends a <= b as floats.
+
+
+def _span(lo: int, hi: int, k: int, s: int) -> tuple:
+    return lo, hi, k, s, _float(lo, k), _float(hi, k)
+
+
+def _as_span(interval: tuple) -> tuple:
+    (a, k), (b, j), s = interval
+    n = max(k, j)
+    return _span(a << (n - k), b << (n - j), n, s)
+
+
+def _refined(g: Poly, span: tuple) -> tuple:
+    """The half of the span that holds the zero of g."""
+    lo, hi, k, s, a, b = span
+    mid, k = lo + hi, k + 1
+    t, m = dyadic_sign(g, mid, k), _float(mid, k)
+    if not t:
+        return mid, mid, k, s, m, m
+    return (mid, 2 * hi, k, s, m, b) if t == s else (2 * lo, mid, k, s, a, m)
+
+
+def _fine(span: tuple, E: int) -> bool:
+    """True once the span is at most 2**-53 of max(1, |x|) wide, x = 2**E*y."""
+    lo, hi, k, _, a, b = span
+    return (hi - lo).bit_length() - k <= max(math.frexp(max(-a, b))[1], 1 - E) - 54
+
+
+def _gap_bounds(left: tuple, right: tuple, E: int) -> tuple:
+    """Lower and upper bounds of the normalized gap between the zeros in
+    two spans, left below right, in floats."""
+    a1, b1 = left[4:]
+    a2, b2 = right[4:]
+    # the larger zero in modulus lies below max(-a1, b2), and above a2 if
+    # that is positive, above -b1 if that is
+    lower = _normalized(max(a2 - b1, 0.0), max(-a1, b2), E)
+    return lower, _normalized(b2 - a1, max(a2, -b1, 0.0), E)
+
+
+def _measured(left: tuple, right: tuple, E: int) -> float:
+    """The normalized gap between the midpoints of two spans."""
+    (lo1, hi1, k1), (lo2, hi2, k2) = left[:3], right[:3]
+    n = max(k1, k2)
+    m1, m2 = (lo1 + hi1) << (n - k1), (lo2 + hi2) << (n - k2)
+    top = max(abs(_float(m1, n + 1)), abs(_float(m2, n + 1)))
+    return _normalized(_float(m2 - m1, n + 1), top, E)
+
+
+def _tightened(g: Poly, span: tuple, E: int, floats: list) -> tuple:
+    """The span refined to 2**-53 relative.
+
+    Newton's method in floats, on ``floats``, g's coefficients scaled and
+    highest first, runs from the middle of the span, kept inside it by the
+    float signs; one exact Newton step from there leaves far less than
+    2**-56 relative to the zero, and two exact signs check that.  Where the
+    check fails, bisection refines the span itself.
+    """
+    lo, hi, k, s, a, b = span
+    x = (a + b) / 2
+    for _ in range(NEWTON):
+        value = slope = 0.0
+        for c in floats:
+            slope = slope * x + value
+            value = value * x + c
+        if not value or not math.isfinite(value):
+            break
+        if (value > 0) == (s > 0):
+            a = x
+        else:
+            b = x
+        nx = x - value / slope if slope else a
+        if not a < nx < b:
+            nx = (a + b) / 2
+        if nx == x or not a < nx < b:
+            break
+        x = nx
+    num, den = x.as_integer_ratio()
+    kx = den.bit_length() - 1
+    value, slope = _value_and_slope(g, num, kx)
+    try:  # x - value / slope, with the quotient rounded to a float
+        step = value / (slope << kx)
+    except (OverflowError, ZeroDivisionError):
+        step = 0.0
+    sn, sd = step.as_integer_ratio()
+    ks = sd.bit_length() - 1
+    q = max(math.frexp(abs(x))[1], 1 - E) - 56  # the check's half-width 2**q
+    n = max(k, kx, ks, -q)
+    mid, half = (num << (n - kx)) - (sn << (n - ks)), 1 << (n + q)
+    low, high = mid - half, mid + half
+    if (
+        lo << (n - k) <= low
+        and high <= hi << (n - k)
+        and dyadic_sign(g, low, n) == s
+        and dyadic_sign(g, high, n) == -s
+    ):
+        span = _span(low, high, n, s)
+    while not _fine(span, E):
+        span = _refined(g, span)
+    return span
+
+
+def _value_and_slope(g: Poly, a: int, k: int) -> tuple:
+    """``g(x) * den * 2**(k*d)`` and ``g'(x) * den * 2**(k*(d-1))`` at
+    x = a / 2**k, d = deg g, as integers (Horner's rule for both)."""
+    value = slope = shift = 0
+    for n in reversed(g.nums):
+        slope = slope * a + value
+        value = value * a + (n << shift)
+        shift += k
+    return value, slope
+
+
+def _scaled_floats(g: Poly) -> list:
+    """g's coefficients as floats, highest first, scaled by one power of two."""
+    cut = max(abs(n).bit_length() for n in g.nums) - 60
+    return [_float(n, cut) for n in reversed(g.nums)]
+
+
+def _least_gap(proved: list, E: int) -> float:
+    """The least normalized gap between consecutive zeros over the proved
+    indices, or inf if none has two zeros.
+
+    Every interval is first bisected once by the sign of its polynomial.
+    Then the gap of least lower bound is refined first, and the search ends
+    once every lower bound reaches the least upper bound found so far.  A
+    gap is bisected ``BISECTIONS`` times at most; then, or once its bounds
+    lie within a factor of two, it is measured: its intervals are refined
+    to 2**-53 relative (``_tightened``), and the gap taken between their
+    midpoints.
+    """
+    spans = [[_refined(index.g, _as_span(iv)) for iv in index.intervals] for index in proved]
+    floats = {}
+
+    def measured(n, i):
+        row, g = spans[n], proved[n].g
+        if n not in floats:
+            floats[n] = _scaled_floats(g)
+        for j in (i, i + 1):
+            row[j] = _tightened(g, row[j], E, floats[n])
+        return _measured(row[i], row[i + 1], E)
+
+    heap = [
+        (*_gap_bounds(row[i], row[i + 1], E), 0, n, i)
+        for n, row in enumerate(spans)
+        for i in range(len(row) - 1)
+    ]
+    least = min((upper for _, upper, _, _, _ in heap), default=math.inf)
+    heapq.heapify(heap)
+    while heap and heap[0][0] < least:
+        lower, upper, tries, n, i = heapq.heappop(heap)
+        if tries == BISECTIONS or 2 * lower >= upper:
+            least = min(least, measured(n, i))
+            continue
+        row, g = spans[n], proved[n].g
+        for j in (i, i + 1):
+            if not _fine(row[j], E):
+                row[j] = _refined(g, row[j])
+        lower, upper = _gap_bounds(row[i], row[i + 1], E)
+        least = min(least, upper)
+        heapq.heappush(heap, (lower, upper, tries + 1, n, i))
+    return least
 
 
 def conjecture_probe(p: Params, r_max: int, precision: int = 53) -> ProbeReport:
     """Realness and simplicity of the zeros of every h_r with r <= r_max.
 
-    Every index is first tried with the exact sign certificate; the indices
-    it misses are decided by a Sturm count, in parallel.  Both are exact, so
-    ``precision`` does not change the report; it is kept for callers.
+    Every index is first tried with the exact signs; the indices they miss
+    are decided by a Sturm count, up to the first counterexample.  Both are
+    exact, so ``precision`` does not change the report; it is kept for
+    callers.
     """
     if r_max < p.m:
         raise ValueError("r_max must be at least m")
     records = [rec for rec in gen_type1_records(p, r_max) if rec.tau >= 1]
-    seps = [_certify_index(rec, p) for rec in records]
-    missed = [rec for rec, sep in zip(records, seps) if sep is None]
-    counts = []
-    if missed:
-        # imported here, so that a probe the certificate completes loads no
-        # pickle or signal for a map it does not run
-        from .parallel import fork_map
-
-        counts = fork_map(
-            lambda rec: _sturm_count(rec.h), missed, cost=lambda rec: _count_cost(rec.h)
-        )
+    if p.m == 1:
+        seps = [_certify_index(rec, p) for rec in records]
+        missed = [rec for rec, sep in zip(records, seps) if sep is None]
+        min_sep = None if missed else min(seps, default=math.inf)
+    else:
+        missed, min_sep = _stepped(records, p.c)
     classification, max_imag, offending, reason = "PASS", 0.0, None, None
-    for rec, (distinct, gcd_degree) in zip(missed, counts):
+    for rec in missed:
+        distinct, gcd_degree = _sturm_count(rec.h)
         if distinct < rec.h.degree:
             classification, max_imag, offending = "COUNTEREXAMPLE", None, rec.r
             reason = "repeated-root" if gcd_degree > 0 else "complex-root"
             break
-    min_sep = None if missed else min(seps, default=math.inf)
     if min_sep is not None and min_sep < sys.float_info.min:
-        # a gap of certified zeros that underflows a double
+        # a gap of proven zeros that underflows a double
         min_sep = None
     return ProbeReport(
         classification=classification,

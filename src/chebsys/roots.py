@@ -6,8 +6,8 @@ root computation to the far smaller polynomial ``h_r`` (degree roughly
 multiplicity ``ell`` plus all (m+1)-th roots of each zero of ``h_r``.  The
 attraction study quantifies how close these zeros sit to the parity-selected
 unbounded star.  The probe of the conjecture that the zeros of every
-``h_r`` are real and simple is ``chebsys.probe``, which is exact and solves
-nothing; its names are re-exported here.
+``h_r`` are real and simple is ``chebsys.probe``, which is exact, solves
+nothing and loads neither numpy nor mpmath; its names are re-exported here.
 
 For m = 1 the zeros of h_r are known in closed form, ``4c*cos(k pi/(r+1))**2``,
 and seed the root solves of ``roots_of_t``, which then load no numpy.  Every
@@ -26,7 +26,8 @@ from .algebraic import StarGeometry, ray_family_distance, star_geometry
 from .errors import ConvergenceFailure, RootRefinementError
 from .exactpoly import Poly
 from .parallel import fork_map
-# the probe lives in ``probe``, which loads no mpmath; its names stay here too
+# the probe lives in ``probe``, which loads neither numpy nor mpmath; its
+# names stay here too
 from .probe import ProbeReport, closed_form_hints, conjecture_probe
 from .recurrence import Params, TypeIRecord, gen_type1_records
 from .rootfind import coefficient_moduli, complex_roots, max_term

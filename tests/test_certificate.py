@@ -3,9 +3,11 @@
 ``certify_real_roots`` proves that a polynomial of degree d has d distinct
 real roots from nonzero alternating signs at d+1 dyadic points.  It must
 reject every polynomial without that property whatever the hints, and the
-probe must certify the whole acceptance range with no numeric solve.  With
-the certificate switched off, the Sturm count must prove the same indices
-exactly, on any number of workers, without a root solve or mpmath.
+probe must certify the whole acceptance range with no numeric solve.  For
+m >= 2 the probe's step proves each h_r from the isolating intervals of the
+index before it.  With the signs switched off, or with a step whose count
+comes out short, the Sturm count must prove the same indices exactly,
+without a root solve or mpmath, and whatever the number of CPUs.
 """
 
 import json
@@ -178,10 +180,17 @@ def test_probe_certifies_the_acceptance_range_without_a_solve(no_solve, m, c, r_
 
 @pytest.fixture(params=[1, 3], ids=["1-worker", "3-workers"])
 def workers(request, monkeypatch):
+    # the count runs in the probe's own process: the CPUs must not matter
     monkeypatch.setattr(parallel, "cpu_count", lambda: request.param)
     if request.param > 1:
         monkeypatch.setattr(parallel, "MIN_COST", 0)
     return request.param
+
+
+def switch_off_the_signs(monkeypatch):
+    """The closed-form certificate (m = 1) and the step (m >= 2) prove nothing."""
+    monkeypatch.setattr(probe, "certify_real_roots", lambda h, hints: False)
+    monkeypatch.setattr(probe, "_step", lambda h, E, last: None)
 
 
 # the probe's indices checked at (m, c, r_max)
@@ -190,9 +199,9 @@ CHECKED = {(1, "1", 40): 39, (2, "59/62", 40): 34, (1, "3/2", 12): 11}
 
 @pytest.mark.parametrize("key", list(CHECKED))
 def test_without_the_certificate_the_probe_is_the_numeric_path(monkeypatch, no_solve, workers, key):
-    # every index the certificate misses is proven by the Sturm count, which
-    # has no hints to measure a separation by
-    monkeypatch.setattr(probe, "certify_real_roots", lambda h, hints: False)
+    # every index the signs miss is proven by the Sturm count, which isolates
+    # no zero to measure a separation by
+    switch_off_the_signs(monkeypatch)
     m, c, r_max = key
     report = conjecture_probe(Params(m, c), r_max, 53)
     first = next(rec.r for rec in gen_type1_records(Params(m, c), r_max) if rec.tau >= 1)
@@ -213,9 +222,9 @@ def test_only_uncertified_indices_are_solved(monkeypatch, no_solve):
     p = Params(2, "59/62")
     records = gen_type1_records(p, 40)
     refused = {records[r].h for r in (17, 23, 40)}
-    certify = probe.certify_real_roots
+    step = probe._step
     monkeypatch.setattr(
-        probe, "certify_real_roots", lambda h, hints: h not in refused and certify(h, hints)
+        probe, "_step", lambda h, E, last: None if h in refused else step(h, E, last)
     )
     counted = []
     count = probe._sturm_count
@@ -235,12 +244,12 @@ def test_only_uncertified_indices_are_solved(monkeypatch, no_solve):
     assert report.min_separation_normalized is None
 
 
-# the probe with the certificate switched off, in a fresh interpreter
+# the probe with the step switched off, in a fresh interpreter
 UNCERTIFIED = """
 import json, sys
 from chebsys import probe
 from chebsys.recurrence import Params
-probe.certify_real_roots = lambda h, hints: False
+probe._step = lambda h, E, last: None
 report = probe.conjecture_probe(Params(2, "59/62"), 40)
 print(json.dumps([report.classification, report.certified, "mpmath" in sys.modules]))
 """
@@ -271,7 +280,7 @@ def test_an_index_without_real_simple_zeros_is_a_counterexample(monkeypatch, no_
     bad = next(rec.r for rec in records if rec.tau == h.degree)
     fed = [rec._replace(h=h) if rec.r in (bad, 30) else rec for rec in records]
     monkeypatch.setattr(probe, "gen_type1_records", lambda p, r_max: fed)
-    monkeypatch.setattr(probe, "certify_real_roots", lambda h, hints: False)
+    switch_off_the_signs(monkeypatch)
     report = conjecture_probe(p, 30)
     assert report.classification == "COUNTEREXAMPLE"
     assert report.reason == reason
@@ -279,3 +288,90 @@ def test_an_index_without_real_simple_zeros_is_a_counterexample(monkeypatch, no_
     assert report.max_imag_normalized is None
     assert report.min_separation_normalized is None
     assert report.certified == 0 and report.escalations == 0
+
+
+@pytest.mark.parametrize(
+    "c", ["1", "3/7", "5/2", 10**400, Fraction(1, 10**400)], ids=["1", "3/7", "5/2", "huge", "tiny"]
+)
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_the_step_proves_every_index_without_a_count(monkeypatch, m, c):
+    def count(h):
+        raise AssertionError("the step missed an index")
+
+    monkeypatch.setattr(probe, "_sturm_count", count)
+    report = conjecture_probe(Params(m, c), 120)
+    assert report.classification == "PASS"
+    assert report.certified == report.checked > 90
+    assert report.first_uncertified_r is None
+    # the zeros are proven distinct; at c = 1/10**400 their gaps underflow
+    sep = report.min_separation_normalized
+    assert sep is None if c == Fraction(1, 10**400) else 0 < sep < 1
+
+
+def test_a_count_that_comes_out_short_falls_back_to_the_sturm_count(monkeypatch):
+    # no point lies inside the outer bound, so only h of degree 1 changes
+    # sign as often as its degree; every other index goes to the count
+    p = Params(3, "23/41")
+    records = [rec for rec in gen_type1_records(p, 60) if rec.tau >= 1]
+    proved = conjecture_probe(p, 60)
+    monkeypatch.setattr(probe, "_inside", lambda point, e: False)
+    counted = []
+    count = probe._sturm_count
+
+    def sturm_count(h):
+        counted.append(h)
+        return count(h)
+
+    monkeypatch.setattr(probe, "_sturm_count", sturm_count)
+    report = conjecture_probe(p, 60)
+    short = [rec for rec in records if rec.h.degree > 1]
+    assert counted == [rec.h for rec in short]
+    assert report == proved._replace(
+        min_separation_normalized=None,
+        certified=len(records) - len(short),
+        first_uncertified_r=short[0].r,
+    )
+
+
+@pytest.mark.parametrize(
+    "h, reason",
+    [
+        (from_roots(2, 5) * Poly((1, 1, 1)), "complex-root"),
+        (from_roots(2, 5, 5, 7), "repeated-root"),
+    ],
+    ids=["complex-pair", "double-root"],
+)
+def test_the_step_leaves_a_counterexample_to_the_count(monkeypatch, no_solve, h, reason):
+    # the step cannot count more sign changes than h has real zeros, so the
+    # index goes to the count, and the next is proved from the index before
+    p = Params(2, "1")
+    records = gen_type1_records(p, 30)
+    bad = next(rec.r for rec in records if rec.tau == h.degree)
+    fed = [rec._replace(h=h) if rec.r == bad else rec for rec in records]
+    monkeypatch.setattr(probe, "gen_type1_records", lambda p, r_max: fed)
+    report = conjecture_probe(p, 30)
+    assert report.classification == "COUNTEREXAMPLE"
+    assert report.reason == reason
+    assert report.offending_r == bad == report.first_uncertified_r
+    assert report.certified == report.checked - 1
+    assert report.max_imag_normalized is None
+    assert report.min_separation_normalized is None
+
+
+def test_split_points_are_short_and_in_the_middle_half():
+    rng = random.Random(3)
+    for _ in range(2000):
+        (a, k), (b, j) = sorted(
+            ((rng.randint(-300, 300), rng.randint(0, 8)) for _ in range(2)),
+            key=lambda point: Fraction(point[0], 2 ** point[1]),
+        )
+        lo, hi = Fraction(a, 2**k), Fraction(b, 2**j)
+        if lo == hi:
+            continue
+        x, n = probe._split((a, k), (b, j))
+        quarter = (hi - lo) / 4
+        assert lo + quarter <= Fraction(x, 2**n) <= hi - quarter
+        # no multiple of 2**-(n-1) lies in the middle half
+        if n:
+            coarse = math.ceil((lo + quarter) * 2 ** (n - 1))
+            assert Fraction(coarse, 2 ** (n - 1)) > hi - quarter

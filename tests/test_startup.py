@@ -20,8 +20,8 @@ from chebsys.exactpoly import Poly
 from chebsys.operators import BandedOperator
 from chebsys.recurrence import Params
 
-# gen in JSON and CSV must not load the numeric half; verify's probe loads
-# numpy for its root hints, and never mpmath
+# gen in JSON and CSV must not load the numeric half, and neither must
+# verify, whose probe is exact
 SCRIPT = """
 import json, sys
 from chebsys.cli import main
@@ -70,9 +70,9 @@ print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 # seeded from the trinomial's roots in doubles instead of numpy's companion
 # eigenvalues: only the max_residual cells of accepted points changed (the
 # same digests pin branches.json in test_cli_outputs.py).  Numpy is loaded
-# only for companion seeds and the probe's root hints, that is by roots and
-# verify at m >= 2: the 53-bit fast path, a fallback point, a scan and an
-# m = 1 root solve run in plain doubles.
+# only for companion seeds, that is by roots at m >= 2: the 53-bit fast
+# path, a fallback point, a scan, an m = 1 root solve and the probe run in
+# plain doubles and integers.
 BRANCHES = ["branches", "--m", "2", "--c", "7/3"]
 LOADS = {
     "batched-grid": (
@@ -105,14 +105,15 @@ LOADS = {
         ["mpmath"],
         {"asymptote200.json": "e0909c73fe83c03fb21897db22e2f1140baf8b50dc2123e5cc7d4c1a6a8e68d3"},
     ),
-    # companion seeds of h_r and the probe's root hints
+    # companion seeds of h_r; the summary's probe separation was re-taken
+    # when the probe came to measure it from isolating intervals
     "roots-m2": (
         ["roots", "--m", "2", "--c", "59/62", "--r-list", "20,30", "--format", "csv",
          "--out", "roots2.csv"],
         ["numpy", "mpmath"],
         {
             "roots2.csv": "e9b5536ab9ed420deefede9385598978bded7e894eae62400e58b7dae8070cbc",
-            "roots2.csv.summary.json": "f7430bb5145ec0ae65b37884d1d0dd1f22709df107d854228d1555f31c70fa13",
+            "roots2.csv.summary.json": "595597c1a508117d47a4d2c72d90d351e8f1fb8a5ed8af64feef856047044849",
         },
     ),
     # the m = 1 digest of test_cli_outputs.py, re-taken there
@@ -236,8 +237,25 @@ def test_gen_loads_neither_numpy_nor_mpmath(tmp_path):
     assert done.returncode == 0, done.stderr
     after_gen, after_verify = map(json.loads, done.stdout.splitlines())
     assert after_gen == []
-    assert after_verify == ["numpy"]
+    assert after_verify == []
     assert (tmp_path / "gen.csv.vectors.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "m, c, R", [(1, "3/7", 30), (3, "23/41", 40), (4, "5/2", 48)], ids=["m1", "m3", "m4"]
+)
+def test_verify_loads_neither_numpy_nor_mpmath(tmp_path, m, c, R):
+    # the probe proves every h_r from exact signs, at every m
+    argv = ["verify", "--m", str(m), "--c", c, "--R", str(R), "--out", "verify.json"]
+    done = python(COMMAND, *argv, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[0]) == []
+    (probe,) = [
+        ch["details"]
+        for ch in json.loads((tmp_path / "verify.json").read_text())["checks"]
+        if ch["name"] == "conjecture_probe"
+    ]
+    assert probe["certified"] == probe["checked"] > 0
 
 
 def test_exact_half_and_kernel_load_neither_numpy_nor_mpmath():
