@@ -11,10 +11,12 @@ complex evaluation.
 Importing the package loads only the exact half, which needs nothing beyond
 the standard library.  The names of the numeric half, and its modules
 ``algebraic``, ``rootfind`` and ``roots``, resolve on first use.  mpmath is
-loaded with ``rootfind`` and ``roots`` and where ``algebraic`` computes in
-it (its 53-bit fast path and star geometry do without); numpy only for
-companion-matrix root seeds, which ``roots`` needs at m >= 2.  The probe
-(``probe``) works on integer signs and loads neither.
+loaded with ``rootfind`` and where ``algebraic`` computes in it (its 53-bit
+fast path and star geometry do without); numpy only for companion-matrix
+root seeds.  The probe (``probe``) works on integer signs and loads
+neither, and ``roots`` takes the zeros of every h_r the probe proved from
+its isolating intervals: only an index the probe left to its Sturm count
+is solved in mpmath from companion seeds.
 """
 
 import importlib

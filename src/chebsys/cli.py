@@ -10,17 +10,17 @@ rationals are serialized losslessly as "p/q" strings, floats are written with
 17 significant digits, and no timestamps or environment details leak into
 the files, so identical configurations (seed included) produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 numeric failure (a solver that did not converge, tied branches, an
-operator truncation that overflowed, or a worker process that was lost); the
-error classes live in ``chebsys.errors``.  The numeric half, and with it
-numpy and mpmath, is imported only by the commands that use it: ``gen``
-and ``verify`` load neither, as the probe is exact, ``branches`` loads no
-numpy, and mpmath only for a point that falls back to the Aberth solver or
-above 53 bits, ``asymptote`` loads mpmath and no numpy, and ``roots``
-loads mpmath, and numpy only when m >= 2, for companion-matrix seeds
-(m = 1 seeds from the closed form).  Independent root
-solves and evaluations run on every CPU the process may use
-(``chebsys.parallel``), and the outputs do not depend on how many there are.
+3 numeric failure (a solver that did not converge, tied branches, or an
+operator truncation that overflowed); the error classes live in
+``chebsys.errors``.  The numeric half, and with it numpy and mpmath, is
+imported only by the commands that use it: ``gen`` and ``verify`` load
+neither, as the probe is exact, ``branches`` loads no numpy, and mpmath
+only for a point that falls back to the Aberth solver or above 53 bits,
+and ``asymptote`` loads mpmath and no numpy.  ``roots`` loads neither: it
+takes the zeros of every index the probe proves from the probe's isolating
+intervals, refined with exact signs; only an index the probe leaves to its
+Sturm count is solved by Aberth iteration from companion-matrix seeds, with
+mpmath and numpy.  Every command runs in one process.
 
 Output layout: with --format json a command writes one JSON file at --out.
 With --format csv each table goes to --out plus a suffix (none for the main
@@ -57,7 +57,6 @@ from .errors import (
     SolverDivergence,
     TruncationOverflow,
     UsageError,
-    WorkerLost,
 )
 from .exactpoly import Poly, compose_star
 from .rationals import Rational, as_rational, rat_str, rat_strs
@@ -87,7 +86,6 @@ NUMERIC_FAILURES = (
     NoVariantMatches,
     RootRefinementError,
     TruncationOverflow,
-    WorkerLost,
 )
 
 
@@ -482,10 +480,9 @@ def cmd_verify(args) -> int:
     )
 
     # exact: loads neither numpy nor mpmath
-    from .probe import conjecture_probe
+    from .probe import isolate
 
-    probe = conjecture_probe(p, max(args.R, p.m), precision)
-    add("conjecture_probe", "informational", "INFO", _probe_block(probe))
+    add("conjecture_probe", "informational", "INFO", _probe_block(isolate(p, records)[0]))
     return report()
 
 
@@ -621,12 +618,15 @@ def cmd_roots(args) -> int:
     r_list = config["r_list"] = _resolve_r_list(args)
     records = gen_type1_records(p, max(r_list))
     geom = algebraic.star_geometry(p)
+    # the probe isolates the zeros of every index it proves, and the solve
+    # takes them from there
+    probe, isolated = roots.isolate(p, records)
     rows = []
     # each index is solved once: its report feeds the rows and the attraction
     # study, which reports the first failing index
     reports = []
     failure = None
-    for r, report in roots.solve_indices(p, records, r_list, precision):
+    for r, report in roots.solve_indices(p, records, r_list, precision, isolated):
         if isinstance(report, ConvergenceFailure):
             failure = failure or report
             rows.append({"r": r, "error": "convergence-failure"})
@@ -664,7 +664,6 @@ def cmd_roots(args) -> int:
             "verdict_max": study.verdict_max,
             "verdict_mean": study.verdict_mean,
         }
-    probe = roots.conjecture_probe(p, max(max(r_list), p.m), precision)
     summary["conjecture"] = _probe_block(probe)
     header = ["r", "root_re", "root_im", "multiplicity", "star_distance", "is_origin", "error"]
     emit(

@@ -3,7 +3,7 @@
 ``cli.main`` maps each of these to an exit code: ``UsageError`` and
 ``OnStarSet`` to 2 (invalid input), the others to 3 (numeric failure).
 Keeping them here lets the CLI name every failure without importing the
-numeric half, which loads numpy and mpmath; the modules that raise them
+numeric half, which may load numpy and mpmath; the modules that raise them
 re-export them, so ``from chebsys.algebraic import SolverDivergence`` and the
 like keep working.
 """
@@ -50,6 +50,3 @@ class NoVariantMatches(Exception):
 class TruncationOverflow(RuntimeError):
     """An operator image reached past a truncation size chosen to contain it."""
 
-
-class WorkerLost(Exception):
-    """A forked worker process ended without sending its results."""

@@ -421,23 +421,27 @@ def isolating_points(hints) -> list | None:
     return points
 
 
-def certify_real_roots(p: Poly, hints) -> bool:
-    """True only if ``p``, of degree d >= 1, has d distinct real roots.
+def certify_real_roots(p: Poly, hints) -> tuple | None:
+    """Isolating intervals that prove ``p``, of degree d >= 1, to have d
+    distinct real roots, or None.
 
     ``hints`` are d real estimates of the roots.  Nonzero signs of ``p`` that
     alternate at d+1 increasing points put a root in each of the d open
     intervals between them (Collins and Akritas, SYMSAC 1976), so the roots
     are real and simple, whatever the hints were.  The points are
-    ``isolating_points(sorted(hints))``; False means no proof, not a complex
-    or repeated root.
+    ``isolating_points(sorted(hints))``, and each interval is
+    ``(lo, hi, s)``: two consecutive points and the sign of ``p`` at lo.
+    None means no proof, not a complex or repeated root.
     """
     d = p.degree
     hints = sorted(hints)
     if d < 1 or len(hints) != d:
-        return False
+        return None
     points = isolating_points(hints)
     if points is None:
-        return False
+        return None
     # the points never decrease, and two equal ones cannot alternate in sign
     signs = [dyadic_sign(p, a, k) for a, k in points]
-    return all(s and s == -t for s, t in zip(signs, signs[1:]))
+    if not all(s and s == -t for s, t in zip(signs, signs[1:])):
+        return None
+    return tuple(zip(points, points[1:], signs))

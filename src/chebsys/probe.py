@@ -1,9 +1,11 @@
 """The probe of the conjecture that the zeros of every ``h_r`` are real and
-simple.
+simple, and the isolating intervals that prove it.
 
 The probe decides that exactly, index by index, with integer signs at dyadic
-points: d sign changes of h_r along them prove d real, simple zeros.  For
-m = 1 the points sit between the closed-form zeros
+points: d sign changes of h_r along them prove d real, simple zeros, one in
+each gap where the sign changes.  The probe works in y = x/2**E,
+E = floor(log2 c), where the zeros are of the order of one whatever c is.
+For m = 1 the points sit between the closed-form zeros
 (``exactpoly.certify_real_roots``).  For m >= 2 each index is proved from the
 isolating intervals of the last index proved before it (``_step``): their
 ends are the points, and an interval whose ends show h_r no sign change is
@@ -12,7 +14,12 @@ right.  The zeros of consecutive h_r interlace, which is why the points are
 found (Haneczok and Van Assche, J. Math. Anal. Appl. 2012), but only the
 sign count proves anything.  An index the signs miss is decided by a Sturm
 count on the remainder chain of (h_r, h_r') (``exactpoly._sturm_count``).
-The probe imports nothing beyond the exact half: no numeric library.
+
+``isolate`` hands the intervals on, and ``enclosure`` refines one of them
+to any width relative to its zero: ``roots`` reports the zeros of every
+proved h_r from them (``refined``), and the probe measures the least gap
+between zeros with them.  The probe imports nothing beyond the exact half:
+no numeric library.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from .recurrence import Params, TypeIRecord, gen_type1_records
 
 ROUNDS = 48  # rounds of splits the step tries at one index before the Sturm count
 BISECTIONS = 2  # bisections of a gap in the search for the least one before it is measured
-NEWTON = 64  # Newton or bisection steps in floats toward a zero
+NEWTON = 64  # Newton steps toward a zero, in floats and then exactly
+SEPARATION_BITS = 64  # relative width of the enclosures a gap is measured between
 
 
 class ProbeReport(NamedTuple):
@@ -46,7 +54,7 @@ class ProbeReport(NamedTuple):
     COUNTEREXAMPLE, where no zero is computed.  ``min_separation_normalized``
     is the least of ``|x - y| / max(1, |x|, |y|)`` over consecutive zeros,
     from the closed form for m = 1 and from isolating intervals refined to
-    2**-53 relative for m >= 2.  It is None when an index was decided by the
+    2**-64 of their zeros for m >= 2.  It is None when an index was decided by the
     count, which isolates no zero, or when the least gap underflows a
     double: the zeros are proven distinct, so a gap that reads 0.0 there
     has lost its digits and does not mean a repeated zero.  ``certified``
@@ -76,23 +84,20 @@ def closed_form_hints(rec: TypeIRecord) -> list:
     return sorted(math.cos(k * angle) ** 2 for k in range(1, rec.h.degree + 1))
 
 
-def _certify_index(rec: TypeIRecord, p: Params) -> float | None:
-    """The least normalized separation of the zeros of h_r, m = 1, or None
-    if h_r is not certified.
+def _certify_index(rec: TypeIRecord, p: Params, E: int):
+    """The zeros of h_r, m = 1, isolated in y = x/2**E, or None if h_r is
+    not certified.
 
     ``c**(r/2) * t_r(x) = U_r(x / (2*sqrt(c)))`` puts the zeros of h_r at
-    ``4c * cos(k pi/(r+1))**2``, k = 1..deg h_r.  They are certified in the
-    scaled variable ``y = x/(4c)``, where the hints ``cos(k pi/(r+1))**2``
-    lie in [0, 1] whatever c is, so no hint overflows or underflows.
+    ``4c * cos(k pi/(r+1))**2``, k = 1..deg h_r.  In y they are the hints
+    ``cos(k pi/(r+1))**2`` times 4c/2**E, which lies in [4, 8) whatever c
+    is, so no hint overflows or underflows.
     """
-    hints = closed_form_hints(rec)
-    # den * q**d * h(4c*y) in integers, for 4c = p4/q
-    p4, q = 4 * p.c.numerator, p.c.denominator
-    d = rec.h.degree
-    scaled = Poly.scaled([n * p4**i * q ** (d - i) for i, n in enumerate(rec.h.nums)])
-    if not certify_real_roots(scaled, hints):
-        return None
-    return _separation_at_4c(hints, p.c)
+    num, den = p.c.numerator << max(-E, 0), p.c.denominator << max(E, 0)
+    hints = [4 * num / den * y for y in closed_form_hints(rec)]
+    g = _in_y(rec.h, E)
+    intervals = certify_real_roots(g, hints)
+    return Isolated(g, E, intervals) if intervals else None
 
 
 def _separation_at_4c(hints, c) -> float:
@@ -116,11 +121,13 @@ def _separation_at_4c(hints, c) -> float:
 # polynomial has the sign s at lo and -s at hi.
 
 
-class _Proved(NamedTuple):
-    """An index the step proved: its polynomial in y and its isolating
-    intervals in increasing order."""
+class Isolated(NamedTuple):
+    """The zeros of one h_r, proven real and simple: ``g``, h_r in
+    y = x/2**E up to a positive factor, and its isolating intervals in y in
+    increasing order."""
 
     g: Poly | None
+    E: int
     intervals: tuple
 
 
@@ -186,7 +193,7 @@ def _split(lo: tuple, hi: tuple) -> tuple:
     return _reduced(sign * (high >> t << t), n + 2)
 
 
-def _step(h: Poly, E: int, last: _Proved) -> tuple | None:
+def _step(h: Poly, E: int, last: Isolated) -> tuple | None:
     """Prove that the zeros of h are real and simple from the intervals of
     ``last``: h in y = x/2**E proved, and the intervals of ``last`` as the
     step narrowed them; or None.
@@ -231,7 +238,7 @@ def _step(h: Poly, E: int, last: _Proved) -> tuple | None:
             narrowed = tuple(
                 (row[cut - 1], row[cut], s) for row, cut, (_, _, s) in zip(rows, cuts, last.intervals)
             )
-            return _Proved(g, gaps), last._replace(intervals=narrowed)
+            return Isolated(g, E, gaps), last._replace(intervals=narrowed)
         split = False
         for k, (row, cut, (_, _, s_lo)) in enumerate(zip(rows, cuts, last.intervals)):
             lo, hi = row[cut - 1], row[cut]
@@ -248,26 +255,23 @@ def _step(h: Poly, E: int, last: _Proved) -> tuple | None:
     return None
 
 
-def _stepped(records: list, c) -> tuple:
-    """The records the step missed, m >= 2, and the least normalized gap
-    between consecutive zeros if it missed none, else None.
+def _stepped(records: list, E: int) -> dict:
+    """``{r: Isolated}`` for every record the step proved, m >= 2.
 
-    The step runs in y = x/2**E, E = floor(log2 c), where the zeros are of
-    the order of one whatever c is.  The first index has degree 1 and is
-    proved from no intervals at all; an index the step misses is skipped,
-    and the next is proved from the last index proved.
+    The first index has degree 1 and is proved from no intervals at all; an
+    index the step misses is skipped, and the next is proved from the last
+    index proved, whose intervals the step narrows.
     """
-    E = _log2_floor(c)
-    proved = [_Proved(None, ())]
-    missed = []
+    proved = {}
+    last_r, last = None, Isolated(None, E, ())
     for rec in records:
-        found = _step(rec.h, E, proved[-1])
-        if found is None:
-            missed.append(rec)
-        else:
-            # the step narrowed the intervals of the last index proved
-            proved[-1:] = found[::-1]
-    return missed, None if missed else _least_gap(proved[1:], E)
+        found = _step(rec.h, E, last)
+        if found is not None:
+            if last_r is not None:
+                proved[last_r] = found[1]
+            proved[rec.r] = last = found[0]
+            last_r = rec.r
+    return proved
 
 
 # ---------------------------------------------------------------- separation
@@ -320,10 +324,10 @@ def _refined(g: Poly, span: tuple) -> tuple:
     return (mid, 2 * hi, k, s, m, b) if t == s else (2 * lo, mid, k, s, a, m)
 
 
-def _fine(span: tuple, E: int) -> bool:
-    """True once the span is at most 2**-53 of max(1, |x|) wide, x = 2**E*y."""
-    lo, hi, k, _, a, b = span
-    return (hi - lo).bit_length() - k <= max(math.frexp(max(-a, b))[1], 1 - E) - 54
+def _fine(span: tuple, bits: int) -> bool:
+    """True once the span is at most 2**-bits of the modulus of its zero wide."""
+    lo, hi = span[:2]
+    return (hi - lo) << bits <= min(abs(lo), abs(hi))
 
 
 def _gap_bounds(left: tuple, right: tuple, E: int) -> tuple:
@@ -346,23 +350,39 @@ def _measured(left: tuple, right: tuple, E: int) -> float:
     return _normalized(_float(m2 - m1, n + 1), top, E)
 
 
-def _tightened(g: Poly, span: tuple, E: int, floats: list) -> tuple:
-    """The span refined to 2**-53 relative.
+def enclosure(g: Poly, span: tuple, bits: int, floats: list) -> tuple:
+    """The span refined until it is at most 2**-bits of its zero's modulus
+    wide (one point, lo = hi, where that is exactly a zero).
 
-    Newton's method in floats, on ``floats``, g's coefficients scaled and
-    highest first, runs from the middle of the span, kept inside it by the
-    float signs; one exact Newton step from there leaves far less than
-    2**-56 relative to the zero, and two exact signs check that.  Where the
-    check fails, bisection refines the span itself.
+    A span across 0 is first cut at 0.  Newton's method in floats, on
+    ``floats`` (``_scaled_floats(g)``), runs from the middle of the span,
+    kept inside it by the float signs while they lie above the rounding
+    noise of Horner's rule.  Exact Newton steps follow (``_value_and_slope``):
+    the sign of each exact value moves an end of the span, a step that
+    would leave the span bisects it instead, and each step that stays
+    doubles the bits that the last one left right.  Two exact signs at the
+    ends of a span 2**-(bits+2) of the result wide close it, and where they
+    fail bisection refines the span itself: Newton's method speeds the
+    refinement and proves nothing (quadratic interval refinement: Abbott,
+    ACM Commun. Comput. Algebra 2014).
     """
     lo, hi, k, s, a, b = span
+    if lo < 0 < hi:
+        t = dyadic_sign(g, 0, 0)
+        if not t:
+            return _span(0, 0, 0, s)
+        span = lo, hi, k, s, a, b = _span(0, hi, k, s) if t == s else _span(lo, 0, k, s)
+    if _fine(span, bits):
+        return span
     x = (a + b) / 2
+    noise = 2 * len(floats) * 2.0**-53  # relative error of Horner's rule in floats
     for _ in range(NEWTON):
-        value = slope = 0.0
+        value = slope = size = 0.0
         for c in floats:
             slope = slope * x + value
             value = value * x + c
-        if not value or not math.isfinite(value):
+            size = size * abs(x) + abs(c)
+        if not math.isfinite(value) or abs(value) <= noise * size:
             break
         if (value > 0) == (s > 0):
             a = x
@@ -376,25 +396,48 @@ def _tightened(g: Poly, span: tuple, E: int, floats: list) -> tuple:
         x = nx
     num, den = x.as_integer_ratio()
     kx = den.bit_length() - 1
-    value, slope = _value_and_slope(g, num, kx)
-    try:  # x - value / slope, with the quotient rounded to a float
-        step = value / (slope << kx)
-    except (OverflowError, ZeroDivisionError):
-        step = 0.0
-    sn, sd = step.as_integer_ratio()
-    ks = sd.bit_length() - 1
-    q = max(math.frexp(abs(x))[1], 1 - E) - 56  # the check's half-width 2**q
-    n = max(k, kx, ks, -q)
-    mid, half = (num << (n - kx)) - (sn << (n - ks)), 1 << (n + q)
-    low, high = mid - half, mid + half
-    if (
-        lo << (n - k) <= low
-        and high <= hi << (n - k)
-        and dyadic_sign(g, low, n) == s
-        and dyadic_sign(g, high, n) == -s
-    ):
-        span = _span(low, high, n, s)
-    while not _fine(span, E):
+    target = bits + 8
+    for _ in range(NEWTON):
+        value, slope = _value_and_slope(g, num, kx)
+        if not value:
+            return _span(num, num, kx, s)
+        n = max(k, kx)
+        lo, hi, k = lo << (n - k), hi << (n - k), n
+        if (value > 0) == (s > 0):
+            lo = num << (n - kx)
+        else:
+            hi = num << (n - kx)
+        span = _span(lo, hi, k, s)
+        if _fine(span, bits):
+            return span
+        # x - value / slope to 2**-K, some bits below the target's, the
+        # quotient cut toward 0 so that x never steps past a zero it is at
+        ex = num.bit_length() - kx  # 2**(ex-1) <= |x| < 2**ex
+        K = max(target + 4 - ex, 0)
+        step = (abs(value) << K) // (abs(slope) << kx) if slope else 0
+        if (value < 0) != (slope < 0):
+            step = -step
+        shift = K - kx
+        nx = (num << shift if shift >= 0 else num >> -shift) - step
+        n = max(k, K)
+        if not slope or step and not lo << (n - k) < nx << (n - K) < hi << (n - k):
+            num, kx = lo + hi, k + 1
+            continue
+        num, kx = nx, K
+        # the step was about the error of x before it, so twice its bits
+        # are right now: check the span 2**-(bits+2) of x wide around x,
+        # cut to the span that holds the zero, whose ends have their signs
+        if 2 * (ex + K - abs(step).bit_length()) >= target:
+            ex = num.bit_length() - kx
+            n = max(k, kx, bits + 3 - ex)
+            mid, half = num << (n - kx), 1 << (n + ex - bits - 3)
+            first, last = lo << (n - k), hi << (n - k)
+            low, high = max(mid - half, first), min(mid + half, last)
+            if (low == first or dyadic_sign(g, low, n) == s) and (
+                high == last or dyadic_sign(g, high, n) == -s
+            ):
+                return _span(low, high, n, s)
+    while not _fine(span, bits):
         span = _refined(g, span)
     return span
 
@@ -416,7 +459,14 @@ def _scaled_floats(g: Poly) -> list:
     return [_float(n, cut) for n in reversed(g.nums)]
 
 
-def _least_gap(proved: list, E: int) -> float:
+def refined(iso: Isolated, bits: int) -> list:
+    """``(lo, hi, k)`` for each zero y of ``iso.g``, in increasing order:
+    ``lo / 2**k <= y <= hi / 2**k``, at most 2**-bits of |y| apart."""
+    floats = _scaled_floats(iso.g)
+    return [enclosure(iso.g, _as_span(iv), bits, floats)[:3] for iv in iso.intervals]
+
+
+def _least_gap(proved: list) -> float:
     """The least normalized gap between consecutive zeros over the proved
     indices, or inf if none has two zeros.
 
@@ -425,9 +475,12 @@ def _least_gap(proved: list, E: int) -> float:
     once every lower bound reaches the least upper bound found so far.  A
     gap is bisected ``BISECTIONS`` times at most; then, or once its bounds
     lie within a factor of two, it is measured: its intervals are refined
-    to 2**-53 relative (``_tightened``), and the gap taken between their
-    midpoints.
+    to 2**-SEPARATION_BITS of their zeros (``enclosure``), and the gap taken
+    between their midpoints.
     """
+    if not proved:
+        return math.inf
+    E = proved[0].E
     spans = [[_refined(index.g, _as_span(iv)) for iv in index.intervals] for index in proved]
     floats = {}
 
@@ -436,7 +489,7 @@ def _least_gap(proved: list, E: int) -> float:
         if n not in floats:
             floats[n] = _scaled_floats(g)
         for j in (i, i + 1):
-            row[j] = _tightened(g, row[j], E, floats[n])
+            row[j] = enclosure(g, row[j], SEPARATION_BITS, floats[n])
         return _measured(row[i], row[i + 1], E)
 
     heap = [
@@ -453,7 +506,7 @@ def _least_gap(proved: list, E: int) -> float:
             continue
         row, g = spans[n], proved[n].g
         for j in (i, i + 1):
-            if not _fine(row[j], E):
+            if not _fine(row[j], SEPARATION_BITS):
                 row[j] = _refined(g, row[j])
         lower, upper = _gap_bounds(row[i], row[i + 1], E)
         least = min(least, upper)
@@ -461,23 +514,30 @@ def _least_gap(proved: list, E: int) -> float:
     return least
 
 
-def conjecture_probe(p: Params, r_max: int, precision: int = 53) -> ProbeReport:
-    """Realness and simplicity of the zeros of every h_r with r <= r_max.
+def isolate(p: Params, records) -> tuple:
+    """The probe of the h_r of ``records``, and the zeros it isolated:
+    ``(ProbeReport, {r: Isolated})``, with an entry for every index the
+    signs proved.
 
-    Every index is first tried with the exact signs; the indices they miss
-    are decided by a Sturm count, up to the first counterexample.  Both are
-    exact, so ``precision`` does not change the report; it is kept for
-    callers.
+    Every index of degree >= 1 is first tried with the exact signs; the
+    indices they miss are decided by a Sturm count, up to the first
+    counterexample.
     """
-    if r_max < p.m:
-        raise ValueError("r_max must be at least m")
-    records = [rec for rec in gen_type1_records(p, r_max) if rec.tau >= 1]
+    records = [rec for rec in records if rec.tau >= 1]
+    E = _log2_floor(p.c)
     if p.m == 1:
-        seps = [_certify_index(rec, p) for rec in records]
-        missed = [rec for rec, sep in zip(records, seps) if sep is None]
-        min_sep = None if missed else min(seps, default=math.inf)
+        proved = {rec.r: iso for rec in records if (iso := _certify_index(rec, p, E))}
     else:
-        missed, min_sep = _stepped(records, p.c)
+        proved = _stepped(records, E)
+    missed = [rec for rec in records if rec.r not in proved]
+    if missed:
+        min_sep = None
+    elif p.m == 1:
+        min_sep = min(
+            (_separation_at_4c(closed_form_hints(rec), p.c) for rec in records), default=math.inf
+        )
+    else:
+        min_sep = _least_gap(list(proved.values()))
     classification, max_imag, offending, reason = "PASS", 0.0, None, None
     for rec in missed:
         distinct, gcd_degree = _sturm_count(rec.h)
@@ -488,7 +548,7 @@ def conjecture_probe(p: Params, r_max: int, precision: int = 53) -> ProbeReport:
     if min_sep is not None and min_sep < sys.float_info.min:
         # a gap of proven zeros that underflows a double
         min_sep = None
-    return ProbeReport(
+    report = ProbeReport(
         classification=classification,
         max_imag_normalized=max_imag,
         min_separation_normalized=min_sep,
@@ -496,6 +556,19 @@ def conjecture_probe(p: Params, r_max: int, precision: int = 53) -> ProbeReport:
         reason=reason,
         checked=len(records),
         escalations=0,
-        certified=len(records) - len(missed),
+        certified=len(proved),
         first_uncertified_r=missed[0].r if missed else None,
     )
+    return report, proved
+
+
+def conjecture_probe(p: Params, r_max: int, precision: int = 53) -> ProbeReport:
+    """Realness and simplicity of the zeros of every h_r with r <= r_max
+    (``isolate``).
+
+    The probe is exact, so ``precision`` does not change the report; it is
+    kept for callers.
+    """
+    if r_max < p.m:
+        raise ValueError("r_max must be at least m")
+    return isolate(p, gen_type1_records(p, r_max))[0]

@@ -5,9 +5,10 @@ simultaneously with Aberth-Ehrlich iteration evaluated against the original
 coefficients at the working precision.  The simultaneous scheme keeps
 clustered and multiple roots honest where per-root Newton would stall or
 double-count.  A caller that knows its roots approximately passes them as
-the seeds (the branch trinomial, and h_r for m = 1, do); otherwise the
-seeds are companion-matrix eigenvalues of the normalized coefficients,
-which is the only use of numpy here, so numpy is imported only then.
+the seeds (the branch trinomial does); otherwise the seeds are
+companion-matrix eigenvalues of the normalized coefficients, which is the
+only use of numpy here, so numpy is imported only then.  ``roots`` comes
+here only for an h_r whose zeros the probe did not isolate.
 """
 
 from __future__ import annotations

@@ -5,35 +5,42 @@ root computation to the far smaller polynomial ``h_r`` (degree roughly
 ``r/(m*(m+1))`` instead of ``r/m``): the zeros of ``t_r`` are the origin with
 multiplicity ``ell`` plus all (m+1)-th roots of each zero of ``h_r``.  The
 attraction study quantifies how close these zeros sit to the parity-selected
-unbounded star.  The probe of the conjecture that the zeros of every
-``h_r`` are real and simple is ``chebsys.probe``, which is exact, solves
-nothing and loads neither numpy nor mpmath; its names are re-exported here.
+unbounded star.
 
-For m = 1 the zeros of h_r are known in closed form, ``4c*cos(k pi/(r+1))**2``,
-and seed the root solves of ``roots_of_t``, which then load no numpy.  Every
-solve for m >= 2 is seeded with companion-matrix eigenvalues (``rootfind``),
-and numpy is imported before a map of such solves forks its workers.
+The probe of the conjecture that the zeros of every ``h_r`` are real and
+simple is ``chebsys.probe``; its names are re-exported here.  It proves
+nearly every index with exact signs, and isolates each zero of a proved
+index in a dyadic interval (``probe.isolate``).  The zeros of such an index
+are taken from those intervals, refined with exact signs to
+2**-(precision + GUARD_BITS) of each zero (``probe.refined``), and mapped to
+t on the integer kernel: no root is solved and neither numpy nor mpmath is
+loaded.  An index the signs missed, which only a counterexample or a step
+that fell short leaves, is solved by Aberth iteration from companion-matrix
+seeds (``rootfind``), and only that path imports mpmath and numpy.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
-import mpmath
-
-from .algebraic import StarGeometry, ray_family_distance, star_geometry
+from .algebraic import (
+    _STAR_BITS,
+    StarGeometry,
+    _iroot,
+    _unit_roots,
+    ray_family_distance,
+    star_geometry,
+)
 from .errors import ConvergenceFailure, RootRefinementError
 from .exactpoly import Poly
-from .parallel import fork_map
-# the probe lives in ``probe``, which loads neither numpy nor mpmath; its
-# names stay here too
-from .probe import ProbeReport, closed_form_hints, conjecture_probe
+# the probe loads neither numpy nor mpmath; its names stay here too
+from .probe import Isolated, ProbeReport, conjecture_probe, isolate, refined
+from .rationals import to_float
 from .recurrence import Params, TypeIRecord, gen_type1_records
-from .rootfind import coefficient_moduli, complex_roots, max_term
 
 CLUSTER_RELATIVE_TOL = 1e-7
 RESIDUAL_RELATIVE_TOL = 1e-8
+GUARD_BITS = 32  # bits beyond the precision to which a proved zero is refined
 
 
 def _cluster(roots) -> list:
@@ -51,30 +58,22 @@ def _cluster(roots) -> list:
     return [(entry[0] / entry[1], entry[1]) for entry in clusters]
 
 
-def _seeds(rec: TypeIRecord, p: Params) -> list | None:
-    """Seeds for the zeros of h_r: for m = 1 the closed form ``4c*cos(k pi/(r+1))**2``,
-    real as h_r is, so the Aberth iterates stay real; None for m >= 2, where
-    ``rootfind`` builds companion seeds."""
-    if p.m != 1:
-        return None
-    try:
-        c4 = 4 * float(p.c)
-    except OverflowError:
-        c4 = math.inf  # non-finite seeds: rootfind spreads them on a circle
-    return [c4 * y for y in closed_form_hints(rec)]
-
-
 def roots_of_h(h: Poly, precision: int = 53, seeds=None) -> list:
     """Zeros of a nonzero reduced polynomial as (value, multiplicity) pairs.
 
     Roots are refined against the exact rational coefficients and required to
     have backward error at the 2**(8-precision) level.  ``seeds`` are double
-    estimates of the zeros, as ``rootfind.complex_roots`` takes them.
+    estimates of the zeros, as ``rootfind.complex_roots`` takes them; without
+    them the seeds are companion-matrix eigenvalues, from numpy.
     """
     if h.is_zero:
         raise ValueError("the zero polynomial has no root set")
     if h.degree == 0:
         return []
+    import mpmath
+
+    from .rootfind import coefficient_moduli, complex_roots, max_term
+
     try:
         raw = complex_roots(h.coeffs, precision=precision, seeds=seeds)
     except RootRefinementError as exc:
@@ -90,7 +89,8 @@ def roots_of_h(h: Poly, precision: int = 53, seeds=None) -> list:
                     f"residual {float(abs(value)):.3e} too large at root {complex(y)}",
                     poly=h,
                 )
-    return _cluster(raw)
+        # the centres at the working precision, not the caller's
+        return _cluster(raw)
 
 
 class RootReport(NamedTuple):
@@ -99,38 +99,58 @@ class RootReport(NamedTuple):
     r: int
     h_roots: tuple  # (complex, multiplicity) in the reduced variable
     t_roots: tuple  # (complex, multiplicity) in the original variable, origin included
-    max_imag_h: float
-    min_separation_h: float
     max_star_distance: float
     mean_star_distance: float
     origin_multiplicity: int
     total_root_count: int
 
 
-def roots_of_t(rec: TypeIRecord, p: Params, precision: int = 53) -> RootReport:
-    """Assemble the zero set of ``t_r`` from the zeros of its reduced polynomial.
+def _proved_pairs(iso: Isolated, m: int, bits: int) -> tuple:
+    """The zeros of h_r off x = 0 and of t_r off the origin, each simple,
+    from the isolating intervals of a proved h_r, and the number of zeros of
+    h_r at x = 0 (0 or 1).
 
-    Every reported nonzero root is residual-checked against the exact
-    coefficients of ``t_r`` at >= 128-bit precision.
+    Each interval is refined to 2**-bits of its zero; its midpoint x is
+    written rounded once, and its (m+1)-th roots as ``mpmath.root`` orders
+    them for real x: modulus ``|x|**(1/(m+1))`` on the integer kernel, and
+    the exact ray angles ``pi*(2k + (x < 0))/(m+1)`` of ``_unit_roots``, each
+    part rounded once.
     """
-    if rec.t.is_zero:
-        raise ValueError(f"t_{rec.r} is the zero polynomial")
-    m = p.m
-    geom = star_geometry(p)
-    origin_mult = rec.ell
-    h = rec.h
-    low_zeros = 0
-    while low_zeros < len(h.coeffs) and not h.coeffs[low_zeros]:
-        low_zeros += 1
-    if low_zeros:
-        # a zero of h at the origin lifts to m+1 extra zeros of t at the origin
-        origin_mult += (m + 1) * low_zeros
-        h = Poly(h.coeffs[low_zeros:])
-    h_pairs = roots_of_h(h, precision, _seeds(rec, p)) if h.degree >= 1 else []
+    n = m + 1
+    units = _unit_roots(2 * n)
+    h_pairs, t_pairs, at_origin = [], [], 0
+    for lo, hi, k in refined(iso, bits):
+        man, exp = lo + hi, iso.E - k - 1  # x = man * 2**exp
+        if not man:
+            at_origin += 1
+            continue
+        h_pairs.append((complex(to_float(man, exp)), 1))
+        # |x| * 2**shift of n*bits bits or more, shift = exp mod n
+        shift = n * bits - abs(man).bit_length()
+        shift += (exp - shift) % n
+        size = abs(man) << shift if shift >= 0 else abs(man) >> -shift
+        modulus, e = _iroot(size, n), (exp - shift) // n - _STAR_BITS
+        for j in range(n):
+            cos, sin = units[2 * j + (man < 0)]
+            t_pairs.append((complex(to_float(modulus * cos, e), to_float(modulus * sin, e)), 1))
+    return h_pairs, t_pairs, at_origin
+
+
+def _solved_pairs(rec: TypeIRecord, h: Poly, m: int, precision: int) -> tuple:
+    """The zeros of h, h_r of degree >= 1 without its zeros at 0, solved by
+    Aberth iteration (``roots_of_h``), and the zeros of t_r off the origin
+    that they map to.
+
+    Every mapped root is residual-checked against the exact coefficients of
+    ``t_r`` at >= 128-bit precision.
+    """
+    import mpmath
+
+    from .rootfind import coefficient_moduli, max_term
+
+    h_pairs = roots_of_h(h, precision)
     check_bits = max(precision, 128)
     t_pairs = []
-    if origin_mult:
-        t_pairs.append((complex(0), origin_mult))
     with mpmath.workprec(check_bits + 32):
         moduli = coefficient_moduli(rec.t, check_bits + 32)
         coeff_norm = max_term(moduli, 1)  # max coefficient magnitude
@@ -146,16 +166,37 @@ def roots_of_t(rec: TypeIRecord, p: Params, precision: int = 53) -> RootReport:
                         poly=rec.t,
                     )
                 t_pairs.append((complex(root), mult))
-    max_imag = max((abs(float(y.imag)) for y, _ in h_pairs), default=0.0)
-    centers = [y for y, _ in h_pairs]
-    if len(centers) >= 2:
-        min_sep = min(
-            float(abs(a - b))
-            for i, a in enumerate(centers)
-            for b in centers[i + 1 :]
-        )
+    return h_pairs, t_pairs
+
+
+def roots_of_t(
+    rec: TypeIRecord, p: Params, precision: int = 53, isolated: Isolated | None = None
+) -> RootReport:
+    """Assemble the zero set of ``t_r`` from the zeros of its reduced polynomial.
+
+    ``isolated`` holds the probe's isolating intervals of h_r
+    (``probe.isolate``); the zeros are taken from them, refined to
+    2**-(precision + GUARD_BITS) of each zero.  Without them h_r is solved
+    by Aberth iteration.
+    """
+    if rec.t.is_zero:
+        raise ValueError(f"t_{rec.r} is the zero polynomial")
+    m = p.m
+    origin_mult = rec.ell
+    if isolated is not None:
+        h_pairs, t_pairs, low_zeros = _proved_pairs(isolated, m, precision + GUARD_BITS)
     else:
-        min_sep = math.inf
+        h = rec.h
+        low_zeros = 0
+        while low_zeros < len(h.coeffs) and not h.coeffs[low_zeros]:
+            low_zeros += 1
+        h = Poly(h.coeffs[low_zeros:])
+        h_pairs, t_pairs = _solved_pairs(rec, h, m, precision) if h.degree >= 1 else ([], [])
+    # a zero of h at the origin lifts to m+1 extra zeros of t at the origin
+    origin_mult += (m + 1) * low_zeros
+    if origin_mult:
+        t_pairs.insert(0, (complex(0), origin_mult))
+    geom = star_geometry(p)
     distances = [distance_to_star(z, geom) for z, _ in t_pairs]
     nonzero_distances = [
         distance_to_star(z, geom) for z, _ in t_pairs if z != 0
@@ -164,8 +205,6 @@ def roots_of_t(rec: TypeIRecord, p: Params, precision: int = 53) -> RootReport:
         r=rec.r,
         h_roots=tuple(h_pairs),
         t_roots=tuple(t_pairs),
-        max_imag_h=max_imag,
-        min_separation_h=min_sep,
         max_star_distance=max(distances, default=0.0),
         mean_star_distance=(
             sum(nonzero_distances) / len(nonzero_distances)
@@ -206,44 +245,26 @@ def _trend(values, slack: float = 1e-9) -> str:
     return "mixed"
 
 
-def _solve_cost(poly: Poly) -> int:
-    """Work of one root solve of ``poly`` in Horner steps, for ``fork_map``.
-
-    A solve of degree d with its residual gate, timed with a gcd of h and h'
-    beside it, took about as long as 30*d**2 Horner steps at 53 bits and
-    42*d**2 at 128 bits (medians over d = 2..13, m = 1..3); its Aberth
-    coupling still runs on libmp.
-    """
-    return 35 * poly.degree**2
-
-
-def solve_indices(p: Params, records, r_list, precision: int = 53) -> list:
-    """``(r, result)`` for every r of ``r_list``, the indices solved in parallel.
+def solve_indices(p: Params, records, r_list, precision: int = 53, isolated=None) -> list:
+    """``(r, result)`` for every r of ``r_list``.
 
     ``result`` is the RootReport of ``t_r``, None where ``t_r`` is zero or
-    constant, or the ConvergenceFailure its solve raised.
+    constant, or the ConvergenceFailure its solve raised.  ``isolated`` is
+    the probe's ``{r: Isolated}`` (``probe.isolate``); an index it lacks is
+    solved by Aberth iteration.
     """
-
-    def solve(r):
+    isolated = isolated or {}
+    out = []
+    for r in r_list:
         rec = records[r]
         if rec.t.is_zero or rec.t.degree == 0:
-            return None
+            out.append((r, None))
+            continue
         try:
-            return roots_of_t(rec, p, precision)
+            out.append((r, roots_of_t(rec, p, precision, isolated.get(r))))
         except ConvergenceFailure as exc:
-            return exc
-
-    def cost(r):
-        # the solve of h_r, then two passes over t_r at each mapped root
-        h, t = records[r].h, records[r].t
-        return _solve_cost(h) + 2 * (p.m + 1) * max(h.degree, 0) * (t.degree + 1)
-
-    r_list = list(r_list)
-    if p.m >= 2:
-        # the solves build companion seeds: load numpy once here, not in
-        # every worker the map forks
-        import numpy  # noqa: F401
-    return list(zip(r_list, fork_map(solve, r_list, cost=cost)))
+            out.append((r, exc))
+    return out
 
 
 def attraction_study(p: Params, r_list, precision: int = 53) -> AttractionStudy:
@@ -252,7 +273,7 @@ def attraction_study(p: Params, r_list, precision: int = 53) -> AttractionStudy:
     if r_list != sorted(r_list):
         raise ValueError("r_list must be ascending")
     records = gen_type1_records(p, max(r_list)) if r_list else []
-    reports = solve_indices(p, records, r_list, precision)
+    reports = solve_indices(p, records, r_list, precision, isolate(p, records)[1])
     for _, result in reports:
         if isinstance(result, ConvergenceFailure):
             raise result

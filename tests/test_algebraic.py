@@ -1,10 +1,11 @@
 import cmath
 import math
+import os
 
 import mpmath
 import pytest
 
-from chebsys import algebraic, exactpoly, parallel, recurrence
+from chebsys import algebraic, exactpoly, recurrence
 from chebsys.algebraic import (
     DegenerateBranches,
     OnStarSet,
@@ -219,7 +220,7 @@ class TestAsymptoticScan:
             raise AssertionError("the scan must not call this")
 
         monkeypatch.setattr(recurrence, "gen_type1_scalar", refuse)
-        monkeypatch.setattr(parallel, "fork_map", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
         monkeypatch.setattr(exactpoly.Poly, "eval_complex", refuse)
         p, z, r_max = Params(2, "1"), 1.5, 1200
         moduli = solve_branches(p, z).moduli

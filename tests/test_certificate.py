@@ -7,7 +7,7 @@ probe must certify the whole acceptance range with no numeric solve.  For
 m >= 2 the probe's step proves each h_r from the isolating intervals of the
 index before it.  With the signs switched off, or with a step whose count
 comes out short, the Sturm count must prove the same indices exactly,
-without a root solve or mpmath, and whatever the number of CPUs.
+without a root solve or mpmath.
 """
 
 import json
@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import chebsys
-from chebsys import parallel, probe
+from chebsys import probe
 from chebsys import roots as roots_module
 from chebsys.exactpoly import Poly, certify_real_roots, dyadic_sign, isolating_points
 from chebsys.recurrence import Params, gen_type1_records
@@ -147,7 +147,9 @@ def test_a_c_beyond_double_range_certifies_in_the_scaled_variable(c):
     report = conjecture_probe(p, 12)
     assert report.classification == "PASS"
     assert report.certified == report.checked == 11
-    sep = probe._certify_index(gen_type1_records(p, 4)[4], p)
+    rec = gen_type1_records(p, 4)[4]
+    assert probe._certify_index(rec, p, probe._log2_floor(p.c))
+    sep = probe._separation_at_4c(probe.closed_form_hints(rec), p.c)
     # beyond 1 the normalized gaps no longer depend on c; below 1/4 they
     # shrink with it, here below the range of a double
     if c > 1:
@@ -178,15 +180,6 @@ def test_probe_certifies_the_acceptance_range_without_a_solve(no_solve, m, c, r_
     assert report.max_imag_normalized == 0.0 and report.escalations == 0
 
 
-@pytest.fixture(params=[1, 3], ids=["1-worker", "3-workers"])
-def workers(request, monkeypatch):
-    # the count runs in the probe's own process: the CPUs must not matter
-    monkeypatch.setattr(parallel, "cpu_count", lambda: request.param)
-    if request.param > 1:
-        monkeypatch.setattr(parallel, "MIN_COST", 0)
-    return request.param
-
-
 def switch_off_the_signs(monkeypatch):
     """The closed-form certificate (m = 1) and the step (m >= 2) prove nothing."""
     monkeypatch.setattr(probe, "certify_real_roots", lambda h, hints: False)
@@ -198,7 +191,7 @@ CHECKED = {(1, "1", 40): 39, (2, "59/62", 40): 34, (1, "3/2", 12): 11}
 
 
 @pytest.mark.parametrize("key", list(CHECKED))
-def test_without_the_certificate_the_probe_is_the_numeric_path(monkeypatch, no_solve, workers, key):
+def test_without_the_certificate_the_probe_is_the_numeric_path(monkeypatch, no_solve, key):
     # every index the signs miss is proven by the Sturm count, which isolates
     # no zero to measure a separation by
     switch_off_the_signs(monkeypatch)
@@ -234,7 +227,6 @@ def test_only_uncertified_indices_are_solved(monkeypatch, no_solve):
         return count(h)
 
     monkeypatch.setattr(probe, "_sturm_count", sturm_count)
-    monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
     report = conjecture_probe(p, 40, 53)
     assert set(counted) == refused and len(counted) == 3
     assert report.checked == 34 and report.certified == 31

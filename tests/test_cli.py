@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from chebsys import algebraic, cli, operators, parallel, rootfind
+from chebsys import algebraic, cli, operators, probe, rootfind
 from chebsys import roots as roots_module
 from chebsys.algebraic import DegenerateBranches
 from chebsys.cli import EXIT_NUMERIC, main
@@ -293,11 +293,11 @@ class TestRoots:
         calls = []
         solve = roots_module.roots_of_t
 
-        def roots_of_t(rec, p, precision=53):
+        def roots_of_t(rec, p, precision=53, isolated=None):
             calls.append(rec.r)
             if rec.r in fail:
                 raise ConvergenceFailure(f"stuck at r={rec.r}")
-            return solve(rec, p, precision)
+            return solve(rec, p, precision, isolated)
 
         monkeypatch.setattr(roots_module, "roots_of_t", roots_of_t)
         return calls
@@ -346,27 +346,67 @@ class TestRoots:
         assert "classification" in payload["summary"]["conjecture"]
 
     def test_each_h_is_solved_once_with_the_probe(self, tmp_path, monkeypatch):
-        # one process, so the spy sees every solve; the probe certifies the
-        # r-list h_r from their signs instead of solving them again
-        monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
+        # the probe isolates the zeros of every h_r once, and the r-list
+        # zeros are refined from its intervals: no h_r is solved again
         calls = []
-        solve = roots_module.roots_of_h
+        isolate = roots_module.isolate
 
-        def roots_of_h(h, precision=53, seeds=None):
-            calls.append((h, precision))
-            return solve(h, precision, seeds)
+        def spy(p, records):
+            calls.append(len(records))
+            return isolate(p, records)
 
-        monkeypatch.setattr(roots_module, "roots_of_h", roots_of_h)
+        monkeypatch.setattr(roots_module, "isolate", spy)
+        monkeypatch.setattr(roots_module, "roots_of_h", _raise(AssertionError("solved")))
         out = tmp_path / "roots.json"
         assert run(
             "roots", "--m", "2", "--c", "59/62", "--r-max", "30", "--out", str(out)
         ) == 0
-        assert len(calls) == len(set(calls))
+        assert calls == [31]
         records = roots_module.gen_type1_records(Params(2, "59/62"), 30)
-        assert {(records[r].h, 53) for r in (10, 20, 30)} <= set(calls)
         assert load(out)["summary"]["conjecture"]["checked"] == sum(
             rec.tau >= 1 for rec in records
         )
+        rows = load(out)["roots"]
+        for r in (10, 20, 30):
+            assert sum(row["multiplicity"] for row in rows if row["r"] == r) == records[r].t.degree
+
+    def test_an_index_the_step_missed_is_solved_by_aberth(self, tmp_path, monkeypatch):
+        # the probe leaves r = 30 to the Sturm count, which isolates no zero,
+        # so that index alone is solved from companion seeds
+        argv = ["roots", "--m", "2", "--c", "59/62", "--r-list", "20,30,40"]
+        proved = tmp_path / "proved.json"
+        assert run(*argv, "--out", str(proved)) == 0
+        records = roots_module.gen_type1_records(Params(2, "59/62"), 40)
+        step = probe._step
+        monkeypatch.setattr(
+            probe, "_step", lambda h, E, last: None if h == records[30].h else step(h, E, last)
+        )
+        solved = []
+        solve = roots_module.roots_of_h
+
+        def roots_of_h(h, precision=53, seeds=None):
+            solved.append(h)
+            return solve(h, precision, seeds)
+
+        monkeypatch.setattr(roots_module, "roots_of_h", roots_of_h)
+        out = tmp_path / "roots.json"
+        assert run(*argv, "--out", str(out)) == 0
+        assert solved == [records[30].h]
+        payload = load(out)
+        conjecture = payload["summary"]["conjecture"]
+        assert conjecture["first_uncertified_r"] == 30
+        assert conjecture["certified"] == conjecture["checked"] - 1
+        got, want = payload["roots"], load(proved)["roots"]
+        for r in (20, 30, 40):
+            rows = [row for row in got if row["r"] == r]
+            assert sum(row["multiplicity"] for row in rows) == records[r].t.degree
+        key = lambda row: (row["r"], row["root_re"], row["root_im"])
+        for a, b in zip(sorted(got, key=key), sorted(want, key=key)):
+            assert a["r"] == b["r"] and a["multiplicity"] == b["multiplicity"]
+            size = max(1.0, abs(complex(b["root_re"], b["root_im"])))
+            assert abs(a["root_re"] - b["root_re"]) <= 1e-12 * size
+            assert abs(a["root_im"] - b["root_im"]) <= 1e-12 * size
+        assert len(got) == len(want)
 
     def test_r6_roots_and_summary(self, tmp_path):
         out = tmp_path / "roots.json"

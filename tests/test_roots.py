@@ -40,6 +40,13 @@ class TestRootsOfH:
         with pytest.raises(ValueError):
             roots_of_h(Poly(), 80)
 
+    def test_zeros_keep_the_working_precision(self):
+        # the clusters are averaged at the working precision, not at the
+        # caller's 53 bits
+        pairs = roots_of_h(P(-2, 0, 1), 200)
+        with mpmath.workprec(200):
+            assert max(abs(abs(root) - mpmath.sqrt(2)) for root, _ in pairs) < mpmath.mpf(2) ** -190
+
     def test_repeated_root_multiplicity(self):
         # (y - 1)^2 clusters into one double root
         pairs = roots_of_h(P(1, -2, 1), 80)

@@ -1,6 +1,5 @@
 """Aberth seeds without numpy: the branch trinomial solved in plain doubles,
-the closed-form zeros of h_r for m = 1, and the companion-matrix seeds both
-replace, kept here as the reference."""
+and the companion-matrix seeds it replaces, kept here as the reference."""
 
 import cmath
 import math
@@ -10,9 +9,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from chebsys import algebraic, rootfind, roots
+from chebsys import algebraic, rootfind
 from chebsys.algebraic import SolverDivergence
-from chebsys.recurrence import Params, gen_type1_records
+from chebsys.recurrence import Params
 
 
 def solve(p, z, precision):
@@ -126,22 +125,3 @@ def test_unusable_caller_seeds_fall_back_to_the_circle():
         assert rootfind._initial_guesses(cs, [1.0]) == circle
         assert rootfind._initial_guesses(cs, [1.0, 2.5]) == [mpmath.mpc(1), mpmath.mpc(2.5)]
         assert all(abs(x) == 1 + mpmath.mpf(3) for x in circle)
-
-
-@pytest.mark.parametrize("precision", [53, 128])
-@pytest.mark.parametrize("c", ["1", "3/2", "8/9", "41/11", Fraction(1, 10**12)])
-def test_m1_roots_are_real_and_print_as_the_companion_seeded_ones(monkeypatch, c, precision):
-    p = Params(1, c)
-    records = gen_type1_records(p, 27)
-    for r in (2, 9, 16, 20, 27):
-        got = roots.roots_of_t(records[r], p, precision)
-        with monkeypatch.context() as patch:
-            patch.setattr(roots, "_seeds", lambda rec, p: None)
-            ref = roots.roots_of_t(records[r], p, precision)
-        assert [mult for _, mult in got.h_roots] == [mult for _, mult in ref.h_roots]
-        assert all(y.imag == 0 for y, _ in got.h_roots), r
-        assert [repr(float(y.real)) for y, _ in got.h_roots] == [
-            repr(float(y.real)) for y, _ in ref.h_roots
-        ], r
-        assert [repr(x.real) for x, _ in got.t_roots] == [repr(x.real) for x, _ in ref.t_roots]
-        assert got.max_imag_h == 0.0

@@ -70,9 +70,9 @@ print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 # seeded from the trinomial's roots in doubles instead of numpy's companion
 # eigenvalues: only the max_residual cells of accepted points changed (the
 # same digests pin branches.json in test_cli_outputs.py).  Numpy is loaded
-# only for companion seeds, that is by roots at m >= 2: the 53-bit fast
-# path, a fallback point, a scan, an m = 1 root solve and the probe run in
-# plain doubles and integers.
+# only for companion seeds, which only an index the probe did not prove
+# needs: the 53-bit fast path, a fallback point, a scan and the probe run
+# in plain doubles, and roots refines the probe's intervals in integers.
 BRANCHES = ["branches", "--m", "2", "--c", "7/3"]
 LOADS = {
     "batched-grid": (
@@ -105,24 +105,24 @@ LOADS = {
         ["mpmath"],
         {"asymptote200.json": "e0909c73fe83c03fb21897db22e2f1140baf8b50dc2123e5cc7d4c1a6a8e68d3"},
     ),
-    # companion seeds of h_r; the summary's probe separation was re-taken
-    # when the probe came to measure it from isolating intervals
+    # the zeros refined from the probe's intervals, at m = 2 and m = 1; both
+    # re-taken with them, as roots60 and roots.csv in test_cli_outputs.py
     "roots-m2": (
         ["roots", "--m", "2", "--c", "59/62", "--r-list", "20,30", "--format", "csv",
          "--out", "roots2.csv"],
-        ["numpy", "mpmath"],
+        [],
         {
-            "roots2.csv": "e9b5536ab9ed420deefede9385598978bded7e894eae62400e58b7dae8070cbc",
-            "roots2.csv.summary.json": "595597c1a508117d47a4d2c72d90d351e8f1fb8a5ed8af64feef856047044849",
+            "roots2.csv": "8f6613c22858fdffad7a5574e03120463060cc87d6cf791aa6822ce04a467602",
+            "roots2.csv.summary.json": "174a1f5b4a7450ce6b0b2dd5a055f39e32b244ebeb629bf1c0bac156f49d4694",
         },
     ),
     # the m = 1 digest of test_cli_outputs.py, re-taken there
     "roots": (
         ["roots", "--m", "1", "--c", "3/2", "--r-list", "0,1,5,20", "--format", "csv",
          "--out", "roots.csv"],
-        ["mpmath"],
+        [],
         {
-            "roots.csv": "8dc321e95e1464cb41aaf32bcf5f1a4b81c75efb3038f1b88636bc7c49dde7a4",
+            "roots.csv": "7bf144c518f151bd6c5d57d59fefd954836b411588d6e8152787edf5ab429f6b",
             "roots.csv.summary.json": "4a9068b804434e2ef26ab67c6cef01f162e9c463301aeaa09f516ba790f297bc",
         },
     ),
@@ -138,28 +138,6 @@ from chebsys.recurrence import Params
 bs = solve_branches(Params(3, "7/3"), complex(1, 0.5))
 print(json.dumps([bs.parts is not None, bs.tie_flag]))
 print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
-"""
-
-# roots --m 2 with every map forked over three workers; each companion-seed
-# call records its process and whether numpy was loaded there before it
-FORKED_SEEDS = """
-import json, os, sys
-from chebsys import parallel, rootfind
-from chebsys.cli import main
-
-log, out = sys.argv[1:]
-parallel.cpu_count = lambda: 3
-parallel.MIN_COST = 0
-companion = rootfind._companion_seeds
-
-def spy(coeffs):
-    with open(log, "a") as fh:
-        fh.write(json.dumps([os.getpid(), "numpy" in sys.modules]) + "\\n")
-    return companion(coeffs)
-
-rootfind._companion_seeds = spy
-assert main(["roots", "--m", "2", "--c", "59/62", "--r-list", "20,30,40,50", "--out", out]) == 0
-print(os.getpid())
 """
 
 # every public name of chebsys at the commit before the numeric half was
@@ -278,26 +256,15 @@ def test_one_point_solve_loads_neither_numpy_nor_mpmath():
 
 @pytest.mark.parametrize("case", list(LOADS))
 def test_mpmath_loads_only_where_a_command_solves_in_it(tmp_path, case):
-    # a 53-bit grid whose every point the fast path accepts loads neither;
-    # a fallback point, more bits, a scan and a root solve load mpmath, and
-    # only the companion seeds of roots at m >= 2 load numpy
+    # a 53-bit grid whose every point the fast path accepts loads neither,
+    # and nor does roots, whose zeros come from the probe's intervals; a
+    # fallback point, more bits and a scan load mpmath
     argv, loaded, files = LOADS[case]
     done = python(COMMAND, *argv, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     got_loaded, got_files = map(json.loads, done.stdout.splitlines())
     assert got_loaded == loaded
     assert got_files == files
-
-
-def test_no_worker_imports_numpy_for_its_companion_seeds(tmp_path):
-    # the parent loads numpy before the map forks, so every worker inherits it
-    log = tmp_path / "seeds.jsonl"
-    done = python(FORKED_SEEDS, str(log), str(tmp_path / "roots.json"))
-    assert done.returncode == 0, done.stderr
-    parent = int(done.stdout)
-    calls = [json.loads(line) for line in log.read_text().splitlines()]
-    assert len({pid for pid, _ in calls} - {parent}) == 2  # both workers seeded
-    assert all(loaded for _, loaded in calls)
 
 
 def test_public_names_resolve_to_their_home_objects():
@@ -369,7 +336,7 @@ def test_pickle_round_trip_keeps_the_value(record):
 
 
 def test_convergence_failure_carries_its_poly_through_pickle():
-    # fork_map sends a worker's ConvergenceFailure, poly attached, over a pipe
+    # the error keeps the polynomial it failed on through pickle
     poly = Poly.scaled((1, 0, -2), 3)
     exc = pickle.loads(pickle.dumps(ConvergenceFailure("no root", poly=poly)))
     assert exc.poly == poly and exc.poly.coeffs == poly.coeffs
