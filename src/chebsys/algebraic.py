@@ -15,18 +15,19 @@ the recurrence's initial data, evaluates the branch-sum representation
 and realizes the large-r limit ``t_r / lambda_m**r -> c/(c*m - lambda_m**-(m+1))``
 together with its observed geometric error decay.
 
-At the default 53-bit precision each point is first solved by a fast path
-on plain floats: the roots of the trinomial found in complex doubles, two
-Newton steps in double and two with the polynomial in double-double
-arithmetic (Dekker, Numer. Math. 1971), after the seed-then-polish scheme of
-MPSolve (Bini and Robol, JCAM 2014).  A point whose result fails the
-residual gate, or whose moduli come close to a tie, is solved again by
+At the default 53-bit precision each point is first solved by a fast path,
+after the seed-then-polish scheme of MPSolve (Bini and Robol, JCAM 2014):
+the roots of the trinomial found in complex doubles, two Newton steps in
+double, and two on the integer kernel of ``chebsys.rationals``, where each
+value is a Gaussian integer in fixed point, the trinomial at it is exact,
+and only the correction is formed in doubles.  A point whose result fails
+the residual gate, or whose moduli come close to a tie, is solved again by
 per-point mpmath Aberth iteration, so every tie decision is made at full
-working precision.  An accepted point keeps each value as its double-double
-parts summed on the integer kernel of ``chebsys.rationals``, so a run whose
-every point is accepted loads no mpmath.  The per-point solver, and every
-point above 53 bits, seeds Aberth with the same roots in doubles.  This
-module uses no numpy, and imports mpmath only where it is used.
+working precision.  An accepted point keeps each value rounded once to the
+working precision on the kernel, with the exact residual of that value, so
+a run whose every point is accepted loads no mpmath.  The per-point solver,
+and every point above 53 bits, seeds Aberth with the same roots in doubles.
+This module uses no numpy, and imports mpmath only where it is used.
 
 Star geometry: the bounded star is the m+1 segments of length
 ``a = ((m+1)/m) * (m*c)**(1/(m+1))`` along the angles ``2*pi*k/(m+1)``, whose
@@ -51,11 +52,11 @@ from typing import NamedTuple
 from .errors import DegenerateBranches, OnStarSet, RootRefinementError, SolverDivergence
 from .rationals import (
     Rational,
-    add_man_exp,
     from_float,
     hypot_man_exp,
     rat_to_mpf,
     raw_mpf,
+    round_man_exp,
     to_float,
 )
 from .recurrence import Params
@@ -72,9 +73,11 @@ class BranchSet:
     ``lambdas`` are the values as mpmath complex numbers.  ``values`` are
     them as ``complex(l)`` rounds each, and ``moduli`` their moduli as
     ``float(abs(l))`` rounds them in the default 53-bit context.  A point
-    of the 53-bit fast path keeps each value as its double-double parts
-    summed on the integer kernel (``parts``): its ``values`` and ``moduli``
-    are rounded there, and its ``lambdas`` are built on first use.
+    of the 53-bit fast path keeps each value on the integer kernel
+    (``parts``), rounded once to the working precision: its ``values`` and
+    ``moduli`` are rounded from there, its ``lambdas`` are built on first
+    use, and its ``residuals`` are the exact residuals of those values,
+    rounded to doubles.
     """
 
     __slots__ = ("z", "parts", "residuals", "tie_flag", "precision", "_lambdas")
@@ -245,131 +248,102 @@ def solve_branches_aberth(p: Params, z, precision: int) -> BranchSet:
         return BranchSet(complex(z), None, tuple(residuals), tie, precision, tuple(roots))
 
 
-# ---- double-double arithmetic on floats (Dekker 1971)
+# ---- the polish on the integer kernel
 #
-# A real double-double is a pair (hi, lo) with |lo| <= ulp(hi)/2 and value
-# hi + lo; a complex one is a pair (re, im) of those.  Every primitive is a
-# separate float operation, so no step is contracted into a fused multiply-add.
+# Each value is a Gaussian integer in fixed point, (X + iY) * 2**e, with
+# about _POLISH_BITS bits below the leading bit of its larger part.  z is the
+# exact double it is and c the exact rational num/den, so the trinomial at
+# such a value is exact in integers.
 
-_SPLIT = 134217729.0  # 2**27 + 1
-
-
-def _two_sum(a, b):
-    s = a + b
-    v = s - a
-    return s, (a - (s - v)) + (b - v)
+_POLISH_BITS = 112
 
 
-def _fast_two_sum(a, b):
-    s = a + b
-    return s, b - (s - a)
+def _fixed(x: complex) -> tuple:
+    """The complex double x as ``(re, im, exp)``, its value ``(re + i*im) * 2**exp``."""
+    (a, ea), (b, eb) = from_float(x.real), from_float(x.imag)
+    low = min(ea, eb)
+    return a << ea - low, b << eb - low, low
 
 
-def _split(a):
-    t = _SPLIT * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _two_prod(a, b):
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(x, y):
-    s, e = _two_sum(x[0], y[0])
-    return _fast_two_sum(s, e + (x[1] + y[1]))
-
-
-def _dd_mul(x, y):
-    p, e = _two_prod(x[0], y[0])
-    return _fast_two_sum(p, e + (x[0] * y[1] + x[1] * y[0]))
-
-
-def _dd_neg(x):
-    return -x[0], -x[1]
-
-
-def _cdd_mul(x, y):
-    (xr, xi), (yr, yi) = x, y
-    re = _dd_add(_dd_mul(xr, yr), _dd_neg(_dd_mul(xi, yi)))
-    im = _dd_add(_dd_mul(xr, yi), _dd_mul(xi, yr))
-    return re, im
-
-
-def _cdd_hi(x) -> complex:
-    return complex(x[0][0], x[1][0])
-
-
-def _dd_parts(hi: complex, lo: complex, prec: int) -> tuple:
-    """``mpc(hi) + mpc(lo)`` rounded to ``prec`` bits, as ``(re, re_exp, im, im_exp)``."""
+def _branch_poly(X: int, Y: int, e: int, m: int, c: Rational, z_fixed: tuple) -> tuple:
+    """``c*w**(m+1) - z*w + 1`` at ``w = (X + iY) * 2**e``, exactly, as
+    ``(re, im, exp)``: the value is ``(re + i*im) * 2**exp / c.denominator``."""
+    num, den = c.numerator, c.denominator
+    zr, zi, ez = z_fixed
+    pr, pi = X, Y
+    for _ in range(m):
+        pr, pi = pr * X - pi * Y, pr * Y + pi * X
+    ep, el = (m + 1) * e, ez + e
+    low = min(ep, el, 0)
+    ep, el = ep - low, el - low
     return (
-        *add_man_exp(*from_float(hi.real), *from_float(lo.real), prec),
-        *add_man_exp(*from_float(hi.imag), *from_float(lo.imag), prec),
+        (num * pr << ep) - (den * (zr * X - zi * Y) << el) + (den << -low),
+        (num * pi << ep) - (den * (zr * Y + zi * X) << el),
+        low,
     )
 
 
-def _branch_poly_dd(w, m: int, c_dd, z: complex):
-    """``c*w**(m+1) - z*w + 1`` in double-double, as ``w*(c*w**m - z) + 1``,
-    for the complex double-double w and the real double-double c_dd."""
-    power = w
-    for _ in range(m - 1):
-        power = _cdd_mul(power, w)
-    inner = (
-        _dd_add(_dd_mul(power[0], c_dd), (-z.real, 0.0)),
-        _dd_add(_dd_mul(power[1], c_dd), (-z.imag, 0.0)),
-    )
-    value = _cdd_mul(inner, w)
-    return _dd_add(value[0], (1.0, 0.0)), value[1]
-
-
-def _solve_fast(m: int, c_dd, z: complex, precision: int):
+def _solve_fast(m: int, c: Rational, z: complex, precision: int):
     """The BranchSet of the 53-bit fast path at the complex double z, or None
     where the point fails its acceptance test.
 
     The trinomial's roots in doubles are polished by two Newton steps in
-    double and two with the polynomial in double-double.  The point is
-    accepted when every value is finite, every double-double residual passes
-    the gate ``10**(2 - 0.3*precision)`` and consecutive moduli differ by
-    more than ``BATCH_RELATIVE_GAP`` relative to the larger.
+    double and two on the integer kernel: there the residual is exact, and
+    each correction, formed in doubles, is subtracted exactly.  Each value is
+    rounded once to the working bits, and its residual is the exact one of
+    that rounded value, rounded to a double.  The point is accepted when
+    every value is finite, every residual passes the gate
+    ``10**(2 - 0.3*precision)`` and consecutive moduli differ by more than
+    ``BATCH_RELATIVE_GAP`` relative to the larger.
     """
-    c, size = c_dd[0], m + 1
+    c_float = float(c)
     # a point whose z/c overflows is rejected
-    ws = _trinomial_seeds(m, c, z) if cmath.isfinite(z / c) else []
+    ws = _trinomial_seeds(m, c_float, z) if cmath.isfinite(z / c_float) else []
     if not ws:
         return None
+    size, bits = m + 1, _work_bits(precision, m, z)
+    z_fixed, den = _fixed(z), c.denominator
 
     def derivative(v):
-        return c * size * v**m - z
+        return c_float * size * v**m - z
 
+    def residual(X, Y, e):
+        # to within a few units in the 60th bit of the larger part
+        re, im, exp = _branch_poly(X, Y, e, m, c, z_fixed)
+        shift = max(re.bit_length(), im.bit_length()) - den.bit_length() - 60
+        re, im = (re >> shift, im >> shift) if shift >= 0 else (re << -shift, im << -shift)
+        return complex(math.ldexp(re // den, exp + shift), math.ldexp(im // den, exp + shift))
+
+    polished = []
     try:
         for _ in range(2):
-            ws = [v - (c * v**size - z * v + 1) / derivative(v) for v in ws]
-        wdd = [((v.real, 0.0), (v.imag, 0.0)) for v in ws]
-        for _ in range(2):
-            for k, v in enumerate(wdd):
-                step = _cdd_hi(_branch_poly_dd(v, m, c_dd, z)) / derivative(_cdd_hi(v))
-                wdd[k] = _dd_add(v[0], (-step.real, 0.0)), _dd_add(v[1], (-step.imag, 0.0))
-        wdd.sort(key=lambda v: abs(_cdd_hi(v)))
-        his = [_cdd_hi(v) for v in wdd]
-        moduli = [abs(hi) for hi in his]
-        residuals = tuple(abs(_cdd_hi(_branch_poly_dd(v, m, c_dd, z))) for v in wdd)
-    except (OverflowError, ZeroDivisionError):
-        # a power or a modulus beyond the range of a double, or a vanishing
-        # derivative
+            ws = [v - (c_float * v**size - z * v + 1) / derivative(v) for v in ws]
+        for v in ws:
+            e = math.frexp(max(abs(v.real), abs(v.imag)))[1] - _POLISH_BITS
+            X, Y = int(math.ldexp(v.real, -e)), int(math.ldexp(v.imag, -e))
+            for _ in range(2):
+                step = residual(X, Y, e) / derivative(v)
+                X -= int(math.ldexp(step.real, -e))
+                Y -= int(math.ldexp(step.imag, -e))
+                v = complex(math.ldexp(X, e), math.ldexp(Y, e))
+            re, ere = round_man_exp(X, e, bits)
+            im, eim = round_man_exp(Y, e, bits)
+            low = min(ere, eim)
+            written = residual(re << ere - low, im << eim - low, low)
+            polished.append((abs(v), abs(written), (re, ere, im, eim)))
+    except (OverflowError, ValueError, ZeroDivisionError):
+        # a power, a modulus or a correction beyond the range of a double
+        # (or not a number), or a vanishing derivative
         return None
-    los = [complex(v[0][1], v[1][1]) for v in wdd]
+    polished.sort(key=lambda entry: entry[0])
+    moduli, residuals, parts = zip(*polished)
     tolerance = _residual_tolerance(precision)
-    if not all(map(cmath.isfinite, his + los)) or not all(r <= tolerance for r in residuals):
+    if not all(r <= tolerance for r in residuals):
         return None
     # a gap between consecutive moduli bounds every pairwise distance from
     # below, so this one test also rejects collided or duplicated roots
     if not all(high - low > BATCH_RELATIVE_GAP * high for low, high in zip(moduli, moduli[1:])):
         return None
-    bits = _work_bits(precision, m, z)
-    parts = tuple(_dd_parts(hi, lo, bits) for hi, lo in zip(his, los))
     return BranchSet(z, parts, residuals, False, precision)
 
 
@@ -400,15 +374,13 @@ def solve_branches_many(p: Params, points, precision: int = 53) -> BranchBatch:
         raise ValueError("precision must be at least 53 bits")
     points = list(points)
     results: list = [None] * len(points)
-    # c and its low part must be normal doubles for c_dd to carry c exactly
-    # enough; a point that is not a double (an exact branch point from
+    # c must lie well inside the range of a double for the steps in
+    # doubles; a point that is not a double (an exact branch point from
     # ``branch_points``, say) must not be rounded to one
     if precision == 53 and 1e-300 < p.c < 1e300:
-        c = float(p.c)
-        c_dd = (c, float(p.c - Rational(c)))
         for i, z in enumerate(points):
             if complex(z) == z:
-                results[i] = _solve_fast(p.m, c_dd, complex(z), precision)
+                results[i] = _solve_fast(p.m, p.c, complex(z), precision)
     batched = sum(bs is not None for bs in results)
     for i, z in enumerate(points):
         if results[i] is None:

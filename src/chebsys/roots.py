@@ -44,12 +44,18 @@ GUARD_BITS = 32  # bits beyond the precision to which a proved zero is refined
 
 
 def _cluster(roots) -> list:
-    """Group numerically coincident roots into (center, multiplicity) pairs."""
+    """Group numerically coincident roots into (center, multiplicity) pairs.
+
+    Roots coincide within ``CLUSTER_RELATIVE_TOL`` of the larger of the
+    centre's modulus and the least modulus of the set, so zeros far below
+    one in modulus are told apart as well as zeros near one.
+    """
+    floor = min((abs(y) for y in roots), default=0)
     clusters: list[list] = []  # [sum, count]
     for y in sorted(roots, key=lambda v: (float(v.real), float(v.imag))):
         for entry in clusters:
             center = entry[0] / entry[1]
-            if abs(y - center) <= CLUSTER_RELATIVE_TOL * max(1, abs(center)):
+            if abs(y - center) <= CLUSTER_RELATIVE_TOL * max(floor, abs(center)):
                 entry[0] += y
                 entry[1] += 1
                 break

@@ -3,10 +3,11 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath.libmp import from_float, mpf_add, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest
 
 from chebsys import algebraic, rootfind
 from chebsys.algebraic import (
@@ -16,6 +17,7 @@ from chebsys.algebraic import (
     solve_branches_many,
     star_radius,
 )
+from chebsys.rationals import raw_mpf
 from chebsys.recurrence import Params
 from chebsys.rootfind import RootRefinementError
 
@@ -109,42 +111,83 @@ def test_point_that_is_not_a_double_uses_aberth():
     assert (batch.batched, batch.fallback) == (0, 1)
 
 
-def dd_to_mpc(hi, lo, prec):
-    """The mpmath value the batched path built for each branch before it kept
-    its parts on the integer kernel: ``mpc(hi) + mpc(lo)`` at ``prec`` bits."""
-    return mpmath.mp.make_mpc(
-        (
-            mpf_add(from_float(hi.real), from_float(lo.real), prec, round_nearest),
-            mpf_add(from_float(hi.imag), from_float(lo.imag), prec, round_nearest),
-        )
-    )
-
-
 @pytest.mark.parametrize("m, c", [(1, "3/7"), (2, "7/3"), (3, "5/2"), (4, "9/8")])
 @pytest.mark.parametrize("far", [False, True])
 def test_kernel_values_are_the_mpmath_values_rounded(monkeypatch, m, c, far):
-    # every accepted branch: its values and moduli are complex(l) and
-    # float(abs(l)) of the mpmath value l the double-double parts sum to,
-    # and its lazy lambdas are those values themselves
-    sums = []
-    parts = algebraic._dd_parts
+    # every accepted branch: each part is a fixed-point value rounded once
+    # to the working bits as mpmath rounds it, its values and moduli are
+    # complex(l) and float(abs(l)) of that mpmath value l, and its lazy
+    # lambdas are those values themselves
+    rounded = {}
+    kernel = algebraic.round_man_exp
 
-    def record(hi, lo, prec):
-        sums.append(dd_to_mpc(hi, lo, prec))
-        return parts(hi, lo, prec)
+    def record(man, exp, prec):
+        got = kernel(man, exp, prec)
+        want = from_man_exp(man, exp, prec, round_nearest)
+        assert raw_mpf(*got) == want
+        rounded[got] = want
+        return got
 
-    monkeypatch.setattr(algebraic, "_dd_parts", record)
+    monkeypatch.setattr(algebraic, "round_man_exp", record)
     p = Params(m, c)
     points = box(random.Random(f"kernel:{m}:{far}"), star_radius(p), far)
     batch = solve_branches_many(p, points)
     assert batch.batched >= len(points) - 2
     accepted = [bs for bs in batch.results if bs.parts is not None]
-    assert len(sums) == (m + 1) * len(accepted) == (m + 1) * batch.batched
-    for k, bs in enumerate(accepted):
-        want = sums[(m + 1) * k : (m + 1) * (k + 1)]
+    assert len(accepted) == batch.batched
+    for bs in accepted:
+        want = [
+            mpmath.mp.make_mpc((rounded[re, ere], rounded[im, eim]))
+            for re, ere, im, eim in bs.parts
+        ]
         assert bs.values == tuple(complex(l) for l in want)
         assert bs.moduli == tuple(float(abs(l)) for l in want)
         assert all(a._mpc_ == b._mpc_ for a, b in zip(bs.lambdas, want))
+
+
+def exact_residual(p, z, part):
+    """``|c*l**(m+1) - z*l + 1|`` in Fractions at the value l of one part."""
+    re, ere, im, eim = part
+    lr, li = Fraction(re) * Fraction(2) ** ere, Fraction(im) * Fraction(2) ** eim
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+    pr, pi = Fraction(1), Fraction(0)
+    for _ in range(p.m + 1):
+        pr, pi = pr * lr - pi * li, pr * li + pi * lr
+    return math.hypot(
+        float(p.c * pr - (zr * lr - zi * li) + 1), float(p.c * pi - (zr * li + zi * lr))
+    )
+
+
+@pytest.mark.parametrize("m, c", [(1, "37/91"), (2, "640/17"), (3, "5/23"), (4, "118/7")])
+@pytest.mark.parametrize("far", [False, True])
+def test_residuals_are_the_exact_residuals_of_the_written_values(m, c, far):
+    p = Params(m, c)
+    points = box(random.Random(f"residual:{m}:{far}"), star_radius(p), far)
+    batch = solve_branches_many(p, points)
+    assert batch.batched >= len(points) - 2
+    gate = algebraic._residual_tolerance(53)
+    for z, bs in zip(points, batch.results):
+        if bs.parts is None:
+            continue
+        for part, residual in zip(bs.parts, bs.residuals):
+            assert residual <= gate
+            assert residual == pytest.approx(exact_residual(p, z, part), rel=1e-3, abs=0)
+
+
+@pytest.mark.parametrize("m, c", [(1, "3/7"), (2, "640/17"), (3, "5/23"), (4, "9/8")])
+@pytest.mark.parametrize("far", [False, True])
+def test_fast_path_values_match_aberth_at_256_bits(m, c, far):
+    p = Params(m, c)
+    points = box(random.Random(f"aberth256:{m}:{far}"), star_radius(p), far)
+    batch = solve_branches_many(p, points)
+    assert batch.batched >= len(points) - 2
+    with mpmath.workprec(256):
+        for z, bs in zip(points, batch.results):
+            if bs.parts is None:
+                continue
+            ref = solve_branches_aberth(p, z, 256).lambdas
+            for got, want in zip(bs.lambdas, ref):
+                assert abs(got - want) <= mpmath.ldexp(abs(want), -100), z
 
 
 def test_batched_lambdas_carry_more_than_double():

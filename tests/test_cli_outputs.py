@@ -36,15 +36,19 @@ PINNED = {
     # probe's isolating intervals: two roots and their star distances moved
     # by one unit in the last place, each now the correctly rounded value
     "roots.json": "ce2c3b4f83bf9856bc90bac27f7f3753063cc1d36ca0220c0c37d87516ab71df",
-    "asymptote.json": "8003bbe3fafd40e47754540e113494f9e1c55b0913fc61cdd6d80546280ecd7e",
-    # the two branches digests were re-taken when the 53-bit fast path moved
-    # from numpy's companion seeds to the trinomial's roots in doubles: the
-    # low words of the double-double values, and with them the roundoff-level
-    # max_residual cells, changed; every value, modulus and flag is the same
-    "branches.csv": "67daf2749588a9a11f4533f1c3cb240e9583935c354ad6d43c453c7a5d67f805",
+    # the two asymptote digests were re-taken at the same change: the branch
+    # values carry their bits below the double-double ones, so the error and
+    # rate cells near the 53-bit floor and decay_estimate moved at roundoff;
+    # L, ratio and window did not
+    "asymptote.json": "c62f65268c58384ed038e95caaf0e053b0fc81acd07e67f1d69537a88283392b",
+    # the two branches digests were re-taken when the 53-bit fast path came
+    # to polish its values on the integer kernel instead of in double-double:
+    # each max_residual cell is now the exact residual of the written value,
+    # and every value, modulus and flag is the same
+    "branches.csv": "4f708fd5f8ac35bdae147d4248f0b14808b4da45e4d02730392bef79ca051372",
     "branches.csv.geometry.json": "e25bad7d096404769c6f0b60acbad258f6034a3c4b9e1047d3024160c882072e",
-    "branches.json": "21bf6a5ca6c18d1accbdb74c2de485b174d0be37aa93b844d9f392e236d57bd0",
-    "asymptote.csv": "8c6adb0e73e15a9237f38f29fd4158cfc1aa6ff079c60c1483dbb131cf98632c",
+    "branches.json": "b350078bc27bfbe8483a42a266f9d554dad78bd0c0bed97bcdd0beb9c825342c",
+    "asymptote.csv": "5e6b4285c22da740e012987a27f9f5d7a3e1c44b8c85b2e169c9f4659e614209",
     "roots.csv": "7bf144c518f151bd6c5d57d59fefd954836b411588d6e8152787edf5ab429f6b",  # m = 1, as roots.json
     "roots.csv.summary.json": "4a9068b804434e2ef26ab67c6cef01f162e9c463301aeaa09f516ba790f297bc",
     "verify.csv": "9da81417cf577e25460dcc56c88112e2878ea190503e82f68adfffb9ba6ee05c",

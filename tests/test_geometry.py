@@ -145,9 +145,10 @@ def test_odd_m_puts_the_negative_tip_at_angle_pi():
 # taken after the geometry became exact: the Aberth solve it replaced left
 # noise such as -5.8e-47 in the zero components of these tips and listed -a
 # first, so the output before differs in its branch points.  Re-taken when
-# the 53-bit fast path was seeded from the trinomial's roots in doubles: only
-# max_residual cells of its accepted points changed
-PINNED_ODD = "5de70b137c454370737da2a82d5d176cebe6202c908538d497027415ff3d83f9"
+# the 53-bit fast path was seeded from the trinomial's roots in doubles, and
+# again when it came to polish its values on the integer kernel: each time
+# only max_residual cells of its accepted points changed
+PINNED_ODD = "dde2294eac04d4bbb8fa461d37abc5c1e73bbaf1be406b85d59611680122137e"
 
 
 def test_odd_m_branches_output_is_pinned(tmp_path, monkeypatch):

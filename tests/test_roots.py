@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -12,6 +13,8 @@ from chebsys.roots import (
     attraction_study,
     conjecture_probe,
     distance_to_star,
+    isolate,
+    refined,
     roots_of_h,
     roots_of_t,
 )
@@ -113,6 +116,23 @@ class TestRootsOfT:
                 value = rec.t.eval_complex(z, 128)
                 scale = max(float(max_term(moduli, z)), float(max_term(moduli, 1)))
                 assert abs(value) <= 1e-8 * scale
+
+    def test_zeros_far_below_one_are_simple_on_the_aberth_path(self):
+        # at c = 10**-12 the four zeros of h_9 are of the order of 1e-12, far
+        # below the 1e-7 that once merged them into one of multiplicity 4;
+        # each is simple and lies in the probe's enclosure of its zero
+        p = Params(1, Fraction(1, 10**12))
+        records = gen_type1_records(p, 9)
+        report = roots_of_t(records[9], p, 53)
+        iso = isolate(p, records)[1][9]
+        enclosures = refined(iso, 40)
+        assert len(enclosures) == records[9].h.degree == 4
+        assert [mult for _, mult in report.h_roots] == [1] * 4
+        zeros = sorted((complex(x) for x, _ in report.h_roots), key=lambda x: x.real)
+        for x, (lo, hi, k) in zip(zeros, enclosures):
+            low, high = (float(Fraction(v) * Fraction(2) ** (iso.E - k)) for v in (lo, hi))
+            assert abs(x.imag) <= 1e-12 * abs(x)
+            assert low - 1e-12 * abs(x) <= x.real <= high + 1e-12 * abs(x)
 
 
 class TestStarDistance:

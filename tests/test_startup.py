@@ -68,8 +68,10 @@ print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 
 # the digests of the two 53-bit grids were re-taken when the fast path was
 # seeded from the trinomial's roots in doubles instead of numpy's companion
-# eigenvalues: only the max_residual cells of accepted points changed (the
-# same digests pin branches.json in test_cli_outputs.py).  Numpy is loaded
+# eigenvalues, and again when it came to polish its values on the integer
+# kernel: each time only the max_residual cells of accepted points changed
+# (the same digests pin branches.json in test_cli_outputs.py, and the
+# asymptote digest asymptote.json there).  Numpy is loaded
 # only for companion seeds, which only an index the probe did not prove
 # needs: the 53-bit fast path, a fallback point, a scan and the probe run
 # in plain doubles, and roots refines the probe's intervals in integers.
@@ -78,16 +80,17 @@ LOADS = {
     "batched-grid": (
         [*BRANCHES, "--grid=-2:2:3,-1:1:2", "--out", "branches.json"],
         [],
-        {"branches.json": "21bf6a5ca6c18d1accbdb74c2de485b174d0be37aa93b844d9f392e236d57bd0"},
+        {"branches.json": "b350078bc27bfbe8483a42a266f9d554dad78bd0c0bed97bcdd0beb9c825342c"},
     ),
     # z = -2 lies on the attractor star and z = 0 ties all three moduli;
     # re-taken when the Aberth path was seeded from the trinomial in
     # doubles: at those tied points the noise below the working precision,
-    # and the order of exactly tied branches, changed
+    # and the order of exactly tied branches, changed; and again with the
+    # grids above, where the max_residual cells of its accepted points moved
     "fallback-grid": (
         [*BRANCHES, "--grid=-2:2:3,0:1:2", "--out", "branches_fallback.json"],
         ["mpmath"],
-        {"branches_fallback.json": "85d1d37c08f15c05b007046d6bb60afaf24625940acfed9ba8b1dc472314edf7"},
+        {"branches_fallback.json": "c9342a5dd036b4b0e92fb930aa69a2b052365cb86099d1b3ea3846b8920a9762"},
     ),
     "precision-64": (
         [*BRANCHES, "--grid=-2:2:3,-1:1:2", "--precision", "64", "--out", "branches64.json"],
@@ -97,7 +100,7 @@ LOADS = {
     "asymptote": (
         ["asymptote", "--m", "1", "--c", "1", "--z", "3,1", "--r-max", "30", "--out", "asymptote.json"],
         ["mpmath"],
-        {"asymptote.json": "8003bbe3fafd40e47754540e113494f9e1c55b0913fc61cdd6d80546280ecd7e"},
+        {"asymptote.json": "c62f65268c58384ed038e95caaf0e053b0fc81acd07e67f1d69537a88283392b"},
     ),
     "asymptote-200": (
         ["asymptote", "--m", "1", "--c", "1", "--z", "3,1", "--r-max", "30", "--precision", "200",
