@@ -22,16 +22,7 @@ is solved in mpmath from companion seeds.
 import importlib
 
 from .errors import ConvergenceFailure, DegenerateBranches, OnStarSet, SolverDivergence
-from .exactpoly import (
-    DEFAULT_PRECISION,
-    Poly,
-    compose_star,
-    poly_add,
-    poly_eval_complex,
-    poly_eval_exact,
-    poly_gcd,
-    poly_mul,
-)
+from .exactpoly import DEFAULT_PRECISION, Poly, compose_star, poly_gcd
 from .operators import (
     BandedOperator,
     TruncationOverflow,

@@ -603,7 +603,7 @@ def _resolve_r_list(args) -> list:
             raise UsageError(f"bad --r-list value {args.r_list!r}") from exc
     else:
         r_max = args.r_max
-        values = sorted({max(1, math.ceil(r_max / 3)), max(1, math.ceil(2 * r_max / 3)), r_max})
+        values = sorted({math.ceil(r_max / 3), math.ceil(2 * r_max / 3), r_max})
     if any(v < 0 for v in values):
         raise UsageError("--r-list entries must be >= 0")
     return values

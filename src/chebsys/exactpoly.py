@@ -9,8 +9,9 @@ integers; the reduced rational coefficients are available as ``coeffs``.
 ``certify_real_roots`` proves that all roots are real and simple from exact
 signs at dyadic points.
 Complex evaluation rounds each reduced coefficient to an explicit working
-precision (in bits) and is the single bridge between the exact and numeric
-halves of the package.
+precision (in bits) and runs Horner's rule on mpmath's complex operators;
+it is the single bridge between the exact and numeric halves of the
+package, and loads mpmath only when called.
 
 All values are immutable and the functions are pure, so everything here is
 safe to share across threads.
@@ -23,15 +24,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable
 
-from .rationals import (
-    Rational,
-    add_man_exp,
-    as_rational,
-    man_exp,
-    raw_mpf,
-    round_ratio,
-    scaled,
-)
+from .rationals import Rational, as_rational, rat_to_mpf, scaled
 
 DEFAULT_PRECISION = 53
 
@@ -43,11 +36,11 @@ class Poly:
     ``"p/q"`` strings), ``coeffs[i]`` being the coefficient of ``x**i``;
     ``Poly.scaled(nums, den)`` takes integer numerators over a nonzero
     integer denominator.  ``nums`` and ``den`` are read-only; equality,
-    hashing and pickling see them and not the caches.
+    hashing and pickling see them and not the cache.
     """
 
-    # the caches: the reduced coefficients, and their roundings by precision
-    __slots__ = ("_nums", "_den", "_coeffs", "_rounded")
+    # the cache of the reduced coefficients
+    __slots__ = ("_nums", "_den", "_coeffs")
 
     nums = property(attrgetter("_nums"))
     den = property(attrgetter("_den"))
@@ -70,7 +63,6 @@ class Poly:
         self._nums = tuple(nums)
         self._den = den
         self._coeffs = None
-        self._rounded = None
 
     @classmethod
     def scaled(cls, nums: Iterable, den: int = 1) -> "Poly":
@@ -194,28 +186,12 @@ class Poly:
             qpow *= q
         return Fraction(acc, self._den * qpow // q if self._nums else 1)
 
-    def rounded(self, precision: int) -> tuple:
-        """The coefficients rounded to ``precision`` bits, as raw mpmath values.
-
-        ``rounded(precision)[i]`` is the coefficient of ``x**i`` rounded as
-        ``rat_to_mpf`` rounds it; each precision is rounded once.
-        """
-        cache = self._rounded
-        if cache is None:
-            cache = self._rounded = {}
-        values = cache.get(precision)
-        if values is None:
-            den = self._den
-            values = cache[precision] = tuple(round_ratio(n, den, precision) for n in self._nums)
-        return values
-
     def eval_complex(self, z, precision: int = DEFAULT_PRECISION):
-        """Horner evaluation at a complex point.
+        """Horner evaluation ``acc*z + c`` at a complex point.
 
-        Each reduced coefficient is rounded to ``precision`` bits as
-        ``rat_to_mpf`` rounds it (see ``rounded``); the result is an mpmath
-        complex carrying that working precision.  Every step rounds as the
-        mpc operators round ``acc*z + c``, on the integer kernel.
+        Each reduced coefficient is rounded to ``precision`` bits by
+        ``rat_to_mpf``; the result is an mpmath complex carrying that working
+        precision.
         """
         # imported here so that the exact half loads without mpmath
         import mpmath
@@ -223,20 +199,15 @@ class Poly:
         if precision < 53:
             raise ValueError("precision must be at least 53 bits")
         with mpmath.workprec(precision):
-            zz = mpmath.mpc(z)._mpc_
-        zr, er = man_exp(zz[0])
-        zi, ei = man_exp(zz[1])
-        # acc*z as mpc_mul rounds it, then + c as mpc_add_mpf; adding a zero
-        # c would only round acc again, which leaves it as it is
-        re = im = ere = eim = 0
-        for n, c in zip(reversed(self._nums), reversed(self.rounded(precision))):
-            (re, ere), (im, eim) = (
-                add_man_exp(re * zr, ere + er, -(im * zi), eim + ei, precision),
-                add_man_exp(re * zi, ere + ei, im * zr, eim + er, precision),
-            )
-            if n:
-                re, ere = add_man_exp(re, ere, *man_exp(c), precision)
-        return mpmath.mp.make_mpc((raw_mpf(re, ere), raw_mpf(im, eim)))
+            zz = mpmath.mpc(z)
+            acc = mpmath.mpc(0)
+            for c in reversed(self.coeffs):
+                acc *= zz
+                # adding a zero c would only round acc again, which leaves it
+                # as it is
+                if c:
+                    acc += rat_to_mpf(c)
+            return acc
 
     def __str__(self) -> str:
         if not self._nums:
@@ -252,22 +223,6 @@ class Poly:
             else:
                 parts.append(f"({c})*x^{i}")
         return " + ".join(parts)
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
-def poly_eval_exact(p: Poly, x) -> Rational:
-    return p.eval_exact(x)
-
-
-def poly_eval_complex(p: Poly, z, precision: int = DEFAULT_PRECISION):
-    return p.eval_complex(z, precision)
 
 
 def compose_star(h: Poly, m: int, k: int, ell: int) -> Poly:

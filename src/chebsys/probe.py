@@ -58,8 +58,8 @@ class ProbeReport(NamedTuple):
     count, which isolates no zero, or when the least gap underflows a
     double: the zeros are proven distinct, so a gap that reads 0.0 there
     has lost its digits and does not mean a repeated zero.  ``certified``
-    counts the indices the signs proved, ``first_uncertified_r`` names the
-    first they missed, and ``escalations`` is always 0.
+    counts the indices the signs proved, and ``first_uncertified_r`` names
+    the first they missed.
     """
 
     classification: str
@@ -68,7 +68,6 @@ class ProbeReport(NamedTuple):
     offending_r: int | None
     reason: str | None
     checked: int
-    escalations: int
     certified: int
     first_uncertified_r: int | None
 
@@ -555,20 +554,15 @@ def isolate(p: Params, records) -> tuple:
         offending_r=offending,
         reason=reason,
         checked=len(records),
-        escalations=0,
         certified=len(proved),
         first_uncertified_r=missed[0].r if missed else None,
     )
     return report, proved
 
 
-def conjecture_probe(p: Params, r_max: int, precision: int = 53) -> ProbeReport:
+def conjecture_probe(p: Params, r_max: int) -> ProbeReport:
     """Realness and simplicity of the zeros of every h_r with r <= r_max
-    (``isolate``).
-
-    The probe is exact, so ``precision`` does not change the report; it is
-    kept for callers.
-    """
+    (``isolate``)."""
     if r_max < p.m:
         raise ValueError("r_max must be at least m")
     return isolate(p, gen_type1_records(p, r_max))[0]

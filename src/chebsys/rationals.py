@@ -10,10 +10,13 @@ into mpmath (``rat_to_mpf``, ``round_ratio``).
 The same boundary holds the numeric half's integer kernel: a binary float
 as a signed integer mantissa and an exponent, ``man * 2**exp``, added,
 multiplied, divided and square-rooted in plain integers and rounded
-exactly as mpmath's libmp rounds (see ``add_man_exp``).  Horner loops and
-the rounding of rationals run on it and convert to raw mpmath values
-(``raw_mpf``) only at their ends; the 53-bit branch values convert to and
-from doubles (``from_float``, ``to_float``) without mpmath at all.
+exactly as mpmath's libmp rounds (see ``add_man_exp``).  It carries the
+hot paths that would otherwise make one mpmath call per step: the
+rounding of every rational into mpmath (``round_ratio``, returned as a raw
+value by ``raw_mpf``), and the exact polish, moduli (``hypot_man_exp``)
+and double conversions (``from_float``, ``to_float``) of the 53-bit branch
+values, which need no mpmath at all.  The cold Horner and Aberth loops of
+``exactpoly`` and ``rootfind`` run on mpmath's own operators.
 """
 
 from __future__ import annotations
@@ -87,14 +90,6 @@ def rat_to_mpf(q):
 # same bits.
 # Mantissas here carry a sign and need not be odd: rounding depends on the
 # value alone, and ``raw_mpf`` strips the trailing zeros libmp strips.
-
-
-def man_exp(x) -> tuple:
-    """The raw mpmath float ``x`` as ``(man, exp)``, its value ``man * 2**exp``."""
-    sign, man, exp, _ = x
-    if not man and exp:
-        raise ValueError("the integer kernel takes finite values only")
-    return (-man if sign else man), exp
 
 
 _RAW_ZERO = (0, 0, 0, 0)

@@ -8,7 +8,9 @@ double-count.  A caller that knows its roots approximately passes them as
 the seeds (the branch trinomial does); otherwise the seeds are
 companion-matrix eigenvalues of the normalized coefficients, which is the
 only use of numpy here, so numpy is imported only then.  ``roots`` comes
-here only for an h_r whose zeros the probe did not isolate.
+here only for an h_r whose zeros the probe did not isolate, and the branch
+solver only for a point its 53-bit fast path rejects, so the iteration
+runs on mpmath's own mpc and mpf operators.
 """
 
 from __future__ import annotations
@@ -16,28 +18,9 @@ from __future__ import annotations
 import cmath
 
 import mpmath
-from mpmath.libmp import (
-    fone,
-    fzero,
-    mpc_abs,
-    mpc_add,
-    mpc_add_mpf,
-    mpc_div,
-    mpc_mpf_div,
-    mpc_mul,
-    mpc_sub,
-    mpf_add,
-    mpf_le,
-    mpf_mul,
-    mpf_rdiv_int,
-    round_nearest,
-)
 
 from .errors import RootRefinementError
-from .rationals import add_man_exp, man_exp, rat_to_mpf, raw_mpf, round_man_exp
-
-_CZERO = (fzero, fzero)
-_CONE = (fone, fzero)
+from .rationals import rat_to_mpf
 
 
 def to_mpc(value):
@@ -136,122 +119,73 @@ def complex_roots(
         xs = _separate(_initial_guesses(cs, seeds))
         if maxiter is None:
             maxiter = max(100, 2 * precision)
-        raw = [c._mpc_ for c in cs]
-        abs_cs = [mpc_abs(c, workbits, round_nearest) for c in raw]
-        xs, settled = _aberth(raw, abs_cs, [x._mpc_ for x in xs], workbits, maxiter)
+        abs_cs = [abs(c) for c in cs]
+        xs, settled = _aberth(cs, abs_cs, xs, workbits, maxiter)
         if not settled:
             # allow a loose residual pass before declaring failure
-            scale = max(mpmath.mp.make_mpf(a) for a in abs_cs)
-            kernel = _on_kernel(raw, abs_cs)
+            scale = max(abs_cs)
+            zero = mpmath.mpf(0)
             for x in xs:
-                p = _fused_horner(*kernel, x, fzero, workbits)[0]
-                local = scale * max(1, abs(mpmath.mp.make_mpc(x))) ** n
-                if abs(mpmath.mp.make_mpc(p)) > mpmath.mpf(2) ** -(precision // 2) * local:
+                p = _horner(cs, abs_cs, x, zero)[0]
+                local = scale * max(1, abs(x)) ** n
+                if abs(p) > mpmath.mpf(2) ** -(precision // 2) * local:
                     raise RootRefinementError(
                         f"root refinement did not converge in {maxiter} iterations",
                         coeffs=tuple(coeffs),
                     )
-        return zeros + [mpmath.mp.make_mpc(x) for x in xs]
+        return zeros + xs
 
 
-# The Aberth iteration runs on raw mpmath values (libmp tuples): each step
-# below is the libmp call the mpc/mpf operator would make at the working
-# precision with round-to-nearest, in the same order, so the iterates are
-# bit for bit those of the operator form, without its object overhead.  Its
-# Horner loop runs on the integer kernel, which rounds as those calls do.
-
-
-def _on_kernel(cs, abs_cs) -> tuple:
-    """Raw coefficients and moduli as ``_fused_horner`` takes them."""
-    return [(*man_exp(a), *man_exp(b)) for a, b in cs], [man_exp(a) for a in abs_cs]
-
-
-def _fused_horner(cs, abs_cs, x, ax, prec):
-    """Value, derivative and local coefficient scale ``sum |c_i| ax**i`` at x.
-
-    ``cs`` holds the coefficients as ``(re, re_exp, im, im_exp)`` and
-    ``abs_cs`` their moduli as ``(man, exp)``, on the integer kernel; x, ax
-    and the three results are raw.  Each step rounds as ``mpc_mul``,
-    ``mpc_add``, ``mpf_mul`` and ``mpf_add`` round it.
-    """
-    xr, er = man_exp(x[0])
-    xi, ei = man_exp(x[1])
-    a, ea = man_exp(ax)
-    pr, epr, pi, epi = cs[-1]
-    dr = edr = di = edi = 0
-    s, es = abs_cs[-1]
-    for i in range(len(cs) - 2, -1, -1):
-        # dp*x + p, with the p of the step before
-        (dr, edr), (di, edi) = (
-            add_man_exp(dr * xr, edr + er, -(di * xi), edi + ei, prec),
-            add_man_exp(dr * xi, edr + ei, di * xr, edi + er, prec),
-        )
-        dr, edr = add_man_exp(dr, edr, pr, epr, prec)
-        di, edi = add_man_exp(di, edi, pi, epi, prec)
-        # p*x + c_i
-        (pr, epr), (pi, epi) = (
-            add_man_exp(pr * xr, epr + er, -(pi * xi), epi + ei, prec),
-            add_man_exp(pr * xi, epr + ei, pi * xr, epi + er, prec),
-        )
-        cr, ecr, ci, eci = cs[i]
-        pr, epr = add_man_exp(pr, epr, cr, ecr, prec)
-        pi, epi = add_man_exp(pi, epi, ci, eci, prec)
-        # scale*ax + |c_i|
-        s, es = round_man_exp(s * a, es + ea, prec)
-        s, es = add_man_exp(s, es, *abs_cs[i], prec)
-    return (
-        (raw_mpf(pr, epr), raw_mpf(pi, epi)),
-        (raw_mpf(dr, edr), raw_mpf(di, edi)),
-        raw_mpf(s, es),
-    )
+def _horner(cs, abs_cs, x, ax):
+    """Value, derivative and local coefficient scale ``sum |c_i| ax**i`` at x."""
+    p = cs[-1]
+    dp = mpmath.mpc(0)
+    scale = abs_cs[-1]
+    for c, ac in zip(reversed(cs[:-1]), reversed(abs_cs[:-1])):
+        dp = dp * x + p
+        p = p * x + c
+        scale = scale * ax + ac
+    return p, dp, scale
 
 
 def _aberth(cs, abs_cs, xs, prec, maxiter):
-    """Gauss-Seidel Aberth-Ehrlich sweeps from the seeds ``xs``.
+    """Gauss-Seidel Aberth-Ehrlich sweeps from the seeds ``xs``, at the
+    current precision ``prec``.
 
     Returns the iterates and whether every root settled within ``maxiter``
     sweeps.
     """
-    rnd = round_nearest
     n = len(xs)
-    cs, abs_cs = _on_kernel(cs, abs_cs)
-    step_tol = (mpmath.mpf(2) ** -(prec - 6))._mpf_
-    floor_eps = (mpmath.mpf(2) ** -(prec - 4))._mpf_
-    nudge = (mpmath.mpf(2) ** -16)._mpf_
-    collide = (mpmath.mpf(2) ** -(prec // 2))._mpf_
+    step_tol = mpmath.mpf(2) ** -(prec - 6)
+    floor_eps = mpmath.mpf(2) ** -(prec - 4)
     done = [False] * n
     for _ in range(maxiter):
         for i in range(n):
             if done[i]:
                 continue
             x = xs[i]
-            ax = mpc_abs(x, prec, rnd)
-            p, dp, scale = _fused_horner(cs, abs_cs, x, ax, prec)
-            if mpf_le(mpc_abs(p, prec, rnd), mpf_mul(floor_eps, scale, prec, rnd)):
+            ax = abs(x)
+            p, dp, scale = _horner(cs, abs_cs, x, ax)
+            if abs(p) <= floor_eps * scale:
                 # backward error at the rounding floor; cannot improve
                 done[i] = True
                 continue
-            if dp == _CZERO:
-                bump = mpf_mul(nudge, mpf_add(ax, fone, prec, rnd), prec, rnd)
-                xs[i] = mpc_add_mpf(x, bump, prec, rnd)
+            if dp == 0:
+                xs[i] = x + mpmath.mpf(2) ** -16 * (1 + ax)
                 continue
-            newton = mpc_div(p, dp, prec, rnd)
-            coupling = _CZERO
+            newton = p / dp
+            coupling = mpmath.mpc(0)
             for j in range(n):
                 if j == i:
                     continue
-                diff = mpc_sub(x, xs[j], prec, rnd)
-                if diff == _CZERO:
-                    # the operator form divides 1 by a real here
-                    gap = mpf_mul(collide, mpf_add(ax, fone, prec, rnd), prec, rnd)
-                    coupling = mpc_add_mpf(coupling, mpf_rdiv_int(1, gap, prec, rnd), prec, rnd)
-                else:
-                    coupling = mpc_add(coupling, mpc_mpf_div(fone, diff, prec, rnd), prec, rnd)
-            denom = mpc_sub(_CONE, mpc_mul(newton, coupling, prec, rnd), prec, rnd)
-            w = newton if denom == _CZERO else mpc_div(newton, denom, prec, rnd)
-            xs[i] = x = mpc_sub(x, w, prec, rnd)
-            size = mpf_add(mpc_abs(x, prec, rnd), fone, prec, rnd)
-            if mpf_le(mpc_abs(w, prec, rnd), mpf_mul(step_tol, size, prec, rnd)):
+                diff = x - xs[j]
+                if diff == 0:
+                    diff = mpmath.mpf(2) ** -(prec // 2) * (1 + ax)
+                coupling += 1 / diff
+            denom = 1 - newton * coupling
+            w = newton if denom == 0 else newton / denom
+            xs[i] = x - w
+            if abs(w) <= step_tol * (1 + abs(xs[i])):
                 done[i] = True
         if all(done):
             return xs, True
@@ -260,8 +194,9 @@ def _aberth(cs, abs_cs, xs, prec, maxiter):
 
 def coefficient_moduli(poly, prec: int) -> list:
     """``|c_i|`` of an exact polynomial's coefficients rounded to ``prec`` bits,
-    as ``(man, exp)`` pairs on the integer kernel."""
-    return [(abs(man), exp) for man, exp in map(man_exp, poly.rounded(prec))]
+    as ``rat_to_mpf`` rounds them."""
+    with mpmath.workprec(prec):
+        return [abs(rat_to_mpf(c)) for c in poly.coeffs]
 
 
 def max_term(moduli, x) -> mpmath.mpf:
@@ -269,22 +204,14 @@ def max_term(moduli, x) -> mpmath.mpf:
 
     With ``coefficient_moduli`` at the current precision this is the
     backward-error denominator of the polynomial at x, each coefficient
-    rounded once and not again at every point.  Each product rounds as
-    ``mpf_mul`` rounds it; the first of equal greatest terms is kept.
+    rounded once and not again at every point.
     """
-    prec = mpmath.mp.prec
-    a, ea = man_exp(mpc_abs(mpmath.mpc(x)._mpc_, prec, round_nearest))
-    best = eb = top = 0
-    power, ep = 1, 0
-    for c, ec in moduli:
-        term, et = round_man_exp(c * power, ec + ep, prec)
-        if term:
-            # a greater leading bit decides; at the same one, both mantissas
-            # fit prec + 1 bits, so aligning them shifts by little
-            lead = term.bit_length() + et
-            if not best or lead > top or lead == top and (
-                term << et - eb > best if et >= eb else term > best << eb - et
-            ):
-                best, eb, top = term, et, lead
-        power, ep = round_man_exp(power * a, ep + ea, prec)
-    return mpmath.mp.make_mpf(raw_mpf(best, eb))
+    ax = abs(mpmath.mpc(x))
+    best = mpmath.mpf(0)
+    power = mpmath.mpf(1)
+    for c in moduli:
+        term = c * power
+        if term > best:
+            best = term
+        power *= ax
+    return best

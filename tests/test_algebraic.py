@@ -21,7 +21,6 @@ from chebsys.algebraic import (
     star_geometry,
     star_radius,
 )
-from chebsys.exactpoly import poly_eval_complex
 from chebsys.recurrence import Params, gen_type1_scalar
 
 
@@ -136,7 +135,7 @@ class TestExplicitT:
             ts = gen_type1_scalar(p, 30)
             for z in seeded_offstar_points(p, 4, seed=5):
                 for r in (7, 19, 30):
-                    exact = poly_eval_complex(ts[r], z, 128)
+                    exact = ts[r].eval_complex(z, 128)
                     if abs(exact) <= 1e-10:
                         continue
                     approx = explicit_t(p, r, z, 128)

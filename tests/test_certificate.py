@@ -172,12 +172,12 @@ def no_solve(monkeypatch):
 
 @pytest.mark.parametrize("m, c, r_max", [(1, "1", 60), (2, "1", 60), (3, "1", 60), (1, "1", 200)])
 def test_probe_certifies_the_acceptance_range_without_a_solve(no_solve, m, c, r_max):
-    report = conjecture_probe(Params(m, c), r_max, 80)
+    report = conjecture_probe(Params(m, c), r_max)
     assert report.checked > 0
     assert report.certified == report.checked
     assert report.first_uncertified_r is None
     assert report.classification == "PASS"
-    assert report.max_imag_normalized == 0.0 and report.escalations == 0
+    assert report.max_imag_normalized == 0.0
 
 
 def switch_off_the_signs(monkeypatch):
@@ -196,7 +196,7 @@ def test_without_the_certificate_the_probe_is_the_numeric_path(monkeypatch, no_s
     # no zero to measure a separation by
     switch_off_the_signs(monkeypatch)
     m, c, r_max = key
-    report = conjecture_probe(Params(m, c), r_max, 53)
+    report = conjecture_probe(Params(m, c), r_max)
     first = next(rec.r for rec in gen_type1_records(Params(m, c), r_max) if rec.tau >= 1)
     assert report == roots_module.ProbeReport(
         classification="PASS",
@@ -205,7 +205,6 @@ def test_without_the_certificate_the_probe_is_the_numeric_path(monkeypatch, no_s
         offending_r=None,
         reason=None,
         checked=CHECKED[key],
-        escalations=0,
         certified=0,
         first_uncertified_r=first,
     )
@@ -227,11 +226,11 @@ def test_only_uncertified_indices_are_solved(monkeypatch, no_solve):
         return count(h)
 
     monkeypatch.setattr(probe, "_sturm_count", sturm_count)
-    report = conjecture_probe(p, 40, 53)
+    report = conjecture_probe(p, 40)
     assert set(counted) == refused and len(counted) == 3
     assert report.checked == 34 and report.certified == 31
     assert report.first_uncertified_r == 17
-    assert report.classification == "PASS" and report.escalations == 0
+    assert report.classification == "PASS"
     assert report.max_imag_normalized == 0.0
     assert report.min_separation_normalized is None
 
@@ -279,7 +278,7 @@ def test_an_index_without_real_simple_zeros_is_a_counterexample(monkeypatch, no_
     assert report.offending_r == bad
     assert report.max_imag_normalized is None
     assert report.min_separation_normalized is None
-    assert report.certified == 0 and report.escalations == 0
+    assert report.certified == 0
 
 
 @pytest.mark.parametrize(

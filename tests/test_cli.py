@@ -345,6 +345,17 @@ class TestRoots:
         assert {row["r"] for row in payload["roots"]} == {9, 12, 15}
         assert "classification" in payload["summary"]["conjecture"]
 
+    @pytest.mark.parametrize(
+        "r_max, r_list", [(0, [0]), (1, [1]), (2, [1, 2]), (6, [2, 4, 6]), (7, [3, 5, 7])]
+    )
+    def test_the_default_r_list_stays_within_r_max(self, tmp_path, r_max, r_list):
+        # r_max/3, 2*r_max/3 and r_max, rounded up; --r-max 0 once wrote [0, 1]
+        out = tmp_path / "roots.json"
+        assert run("roots", "--m", "2", "--c", "3/2", "--r-max", str(r_max), "--out", str(out)) == 0
+        payload = load(out)
+        assert payload["config"]["r_list"] == r_list
+        assert [row["r"] for row in payload["summary"]["attraction"]["rows"]] == r_list
+
     def test_each_h_is_solved_once_with_the_probe(self, tmp_path, monkeypatch):
         # the probe isolates the zeros of every h_r once, and the r-list
         # zeros are refined from its intervals: no h_r is solved again

@@ -5,16 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebsys.exactpoly import (
-    Poly,
-    _sturm_count,
-    compose_star,
-    poly_add,
-    poly_eval_complex,
-    poly_eval_exact,
-    poly_gcd,
-    poly_mul,
-)
+from chebsys.exactpoly import Poly, _sturm_count, compose_star, poly_gcd
 from chebsys.rationals import as_rational
 
 
@@ -23,59 +14,59 @@ def P(*coeffs):
 
 
 def test_add_cancellation():
-    assert poly_add(P(1, 1), P(1, -1)) == P(2)
+    assert P(1, 1) + P(1, -1) == P(2)
 
 
 def test_add_identity():
     p = P(3, 0, "1/2")
-    assert poly_add(Poly(), p) == p
+    assert Poly() + p == p
 
 
 def test_add_mixed_degrees():
-    assert poly_add(P(0, 0, 1), P(0, 1)) == P(0, 1, 1)
+    assert P(0, 0, 1) + P(0, 1) == P(0, 1, 1)
 
 
 def test_mul_difference_of_squares():
-    assert poly_mul(P(1, 1), P(-1, 1)) == P(-1, 0, 1)
+    assert P(1, 1) * P(-1, 1) == P(-1, 0, 1)
 
 
 def test_mul_absorbing_zero():
-    assert poly_mul(P(5, 7), Poly()) == Poly()
-    assert poly_mul(P(5, 7), Poly()).degree == -1
+    assert P(5, 7) * Poly() == Poly()
+    assert (P(5, 7) * Poly()).degree == -1
 
 
 def test_mul_rational_coefficients():
-    assert poly_mul(P(0, "1/2"), P(0, 2)) == P(0, 0, 1)
+    assert P(0, "1/2") * P(0, 2) == P(0, 0, 1)
 
 
 def test_eval_exact_square():
-    assert poly_eval_exact(P(0, 0, 1), "3/2") == as_rational("9/4")
+    assert P(0, 0, 1).eval_exact("3/2") == as_rational("9/4")
 
 
 def test_eval_exact_zero_poly():
-    assert poly_eval_exact(Poly(), "7/3") == 0
+    assert Poly().eval_exact("7/3") == 0
 
 
 def test_eval_exact_root():
-    assert poly_eval_exact(P(1, 0, 0, 1), -1) == 0
+    assert P(1, 0, 0, 1).eval_exact(-1) == 0
 
 
 def test_eval_complex_square_at_i():
-    assert abs(poly_eval_complex(P(0, 0, 1), 1j) - (-1)) < 1e-15
+    assert abs(P(0, 0, 1).eval_complex(1j) - (-1)) < 1e-15
 
 
 def test_eval_complex_affine_at_zero():
-    assert abs(poly_eval_complex(P(1, 1), 0) - 1) < 1e-15
+    assert abs(P(1, 1).eval_complex(0) - 1) < 1e-15
 
 
 def test_eval_complex_scalar_term():
     # t_5 for (m=2, c=1) is -2x
-    assert abs(poly_eval_complex(P(0, -2), 1) - (-2)) < 1e-15
+    assert abs(P(0, -2).eval_complex(1) - (-2)) < 1e-15
 
 
 def test_eval_complex_rejects_low_precision():
     with pytest.raises(ValueError):
-        poly_eval_complex(P(1), 0, precision=32)
+        P(1).eval_complex(0, precision=32)
 
 
 def test_compose_star_constant_sign():

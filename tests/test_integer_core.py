@@ -182,15 +182,12 @@ def test_eval_complex_rounds_each_reduced_coefficient():
 
 def _eval_every_coefficient(poly, z, bits):
     """Horner's rule over every rounded coefficient, zeros included."""
-    from mpmath.libmp import fzero, mpc_add_mpf, mpc_mul, round_nearest
-
     with mpmath.workprec(bits):
-        zz = mpmath.mpc(z)._mpc_
-    acc = (fzero, fzero)
-    for c in reversed(poly.rounded(bits)):
-        acc = mpc_mul(acc, zz, bits, round_nearest)
-        acc = mpc_add_mpf(acc, c, bits, round_nearest)
-    return acc
+        zz = mpmath.mpc(z)
+        acc = mpmath.mpc(0)
+        for c in reversed(poly.coeffs):
+            acc = acc * zz + rat_to_mpf(c)
+        return acc._mpc_
 
 
 @pytest.mark.parametrize("bits", [53, 200, 400])
@@ -204,6 +201,41 @@ def test_eval_complex_skips_zero_coefficients_bit_for_bit(bits):
             t = records[rng.randint(m, 90)].t
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             assert t.eval_complex(z, bits)._mpc_ == _eval_every_coefficient(t, z, bits)
+
+
+def _exact_at(poly, re, im):
+    """``poly(re + i*im)`` at rational ``re`` and ``im``, exactly, as two Fractions."""
+    pr = pi = Fraction(0)
+    for c in reversed(poly.coeffs):
+        pr, pi = pr * re - pi * im + c, pr * im + pi * re
+    return pr, pi
+
+
+@pytest.mark.parametrize("bits", [53, 113, 400])
+def test_eval_complex_at_dyadic_points_is_within_horners_bound(bits):
+    # each Horner step rounds one complex product and one sum, and each
+    # coefficient is rounded once: together less than 8*(d+1) units of
+    # 2**-bits of sum |c_i| |z|**i
+    rng = random.Random(bits)
+    for _ in range(20):
+        degree = rng.randint(1, 25)
+        coeffs = [
+            Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**6)) if rng.random() > 0.2 else 0
+            for _ in range(degree)
+        ]
+        poly = Poly(coeffs + [Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))])
+        for imaginary in (False, True, True):
+            re = Fraction(rng.randint(-2**12, 2**12), 2**10)
+            im = Fraction(rng.randint(-2**12, 2**12), 2**10) if imaginary else Fraction(0)
+            got = poly.eval_complex(complex(re, im), bits)
+            want = _exact_at(poly, re, im)
+            if not imaginary:
+                assert want == (poly.eval_exact(re), 0)
+            with mpmath.workprec(4 * bits):
+                err = abs(got - mpmath.mpc(rat_to_mpf(want[0]), rat_to_mpf(want[1])))
+                size = abs(mpmath.mpc(rat_to_mpf(re), rat_to_mpf(im)))
+                scale = sum(abs(rat_to_mpf(c)) * size**i for i, c in enumerate(poly.coeffs))
+                assert err <= 8 * (degree + 1) * mpmath.mpf(2) ** -bits * scale
 
 
 def test_rat_strs_write_zero_as_0_over_1():

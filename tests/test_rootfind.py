@@ -1,4 +1,8 @@
-"""The raw-libmp Aberth kernel against the mpmath operator form it replaces."""
+"""The Aberth sweeps of ``rootfind``: their bits, their stopping rule and the
+seeds that need their special steps."""
+
+import hashlib
+import math
 
 import mpmath
 import pytest
@@ -6,94 +10,93 @@ import pytest
 from chebsys import rootfind
 from chebsys.recurrence import Params, gen_type1_records
 
-
-def aberth_operator_form(cs, xs, workbits, maxiter):
-    """The Aberth sweeps written with mpc/mpf operators, as the kernel was."""
-    n = len(xs)
-    with mpmath.workprec(workbits):
-        step_tol = mpmath.mpf(2) ** -(workbits - 6)
-        floor_eps = mpmath.mpf(2) ** -(workbits - 4)
-        abs_cs = [abs(c) for c in cs]
-        done = [False] * n
-        for _ in range(maxiter):
-            for i in range(n):
-                if done[i]:
-                    continue
-                x = xs[i]
-                p = cs[-1]
-                dp = mpmath.mpc(0)
-                scale = abs_cs[-1]
-                ax = abs(x)
-                for c, ac in zip(reversed(cs[:-1]), reversed(abs_cs[:-1])):
-                    dp = dp * x + p
-                    p = p * x + c
-                    scale = scale * ax + ac
-                if abs(p) <= floor_eps * scale:
-                    done[i] = True
-                    continue
-                if dp == 0:
-                    xs[i] = x + mpmath.mpf(2) ** -16 * (1 + ax)
-                    continue
-                newton = p / dp
-                coupling = mpmath.mpc(0)
-                for j in range(n):
-                    if j == i:
-                        continue
-                    diff = x - xs[j]
-                    if diff == 0:
-                        diff = mpmath.mpf(2) ** -(workbits // 2) * (1 + ax)
-                    coupling += 1 / diff
-                denom = 1 - newton * coupling
-                w = newton if denom == 0 else newton / denom
-                xs[i] = x - w
-                if abs(w) <= step_tol * (1 + abs(xs[i])):
-                    done[i] = True
-            if all(done):
-                return xs, True
-    return xs, False
+# x**2 - 2 and x**3 - 3x + 1, with their roots
+SQRT2 = ([-2, 0, 1], [-math.sqrt(2), math.sqrt(2)])
+TRIPLE = ([1, -3, 0, 1], [2 * math.cos(2 * math.pi * k / 9) for k in (1, 5, 7)])
 
 
-def both(coeffs, seeds, precision, maxiter=None):
+def sweeps(coeffs, seeds, precision, maxiter):
+    """The iterates of ``maxiter`` Aberth sweeps from ``seeds`` and whether
+    they settled, at the working precision ``complex_roots`` gives
+    ``precision``."""
     workbits = precision + 32
-    maxiter = maxiter or max(100, 2 * precision)
     with mpmath.workprec(workbits):
         cs = [rootfind.to_mpc(c) for c in coeffs]
         xs = [mpmath.mpc(s) for s in seeds]
-    ref, ref_settled = aberth_operator_form(cs, list(xs), workbits, maxiter)
-    raw = [c._mpc_ for c in cs]
-    abs_cs = [mpmath.libmp.mpc_abs(c, workbits, mpmath.libmp.round_nearest) for c in raw]
-    got, settled = rootfind._aberth(raw, abs_cs, [x._mpc_ for x in xs], workbits, maxiter)
-    return [x._mpc_ for x in ref], ref_settled, got, settled
+        return rootfind._aberth(cs, [abs(c) for c in cs], xs, workbits, maxiter)
+
+
+def digest(xs, settled) -> str:
+    """SHA-256 of the iterates' raw mpmath values, and the settled flag."""
+    raw = [tuple(int(v) for v in part) for x in xs for part in x._mpc_]
+    return hashlib.sha256(repr(raw).encode()).hexdigest() + str(settled)
+
+
+def rounded_companion_seeds(coeffs, precision):
+    """Companion seeds rounded to 2**-20, so that their bits do not depend on
+    the last digits of numpy's eigenvalues."""
+    with mpmath.workprec(precision + 32):
+        seeds = rootfind._companion_seeds([rootfind.to_mpc(c) for c in coeffs])
+    return [complex(round(s.real * 2**20), round(s.imag * 2**20)) / 2**20 for s in seeds]
+
+
+# the iterates of the sweeps below, after two sweeps and after the default
+# number, as the raw-libmp Aberth loop that preceded the operator form gave
+# them, bit for bit
+PINNED_SWEEPS = {53: "8e2dbb9b36f6b878", 128: "e2ecee6b5f79102a", 300: "6e9b829345c9fa89"}
+PINNED_STEPS = "748dc5cb9c77041e"
 
 
 @pytest.mark.parametrize("precision", [53, 128, 300])
 def test_iterates_are_bit_identical_on_h_polynomials(precision):
+    parts = []
     for m, c in ((1, "3/2"), (2, "59/62"), (3, "23/41")):
         for rec in gen_type1_records(Params(m, c), 48)[8::8]:
             if rec.h.degree < 2:
                 continue
-            with mpmath.workprec(precision + 32):
-                seeds = rootfind._initial_guesses([rootfind.to_mpc(q) for q in rec.h.coeffs])
-            # after two sweeps, and settled
-            for maxiter in (2, None):
-                ref, ref_settled, got, settled = both(rec.h.coeffs, seeds, precision, maxiter)
-                assert (got, settled) == (ref, ref_settled), (m, c, rec.r, maxiter)
+            seeds = rounded_companion_seeds(rec.h.coeffs, precision)
+            for maxiter in (2, max(100, 2 * precision)):
+                parts.append(digest(*sweeps(rec.h.coeffs, seeds, precision, maxiter)))
+    assert hashlib.sha256("".join(parts).encode()).hexdigest()[:16] == PINNED_SWEEPS[precision]
 
 
 def test_colliding_seeds_and_a_zero_derivative_take_the_same_steps():
     # x**2 - 2 seeded at 0, where the derivative vanishes, and twice at 0.5,
     # where the Aberth coupling divides by a zero difference; the same for
-    # x**3 - 3x + 1.  Every sweep is compared, not only the settled roots.
+    # x**3 - 3x + 1.  Every sweep is pinned, not only the settled roots.
+    steps = []
     for seeds in ([0, 1], [0.5, 0.5], [0.25, 0.25, 2], [0, 2, -2]):
-        coeffs = [-2, 0, 1] if len(seeds) == 2 else [1, -3, 0, 1]
+        coeffs = SQRT2[0] if len(seeds) == 2 else TRIPLE[0]
         for maxiter in range(1, 9):
-            ref, ref_settled, got, settled = both(coeffs, seeds, 80, maxiter)
-            assert (got, settled) == (ref, ref_settled), (seeds, maxiter)
+            steps.append(digest(*sweeps(coeffs, seeds, 80, maxiter)))
+    assert hashlib.sha256("".join(steps).encode()).hexdigest()[:16] == PINNED_STEPS
 
 
-def test_an_unsettled_run_stops_after_maxiter_sweeps():
+@pytest.mark.parametrize(
+    "poly, seeds",
+    [(SQRT2, [0, 1]), (SQRT2, [0.5, 0.5]), (TRIPLE, [0.25, 0.25, 2]), (TRIPLE, [0, 2, -2])],
+)
+def test_zero_derivative_and_colliding_seeds_reach_the_roots(poly, seeds):
+    coeffs, want = poly
+    xs, settled = sweeps(coeffs, seeds, 80, 160)
+    assert settled
+    # and so through complex_roots, which separates equal seeds first
+    for roots in (xs, rootfind.complex_roots(coeffs, 80, seeds=seeds)):
+        assert all(x.imag == 0 for x in roots)
+        assert sorted(float(x.real) for x in roots) == pytest.approx(sorted(want), rel=1e-15)
+
+
+def test_an_unsettled_run_stops_after_maxiter_sweeps(monkeypatch):
     rec = gen_type1_records(Params(2, "59/62"), 60)[60]
-    with mpmath.workprec(160):
-        seeds = [mpmath.mpc(k + 1, 1) for k in range(rec.h.degree)]
-    ref, ref_settled, got, settled = both(rec.h.coeffs, seeds, 128, maxiter=2)
-    assert (got, settled) == (ref, False)
+    n = rec.h.degree
+    seeds = [complex(k + 1, 1) for k in range(n)]
+    calls = []
+    horner = rootfind._horner
+    monkeypatch.setattr(rootfind, "_horner", lambda *args: calls.append(1) or horner(*args))
+    xs, settled = sweeps(rec.h.coeffs, seeds, 128, 2)
+    # one Horner evaluation per root and sweep, and the second sweep ran
+    assert not settled and n < len(calls) <= 2 * n
+    assert len(xs) == n
+    with pytest.raises(rootfind.RootRefinementError):
+        rootfind.complex_roots(rec.h.coeffs, 128, maxiter=2, seeds=seeds)
+

@@ -178,29 +178,29 @@ class TestAttraction:
 
 class TestConjectureProbe:
     def test_m1_classical_case_passes(self):
-        report = conjecture_probe(Params(1, "1"), 40, 80)
+        report = conjecture_probe(Params(1, "1"), 40)
         assert report.classification == "PASS"
         assert report.max_imag_normalized <= 1e-9
 
     def test_vacuous_range_passes(self):
-        report = conjecture_probe(Params(3, "1"), 3, 80)
+        report = conjecture_probe(Params(3, "1"), 3)
         assert report.classification == "PASS"
         assert report.checked == 0
 
     def test_m2_emits_classification(self):
-        report = conjecture_probe(Params(2, "1"), 60, 80)
+        report = conjecture_probe(Params(2, "1"), 60)
         assert report.classification in {"PASS", "COUNTEREXAMPLE"}
         assert report.checked > 0
 
     def test_requires_r_max_at_least_m(self):
         with pytest.raises(ValueError):
-            conjecture_probe(Params(3, "1"), 2, 80)
+            conjecture_probe(Params(3, "1"), 2)
 
     def test_all_real_roots_imply_star_rays(self):
         # with real h-roots every nonzero root argument is a multiple of
         # pi/(m+1); positive roots map to even multiples, negative to odd
         p = Params(2, "1")
-        probe = conjecture_probe(p, 45, 80)
+        probe = conjecture_probe(p, 45)
         if probe.classification != "PASS":
             pytest.skip("probe did not certify real roots on this range")
         for rec in gen_type1_records(p, 45):

@@ -155,8 +155,7 @@ PUBLIC = {
         "star_radius",
     ),
     "exactpoly": (
-        "DEFAULT_PRECISION", "Poly", "compose_star", "poly_add",
-        "poly_eval_complex", "poly_eval_exact", "poly_gcd", "poly_mul",
+        "DEFAULT_PRECISION", "Poly", "compose_star", "poly_gcd",
     ),
     "operators": (
         "BandedOperator", "TruncationOverflow", "apply_T", "apply_T_transpose",
@@ -294,7 +293,6 @@ def test_poly_equality_and_hash_ignore_the_caches():
     q = Poly.scaled((3, -1, 4), 7)
     before = hash(p)
     assert p.coeffs == (Fraction(3, 7), Fraction(-1, 7), Fraction(4, 7))
-    assert len(p.rounded(53)) == 3
     assert p == q and hash(p) == hash(q) == before
     assert p != Poly.scaled((3, -1, 4), 5)
     assert p != (p.nums, p.den)
@@ -332,7 +330,7 @@ def test_assigning_a_field_raises(record, field):
 )
 def test_pickle_round_trip_keeps_the_value(record):
     if isinstance(record, Poly):
-        record.coeffs, record.rounded(64)  # fill the caches first
+        record.coeffs  # fill the cache first
     restored = pickle.loads(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
     assert restored == record and hash(restored) == hash(record)
     assert repr(restored) == repr(record)
