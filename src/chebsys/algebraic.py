@@ -15,19 +15,24 @@ the recurrence's initial data, evaluates the branch-sum representation
 and realizes the large-r limit ``t_r / lambda_m**r -> c/(c*m - lambda_m**-(m+1))``
 together with its observed geometric error decay.
 
-At the default 53-bit precision each point is first solved by a fast path,
-after the seed-then-polish scheme of MPSolve (Bini and Robol, JCAM 2014):
-the roots of the trinomial found in complex doubles, two Newton steps in
-double, and two on the integer kernel of ``chebsys.rationals``, where each
-value is a Gaussian integer in fixed point, the trinomial at it is exact,
-and only the correction is formed in doubles.  A point whose result fails
-the residual gate, or whose moduli come close to a tie, is solved again by
-per-point mpmath Aberth iteration, so every tie decision is made at full
-working precision.  An accepted point keeps each value rounded once to the
-working precision on the kernel, with the exact residual of that value, so
-a run whose every point is accepted loads no mpmath.  The per-point solver,
-and every point above 53 bits, seeds Aberth with the same roots in doubles.
-This module uses no numpy, and imports mpmath only where it is used.
+Each point is first solved by a fast path, after the seed-then-polish
+scheme of MPSolve (Bini and Robol, JCAM 2014): the roots of the trinomial
+found in complex doubles, two Newton steps in double, and two on the
+integer kernel of ``chebsys.rationals``, where each value is a Gaussian
+integer in fixed point, the trinomial at it is exact, and only the
+correction is formed in doubles.  Above 53 bits, exact Newton steps of
+doubling width follow, up to the working bits plus a guard.  A point whose
+result fails the residual gate, or whose moduli come close to a tie, is
+solved again by per-point mpmath Aberth iteration, seeded with the same
+roots in doubles, so every tie decision is made at full working precision.
+An accepted point keeps each value rounded once to the working precision
+on the kernel, with the exact residual of that value, so a run whose every
+point is accepted loads no mpmath.  The asymptotic scan steps
+``t_r/lambda_m**r`` in fixed point on the same kernel, so it loads mpmath
+only for a point that the fast path rejects.  This module uses no numpy,
+and imports mpmath only where it is used: the Aberth fallback,
+``coefficients_b``, ``explicit_t`` and the mpmath values of ``limit_L``
+and ``BranchSet.lambdas``.
 
 Star geometry: the bounded star is the m+1 segments of length
 ``a = ((m+1)/m) * (m*c)**(1/(m+1))`` along the angles ``2*pi*k/(m+1)``, whose
@@ -62,8 +67,8 @@ from .rationals import (
 from .recurrence import Params
 
 TIE_RELATIVE_GAP = 1e-10
-# the 53-bit fast path accepts a point only if consecutive moduli differ by
-# more than this relative gap, far above the tie threshold
+# the fast path accepts a point only if consecutive moduli differ by more
+# than this relative gap, far above the tie threshold
 BATCH_RELATIVE_GAP = 1e4 * TIE_RELATIVE_GAP
 
 
@@ -73,7 +78,7 @@ class BranchSet:
     ``lambdas`` are the values as mpmath complex numbers.  ``values`` are
     them as ``complex(l)`` rounds each, and ``moduli`` their moduli as
     ``float(abs(l))`` rounds them in the default 53-bit context.  A point
-    of the 53-bit fast path keeps each value on the integer kernel
+    of the fast path keeps each value on the integer kernel
     (``parts``), rounded once to the working precision: its ``values`` and
     ``moduli`` are rounded from there, its ``lambdas`` are built on first
     use, and its ``residuals`` are the exact residuals of those values,
@@ -94,12 +99,7 @@ class BranchSet:
     @property
     def lambdas(self) -> tuple:
         if self._lambdas is None:
-            import mpmath
-
-            make = mpmath.mp.make_mpc
-            self._lambdas = tuple(
-                make((raw_mpf(re, ere), raw_mpf(im, eim))) for re, ere, im, eim in self.parts
-            )
+            self._lambdas = tuple(map(_to_mpc, self.parts))
         return self._lambdas
 
     @property
@@ -113,6 +113,14 @@ class BranchSet:
         if self.parts is None:
             return tuple(float(abs(l)) for l in self._lambdas)
         return tuple(to_float(*hypot_man_exp(*part, 53)) for part in self.parts)
+
+
+def _to_mpc(part: tuple):
+    """The mpmath complex number of a kernel value ``(re, re_exp, im, im_exp)``."""
+    import mpmath
+
+    re, ere, im, eim = part
+    return mpmath.mp.make_mpc((raw_mpf(re, ere), raw_mpf(im, eim)))
 
 
 class BranchCoefficients(NamedTuple):
@@ -135,13 +143,25 @@ def _work_bits(precision: int, m: int, z) -> int:
 
 def _residual_tolerance(precision: int):
     """``10**(2 - 0.3*precision)``, a float while that does not underflow to
-    0.0 (to about 1085 bits) and an mpmath value of the current context beyond."""
+    0.0 (to about 1085 bits) and beyond that the same power, rounded to 53
+    bits, as an exact dyadic rational."""
     exponent = 2 - 0.3 * precision
     if tolerance := 10.0**exponent:
         return tolerance
-    import mpmath
+    scaled = exponent * math.log2(10)
+    whole = math.floor(scaled)
+    return Rational(round(2.0 ** (scaled - whole) * 2**52), 2 ** (52 - whole))
 
-    return mpmath.mpf(10) ** exponent
+
+def _within(residual: tuple, den: int, gate) -> bool:
+    """Whether ``|re + i*im| * 2**exp / den <= gate`` for the exact residual
+    ``(re, im, exp)``, compared exactly in integers against a rational gate
+    (an mpmath gate, too, compares in its own arithmetic)."""
+    re, im, exp = residual
+    square, bound = re * re + im * im, (gate * den) ** 2
+    if exp >= 0:
+        return square << 2 * exp <= bound
+    return square <= bound * (1 << -2 * exp)
 
 
 # sweeps of the double-precision seed iteration; from the Newton-polygon
@@ -233,6 +253,8 @@ def solve_branches_aberth(p: Params, z, precision: int) -> BranchSet:
             residuals.append(float(residual))
             relative.append(residual / max(1, abs(power), abs(linear)))
         tolerance = _residual_tolerance(precision)
+        if isinstance(tolerance, Rational):
+            tolerance = rat_to_mpf(tolerance)
         if max(relative) > tolerance:
             # a value below the range of a double is shown by mpmath
             worst, gate = (
@@ -250,12 +272,16 @@ def solve_branches_aberth(p: Params, z, precision: int) -> BranchSet:
 
 # ---- the polish on the integer kernel
 #
-# Each value is a Gaussian integer in fixed point, (X + iY) * 2**e, with
-# about _POLISH_BITS bits below the leading bit of its larger part.  z is the
-# exact double it is and c the exact rational num/den, so the trinomial at
-# such a value is exact in integers.
+# Each value is a Gaussian integer in fixed point, (X + iY) * 2**e, with a
+# given number of bits below the leading bit of its larger part.  z is the
+# exact double it is and c the exact rational num/den, so the trinomial and
+# its derivative at such a value are exact in integers.
 
+# the width of the two steps whose correction is formed in doubles, and the
+# whole polish at 53 bits
 _POLISH_BITS = 112
+# bits the polish above 53 bits carries beyond the working bits
+_GUARD_BITS = 16
 
 
 def _fixed(x: complex) -> tuple:
@@ -265,14 +291,20 @@ def _fixed(x: complex) -> tuple:
     return a << ea - low, b << eb - low, low
 
 
+def _power(X: int, Y: int, n: int) -> tuple:
+    """``(X + iY)**n`` in Gaussian integers."""
+    pr, pi = 1, 0
+    for _ in range(n):
+        pr, pi = pr * X - pi * Y, pr * Y + pi * X
+    return pr, pi
+
+
 def _branch_poly(X: int, Y: int, e: int, m: int, c: Rational, z_fixed: tuple) -> tuple:
     """``c*w**(m+1) - z*w + 1`` at ``w = (X + iY) * 2**e``, exactly, as
     ``(re, im, exp)``: the value is ``(re + i*im) * 2**exp / c.denominator``."""
     num, den = c.numerator, c.denominator
     zr, zi, ez = z_fixed
-    pr, pi = X, Y
-    for _ in range(m):
-        pr, pi = pr * X - pi * Y, pr * Y + pi * X
+    pr, pi = _power(X, Y, m + 1)
     ep, el = (m + 1) * e, ez + e
     low = min(ep, el, 0)
     ep, el = ep - low, el - low
@@ -283,17 +315,63 @@ def _branch_poly(X: int, Y: int, e: int, m: int, c: Rational, z_fixed: tuple) ->
     )
 
 
+def _branch_slope(X: int, Y: int, e: int, m: int, c: Rational, z_fixed: tuple) -> tuple:
+    """``c*(m+1)*w**m - z`` at ``w = (X + iY) * 2**e``, exactly, in the form
+    of ``_branch_poly``."""
+    num, den = (m + 1) * c.numerator, c.denominator
+    zr, zi, ez = z_fixed
+    pr, pi = _power(X, Y, m)
+    ep = m * e
+    low = min(ep, ez)
+    ep, ez = ep - low, ez - low
+    return (num * pr << ep) - (den * zr << ez), (num * pi << ep) - (den * zi << ez), low
+
+
+def _cut(re: int, im: int, exp: int, width: int) -> tuple:
+    """``(re + i*im) * 2**exp`` truncated to ``width`` bits in its larger part."""
+    shift = max(re.bit_length(), im.bit_length()) - width
+    if shift > 0:
+        return re >> shift, im >> shift, exp + shift
+    return re, im, exp
+
+
+def _newton_fixed(X: int, Y: int, e: int, m: int, c: Rational, z_fixed: tuple, width: int) -> tuple:
+    """One Newton step from ``w = (X + iY) * 2**e`` to a value of ``width``
+    bits: the trinomial and its derivative are exact, each is cut to
+    ``width`` bits, and the correction is their quotient rounded to the
+    last bit of the value."""
+    shift = width - max(abs(X), abs(Y)).bit_length()
+    if shift > 0:
+        X, Y, e = X << shift, Y << shift, e - shift
+    pr, pi, pe = _cut(*_branch_poly(X, Y, e, m, c, z_fixed), width)
+    dr, di, de = _cut(*_branch_slope(X, Y, e, m, c, z_fixed), width)
+    # (pr + i*pi) / (dr + i*di) * 2**(pe - de) in units of 2**e
+    norm = dr * dr + di * di
+    qr, qi = pr * dr + pi * di, pi * dr - pr * di
+    k = pe - de - e
+    if k >= 0:
+        qr, qi = qr << k, qi << k
+    else:
+        norm <<= -k
+    half = norm >> 1
+    return X - (qr + half) // norm, Y - (qi + half) // norm, e
+
+
 def _solve_fast(m: int, c: Rational, z: complex, precision: int):
-    """The BranchSet of the 53-bit fast path at the complex double z, or None
-    where the point fails its acceptance test.
+    """The BranchSet of the fast path at the complex double z, or None where
+    the point fails its acceptance test.
 
     The trinomial's roots in doubles are polished by two Newton steps in
-    double and two on the integer kernel: there the residual is exact, and
-    each correction, formed in doubles, is subtracted exactly.  Each value is
-    rounded once to the working bits, and its residual is the exact one of
-    that rounded value, rounded to a double.  The point is accepted when
+    double and two on the integer kernel at ``_POLISH_BITS``: there the
+    residual is exact, and each correction, formed in doubles, is
+    subtracted exactly.  Above 53 bits, Newton steps with the derivative
+    and the correction exact as well follow, each at twice the width of
+    the one before, up to the working bits plus ``_GUARD_BITS``.  Each value
+    is rounded once to the working bits, and its residual is the exact one
+    of that rounded value, rounded to a double.  The point is accepted when
     every value is finite, every residual passes the gate
-    ``10**(2 - 0.3*precision)`` and consecutive moduli differ by more than
+    ``10**(2 - 0.3*precision)`` (compared exactly where the gate is below
+    the range of a double) and consecutive moduli differ by more than
     ``BATCH_RELATIVE_GAP`` relative to the larger.
     """
     c_float = float(c)
@@ -302,14 +380,15 @@ def _solve_fast(m: int, c: Rational, z: complex, precision: int):
     if not ws:
         return None
     size, bits = m + 1, _work_bits(precision, m, z)
+    target = _POLISH_BITS if precision == 53 else bits + _GUARD_BITS
     z_fixed, den = _fixed(z), c.denominator
 
     def derivative(v):
         return c_float * size * v**m - z
 
-    def residual(X, Y, e):
+    def as_complex(exact):
         # to within a few units in the 60th bit of the larger part
-        re, im, exp = _branch_poly(X, Y, e, m, c, z_fixed)
+        re, im, exp = exact
         shift = max(re.bit_length(), im.bit_length()) - den.bit_length() - 60
         re, im = (re >> shift, im >> shift) if shift >= 0 else (re << -shift, im << -shift)
         return complex(math.ldexp(re // den, exp + shift), math.ldexp(im // den, exp + shift))
@@ -322,23 +401,30 @@ def _solve_fast(m: int, c: Rational, z: complex, precision: int):
             e = math.frexp(max(abs(v.real), abs(v.imag)))[1] - _POLISH_BITS
             X, Y = int(math.ldexp(v.real, -e)), int(math.ldexp(v.imag, -e))
             for _ in range(2):
-                step = residual(X, Y, e) / derivative(v)
+                step = as_complex(_branch_poly(X, Y, e, m, c, z_fixed)) / derivative(v)
                 X -= int(math.ldexp(step.real, -e))
                 Y -= int(math.ldexp(step.imag, -e))
                 v = complex(math.ldexp(X, e), math.ldexp(Y, e))
+            width = _POLISH_BITS
+            while width < target:
+                width = min(2 * width, target)
+                X, Y, e = _newton_fixed(X, Y, e, m, c, z_fixed, width)
             re, ere = round_man_exp(X, e, bits)
             im, eim = round_man_exp(Y, e, bits)
             low = min(ere, eim)
-            written = residual(re << ere - low, im << eim - low, low)
-            polished.append((abs(v), abs(written), (re, ere, im, eim)))
+            written = _branch_poly(re << ere - low, im << eim - low, low, m, c, z_fixed)
+            polished.append((abs(v), abs(as_complex(written)), written, (re, ere, im, eim)))
     except (OverflowError, ValueError, ZeroDivisionError):
         # a power, a modulus or a correction beyond the range of a double
         # (or not a number), or a vanishing derivative
         return None
     polished.sort(key=lambda entry: entry[0])
-    moduli, residuals, parts = zip(*polished)
+    moduli, residuals, exact, parts = zip(*polished)
     tolerance = _residual_tolerance(precision)
-    if not all(r <= tolerance for r in residuals):
+    if isinstance(tolerance, float):
+        if not all(r <= tolerance for r in residuals):
+            return None
+    elif not all(_within(written, den, tolerance) for written in exact):
         return None
     # a gap between consecutive moduli bounds every pairwise distance from
     # below, so this one test also rejects collided or duplicated roots
@@ -352,8 +438,8 @@ class BranchBatch(NamedTuple):
 
     ``results[i]`` is the BranchSet of the i-th point, or the
     SolverDivergence raised there.  ``batched`` counts the points accepted
-    by the 53-bit fast path and ``fallback`` those solved by per-point
-    mpmath Aberth iteration (every point above 53 bits).
+    by the fast path and ``fallback`` those solved by per-point mpmath
+    Aberth iteration.
     """
 
     results: tuple
@@ -362,13 +448,12 @@ class BranchBatch(NamedTuple):
 
 
 def solve_branches_many(p: Params, points, precision: int = 53) -> BranchBatch:
-    """``solve_branches`` at every point, by the fast path at the default 53 bits.
+    """``solve_branches`` at every point, by the fast path where it can.
 
-    At 53 bits, and when c lies well inside the range of a double, a point
-    that is an exact complex double is first solved by ``_solve_fast``,
+    When c lies well inside the range of a double, a point that is an exact
+    complex double is first solved by ``_solve_fast``, at any precision,
     whose accepted points have a false tie flag.  Every point it rejects,
-    every other point, and every point above 53 bits is solved by
-    ``solve_branches_aberth``.
+    and every other point, is solved by ``solve_branches_aberth``.
     """
     if precision < 53:
         raise ValueError("precision must be at least 53 bits")
@@ -377,7 +462,7 @@ def solve_branches_many(p: Params, points, precision: int = 53) -> BranchBatch:
     # c must lie well inside the range of a double for the steps in
     # doubles; a point that is not a double (an exact branch point from
     # ``branch_points``, say) must not be rounded to one
-    if precision == 53 and 1e-300 < p.c < 1e300:
+    if 1e-300 < p.c < 1e300:
         for i, z in enumerate(points):
             if complex(z) == z:
                 results[i] = _solve_fast(p.m, p.c, complex(z), precision)
@@ -704,24 +789,68 @@ def _limit_gate_distance(p: Params, geom: StarGeometry, z) -> float:
     return ray_family_distance(z, geom.attractor_rotations)
 
 
-def _limit(p: Params, z, precision: int, tol: float) -> tuple:
-    """``(lambda_m, lambda_{m-1}, L)`` at z, behind the star gate and the tie check."""
-    import mpmath
+def _top_part(bs: BranchSet) -> tuple:
+    """The largest branch of bs as a kernel value ``(re, re_exp, im, im_exp)``."""
+    if bs.parts is not None:
+        return bs.parts[-1]
+    top, part = bs.lambdas[-1], []
+    for x in (top.real, top.imag):
+        sign, man, exp, _ = x._mpf_
+        if not man and exp:  # an infinity or a nan
+            raise SolverDivergence(f"branch value {complex(top)} is not finite at z={bs.z}")
+        part += [-man if sign else man, exp]
+    return tuple(part)
 
+
+def _round_div(num: int, den: int) -> int:
+    """``num/den`` (``den > 0``) rounded to an integer, half up."""
+    return (2 * num + den) // (2 * den)
+
+
+# bits the scan's fixed point carries below the working bits: the rounding
+# of each step adds up, so 2**16 steps stay below the last working bit
+_SCAN_GUARD_BITS = 16
+
+
+def _limit(p: Params, z, precision: int, tol: float) -> tuple:
+    """``(lambda_m, ratio, beta, L)`` at z, behind the star gate and the tie check.
+
+    lambda_m is a kernel value ``(re, re_exp, im, im_exp)`` and ratio is
+    ``|lambda_{m-1}/lambda_m|`` as a double.  beta is ``1/(c*lambda_m**(m+1))``
+    and ``L = c/(c*m - lambda_m**-(m+1)) = 1/(m - beta)``, each a kernel
+    value in fixed point with the working bits and ``_SCAN_GUARD_BITS``
+    below the binary point.
+    """
     geom = star_geometry(p)
     if _limit_gate_distance(p, geom, z) < tol:
         raise OnStarSet(f"z={complex(z)} lies within {tol} of the attractor star")
     bs = solve_branches(p, z, precision)
-    top, second = bs.lambdas[-1], bs.lambdas[-2]
-    if abs(top) - abs(second) < TIE_RELATIVE_GAP * abs(top):
+    # the moduli, their gap and their ratio in doubles are those of mpmath's
+    # default 53-bit context: each operation is rounded once, to 53 bits
+    *_, second, high = bs.moduli
+    if high - second < TIE_RELATIVE_GAP * high:
         raise OnStarSet(f"largest branch modulus is tied at z={complex(z)}")
-    with mpmath.workprec(_work_bits(precision, p.m, z)):
-        cmpf = rat_to_mpf(p.c)
-        return top, second, cmpf / (cmpf * p.m - mpmath.mpc(top) ** (-(p.m + 1)))
+    top = _top_part(bs)
+    m, num, den = p.m, p.c.numerator, p.c.denominator
+    bits = _work_bits(precision, m, z) + _SCAN_GUARD_BITS
+    re, ere, im, eim = top
+    e = min(ere, eim)
+    pr, pi = _power(re << ere - e, im << eim - e, m + 1)
+    # beta = den * conj(P) / (num * |P|**2) * 2**-((m+1)*e), P = pr + i*pi
+    norm, shift = num * (pr * pr + pi * pi), bits - (m + 1) * e
+    if shift >= 0:
+        br, bi = _round_div(den * pr << shift, norm), _round_div(-den * pi << shift, norm)
+    else:
+        br, bi = _round_div(den * pr, norm << -shift), _round_div(-den * pi, norm << -shift)
+    mr = (m << bits) - br
+    norm = mr * mr + bi * bi
+    lr, li = _round_div(mr << 2 * bits, norm), _round_div(bi << 2 * bits, norm)
+    return top, second / high, (br, -bits, bi, -bits), (lr, -bits, li, -bits)
 
 
 def limit_L(p: Params, z, precision: int = 53, tol: float = 1e-9):
-    """The limit value ``c / (c*m - lambda_m**-(m+1))`` of ``t_r / lambda_m**r``.
+    """The limit value ``c / (c*m - lambda_m**-(m+1))`` of ``t_r / lambda_m**r``,
+    as an mpmath complex number.
 
     It is ``b_m * lambda_m**m = c * lambda_m**m / P'(lambda_m)`` for
     ``P(w) = c*w**(m+1) - z*w + 1``, with ``P'(w) = c*m*w**m - 1/w`` on the
@@ -730,14 +859,14 @@ def limit_L(p: Params, z, precision: int = 53, tol: float = 1e-9):
     Raises OnStarSet when z is within ``tol`` of the attractor set (or when
     the top two branch moduli tie, which is the same set seen numerically).
     """
-    return _limit(p, z, precision, tol)[2]
+    return _to_mpc(_limit(p, z, precision, tol)[3])
 
 
 class ScanResult(NamedTuple):
     """Observed error decay of the scaled scalar terms against the limit value.
 
-    ``errors[r] = |t_r(z)/lambda_m**r - L|`` with t_r(z) stepped by the
-    scalar recurrence at z; ``rates[r] = (errors[r]/errors[r-w])**(1/w)``
+    ``errors[r] = |t_r(z)/lambda_m**r - L|`` with t_r(z)/lambda_m**r stepped
+    by the scaled recurrence at z; ``rates[r] = (errors[r]/errors[r-w])**(1/w)``
     over the window ``w = m*(m+1)``; ``decay_estimate`` averages over the
     trailing half of the scan and should approach
     ``ratio = |lambda_{m-1}/lambda_m|``.  Both are computed in doubles,
@@ -761,53 +890,65 @@ def asymptotic_scan(
 ) -> ScanResult:
     """Error table ``e_r = |t_r/lambda_m**r - L|`` for r = 0..r_max.
 
-    Each t_r(z) is stepped by ``c*t_r = z*t_{r-m} - t_{r-m-1}`` from t_0 = 1,
-    t_1 .. t_{m-1} = 0 at the working precision, O(r_max) work in all.  Off the
-    attractor star, which the limit's gate excludes, t_r is the dominant
-    solution, so forward recursion is stable (Gautschi, SIAM Rev. 1967) and
-    the decay floor is set by ``precision`` alone: deep scans need roughly
-    ``r_max * log2(lambda_m/lambda_{m-1})`` extra bits.
+    ``u_r = t_r/lambda_m**r`` is stepped by ``u_r = alpha*u_{r-m} - beta*u_{r-m-1}``,
+    the recurrence ``c*t_r = z*t_{r-m} - t_{r-m-1}`` divided by
+    ``c*lambda_m**r``, from u_0 = 1, u_1 .. u_{m-1} = 0 (negative indices
+    zero).  Here ``alpha = z/(c*lambda_m**m) = 1 + beta`` and
+    ``beta = 1/(c*lambda_m**(m+1))``, and the limit of the u_r is
+    ``L = 1/(m - beta)``.  The u_r are Gaussian integers in fixed point with
+    the working bits and ``_SCAN_GUARD_BITS`` below the binary point, so a
+    step is one complex product, rounded once, and each e_r is rounded as
+    ``float(abs(mpc))`` rounds it at the working bits.  Off the attractor
+    star, which the limit's gate excludes, t_r is the dominant solution, so
+    forward recursion is stable (Gautschi, SIAM Rev. 1967): the u_r stay of
+    order one and their rounding adds up at most linearly in r, so the decay
+    floor lies at about the last working bit and is set by ``precision``
+    alone: deep scans need roughly ``r_max * log2(lambda_m/lambda_{m-1})``
+    extra bits.
     """
-    import mpmath
-
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
-    top, second, limit_value = _limit(p, z, precision, tol)
-    ratio = float(abs(second) / abs(top))
-    m = p.m
-    with mpmath.workprec(_work_bits(precision, m, z)):
-        zz, cmpf = mpmath.mpc(z), rat_to_mpf(p.c)
-        # t_{-m-1} .. t_{-1} are zero, then t_0 .. t_{m-1} are the unit start
-        values = [mpmath.mpc(0)] * (m + 1) + [mpmath.mpc(1)] + [mpmath.mpc(0)] * (m - 1)
-        for _ in range(m, r_max + 1):
-            values.append((zz * values[-m] - values[-m - 1]) / cmpf)
-        exact, power = [], mpmath.mpc(1)
-        for tval in values[m + 1 : m + 2 + r_max]:
-            exact.append(abs(tval / power - limit_value))
-            power *= top
-        errors = [float(e) for e in exact]
+    _, ratio, (br, exp, bi, _), (lr, _, li, _) = _limit(p, z, precision, tol)
+    m, bits = p.m, -exp
+    work, half = bits - _SCAN_GUARD_BITS, 1 << bits - 1
+    # u_{-m-1} .. u_{-1} are zero, then u_0 .. u_{m-1} are the unit start;
+    # u_r = u_{r-m} + beta*(u_{r-m} - u_{r-m-1})
+    re = [0] * (m + 1) + [1 << bits] + [0] * (m - 1)
+    im = [0] * (2 * m + 1)
+    for _ in range(m, r_max + 1):
+        a, b = re[-m], im[-m]
+        dr, di = a - re[-m - 1], b - im[-m - 1]
+        re.append(a + ((br * dr - bi * di + half) >> bits))
+        im.append(b + ((br * di + bi * dr + half) >> bits))
+    exact = [
+        hypot_man_exp(x - lr, exp, y - li, exp, work)
+        for x, y in zip(re[m + 1 : m + 2 + r_max], im[m + 1 : m + 2 + r_max])
+    ]
+    errors = [to_float(*e) for e in exact]
 
-        def root(r, s, n):
-            # (e_r/e_s)**(1/n) in doubles where both cells are normal ones,
-            # else from the errors at the working precision, which a deep
-            # scan resolves below the range of a double
-            if min(errors[r], errors[s]) >= sys.float_info.min:
-                return (errors[r] / errors[s]) ** (1.0 / n)
-            if exact[r] and exact[s]:
-                return float((exact[r] / exact[s]) ** (mpmath.mpf(1) / n))
-            return None
+    def root(r, s, n):
+        # (e_r/e_s)**(1/n) in doubles where both cells are normal ones,
+        # else from the errors at the working precision, which a deep
+        # scan resolves below the range of a double
+        if min(errors[r], errors[s]) >= sys.float_info.min:
+            return (errors[r] / errors[s]) ** (1.0 / n)
+        (a, ea), (b, eb) = exact[r], exact[s]
+        if a and b:
+            power = (math.log2(a) - math.log2(b) + ea - eb) / n
+            return 2.0**power if power < 1024 else math.inf
+        return None
 
-        window = m * (m + 1)
-        rates = [root(r, r - window, window) if r >= window else None for r in range(r_max + 1)]
-        tail = window * max(1, r_max // (2 * window))
-        estimate = root(r_max, r_max - tail, tail) if r_max >= window else None
+    window = m * (m + 1)
+    rates = [root(r, r - window, window) if r >= window else None for r in range(r_max + 1)]
+    tail = window * max(1, r_max // (2 * window))
+    estimate = root(r_max, r_max - tail, tail) if r_max >= window else None
     return ScanResult(
         z=complex(z),
         r_max=r_max,
         precision=precision,
         window=window,
         ratio=ratio,
-        limit_value=complex(limit_value),
+        limit_value=complex(to_float(lr, exp), to_float(li, exp)),
         errors=tuple(errors),
         rates=tuple(rates),
         decay_estimate=estimate,

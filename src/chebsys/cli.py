@@ -14,9 +14,10 @@ output.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
 operator truncation that overflowed); the error classes live in
 ``chebsys.errors``.  The numeric half, and with it numpy and mpmath, is
 imported only by the commands that use it: ``gen`` and ``verify`` load
-neither, as the probe is exact, ``branches`` loads no numpy, and mpmath
-only for a point that falls back to the Aberth solver or above 53 bits,
-and ``asymptote`` loads mpmath and no numpy.  ``roots`` loads neither: it
+neither, as the probe is exact; ``branches`` and ``asymptote`` load no
+numpy, and mpmath only for a point that falls back to the Aberth solver,
+at any precision, as their branch values, and the scan's fixed-point
+recursion, run on the integer kernel.  ``roots`` loads neither: it
 takes the zeros of every index the probe proves from the probe's isolating
 intervals, refined with exact signs; only an index the probe leaves to its
 Sturm count is solved by Aberth iteration from companion-matrix seeds, with

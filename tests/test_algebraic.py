@@ -18,6 +18,7 @@ from chebsys.algebraic import (
     region_classify,
     seeded_offstar_points,
     solve_branches,
+    solve_branches_aberth,
     star_geometry,
     star_radius,
 )
@@ -26,12 +27,32 @@ from chebsys.recurrence import Params, gen_type1_scalar
 
 def horner_scan_errors(p, z, r_max, precision):
     """The scan's errors with each t_r from its exact coefficients by Horner."""
-    top, _, limit = algebraic._limit(p, z, precision, 1e-9)
+    top, _, _, limit = algebraic._limit(p, z, precision, 1e-9)
+    top, limit = algebraic._to_mpc(top), algebraic._to_mpc(limit)
     workbits = algebraic._work_bits(precision, p.m, z)
     errors, power = [], mpmath.mpc(1)
     with mpmath.workprec(workbits):
         for t in gen_type1_scalar(p, r_max):
             errors.append(float(abs(t.eval_complex(z, workbits) / power - limit)))
+            power *= top
+    return errors
+
+
+def mpmath_scan_errors(p, z, r_max, bits):
+    """The scan's errors with t_r stepped by its own recurrence, all in mpmath
+    at ``bits``: the top branch from an Aberth solve, and L as
+    ``c/(c*m - lambda_m**-(m+1))``."""
+    m = p.m
+    with mpmath.workprec(bits):
+        top = solve_branches_aberth(p, z, bits).lambdas[-1]
+        c, zz = mpmath.mpf(p.c.numerator) / p.c.denominator, mpmath.mpc(z)
+        limit = c / (c * m - top ** -(m + 1))
+        values = [mpmath.mpc(0)] * (m + 1) + [mpmath.mpc(1)] + [mpmath.mpc(0)] * (m - 1)
+        for _ in range(m, r_max + 1):
+            values.append((zz * values[-m] - values[-m - 1]) / c)
+        errors, power = [], mpmath.mpc(1)
+        for t in values[m + 1 :]:
+            errors.append(float(abs(t / power - limit)))
             power *= top
     return errors
 
@@ -213,6 +234,33 @@ class TestAsymptoticScan:
         ref = horner_scan_errors(p, z, r_max, 2 * precision)
         assert all(abs(g - e) <= abs(h - e) for g, h, e in zip(got, horner, ref))
         assert max(abs(g - e) for g, e in zip(got, ref)) < 1e-40 < horner[-1]
+
+    @pytest.mark.parametrize(
+        "m, z, r_max, precision",
+        [
+            (1, complex(-1.52171, -0.668481), 162, 400),
+            (2, complex(-0.763635, 3.246), 261, 264),
+            (3, complex(1.54981, 1.72394), 360, 200),
+            (2, complex(-0.89977, 2.69938), 243, 328),
+        ],
+    )
+    def test_fixed_point_cells_equal_an_mpmath_recursion(self, m, z, r_max, precision):
+        # the scan shapes of the benchmark's deep workload: every cell above
+        # 2**(-W/2), W the working bits, is the float of a recursion on t_r
+        # itself at 64 more bits
+        p = Params(m, "1")
+        bits = algebraic._work_bits(precision, m, z)
+        got = asymptotic_scan(p, z, r_max, precision).errors
+        ref = mpmath_scan_errors(p, z, r_max, bits + 64)
+        resolved = [r for r in range(r_max + 1) if ref[r] > 2.0 ** (-bits / 2)]
+        assert len(resolved) > r_max // 3
+        assert [got[r] for r in resolved] == [ref[r] for r in resolved]
+
+    def test_the_floor_of_53_bits_lies_below_the_decay(self):
+        # the fixed point keeps the rounding of 30 steps below the last of the
+        # working bits, so the estimate at the floor still reads the ratio
+        scan = asymptotic_scan(Params(1, "1"), complex(3, 1), 30)
+        assert abs(scan.decay_estimate - scan.ratio) < 1e-5
 
     def test_scan_is_a_recursion_that_forks_nothing(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -95,13 +95,21 @@ def test_mixed_points_keep_their_input_order():
         assert cells(bs) == cells(solve_branches_aberth(p, z, 53))
 
 
-def test_above_53_bits_every_point_uses_aberth():
+def test_above_53_bits_points_run_on_the_kernel():
+    # the exact Newton steps carry each value to the working bits: it agrees
+    # with an Aberth solve at 64 more bits to within its last working bit
     p = Params(3, "5/2")
     points = [complex(1.3, 0.4), complex(-2.2, 1.9)]
-    batch = solve_branches_many(p, points, 80)
-    assert (batch.batched, batch.fallback) == (0, 2)
-    for z, bs in zip(points, batch.results):
-        assert bs.lambdas == solve_branches_aberth(p, z, 80).lambdas
+    for precision in (80, 400, 1200):
+        batch = solve_branches_many(p, points, precision)
+        assert (batch.batched, batch.fallback) == (2, 0)
+        for z, bs in zip(points, batch.results):
+            bits = algebraic._work_bits(precision, p.m, z)
+            ref = solve_branches_aberth(p, z, precision + 64).lambdas
+            assert bs.values == tuple(complex(l) for l in ref)
+            with mpmath.workprec(bits + 64):
+                for got, want in zip(bs.lambdas, ref):
+                    assert abs(got - want) <= mpmath.ldexp(abs(want), 1 - bits)
 
 
 def test_point_that_is_not_a_double_uses_aberth():

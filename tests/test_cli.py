@@ -183,7 +183,8 @@ class TestBranches:
 
     def test_solver_counts_which_path_ran(self, tmp_path):
         # z = 1 has a conjugate pair of branches and z = 2 is a branch point,
-        # so both go to mpmath; z = 3 is solved by the 53-bit fast path
+        # so both go to mpmath; z = 3 is solved by the fast path, at 53 bits
+        # and above
         grid = ["--grid", "1:3:3,0:0:1"]
         out = tmp_path / "branches.json"
         assert run("branches", "--m", "1", "--c", "1", *grid, "--out", str(out)) == 0
@@ -202,7 +203,7 @@ class TestBranches:
             "branches", "--m", "1", "--c", "1", *grid,
             "--precision", "80", "--out", str(out),
         ) == 0
-        assert load(out)["solver"] == {"batched": 0, "fallback": 3}
+        assert load(out)["solver"] == {"batched": 1, "fallback": 2}
 
     def test_requires_point_or_grid(self, tmp_path):
         out = tmp_path / "branches.json"
@@ -620,6 +621,8 @@ class TestNumericFailures:
         assert err.count("\n") == 1
 
     def test_solver_divergence(self, tmp_path, monkeypatch, capsys):
+        # the fast path rejects the point, and the Aberth fallback fails
+        monkeypatch.setattr(algebraic, "_solve_fast", lambda *args: None)
         monkeypatch.setattr(
             rootfind, "complex_roots", _raise(RootRefinementError("stuck"))
         )

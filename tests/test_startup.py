@@ -73,8 +73,10 @@ print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 # (the same digests pin branches.json in test_cli_outputs.py, and the
 # asymptote digest asymptote.json there).  Numpy is loaded
 # only for companion seeds, which only an index the probe did not prove
-# needs: the 53-bit fast path, a fallback point, a scan and the probe run
+# needs: the fast path, a fallback point, a scan and the probe run
 # in plain doubles, and roots refines the probe's intervals in integers.
+# mpmath is loaded only for a point the fast path rejects: the fast path
+# runs at every precision, and a scan steps its terms on the kernel.
 BRANCHES = ["branches", "--m", "2", "--c", "7/3"]
 LOADS = {
     "batched-grid": (
@@ -92,21 +94,34 @@ LOADS = {
         ["mpmath"],
         {"branches_fallback.json": "c9342a5dd036b4b0e92fb930aa69a2b052365cb86099d1b3ea3846b8920a9762"},
     ),
+    # re-taken when the fast path came to run above 53 bits: its six points
+    # were Aberth's and are now the kernel's, so the solver counts and the
+    # max_residual cells moved, and no value or modulus did
     "precision-64": (
         [*BRANCHES, "--grid=-2:2:3,-1:1:2", "--precision", "64", "--out", "branches64.json"],
-        ["mpmath"],
-        {"branches64.json": "4c1a5821ec73d90ba77cab38e25f33011a9c0725346313acbd52697b33064687"},
+        [],
+        {"branches64.json": "507c9b513ed179ad8978856531c39eee39580ccdbeaa121702eb3bcc62b3543d"},
     ),
+    # re-taken when the scan came to step t_r/lambda_m**r in fixed point:
+    # the e_r cells from r = 15 on, which lie near the floor of 53 bits, and
+    # with them the rates and decay_estimate moved; L, ratio and window did not
     "asymptote": (
         ["asymptote", "--m", "1", "--c", "1", "--z", "3,1", "--r-max", "30", "--out", "asymptote.json"],
-        ["mpmath"],
-        {"asymptote.json": "c62f65268c58384ed038e95caaf0e053b0fc81acd07e67f1d69537a88283392b"},
+        [],
+        {"asymptote.json": "cd67a3069b446192606800d620b8693da24bf791ca722a08b0caceecedfae6a4"},
     ),
     "asymptote-200": (
         ["asymptote", "--m", "1", "--c", "1", "--z", "3,1", "--r-max", "30", "--precision", "200",
          "--out", "asymptote200.json"],
-        ["mpmath"],
+        [],
         {"asymptote200.json": "e0909c73fe83c03fb21897db22e2f1140baf8b50dc2123e5cc7d4c1a6a8e68d3"},
+    ),
+    # the shape of the first scan of a round of the benchmark's deep workload
+    "asymptote-400": (
+        ["asymptote", "--m", "1", "--c", "1", "--z=-1.52171,-0.668481", "--r-max", "162",
+         "--precision", "400", "--out", "asymptote400.json"],
+        [],
+        {"asymptote400.json": "70e7bc6e318412c1055c45ca54ca78b103bbd18096a644332a14c6bdde04dfab"},
     ),
     # the zeros refined from the probe's intervals, at m = 2 and m = 1; both
     # re-taken with them, as roots60 and roots.csv in test_cli_outputs.py
@@ -258,9 +273,9 @@ def test_one_point_solve_loads_neither_numpy_nor_mpmath():
 
 @pytest.mark.parametrize("case", list(LOADS))
 def test_mpmath_loads_only_where_a_command_solves_in_it(tmp_path, case):
-    # a 53-bit grid whose every point the fast path accepts loads neither,
-    # and nor does roots, whose zeros come from the probe's intervals; a
-    # fallback point, more bits and a scan load mpmath
+    # a grid whose every point the fast path accepts loads neither, at any
+    # precision, and nor do a scan and roots, whose zeros come from the
+    # probe's intervals; a fallback point loads mpmath
     argv, loaded, files = LOADS[case]
     done = python(COMMAND, *argv, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
