@@ -299,12 +299,15 @@ def _power(X: int, Y: int, n: int) -> tuple:
     return pr, pi
 
 
-def _branch_poly(X: int, Y: int, e: int, m: int, c: Rational, z_fixed: tuple) -> tuple:
+def _branch_poly(
+    X: int, Y: int, e: int, m: int, c: Rational, z_fixed: tuple, power: tuple | None = None
+) -> tuple:
     """``c*w**(m+1) - z*w + 1`` at ``w = (X + iY) * 2**e``, exactly, as
-    ``(re, im, exp)``: the value is ``(re + i*im) * 2**exp / c.denominator``."""
+    ``(re, im, exp)``: the value is ``(re + i*im) * 2**exp / c.denominator``.
+    ``power`` is ``(X + iY)**(m+1)`` where the caller has it."""
     num, den = c.numerator, c.denominator
     zr, zi, ez = z_fixed
-    pr, pi = _power(X, Y, m + 1)
+    pr, pi = power or _power(X, Y, m + 1)
     ep, el = (m + 1) * e, ez + e
     low = min(ep, el, 0)
     ep, el = ep - low, el - low
@@ -315,12 +318,11 @@ def _branch_poly(X: int, Y: int, e: int, m: int, c: Rational, z_fixed: tuple) ->
     )
 
 
-def _branch_slope(X: int, Y: int, e: int, m: int, c: Rational, z_fixed: tuple) -> tuple:
-    """``c*(m+1)*w**m - z`` at ``w = (X + iY) * 2**e``, exactly, in the form
-    of ``_branch_poly``."""
+def _branch_slope(pr: int, pi: int, e: int, m: int, c: Rational, z_fixed: tuple) -> tuple:
+    """``c*(m+1)*w**m - z`` at ``w = (X + iY) * 2**e``, exactly, from
+    ``(X + iY)**m = pr + i*pi``, in the form of ``_branch_poly``."""
     num, den = (m + 1) * c.numerator, c.denominator
     zr, zi, ez = z_fixed
-    pr, pi = _power(X, Y, m)
     ep = m * e
     low = min(ep, ez)
     ep, ez = ep - low, ez - low
@@ -343,8 +345,11 @@ def _newton_fixed(X: int, Y: int, e: int, m: int, c: Rational, z_fixed: tuple, w
     shift = width - max(abs(X), abs(Y)).bit_length()
     if shift > 0:
         X, Y, e = X << shift, Y << shift, e - shift
-    pr, pi, pe = _cut(*_branch_poly(X, Y, e, m, c, z_fixed), width)
-    dr, di, de = _cut(*_branch_slope(X, Y, e, m, c, z_fixed), width)
+    # w**(m+1) is one product beyond w**m
+    wr, wi = _power(X, Y, m)
+    power = wr * X - wi * Y, wr * Y + wi * X
+    pr, pi, pe = _cut(*_branch_poly(X, Y, e, m, c, z_fixed, power), width)
+    dr, di, de = _cut(*_branch_slope(wr, wi, e, m, c, z_fixed), width)
     # (pr + i*pi) / (dr + i*di) * 2**(pe - de) in units of 2**e
     norm = dr * dr + di * di
     qr, qi = pr * dr + pi * di, pi * dr - pr * di

@@ -6,8 +6,8 @@ that ``gcd(den, *nums) == 1``; the zero polynomial is ``((), 1)`` and reports
 degree -1.  The normal form is unique, so equality is a tuple compare.
 Every operation except complex evaluation is exact and runs on Python
 integers; the reduced rational coefficients are available as ``coeffs``.
-``certify_real_roots`` proves that all roots are real and simple from exact
-signs at dyadic points.
+``dyadic_sign`` gives the exact sign at a dyadic point, from which the
+probe proves that all roots are real and simple.
 Complex evaluation rounds each reduced coefficient to an explicit working
 precision (in bits) and runs Horner's rule on mpmath's complex operators;
 it is the single bridge between the exact and numeric halves of the
@@ -323,80 +323,3 @@ def dyadic_sign(p: Poly, a: int, k: int) -> int:
         acc = acc * a + (n << shift)
         shift += k
     return (acc > 0) - (acc < 0)
-
-
-def _dyadic_in(lo: float, hi: float) -> tuple | None:
-    """``(a, k)`` with ``a / 2**k`` in ``[lo, hi]`` and ``k >= 0`` least.
-
-    Of the candidates at that ``k`` the middle one is taken; None unless
-    ``lo < hi`` are finite.
-    """
-    if not (lo < hi and math.isfinite(hi - lo)):
-        return None
-
-    def middle(k):
-        first, last = math.ceil(math.ldexp(lo, k)), math.floor(math.ldexp(hi, k))
-        return (first + last) // 2 if first <= last else None
-
-    # an interval 2**-k wide holds a multiple of 2**-k, and then also one of
-    # every finer step; the loops only make up for the rounding of hi - lo
-    # and look for a coarser step
-    k = max(0, 1 - math.frexp(hi - lo)[1])
-    while middle(k) is None:
-        k += 1
-    while k and middle(k - 1) is not None:
-        k -= 1
-    return middle(k), k
-
-
-def isolating_points(hints) -> list | None:
-    """Short dyadic points ``(a, k)``, meaning ``a / 2**k``, around sorted real hints.
-
-    One point lies in the middle half of each gap between consecutive hints,
-    one below the least hint and one above the greatest, each in the middle
-    half of a gap as wide as its neighbour (``1 + |hint|`` for a single
-    hint).  None if the hints are not finite and strictly increasing.
-    """
-    hints = [float(x) for x in hints]
-    if not hints:
-        return None
-    gaps = [b - a for a, b in zip(hints, hints[1:])]
-    if gaps:
-        outer = [hints[0] - gaps[0], *hints, hints[-1] + gaps[-1]]
-    else:
-        width = 1 + abs(hints[0])
-        outer = [hints[0] - width, hints[0], hints[0] + width]
-    points = []
-    for a, b in zip(outer, outer[1:]):
-        quarter = (b - a) / 4
-        point = _dyadic_in(a + quarter, b - quarter)
-        if point is None:
-            return None
-        points.append(point)
-    return points
-
-
-def certify_real_roots(p: Poly, hints) -> tuple | None:
-    """Isolating intervals that prove ``p``, of degree d >= 1, to have d
-    distinct real roots, or None.
-
-    ``hints`` are d real estimates of the roots.  Nonzero signs of ``p`` that
-    alternate at d+1 increasing points put a root in each of the d open
-    intervals between them (Collins and Akritas, SYMSAC 1976), so the roots
-    are real and simple, whatever the hints were.  The points are
-    ``isolating_points(sorted(hints))``, and each interval is
-    ``(lo, hi, s)``: two consecutive points and the sign of ``p`` at lo.
-    None means no proof, not a complex or repeated root.
-    """
-    d = p.degree
-    hints = sorted(hints)
-    if d < 1 or len(hints) != d:
-        return None
-    points = isolating_points(hints)
-    if points is None:
-        return None
-    # the points never decrease, and two equal ones cannot alternate in sign
-    signs = [dyadic_sign(p, a, k) for a, k in points]
-    if not all(s and s == -t for s, t in zip(signs, signs[1:])):
-        return None
-    return tuple(zip(points, points[1:], signs))

@@ -5,15 +5,14 @@ The probe decides that exactly, index by index, with integer signs at dyadic
 points: d sign changes of h_r along them prove d real, simple zeros, one in
 each gap where the sign changes.  The probe works in y = x/2**E,
 E = floor(log2 c), where the zeros are of the order of one whatever c is.
-For m = 1 the points sit between the closed-form zeros
-(``exactpoly.certify_real_roots``).  For m >= 2 each index is proved from the
-isolating intervals of the last index proved before it (``_step``): their
-ends are the points, and an interval whose ends show h_r no sign change is
-split by the sign of the previous polynomial until the count comes out
-right.  The zeros of consecutive h_r interlace, which is why the points are
-found (Haneczok and Van Assche, J. Math. Anal. Appl. 2012), but only the
-sign count proves anything.  An index the signs miss is decided by a Sturm
-count on the remainder chain of (h_r, h_r') (``exactpoly._sturm_count``).
+At every m each index is proved from the isolating intervals of the last
+index proved before it (``_step``): their ends are the points, and an
+interval whose ends show h_r no sign change is split by the sign of the
+previous polynomial until the count comes out right.  The zeros of
+consecutive h_r interlace, which is why the points are found (Haneczok and
+Van Assche, J. Math. Anal. Appl. 2012), but only the sign count proves
+anything.  An index the signs miss is decided by a Sturm count on the
+remainder chain of (h_r, h_r') (``exactpoly._sturm_count``).
 
 ``isolate`` hands the intervals on, and ``enclosure`` refines one of them
 to any width relative to its zero: ``roots`` reports the zeros of every
@@ -29,8 +28,8 @@ import math
 import sys
 from typing import NamedTuple
 
-from .exactpoly import Poly, _sturm_count, certify_real_roots, dyadic_sign
-from .recurrence import Params, TypeIRecord, gen_type1_records
+from .exactpoly import Poly, _sturm_count, dyadic_sign
+from .recurrence import Params, gen_type1_records
 
 ROUNDS = 48  # rounds of splits the step tries at one index before the Sturm count
 BISECTIONS = 2  # bisections of a gap in the search for the least one before it is measured
@@ -43,8 +42,7 @@ class ProbeReport(NamedTuple):
 
     An index is certified when the integer h_r has d sign changes along
     increasing dyadic points with nonzero signs, which proves d distinct
-    real zeros: for m = 1 at points between the closed-form zeros, for
-    m >= 2 at points the step takes from the previous index's isolating
+    real zeros, at points the step takes from the previous index's isolating
     intervals.  Every other index is decided by a Sturm count on the
     remainder chain of (h_r, h_r'), which proves d distinct real zeros or
     finds fewer.  Classification is PASS, a proof for every index, or
@@ -53,13 +51,12 @@ class ProbeReport(NamedTuple):
     otherwise.  ``max_imag_normalized`` is 0.0 on a PASS and None on a
     COUNTEREXAMPLE, where no zero is computed.  ``min_separation_normalized``
     is the least of ``|x - y| / max(1, |x|, |y|)`` over consecutive zeros,
-    from the closed form for m = 1 and from isolating intervals refined to
-    2**-64 of their zeros for m >= 2.  It is None when an index was decided by the
-    count, which isolates no zero, or when the least gap underflows a
-    double: the zeros are proven distinct, so a gap that reads 0.0 there
-    has lost its digits and does not mean a repeated zero.  ``certified``
-    counts the indices the signs proved, and ``first_uncertified_r`` names
-    the first they missed.
+    from isolating intervals refined to 2**-64 of their zeros.  It is None
+    when an index was decided by the count, which isolates no zero, or when
+    the least gap underflows a double: the zeros are proven distinct, so a
+    gap that reads 0.0 there has lost its digits and does not mean a
+    repeated zero.  ``certified`` counts the indices the signs proved, and
+    ``first_uncertified_r`` names the first they missed.
     """
 
     classification: str
@@ -70,46 +67,6 @@ class ProbeReport(NamedTuple):
     checked: int
     certified: int
     first_uncertified_r: int | None
-
-
-def _separation(a, b) -> float:
-    return float(abs(a - b)) / max(1.0, abs(complex(a)), abs(complex(b)))
-
-
-def closed_form_hints(rec: TypeIRecord) -> list:
-    """``cos(k pi/(r+1))**2`` for k = 1..deg h_r, sorted: for m = 1 the zeros
-    of h_r divided by 4c (see ``_certify_index``)."""
-    angle = math.pi / (rec.r + 1)
-    return sorted(math.cos(k * angle) ** 2 for k in range(1, rec.h.degree + 1))
-
-
-def _certify_index(rec: TypeIRecord, p: Params, E: int):
-    """The zeros of h_r, m = 1, isolated in y = x/2**E, or None if h_r is
-    not certified.
-
-    ``c**(r/2) * t_r(x) = U_r(x / (2*sqrt(c)))`` puts the zeros of h_r at
-    ``4c * cos(k pi/(r+1))**2``, k = 1..deg h_r.  In y they are the hints
-    ``cos(k pi/(r+1))**2`` times 4c/2**E, which lies in [4, 8) whatever c
-    is, so no hint overflows or underflows.
-    """
-    num, den = p.c.numerator << max(-E, 0), p.c.denominator << max(E, 0)
-    hints = [4 * num / den * y for y in closed_form_hints(rec)]
-    g = _in_y(rec.h, E)
-    intervals = certify_real_roots(g, hints)
-    return Isolated(g, E, intervals) if intervals else None
-
-
-def _separation_at_4c(hints, c) -> float:
-    """The least normalized separation of the zeros ``4c*y``, y the sorted hints."""
-    try:
-        c4 = 4 * float(c)
-    except OverflowError:
-        c4 = math.inf
-    if c4 < math.inf:
-        xs = [c4 * y for y in hints]
-        return min(map(_separation, xs, xs[1:]), default=math.inf)
-    # every zero lies beyond 1 here, so the normalized gaps are ratios of hints
-    return min(((b - a) / b for a, b in zip(hints, hints[1:])), default=math.inf)
 
 
 # ---------------------------------------------------------------- the step
@@ -255,7 +212,7 @@ def _step(h: Poly, E: int, last: Isolated) -> tuple | None:
 
 
 def _stepped(records: list, E: int) -> dict:
-    """``{r: Isolated}`` for every record the step proved, m >= 2.
+    """``{r: Isolated}`` for every record the step proved.
 
     The first index has degree 1 and is proved from no intervals at all; an
     index the step misses is skipped, and the next is proved from the last
@@ -358,12 +315,17 @@ def enclosure(g: Poly, span: tuple, bits: int, floats: list) -> tuple:
     kept inside it by the float signs while they lie above the rounding
     noise of Horner's rule.  Exact Newton steps follow (``_value_and_slope``):
     the sign of each exact value moves an end of the span, a step that
-    would leave the span bisects it instead, and each step that stays
-    doubles the bits that the last one left right.  Two exact signs at the
-    ends of a span 2**-(bits+2) of the result wide close it, and where they
-    fail bisection refines the span itself: Newton's method speeds the
-    refinement and proves nothing (quadratic interval refinement: Abbott,
-    ACM Commun. Comput. Algebra 2014).
+    would leave the span, or that lies in no lower binade than the step
+    before the last, bisects it instead, and each step that stays doubles
+    the bits that the last one left right.  The binade rule is the
+    safeguard of ``rtsafe`` (Press et al., Numerical Recipes, section 9.4):
+    from far beyond a cluster of zeros, as from the outer end ``2**e`` of
+    an outermost span, Newton's steps shrink by a factor of only about
+    1 - 1/d each.  Two exact signs at the ends of a span 2**-(bits+2) of
+    the result wide close it, and where they fail bisection refines the
+    span itself: Newton's method speeds the refinement and proves nothing
+    (quadratic interval refinement: Abbott, ACM Commun. Comput. Algebra
+    2014).
     """
     lo, hi, k, s, a, b = span
     if lo < 0 < hi:
@@ -396,6 +358,8 @@ def enclosure(g: Poly, span: tuple, bits: int, floats: list) -> tuple:
     num, den = x.as_integer_ratio()
     kx = den.bit_length() - 1
     target = bits + 8
+    # the binades of the last two moves of x, for the creep test
+    before = latest = (hi - lo).bit_length() - k
     for _ in range(NEWTON):
         value, slope = _value_and_slope(g, num, kx)
         if not value:
@@ -419,9 +383,16 @@ def enclosure(g: Poly, span: tuple, bits: int, floats: list) -> tuple:
         shift = K - kx
         nx = (num << shift if shift >= 0 else num >> -shift) - step
         n = max(k, K)
-        if not slope or step and not lo << (n - k) < nx << (n - K) < hi << (n - k):
+        size = abs(step).bit_length() - K
+        if (
+            not slope
+            or step and not lo << (n - k) < nx << (n - K) < hi << (n - k)
+            or size >= before
+        ):
             num, kx = lo + hi, k + 1
+            before, latest = latest, (hi - lo).bit_length() - k - 1
             continue
+        before, latest = latest, size
         num, kx = nx, K
         # the step was about the error of x before it, so twice its bits
         # are right now: check the span 2**-(bits+2) of x wide around x,
@@ -523,20 +494,9 @@ def isolate(p: Params, records) -> tuple:
     counterexample.
     """
     records = [rec for rec in records if rec.tau >= 1]
-    E = _log2_floor(p.c)
-    if p.m == 1:
-        proved = {rec.r: iso for rec in records if (iso := _certify_index(rec, p, E))}
-    else:
-        proved = _stepped(records, E)
+    proved = _stepped(records, _log2_floor(p.c))
     missed = [rec for rec in records if rec.r not in proved]
-    if missed:
-        min_sep = None
-    elif p.m == 1:
-        min_sep = min(
-            (_separation_at_4c(closed_form_hints(rec), p.c) for rec in records), default=math.inf
-        )
-    else:
-        min_sep = _least_gap(list(proved.values()))
+    min_sep = None if missed else _least_gap(list(proved.values()))
     classification, max_imag, offending, reason = "PASS", 0.0, None, None
     for rec in missed:
         distinct, gcd_degree = _sturm_count(rec.h)

@@ -1,13 +1,14 @@
 """The exact sign certificate of real, simple roots, and the probe built on it.
 
-``certify_real_roots`` proves that a polynomial of degree d has d distinct
-real roots from nonzero alternating signs at d+1 dyadic points.  It must
-reject every polynomial without that property whatever the hints, and the
-probe must certify the whole acceptance range with no numeric solve.  For
-m >= 2 the probe's step proves each h_r from the isolating intervals of the
-index before it.  With the signs switched off, or with a step whose count
-comes out short, the Sturm count must prove the same indices exactly,
-without a root solve or mpmath.
+The probe proves that h_r has d distinct real zeros from nonzero signs that
+change d times along dyadic points; its step takes the points from the
+isolating intervals of the index before, at every m.  It must leave every
+index without that property to the Sturm count, and it must certify the
+whole acceptance range with no numeric solve.  With the signs switched off,
+or with a step whose count comes out short, the Sturm count must prove the
+same indices exactly, without a root solve or mpmath.  At m = 1 the closed
+form of the zeros, ``4c cos(k pi/(r+1))**2``, is the oracle of the least
+gap the probe measures.
 """
 
 import json
@@ -19,12 +20,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import chebsys
 from chebsys import probe
 from chebsys import roots as roots_module
-from chebsys.exactpoly import Poly, certify_real_roots, dyadic_sign, isolating_points
+from chebsys.exactpoly import Poly, dyadic_sign
 from chebsys.recurrence import Params, gen_type1_records
 from chebsys.roots import conjecture_probe
 
@@ -34,12 +36,6 @@ def from_roots(*values):
     for v in values:
         poly = poly * Poly((-Fraction(v), 1))
     return poly
-
-
-def closed_form_hints(p: Params, rec) -> list:
-    # c**(r/2) * t_r(x) = U_r(x / (2 sqrt(c))) for m = 1
-    n = rec.r + 1
-    return [4 * float(p.c) * math.cos(k * math.pi / n) ** 2 for k in range(1, rec.h.degree + 1)]
 
 
 def test_dyadic_sign_is_the_sign_of_the_exact_value():
@@ -52,112 +48,79 @@ def test_dyadic_sign_is_the_sign_of_the_exact_value():
         assert dyadic_sign(poly, a, k) == (value > 0) - (value < 0)
 
 
-@pytest.mark.parametrize(
-    "poly, hints",
-    [
-        (Poly((1, 0, 1)), [0.0, 0.0]),  # x^2 + 1: the real parts of +-i
-        (Poly((1, 0, 1)), [-1.0, 1.0]),
-        (from_roots(1, 1), [1.0, 1.0]),
-        (from_roots(1, 1), [0.9, 1.1]),  # the middle point lands on the root
-        (from_roots(1, 1), [0.5, 1.5]),
-        (Poly((0, 0, 0, 1)), [-1.0, 0.0, 1.0]),  # x^3
-        (Poly((0, 0, 0, 1)), [-1.0, 1.0, 2.0]),
-        (from_roots(0, 0, 4), [-1.0, 1.0, 4.0]),  # signs -, 0, -, +
-        (from_roots(1, 2, 3), [1.6, 1.8, 3.0]),  # the root 1 lies below every hint
-        (from_roots(1, 2, 3), [1.0, 2.5, 2.6]),  # 2 lies below its hint
-        (from_roots(1, "5/2"), [1.0, 2.0]),  # signs +, -, 0: the last point is a root
-        (from_roots(1, 2, 3), [1.0, 2.0]),  # too few hints
-        (from_roots(5, 6, 7), [1.0, 1.0 + 2**-52, 1.0 + 2**-51]),  # points merge
-        (from_roots(1, 2, 3), [1.0, 2.0, math.nan]),
-        (Poly((5,)), []),
-    ],
-)
-def test_rejects_without_distinct_real_roots_or_with_misplaced_hints(poly, hints):
-    assert not certify_real_roots(poly, hints)
-
-
-@pytest.mark.parametrize(
-    "poly, hints",
-    [
-        (from_roots(1, 2, 3), [1.0, 2.0, 3.0]),
-        (from_roots(1, 2, 3), [2.9, 0.8, 2.1]),  # rough and unsorted
-        (from_roots(3), [2.5]),
-        (from_roots("1/3", "1/3000", "-7/2", 10**9), [1 / 3, 1 / 3000, -3.5, 1e9]),
-        (from_roots(0, 2), [0.0, 2.0]),
-    ],
-)
-def test_accepts_distinct_real_roots(poly, hints):
-    assert certify_real_roots(poly, hints)
-
-
-def test_points_are_short_and_in_the_middle_half_of_each_gap():
-    rng = random.Random(11)
-    for _ in range(200):
-        # hints of few bits, so that the gaps and their quarters are exact floats
-        scale = 2.0 ** rng.randint(-20, 5)
-        hints = sorted({rng.randint(-10**6, 10**6) * scale for _ in range(rng.randint(1, 8))})
-        gaps = [b - a for a, b in zip(hints, hints[1:])]
-        if gaps:
-            edges = [hints[0] - gaps[0], *hints, hints[-1] + gaps[-1]]
-        else:
-            edges = [hints[0] - 1 - abs(hints[0]), hints[0], hints[0] + 1 + abs(hints[0])]
-        points = isolating_points(hints)
-        assert len(points) == len(hints) + 1
-        for (a, k), lo, hi in zip(points, edges, edges[1:]):
-            quarter = (Fraction(hi) - Fraction(lo)) / 4
-            x = Fraction(a, 2**k)
-            assert Fraction(lo) + quarter <= x <= Fraction(hi) - quarter
-            # the least k: no multiple of 2**-(k-1) lies in the middle half
-            if k:
-                coarse = math.ceil((Fraction(lo) + quarter) * 2 ** (k - 1))
-                assert Fraction(coarse, 2 ** (k - 1)) > Fraction(hi) - quarter
-
-
-def test_rejects_hints_that_are_not_increasing_and_finite():
-    assert isolating_points([]) is None
-    assert isolating_points([1.0, 1.0]) is None
-    assert isolating_points([2.0, 1.0]) is None
-    assert isolating_points([0.0, math.inf]) is None
-
-
-@pytest.mark.parametrize("c", ["1", "4", "3/7"])
-def test_m1_closed_form_certifies_every_index_to_200(c):
-    p = Params(1, c)
-    for rec in gen_type1_records(p, 200):
-        if rec.tau >= 1:
-            assert certify_real_roots(rec.h, closed_form_hints(p, rec)), rec.r
-
-
 def test_c1_has_exact_dyadic_roots_and_still_certifies():
-    # 4 cos(pi/4)**2 = 2, 4 cos(pi/3)**2 = 1, 4 cos(pi/6)**2 = 3
+    # 4 cos(pi/4)**2 = 2, 4 cos(pi/3)**2 = 1, 4 cos(pi/6)**2 = 3; at c = 1
+    # the probe's y is x itself, so each zero lies in one of its intervals,
+    # perhaps as its end or as the one point of an interval (y, y)
     p = Params(1, "1")
     records = gen_type1_records(p, 11)
+    report, proved = probe.isolate(p, records)
+    assert report.classification == "PASS"
+    assert report.certified == report.checked == 10
     for r, y in ((3, 2), (2, 1), (5, 3), (5, 1), (7, 2), (11, 2), (11, 3), (11, 1)):
         assert dyadic_sign(records[r].h, y, 0) == 0, (r, y)
-        assert certify_real_roots(records[r].h, closed_form_hints(p, records[r]))
+        iso = proved[r]
+        assert iso.E == 0 and len(iso.intervals) == records[r].h.degree
+        holding = [
+            (lo, hi) for lo, hi, _ in iso.intervals
+            if Fraction(lo[0], 2 ** lo[1]) <= y <= Fraction(hi[0], 2 ** hi[1])
+        ]
+        assert len(holding) == 1, (r, y)
 
 
 @pytest.mark.parametrize(
     "c", [10**400, Fraction(1, 10**400), 4 * 10**307], ids=["huge", "tiny", "4c-overflows"]
 )
 def test_a_c_beyond_double_range_certifies_in_the_scaled_variable(c):
-    # the zeros 4c*cos(k pi/(r+1))**2 overflow or underflow a double, their
-    # hints cos(k pi/(r+1))**2 in y = x/(4c) do not
+    # the zeros 4c*cos(k pi/(r+1))**2 overflow or underflow a double; in
+    # y = x/2**E, E = floor(log2 c), they are of the order of one
     p = Params(1, c)
-    report = conjecture_probe(p, 12)
+    records = gen_type1_records(p, 12)
+    report, proved = probe.isolate(p, records)
+    assert report == conjecture_probe(p, 12)
     assert report.classification == "PASS"
     assert report.certified == report.checked == 11
-    rec = gen_type1_records(p, 4)[4]
-    assert probe._certify_index(rec, p, probe._log2_floor(p.c))
-    sep = probe._separation_at_4c(probe.closed_form_hints(rec), p.c)
+    for rec in records[2:]:
+        assert len(proved[rec.r].intervals) == rec.h.degree
     # beyond 1 the normalized gaps no longer depend on c; below 1/4 they
     # shrink with it, here below the range of a double
     if c > 1:
-        low, high = (math.cos(k * math.pi / 5) ** 2 for k in (2, 1))
-        assert sep == pytest.approx(1 - low / high)
+        gaps = [
+            1 - math.cos((k + 1) * math.pi / (r + 1)) ** 2 / math.cos(k * math.pi / (r + 1)) ** 2
+            for r in range(2, 13)
+            for k in range(1, r // 2)
+        ]
+        assert report.min_separation_normalized == pytest.approx(min(gaps))
     else:
-        assert sep < sys.float_info.min
         assert report.min_separation_normalized is None
+
+
+def closed_form_least_gap(p: Params, r_max: int):
+    """The least normalized gap between consecutive zeros of h_r, r <= r_max,
+    m = 1, from the closed form ``4c cos(k pi/(r+1))**2``, k = 1..deg h_r,
+    in mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        c4 = 4 * mpmath.mpf(p.c.numerator) / p.c.denominator
+        least = mpmath.inf
+        for rec in gen_type1_records(p, r_max):
+            xs = sorted(
+                c4 * mpmath.cos(k * mpmath.pi / (rec.r + 1)) ** 2
+                for k in range(1, rec.h.degree + 1)
+            )
+            # the zeros are >= 0, so y is the larger in modulus
+            for x, y in zip(xs, xs[1:]):
+                least = min(least, (y - x) / max(1, y))
+        return least
+
+
+@pytest.mark.parametrize("c, r_max", [("1", 40), ("3/2", 60), ("59/62", 120)])
+def test_m1_separation_is_the_closed_form_to_the_last_bits(c, r_max):
+    # the gap is measured between enclosures 2**-64 of their zeros wide, so
+    # it carries the closed form's value to a few units of 2**-53
+    p = Params(1, c)
+    sep = conjecture_probe(p, r_max).min_separation_normalized
+    exact = closed_form_least_gap(p, r_max)
+    assert abs(sep - exact) <= 4 * 2.0**-53 * exact
 
 
 @pytest.fixture
@@ -181,8 +144,7 @@ def test_probe_certifies_the_acceptance_range_without_a_solve(no_solve, m, c, r_
 
 
 def switch_off_the_signs(monkeypatch):
-    """The closed-form certificate (m = 1) and the step (m >= 2) prove nothing."""
-    monkeypatch.setattr(probe, "certify_real_roots", lambda h, hints: False)
+    """The step proves nothing."""
     monkeypatch.setattr(probe, "_step", lambda h, E, last: None)
 
 
@@ -284,7 +246,7 @@ def test_an_index_without_real_simple_zeros_is_a_counterexample(monkeypatch, no_
 @pytest.mark.parametrize(
     "c", ["1", "3/7", "5/2", 10**400, Fraction(1, 10**400)], ids=["1", "3/7", "5/2", "huge", "tiny"]
 )
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_the_step_proves_every_index_without_a_count(monkeypatch, m, c):
     def count(h):
         raise AssertionError("the step missed an index")
@@ -324,18 +286,25 @@ def test_a_count_that_comes_out_short_falls_back_to_the_sturm_count(monkeypatch)
     )
 
 
+COUNTEREXAMPLES = {
+    "complex-pair": (from_roots(2, 5) * Poly((1, 1, 1)), "complex-root"),
+    "double-root": (from_roots(2, 5, 5, 7), "repeated-root"),
+    "triple-root-at-0": (from_roots(0, 0, 0, 3), "repeated-root"),
+    "no-real-root": (Poly((1, 0, 1)) * Poly((4, 0, 1)), "complex-root"),
+}
+
+
 @pytest.mark.parametrize(
-    "h, reason",
-    [
-        (from_roots(2, 5) * Poly((1, 1, 1)), "complex-root"),
-        (from_roots(2, 5, 5, 7), "repeated-root"),
-    ],
-    ids=["complex-pair", "double-root"],
+    "m, c, h, reason",
+    [(2, "1", *COUNTEREXAMPLES[key]) for key in ("complex-pair", "double-root")]
+    + [(1, c, *case) for c in ("1", "3/7") for case in COUNTEREXAMPLES.values()],
+    ids=["complex-pair", "double-root"]
+    + [f"m1-{c}-{key}" for c in ("1", "3/7") for key in COUNTEREXAMPLES],
 )
-def test_the_step_leaves_a_counterexample_to_the_count(monkeypatch, no_solve, h, reason):
+def test_the_step_leaves_a_counterexample_to_the_count(monkeypatch, no_solve, m, c, h, reason):
     # the step cannot count more sign changes than h has real zeros, so the
     # index goes to the count, and the next is proved from the index before
-    p = Params(2, "1")
+    p = Params(m, c)
     records = gen_type1_records(p, 30)
     bad = next(rec.r for rec in records if rec.tau == h.degree)
     fed = [rec._replace(h=h) if rec.r == bad else rec for rec in records]

@@ -53,7 +53,11 @@ PINNED = {
     "branches.json": "b350078bc27bfbe8483a42a266f9d554dad78bd0c0bed97bcdd0beb9c825342c",
     "asymptote.csv": "145d11532be95e35e2ce3e981cf5b5db2995eb2694568cdf403509e0d75b0f27",
     "roots.csv": "7bf144c518f151bd6c5d57d59fefd954836b411588d6e8152787edf5ab429f6b",  # m = 1, as roots.json
-    "roots.csv.summary.json": "4a9068b804434e2ef26ab67c6cef01f162e9c463301aeaa09f516ba790f297bc",
+    # re-taken when m = 1 came to be proved by the step: the summary's
+    # min_separation_normalized, now measured between isolating intervals
+    # instead of taken from cos**2 in doubles, went 0.06613613724197481 ->
+    # 0.06613613724197477, the closed form's value correctly rounded
+    "roots.csv.summary.json": "e2d0be3a03ee19a14c7e2a25945625773fc5e08dea66d63ec322260295fe871c",
     "verify.csv": "9da81417cf577e25460dcc56c88112e2878ea190503e82f68adfffb9ba6ee05c",
     "gen0.json": "5a441dde49a99ff2fc0451428805746c67ef4d5eca05eb4de00b1a1ce99480a5",
     "gen0.csv": "c6714aad9a13c42253bef2299bf64a8a07310117883b30207eede69d6ca945c2",
@@ -116,10 +120,12 @@ PROBE_BEFORE = {
 PROBE_BEFORE["roots60.csv.summary.json"] = PROBE_BEFORE["roots60.json"]
 
 # the current probe blocks: every index certified, so no imaginary part, and
-# the least separation of the zeros: for m = 1 from the closed form, for
-# m >= 2 from isolating intervals refined to 2**-53 relative.  roots60 was
-# re-taken when the intervals replaced float root hints; it moved by 3e-15
-# relative, and the other three did not move
+# the least separation of the zeros from isolating intervals refined to
+# 2**-64 relative.  roots60 was re-taken when the intervals replaced float
+# root hints; it moved by 3e-15 relative, and the other three did not move.
+# roots.json (m = 1) was re-taken when the step replaced the closed form's
+# gaps in doubles: 0.1683366117287698 -> 0.16833661172876996, 9e-16 relative,
+# the closed form's value correctly rounded
 _PROBE_AFTER = {**_PROBE_BEFORE, "first_uncertified_r": None, "max_imag_normalized": 0.0}
 PROBE_AFTER = {
     "verify.json": {
@@ -128,7 +134,7 @@ PROBE_AFTER = {
     },
     "roots.json": {
         **_PROBE_AFTER, "checked": 11, "certified": 11,
-        "min_separation_normalized": 0.1683366117287698,
+        "min_separation_normalized": 0.16833661172876996,
     },
     "roots60.json": {
         **_PROBE_AFTER, "checked": 54, "certified": 54,

@@ -134,14 +134,16 @@ LOADS = {
             "roots2.csv.summary.json": "174a1f5b4a7450ce6b0b2dd5a055f39e32b244ebeb629bf1c0bac156f49d4694",
         },
     ),
-    # the m = 1 digest of test_cli_outputs.py, re-taken there
+    # the m = 1 digests of test_cli_outputs.py, re-taken there; the summary
+    # again when m = 1 came to be proved by the step, for its
+    # min_separation_normalized alone
     "roots": (
         ["roots", "--m", "1", "--c", "3/2", "--r-list", "0,1,5,20", "--format", "csv",
          "--out", "roots.csv"],
         [],
         {
             "roots.csv": "7bf144c518f151bd6c5d57d59fefd954836b411588d6e8152787edf5ab429f6b",
-            "roots.csv.summary.json": "4a9068b804434e2ef26ab67c6cef01f162e9c463301aeaa09f516ba790f297bc",
+            "roots.csv.summary.json": "e2d0be3a03ee19a14c7e2a25945625773fc5e08dea66d63ec322260295fe871c",
         },
     ),
 }
