@@ -10,13 +10,13 @@ complex evaluation.
 
 Importing the package loads only the exact half, which needs nothing beyond
 the standard library.  The names of the numeric half, and its modules
-``algebraic``, ``rootfind`` and ``roots``, resolve on first use.  mpmath is
-loaded with ``rootfind`` and where ``algebraic`` computes in it (its 53-bit
-fast path and star geometry do without); numpy only for companion-matrix
-root seeds.  The probe (``probe``) works on integer signs and loads
-neither, and ``roots`` takes the zeros of every h_r the probe proved from
-its isolating intervals: only an index the probe left to its Sturm count
-is solved in mpmath from companion seeds.
+``algebraic``, ``rootfind`` and ``roots``, resolve on first use.  mpmath,
+the one dependency, is loaded with ``rootfind`` and where ``algebraic``
+computes in it (its 53-bit fast path and star geometry do without).  The
+probe (``probe``) works on integer signs and loads no mpmath, and ``roots``
+takes the zeros of every h_r the probe proved, by its step or by Sturm's
+theorem, from its isolating intervals: only a counterexample, and an index
+the step misses after it, is solved in mpmath.
 """
 
 import importlib
@@ -89,7 +89,7 @@ _NUMERIC_NAMES = {
         "roots_of_t",
     )
 } | {
-    # the probe's home loads neither numpy nor mpmath; roots re-exports both
+    # the probe's home loads no mpmath; roots re-exports both names
     name: "probe"
     for name in ("ProbeReport", "conjecture_probe")
 }

@@ -29,10 +29,10 @@ An accepted point keeps each value rounded once to the working precision
 on the kernel, with the exact residual of that value, so a run whose every
 point is accepted loads no mpmath.  The asymptotic scan steps
 ``t_r/lambda_m**r`` in fixed point on the same kernel, so it loads mpmath
-only for a point that the fast path rejects.  This module uses no numpy,
-and imports mpmath only where it is used: the Aberth fallback,
-``coefficients_b``, ``explicit_t`` and the mpmath values of ``limit_L``
-and ``BranchSet.lambdas``.
+only for a point that the fast path rejects.  This module imports mpmath
+only where it is used: the Aberth fallback, ``coefficients_b``,
+``explicit_t`` and the mpmath values of ``limit_L`` and
+``BranchSet.lambdas``.
 
 Star geometry: the bounded star is the m+1 segments of length
 ``a = ((m+1)/m) * (m*c)**(1/(m+1))`` along the angles ``2*pi*k/(m+1)``, whose
@@ -184,7 +184,7 @@ def _trinomial_seeds(m: int, c, z) -> list:
     ``w * (P(w)/w) / P'(w)`` with ``c*w**m`` formed as
     ``(c**(1/m) * w)**m``, so no intermediate is much larger than z or the
     roots.  The values may still be non-finite; ``rootfind.complex_roots``
-    then spreads its seeds on a circle instead.
+    then takes its seeds from the Newton polygon instead.
     """
     n = m + 1
     try:

@@ -12,16 +12,17 @@ the files, so identical configurations (seed included) produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 numeric failure (a solver that did not converge, tied branches, or an
 operator truncation that overflowed); the error classes live in
-``chebsys.errors``.  The numeric half, and with it numpy and mpmath, is
-imported only by the commands that use it: ``gen`` and ``verify`` load
-neither, as the probe is exact; ``branches`` and ``asymptote`` load no
-numpy, and mpmath only for a point that falls back to the Aberth solver,
-at any precision, as their branch values, and the scan's fixed-point
-recursion, run on the integer kernel.  ``roots`` loads neither: it
-takes the zeros of every index the probe proves from the probe's isolating
-intervals, refined with exact signs; only an index the probe leaves to its
-Sturm count is solved by Aberth iteration from companion-matrix seeds, with
-mpmath and numpy.  Every command runs in one process.
+``chebsys.errors``.  The numeric half, and with it mpmath, is imported
+only by the commands that use it, and no command uses numpy: ``gen`` and
+``verify`` load no mpmath, as the probe is exact; ``branches`` and
+``asymptote`` load it only for a point that falls back to the Aberth
+solver, at any precision, as their branch values, and the scan's
+fixed-point recursion, run on the integer kernel.  ``roots`` loads it only
+for an index the probe does not prove: it takes the zeros of every index
+the probe proves, by its step or by Sturm's theorem, from the probe's
+isolating intervals, refined with exact signs; only a counterexample, and
+an index the step misses after it, is solved by Aberth iteration in
+mpmath.  Every command runs in one process.
 
 Output layout: with --format json a command writes one JSON file at --out.
 With --format csv each table goes to --out plus a suffix (none for the main
@@ -480,7 +481,7 @@ def cmd_verify(args) -> int:
         },
     )
 
-    # exact: loads neither numpy nor mpmath
+    # exact: loads no mpmath
     from .probe import isolate
 
     add("conjecture_probe", "informational", "INFO", _probe_block(isolate(p, records)[0]))
@@ -769,7 +770,7 @@ def run(argv=None) -> int:
     Once the command has returned, ``gc.freeze()`` moves every live object
     to the permanent generation, which the collections of interpreter
     shutdown skip; on a numeric job they would otherwise walk the whole
-    numpy and mpmath heap.  The interpreter still exits normally, so atexit
+    mpmath heap.  The interpreter still exits normally, so atexit
     handlers run, stdio is flushed and a profiler sees the exit.  Tests and
     other in-process callers use ``main``, which leaves the collector alone.
     """

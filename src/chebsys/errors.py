@@ -3,7 +3,7 @@
 ``cli.main`` maps each of these to an exit code: ``UsageError`` and
 ``OnStarSet`` to 2 (invalid input), the others to 3 (numeric failure).
 Keeping them here lets the CLI name every failure without importing the
-numeric half, which may load numpy and mpmath; the modules that raise them
+numeric half, which may load mpmath; the modules that raise them
 re-export them, so ``from chebsys.algebraic import SolverDivergence`` and the
 like keep working.
 """

@@ -292,25 +292,6 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return Poly.scaled(last, last[-1])
 
 
-def _sturm_count(p: Poly) -> tuple:
-    """The number of distinct real roots of ``p``, of degree >= 1, and the
-    degree of ``gcd(p, p')``, exactly.
-
-    Sturm's theorem on the remainder chain of ``(p, p')`` (Brown and Traub,
-    J. ACM 1971): the count is V(-inf) - V(+inf), the sign changes of the
-    chain at either end, which the leading coefficients and degrees give.
-    """
-    plus, minus = [], []  # the chain's signs at +inf and at -inf
-    for nums in _remainder_chain(list(p.nums), list(p.derivative().nums)):
-        plus.append(nums[-1] > 0)
-        minus.append(plus[-1] == (len(nums) % 2 == 1))  # odd degree flips it
-
-    def changes(signs):
-        return sum(s != t for s, t in zip(signs, signs[1:]))
-
-    return changes(minus) - changes(plus), len(nums) - 1
-
-
 def dyadic_sign(p: Poly, a: int, k: int) -> int:
     """The sign (-1, 0 or 1) of ``p(a / 2**k)`` for ``k >= 0``, exactly.
 

@@ -11,14 +11,16 @@ interval whose ends show h_r no sign change is split by the sign of the
 previous polynomial until the count comes out right.  The zeros of
 consecutive h_r interlace, which is why the points are found (Haneczok and
 Van Assche, J. Math. Anal. Appl. 2012), but only the sign count proves
-anything.  An index the signs miss is decided by a Sturm count on the
-remainder chain of (h_r, h_r') (``exactpoly._sturm_count``).
+anything.  An index the signs miss is isolated by bisection with the sign
+changes of the remainder chain of (h_r, h_r') (``_sturm_isolated``), which
+proves its zeros real and simple or finds a counterexample; the step goes
+on from its intervals.
 
-``isolate`` hands the intervals on, and ``enclosure`` refines one of them
-to any width relative to its zero: ``roots`` reports the zeros of every
-proved h_r from them (``refined``), and the probe measures the least gap
-between zeros with them.  The probe imports nothing beyond the exact half:
-no numeric library.
+``isolate`` hands the intervals of every proved index on, and
+``enclosure`` refines one of them to any width relative to its zero:
+``roots`` reports the zeros of every proved h_r from them (``refined``),
+and the probe measures the least gap between zeros with them.  The probe
+imports nothing beyond the exact half: no numeric library.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .exactpoly import Poly, _sturm_count, dyadic_sign
+from .exactpoly import Poly, _remainder_chain, dyadic_sign
 from .recurrence import Params, gen_type1_records
 
 ROUNDS = 48  # rounds of splits the step tries at one index before the Sturm count
@@ -43,20 +45,20 @@ class ProbeReport(NamedTuple):
     An index is certified when the integer h_r has d sign changes along
     increasing dyadic points with nonzero signs, which proves d distinct
     real zeros, at points the step takes from the previous index's isolating
-    intervals.  Every other index is decided by a Sturm count on the
-    remainder chain of (h_r, h_r'), which proves d distinct real zeros or
+    intervals.  Every other index is decided by Sturm's theorem on the
+    remainder chain of (h_r, h_r'), which isolates d distinct real zeros or
     finds fewer.  Classification is PASS, a proof for every index, or
     COUNTEREXAMPLE, with the first offending index and its ``reason``:
     ``repeated-root`` when gcd(h_r, h_r') is not constant, ``complex-root``
     otherwise.  ``max_imag_normalized`` is 0.0 on a PASS and None on a
     COUNTEREXAMPLE, where no zero is computed.  ``min_separation_normalized``
-    is the least of ``|x - y| / max(1, |x|, |y|)`` over consecutive zeros,
-    from isolating intervals refined to 2**-64 of their zeros.  It is None
-    when an index was decided by the count, which isolates no zero, or when
-    the least gap underflows a double: the zeros are proven distinct, so a
-    gap that reads 0.0 there has lost its digits and does not mean a
-    repeated zero.  ``certified`` counts the indices the signs proved, and
-    ``first_uncertified_r`` names the first they missed.
+    is the least of ``|x - y| / max(1, |x|, |y|)`` over consecutive zeros of
+    every index, from isolating intervals refined to 2**-64 of their zeros.
+    It is None on a COUNTEREXAMPLE, and where the least gap underflows a
+    double: the zeros are proven distinct, so a gap that reads 0.0 there
+    has lost its digits and does not mean a repeated zero.  ``certified``
+    counts the indices the signs proved, and ``first_uncertified_r`` names
+    the first they missed.
     """
 
     classification: str
@@ -211,23 +213,46 @@ def _step(h: Poly, E: int, last: Isolated) -> tuple | None:
     return None
 
 
-def _stepped(records: list, E: int) -> dict:
-    """``{r: Isolated}`` for every record the step proved.
+def _sturm_isolated(g: Poly) -> tuple:
+    """The isolating intervals of the distinct real zeros of g, in increasing
+    order, and the degree of gcd(g, g'), exactly.
 
-    The first index has degree 1 and is proved from no intervals at all; an
-    index the step misses is skipped, and the next is proved from the last
-    index proved, whose intervals the step narrows.
+    Sturm's theorem on the remainder chain of (g, g') (Brown and Traub,
+    J. ACM 1971): V(a) - V(b), the sign changes of the chain at a less those
+    at b, counts the distinct zeros of g in (a, b] where g(a) and g(b) are
+    nonzero.  The count starts from -2**e and 2**e beyond every zero
+    (Fujiwara's bound, read off the bit lengths of the coefficients), and an
+    interval of more than one zero is split at ``_split``; a split point that
+    is a zero of g is split toward the lower end again, so that g has a
+    nonzero sign at every end.
     """
-    proved = {}
-    last_r, last = None, Isolated(None, E, ())
-    for rec in records:
-        found = _step(rec.h, E, last)
-        if found is not None:
-            if last_r is not None:
-                proved[last_r] = found[1]
-            proved[rec.r] = last = found[0]
-            last_r = rec.r
-    return proved
+    chain = _remainder_chain(list(g.nums), list(g.derivative().nums))
+    chain = [Poly.scaled(nums) for nums in chain]
+
+    def changes(point):  # None at a zero of g
+        signs = [dyadic_sign(p, *point) for p in chain]
+        if signs[0]:
+            signs = [s for s in signs if s]
+            return sum(s != t for s, t in zip(signs, signs[1:]))
+        return None
+
+    d, bits = g.degree, g.nums[-1].bit_length()
+    # |n_i/n_d|**(1/(d-i)) < 2**power, and every zero lies below twice the largest
+    powers = [-((bits - abs(n).bit_length() - 1) // (d - i)) for i, n in enumerate(g.nums[:-1]) if n]
+    e = 1 + max(powers, default=-1)
+    top = (1 << e, 0) if e >= 0 else (1, -e)
+    low = (-top[0], top[1])
+    intervals, todo = [], [(low, changes(low), top, changes(top))]
+    while todo:
+        lo, v, hi, w = todo.pop()
+        if v - w == 1:
+            intervals.append((lo, hi, dyadic_sign(g, *lo)))
+        elif v - w > 1:
+            mid = _split(lo, hi)
+            while (u := changes(mid)) is None:
+                mid = _split(lo, mid)
+            todo += [(mid, u, hi, w), (lo, v, mid, u)]
+    return tuple(intervals), chain[-1].degree
 
 
 # ---------------------------------------------------------------- separation
@@ -484,29 +509,57 @@ def _least_gap(proved: list) -> float:
     return least
 
 
+def _underflows(iso: Isolated) -> bool:
+    """True if iso has two or more zeros and they span less than the least
+    normal double in x, so that every gap between them underflows: the ends
+    of its intervals, compared exactly, lie closer than that times 2**-E."""
+    if len(iso.intervals) < 2:
+        return False
+    (a, k), (b, j) = iso.intervals[0][0], iso.intervals[-1][1]
+    n = max(k, j)
+    shift = iso.E + 1 - sys.float_info.min_exp  # sys.float_info.min is 2**(min_exp - 1)
+    span = (b << (n - j)) - (a << (n - k))
+    return span << max(shift, 0) < 1 << (n + max(-shift, 0))
+
+
 def isolate(p: Params, records) -> tuple:
     """The probe of the h_r of ``records``, and the zeros it isolated:
-    ``(ProbeReport, {r: Isolated})``, with an entry for every index the
-    signs proved.
+    ``(ProbeReport, {r: Isolated})``, with an entry for every index proved.
 
-    Every index of degree >= 1 is first tried with the exact signs; the
-    indices they miss are decided by a Sturm count, up to the first
-    counterexample.
+    In one pass over the indices of degree >= 1, each is tried with the
+    step from the last index proved; an index the step misses is isolated
+    by Sturm's theorem (``_sturm_isolated``), up to the first
+    counterexample, and the step goes on from its intervals.
     """
     records = [rec for rec in records if rec.tau >= 1]
-    proved = _stepped(records, _log2_floor(p.c))
-    missed = [rec for rec in records if rec.r not in proved]
-    min_sep = None if missed else _least_gap(list(proved.values()))
+    E = _log2_floor(p.c)
+    proved, missed = {}, []
+    last_r, last = None, Isolated(None, E, ())
     classification, max_imag, offending, reason = "PASS", 0.0, None, None
-    for rec in missed:
-        distinct, gcd_degree = _sturm_count(rec.h)
-        if distinct < rec.h.degree:
-            classification, max_imag, offending = "COUNTEREXAMPLE", None, rec.r
-            reason = "repeated-root" if gcd_degree > 0 else "complex-root"
-            break
-    if min_sep is not None and min_sep < sys.float_info.min:
-        # a gap of proven zeros that underflows a double
-        min_sep = None
+    for rec in records:
+        found = _step(rec.h, E, last)
+        if found is not None:
+            if last_r is not None:
+                proved[last_r] = found[1]
+            found = found[0]
+        else:
+            missed.append(rec.r)
+            if offending is not None:
+                continue
+            g = _in_y(rec.h, E)
+            intervals, gcd_degree = _sturm_isolated(g)
+            if len(intervals) < g.degree:
+                classification, max_imag, offending = "COUNTEREXAMPLE", None, rec.r
+                reason = "repeated-root" if gcd_degree > 0 else "complex-root"
+                continue
+            found = Isolated(g, E, intervals)
+        proved[rec.r] = last = found
+        last_r = rec.r
+    min_sep = None
+    if offending is None and not any(map(_underflows, proved.values())):
+        gap = _least_gap(list(proved.values()))
+        # a gap of proven zeros that underflows a double has lost its digits
+        min_sep = gap if gap >= sys.float_info.min else None
     report = ProbeReport(
         classification=classification,
         max_imag_normalized=max_imag,
@@ -514,8 +567,8 @@ def isolate(p: Params, records) -> tuple:
         offending_r=offending,
         reason=reason,
         checked=len(records),
-        certified=len(proved),
-        first_uncertified_r=missed[0].r if missed else None,
+        certified=len(records) - len(missed),
+        first_uncertified_r=missed[0] if missed else None,
     )
     return report, proved
 

@@ -1,16 +1,15 @@
 """Complex root extraction at a caller-chosen bit precision.
 
-Strategy: seed with double-precision root estimates, then refine all roots
-simultaneously with Aberth-Ehrlich iteration evaluated against the original
-coefficients at the working precision.  The simultaneous scheme keeps
-clustered and multiple roots honest where per-root Newton would stall or
-double-count.  A caller that knows its roots approximately passes them as
-the seeds (the branch trinomial does); otherwise the seeds are
-companion-matrix eigenvalues of the normalized coefficients, which is the
-only use of numpy here, so numpy is imported only then.  ``roots`` comes
-here only for an h_r whose zeros the probe did not isolate, and the branch
-solver only for a point its 53-bit fast path rejects, so the iteration
-runs on mpmath's own mpc and mpf operators.
+Strategy: seed, then refine all roots simultaneously with Aberth-Ehrlich
+iteration evaluated against the original coefficients at the working
+precision.  The simultaneous scheme keeps clustered and multiple roots
+honest where per-root Newton would stall or double-count.  A caller that
+knows its roots approximately passes them as the seeds (the branch
+trinomial does); otherwise the seeds are placed on circles from the Newton
+polygon of the coefficients.  ``roots`` comes here only for an h_r that the
+probe found to be a counterexample, or that the step missed after one, and
+the branch solver only for a point its 53-bit fast path rejects, so the
+iteration runs on mpmath's own mpc and mpf operators.
 """
 
 from __future__ import annotations
@@ -31,45 +30,37 @@ def to_mpc(value):
     return mpmath.mpc(value)
 
 
-def _companion_seeds(coeffs) -> list | None:
-    """Companion-matrix eigenvalues of the normalized coefficients, in double
-    precision, or None where numpy cannot give n finite ones."""
-    import numpy as np
+def _initial_guesses(cs, seeds=None):
+    """The Aberth seeds of the polynomial ``cs``, mpc coefficients at the
+    working precision: the caller's ``seeds`` where there is one per root
+    and each is finite, otherwise the Newton polygon's.
 
-    n = len(coeffs) - 1
-    scale = max(abs(c) for c in coeffs)
-    try:
-        arr = np.array([complex(c / scale) for c in reversed(coeffs)])
-        if np.all(np.isfinite(arr)):
-            # overflowing seeds are rejected below, so numpy need not warn
-            with np.errstate(all="ignore"):
-                seeds = np.roots(arr)
-            if len(seeds) == n and np.all(np.isfinite(seeds)):
-                return [complex(s) for s in seeds]
-    except Exception:
-        pass
-    return None
-
-
-def _initial_guesses(coeffs, seeds=None):
-    """The Aberth seeds of the polynomial ``coeffs``: the caller's ``seeds``, or
-    companion-matrix seeds when ``seeds`` is None; circle fallback.
-
-    Caller seeds are used when there is one per root and each is finite;
-    otherwise, and where numpy gives no finite companion seeds, the seeds
-    are spread on a circle.
+    The polygon's seeds are Bini's (Numer. Algorithms 13, 1996): each edge
+    of the upper convex hull of the points (i, log|c_i|), from i to j, puts
+    j - i seeds on the circle of radius |c_i/c_j|**(1/(j-i)), turned by
+    2*pi*i/n + 0.7 so that no seed is real and no two circles align.  They
+    are computed at the working precision, so a radius beyond the range of
+    a double is still one.
     """
-    n = len(coeffs) - 1
-    if seeds is None:
-        seeds = _companion_seeds(coeffs)
-    if seeds is not None and len(seeds) == n and all(map(cmath.isfinite, seeds)):
+    n = len(cs) - 1
+    if seeds and len(seeds) == n and all(map(cmath.isfinite, seeds)):
         return [mpmath.mpc(s) for s in seeds]
-    # evenly spread on a circle sized by the root bound, phase-offset to dodge symmetry
-    radius = 1 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
-    return [
-        mpmath.mpc(radius) * mpmath.exp(2j * mpmath.pi * (k + 0.35) / n)
-        for k in range(n)
-    ]
+    hull = []
+    for point in [(i, mpmath.log(abs(c))) for i, c in enumerate(cs) if c]:
+        # drop the last vertex while it lies on or below the chord to the point
+        while len(hull) > 1 and (
+            (hull[-1][1] - hull[-2][1]) * (point[0] - hull[-2][0])
+            <= (point[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append(point)
+    guesses = []
+    for (i, a), (j, b) in zip(hull, hull[1:]):
+        radius = mpmath.exp((a - b) / (j - i))
+        guesses += [
+            radius * mpmath.expj(2 * mpmath.pi * (k / (j - i) + i / n) + 0.7) for k in range(j - i)
+        ]
+    return guesses
 
 
 def _separate(points):
@@ -93,8 +84,8 @@ def complex_roots(
 
     Coefficients may be exact rationals or complex scalars.  ``seeds`` are
     double-precision estimates of the roots other than the exact zeros at
-    the origin, which are split off first; without them the seeds are
-    companion-matrix eigenvalues, from numpy (see ``_initial_guesses``).
+    the origin, which are split off first; without them the seeds come from
+    the Newton polygon (see ``_initial_guesses``).
     Returns mpc values accurate to roughly the requested precision; raises
     RootRefinementError when the iteration fails to settle.
     """
@@ -122,13 +113,11 @@ def complex_roots(
         abs_cs = [abs(c) for c in cs]
         xs, settled = _aberth(cs, abs_cs, xs, workbits, maxiter)
         if not settled:
-            # allow a loose residual pass before declaring failure
-            scale = max(abs_cs)
-            zero = mpmath.mpf(0)
+            # a loose residual pass before declaring failure, against the
+            # local scale sum |c_i| |x|**i of each iterate
             for x in xs:
-                p = _horner(cs, abs_cs, x, zero)[0]
-                local = scale * max(1, abs(x)) ** n
-                if abs(p) > mpmath.mpf(2) ** -(precision // 2) * local:
+                p, _, scale = _horner(cs, abs_cs, x, abs(x))
+                if not (mpmath.isfinite(x) and abs(p) <= mpmath.mpf(2) ** -(precision // 2) * scale):
                     raise RootRefinementError(
                         f"root refinement did not converge in {maxiter} iterations",
                         coeffs=tuple(coeffs),
@@ -156,7 +145,7 @@ def _aberth(cs, abs_cs, xs, prec, maxiter):
     sweeps.
     """
     n = len(xs)
-    step_tol = mpmath.mpf(2) ** -(prec - 6)
+    step_tol = mpmath.mpf(2) ** -(prec - 7)  # relative: roots far below 1 settle too
     floor_eps = mpmath.mpf(2) ** -(prec - 4)
     done = [False] * n
     for _ in range(maxiter):
@@ -185,7 +174,7 @@ def _aberth(cs, abs_cs, xs, prec, maxiter):
             denom = 1 - newton * coupling
             w = newton if denom == 0 else newton / denom
             xs[i] = x - w
-            if abs(w) <= step_tol * (1 + abs(xs[i])):
+            if abs(w) <= step_tol * abs(xs[i]):
                 done[i] = True
         if all(done):
             return xs, True

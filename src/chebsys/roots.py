@@ -9,14 +9,14 @@ unbounded star.
 
 The probe of the conjecture that the zeros of every ``h_r`` are real and
 simple is ``chebsys.probe``; its names are re-exported here.  It proves
-nearly every index with exact signs, and isolates each zero of a proved
-index in a dyadic interval (``probe.isolate``).  The zeros of such an index
-are taken from those intervals, refined with exact signs to
-2**-(precision + GUARD_BITS) of each zero (``probe.refined``), and mapped to
-t on the integer kernel: no root is solved and neither numpy nor mpmath is
-loaded.  An index the signs missed, which only a counterexample or a step
-that fell short leaves, is solved by Aberth iteration from companion-matrix
-seeds (``rootfind``), and only that path imports mpmath and numpy.
+each index with exact signs, by its interlacing step or by Sturm's
+theorem, and isolates each zero of a proved index in a dyadic interval
+(``probe.isolate``).  The zeros of such an index are taken from those
+intervals, refined with exact signs to 2**-(precision + GUARD_BITS) of each
+zero (``probe.refined``), and mapped to t on the integer kernel: no root is
+solved and mpmath is not loaded.  Only a counterexample, and an index the
+step misses after it, is solved by Aberth iteration from the seeds of the
+Newton polygon (``rootfind``), and only that path imports mpmath.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .algebraic import (
 )
 from .errors import ConvergenceFailure, RootRefinementError
 from .exactpoly import Poly
-# the probe loads neither numpy nor mpmath; its names stay here too
+# the probe loads no numeric library; its names stay here too
 from .probe import Isolated, ProbeReport, conjecture_probe, isolate, refined
 from .rationals import to_float
 from .recurrence import Params, TypeIRecord, gen_type1_records
@@ -64,13 +64,13 @@ def _cluster(roots) -> list:
     return [(entry[0] / entry[1], entry[1]) for entry in clusters]
 
 
-def roots_of_h(h: Poly, precision: int = 53, seeds=None) -> list:
+def roots_of_h(h: Poly, precision: int = 53) -> list:
     """Zeros of a nonzero reduced polynomial as (value, multiplicity) pairs.
 
-    Roots are refined against the exact rational coefficients and required to
-    have backward error at the 2**(8-precision) level.  ``seeds`` are double
-    estimates of the zeros, as ``rootfind.complex_roots`` takes them; without
-    them the seeds are companion-matrix eigenvalues, from numpy.
+    Roots are found by Aberth iteration from the seeds of the Newton polygon
+    (``rootfind.complex_roots``), refined against the exact rational
+    coefficients and required to have backward error at the
+    2**(8-precision) level.
     """
     if h.is_zero:
         raise ValueError("the zero polynomial has no root set")
@@ -81,7 +81,7 @@ def roots_of_h(h: Poly, precision: int = 53, seeds=None) -> list:
     from .rootfind import coefficient_moduli, complex_roots, max_term
 
     try:
-        raw = complex_roots(h.coeffs, precision=precision, seeds=seeds)
+        raw = complex_roots(h.coeffs, precision=precision)
     except RootRefinementError as exc:
         raise ConvergenceFailure(f"root refinement failed: {exc}", poly=h) from exc
     bits = precision + 32

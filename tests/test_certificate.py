@@ -3,12 +3,13 @@
 The probe proves that h_r has d distinct real zeros from nonzero signs that
 change d times along dyadic points; its step takes the points from the
 isolating intervals of the index before, at every m.  It must leave every
-index without that property to the Sturm count, and it must certify the
+index without that property to Sturm's theorem, and it must certify the
 whole acceptance range with no numeric solve.  With the signs switched off,
-or with a step whose count comes out short, the Sturm count must prove the
-same indices exactly, without a root solve or mpmath.  At m = 1 the closed
-form of the zeros, ``4c cos(k pi/(r+1))**2``, is the oracle of the least
-gap the probe measures.
+or with a step whose count comes out short, the Sturm bisection must prove
+and isolate the same indices exactly, without a root solve or mpmath, and
+the report must differ only in what the step certified.  At m = 1 the
+closed form of the zeros, ``4c cos(k pi/(r+1))**2``, is the oracle of the
+least gap the probe measures.
 """
 
 import json
@@ -26,7 +27,7 @@ import pytest
 import chebsys
 from chebsys import probe
 from chebsys import roots as roots_module
-from chebsys.exactpoly import Poly, dyadic_sign
+from chebsys.exactpoly import Poly, compose_star, dyadic_sign
 from chebsys.recurrence import Params, gen_type1_records
 from chebsys.roots import conjecture_probe
 
@@ -154,47 +155,59 @@ CHECKED = {(1, "1", 40): 39, (2, "59/62", 40): 34, (1, "3/2", 12): 11}
 
 @pytest.mark.parametrize("key", list(CHECKED))
 def test_without_the_certificate_the_probe_is_the_numeric_path(monkeypatch, no_solve, key):
-    # every index the signs miss is proven by the Sturm count, which isolates
-    # no zero to measure a separation by
-    switch_off_the_signs(monkeypatch)
+    # every index the signs miss is isolated by Sturm's theorem, and the
+    # least gap is measured from those intervals as from the step's
     m, c, r_max = key
+    proved = conjecture_probe(Params(m, c), r_max)
+    switch_off_the_signs(monkeypatch)
     report = conjecture_probe(Params(m, c), r_max)
     first = next(rec.r for rec in gen_type1_records(Params(m, c), r_max) if rec.tau >= 1)
     assert report == roots_module.ProbeReport(
         classification="PASS",
         max_imag_normalized=0.0,
-        min_separation_normalized=None,
+        min_separation_normalized=proved.min_separation_normalized,
         offending_r=None,
         reason=None,
         checked=CHECKED[key],
         certified=0,
         first_uncertified_r=first,
     )
+    assert 0 < report.min_separation_normalized < 1
+
+
+def spy_sturm(monkeypatch) -> list:
+    """The polynomials, in y, that the probe isolates by Sturm's theorem."""
+    counted = []
+    isolated = probe._sturm_isolated
+
+    def sturm_isolated(g):
+        counted.append(g)
+        return isolated(g)
+
+    monkeypatch.setattr(probe, "_sturm_isolated", sturm_isolated)
+    return counted
 
 
 def test_only_uncertified_indices_are_solved(monkeypatch, no_solve):
     p = Params(2, "59/62")
     records = gen_type1_records(p, 40)
+    proved = probe.isolate(p, records)[1]
     refused = {records[r].h for r in (17, 23, 40)}
     step = probe._step
     monkeypatch.setattr(
         probe, "_step", lambda h, E, last: None if h in refused else step(h, E, last)
     )
-    counted = []
-    count = probe._sturm_count
-
-    def sturm_count(h):
-        counted.append(h)
-        return count(h)
-
-    monkeypatch.setattr(probe, "_sturm_count", sturm_count)
-    report = conjecture_probe(p, 40)
-    assert set(counted) == refused and len(counted) == 3
+    counted = spy_sturm(monkeypatch)
+    report, isolated = probe.isolate(p, records)
+    assert counted == [proved[r].g for r in (17, 23, 40)]
     assert report.checked == 34 and report.certified == 31
     assert report.first_uncertified_r == 17
     assert report.classification == "PASS"
     assert report.max_imag_normalized == 0.0
-    assert report.min_separation_normalized is None
+    assert 0 < report.min_separation_normalized < 1
+    # every index has intervals, the step going on from the Sturm ones
+    assert set(isolated) == set(proved)
+    assert all(len(isolated[r].intervals) == records[r].h.degree for r in isolated)
 
 
 # the probe with the step switched off, in a fresh interpreter
@@ -248,39 +261,39 @@ def test_an_index_without_real_simple_zeros_is_a_counterexample(monkeypatch, no_
 )
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_the_step_proves_every_index_without_a_count(monkeypatch, m, c):
-    def count(h):
+    def count(g):
         raise AssertionError("the step missed an index")
 
-    monkeypatch.setattr(probe, "_sturm_count", count)
+    monkeypatch.setattr(probe, "_sturm_isolated", count)
+    tiny = c == Fraction(1, 10**400)
+    if tiny:
+        # the zeros of each index span less than the least normal double,
+        # so the search for the least gap would only find it underflow
+        def search(proved):
+            raise AssertionError("the least gap was searched for")
+
+        monkeypatch.setattr(probe, "_least_gap", search)
     report = conjecture_probe(Params(m, c), 120)
     assert report.classification == "PASS"
     assert report.certified == report.checked > 90
     assert report.first_uncertified_r is None
     # the zeros are proven distinct; at c = 1/10**400 their gaps underflow
     sep = report.min_separation_normalized
-    assert sep is None if c == Fraction(1, 10**400) else 0 < sep < 1
+    assert sep is None if tiny else 0 < sep < 1
 
 
 def test_a_count_that_comes_out_short_falls_back_to_the_sturm_count(monkeypatch):
     # no point lies inside the outer bound, so only h of degree 1 changes
-    # sign as often as its degree; every other index goes to the count
+    # sign as often as its degree; every other index goes to Sturm's theorem
     p = Params(3, "23/41")
     records = [rec for rec in gen_type1_records(p, 60) if rec.tau >= 1]
-    proved = conjecture_probe(p, 60)
+    proved, isolated = probe.isolate(p, records)
     monkeypatch.setattr(probe, "_inside", lambda point, e: False)
-    counted = []
-    count = probe._sturm_count
-
-    def sturm_count(h):
-        counted.append(h)
-        return count(h)
-
-    monkeypatch.setattr(probe, "_sturm_count", sturm_count)
+    counted = spy_sturm(monkeypatch)
     report = conjecture_probe(p, 60)
     short = [rec for rec in records if rec.h.degree > 1]
-    assert counted == [rec.h for rec in short]
+    assert counted == [isolated[rec.r].g for rec in short]
     assert report == proved._replace(
-        min_separation_normalized=None,
         certified=len(records) - len(short),
         first_uncertified_r=short[0].r,
     )
@@ -316,6 +329,34 @@ def test_the_step_leaves_a_counterexample_to_the_count(monkeypatch, no_solve, m,
     assert report.certified == report.checked - 1
     assert report.max_imag_normalized is None
     assert report.min_separation_normalized is None
+
+
+def test_a_counterexample_is_solved_by_aberth(monkeypatch):
+    # the one index the probe isolates nothing of is solved from the Newton
+    # polygon's seeds; its neighbours keep their intervals
+    p = Params(2, "1")
+    records = gen_type1_records(p, 30)
+    h, _ = COUNTEREXAMPLES["complex-pair"]
+    bad = next(rec for rec in records if rec.tau == h.degree)
+    fed = [
+        rec._replace(h=h, t=compose_star(h, p.m, rec.k, rec.ell)) if rec is bad else rec
+        for rec in records
+    ]
+    report, isolated = probe.isolate(p, fed)
+    assert report.offending_r == bad.r and bad.r not in isolated
+    assert {bad.r - 1, bad.r + 1} <= set(isolated)
+    solved = []
+    solve = roots_module.roots_of_h
+    monkeypatch.setattr(
+        roots_module, "roots_of_h", lambda h, precision=53: solved.append(h) or solve(h, precision)
+    )
+    results = roots_module.solve_indices(p, fed, [bad.r - 1, bad.r, bad.r + 1], 53, isolated)
+    assert solved == [h]
+    got = results[1][1]
+    assert got.total_root_count == fed[bad.r].t.degree
+    zeros = sorted((z for z, _ in got.h_roots), key=lambda z: (z.real, z.imag))
+    want = [complex(-0.5, -math.sqrt(3) / 2), complex(-0.5, math.sqrt(3) / 2), 2, 5]
+    assert zeros == pytest.approx(want, rel=1e-15)
 
 
 def test_split_points_are_short_and_in_the_middle_half():

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -382,43 +383,46 @@ class TestRoots:
         for r in (10, 20, 30):
             assert sum(row["multiplicity"] for row in rows if row["r"] == r) == records[r].t.degree
 
-    def test_an_index_the_step_missed_is_solved_by_aberth(self, tmp_path, monkeypatch):
-        # the probe leaves r = 30 to the Sturm count, which isolates no zero,
-        # so that index alone is solved from companion seeds
-        argv = ["roots", "--m", "2", "--c", "59/62", "--r-list", "20,30,40"]
-        proved = tmp_path / "proved.json"
-        assert run(*argv, "--out", str(proved)) == 0
-        records = roots_module.gen_type1_records(Params(2, "59/62"), 40)
+    def test_an_index_the_step_missed_is_isolated_by_sturm(self, tmp_path, monkeypatch):
+        # an index the step misses is isolated by Sturm's theorem, and its
+        # zeros are refined from those intervals as from the step's: the rows
+        # are byte for byte those of the run without a miss, with one index
+        # missed and with all, and nothing is solved by Aberth
+        monkeypatch.setattr(roots_module, "roots_of_h", _raise(AssertionError("solved")))
         step = probe._step
-        monkeypatch.setattr(
-            probe, "_step", lambda h, E, last: None if h == records[30].h else step(h, E, last)
-        )
-        solved = []
-        solve = roots_module.roots_of_h
-
-        def roots_of_h(h, precision=53, seeds=None):
-            solved.append(h)
-            return solve(h, precision, seeds)
-
-        monkeypatch.setattr(roots_module, "roots_of_h", roots_of_h)
-        out = tmp_path / "roots.json"
-        assert run(*argv, "--out", str(out)) == 0
-        assert solved == [records[30].h]
-        payload = load(out)
-        conjecture = payload["summary"]["conjecture"]
-        assert conjecture["first_uncertified_r"] == 30
-        assert conjecture["certified"] == conjecture["checked"] - 1
-        got, want = payload["roots"], load(proved)["roots"]
-        for r in (20, 30, 40):
-            rows = [row for row in got if row["r"] == r]
-            assert sum(row["multiplicity"] for row in rows) == records[r].t.degree
-        key = lambda row: (row["r"], row["root_re"], row["root_im"])
-        for a, b in zip(sorted(got, key=key), sorted(want, key=key)):
-            assert a["r"] == b["r"] and a["multiplicity"] == b["multiplicity"]
-            size = max(1.0, abs(complex(b["root_re"], b["root_im"])))
-            assert abs(a["root_re"] - b["root_re"]) <= 1e-12 * size
-            assert abs(a["root_im"] - b["root_im"]) <= 1e-12 * size
-        assert len(got) == len(want)
+        for m, c, r_list in ((1, "1", (9, 24, 40)), (2, "59/62", (20, 30, 40))):
+            records = roots_module.gen_type1_records(Params(m, c), r_list[-1])
+            missed = {
+                "none": set(),
+                "one": {records[r_list[1]].h},
+                "all": {rec.h for rec in records},
+            }
+            runs = {}
+            for name, refused in missed.items():
+                monkeypatch.setattr(
+                    probe,
+                    "_step",
+                    lambda h, E, last, refused=refused: None if h in refused else step(h, E, last),
+                )
+                # the config line holds --out: one name, in a directory per run
+                (tmp_path / name).mkdir(exist_ok=True)
+                monkeypatch.chdir(tmp_path / name)
+                argv = ["roots", "--m", str(m), "--c", c, "--format", "csv", "--out", "roots.csv"]
+                assert run(*argv, "--r-list", ",".join(map(str, r_list))) == 0
+                runs[name] = Path("roots.csv").read_bytes(), load("roots.csv.summary.json")
+            rows, summary = runs["none"]
+            conjecture = summary["summary"]["conjecture"]
+            first = next(rec.r for rec in records if rec.tau >= 1)
+            for name, uncertified, certified in (
+                ("one", r_list[1], conjecture["checked"] - 1),
+                ("all", first, 0),
+            ):
+                got_rows, got = runs[name]
+                assert got_rows == rows, (m, name)
+                assert got["summary"]["conjecture"] == {
+                    **conjecture, "certified": certified, "first_uncertified_r": uncertified
+                }
+                assert got["summary"]["attraction"] == summary["summary"]["attraction"]
 
     def test_r6_roots_and_summary(self, tmp_path):
         out = tmp_path / "roots.json"

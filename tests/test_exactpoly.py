@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebsys.exactpoly import Poly, _sturm_count, compose_star, poly_gcd
+from chebsys import probe
+from chebsys.exactpoly import Poly, compose_star, dyadic_sign, poly_gcd
 from chebsys.rationals import as_rational
 
 
@@ -175,6 +176,27 @@ def test_gcd_matches_euclid_over_the_rationals(p, q, shared):
     assert poly_gcd(shared * p, shared * q) == euclid_gcd(shared * p, shared * q)
 
 
+def point(end):
+    a, k = end
+    return fractions.Fraction(a, 2**k)
+
+
+def sturm_count(p, roots=None):
+    """The number of distinct real roots of ``p`` and the degree of
+    gcd(p, p'), from the Sturm bisection of the probe: ascending intervals
+    whose ends are no roots, each holding one of ``roots`` if given."""
+    intervals, gcd_degree = probe._sturm_isolated(p)
+    ends = [point(end) for lo, hi, _ in intervals for end in (lo, hi)]
+    assert ends == sorted(ends)
+    for lo, hi, s in intervals:
+        assert s and dyadic_sign(p, *lo) == s and dyadic_sign(p, *hi)
+    if roots is not None:
+        inside = sorted(set(fractions.Fraction(v) for v in roots))
+        assert len(inside) == len(intervals)
+        assert all(point(lo) < v < point(hi) for (lo, hi, _), v in zip(intervals, inside))
+    return len(intervals), gcd_degree
+
+
 @pytest.mark.parametrize("lead", [1, -3, fractions.Fraction(-2, 7)])
 def test_sturm_count_of_distinct_real_roots(lead):
     rng = random.Random(2)
@@ -182,26 +204,29 @@ def test_sturm_count_of_distinct_real_roots(lead):
         values = rng.sample([fractions.Fraction(n, rng.randint(1, 9)) for n in range(-40, 40)], d)
         if len(set(values)) < d:
             continue
-        assert _sturm_count(from_roots(*values, lead=lead)) == (d, 0), values
+        assert sturm_count(from_roots(*values, lead=lead), values) == (d, 0), values
     # roots symmetric about 0 give odd or even polynomials, whose pseudo-
-    # remainders take an odd power of the divisor's leading coefficient
+    # remainders take an odd power of the divisor's leading coefficient;
+    # dyadic roots fall on the split points, which must move off them
     for values in ((-2, 0, 2), (-3, -1, 1, 3), (-5, "-1/2", 0, "1/2", 5)):
-        assert _sturm_count(from_roots(*values, lead=lead)) == (len(values), 0), values
+        poly = from_roots(*values, lead=lead)
+        assert sturm_count(poly, values) == (len(values), 0), values
 
 
 @pytest.mark.parametrize("lead", [1, -5])
 def test_sturm_count_sees_a_repeated_root(lead):
-    assert _sturm_count(from_roots(1, 1, 2, lead=lead)) == (2, 1)
-    assert _sturm_count(from_roots("1/3", "1/3", "1/3", -4, -4, lead=lead)) == (2, 3)
+    assert sturm_count(from_roots(1, 1, 2, lead=lead), (1, 2)) == (2, 1)
+    poly = from_roots("1/3", "1/3", "1/3", -4, -4, lead=lead)
+    assert sturm_count(poly, ("1/3", -4)) == (2, 3)
 
 
 @pytest.mark.parametrize("lead", [1, -1, fractions.Fraction(-9, 4)])
 def test_sturm_count_misses_a_complex_pair(lead):
     pair = P(1, 1, 1)  # x^2 + x + 1
-    assert _sturm_count(pair * lead) == (0, 0)
-    assert _sturm_count(from_roots(-2, "3/5", 6, lead=lead) * pair) == (3, 0)
-    assert _sturm_count(from_roots(2, 2, lead=lead) * pair) == (1, 1)
-    assert _sturm_count(from_roots(0, lead=lead) * pair * pair) == (1, 2)
+    assert sturm_count(pair * lead, ()) == (0, 0)
+    assert sturm_count(from_roots(-2, "3/5", 6, lead=lead) * pair, (-2, "3/5", 6)) == (3, 0)
+    assert sturm_count(from_roots(2, 2, lead=lead) * pair, (2,)) == (1, 1)
+    assert sturm_count(from_roots(0, lead=lead) * pair * pair, (0,)) == (1, 2)
 
 
 def test_derivative_and_shift():

@@ -1,14 +1,21 @@
-"""The Aberth sweeps of ``rootfind``: their bits, their stopping rule and the
-seeds that need their special steps."""
+"""The Aberth sweeps of ``rootfind``: their bits, their stopping rule, the
+seeds that need their special steps, and the seeds of the Newton polygon.
 
+numpy's companion-matrix eigenvalues, the package's Aberth seeds before the
+polygon's, are the seeds of the pinned sweeps."""
+
+import cmath
 import hashlib
 import math
+from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from chebsys import rootfind
 from chebsys.recurrence import Params, gen_type1_records
+from chebsys.roots import isolate, roots_of_h, roots_of_t
 
 # x**2 - 2 and x**3 - 3x + 1, with their roots
 SQRT2 = ([-2, 0, 1], [-math.sqrt(2), math.sqrt(2)])
@@ -32,11 +39,18 @@ def digest(xs, settled) -> str:
     return hashlib.sha256(repr(raw).encode()).hexdigest() + str(settled)
 
 
+def companion_seeds(cs) -> list:
+    """numpy's companion-matrix eigenvalues of the coefficients ``cs``,
+    lowest first, normalized by the largest modulus, in double precision."""
+    scale = max(abs(c) for c in cs)
+    return [complex(s) for s in np.roots([complex(c / scale) for c in reversed(cs)])]
+
+
 def rounded_companion_seeds(coeffs, precision):
     """Companion seeds rounded to 2**-20, so that their bits do not depend on
     the last digits of numpy's eigenvalues."""
     with mpmath.workprec(precision + 32):
-        seeds = rootfind._companion_seeds([rootfind.to_mpc(c) for c in coeffs])
+        seeds = companion_seeds([rootfind.to_mpc(c) for c in coeffs])
     return [complex(round(s.real * 2**20), round(s.imag * 2**20)) / 2**20 for s in seeds]
 
 
@@ -100,3 +114,45 @@ def test_an_unsettled_run_stops_after_maxiter_sweeps(monkeypatch):
     with pytest.raises(rootfind.RootRefinementError):
         rootfind.complex_roots(rec.h.coeffs, 128, maxiter=2, seeds=seeds)
 
+
+
+def test_unsettled_iterates_far_beyond_the_roots_are_refused():
+    # seeded at modulus 1e300 the sweeps run out far from the zeros of
+    # h_150 at m = 2, c = 10**40; the residual of each iterate, against its
+    # own sum |c_i||x|**i, shows that it is no root
+    h = gen_type1_records(Params(2, 10**40), 150)[150].h
+    seeds = [1e300 * cmath.exp(2j * math.pi * (k + 0.35) / 25) for k in range(25)]
+    with pytest.raises(rootfind.RootRefinementError):
+        rootfind.complex_roots(h.coeffs, 53, seeds=seeds)
+
+
+@pytest.mark.parametrize("c", [10**40, Fraction(1, 10**40)], ids=["huge", "tiny"])
+@pytest.mark.parametrize("precision", [53, 128])
+def test_polygon_seeds_reach_zeros_beyond_a_double_range_of_coefficients(precision, c):
+    # the coefficients of h_150 at m = 2, c = 10**40 span far beyond a
+    # double, so companion seeds overflow; the polygon's converge, to the
+    # 25 zeros the probe proves, and at c = 10**-40 the relative step
+    # tolerance keeps the sweeps going down to zeros near 10**-40
+    p = Params(2, c)
+    records = gen_type1_records(p, 150)
+    proved = roots_of_t(records[150], p, precision, isolate(p, records)[1][150])
+    pairs = roots_of_h(records[150].h, precision)
+    assert [mult for _, mult in pairs] == [1] * 25
+    assert all(abs(z.imag) <= 1e-12 * abs(z) for z, _ in pairs)
+    want = sorted(z.real for z, _ in proved.h_roots)
+    assert sorted(z.real for z, _ in pairs) == pytest.approx(want, rel=1e-12)
+
+
+def test_the_newton_polygon_places_the_seeds():
+    # 1 + 10**40 x**2 - x**3: the hull's two edges put two seeds at modulus
+    # 10**-20 and one at 10**40, all off the real axis
+    with mpmath.workprec(80):
+        cs = [rootfind.to_mpc(q) for q in (1, 0, 10**40, -1)]
+        moduli = sorted(abs(x) for x in rootfind._initial_guesses(cs))
+        ten = mpmath.mpf(10)
+        assert moduli == pytest.approx([ten**-20, ten**-20, ten**40], rel=2**-70)
+        # and on a circle beyond the range of a double
+        cs = [rootfind.to_mpc(q) for q in (Fraction(1, 10**400), 0, 1)]
+        seeds = rootfind._initial_guesses(cs)
+        assert [abs(x) for x in seeds] == pytest.approx([ten**-200] * 2, rel=2**-70)
+        assert all(x.imag for x in seeds)

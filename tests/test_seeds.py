@@ -1,5 +1,7 @@
 """Aberth seeds without numpy: the branch trinomial solved in plain doubles,
-and the companion-matrix seeds it replaces, kept here as the reference."""
+and the companion-matrix seeds it replaces, kept here as the reference, and
+the Newton polygon's circles that take over where the trinomial's seeds do
+not exist."""
 
 import cmath
 import math
@@ -7,6 +9,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from chebsys import algebraic, rootfind
@@ -22,10 +25,23 @@ def solve(p, z, precision):
         return exc
 
 
+def companion_seeds(m, c, z) -> list:
+    """numpy's companion eigenvalues of ``c*w**(m+1) - z*w + 1``, normalized
+    by its largest coefficient, in double precision, or none where a root
+    overflows, which leaves the solve to the polygon's seeds."""
+    cs = [1, -complex(z)] + [0] * (m - 1) + [float(c)]
+    scale = max(map(abs, cs))
+    try:
+        with np.errstate(all="ignore"):
+            return [complex(s) for s in np.roots([a / scale for a in reversed(cs)])]
+    except np.linalg.LinAlgError:
+        return []
+
+
 def companion_seeded(monkeypatch, p, z, precision):
     """The same solve seeded with numpy's companion eigenvalues, as before."""
     with monkeypatch.context() as patch:
-        patch.setattr(algebraic, "_trinomial_seeds", lambda m, c, z: None)
+        patch.setattr(algebraic, "_trinomial_seeds", companion_seeds)
         return solve(p, z, precision)
 
 
@@ -97,7 +113,9 @@ def test_tied_and_star_points_differ_only_in_noise_and_tie_order(monkeypatch, m,
 
 @pytest.mark.parametrize("z", [1e300, cmath.rect(3e299, 2.0)])
 def test_a_root_beyond_a_double_takes_the_circle_seeds(monkeypatch, z):
-    # for m = 1 the large root is about z/c, here beyond the range of a double
+    # for m = 1 the large root is about z/c, here beyond the range of a
+    # double; the seeds are then on the Newton polygon's circles, at the
+    # working precision
     p = Params(1, Fraction(1, 10**20))
     assert algebraic._trinomial_seeds(1, p.c, z) == []
     circles = []
@@ -118,10 +136,13 @@ def test_a_root_beyond_a_double_takes_the_circle_seeds(monkeypatch, z):
 
 
 def test_unusable_caller_seeds_fall_back_to_the_circle():
+    # x**2 - 3x + 2: the polygon's circles have radii 2/3 and 3
     with mpmath.workprec(80):
         cs = [rootfind.to_mpc(q) for q in (2, -3, 1)]
         circle = rootfind._initial_guesses(cs, [])
         assert rootfind._initial_guesses(cs, [1.0, math.inf]) == circle
         assert rootfind._initial_guesses(cs, [1.0]) == circle
+        assert rootfind._initial_guesses(cs) == circle
         assert rootfind._initial_guesses(cs, [1.0, 2.5]) == [mpmath.mpc(1), mpmath.mpc(2.5)]
-        assert all(abs(x) == 1 + mpmath.mpf(3) for x in circle)
+        radii = [abs(x) for x in circle]
+        assert radii == pytest.approx([mpmath.mpf(2) / 3, mpmath.mpf(3)], rel=2**-70)

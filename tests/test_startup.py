@@ -1,5 +1,6 @@
 """What a process loads at start-up, and the names the package exposes."""
 
+import ast
 import functools
 import gc
 import importlib
@@ -71,12 +72,11 @@ print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 # eigenvalues, and again when it came to polish its values on the integer
 # kernel: each time only the max_residual cells of accepted points changed
 # (the same digests pin branches.json in test_cli_outputs.py, and the
-# asymptote digest asymptote.json there).  Numpy is loaded
-# only for companion seeds, which only an index the probe did not prove
-# needs: the fast path, a fallback point, a scan and the probe run
-# in plain doubles, and roots refines the probe's intervals in integers.
-# mpmath is loaded only for a point the fast path rejects: the fast path
-# runs at every precision, and a scan steps its terms on the kernel.
+# asymptote digest asymptote.json there).  No command loads numpy: the fast
+# path, a fallback point, a scan and the probe run in plain doubles or in
+# integers, and roots refines the probe's intervals in integers.  mpmath is
+# loaded only for a point the fast path rejects: the fast path runs at every
+# precision, and a scan steps its terms on the kernel.
 BRANCHES = ["branches", "--m", "2", "--c", "7/3"]
 LOADS = {
     "batched-grid": (
@@ -147,6 +147,18 @@ LOADS = {
         },
     ),
 }
+
+# roots with the step switched off, so that Sturm's theorem isolates every
+# index: what it loaded, and the digest of the rows it wrote
+MISSED = """
+import hashlib, json, sys
+from chebsys import probe
+from chebsys.cli import main
+probe._step = lambda h, E, last: None
+assert main(sys.argv[1:]) == 0
+print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
+print(json.dumps(hashlib.sha256(open(sys.argv[-1], "rb").read()).hexdigest()))
+"""
 
 # one 53-bit solve at a point the fast path accepts; 1+1j would not do, as it
 # lies on the even star of m = 3, where two moduli tie and the point falls
@@ -284,6 +296,32 @@ def test_mpmath_loads_only_where_a_command_solves_in_it(tmp_path, case):
     got_loaded, got_files = map(json.loads, done.stdout.splitlines())
     assert got_loaded == loaded
     assert got_files == files
+
+
+def test_roots_with_every_index_missed_loads_neither_numpy_nor_mpmath(tmp_path):
+    # the Sturm intervals are refined as the step's are, to the same rows
+    argv, _, files = LOADS["roots-m2"]
+    done = python(MISSED, *argv, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    got_loaded, got_digest = map(json.loads, done.stdout.splitlines())
+    assert got_loaded == []
+    assert got_digest == files[argv[-1]]
+
+
+def test_no_module_of_the_package_imports_numpy():
+    for path in sorted(Path(chebsys.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "numpy" not in {name.split(".")[0] for name in names}, (path.name, node.lineno)
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert not any(dep.startswith("numpy") for dep in project["dependencies"])
 
 
 def test_public_names_resolve_to_their_home_objects():
