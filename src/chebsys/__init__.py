@@ -12,7 +12,8 @@ Importing the package loads only the exact half, which needs nothing beyond
 the standard library.  The names of the numeric half, and its modules
 ``algebraic``, ``rootfind`` and ``roots``, resolve on first use.  mpmath,
 the one dependency, is loaded with ``rootfind`` and where ``algebraic``
-computes in it (its 53-bit fast path and star geometry do without).  The
+computes in it: its Aberth fallback and its converters to mpmath values
+(its fast path at any precision, its scan and star geometry do without).  The
 probe (``probe``) works on integer signs and loads no mpmath, and ``roots``
 takes the zeros of every h_r the probe proved, by its step or by Sturm's
 theorem, from its isolating intervals: only a counterexample, and an index

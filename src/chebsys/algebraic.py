@@ -27,12 +27,14 @@ solved again by per-point mpmath Aberth iteration, seeded with the same
 roots in doubles, so every tie decision is made at full working precision.
 An accepted point keeps each value rounded once to the working precision
 on the kernel, with the exact residual of that value, so a run whose every
-point is accepted loads no mpmath.  The asymptotic scan steps
+point is accepted loads no mpmath; a point solved by Aberth keeps each
+root as the kernel value its mpmath value is, so every branch value
+outside the Aberth fallback has that one form.  The asymptotic scan steps
 ``t_r/lambda_m**r`` in fixed point on the same kernel, so it loads mpmath
 only for a point that the fast path rejects.  This module imports mpmath
-only where it is used: the Aberth fallback, ``coefficients_b``,
-``explicit_t`` and the mpmath values of ``limit_L`` and
-``BranchSet.lambdas``.
+only where it is used: the Aberth fallback and the converters to mpmath
+values, ``BranchSet.lambdas``, ``limit_L``, ``coefficients_b`` and
+``explicit_t``.
 
 Star geometry: the bounded star is the m+1 segments of length
 ``a = ((m+1)/m) * (m*c)**(1/(m+1))`` along the angles ``2*pi*k/(m+1)``, whose
@@ -72,46 +74,33 @@ TIE_RELATIVE_GAP = 1e-10
 BATCH_RELATIVE_GAP = 1e4 * TIE_RELATIVE_GAP
 
 
-class BranchSet:
+class BranchSet(NamedTuple):
     """The m+1 branch values at one point, sorted by ascending modulus.
 
-    ``lambdas`` are the values as mpmath complex numbers.  ``values`` are
-    them as ``complex(l)`` rounds each, and ``moduli`` their moduli as
-    ``float(abs(l))`` rounds them in the default 53-bit context.  A point
-    of the fast path keeps each value on the integer kernel
-    (``parts``), rounded once to the working precision: its ``values`` and
-    ``moduli`` are rounded from there, its ``lambdas`` are built on first
-    use, and its ``residuals`` are the exact residuals of those values,
-    rounded to doubles.
+    ``parts`` are the values on the integer kernel, ``(re, re_exp, im,
+    im_exp)`` per branch, each rounded once to the working precision.
+    ``values`` are them as ``complex(l)`` rounds each mpmath value l,
+    ``moduli`` their moduli as ``float(abs(l))`` rounds them in the default
+    53-bit context, and ``lambdas`` the mpmath values themselves, built on
+    each use.  ``residuals`` are the absolute residuals, as doubles.
     """
 
-    __slots__ = ("z", "parts", "residuals", "tie_flag", "precision", "_lambdas")
-
-    def __init__(self, z, parts, residuals, tie_flag, precision, lambdas=None):
-        self.z = z
-        # (re, re_exp, im, im_exp) per branch, or None for mpmath values
-        self.parts = parts
-        self.residuals = residuals
-        self.tie_flag = tie_flag
-        self.precision = precision
-        self._lambdas = lambdas
+    z: complex
+    parts: tuple
+    residuals: tuple
+    tie_flag: bool
+    precision: int
 
     @property
     def lambdas(self) -> tuple:
-        if self._lambdas is None:
-            self._lambdas = tuple(map(_to_mpc, self.parts))
-        return self._lambdas
+        return tuple(map(_to_mpc, self.parts))
 
     @property
     def values(self) -> tuple:
-        if self.parts is None:
-            return tuple(complex(l) for l in self._lambdas)
         return tuple(complex(to_float(re, ere), to_float(im, eim)) for re, ere, im, eim in self.parts)
 
     @property
     def moduli(self) -> tuple:
-        if self.parts is None:
-            return tuple(float(abs(l)) for l in self._lambdas)
         return tuple(to_float(*hypot_man_exp(*part, 53)) for part in self.parts)
 
 
@@ -223,7 +212,9 @@ def solve_branches_aberth(p: Params, z, precision: int) -> BranchSet:
 
     A root passes when its residual is at most ``10**(2 - 0.3*precision)``
     times the largest of 1, ``|c*lambda**(m+1)|`` and ``|z*lambda|``;
-    ``residuals`` are the absolute values.
+    ``residuals`` are the absolute values.  Each root is then kept as the
+    kernel value its mpmath value is, exactly; a root that is not finite
+    raises SolverDivergence.
     """
     import mpmath
 
@@ -267,7 +258,16 @@ def solve_branches_aberth(p: Params, z, precision: int) -> BranchSet:
             gap = abs(hi) - abs(lo)
             if gap < TIE_RELATIVE_GAP * max(abs(hi), mpmath.mpf(1e-300)):
                 tie = True
-        return BranchSet(complex(z), None, tuple(residuals), tie, precision, tuple(roots))
+        parts = []
+        for lam in roots:
+            part = []
+            for x in (lam.real, lam.imag):
+                sign, man, exp, _ = x._mpf_
+                if not man and exp:  # an infinity or a nan
+                    raise SolverDivergence(f"branch value {complex(lam)} is not finite at z={complex(z)}")
+                part += [-man if sign else man, exp]
+            parts.append(tuple(part))
+        return BranchSet(complex(z), tuple(parts), tuple(residuals), tie, precision)
 
 
 # ---- the polish on the integer kernel
@@ -510,11 +510,12 @@ def coefficients_b(bs: BranchSet, p: Params) -> BranchCoefficients:
     workbits = _work_bits(bs.precision, m, bs.z) + 16
     with mpmath.workprec(workbits):
         cmpf = rat_to_mpf(c)
+        lambdas = bs.lambdas
         values = []
         worst = 0.0
-        for j, lam in enumerate(bs.lambdas):
+        for j, lam in enumerate(lambdas):
             prod = mpmath.mpc(1)
-            for k, other in enumerate(bs.lambdas):
+            for k, other in enumerate(lambdas):
                 if k != j:
                     prod *= lam - other
             values.append(1 / prod)
@@ -794,19 +795,6 @@ def _limit_gate_distance(p: Params, geom: StarGeometry, z) -> float:
     return ray_family_distance(z, geom.attractor_rotations)
 
 
-def _top_part(bs: BranchSet) -> tuple:
-    """The largest branch of bs as a kernel value ``(re, re_exp, im, im_exp)``."""
-    if bs.parts is not None:
-        return bs.parts[-1]
-    top, part = bs.lambdas[-1], []
-    for x in (top.real, top.imag):
-        sign, man, exp, _ = x._mpf_
-        if not man and exp:  # an infinity or a nan
-            raise SolverDivergence(f"branch value {complex(top)} is not finite at z={bs.z}")
-        part += [-man if sign else man, exp]
-    return tuple(part)
-
-
 def _round_div(num: int, den: int) -> int:
     """``num/den`` (``den > 0``) rounded to an integer, half up."""
     return (2 * num + den) // (2 * den)
@@ -835,7 +823,7 @@ def _limit(p: Params, z, precision: int, tol: float) -> tuple:
     *_, second, high = bs.moduli
     if high - second < TIE_RELATIVE_GAP * high:
         raise OnStarSet(f"largest branch modulus is tied at z={complex(z)}")
-    top = _top_part(bs)
+    top = bs.parts[-1]
     m, num, den = p.m, p.c.numerator, p.c.denominator
     bits = _work_bits(precision, m, z) + _SCAN_GUARD_BITS
     re, ere, im, eim = top

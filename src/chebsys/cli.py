@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import gc
 import itertools
 import json
@@ -189,29 +188,23 @@ def _cells(row, width: int) -> list:
     return cells
 
 
-def _write_rows(fh, rows) -> None:
-    """Write rows of string cells exactly as ``csv.writer(fh,
-    lineterminator="\\n").writerows(rows)`` does.
+def _quoted(cell: str) -> str:
+    """A CSV cell, quoted with its quotes doubled where it holds a comma, a
+    quote or a line feed."""
+    if "," in cell or '"' in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
-    The csv module quotes a row's cells only where one holds a comma, a
-    quote or a line break, or where the row is one empty cell.  A joined row
-    with one comma fewer than it has cells and none of the others therefore
-    needs no quoting and is written as joined; any other row goes through
-    the csv module.
+
+def _write_rows(fh, rows) -> None:
+    """Write rows of string cells as ``csv.writer(fh, lineterminator="\\n")``
+    writes them on CPython 3.11: each cell quoted as ``_quoted`` quotes it,
+    a bare carriage return left unquoted, and a row of one empty cell
+    written as ``""``.
     """
-    writer = csv.writer(fh, lineterminator="\n")
     for cells in rows:
-        line = ",".join(cells)
-        if (
-            line.count(",") == len(cells) - 1
-            and '"' not in line
-            and "\n" not in line
-            and "\r" not in line
-            and (line or len(cells) > 1)
-        ):
-            fh.write(line + "\n")
-        else:
-            writer.writerow(cells)
+        line = ",".join(map(_quoted, cells))
+        fh.write(line + "\n" if line or len(cells) != 1 else '""\n')
 
 
 def emit(args, config: dict, doc: dict, tables=(), sidecar=(), notes=()) -> None:

@@ -19,7 +19,7 @@ from chebsys.algebraic import (
 )
 from chebsys.rationals import raw_mpf
 from chebsys.recurrence import Params
-from chebsys.rootfind import RootRefinementError
+from chebsys.rootfind import RootRefinementError, complex_roots
 
 
 def cells(bs):
@@ -30,6 +30,11 @@ def cells(bs):
         out += [f"{lam.real:.17g}", f"{lam.imag:.17g}"]
     out += [f"{float(mod):.17g}" for mod in bs.moduli]
     return out, bs.tie_flag
+
+
+def accepted(p, z, precision=53):
+    """Whether the fast path accepts the point z when solved on its own."""
+    return solve_branches_many(p, [z], precision).batched == 1
 
 
 def box(rng, a, far):
@@ -77,22 +82,63 @@ def test_equal_moduli_fall_back_and_tie():
     assert not batch.results[1].tie_flag
 
 
-def test_mixed_points_keep_their_input_order():
+def mixed_points():
     # accepted points around a tie (z = 1 lies on the bounded segment of
     # c = 1/2, where the two moduli are equal), a point that is not a double
     # and one whose z/c overflows a double; the last three fall back
-    p = Params(1, "1/2")
     with mpmath.workprec(120):
         exact = mpmath.mpc(1) / 3 + mpmath.mpc(0, 1)
-    points = [complex(3, 0.5), 1, complex(-1, 2), exact, complex(1e308, 0), complex(0.5, -4)]
+    return [complex(3, 0.5), 1, complex(-1, 2), exact, complex(1e308, 0), complex(0.5, -4)]
+
+
+def test_mixed_points_keep_their_input_order():
+    p = Params(1, "1/2")
+    points = mixed_points()
     batch = solve_branches_many(p, points)
     assert (batch.batched, batch.fallback) == (3, 3)
     assert [bs.z for bs in batch.results] == [complex(z) for z in points]
-    accepted = [bs.parts is not None for bs in batch.results]
-    assert accepted == [True, False, True, False, False, True]
+    assert [accepted(p, z) for z in points] == [True, False, True, False, False, True]
     assert [bs.tie_flag for bs in batch.results] == [False, True, False, False, False, False]
     for z, bs in zip(points, batch.results):
         assert cells(bs) == cells(solve_branches_aberth(p, z, 53))
+
+
+@pytest.mark.parametrize("precision", [53, 128])
+def test_fallback_values_are_those_of_their_mpmath_roots(monkeypatch, precision):
+    # a point that falls back keeps its roots as kernel values, exactly: its
+    # lambdas are the roots Aberth found, and its values and moduli are
+    # complex(l) and float(abs(l)) of them in the default 53-bit context
+    found = []
+
+    def spy(*args, **kwargs):
+        roots = complex_roots(*args, **kwargs)
+        found.append({l._mpc_ for l in roots})
+        return roots
+
+    p = Params(1, "1/2")
+    points = [z for z in mixed_points() if not accepted(p, z, precision)]
+    assert len(points) == 3
+    monkeypatch.setattr(rootfind, "complex_roots", spy)
+    results = solve_branches_many(p, points, precision).results
+    assert len(found) == 3
+    for bs, roots in zip(results, found):
+        assert mpmath.mp.prec == 53
+        assert {l._mpc_ for l in bs.lambdas} == roots
+        assert bs.values == tuple(complex(l) for l in bs.lambdas)
+        assert bs.moduli == tuple(float(abs(l)) for l in bs.lambdas)
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan", "infj"])
+def test_a_root_that_is_not_finite_is_a_divergence(monkeypatch, bad):
+    # the Aberth path refuses a root it cannot keep as a kernel value; its
+    # residual, not a number, does not fail the gate
+    root = mpmath.mpc(0, mpmath.inf) if bad == "infj" else mpmath.mpc(getattr(mpmath, bad))
+    monkeypatch.setattr(rootfind, "complex_roots", lambda *args, **kwargs: [root, mpmath.mpc(1)])
+    batch = solve_branches_many(Params(1, "1"), [2, 3])
+    assert (batch.batched, batch.fallback) == (1, 1)
+    assert isinstance(batch.results[0], SolverDivergence)
+    assert "not finite" in str(batch.results[0])
+    assert not isinstance(batch.results[1], SolverDivergence)
 
 
 def test_above_53_bits_points_run_on_the_kernel():
@@ -124,7 +170,7 @@ def test_point_that_is_not_a_double_uses_aberth():
 def test_kernel_values_are_the_mpmath_values_rounded(monkeypatch, m, c, far):
     # every accepted branch: each part is a fixed-point value rounded once
     # to the working bits as mpmath rounds it, its values and moduli are
-    # complex(l) and float(abs(l)) of that mpmath value l, and its lazy
+    # complex(l) and float(abs(l)) of that mpmath value l, and its
     # lambdas are those values themselves
     rounded = {}
     kernel = algebraic.round_man_exp
@@ -141,9 +187,9 @@ def test_kernel_values_are_the_mpmath_values_rounded(monkeypatch, m, c, far):
     points = box(random.Random(f"kernel:{m}:{far}"), star_radius(p), far)
     batch = solve_branches_many(p, points)
     assert batch.batched >= len(points) - 2
-    accepted = [bs for bs in batch.results if bs.parts is not None]
-    assert len(accepted) == batch.batched
-    for bs in accepted:
+    fast = [bs for z, bs in zip(points, batch.results) if accepted(p, z)]
+    assert len(fast) == batch.batched
+    for bs in fast:
         want = [
             mpmath.mp.make_mpc((rounded[re, ere], rounded[im, eim]))
             for re, ere, im, eim in bs.parts
@@ -175,7 +221,7 @@ def test_residuals_are_the_exact_residuals_of_the_written_values(m, c, far):
     assert batch.batched >= len(points) - 2
     gate = algebraic._residual_tolerance(53)
     for z, bs in zip(points, batch.results):
-        if bs.parts is None:
+        if not accepted(p, z):
             continue
         for part, residual in zip(bs.parts, bs.residuals):
             assert residual <= gate
@@ -191,7 +237,7 @@ def test_fast_path_values_match_aberth_at_256_bits(m, c, far):
     assert batch.batched >= len(points) - 2
     with mpmath.workprec(256):
         for z, bs in zip(points, batch.results):
-            if bs.parts is None:
+            if not accepted(p, z):
                 continue
             ref = solve_branches_aberth(p, z, 256).lambdas
             for got, want in zip(bs.lambdas, ref):

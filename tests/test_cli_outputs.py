@@ -20,6 +20,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebsys import cli
 from chebsys.cli import main
@@ -255,6 +257,16 @@ def test_row_writer_writes_what_the_csv_module_writes(cells):
 
 def test_row_writer_matches_the_csv_module_over_a_table():
     assert written(CELL_ROWS, cli._write_rows) == written(CELL_ROWS)
+
+
+# any text, with the characters that call for quoting drawn often
+CELL_TEXT = st.text(alphabet=st.one_of(st.sampled_from(',"\r\n '), st.characters()), max_size=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(CELL_TEXT, max_size=4), max_size=5))
+def test_row_writer_matches_the_csv_module_on_any_text(rows):
+    assert written(rows, cli._write_rows) == written(rows)
 
 
 def test_int_cells_are_written_as_the_csv_module_writes_ints():

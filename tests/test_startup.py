@@ -123,6 +123,15 @@ LOADS = {
         [],
         {"asymptote400.json": "70e7bc6e318412c1055c45ca54ca78b103bbd18096a644332a14c6bdde04dfab"},
     ),
+    # two lower branches at the real z = 1.5 are a conjugate pair, whose
+    # equal moduli send the point to Aberth: the limit reads the top branch
+    # of an Aberth solve
+    "asymptote-fallback": (
+        ["asymptote", "--m", "2", "--c", "1", "--z", "1.5,0", "--r-max", "20",
+         "--out", "asymptote-fallback.json"],
+        ["mpmath"],
+        {"asymptote-fallback.json": "ea19d7ce2c9f1e7dde0d012d52be06f63a20b497f7145b91d3a80c7a78129892"},
+    ),
     # the zeros refined from the probe's intervals, at m = 2 and m = 1; both
     # re-taken with them, as roots60 and roots.csv in test_cli_outputs.py
     "roots-m2": (
@@ -165,10 +174,11 @@ print(json.dumps(hashlib.sha256(open(sys.argv[-1], "rb").read()).hexdigest()))
 # back to mpmath
 ONE_POINT = """
 import json, sys
-from chebsys.algebraic import solve_branches
+from chebsys.algebraic import solve_branches, solve_branches_many
 from chebsys.recurrence import Params
-bs = solve_branches(Params(3, "7/3"), complex(1, 0.5))
-print(json.dumps([bs.parts is not None, bs.tie_flag]))
+p, z = Params(3, "7/3"), complex(1, 0.5)
+bs = solve_branches(p, z)
+print(json.dumps([solve_branches_many(p, [z]).batched == 1, bs.tie_flag]))
 print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 """
 
@@ -216,6 +226,13 @@ import chebsys.cli
 print(json.dumps("dataclasses" in sys.modules))
 import chebsys.algebraic, chebsys.roots
 print(json.dumps("dataclasses" in sys.modules))
+"""
+
+# the CLI writes its CSV rows itself
+NO_CSV = """
+import json, sys
+import chebsys.cli
+print(json.dumps("csv" in sys.modules))
 """
 
 # the module entry point, with an atexit handler that reports the collector
@@ -338,6 +355,12 @@ def test_no_module_loads_dataclasses():
     done = python(DIET)
     assert done.returncode == 0, done.stderr
     assert list(map(json.loads, done.stdout.splitlines())) == [False, False]
+
+
+def test_cli_loads_no_csv():
+    done = python(NO_CSV)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) is False
 
 
 # ---------------------------------------------------------------- slots records
