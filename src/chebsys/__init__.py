@@ -8,8 +8,9 @@ numeric half (the algebraic branch solver, the explicit branch-sum formula,
 strong-asymptotics scans, and root studies) bridged only by explicit-precision
 complex evaluation.
 
-Importing the package loads only the exact half, which needs nothing beyond
-the standard library.  The names of the numeric half, and its modules
+Importing the package loads only the exact generators, which need nothing
+beyond the standard library.  The names of the banded-operator checks
+(``operators``) and of the numeric half, and their modules ``operators``,
 ``algebraic``, ``rootfind`` and ``roots``, resolve on first use.  mpmath,
 the one dependency, is loaded with ``rootfind`` and where ``algebraic``
 computes in it: its Aberth fallback and its converters to mpmath values
@@ -22,20 +23,14 @@ the step misses after it, is solved in mpmath.
 
 import importlib
 
-from .errors import ConvergenceFailure, DegenerateBranches, OnStarSet, SolverDivergence
-from .exactpoly import DEFAULT_PRECISION, Poly, compose_star, poly_gcd
-from .operators import (
-    BandedOperator,
+from .errors import (
+    ConvergenceFailure,
+    DegenerateBranches,
+    OnStarSet,
+    SolverDivergence,
     TruncationOverflow,
-    apply_T,
-    apply_T_transpose,
-    basis_vector,
-    biorthogonality,
-    gram_matrix,
-    jump_check_typeI,
-    jump_check_typeII,
-    poly_of_operator,
 )
+from .exactpoly import DEFAULT_PRECISION, Poly, compose_star, poly_gcd
 from .rationals import BACKEND, Rational, as_rational, rat_str
 from .recurrence import (
     FactorizationViolation,
@@ -55,10 +50,23 @@ from .recurrence import (
 
 __version__ = "0.1.0"
 
-_NUMERIC_MODULES = ("algebraic", "rootfind", "roots")
+_LAZY_MODULES = ("operators", "algebraic", "rootfind", "roots")
 
-# name -> the numeric module that defines it, imported on first access
-_NUMERIC_NAMES = {
+# name -> the module that defines it, imported on first access
+_LAZY_NAMES = {
+    name: "operators"
+    for name in (
+        "BandedOperator",
+        "apply_T",
+        "apply_T_transpose",
+        "basis_vector",
+        "biorthogonality",
+        "gram_matrix",
+        "jump_check_typeI",
+        "jump_check_typeII",
+        "poly_of_operator",
+    )
+} | {
     name: "algebraic"
     for name in (
         "BranchBatch",
@@ -97,9 +105,9 @@ _NUMERIC_NAMES = {
 
 
 def __getattr__(name):
-    if name in _NUMERIC_MODULES:
+    if name in _LAZY_MODULES:
         return importlib.import_module(f".{name}", __name__)
-    home = _NUMERIC_NAMES.get(name)
+    home = _LAZY_NAMES.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{home}", __name__), name)
@@ -108,4 +116,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *_NUMERIC_MODULES, *_NUMERIC_NAMES})
+    return sorted({*globals(), *_LAZY_MODULES, *_LAZY_NAMES})

@@ -54,7 +54,7 @@ import functools
 import math
 import random
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DegenerateBranches, OnStarSet, RootRefinementError, SolverDivergence
 from .rationals import (
@@ -74,7 +74,7 @@ TIE_RELATIVE_GAP = 1e-10
 BATCH_RELATIVE_GAP = 1e4 * TIE_RELATIVE_GAP
 
 
-class BranchSet(NamedTuple):
+class BranchSet(namedtuple("BranchSet", "z parts residuals tie_flag precision")):
     """The m+1 branch values at one point, sorted by ascending modulus.
 
     ``parts`` are the values on the integer kernel, ``(re, re_exp, im,
@@ -85,11 +85,7 @@ class BranchSet(NamedTuple):
     each use.  ``residuals`` are the absolute residuals, as doubles.
     """
 
-    z: complex
-    parts: tuple
-    residuals: tuple
-    tie_flag: bool
-    precision: int
+    __slots__ = ()
 
     @property
     def lambdas(self) -> tuple:
@@ -112,16 +108,13 @@ def _to_mpc(part: tuple):
     return mpmath.mp.make_mpc((raw_mpf(re, ere), raw_mpf(im, eim)))
 
 
-class BranchCoefficients(NamedTuple):
-    """Dual-Vandermonde coefficients with the recorded derivative-identity check.
+BranchCoefficients = namedtuple("BranchCoefficients", "values identity_error")
+BranchCoefficients.__doc__ = """Dual-Vandermonde coefficients with the recorded derivative-identity check.
 
-    ``identity_error`` is the worst relative mismatch of
-    ``c*lambda_j*prod_{k != j}(lambda_j - lambda_k)`` against
-    ``c*m*lambda_j**(m+1) - 1`` over the branches.
-    """
-
-    values: tuple
-    identity_error: float
+``identity_error`` is the worst relative mismatch of
+``c*lambda_j*prod_{k != j}(lambda_j - lambda_k)`` against
+``c*m*lambda_j**(m+1) - 1`` over the branches.
+"""
 
 
 def _work_bits(precision: int, m: int, z) -> int:
@@ -438,18 +431,14 @@ def _solve_fast(m: int, c: Rational, z: complex, precision: int):
     return BranchSet(z, parts, residuals, False, precision)
 
 
-class BranchBatch(NamedTuple):
-    """Branch sets of many points, in input order, and the path that solved them.
+BranchBatch = namedtuple("BranchBatch", "results batched fallback")
+BranchBatch.__doc__ = """Branch sets of many points, in input order, and the path that solved them.
 
-    ``results[i]`` is the BranchSet of the i-th point, or the
-    SolverDivergence raised there.  ``batched`` counts the points accepted
-    by the fast path and ``fallback`` those solved by per-point mpmath
-    Aberth iteration.
-    """
-
-    results: tuple
-    batched: int
-    fallback: int
+``results[i]`` is the BranchSet of the i-th point, or the
+SolverDivergence raised there.  ``batched`` counts the points accepted
+by the fast path and ``fallback`` those solved by per-point mpmath
+Aberth iteration.
+"""
 
 
 def solve_branches_many(p: Params, points, precision: int = 53) -> BranchBatch:
@@ -550,25 +539,18 @@ def explicit_t(p: Params, r: int, z, precision: int = 53):
         return total
 
 
-class StarGeometry(NamedTuple):
-    """Ray/segment skeleton for one parameter pair.
+StarGeometry = namedtuple(
+    "StarGeometry",
+    "m c_float a s0_angles even_angles odd_angles attractor attractor_angles"
+    " even_rotations odd_rotations attractor_rotations",
+)
+StarGeometry.__doc__ = """Ray/segment skeleton for one parameter pair.
 
-    Each family's ``*_rotations`` are ``cmath.exp(-1j*angle)`` of its
-    angles, which turn a point onto the family's rays; the bounded star's
-    segments lie along the odd angles.
-    """
-
-    m: int
-    c_float: float
-    a: float
-    s0_angles: tuple
-    even_angles: tuple
-    odd_angles: tuple
-    attractor: str  # "even" for even m, "odd" for odd m
-    attractor_angles: tuple
-    even_rotations: tuple
-    odd_rotations: tuple
-    attractor_rotations: tuple
+Each family's ``*_rotations`` are ``cmath.exp(-1j*angle)`` of its
+angles, which turn a point onto the family's rays; the bounded star's
+segments lie along the odd angles.  ``attractor`` is "even" for even m
+and "odd" for odd m.
+"""
 
 
 # ---- exact star geometry
@@ -752,22 +734,16 @@ def segment_family_distance(z, rotations, length: float) -> float:
     return best
 
 
-class RegionReport(NamedTuple):
-    """Distances from a point to the three stars and the induced domain flags.
+RegionReport = namedtuple(
+    "RegionReport", "z tol dist_s0 dist_even_star dist_odd_star dist_attractor omega"
+)
+RegionReport.__doc__ = """Distances from a point to the three stars and the induced domain flags.
 
-    ``omega[j]`` is True when the point lies in the holomorphy domain of
-    branch j: off the bounded star for j = 0, off both unbounded stars for
-    0 < j < m, and off the parity-selected attractor star for j = m.
-    Distances below the tolerance count as membership in the excluded set.
-    """
-
-    z: complex
-    tol: float
-    dist_s0: float
-    dist_even_star: float
-    dist_odd_star: float
-    dist_attractor: float
-    omega: tuple
+``omega[j]`` is True when the point lies in the holomorphy domain of
+branch j: off the bounded star for j = 0, off both unbounded stars for
+0 < j < m, and off the parity-selected attractor star for j = m.
+Distances below the tolerance count as membership in the excluded set.
+"""
 
 
 def region_classify(p: Params, z, tol: float) -> RegionReport:
@@ -855,27 +831,21 @@ def limit_L(p: Params, z, precision: int = 53, tol: float = 1e-9):
     return _to_mpc(_limit(p, z, precision, tol)[3])
 
 
-class ScanResult(NamedTuple):
-    """Observed error decay of the scaled scalar terms against the limit value.
+ScanResult = namedtuple(
+    "ScanResult", "z r_max precision window ratio limit_value errors rates decay_estimate"
+)
+ScanResult.__doc__ = """Observed error decay of the scaled scalar terms against the limit value.
 
-    ``errors[r] = |t_r(z)/lambda_m**r - L|`` with t_r(z)/lambda_m**r stepped
-    by the scaled recurrence at z; ``rates[r] = (errors[r]/errors[r-w])**(1/w)``
-    over the window ``w = m*(m+1)``; ``decay_estimate`` averages over the
-    trailing half of the scan and should approach
-    ``ratio = |lambda_{m-1}/lambda_m|``.  Both are computed in doubles,
-    except where an error cell they need lies below the range of a normal
-    double: there they come from the errors at the working precision.
-    """
-
-    z: complex
-    r_max: int
-    precision: int
-    window: int
-    ratio: float
-    limit_value: complex
-    errors: tuple
-    rates: tuple
-    decay_estimate: float | None
+``errors[r] = |t_r(z)/lambda_m**r - L|`` with t_r(z)/lambda_m**r stepped
+by the scaled recurrence at z; ``rates[r] = (errors[r]/errors[r-w])**(1/w)``
+over the window ``w = m*(m+1)``; ``decay_estimate`` averages over the
+trailing half of the scan and should approach
+``ratio = |lambda_{m-1}/lambda_m|``.  Both are computed in doubles,
+except where an error cell they need lies below the range of a normal
+double: there they come from the errors at the working precision.  A rate,
+or the estimate, is None where the scan is shorter than its window or a cell
+it compares is zero.
+"""
 
 
 def asymptotic_scan(

@@ -1,9 +1,23 @@
 """Command-line interface.
 
-    chebsys <gen|verify|branches|asymptote|roots>
-        --m INT --c P/Q [--R INT] [--n-max INT] [--r-max INT]
-        [--z RE,IM | --grid re0:re1:n,im0:im1:n]
-        [--precision BITS] [--seed INT] [--format json|csv] --out PATH
+    chebsys gen       --m INT --c P/Q [--R INT] COMMON
+    chebsys verify    --m INT --c P/Q [--R INT] [--n-max INT] COMMON
+    chebsys branches  --m INT --c P/Q (--z RE,IM | --grid RE0:RE1:N,IM0:IM1:N) COMMON
+    chebsys asymptote --m INT --c P/Q --z RE,IM [--r-max INT] COMMON
+    chebsys roots     --m INT --c P/Q [--r-max INT] [--r-list R,R,...] COMMON
+    chebsys -h | --help
+
+    COMMON: [--precision BITS] [--seed INT] [--format json|csv] --out PATH
+    defaults: --R 20 (gen) or 40 (verify), --n-max the --R, --r-max 60,
+    --r-list ceil(r_max/3),ceil(2*r_max/3),r_max, --seed 0, --format json
+
+Options follow the command, each as ``--opt value`` or ``--opt=value``.  A
+value is the next argument whatever it starts with, so ``--z -2,1`` and
+``--grid -2:2:3,-1:1:2`` need no ``=``.  A name may be cut to a prefix that
+names one option of the command (``--prec 64``), and an option given twice
+keeps its last value.  ``-h`` or ``--help`` prints this text and exits 0;
+any other misuse of the command line exits 2 with one ``chebsys: error:``
+line.
 
 Every output embeds the full run configuration and a schema version, exact
 rationals are serialized losslessly as "p/q" strings, floats are written with
@@ -12,9 +26,10 @@ the files, so identical configurations (seed included) produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 numeric failure (a solver that did not converge, tied branches, or an
 operator truncation that overflowed); the error classes live in
-``chebsys.errors``.  The numeric half, and with it mpmath, is imported
-only by the commands that use it, and no command uses numpy: ``gen`` and
-``verify`` load no mpmath, as the probe is exact; ``branches`` and
+``chebsys.errors``.  A process imports only what its command runs: the
+operator checks (``operators``) only for ``verify``, the numeric half, and
+with it mpmath, only for the commands that use it, and numpy for none.
+``gen`` and ``verify`` load no mpmath, as the probe is exact; ``branches`` and
 ``asymptote`` load it only for a point that falls back to the Aberth
 solver, at any precision, as their branch values, and the scan's
 fixed-point recursion, run on the integer kernel.  ``roots`` loads it only
@@ -38,7 +53,6 @@ precision (53 bits) when --precision is not given.
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import gc
 import itertools
@@ -47,8 +61,8 @@ import math
 import os
 import random
 import sys
+from types import SimpleNamespace
 
-from . import operators
 from .errors import (
     ConvergenceFailure,
     DegenerateBranches,
@@ -376,6 +390,8 @@ def _check_denominators(p: Params, records: list, vectors: list, type2: list):
 
 
 def _check_adjointness(p: Params, seed: int, trials: int = 20):
+    from . import operators
+
     size = 12 + p.m
     op = operators.BandedOperator.for_params(p, size)
     rng = random.Random(seed)
@@ -395,6 +411,8 @@ def _check_adjointness(p: Params, seed: int, trials: int = 20):
 
 
 def cmd_verify(args) -> int:
+    from . import operators
+
     p, precision, config = _setup(args, R=args.R)
     if args.R < 0:
         raise UsageError("--R must be >= 0")
@@ -501,6 +519,8 @@ def _probe_block(probe) -> dict:
 def cmd_branches(args) -> int:
     from . import algebraic
 
+    if (args.z is None) == (args.grid is None):
+        raise UsageError("branches takes exactly one of --z and --grid")
     p, precision, config = _numeric_setup(args, z=args.z, grid=args.grid)
     points = [parse_point(args.z)] if args.z is not None else parse_grid(args.grid)
     geom = algebraic.star_geometry(p)
@@ -670,83 +690,98 @@ def cmd_roots(args) -> int:
 
 # ---------------------------------------------------------------- wiring
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chebsys",
-        description="exact recurrence generators, structural verifiers, and "
-        "branch asymptotics for the star recurrence family",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--m", type=int, required=True, help="band offset, >= 1")
-        sp.add_argument("--c", type=str, required=True, help="exact rational P/Q, > 0")
-        sp.add_argument("--precision", type=int, default=None, help="working precision in bits (>= 53)")
-        sp.add_argument("--seed", type=int, default=0, help="seed for any sampled data")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--out", type=str, required=True, help="output path")
-
-    sp = sub.add_parser("gen", help="emit coefficient tables for all three families")
-    common(sp)
-    sp.add_argument("--R", type=int, default=20, help="largest index to generate")
-    sp.set_defaults(func=cmd_gen)
-
-    sp = sub.add_parser("verify", help="run the structural check battery")
-    common(sp)
-    sp.add_argument("--R", type=int, default=40)
-    sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("branches", help="solve the branch equation on a point or grid")
-    common(sp)
-    where = sp.add_mutually_exclusive_group(required=True)
-    where.add_argument("--z", type=str, default=None, help="single point RE,IM")
-    where.add_argument("--grid", type=str, default=None, help="grid re0:re1:n,im0:im1:n")
-    sp.set_defaults(func=cmd_branches)
-
-    sp = sub.add_parser("asymptote", help="scan the scaled-term error decay at a point")
-    common(sp)
-    sp.add_argument("--z", type=str, required=True, help="scan point RE,IM")
-    sp.add_argument("--r-max", dest="r_max", type=int, default=60)
-    sp.set_defaults(func=cmd_asymptote)
-
-    sp = sub.add_parser("roots", help="root tables, attraction study, and probe")
-    common(sp)
-    sp.add_argument("--r-max", dest="r_max", type=int, default=60)
-    sp.add_argument("--r-list", dest="r_list", type=str, default=None, help="comma list of indices")
-    sp.set_defaults(func=cmd_roots)
-    return parser
+# Each command's function and options.  An option maps to (kind, default):
+# kind is int, str or a tuple of the values allowed, and a default of ...
+# marks an option that must be given.  The value of --opt-name is read as
+# args.opt_name.
+_COMMON = {
+    "--m": (int, ...),
+    "--c": (str, ...),
+    "--precision": (int, None),
+    "--seed": (int, 0),
+    "--format": (("json", "csv"), "json"),
+    "--out": (str, ...),
+}
+COMMANDS = {
+    "gen": (cmd_gen, {**_COMMON, "--R": (int, 20)}),
+    "verify": (cmd_verify, {**_COMMON, "--R": (int, 40), "--n-max": (int, None)}),
+    "branches": (cmd_branches, {**_COMMON, "--z": (str, None), "--grid": (str, None)}),
+    "asymptote": (cmd_asymptote, {**_COMMON, "--z": (str, ...), "--r-max": (int, 60)}),
+    "roots": (cmd_roots, {**_COMMON, "--r-max": (int, 60), "--r-list": (str, None)}),
+}
+HELP = ("-h", "--help")
 
 
-def _absorb_negative_values(argv: list) -> list:
-    # argparse mistakes "-2:2:5,-2:2:5" for an option; fold such values into
-    # the "--opt=value" form so negative coordinates parse naturally
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--z", "--grid") and i + 1 < len(argv):
-            nxt = argv[i + 1]
-            if nxt.startswith("-") and ("," in nxt or ":" in nxt):
-                out.append(f"{tok}={nxt}")
-                i += 2
-                continue
-        out.append(tok)
-        i += 1
-    return out
+def _help(args) -> int:
+    sys.stdout.write(__doc__ or "")
+    return EXIT_OK
+
+
+def _option(options: dict, name: str) -> str:
+    """The option that ``name`` names: itself, or the one option it is a prefix of."""
+    if name in options:
+        return name
+    hits = [full for full in options if full.startswith(name)] if name[2:] else []
+    if len(hits) == 1:
+        return hits[0]
+    if hits:
+        raise UsageError(f"ambiguous option {name!r}: {', '.join(hits)}")
+    raise UsageError(f"unknown option {name!r}")
+
+
+def _value(name: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"bad {name} value {text!r}: expected an integer") from None
+    if kind is not str and text not in kind:
+        raise UsageError(f"bad {name} value {text!r}: expected {' or '.join(kind)}")
+    return text
+
+
+class Parser:
+    """The command line grammar of the module docstring, over ``COMMANDS``."""
+
+    def parse_args(self, argv) -> SimpleNamespace:
+        """``command``, ``func`` and a value for every option of the command,
+        read in one pass over ``argv``; a misuse raises ``UsageError``.  With
+        ``-h`` or ``--help``, ``func`` prints the help instead."""
+        command, *tokens = argv or [""]
+        if command in HELP:
+            return SimpleNamespace(command=None, func=_help)
+        if command not in COMMANDS:
+            raise UsageError(f"expected a command ({', '.join(COMMANDS)}), got {command!r}")
+        func, options = COMMANDS[command]
+        given = {}
+        tokens = iter(tokens)
+        for token in tokens:
+            if token in HELP:
+                return SimpleNamespace(command=command, func=_help)
+            if not token.startswith("-"):
+                raise UsageError(f"unexpected argument {token!r}")
+            name, eq, text = token.partition("=")
+            name = _option(options, name)
+            if not eq:
+                text = next(tokens, None)
+                if text is None:
+                    raise UsageError(f"{name} expects a value")
+            given[name] = _value(name, options[name][0], text)
+        values = {}
+        for name, (_, default) in options.items():
+            value = values[name[2:].replace("-", "_")] = given.get(name, default)
+            if value is ...:
+                raise UsageError(f"{command} requires {name}")
+        return SimpleNamespace(command=command, func=func, **values)
+
+
+def build_parser() -> Parser:
+    return Parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    argv = _absorb_negative_values(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return 0 if code in (0, None) else EXIT_USAGE
-    try:
+        args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except (UsageError, OnStarSet, ValueError, TypeError, OSError) as exc:
         print(f"chebsys: error: {exc}", file=sys.stderr)

@@ -20,9 +20,9 @@ safe to share across threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable
 
 from .rationals import Rational, as_rational, rat_to_mpf, scaled
 

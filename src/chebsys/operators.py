@@ -29,9 +29,9 @@ materialized: each application walks the band in O(N).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from operator import attrgetter, mul
-from typing import NamedTuple
 
 from .errors import TruncationOverflow
 from .exactpoly import Poly
@@ -77,11 +77,8 @@ class BandedOperator:
         return cls(size, p.m, p.c)
 
 
-class Scaled(NamedTuple):
-    """The vector ``nums[i] / scale`` with integer entries and ``scale > 0``."""
-
-    nums: list
-    scale: int
+Scaled = namedtuple("Scaled", "nums scale")
+Scaled.__doc__ = "The vector ``nums[i] / scale`` with integer entries and ``scale > 0``."
 
 
 def basis_vector(size: int, j: int) -> tuple:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .exactpoly import Poly, _remainder_chain, dyadic_sign
 from .recurrence import Params, gen_type1_records
@@ -39,36 +39,31 @@ NEWTON = 64  # Newton steps toward a zero, in floats and then exactly
 SEPARATION_BITS = 64  # relative width of the enclosures a gap is measured between
 
 
-class ProbeReport(NamedTuple):
-    """Realness and simplicity of the zeros of every h_r, proven index by index.
+ProbeReport = namedtuple(
+    "ProbeReport",
+    "classification max_imag_normalized min_separation_normalized offending_r reason"
+    " checked certified first_uncertified_r",
+)
+ProbeReport.__doc__ = """Realness and simplicity of the zeros of every h_r, proven index by index.
 
-    An index is certified when the integer h_r has d sign changes along
-    increasing dyadic points with nonzero signs, which proves d distinct
-    real zeros, at points the step takes from the previous index's isolating
-    intervals.  Every other index is decided by Sturm's theorem on the
-    remainder chain of (h_r, h_r'), which isolates d distinct real zeros or
-    finds fewer.  Classification is PASS, a proof for every index, or
-    COUNTEREXAMPLE, with the first offending index and its ``reason``:
-    ``repeated-root`` when gcd(h_r, h_r') is not constant, ``complex-root``
-    otherwise.  ``max_imag_normalized`` is 0.0 on a PASS and None on a
-    COUNTEREXAMPLE, where no zero is computed.  ``min_separation_normalized``
-    is the least of ``|x - y| / max(1, |x|, |y|)`` over consecutive zeros of
-    every index, from isolating intervals refined to 2**-64 of their zeros.
-    It is None on a COUNTEREXAMPLE, and where the least gap underflows a
-    double: the zeros are proven distinct, so a gap that reads 0.0 there
-    has lost its digits and does not mean a repeated zero.  ``certified``
-    counts the indices the signs proved, and ``first_uncertified_r`` names
-    the first they missed.
-    """
-
-    classification: str
-    max_imag_normalized: float | None
-    min_separation_normalized: float | None
-    offending_r: int | None
-    reason: str | None
-    checked: int
-    certified: int
-    first_uncertified_r: int | None
+An index is certified when the integer h_r has d sign changes along
+increasing dyadic points with nonzero signs, which proves d distinct
+real zeros, at points the step takes from the previous index's isolating
+intervals.  Every other index is decided by Sturm's theorem on the
+remainder chain of (h_r, h_r'), which isolates d distinct real zeros or
+finds fewer.  Classification is PASS, a proof for every index, or
+COUNTEREXAMPLE, with the first offending index and its ``reason``:
+``repeated-root`` when gcd(h_r, h_r') is not constant, ``complex-root``
+otherwise.  ``max_imag_normalized`` is 0.0 on a PASS and None on a
+COUNTEREXAMPLE, where no zero is computed.  ``min_separation_normalized``
+is the least of ``|x - y| / max(1, |x|, |y|)`` over consecutive zeros of
+every index, from isolating intervals refined to 2**-64 of their zeros.
+It is None on a COUNTEREXAMPLE, and where the least gap underflows a
+double: the zeros are proven distinct, so a gap that reads 0.0 there
+has lost its digits and does not mean a repeated zero.  ``certified``
+counts the indices the signs proved, and ``first_uncertified_r`` names
+the first they missed.
+"""
 
 
 # ---------------------------------------------------------------- the step
@@ -79,14 +74,10 @@ class ProbeReport(NamedTuple):
 # polynomial has the sign s at lo and -s at hi.
 
 
-class Isolated(NamedTuple):
-    """The zeros of one h_r, proven real and simple: ``g``, h_r in
-    y = x/2**E up to a positive factor, and its isolating intervals in y in
-    increasing order."""
-
-    g: Poly | None
-    E: int
-    intervals: tuple
+Isolated = namedtuple("Isolated", "g E intervals")
+Isolated.__doc__ = """The zeros of one h_r, proven real and simple: ``g``, h_r in
+y = x/2**E up to a positive factor, and its isolating intervals in y in
+increasing order."""
 
 
 def _reduced(a: int, k: int) -> tuple:

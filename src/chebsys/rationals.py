@@ -38,7 +38,8 @@ def as_rational(value) -> Rational:
 
     Accepts Fractions, ints and strings such as ``"3"`` or ``"-5/7"``.
     Floats are rejected: they would silently smuggle binary roundoff into
-    computations whose whole point is exactness.
+    computations whose whole point is exactness.  A string that is not a
+    rational, ``"1/0"`` included, raises ``ValueError``.
     """
     if isinstance(value, Fraction):
         return value
@@ -47,7 +48,10 @@ def as_rational(value) -> Rational:
             "float %r rejected for exact arithmetic; pass a 'p/q' string instead" % (value,)
         )
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -29,12 +29,12 @@ immutable and safe to share across threads.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import attrgetter
-from typing import NamedTuple
 
 from .errors import NoVariantMatches
 from .exactpoly import Poly
-from .rationals import as_rational
+from .rationals import as_rational, rat_str
 
 
 class FactorizationViolation(Exception):
@@ -57,7 +57,7 @@ class Params:
             raise ValueError(f"m must be an integer >= 1, got {m!r}")
         cc = as_rational(c)
         if cc <= 0:
-            raise ValueError(f"c must be a positive rational, got {c!r}")
+            raise ValueError(f"c must be a positive rational, got {rat_str(cc)}")
         self._m = m
         self._c = cc
 
@@ -73,21 +73,11 @@ class Params:
         return f"Params(m={self._m!r}, c={self._c!r})"
 
 
-class TypeIVectorRecord(NamedTuple):
-    r: int
-    components: tuple  # m polynomials
+# components: the m polynomials t_{j,r}
+TypeIVectorRecord = namedtuple("TypeIVectorRecord", "r components")
 
-
-class TypeIRecord(NamedTuple):
-    """One scalar index with its decomposition and extracted reduced polynomial."""
-
-    r: int
-    d: int
-    k: int
-    tau: int
-    ell: int
-    t: Poly
-    h: Poly
+TypeIRecord = namedtuple("TypeIRecord", "r d k tau ell t h")
+TypeIRecord.__doc__ = "One scalar index with its decomposition and extracted reduced polynomial."
 
 
 def decompose_index(r: int, m: int) -> tuple[int, int, int, int]:
@@ -231,9 +221,10 @@ def gen_type1_records(p: Params, R: int) -> list[TypeIRecord]:
     return records
 
 
-class ShiftReport(NamedTuple):
-    checked: int
-    mismatches: tuple  # (j, r) pairs where t_{j,r} != t_{j+1,r+1}
+class ShiftReport(namedtuple("ShiftReport", "checked mismatches")):
+    """``mismatches``: the (j, r) pairs where t_{j,r} != t_{j+1,r+1}."""
+
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
@@ -253,9 +244,11 @@ def verify_shift(records: list[TypeIVectorRecord]) -> ShiftReport:
     return ShiftReport(checked, tuple(mismatches))
 
 
-class DenominatorReport(NamedTuple):
-    checked: int  # polynomials checked
-    witness: str | None  # the first polynomial whose denominator breaks the structure
+class DenominatorReport(namedtuple("DenominatorReport", "checked witness")):
+    """``checked`` polynomials, and the ``witness`` text of the first whose
+    denominator breaks the structure, or None."""
+
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
@@ -289,30 +282,23 @@ def verify_denominators(
     return DenominatorReport(len(polys), None)
 
 
-class SignCheckRow(NamedTuple):
-    r: int
-    k: int
-    ell: int
-    signs: tuple  # sign variants s with c*h_r == z^[ell==0]*h_{r-m} + s*h_{r-m-1}
-    degenerate: bool  # h_{r-m-1} == 0, so both variants coincide
+# signs: the sign variants s with c*h_r == z^[ell==0]*h_{r-m} + s*h_{r-m-1};
+# degenerate: h_{r-m-1} == 0, so both variants coincide
+SignCheckRow = namedtuple("SignCheckRow", "r k ell signs degenerate")
 
+HRecurrenceReport = namedtuple(
+    "HRecurrenceReport", "m rows empirical_table ell_parity_rule_holds k_parity_rule_holds"
+)
+HRecurrenceReport.__doc__ = """Empirical sign study for the induced recurrence of the h-polynomials.
 
-class HRecurrenceReport(NamedTuple):
-    """Empirical sign study for the induced recurrence of the h-polynomials.
-
-    For each ``r >= m`` the report records which ``s in {+1, -1}`` satisfies
-    ``c*h_r(y) = y**[ell==0] * h_{r-m}(y) + s * h_{r-m-1}(y)`` exactly, and
-    aggregates the pattern over the four (k==0, ell==0) classes.  Two fixed
-    candidate rules are scored against the data: ``ell_parity_rule`` uses
-    ``s = (-1)**(m-1)`` when ell==0 and ``+1`` otherwise; ``k_parity_rule``
-    uses ``s = (-1)**m`` when k==0 and ``+1`` otherwise.
-    """
-
-    m: int
-    rows: tuple
-    empirical_table: dict  # class label -> sorted tuple of admissible signs
-    ell_parity_rule_holds: bool
-    k_parity_rule_holds: bool
+For each ``r >= m`` the report records which ``s in {+1, -1}`` satisfies
+``c*h_r(y) = y**[ell==0] * h_{r-m}(y) + s * h_{r-m-1}(y)`` exactly, and
+aggregates the pattern over the four (k==0, ell==0) classes.  Two fixed
+candidate rules are scored against the data: ``ell_parity_rule`` uses
+``s = (-1)**(m-1)`` when ell==0 and ``+1`` otherwise; ``k_parity_rule``
+uses ``s = (-1)**m`` when k==0 and ``+1`` otherwise.  ``empirical_table``
+maps each class label to the sorted tuple of its admissible signs.
+"""
 
 
 def _class_label(k: int, ell: int) -> str:

@@ -21,7 +21,7 @@ Newton polygon (``rootfind``), and only that path imports mpmath.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .algebraic import (
     _STAR_BITS,
@@ -99,16 +99,15 @@ def roots_of_h(h: Poly, precision: int = 53) -> list:
         return _cluster(raw)
 
 
-class RootReport(NamedTuple):
-    """Zeros of one scalar term in both the reduced and the original plane."""
+RootReport = namedtuple(
+    "RootReport",
+    "r h_roots t_roots max_star_distance mean_star_distance origin_multiplicity total_root_count",
+)
+RootReport.__doc__ = """Zeros of one scalar term in both the reduced and the original plane.
 
-    r: int
-    h_roots: tuple  # (complex, multiplicity) in the reduced variable
-    t_roots: tuple  # (complex, multiplicity) in the original variable, origin included
-    max_star_distance: float
-    mean_star_distance: float
-    origin_multiplicity: int
-    total_root_count: int
+``h_roots`` are (complex, multiplicity) pairs in the reduced variable, and
+``t_roots`` the same in the original variable, origin included.
+"""
 
 
 def _proved_pairs(iso: Isolated, m: int, bits: int) -> tuple:
@@ -227,17 +226,11 @@ def distance_to_star(z, geom: StarGeometry) -> float:
     return ray_family_distance(z, geom.attractor_rotations)
 
 
-class AttractionRow(NamedTuple):
-    r: int
-    root_count: int
-    max_distance: float | None
-    mean_distance: float | None
+# the distances are None in the empty row of a zero or constant t_r
+AttractionRow = namedtuple("AttractionRow", "r root_count max_distance mean_distance")
 
-
-class AttractionStudy(NamedTuple):
-    rows: tuple
-    verdict_max: str  # non-increasing / increasing / mixed / vacuous
-    verdict_mean: str
+# each verdict: non-increasing, increasing, mixed or vacuous
+AttractionStudy = namedtuple("AttractionStudy", "rows verdict_max verdict_mean")
 
 
 def _trend(values, slack: float = 1e-9) -> str:

@@ -582,7 +582,195 @@ class TestUsageErrors:
             "branches", "--m", "1", "--c", "1", "--z", "3,0", "--grid", "0:1:2,0:1:2",
             "--out", str(out),
         ) == 2
-        assert "not allowed with argument" in capsys.readouterr().err
+        assert "exactly one of --z and --grid" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# ---------------------------------------------------------------- the parser
+
+# argv in the space form, and the namespace the argparse parser of the
+# previous CLI gave for it (func by name): a job of each command of the
+# benchmark, each command's defaults, negative values, prefixes and repeats
+NAMESPACES = {
+    "verify": (
+        "verify --m 2 --c 2/3 --R 36 --n-max 36 --seed 550891 --out r0s0.json",
+        {"R": 36, "c": "2/3", "command": "verify", "format": "json", "func": "cmd_verify",
+         "m": 2, "n_max": 36, "out": "r0s0.json", "precision": None, "seed": 550891},
+    ),
+    "gen": (
+        "gen --m 3 --c 831/230 --R 205 --format csv --out r0s5.csv",
+        {"R": 205, "c": "831/230", "command": "gen", "format": "csv", "func": "cmd_gen",
+         "m": 3, "out": "r0s5.csv", "precision": None, "seed": 0},
+    ),
+    "branches": (
+        "branches --m 1 --c 2/9 --grid -0.848249:0.801833:11,-1.08715:0.562933:22"
+        " --format json --out r0s0.json",
+        {"c": "2/9", "command": "branches", "format": "json", "func": "cmd_branches",
+         "grid": "-0.848249:0.801833:11,-1.08715:0.562933:22", "m": 1, "out": "r0s0.json",
+         "precision": None, "seed": 0, "z": None},
+    ),
+    "roots": (
+        "roots --m 1 --c 54/77 --r-max 24 --r-list 10,18,24 --precision 128 --format csv"
+        " --out r0s1.csv",
+        {"c": "54/77", "command": "roots", "format": "csv", "func": "cmd_roots", "m": 1,
+         "out": "r0s1.csv", "precision": 128, "r_list": "10,18,24", "r_max": 24, "seed": 0},
+    ),
+    "asymptote": (
+        "asymptote --m 1 --c 1 --z -1.52171,-0.668481 --r-max 162 --precision 400"
+        " --format json --out r0s4.json",
+        {"c": "1", "command": "asymptote", "format": "json", "func": "cmd_asymptote", "m": 1,
+         "out": "r0s4.json", "precision": 400, "r_max": 162, "seed": 0,
+         "z": "-1.52171,-0.668481"},
+    ),
+    "gen-defaults": (
+        "gen --m 1 --c 1 --out g.json",
+        {"R": 20, "c": "1", "command": "gen", "format": "json", "func": "cmd_gen", "m": 1,
+         "out": "g.json", "precision": None, "seed": 0},
+    ),
+    "verify-defaults": (
+        "verify --m 1 --c 1 --out v.json",
+        {"R": 40, "c": "1", "command": "verify", "format": "json", "func": "cmd_verify",
+         "m": 1, "n_max": None, "out": "v.json", "precision": None, "seed": 0},
+    ),
+    "branches-defaults": (
+        "branches --m 1 --c 1 --z 3,0 --out b.json",
+        {"c": "1", "command": "branches", "format": "json", "func": "cmd_branches",
+         "grid": None, "m": 1, "out": "b.json", "precision": None, "seed": 0, "z": "3,0"},
+    ),
+    "asymptote-defaults": (
+        "asymptote --m 1 --c 1 --z 3,0 --out a.json",
+        {"c": "1", "command": "asymptote", "format": "json", "func": "cmd_asymptote", "m": 1,
+         "out": "a.json", "precision": None, "r_max": 60, "seed": 0, "z": "3,0"},
+    ),
+    "roots-defaults": (
+        "roots --m 1 --c 1 --out r.json",
+        {"c": "1", "command": "roots", "format": "json", "func": "cmd_roots", "m": 1,
+         "out": "r.json", "precision": None, "r_list": None, "r_max": 60, "seed": 0},
+    ),
+    "negative-point": (
+        "branches --m 2 --c 7/3 --z -2,1 --out b.json",
+        {"c": "7/3", "command": "branches", "format": "json", "func": "cmd_branches",
+         "grid": None, "m": 2, "out": "b.json", "precision": None, "seed": 0, "z": "-2,1"},
+    ),
+    "negative-grid": (
+        "branches --m 2 --c 7/3 --grid -2:2:3,-1:1:2 --out b.json",
+        {"c": "7/3", "command": "branches", "format": "json", "func": "cmd_branches",
+         "grid": "-2:2:3,-1:1:2", "m": 2, "out": "b.json", "precision": None, "seed": 0,
+         "z": None},
+    ),
+    "prefixes": (
+        "verify --m 2 --c 3/7 --prec 64 --n 5 --s 9 --fo csv --o v.json",
+        {"R": 40, "c": "3/7", "command": "verify", "format": "csv", "func": "cmd_verify",
+         "m": 2, "n_max": 5, "out": "v.json", "precision": 64, "seed": 9},
+    ),
+    "dashed-prefixes": (
+        "roots --m 1 --c 1 --r-m 10 --r-l 3,4 --out r.json",
+        {"c": "1", "command": "roots", "format": "json", "func": "cmd_roots", "m": 1,
+         "out": "r.json", "precision": None, "r_list": "3,4", "r_max": 10, "seed": 0},
+    ),
+    "repeats": (
+        "gen --m 1 --c 1 --m 2 --R 3 --R 4 --out a.json --out b.json",
+        {"R": 4, "c": "1", "command": "gen", "format": "json", "func": "cmd_gen", "m": 2,
+         "out": "b.json", "precision": None, "seed": 0},
+    ),
+}
+
+
+def equals_form(argv: list) -> list:
+    """``argv`` with each option joined to its value by ``=``."""
+    command, *rest = argv
+    return [command, *(f"{name}={value}" for name, value in zip(rest[::2], rest[1::2]))]
+
+
+# a misuse of the command line, with OUT for the output path, and a part of
+# the message that names it
+MISUSES = {
+    "no-command": ([], "expected a command"),
+    "unknown-command": (["frobnicate", "--m", "1", "--c", "1", "--out", "OUT"], "'frobnicate'"),
+    "unknown-option": (
+        ["gen", "--m", "1", "--c", "1", "--bogus", "1", "--out", "OUT"], "'--bogus'"
+    ),
+    "single-dash": (["gen", "-m", "1", "--c", "1", "--out", "OUT"], "'-m'"),
+    "ambiguous-prefix": (
+        ["roots", "--m", "1", "--c", "1", "--r", "5", "--out", "OUT"], "--r-max, --r-list"
+    ),
+    "missing-required": (["gen", "--c", "1", "--out", "OUT"], "gen requires --m"),
+    "missing-point": (["asymptote", "--m", "1", "--c", "1", "--out", "OUT"], "requires --z"),
+    "bad-int": (["gen", "--m", "two", "--c", "1", "--out", "OUT"], "bad --m value 'two'"),
+    "bad-int-after-equals": (["gen", "--m=", "--c", "1", "--out", "OUT"], "bad --m value ''"),
+    "bad-format": (
+        ["gen", "--m", "1", "--c", "1", "--format", "xml", "--out", "OUT"],
+        "bad --format value 'xml'",
+    ),
+    "point-and-grid": (
+        ["branches", "--m", "1", "--c", "1", "--z", "3,0", "--grid", "0:1:2,0:1:2", "--out", "OUT"],
+        "exactly one of --z and --grid",
+    ),
+    "no-point-nor-grid": (
+        ["branches", "--m", "1", "--c", "1", "--out", "OUT"], "exactly one of --z and --grid"
+    ),
+    "no-value": (["gen", "--m", "1", "--c", "1", "--out", "OUT", "--R"], "--R expects a value"),
+    "stray-positional": (
+        ["gen", "--m", "1", "extra", "--c", "1", "--out", "OUT"], "unexpected argument 'extra'"
+    ),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("form", ["space", "equals"])
+    @pytest.mark.parametrize("case", list(NAMESPACES))
+    def test_namespaces_are_those_of_argparse(self, case, form):
+        text, expected = NAMESPACES[case]
+        argv = text.split() if form == "space" else equals_form(text.split())
+        args = vars(cli.build_parser().parse_args(argv))
+        assert {**args, "func": args["func"].__name__} == expected
+
+    @pytest.mark.parametrize("case", list(MISUSES))
+    def test_each_misuse_exits_2_with_one_line_and_no_file(self, tmp_path, capsys, case):
+        argv, named = MISUSES[case]
+        out = str(tmp_path / "x.json")
+        assert run(*(out if token == "OUT" else token for token in argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("chebsys: error: ") and captured.err.count("\n") == 1
+        assert named in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["-h"], ["gen", "--help"], ["roots", "--m", "1", "-h", "--bogus"]]
+    )
+    def test_help_prints_the_synopsis_and_exits_0(self, capsys, argv):
+        assert run(*argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cli.__doc__ and captured.err == ""
+        assert "chebsys -h | --help" in captured.out
+
+    def test_a_value_may_start_with_a_dash(self, tmp_path, capsys, monkeypatch):
+        # "--c -1/2" reaches the positivity check, and "--out -h" names a file
+        monkeypatch.chdir(tmp_path)
+        assert run("gen", "--m", "1", "--c", "-1/2", "--out", "x.json") == 2
+        assert capsys.readouterr().err == "chebsys: error: c must be a positive rational, got -1/2\n"
+        assert run("gen", "--m", "1", "--c", "1", "--R", "2", "--out", "-h") == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["-h"]
+        assert load(tmp_path / "-h")["config"]["out"] == "-h"
+
+
+class TestRationalParameter:
+    @pytest.mark.parametrize(
+        "command, where",
+        [("gen", ["--R", "3"]), ("verify", ["--R", "3"]), ("branches", ["--z", "3,0"])],
+    )
+    def test_a_zero_denominator_is_invalid_input(self, tmp_path, capsys, command, where):
+        out = tmp_path / "x.json"
+        assert run(command, "--m", "2", "--c", "1/0", *where, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "chebsys: error: bad --c value '1/0': zero denominator in '1/0'\n"
+        assert not out.exists()
+
+    def test_zero_is_named_in_its_canonical_form(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run("gen", "--m", "1", "--c", "0", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "chebsys: error: c must be a positive rational, got 0/1\n"
         assert not out.exists()
 
 

@@ -219,7 +219,7 @@ SUBMODULES = (
 )
 
 
-# the records are NamedTuples and slots classes, so nothing loads dataclasses
+# the records are namedtuples and slots classes, so nothing loads dataclasses
 DIET = """
 import json, sys
 import chebsys.cli
@@ -234,6 +234,29 @@ import json, sys
 import chebsys.cli
 print(json.dumps("csv" in sys.modules))
 """
+
+# no argparse, gettext or locale after the import and after each command, and
+# the operators only for verify, which runs last
+LEAN = """
+import json, sys
+from chebsys.cli import main
+
+def loaded():
+    names = ("argparse", "gettext", "locale", "chebsys.operators")
+    return [name for name in names if name in sys.modules]
+
+print(json.dumps(loaded()))
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0
+    print(json.dumps(loaded()))
+"""
+LEAN_COMMANDS = [
+    ["gen", "--m", "2", "--c", "3/7", "--R", "8", "--format", "csv", "--out", "gen.csv"],
+    ["branches", "--m", "2", "--c", "7/3", "--grid", "-2:2:3,-1:1:2", "--out", "branches.json"],
+    ["asymptote", "--m", "1", "--c", "1", "--z", "3,1", "--r-max", "30", "--out", "scan.json"],
+    ["roots", "--m", "1", "--c", "3/2", "--r-list", "0,1,5,20", "--out", "roots.json"],
+    ["verify", "--m", "2", "--c", "3/7", "--R", "8", "--out", "verify.json"],
+]
 
 # the module entry point, with an atexit handler that reports the collector
 MODULE_EXIT = """
@@ -361,6 +384,79 @@ def test_cli_loads_no_csv():
     done = python(NO_CSV)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) is False
+
+
+def test_commands_load_no_argparse_and_operators_only_for_verify(tmp_path):
+    done = python(LEAN, json.dumps(LEAN_COMMANDS), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert list(map(json.loads, done.stdout.splitlines())) == [[]] * 5 + [["chebsys.operators"]]
+
+
+# ---------------------------------------------------------------- records
+
+# every record type of the package, with the fields it had as a
+# typing.NamedTuple; none has a default
+RECORDS = {
+    "algebraic": {
+        "BranchBatch": ("results", "batched", "fallback"),
+        "BranchCoefficients": ("values", "identity_error"),
+        "BranchSet": ("z", "parts", "residuals", "tie_flag", "precision"),
+        "RegionReport": (
+            "z", "tol", "dist_s0", "dist_even_star", "dist_odd_star", "dist_attractor", "omega",
+        ),
+        "ScanResult": (
+            "z", "r_max", "precision", "window", "ratio", "limit_value", "errors", "rates",
+            "decay_estimate",
+        ),
+        "StarGeometry": (
+            "m", "c_float", "a", "s0_angles", "even_angles", "odd_angles", "attractor",
+            "attractor_angles", "even_rotations", "odd_rotations", "attractor_rotations",
+        ),
+    },
+    "operators": {"Scaled": ("nums", "scale")},
+    "probe": {
+        "Isolated": ("g", "E", "intervals"),
+        "ProbeReport": (
+            "classification", "max_imag_normalized", "min_separation_normalized",
+            "offending_r", "reason", "checked", "certified", "first_uncertified_r",
+        ),
+    },
+    "recurrence": {
+        "DenominatorReport": ("checked", "witness"),
+        "HRecurrenceReport": (
+            "m", "rows", "empirical_table", "ell_parity_rule_holds", "k_parity_rule_holds",
+        ),
+        "ShiftReport": ("checked", "mismatches"),
+        "SignCheckRow": ("r", "k", "ell", "signs", "degenerate"),
+        "TypeIRecord": ("r", "d", "k", "tau", "ell", "t", "h"),
+        "TypeIVectorRecord": ("r", "components"),
+    },
+    "roots": {
+        "AttractionRow": ("r", "root_count", "max_distance", "mean_distance"),
+        "AttractionStudy": ("rows", "verdict_max", "verdict_mean"),
+        "RootReport": (
+            "r", "h_roots", "t_roots", "max_star_distance", "mean_star_distance",
+            "origin_multiplicity", "total_root_count",
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "home, name", [(home, name) for home, names in RECORDS.items() for name in names]
+)
+def test_records_keep_their_fields_pickling_equality_and_replace(home, name):
+    cls = getattr(importlib.import_module(f"chebsys.{home}"), name)
+    fields = RECORDS[home][name]
+    assert cls._fields == fields and cls._field_defaults == {}
+    values = tuple(range(len(fields)))
+    record = cls(*values)
+    assert record == values and hash(record) == hash(values)
+    restored = pickle.loads(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
+    assert type(restored) is cls and restored == record
+    changed = record._replace(**{fields[0]: "x"})
+    assert type(changed) is cls and changed == ("x", *values[1:])
+    assert not hasattr(record, "__dict__")
 
 
 # ---------------------------------------------------------------- slots records
