@@ -9,19 +9,18 @@ strong-asymptotics scans, and root studies) bridged only by explicit-precision
 complex evaluation.
 
 Importing the package loads only the exact generators, which need nothing
-beyond the standard library.  The names of the banded-operator checks
-(``operators``) and of the numeric half, and their modules ``operators``,
-``algebraic``, ``rootfind`` and ``roots``, resolve on first use.  mpmath,
-the one dependency, is loaded with ``rootfind`` and where ``algebraic``
-computes in it: its Aberth fallback and its converters to mpmath values
-(its fast path at any precision, its scan and star geometry do without).  The
-probe (``probe``) works on integer signs and loads no mpmath, and ``roots``
-takes the zeros of every h_r the probe proved, by its step or by Sturm's
-theorem, from its isolating intervals: only a counterexample, and an index
-the step misses after it, is solved in mpmath.
+beyond the standard library, and compute in integers without ``fractions``.
+The names of the banded-operator checks (``operators``) and of the numeric
+half, their modules ``operators``, ``algebraic``, ``rootfind`` and
+``roots``, and ``Rational`` (``fractions.Fraction``) resolve on first use.
+mpmath, the one dependency, is loaded with ``rootfind`` and where
+``algebraic`` computes in it: its Aberth fallback and its converters to
+mpmath values (its fast path at any precision, its scan and star geometry
+do without).  The probe (``probe``) works on integer signs and loads no
+mpmath, and ``roots`` takes the zeros of every h_r the probe proved, by its
+step or by Sturm's theorem, from its isolating intervals: only a
+counterexample, and an index the step misses after it, is solved in mpmath.
 """
-
-import importlib
 
 from .errors import (
     ConvergenceFailure,
@@ -31,7 +30,7 @@ from .errors import (
     TruncationOverflow,
 )
 from .exactpoly import DEFAULT_PRECISION, Poly, compose_star, poly_gcd
-from .rationals import BACKEND, Rational, as_rational, rat_str
+from .rationals import BACKEND, as_rational, rat_str
 from .recurrence import (
     FactorizationViolation,
     NoVariantMatches,
@@ -101,17 +100,23 @@ _LAZY_NAMES = {
     # the probe's home loads no mpmath; roots re-exports both names
     name: "probe"
     for name in ("ProbeReport", "conjecture_probe")
+} | {
+    # fractions.Fraction, which the rationals module imports on first use
+    "Rational": "rationals",
 }
 
 
 def __getattr__(name):
+    # __import__, not importlib.import_module, so that -X importtime lists
+    # the module; the import binds it as an attribute of this package
     if name in _LAZY_MODULES:
-        return importlib.import_module(f".{name}", __name__)
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
     home = _LAZY_NAMES.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{home}", __name__), name)
-    globals()[name] = value
+    __import__(f"{__name__}.{home}")
+    value = globals()[name] = getattr(globals()[home], name)
     return value
 
 

@@ -58,7 +58,6 @@ from collections import namedtuple
 
 from .errors import DegenerateBranches, OnStarSet, RootRefinementError, SolverDivergence
 from .rationals import (
-    Rational,
     from_float,
     hypot_man_exp,
     rat_to_mpf,
@@ -126,24 +125,26 @@ def _work_bits(precision: int, m: int, z) -> int:
 def _residual_tolerance(precision: int):
     """``10**(2 - 0.3*precision)``, a float while that does not underflow to
     0.0 (to about 1085 bits) and beyond that the same power, rounded to 53
-    bits, as an exact dyadic rational."""
+    bits, as a kernel value ``(man, exp)``, ``man * 2**exp``."""
     exponent = 2 - 0.3 * precision
     if tolerance := 10.0**exponent:
         return tolerance
     scaled = exponent * math.log2(10)
     whole = math.floor(scaled)
-    return Rational(round(2.0 ** (scaled - whole) * 2**52), 2 ** (52 - whole))
+    return round(2.0 ** (scaled - whole) * 2**52), whole - 52
 
 
-def _within(residual: tuple, den: int, gate) -> bool:
-    """Whether ``|re + i*im| * 2**exp / den <= gate`` for the exact residual
-    ``(re, im, exp)``, compared exactly in integers against a rational gate
-    (an mpmath gate, too, compares in its own arithmetic)."""
+def _within(residual: tuple, den: int, gate: tuple) -> bool:
+    """Whether ``|re + i*im| * 2**exp / den <= man * 2**gate_exp`` for the
+    exact residual ``(re, im, exp)`` and the gate ``(man, gate_exp)``,
+    compared exactly in integers."""
     re, im, exp = residual
-    square, bound = re * re + im * im, (gate * den) ** 2
-    if exp >= 0:
-        return square << 2 * exp <= bound
-    return square <= bound * (1 << -2 * exp)
+    man, gate_exp = gate
+    square, bound = re * re + im * im, (man * den) ** 2
+    shift = 2 * (exp - gate_exp)
+    if shift >= 0:
+        return square << shift <= bound
+    return square <= bound << -shift
 
 
 # sweeps of the double-precision seed iteration; from the Newton-polygon
@@ -213,14 +214,16 @@ def solve_branches_aberth(p: Params, z, precision: int) -> BranchSet:
 
     from .rootfind import complex_roots
 
-    m, c = p.m, p.c
+    m, (num, den) = p.m, p.ratio
     workbits = _work_bits(precision, m, z)
-    seeds = _trinomial_seeds(m, c, z)
+    try:
+        seeds = _trinomial_seeds(m, num / den, z)
+    except OverflowError:  # c beyond the range of a double
+        seeds = []
     with mpmath.workprec(workbits):
         zz = mpmath.mpc(z)
-        coeffs = [mpmath.mpc(1), -zz] + [mpmath.mpc(0)] * (m - 1) + [
-            mpmath.mpc(rat_to_mpf(c))
-        ]
+        cmpf = rat_to_mpf(num, den)
+        coeffs = [mpmath.mpc(1), -zz] + [mpmath.mpc(0)] * (m - 1) + [mpmath.mpc(cmpf)]
         try:
             roots = complex_roots(coeffs, precision=workbits - 16, seeds=seeds)
         except RootRefinementError as exc:
@@ -230,15 +233,14 @@ def solve_branches_aberth(p: Params, z, precision: int) -> BranchSet:
         # each residual against the gate, relative to the larger of 1 and the
         # trinomial's terms, which far from the origin are much larger than 1
         relative = []
-        cmpf = rat_to_mpf(c)
         for lam in roots:
             power, linear = cmpf * lam ** (m + 1), zz * lam
             residual = abs(power - linear + 1)
             residuals.append(float(residual))
             relative.append(residual / max(1, abs(power), abs(linear)))
         tolerance = _residual_tolerance(precision)
-        if isinstance(tolerance, Rational):
-            tolerance = rat_to_mpf(tolerance)
+        if isinstance(tolerance, tuple):
+            tolerance = mpmath.mp.make_mpf(raw_mpf(*tolerance))
         if max(relative) > tolerance:
             # a value below the range of a double is shown by mpmath
             worst, gate = (
@@ -267,8 +269,9 @@ def solve_branches_aberth(p: Params, z, precision: int) -> BranchSet:
 #
 # Each value is a Gaussian integer in fixed point, (X + iY) * 2**e, with a
 # given number of bits below the leading bit of its larger part.  z is the
-# exact double it is and c the exact rational num/den, so the trinomial and
-# its derivative at such a value are exact in integers.
+# exact double it is and c the exact rational num/den, passed as the pair
+# ``(num, den)``, so the trinomial and its derivative at such a value are
+# exact in integers.
 
 # the width of the two steps whose correction is formed in doubles, and the
 # whole polish at 53 bits
@@ -293,12 +296,13 @@ def _power(X: int, Y: int, n: int) -> tuple:
 
 
 def _branch_poly(
-    X: int, Y: int, e: int, m: int, c: Rational, z_fixed: tuple, power: tuple | None = None
+    X: int, Y: int, e: int, m: int, c: tuple, z_fixed: tuple, power: tuple | None = None
 ) -> tuple:
     """``c*w**(m+1) - z*w + 1`` at ``w = (X + iY) * 2**e``, exactly, as
-    ``(re, im, exp)``: the value is ``(re + i*im) * 2**exp / c.denominator``.
-    ``power`` is ``(X + iY)**(m+1)`` where the caller has it."""
-    num, den = c.numerator, c.denominator
+    ``(re, im, exp)``: the value is ``(re + i*im) * 2**exp / den`` for
+    ``c = (num, den)``.  ``power`` is ``(X + iY)**(m+1)`` where the caller
+    has it."""
+    num, den = c
     zr, zi, ez = z_fixed
     pr, pi = power or _power(X, Y, m + 1)
     ep, el = (m + 1) * e, ez + e
@@ -311,10 +315,11 @@ def _branch_poly(
     )
 
 
-def _branch_slope(pr: int, pi: int, e: int, m: int, c: Rational, z_fixed: tuple) -> tuple:
+def _branch_slope(pr: int, pi: int, e: int, m: int, c: tuple, z_fixed: tuple) -> tuple:
     """``c*(m+1)*w**m - z`` at ``w = (X + iY) * 2**e``, exactly, from
     ``(X + iY)**m = pr + i*pi``, in the form of ``_branch_poly``."""
-    num, den = (m + 1) * c.numerator, c.denominator
+    num, den = c
+    num *= m + 1
     zr, zi, ez = z_fixed
     ep = m * e
     low = min(ep, ez)
@@ -330,7 +335,7 @@ def _cut(re: int, im: int, exp: int, width: int) -> tuple:
     return re, im, exp
 
 
-def _newton_fixed(X: int, Y: int, e: int, m: int, c: Rational, z_fixed: tuple, width: int) -> tuple:
+def _newton_fixed(X: int, Y: int, e: int, m: int, c: tuple, z_fixed: tuple, width: int) -> tuple:
     """One Newton step from ``w = (X + iY) * 2**e`` to a value of ``width``
     bits: the trinomial and its derivative are exact, each is cut to
     ``width`` bits, and the correction is their quotient rounded to the
@@ -355,9 +360,9 @@ def _newton_fixed(X: int, Y: int, e: int, m: int, c: Rational, z_fixed: tuple, w
     return X - (qr + half) // norm, Y - (qi + half) // norm, e
 
 
-def _solve_fast(m: int, c: Rational, z: complex, precision: int):
-    """The BranchSet of the fast path at the complex double z, or None where
-    the point fails its acceptance test.
+def _solve_fast(m: int, c: tuple, z: complex, precision: int):
+    """The BranchSet of the fast path at the complex double z for
+    ``c = (num, den)``, or None where the point fails its acceptance test.
 
     The trinomial's roots in doubles are polished by two Newton steps in
     double and two on the integer kernel at ``_POLISH_BITS``: there the
@@ -372,14 +377,15 @@ def _solve_fast(m: int, c: Rational, z: complex, precision: int):
     the range of a double) and consecutive moduli differ by more than
     ``BATCH_RELATIVE_GAP`` relative to the larger.
     """
-    c_float = float(c)
+    num, den = c
+    c_float = num / den
     # a point whose z/c overflows is rejected
     ws = _trinomial_seeds(m, c_float, z) if cmath.isfinite(z / c_float) else []
     if not ws:
         return None
     size, bits = m + 1, _work_bits(precision, m, z)
     target = _POLISH_BITS if precision == 53 else bits + _GUARD_BITS
-    z_fixed, den = _fixed(z), c.denominator
+    z_fixed = _fixed(z)
 
     def derivative(v):
         return c_float * size * v**m - z
@@ -431,6 +437,11 @@ def _solve_fast(m: int, c: Rational, z: complex, precision: int):
     return BranchSet(z, parts, residuals, False, precision)
 
 
+# the fast path's range of c, exclusive: 1e-300 and 1e300 as the exact values
+# of the doubles
+_C_LOW = (1e-300).as_integer_ratio()
+_C_HIGH = int(1e300)
+
 BranchBatch = namedtuple("BranchBatch", "results batched fallback")
 BranchBatch.__doc__ = """Branch sets of many points, in input order, and the path that solved them.
 
@@ -456,10 +467,11 @@ def solve_branches_many(p: Params, points, precision: int = 53) -> BranchBatch:
     # c must lie well inside the range of a double for the steps in
     # doubles; a point that is not a double (an exact branch point from
     # ``branch_points``, say) must not be rounded to one
-    if 1e-300 < p.c < 1e300:
+    num, den = p.ratio
+    if _C_LOW[0] * den < num * _C_LOW[1] and num < _C_HIGH * den:
         for i, z in enumerate(points):
             if complex(z) == z:
-                results[i] = _solve_fast(p.m, p.c, complex(z), precision)
+                results[i] = _solve_fast(p.m, p.ratio, complex(z), precision)
     batched = sum(bs is not None for bs in results)
     for i, z in enumerate(points):
         if results[i] is None:
@@ -495,10 +507,10 @@ def coefficients_b(bs: BranchSet, p: Params) -> BranchCoefficients:
         )
     import mpmath
 
-    m, c = p.m, p.c
+    m = p.m
     workbits = _work_bits(bs.precision, m, bs.z) + 16
     with mpmath.workprec(workbits):
-        cmpf = rat_to_mpf(c)
+        cmpf = rat_to_mpf(*p.ratio)
         lambdas = bs.lambdas
         values = []
         worst = 0.0
@@ -578,9 +590,11 @@ def _iroot(x: int, n: int) -> int:
 
 def _radius_fixed(p: Params) -> tuple:
     """``(A, e)`` with ``A = floor(a * 2**-e)`` of more than ``_STAR_BITS`` bits."""
-    m, n = p.m, p.m + 1
-    power = Rational((m + 1) ** n, m**m) * p.c  # a**(m+1)
-    num, den = power.numerator, power.denominator
+    m, n, (c_num, c_den) = p.m, p.m + 1, p.ratio
+    # a**(m+1), reduced
+    num, den = (m + 1) ** n * c_num, m**m * c_den
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
     e = (num.bit_length() - den.bit_length()) // n - _STAR_BITS - 2
     shift = -e * n
     scaled = (num << shift) // den if shift >= 0 else num // (den << -shift)
@@ -594,9 +608,9 @@ def _discriminant_sign(p: Params, man: int, e: int) -> int:
     where that difference does; on the rays of the star tips ``z**(m+1)``
     is ``|z|**(m+1)``, so this is also its sign there at modulus ``man * 2**e``.
     """
-    m, n = p.m, p.m + 1
-    lhs = m**m * man**n * p.c.denominator
-    rhs = (m + 1) ** n * p.c.numerator
+    m, n, (num, den) = p.m, p.m + 1, p.ratio
+    lhs = m**m * man**n * den
+    rhs = (m + 1) ** n * num
     if e >= 0:
         lhs <<= e * n
     else:
@@ -699,7 +713,7 @@ def star_geometry(p: Params) -> StarGeometry:
     odd_rotations = tuple(cmath.exp(-1j * angle) for angle in odd)
     return StarGeometry(
         m=m,
-        c_float=float(p.c),
+        c_float=p.ratio[0] / p.ratio[1],
         a=star_radius(p),
         s0_angles=odd,
         even_angles=even,
@@ -800,7 +814,7 @@ def _limit(p: Params, z, precision: int, tol: float) -> tuple:
     if high - second < TIE_RELATIVE_GAP * high:
         raise OnStarSet(f"largest branch modulus is tied at z={complex(z)}")
     top = bs.parts[-1]
-    m, num, den = p.m, p.c.numerator, p.c.denominator
+    m, (num, den) = p.m, p.ratio
     bits = _work_bits(precision, m, z) + _SCAN_GUARD_BITS
     re, ere, im, eim = top
     e = min(ere, eim)

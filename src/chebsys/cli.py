@@ -27,8 +27,13 @@ output.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 numeric failure (a solver that did not converge, tied branches, or an
 operator truncation that overflowed); the error classes live in
 ``chebsys.errors``.  A process imports only what its command runs: the
-operator checks (``operators``) only for ``verify``, the numeric half, and
-with it mpmath, only for the commands that use it, and numpy for none.
+operator checks (``operators``), and with them ``fractions``, only for
+``verify``, the numeric half, and with it mpmath, only for the commands that
+use it, and numpy and ``json`` for none.  The CLI reads --c into two
+integers and writes its JSON itself (``_to_json``), so ``gen``,
+``branches``, ``asymptote`` and ``roots`` load neither ``fractions`` nor
+``json``; a --c that is not a plain ``[+-]digits[/digits]`` loads
+``fractions`` to be read as ``Fraction`` reads it.
 ``gen`` and ``verify`` load no mpmath, as the probe is exact; ``branches`` and
 ``asymptote`` load it only for a point that falls back to the Aberth
 solver, at any precision, as their branch values, and the scan's
@@ -56,12 +61,13 @@ from __future__ import annotations
 import cmath
 import gc
 import itertools
-import json
 import math
 import os
 import random
 import sys
 from types import SimpleNamespace
+
+from _json import encode_basestring_ascii as _quote
 
 from .errors import (
     ConvergenceFailure,
@@ -74,7 +80,7 @@ from .errors import (
     UsageError,
 )
 from .exactpoly import Poly, compose_star
-from .rationals import Rational, as_rational, rat_str, rat_strs
+from .rationals import rat_strs, ratio
 from .recurrence import (
     FactorizationViolation,
     Params,
@@ -153,12 +159,13 @@ def parse_grid(text: str) -> list:
 
 
 def _params(args) -> Params:
+    # c is checked on its own first, for its own message
     try:
-        c = as_rational(args.c)
+        ratio(args.c)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad --c value {args.c!r}: {exc}") from exc
     try:
-        return Params(args.m, c)
+        return Params(args.m, args.c)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -221,6 +228,78 @@ def _write_rows(fh, rows) -> None:
         fh.write(line + "\n" if line or len(cells) != 1 else '""\n')
 
 
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _scalar(value):
+    """The JSON text of a str, None, bool, int or float as the json module
+    writes it, or None for any other value."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    return None
+
+
+def _strings(items, sep: str):
+    """The JSON texts of ``items`` joined by ``sep`` in one pass where every
+    item is a string, such as a polynomial's coefficients, or None."""
+    if isinstance(items[0], str):
+        try:
+            return sep.join(map(_quote, items))
+        except TypeError:  # _quote refuses an item that is not a string
+            pass
+    return None
+
+
+def _to_json(value, indent: bool = True) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, or with ``indent``
+    false ``json.dumps(value, sort_keys=True)``, byte for byte, for a value
+    built of scalars, lists, tuples and dicts with string keys."""
+    return _encoded(value, "\n" if indent else None)
+
+
+def _encoded(value, newline):
+    # newline: a line feed and the indentation of the line that value opens
+    # on, or None for the compact form
+    text = _scalar(value)
+    if text is not None:
+        return text
+    inner = newline and newline + "  "
+    sep = "," + inner if inner else ", "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        body = _strings(value, sep) or sep.join(
+            [_scalar(item) or _encoded(item, inner) for item in value]
+        )
+        return f"[{inner}{body}{newline}]" if inner else f"[{body}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([
+            f"{_quote(key)}: {_scalar(item) or _encoded(item, inner)}"
+            for key, item in sorted(value.items())
+        ])
+        return f"{{{inner}{body}{newline}}}" if inner else f"{{{body}}}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def emit(args, config: dict, doc: dict, tables=(), sidecar=(), notes=()) -> None:
     """Write a command's output in the layout of the module docstring; no
     other code in the CLI writes files.
@@ -232,15 +311,14 @@ def emit(args, config: dict, doc: dict, tables=(), sidecar=(), notes=()) -> None
 
     def dump(path: str, payload: dict) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            payload = {"schema": SCHEMA, "config": config, **payload}
-            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write(_to_json({"schema": SCHEMA, "config": config, **payload}))
             fh.write("\n")
 
     if args.format == "json" or not tables:
         dump(args.out, doc)
         return
-    head = f"# schema={SCHEMA} config={json.dumps(config, sort_keys=True)}\n"
-    head += "".join(f"# {key}={json.dumps(doc[key], sort_keys=True)}\n" for key in notes)
+    head = f"# schema={SCHEMA} config={_to_json(config, indent=False)}\n"
+    head += "".join(f"# {key}={_to_json(doc[key], indent=False)}\n" for key in notes)
     for suffix, header, rows in tables:
         with open(args.out + suffix, "w", encoding="utf-8", newline="") as fh:
             fh.write(head)
@@ -257,7 +335,7 @@ def _setup(args, **extra):
     config = {
         "command": args.command,
         "m": args.m,
-        "c": rat_str(as_rational(args.c)),
+        "c": "%d/%d" % p.ratio,
         "precision": precision,
         "seed": args.seed,
         "format": args.format,
@@ -271,8 +349,9 @@ def _numeric_setup(args, **extra):
     """``_setup`` for ``branches``, ``asymptote`` and ``roots``, whose star
     geometry and 53-bit solver take c as a normal double."""
     p, precision, config = _setup(args, **extra)
+    num, den = p.ratio
     try:
-        tiny = float(p.c) < sys.float_info.min
+        tiny = num / den < sys.float_info.min
     except OverflowError:
         raise UsageError(
             f"--c is too large for {args.command}: c must fit in a double (below about 1.8e308)"
@@ -367,7 +446,7 @@ def _check_factorization(p: Params, records: list):
 
 def _check_leading_structure(p: Params, records: list):
     # |lead(t_r)| * c^d must be a positive integer: |num| * P^d over den * Q^d
-    P, Q = p.c.numerator, p.c.denominator
+    P, Q = p.ratio
     for rec in records:
         if rec.tau < 0:
             continue
@@ -390,6 +469,8 @@ def _check_denominators(p: Params, records: list, vectors: list, type2: list):
 
 
 def _check_adjointness(p: Params, seed: int, trials: int = 20):
+    from fractions import Fraction
+
     from . import operators
 
     size = 12 + p.m
@@ -398,7 +479,7 @@ def _check_adjointness(p: Params, seed: int, trials: int = 20):
 
     def random_vector():
         return tuple(
-            Rational(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(size)
+            Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(size)
         )
 
     for _ in range(trials):

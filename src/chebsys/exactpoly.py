@@ -5,7 +5,8 @@ trailing zeros stripped) over one positive denominator ``den``, normalised so
 that ``gcd(den, *nums) == 1``; the zero polynomial is ``((), 1)`` and reports
 degree -1.  The normal form is unique, so equality is a tuple compare.
 Every operation except complex evaluation is exact and runs on Python
-integers; the reduced rational coefficients are available as ``coeffs``.
+integers; the reduced rational coefficients are available as ``coeffs``,
+``fractions.Fraction`` values, whose module is loaded on first use.
 ``dyadic_sign`` gives the exact sign at a dyadic point, from which the
 probe proves that all roots are real and simple.
 Complex evaluation rounds each reduced coefficient to an explicit working
@@ -21,10 +22,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from fractions import Fraction
 from operator import attrgetter
 
-from .rationals import Rational, as_rational, rat_to_mpf, scaled
+from .rationals import rat_to_mpf, ratio, scaled
 
 DEFAULT_PRECISION = 53
 
@@ -99,6 +99,8 @@ class Poly:
     def coeffs(self) -> tuple:
         """The coefficients as reduced rationals, ``coeffs[i]`` of ``x**i``."""
         if self._coeffs is None:
+            from fractions import Fraction
+
             den = self._den
             self._coeffs = tuple(Fraction(n, den) for n in self._nums)
         return self._coeffs
@@ -113,9 +115,11 @@ class Poly:
         return not self._nums
 
     @property
-    def leading(self) -> Rational:
+    def leading(self) -> Fraction:
         if not self._nums:
             raise ValueError("zero polynomial has no leading coefficient")
+        from fractions import Fraction
+
         return Fraction(self._nums[-1], self._den)
 
     def __bool__(self) -> bool:
@@ -155,10 +159,8 @@ class Poly:
                     for j, y in enumerate(b):
                         out[i + j] += x * y
             return Poly.scaled(out, self._den * other._den)
-        scalar = as_rational(other)
-        return Poly.scaled(
-            [n * scalar.numerator for n in self._nums], self._den * scalar.denominator
-        )
+        num, den = ratio(other)
+        return Poly.scaled([n * num for n in self._nums], self._den * den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -174,10 +176,11 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly.scaled([i * n for i, n in enumerate(self._nums) if i], self._den)
 
-    def eval_exact(self, x) -> Rational:
+    def eval_exact(self, x) -> Fraction:
         """Exact Horner evaluation at a rational point."""
-        x = as_rational(x)
-        p, q = x.numerator, x.denominator
+        from fractions import Fraction
+
+        p, q = ratio(x)
         # sum nums[i] * p**i * q**(deg-i), over den * q**deg
         acc = 0
         qpow = 1
@@ -201,12 +204,12 @@ class Poly:
         with mpmath.workprec(precision):
             zz = mpmath.mpc(z)
             acc = mpmath.mpc(0)
-            for c in reversed(self.coeffs):
+            for n in reversed(self._nums):
                 acc *= zz
-                # adding a zero c would only round acc again, which leaves it
-                # as it is
-                if c:
-                    acc += rat_to_mpf(c)
+                # adding a zero coefficient would only round acc again, which
+                # leaves it as it is
+                if n:
+                    acc += rat_to_mpf(n, self._den)
             return acc
 
     def __str__(self) -> str:

@@ -35,7 +35,7 @@ from operator import attrgetter, mul
 
 from .errors import TruncationOverflow
 from .exactpoly import Poly
-from .rationals import Rational, as_rational, scaled
+from .rationals import as_rational, scaled
 from .recurrence import Params, gen_type1_vectors, gen_type2
 
 
@@ -190,7 +190,7 @@ def poly_of_operator(
     return tuple(Fraction(x, scale) for x in image.nums), overflow
 
 
-def dot(u: tuple, v: tuple) -> Rational:
+def dot(u: tuple, v: tuple) -> Fraction:
     if len(u) != len(v):
         raise ValueError("length mismatch")
     (a, a_den), (b, b_den) = scaled(u), scaled(v)
@@ -253,7 +253,7 @@ def pairings(us: list, ws: list) -> list:
     return [[Fraction(_int_dot(u.nums, w.nums), u.scale * w.scale) for w in ws] for u in us]
 
 
-def biorthogonality(p: Params, n: int, r: int) -> Rational:
+def biorthogonality(p: Params, n: int, r: int) -> Fraction:
     """Exact pairing of the two operator images; equals 1 iff n == r, else 0."""
     if n < 0 or r < 0:
         raise ValueError("indices must be >= 0")

@@ -87,9 +87,8 @@ def _reduced(a: int, k: int) -> tuple:
     return a >> t, k - t
 
 
-def _log2_floor(c) -> int:
-    """floor(log2 c) for a positive rational c."""
-    num, den = c.numerator, c.denominator
+def _log2_floor(num: int, den: int) -> int:
+    """floor(log2 c) for a positive rational c = num/den."""
     e = num.bit_length() - den.bit_length()
     return e - 1 if (num << max(-e, 0)) < (den << max(e, 0)) else e
 
@@ -523,7 +522,7 @@ def isolate(p: Params, records) -> tuple:
     counterexample, and the step goes on from its intervals.
     """
     records = [rec for rec in records if rec.tau >= 1]
-    E = _log2_floor(p.c)
+    E = _log2_floor(*p.ratio)
     proved, missed = {}, []
     last_r, last = None, Isolated(None, E, ())
     classification, max_imag, offending, reason = "PASS", 0.0, None, None

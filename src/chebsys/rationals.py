@@ -2,10 +2,17 @@
 
 The exact half of the package computes in plain Python integers: an exact
 polynomial or vector is a tuple of integer numerators over one positive
-denominator (see ``exactpoly.Poly`` and ``operators``).  ``fractions.Fraction``
-appears only where exact values cross that boundary: parsing input
-(``as_rational``), canonical strings (``rat_str``, ``rat_strs``) and rounding
-into mpmath (``rat_to_mpf``, ``round_ratio``).
+denominator (see ``exactpoly.Poly`` and ``operators``), and the weight c is
+the reduced pair ``(num, den)`` (``recurrence.Params.ratio``).  Input is read
+into such a pair by ``ratio``, which parses a plain ``[+-]digits[/digits]``
+itself, and canonical strings (``rat_str``, ``rat_strs``) and the rounding
+into mpmath (``rat_to_mpf``, ``round_ratio``) are formed from the integers.
+``fractions.Fraction`` appears only at the edges of the API, and the module
+is loaded only then: on the first use of ``as_rational``, ``Rational``,
+``Params.c``, ``Poly.coeffs`` and the like, or for an input that is not
+plain (``0.5``, ``1e3``, ``1_000``, surrounding spaces, non-ASCII digits),
+which ``ratio`` hands to ``Fraction`` so that it is read, or refused with
+the same message, as ``Fraction`` reads it.
 
 The same boundary holds the numeric half's integer kernel: a binary float
 as a signed integer mantissa and an exponent, ``man * 2**exp``, added,
@@ -24,23 +31,32 @@ neither needs mpmath at all.  The cold Horner and Aberth loops of
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 # the representation the exact half computes in: integer numerators over one
 # positive denominator per polynomial or vector
 BACKEND = "scaled-int"
 
-Rational = Fraction
+
+def __getattr__(name):
+    # Rational is fractions.Fraction, imported on first use
+    if name != "Rational":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from fractions import Fraction
+
+    globals()["Rational"] = Fraction
+    return Fraction
 
 
-def as_rational(value) -> Rational:
-    """Coerce to an exact rational.
+def as_rational(value) -> Fraction:
+    """Coerce to an exact rational, a ``fractions.Fraction``.
 
     Accepts Fractions, ints and strings such as ``"3"`` or ``"-5/7"``.
     Floats are rejected: they would silently smuggle binary roundoff into
     computations whose whole point is exactness.  A string that is not a
     rational, ``"1/0"`` included, raises ``ValueError``.
     """
+    from fractions import Fraction
+
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
@@ -55,17 +71,52 @@ def as_rational(value) -> Rational:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def _plain(text: str):
+    """``(num, den)`` of an ASCII ``[+-]digits[/digits]`` with a nonzero
+    denominator, reduced, or None for any other text."""
+    if not text.isascii():
+        return None
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num.startswith(("+", "-")) else num
+    if not digits.isdigit() or slash and not den.isdigit():
+        return None
+    try:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:  # beyond the digit limit of int(), as in Fraction
+        return None
+    if not den:
+        return None
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def ratio(value) -> tuple:
+    """The reduced ``(num, den)``, ``den > 0``, of what ``as_rational`` accepts.
+
+    An int, or a string of the plain form ``[+-]digits[/digits]`` with a
+    nonzero denominator, is read without ``fractions``; any other value goes
+    through ``as_rational``, which reads it, or raises, as it always has.
+    """
+    if isinstance(value, int):
+        return int(value), 1
+    if isinstance(value, str):
+        plain = _plain(value)
+        if plain is not None:
+            return plain
+    q = as_rational(value)
+    return q.numerator, q.denominator
+
+
 def scaled(values) -> tuple[list, int]:
     """Integer numerators over the least common denominator of ``values``."""
-    fracs = [as_rational(v) for v in values]
-    den = math.lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
+    pairs = [ratio(v) for v in values]
+    den = math.lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
 
 
 def rat_str(q) -> str:
     """Canonical lossless string form ``"p/q"`` (denominator always shown)."""
-    q = as_rational(q)
-    return f"{q.numerator}/{q.denominator}"
+    return "%d/%d" % ratio(q)
 
 
 def rat_strs(nums, den: int) -> list:
@@ -80,12 +131,13 @@ def rat_strs(nums, den: int) -> list:
     return out
 
 
-def rat_to_mpf(q):
-    """Round an exact rational to an mpmath float at the current precision."""
+def rat_to_mpf(q, den: int = 1):
+    """Round the exact rational ``q / den`` to an mpmath float at the current
+    precision; ``den`` is a positive integer."""
     import mpmath
 
-    q = as_rational(q)
-    return mpmath.mp.make_mpf(round_ratio(q.numerator, q.denominator, mpmath.mp.prec))
+    num, q_den = ratio(q)
+    return mpmath.mp.make_mpf(round_ratio(num, q_den * den, mpmath.mp.prec))
 
 
 # ---------------------------------------------------------------- the kernel

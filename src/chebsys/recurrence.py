@@ -34,7 +34,7 @@ from operator import attrgetter
 
 from .errors import NoVariantMatches
 from .exactpoly import Poly
-from .rationals import as_rational, rat_str
+from .rationals import ratio
 
 
 class FactorizationViolation(Exception):
@@ -44,33 +44,41 @@ class FactorizationViolation(Exception):
 class Params:
     """Recurrence parameters: band offset ``m >= 1`` and exact weight ``c > 0``.
 
-    ``m`` and ``c`` are read-only, and equality and hashing see both.
+    c is kept as the reduced integers ``ratio = (num, den)``, which every
+    computation reads; ``c`` is it as a ``fractions.Fraction``, built on
+    each use.  ``m`` and c are read-only, and equality and hashing see both.
     """
 
-    __slots__ = ("_m", "_c")
+    __slots__ = ("_m", "_ratio")
 
     m = property(attrgetter("_m"))
-    c = property(attrgetter("_c"))
+    ratio = property(attrgetter("_ratio"))
 
     def __init__(self, m: int, c):
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise ValueError(f"m must be an integer >= 1, got {m!r}")
-        cc = as_rational(c)
-        if cc <= 0:
-            raise ValueError(f"c must be a positive rational, got {rat_str(cc)}")
+        num, den = ratio(c)
+        if num <= 0:
+            raise ValueError(f"c must be a positive rational, got {num}/{den}")
         self._m = m
-        self._c = cc
+        self._ratio = num, den
+
+    @property
+    def c(self):
+        from fractions import Fraction
+
+        return Fraction(*self._ratio)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._m == other._m and self._c == other._c
+        return self._m == other._m and self._ratio == other._ratio
 
     def __hash__(self) -> int:
-        return hash((self._m, self._c))
+        return hash((self._m, self._ratio))
 
     def __repr__(self) -> str:
-        return f"Params(m={self._m!r}, c={self._c!r})"
+        return "Params(m=%r, c=Fraction(%d, %d))" % (self._m, *self._ratio)
 
 
 # components: the m polynomials t_{j,r}
@@ -129,7 +137,7 @@ def _type1_polys(p: Params, j: int, R: int) -> list[Poly]:
     integer numerators ``u_r = P**(r//m) * t_r`` satisfy
     ``u_r = Q*(x*u_{r-m} - P**[m | r] * u_{r-m-1})``.
     """
-    m, P, Q = p.m, p.c.numerator, p.c.denominator
+    m, (P, Q) = p.m, p.ratio
     first = [[1] if r == j else [] for r in range(m)]
     us = _recurrence(
         first, R, m, m + 1, lambda r: Q, lambda r: -Q * P if r % m == 0 else -Q
@@ -160,7 +168,7 @@ def gen_type2(p: Params, N: int) -> list[Poly]:
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    m, P, Q = p.m, p.c.numerator, p.c.denominator
+    m, (P, Q) = p.m, p.ratio
     us = _recurrence(
         [[1]], N, 1, m + 1, lambda n: Q if n % (m + 1) == 0 else 1, lambda n: -P
     )
@@ -264,7 +272,7 @@ def verify_denominators(
     A ``Poly``'s denominator is the lcm of its reduced coefficient
     denominators, so one divisibility test per polynomial decides it.
     """
-    m, P, Q = p.m, p.c.numerator, p.c.denominator
+    m, (P, Q) = p.m, p.ratio
     polys = [(f"t_{r}", t, P, r // m) for r, t in enumerate(scalars)]
     polys += [
         (f"t_{j},{rec.r}", comp, P, rec.r // m)
@@ -311,7 +319,7 @@ def verify_h_recurrence(hs: list[Poly], p: Params) -> HRecurrenceReport:
     ``hs`` must be the extracted h-polynomials for ``r = 0..R``.  Raises
     NoVariantMatches if some index admits neither sign.
     """
-    m = p.m
+    m, (P, Q) = p.m, p.ratio
     rows = []
     table: dict[str, set] = {}
     ell_rule_ok = True
@@ -321,7 +329,7 @@ def verify_h_recurrence(hs: list[Poly], p: Params) -> HRecurrenceReport:
         h_r = hs[r]
         h_rm = hs[r - m]
         h_rm1 = hs[r - m - 1] if r - m - 1 >= 0 else Poly.zero()
-        lhs = p.c * h_r
+        lhs = Poly.scaled([P * n for n in h_r.nums], Q * h_r.den)
         base = h_rm.shift(1) if ell == 0 else h_rm
         signs = tuple(s for s in (1, -1) if lhs == base + s * h_rm1)
         if not signs:

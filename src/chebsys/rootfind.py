@@ -185,7 +185,7 @@ def coefficient_moduli(poly, prec: int) -> list:
     """``|c_i|`` of an exact polynomial's coefficients rounded to ``prec`` bits,
     as ``rat_to_mpf`` rounds them."""
     with mpmath.workprec(prec):
-        return [abs(rat_to_mpf(c)) for c in poly.coeffs]
+        return [abs(rat_to_mpf(n, poly.den)) for n in poly.nums]
 
 
 def max_term(moduli, x) -> mpmath.mpf:

@@ -193,9 +193,9 @@ def roots_of_t(
     else:
         h = rec.h
         low_zeros = 0
-        while low_zeros < len(h.coeffs) and not h.coeffs[low_zeros]:
+        while low_zeros < len(h.nums) and not h.nums[low_zeros]:
             low_zeros += 1
-        h = Poly(h.coeffs[low_zeros:])
+        h = Poly.scaled(h.nums[low_zeros:], h.den)
         h_pairs, t_pairs = _solved_pairs(rec, h, m, precision) if h.degree >= 1 else ([], [])
     # a zero of h at the origin lifts to m+1 extra zeros of t at the origin
     origin_mult += (m + 1) * low_zeros

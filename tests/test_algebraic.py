@@ -81,16 +81,19 @@ class TestSolveBranches:
 
     @pytest.mark.parametrize("precision", [1090, 1200])
     def test_solves_above_the_range_of_a_float_gate(self, precision):
-        # 10**(2 - 0.3*precision) is below the smallest double here
-        tolerance = algebraic._residual_tolerance(precision)
-        assert tolerance > 0 and float(tolerance) == 0.0
+        # 10**(2 - 0.3*precision) is below the smallest double here, so the
+        # gate is the kernel value man * 2**exp
+        man, exp = algebraic._residual_tolerance(precision)
+        assert man > 0 and math.ldexp(man, exp) == 0.0
         p, z = Params(2, "1"), complex(3, 1)
         deep, double = solve_branches(p, z, precision), solve_branches(p, z)
         assert all(abs(a - b) < 1e-14 for a, b in zip(deep.values, double.values))
 
     def test_divergence_message_keeps_values_below_a_double(self, monkeypatch):
-        gate = mpmath.mpf(10) ** -2000
-        monkeypatch.setattr(algebraic, "_residual_tolerance", lambda precision: gate)
+        # 10**-2000 to 53 bits, as the kernel value (man, exp) of a gate
+        # below the range of a double
+        _, man, exp, _ = (mpmath.mpf(10) ** -2000)._mpf_
+        monkeypatch.setattr(algebraic, "_residual_tolerance", lambda precision: (man, exp))
         with pytest.raises(SolverDivergence, match=r"above 1\.0e-2000 at"):
             solve_branches(Params(2, "1"), complex(3, 1), 1100)
 

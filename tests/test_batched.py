@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, round_nearest
 
 from chebsys import algebraic, rootfind
@@ -269,3 +271,26 @@ def test_residual_gate_sends_points_to_aberth(monkeypatch):
     batch = solve_branches_many(Params(1, "1"), [complex(3, 0.5)])
     assert (batch.batched, batch.fallback) == (0, 1)
     assert isinstance(batch.results[0], SolverDivergence)
+
+
+def exactly_within(residual, den, gate) -> bool:
+    re, im, exp = residual
+    man, gate_exp = gate
+    square = Fraction(re * re + im * im) * Fraction(2) ** (2 * exp) / den**2
+    return square <= (Fraction(man) * Fraction(2) ** gate_exp) ** 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-(2**90), 2**90), st.integers(-(2**90), 2**90), st.integers(-300, 300),
+    st.integers(1, 2**64), st.integers(1, 2**53), st.integers(-1300, 20),
+)
+def test_the_gate_below_a_double_is_compared_exactly(re, im, exp, den, man, gate_exp):
+    # the gate 10**(2 - 0.3*precision) beyond about 1085 bits is the kernel
+    # value man * 2**gate_exp, compared in integers
+    residual, gate = (re, im, exp), (man, gate_exp)
+    assert algebraic._within(residual, den, gate) == exactly_within(residual, den, gate)
+    # a residual exactly at the gate passes, and one unit above it does not
+    at = (man * den, 0, gate_exp)
+    assert algebraic._within(at, den, gate)
+    assert not algebraic._within((man * den + 1, 0, gate_exp), den, gate)

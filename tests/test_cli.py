@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebsys import algebraic, cli, operators, probe, rootfind
 from chebsys import roots as roots_module
@@ -755,7 +761,56 @@ class TestParser:
         assert load(tmp_path / "-h")["config"]["out"] == "-h"
 
 
+# --c texts that the plain reader leaves to Fraction, and plain ones
+C_TEXTS = [
+    "0.5", "1e3", " 3/7 ", "+3/7", "1_000", "\u0663/7", "3/-7", "3/0", "-3/7", "0", "inf", "1/3e2",
+]
+# plain forms, and any text with the characters Fraction reads drawn often
+C_TEXT = st.one_of(
+    st.from_regex(r"[+-]?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True),
+    st.text(alphabet=st.one_of(st.sampled_from("0123456789+-/._eE \t\u0663"), st.characters()),
+            max_size=12),
+)
+
+
+def fraction_outcome(text: str) -> tuple:
+    """The exit code, stderr and config c of ``gen --c text`` with --c read
+    by ``fractions.Fraction``, as the CLI read it before it parsed plain
+    texts itself."""
+    try:
+        c = Fraction(text)
+    except ZeroDivisionError:
+        err = f"bad --c value {text!r}: zero denominator in {text!r}"
+    except ValueError as exc:
+        err = f"bad --c value {text!r}: {exc}"
+    else:
+        if c > 0:
+            return 0, "", f"{c.numerator}/{c.denominator}"
+        err = f"c must be a positive rational, got {c.numerator}/{c.denominator}"
+    return 2, f"chebsys: error: {err}\n", None
+
+
+def cli_outcome(text: str, out: Path) -> tuple:
+    """The exit code, stderr and config c of ``gen --c text``."""
+    if out.exists():
+        out.unlink()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["gen", "--m", "1", "--c", text, "--R", "0", "--out", str(out)])
+    return code, err.getvalue(), load(out)["config"]["c"] if out.exists() else None
+
+
 class TestRationalParameter:
+    @pytest.mark.parametrize("text", C_TEXTS)
+    def test_c_is_read_as_fraction_reads_it(self, tmp_path, text):
+        assert cli_outcome(text, tmp_path / "x.json") == fraction_outcome(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(C_TEXT)
+    def test_any_c_is_read_as_fraction_reads_it(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert cli_outcome(text, Path(tmp) / "x.json") == fraction_outcome(text)
+
     @pytest.mark.parametrize(
         "command, where",
         [("gen", ["--R", "3"]), ("verify", ["--R", "3"]), ("branches", ["--z", "3,0"])],

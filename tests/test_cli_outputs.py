@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import warnings
 from fractions import Fraction
 
@@ -267,6 +268,71 @@ CELL_TEXT = st.text(alphabet=st.one_of(st.sampled_from(',"\r\n '), st.characters
 @given(st.lists(st.lists(CELL_TEXT, max_size=4), max_size=5))
 def test_row_writer_matches_the_csv_module_on_any_text(rows):
     assert written(rows, cli._write_rows) == written(rows)
+
+
+# any text, with quotes, backslashes, control characters, non-ASCII
+# characters and lone surrogates drawn often
+JSON_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\x00\x08\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600'),
+        st.characters(),
+    ),
+    max_size=8,
+)
+JSON_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+JSON_SCALARS = st.one_of(
+    JSON_TEXT,
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from(JSON_FLOATS),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def assert_written_as_json_writes(value) -> None:
+    assert cli._to_json(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert cli._to_json(value, indent=False) == json.dumps(value, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        JSON_FLOATS,
+        {"b": [], "a": {}, "c": [[], {}, ()], "": None},
+        ["x", "y", 1],  # strings, then one value that is not
+        [1, "x", "y"],
+        {"rows": [{"z": 1.5, "lambdas": [[0.1, -0.0]], "error": ""}], "ok": True},
+        'quote " backslash \\ tab \t nul \x00 \u00e9 \ud800',
+        10**400 // 7,
+    ],
+)
+def test_json_writer_writes_what_the_json_module_writes(value):
+    assert_written_as_json_writes(value)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_the_json_module_on_any_value(value):
+    assert_written_as_json_writes(value)
+
+
+def test_json_writer_refuses_what_the_json_module_refuses():
+    for value in ({1, 2}, [Fraction(1, 2)], {"a": 1j}):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._to_json(value)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json.dumps(value)
 
 
 def test_int_cells_are_written_as_the_csv_module_writes_ints():

@@ -7,6 +7,7 @@ generators, operator images and Gram matrix must agree with it exactly.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from chebsys import cli
 from chebsys.exactpoly import Poly
 from chebsys.operators import gram_matrix, type1_image, type2_image
-from chebsys.rationals import rat_strs, rat_to_mpf
+from chebsys.rationals import as_rational, rat_strs, rat_to_mpf, ratio
 from chebsys.recurrence import (
     Params,
     gen_type1_records,
@@ -240,6 +241,39 @@ def test_eval_complex_at_dyadic_points_is_within_horners_bound(bits):
 
 def test_rat_strs_write_zero_as_0_over_1():
     assert rat_strs([0, 6, -4, 0], 8) == ["0/1", "3/4", "-1/2", "0/1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(),
+        st.fractions(),
+        st.from_regex(r"[+-]?[0-9]{1,30}(/[0-9]{0,30})?", fullmatch=True),
+        st.text(alphabet="0123456789+-/._eE \u0663", max_size=10),
+    )
+)
+def test_ratio_reads_what_as_rational_reads(value):
+    try:
+        q = as_rational(value)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            ratio(value)
+    else:
+        assert ratio(value) == (q.numerator, q.denominator)
+
+
+def test_ratio_refuses_floats_and_keeps_bools_as_ints():
+    with pytest.raises(TypeError, match="float 0.5 rejected"):
+        ratio(0.5)
+    assert ratio(True) == (1, 1) and type(ratio(True)[0]) is int
+    assert ratio("-6/4") == (-3, 2) and ratio("+0/9") == (0, 1)
+
+
+def test_params_keep_c_as_reduced_integers():
+    p = Params(2, "6/4")
+    assert p.ratio == (3, 2) and p.c == Fraction(3, 2)
+    assert Params(2, Fraction(6, 4)).ratio == Params(2, "3/2").ratio == (3, 2)
+    assert Params(1, 7).ratio == (7, 1)
 
 
 class TestDenominatorStructure:

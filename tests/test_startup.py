@@ -235,20 +235,26 @@ import chebsys.cli
 print(json.dumps("csv" in sys.modules))
 """
 
-# no argparse, gettext or locale after the import and after each command, and
-# the operators only for verify, which runs last
+# no argparse, gettext or locale after the import and after each command,
+# and no fractions (with its decimal and numbers) or json: the CLI reads --c
+# into two integers and writes its JSON itself.  The operators are loaded
+# only for verify, which runs last, and they bring fractions, decimal and
+# numbers, for the Fractions the operator API returns; json never.  The
+# script itself imports no json: each command is one argument, its words
+# split at spaces, and each line lists the modules loaded by then.
 LEAN = """
-import json, sys
+import sys
 from chebsys.cli import main
 
 def loaded():
-    names = ("argparse", "gettext", "locale", "chebsys.operators")
-    return [name for name in names if name in sys.modules]
+    names = ("argparse", "gettext", "locale", "fractions", "decimal", "numbers", "json",
+             "chebsys.operators")
+    return " ".join(name for name in names if name in sys.modules)
 
-print(json.dumps(loaded()))
-for argv in json.loads(sys.argv[1]):
-    assert main(argv) == 0
-    print(json.dumps(loaded()))
+print(loaded())
+for argv in sys.argv[1:]:
+    assert main(argv.split(" ")) == 0
+    print(loaded())
 """
 LEAN_COMMANDS = [
     ["gen", "--m", "2", "--c", "3/7", "--R", "8", "--format", "csv", "--out", "gen.csv"],
@@ -269,14 +275,14 @@ runpy.run_module("chebsys.cli", run_name="__main__")
 ROOT = Path(chebsys.__file__).resolve().parents[2]
 
 
-def python(script: str, *argv: str, cwd=None) -> subprocess.CompletedProcess:
+def python(script: str, *argv: str, cwd=None, flags=()) -> subprocess.CompletedProcess:
     """Run a script in a fresh interpreter that imports this checkout's chebsys."""
     src = str(Path(chebsys.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.pop("CHEBSYS_PRECISION", None)
     return subprocess.run(
-        [sys.executable, "-c", script, *argv],
+        [sys.executable, *flags, "-c", script, *argv],
         env=env, capture_output=True, text=True, timeout=120, cwd=cwd,
     )
 
@@ -387,9 +393,26 @@ def test_cli_loads_no_csv():
 
 
 def test_commands_load_no_argparse_and_operators_only_for_verify(tmp_path):
-    done = python(LEAN, json.dumps(LEAN_COMMANDS), cwd=tmp_path)
+    done = python(LEAN, *(" ".join(argv) for argv in LEAN_COMMANDS), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    assert list(map(json.loads, done.stdout.splitlines())) == [[]] * 5 + [["chebsys.operators"]]
+    assert [line.split() for line in done.stdout.splitlines()] == [[]] * 5 + [
+        ["fractions", "decimal", "numbers", "chebsys.operators"]
+    ]
+
+
+def test_import_timer_lists_the_modules_a_command_loads(tmp_path):
+    # the numeric modules load through __import__, which -X importtime
+    # reports, and not through importlib.import_module, which it does not
+    argv = ["roots", "--m", "2", "--c", "59/62", "--r-list", "20,30", "--out", "roots.json"]
+    done = python("import runpy; runpy.run_module('chebsys.cli', run_name='__main__')", *argv,
+                  cwd=tmp_path, flags=["-X", "importtime"])
+    assert done.returncode == 0, done.stderr
+    timed = {
+        line.rpartition("|")[2].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert {"chebsys.algebraic", "chebsys.roots", "chebsys.probe"} <= timed
 
 
 # ---------------------------------------------------------------- records
