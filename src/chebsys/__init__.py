@@ -19,7 +19,8 @@ mpmath values (its fast path at any precision, its scan and star geometry
 do without).  The probe (``probe``) works on integer signs and loads no
 mpmath, and ``roots`` takes the zeros of every h_r the probe proved, by its
 step or by Sturm's theorem, from its isolating intervals: only a
-counterexample, and an index the step misses after it, is solved in mpmath.
+counterexample, an index whose table breaks the c-grading, and an index the
+probe leaves after either, is solved in mpmath.
 """
 
 from .errors import (

@@ -27,22 +27,24 @@ output.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 numeric failure (a solver that did not converge, tied branches, or an
 operator truncation that overflowed); the error classes live in
 ``chebsys.errors``.  A process imports only what its command runs: the
-operator checks (``operators``), and with them ``fractions``, only for
-``verify``, the numeric half, and with it mpmath, only for the commands that
-use it, and numpy and ``json`` for none.  The CLI reads --c into two
-integers and writes its JSON itself (``_to_json``), so ``gen``,
-``branches``, ``asymptote`` and ``roots`` load neither ``fractions`` nor
-``json``; a --c that is not a plain ``[+-]digits[/digits]`` loads
-``fractions`` to be read as ``Fraction`` reads it.
+operator checks (``operators``) only for ``verify``, the numeric half, and
+with it mpmath, only for the commands that use it, and numpy, ``fractions``
+and ``json`` for none.  The CLI reads --c into two integers, compares the
+Gram entries and the adjoint identity as integers, and writes its JSON
+itself (``_to_json``), so no command loads ``fractions`` or ``json``; a --c
+that is not a plain ``[+-]digits[/digits]`` loads ``fractions`` to be read
+as ``Fraction`` reads it.
 ``gen`` and ``verify`` load no mpmath, as the probe is exact; ``branches`` and
 ``asymptote`` load it only for a point that falls back to the Aberth
 solver, at any precision, as their branch values, and the scan's
 fixed-point recursion, run on the integer kernel.  ``roots`` loads it only
-for an index the probe does not prove: it takes the zeros of every index
-the probe proves, by its step or by Sturm's theorem, from the probe's
-isolating intervals, refined with exact signs; only a counterexample, and
-an index the step misses after it, is solved by Aberth iteration in
-mpmath.  Every command runs in one process.
+for an index the probe does not prove: the probe proves the c = 1
+polynomials in y = x/c once each h_r is checked to be their graded image,
+and ``roots`` takes the zeros of every index it proves, by its step or by
+Sturm's theorem, from the probe's isolating intervals, refined with exact
+signs, at x = c*y; only a counterexample, an index whose table breaks the
+grading, and an index the probe leaves after either, is solved by Aberth
+iteration in mpmath.  Every command runs in one process.
 
 Output layout: with --format json a command writes one JSON file at --out.
 With --format csv each table goes to --out plus a suffix (none for the main
@@ -469,8 +471,6 @@ def _check_denominators(p: Params, records: list, vectors: list, type2: list):
 
 
 def _check_adjointness(p: Params, seed: int, trials: int = 20):
-    from fractions import Fraction
-
     from . import operators
 
     size = 12 + p.m
@@ -478,15 +478,15 @@ def _check_adjointness(p: Params, seed: int, trials: int = 20):
     rng = random.Random(seed)
 
     def random_vector():
-        return tuple(
-            Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(size)
-        )
+        # entries n/d, d in 1..3, times 6: integers
+        return [rng.randint(-9, 9) * 6 // rng.randint(1, 3) for _ in range(size)]
 
+    # <Tv, w> = <v, T^t w>, both sides times Q, by the integer operator Q*T
     for _ in range(trials):
         v, w = random_vector(), random_vector()
-        tv, _ = operators.apply_T(op, v)
-        tw, _ = operators.apply_T_transpose(op, w)
-        if operators.dot(tv, w) != operators.dot(v, tw):
+        tv, _ = operators._step(op, v, False)
+        tw, _ = operators._step(op, w, True)
+        if operators._int_dot(tv, w) != operators._int_dot(v, tw):
             return "FAIL", {"witness": "adjoint identity broke on a random vector"}
     return "PASS", {"trials": trials, "size": size}
 
@@ -549,9 +549,9 @@ def cmd_verify(args) -> int:
 
     off = [
         (r, n)
-        for r, row in enumerate(operators.pairings(us, ws))
-        for n, value in enumerate(row)
-        if value != (1 if n == r else 0)
+        for r, u in enumerate(us)
+        for n, w in enumerate(ws)
+        if operators._int_dot(u.nums, w.nums) != (u.scale * w.scale if n == r else 0)
     ]
     hard("biorthogonality_gram", not off,
          {"shape": [args.R + 1, n_max + 1], "offenders": off[:10]})

@@ -36,11 +36,10 @@ class Poly:
     ``"p/q"`` strings), ``coeffs[i]`` being the coefficient of ``x**i``;
     ``Poly.scaled(nums, den)`` takes integer numerators over a nonzero
     integer denominator.  ``nums`` and ``den`` are read-only; equality,
-    hashing and pickling see them and not the cache.
+    hashing and pickling see them.
     """
 
-    # the cache of the reduced coefficients
-    __slots__ = ("_nums", "_den", "_coeffs")
+    __slots__ = ("_nums", "_den")
 
     nums = property(attrgetter("_nums"))
     den = property(attrgetter("_den"))
@@ -62,7 +61,6 @@ class Poly:
                 den //= g
         self._nums = tuple(nums)
         self._den = den
-        self._coeffs = None
 
     @classmethod
     def scaled(cls, nums: Iterable, den: int = 1) -> "Poly":
@@ -98,12 +96,9 @@ class Poly:
     @property
     def coeffs(self) -> tuple:
         """The coefficients as reduced rationals, ``coeffs[i]`` of ``x**i``."""
-        if self._coeffs is None:
-            from fractions import Fraction
+        from fractions import Fraction
 
-            den = self._den
-            self._coeffs = tuple(Fraction(n, den) for n in self._nums)
-        return self._coeffs
+        return tuple(Fraction(n, self._den) for n in self._nums)
 
     @property
     def degree(self) -> int:

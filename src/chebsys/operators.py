@@ -10,9 +10,11 @@ Everything runs on one integer kernel.  With ``c = P/Q`` the scaled operator
 for a polynomial ``p`` of degree d with denominator D applied to an integer
 vector v, and Horner's rule computes it without a single fraction.  An
 operator image is therefore an integer vector with a tracked scale
-(``Scaled``), a Gram entry is an integer dot product over the product of two
-scales, and ``apply_T``, ``apply_T_transpose``, ``poly_of_operator`` and
-``dot`` convert rational vectors to and from that form at their edges.
+(``Scaled``), and a Gram entry is an integer dot product over the product of
+two scales.  ``apply_T``, ``apply_T_transpose``, ``poly_of_operator``,
+``dot``, ``gram_matrix``, ``biorthogonality`` and ``BandedOperator.c``
+convert to and from rationals at the edges, and only they load
+``fractions`` (as ``rationals.Rational``).
 Every image comes from one routine, ``_image``.  ``images`` builds all of
 them from a pair of generated tables at one size, so ``verify`` reads both
 jump identities and the Gram matrix off one pass over the tables it holds;
@@ -30,27 +32,28 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from operator import attrgetter, mul
 
+from . import rationals
 from .errors import TruncationOverflow
 from .exactpoly import Poly
-from .rationals import as_rational, scaled
+from .rationals import ratio, scaled
 from .recurrence import Params, gen_type1_vectors, gen_type2
 
 
 class BandedOperator:
     """N x N truncation of the banded operator for parameters (m, c).
 
-    ``size``, ``m`` and ``c`` are read-only, and equality and hashing see all
-    three.
+    c is kept as the reduced integers ``ratio = (num, den)``; ``c`` is it as
+    a ``fractions.Fraction``.  ``size``, ``m`` and c are read-only, and
+    equality and hashing see all three.
     """
 
-    __slots__ = ("_size", "_m", "_c")
+    __slots__ = ("_size", "_m", "_ratio")
 
     size = property(attrgetter("_size"))
     m = property(attrgetter("_m"))
-    c = property(attrgetter("_c"))
+    ratio = property(attrgetter("_ratio"))
 
     def __init__(self, size: int, m: int, c):
         if size < 1:
@@ -59,22 +62,27 @@ class BandedOperator:
             raise ValueError("m must be >= 1")
         self._size = size
         self._m = m
-        self._c = as_rational(c)
+        self._ratio = ratio(c)
+
+    @property
+    def c(self):
+        return rationals.Rational(*self._ratio)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self._size, self._m, self._c) == (other._size, other._m, other._c)
+        return (self._size, self._m, self._ratio) == (other._size, other._m, other._ratio)
 
     def __hash__(self) -> int:
-        return hash((self._size, self._m, self._c))
+        return hash((self._size, self._m, self._ratio))
 
     def __repr__(self) -> str:
-        return f"BandedOperator(size={self._size!r}, m={self._m!r}, c={self._c!r})"
+        P, Q = self._ratio
+        return f"BandedOperator(size={self._size!r}, m={self._m!r}, c=Fraction({P}, {Q}))"
 
     @classmethod
     def for_params(cls, p: Params, size: int) -> "BandedOperator":
-        return cls(size, p.m, p.c)
+        return cls(size, p.m, "%d/%d" % p.ratio)
 
 
 Scaled = namedtuple("Scaled", "nums scale")
@@ -98,7 +106,7 @@ def _step(op: BandedOperator, v: list, transpose: bool) -> tuple[list, bool]:
     set when v has support in the last slot.
     """
     n, m = op.size, op.m
-    P, Q = op.c.numerator, op.c.denominator
+    P, Q = op.ratio
     if transpose:
         qv, pv = [0] + v[:-1], v[m:] + [0] * min(m, n)
         return [Q * a + P * b for a, b in zip(qv, pv)], bool(v[n - 1])
@@ -116,7 +124,7 @@ def _poly_image(op: BandedOperator, nums, transpose: bool, v: list) -> tuple[Sca
     """
     if not nums:
         return Scaled([0] * op.size, 1), False
-    Q = op.c.denominator
+    Q = op.ratio[1]
     top = nums[-1]
     acc = [top * x for x in v]
     qpow = 1
@@ -187,14 +195,14 @@ def poly_of_operator(
     nums, den = scaled(v)
     image, overflow = _poly_image(op, p.nums, transpose, nums)
     scale = image.scale * p.den * den
-    return tuple(Fraction(x, scale) for x in image.nums), overflow
+    return tuple(rationals.Rational(x, scale) for x in image.nums), overflow
 
 
 def dot(u: tuple, v: tuple) -> Fraction:
     if len(u) != len(v):
         raise ValueError("length mismatch")
     (a, a_den), (b, b_den) = scaled(u), scaled(v)
-    return Fraction(_int_dot(a, b), a_den * b_den)
+    return rationals.Rational(_int_dot(a, b), a_den * b_den)
 
 
 # ---------------------------------------------------------------- images and pairings
@@ -248,11 +256,6 @@ def jump_check_typeI(p: Params, r: int) -> bool:
     return not overflow and is_unit(image, r)
 
 
-def pairings(us: list, ws: list) -> list:
-    """The exact pairing matrix of two lists of images, entry [r][n]."""
-    return [[Fraction(_int_dot(u.nums, w.nums), u.scale * w.scale) for w in ws] for u in us]
-
-
 def biorthogonality(p: Params, n: int, r: int) -> Fraction:
     """Exact pairing of the two operator images; equals 1 iff n == r, else 0."""
     if n < 0 or r < 0:
@@ -264,4 +267,7 @@ def gram_matrix(p: Params, r_max: int, n_max: int, size: int | None = None) -> l
     """Full exact pairing matrix, entry [r][n], from one image per index."""
     if size is None:
         size = max(r_max, n_max) + p.m + 2
-    return pairings(*images(p, gen_type1_vectors(p, r_max), gen_type2(p, n_max), size))
+    us, ws = images(p, gen_type1_vectors(p, r_max), gen_type2(p, n_max), size)
+    return [
+        [rationals.Rational(_int_dot(u.nums, w.nums), u.scale * w.scale) for w in ws] for u in us
+    ]

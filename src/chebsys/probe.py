@@ -2,9 +2,11 @@
 simple, and the isolating intervals that prove it.
 
 The probe decides that exactly, index by index, with integer signs at dyadic
-points: d sign changes of h_r along them prove d real, simple zeros, one in
-each gap where the sign changes.  The probe works in y = x/2**E,
-E = floor(log2 c), where the zeros are of the order of one whatever c is.
+points: d sign changes along them prove d real, simple zeros, one in each
+gap where the sign changes.  c only scales x (the c-grading, in the README):
+h_r(x; c) = kappa_r * h_r(x/c; 1), kappa_r > 0, so the probe works in
+y = x/c on the c = 1 polynomials, once each h_r is checked exactly to be
+their graded image (``_graded``).
 At every m each index is proved from the isolating intervals of the last
 index proved before it (``_step``): their ends are the points, and an
 interval whose ends show h_r no sign change is split by the sign of the
@@ -31,6 +33,7 @@ import sys
 from collections import namedtuple
 
 from .exactpoly import Poly, _remainder_chain, dyadic_sign
+from .rationals import div_man_exp, to_float
 from .recurrence import Params, gen_type1_records
 
 ROUNDS = 48  # rounds of splits the step tries at one index before the Sturm count
@@ -46,23 +49,26 @@ ProbeReport = namedtuple(
 )
 ProbeReport.__doc__ = """Realness and simplicity of the zeros of every h_r, proven index by index.
 
-An index is certified when the integer h_r has d sign changes along
+Each index is decided on g = h_r(y; 1), y = x/c, once h_r is checked to be
+its graded image.  It is certified when g has d sign changes along
 increasing dyadic points with nonzero signs, which proves d distinct
 real zeros, at points the step takes from the previous index's isolating
 intervals.  Every other index is decided by Sturm's theorem on the
-remainder chain of (h_r, h_r'), which isolates d distinct real zeros or
-finds fewer.  Classification is PASS, a proof for every index, or
+remainder chain of (g, g'), which isolates d distinct real zeros or
+finds fewer.  Classification is PASS, a proof for every index;
 COUNTEREXAMPLE, with the first offending index and its ``reason``:
 ``repeated-root`` when gcd(h_r, h_r') is not constant, ``complex-root``
-otherwise.  ``max_imag_normalized`` is 0.0 on a PASS and None on a
-COUNTEREXAMPLE, where no zero is computed.  ``min_separation_normalized``
+otherwise; or NOT-GRADED, with the first index whose h_r is not the graded
+image of its c = 1 polynomial as ``offending_r`` and no ``reason``: neither
+it nor any later index is proved.  ``max_imag_normalized`` is 0.0 on a PASS
+and None otherwise, where no zero is computed.  ``min_separation_normalized``
 is the least of ``|x - y| / max(1, |x|, |y|)`` over consecutive zeros of
 every index, from isolating intervals refined to 2**-64 of their zeros.
-It is None on a COUNTEREXAMPLE, and where the least gap underflows a
-double: the zeros are proven distinct, so a gap that reads 0.0 there
-has lost its digits and does not mean a repeated zero.  ``certified``
-counts the indices the signs proved, and ``first_uncertified_r`` names
-the first they missed.
+It is None unless the classification is PASS, and where the least gap
+underflows a double: the zeros are proven distinct, so a gap that reads
+0.0 there has lost its digits and does not mean a repeated zero.
+``certified`` counts the indices the signs proved, and
+``first_uncertified_r`` names the first they missed.
 """
 
 
@@ -74,10 +80,10 @@ the first they missed.
 # polynomial has the sign s at lo and -s at hi.
 
 
-Isolated = namedtuple("Isolated", "g E intervals")
-Isolated.__doc__ = """The zeros of one h_r, proven real and simple: ``g``, h_r in
-y = x/2**E up to a positive factor, and its isolating intervals in y in
-increasing order."""
+Isolated = namedtuple("Isolated", "g intervals")
+Isolated.__doc__ = """The zeros of one h_r, proven real and simple: ``g``, the c = 1
+polynomial h_r(y; 1), whose zeros are those of h_r(x; c) in y = x/c, and its
+isolating intervals in y in increasing order."""
 
 
 def _reduced(a: int, k: int) -> tuple:
@@ -87,20 +93,22 @@ def _reduced(a: int, k: int) -> tuple:
     return a >> t, k - t
 
 
-def _log2_floor(num: int, den: int) -> int:
-    """floor(log2 c) for a positive rational c = num/den."""
-    e = num.bit_length() - den.bit_length()
-    return e - 1 if (num << max(-e, 0)) < (den << max(e, 0)) else e
+def _graded(h: Poly, g: Poly, P: int, Q: int) -> bool:
+    """True if h(x) = kappa * g(x/c) for some kappa > 0, c = P/Q, exactly.
 
-
-def _in_y(h: Poly, E: int) -> Poly:
-    """``h(2**E * y)`` up to a positive factor, as an integer polynomial."""
-    d = h.degree
-    if not E:
-        return h
-    if E > 0:
-        return Poly.scaled([n << (E * i) for i, n in enumerate(h.nums)])
-    return Poly.scaled([n << (-E * (d - i)) for i, n in enumerate(h.nums)])
+    The x**j coefficient of h must be kappa * g_j / c**j: h and g have the
+    same zero coefficients and leading signs, and for consecutive nonzero
+    coefficients j < k, ``h_k * g_j * P**(k-j) == h_j * g_k * Q**(k-j)``.
+    Each product pairs one coefficient of h with one small number.
+    """
+    a, b = h.nums, g.nums
+    support = [j for j, x in enumerate(a) if x]
+    if support != [j for j, y in enumerate(b) if y] or (a[-1] > 0) != (b[-1] > 0):
+        return False
+    return all(
+        a[k] * (b[j] * P ** (k - j)) == a[j] * (b[k] * Q ** (k - j))
+        for j, k in zip(support, support[1:])
+    )
 
 
 def _outer_exponent(g: Poly) -> int:
@@ -141,13 +149,13 @@ def _split(lo: tuple, hi: tuple) -> tuple:
     return _reduced(sign * (high >> t << t), n + 2)
 
 
-def _step(h: Poly, E: int, last: Isolated) -> tuple | None:
-    """Prove that the zeros of h are real and simple from the intervals of
-    ``last``: h in y = x/2**E proved, and the intervals of ``last`` as the
-    step narrowed them; or None.
+def _step(g: Poly, last: Isolated) -> tuple | None:
+    """Prove that the zeros of g are real and simple from the intervals of
+    ``last``: g proved, and the intervals of ``last`` as the step narrowed
+    them; or None.
 
-    The points are ``-2**e`` and ``2**e``, beyond every zero of g, h in y,
-    and the ends of the intervals of ``last``; d = deg g sign changes of g
+    The points are ``-2**e`` and ``2**e``, beyond every zero of g, and the
+    ends of the intervals of ``last``; d = deg g sign changes of g
     along them put one zero of g in each of d disjoint open gaps (Collins
     and Akritas, SYMSAC 1976), and those gaps are g's isolating intervals.
     While the count comes out short, each interval of ``last`` whose ends
@@ -155,10 +163,9 @@ def _step(h: Poly, E: int, last: Isolated) -> tuple | None:
     shortest dyadic in its middle half, and the split point joins the
     points: the zeros of consecutive h_r interlace, so a zero of ``last.g``
     with a zero of g on either side gets a point between those two.  The
-    step gives up after ``ROUNDS`` rounds of splits, or at once for an h of
+    step gives up after ``ROUNDS`` rounds of splits, or at once for a g of
     more than one degree above ``last``, which has too few points.
     """
-    g = _in_y(h, E)
     if g.degree > len(last.intervals) + 1:
         return None
     e = _outer_exponent(g)
@@ -186,7 +193,7 @@ def _step(h: Poly, E: int, last: Isolated) -> tuple | None:
             narrowed = tuple(
                 (row[cut - 1], row[cut], s) for row, cut, (_, _, s) in zip(rows, cuts, last.intervals)
             )
-            return Isolated(g, E, gaps), last._replace(intervals=narrowed)
+            return Isolated(g, gaps), last._replace(intervals=narrowed)
         split = False
         for k, (row, cut, (_, _, s_lo)) in enumerate(zip(rows, cuts, last.intervals)):
             lo, hi = row[cut - 1], row[cut]
@@ -259,17 +266,6 @@ def _float(a: int, k: int) -> float:
         return math.ldexp(a >> cut, cut - k)
 
 
-def _normalized(gap: float, top: float, E: int) -> float:
-    """``gap * 2**E / max(1, top * 2**E)``: the normalized separation in x
-    of zeros in y = x/2**E that lie a gap apart, the larger at modulus top."""
-    if top and math.frexp(top)[1] + E >= 1:  # top * 2**E >= 1
-        return gap / top
-    try:
-        return math.ldexp(gap, E)
-    except OverflowError:
-        return math.inf
-
-
 # In the search for the least gap an isolating interval is a span
 # (lo, hi, k, s, a, b): its ends lo / 2**k <= hi / 2**k, the sign s of its
 # polynomial at lo, and its ends a <= b as floats.
@@ -301,24 +297,32 @@ def _fine(span: tuple, bits: int) -> bool:
     return (hi - lo) << bits <= min(abs(lo), abs(hi))
 
 
-def _gap_bounds(left: tuple, right: tuple, E: int) -> tuple:
+def _gap_bounds(left: tuple, right: tuple, inverse: float) -> tuple:
     """Lower and upper bounds of the normalized gap between the zeros in
-    two spans, left below right, in floats."""
+    two spans, left below right, in floats: ``gap / max(1/c, top)`` in y,
+    that is ``c*gap / max(1, c*top)`` in x = c*y, ``inverse`` being 1/c."""
     a1, b1 = left[4:]
     a2, b2 = right[4:]
     # the larger zero in modulus lies below max(-a1, b2), and above a2 if
     # that is positive, above -b1 if that is
-    lower = _normalized(max(a2 - b1, 0.0), max(-a1, b2), E)
-    return lower, _normalized(b2 - a1, max(a2, -b1, 0.0), E)
+    lower = max(a2 - b1, 0.0) / max(inverse, -a1, b2)
+    top = max(inverse, a2, -b1, 0.0)
+    return lower, (b2 - a1) / top if top else math.inf
 
 
-def _measured(left: tuple, right: tuple, E: int) -> float:
-    """The normalized gap between the midpoints of two spans."""
+def _measured(left: tuple, right: tuple, ratio: tuple) -> float:
+    """The normalized gap between the midpoints of two spans in x = c*y,
+    c = P/Q, on the kernel: the gap and the larger modulus, each rounded
+    once to 53 bits, then their quotient where that modulus is 1 or more."""
     (lo1, hi1, k1), (lo2, hi2, k2) = left[:3], right[:3]
     n = max(k1, k2)
     m1, m2 = (lo1 + hi1) << (n - k1), (lo2 + hi2) << (n - k2)
-    top = max(abs(_float(m1, n + 1)), abs(_float(m2, n + 1)))
-    return _normalized(_float(m2 - m1, n + 1), top, E)
+    P, Q = ratio
+    gap = div_man_exp(P * (m2 - m1), -n - 1, Q, 0, 53)
+    man, exp = div_man_exp(P * max(abs(m1), abs(m2)), -n - 1, Q, 0, 53)
+    if man.bit_length() + exp > 0:  # the modulus is 1 or more
+        gap = div_man_exp(*gap, man, exp, 53)
+    return to_float(*gap)
 
 
 def enclosure(g: Poly, span: tuple, bits: int, floats: list) -> tuple:
@@ -451,9 +455,10 @@ def refined(iso: Isolated, bits: int) -> list:
     return [enclosure(iso.g, _as_span(iv), bits, floats)[:3] for iv in iso.intervals]
 
 
-def _least_gap(proved: list) -> float:
+def _least_gap(proved: list, ratio: tuple) -> float:
     """The least normalized gap between consecutive zeros over the proved
-    indices, or inf if none has two zeros.
+    indices, in x = c*y, c = P/Q given as ``ratio``, or inf if none has two
+    zeros.
 
     Every interval is first bisected once by the sign of its polynomial.
     Then the gap of least lower bound is refined first, and the search ends
@@ -465,7 +470,11 @@ def _least_gap(proved: list) -> float:
     """
     if not proved:
         return math.inf
-    E = proved[0].E
+    P, Q = ratio
+    try:
+        inverse = Q / P  # 1/c, for the bounds
+    except OverflowError:
+        inverse = math.inf
     spans = [[_refined(index.g, _as_span(iv)) for iv in index.intervals] for index in proved]
     floats = {}
 
@@ -475,10 +484,10 @@ def _least_gap(proved: list) -> float:
             floats[n] = _scaled_floats(g)
         for j in (i, i + 1):
             row[j] = enclosure(g, row[j], SEPARATION_BITS, floats[n])
-        return _measured(row[i], row[i + 1], E)
+        return _measured(row[i], row[i + 1], ratio)
 
     heap = [
-        (*_gap_bounds(row[i], row[i + 1], E), 0, n, i)
+        (*_gap_bounds(row[i], row[i + 1], inverse), 0, n, i)
         for n, row in enumerate(spans)
         for i in range(len(row) - 1)
     ]
@@ -493,41 +502,39 @@ def _least_gap(proved: list) -> float:
         for j in (i, i + 1):
             if not _fine(row[j], SEPARATION_BITS):
                 row[j] = _refined(g, row[j])
-        lower, upper = _gap_bounds(row[i], row[i + 1], E)
+        lower, upper = _gap_bounds(row[i], row[i + 1], inverse)
         least = min(least, upper)
         heapq.heappush(heap, (lower, upper, tries + 1, n, i))
     return least
-
-
-def _underflows(iso: Isolated) -> bool:
-    """True if iso has two or more zeros and they span less than the least
-    normal double in x, so that every gap between them underflows: the ends
-    of its intervals, compared exactly, lie closer than that times 2**-E."""
-    if len(iso.intervals) < 2:
-        return False
-    (a, k), (b, j) = iso.intervals[0][0], iso.intervals[-1][1]
-    n = max(k, j)
-    shift = iso.E + 1 - sys.float_info.min_exp  # sys.float_info.min is 2**(min_exp - 1)
-    span = (b << (n - j)) - (a << (n - k))
-    return span << max(shift, 0) < 1 << (n + max(-shift, 0))
 
 
 def isolate(p: Params, records) -> tuple:
     """The probe of the h_r of ``records``, and the zeros it isolated:
     ``(ProbeReport, {r: Isolated})``, with an entry for every index proved.
 
-    In one pass over the indices of degree >= 1, each is tried with the
-    step from the last index proved; an index the step misses is isolated
-    by Sturm's theorem (``_sturm_isolated``), up to the first
-    counterexample, and the step goes on from its intervals.
+    In one pass over the indices of degree >= 1, each h_r is checked to be
+    the graded image of its c = 1 polynomial (``_graded``), up to the first
+    that is not; that polynomial is tried with the step from the last index
+    proved, and an index the step misses is isolated by Sturm's theorem
+    (``_sturm_isolated``), up to the first counterexample, and the step goes
+    on from its intervals.  At c = 1 the c = 1 table is ``records``.
     """
     records = [rec for rec in records if rec.tau >= 1]
-    E = _log2_floor(*p.ratio)
+    P, Q = p.ratio
+    R = max((rec.r for rec in records), default=0)
+    table = records if P == Q else gen_type1_records(Params(p.m, 1), R)
+    ones = {rec.r: rec.h for rec in table}
     proved, missed = {}, []
-    last_r, last = None, Isolated(None, E, ())
+    last_r, last = None, Isolated(None, ())
     classification, max_imag, offending, reason = "PASS", 0.0, None, None
-    for rec in records:
-        found = _step(rec.h, E, last)
+    for i, rec in enumerate(records):
+        g = ones[rec.r]
+        if not _graded(rec.h, g, P, Q):
+            missed += [later.r for later in records[i:]]
+            if offending is None:
+                classification, max_imag, offending = "NOT-GRADED", None, rec.r
+            break
+        found = _step(g, last)
         if found is not None:
             if last_r is not None:
                 proved[last_r] = found[1]
@@ -536,18 +543,17 @@ def isolate(p: Params, records) -> tuple:
             missed.append(rec.r)
             if offending is not None:
                 continue
-            g = _in_y(rec.h, E)
             intervals, gcd_degree = _sturm_isolated(g)
             if len(intervals) < g.degree:
                 classification, max_imag, offending = "COUNTEREXAMPLE", None, rec.r
                 reason = "repeated-root" if gcd_degree > 0 else "complex-root"
                 continue
-            found = Isolated(g, E, intervals)
+            found = Isolated(g, intervals)
         proved[rec.r] = last = found
         last_r = rec.r
     min_sep = None
-    if offending is None and not any(map(_underflows, proved.values())):
-        gap = _least_gap(list(proved.values()))
+    if offending is None:
+        gap = _least_gap(list(proved.values()), p.ratio)
         # a gap of proven zeros that underflows a double has lost its digits
         min_sep = gap if gap >= sys.float_info.min else None
     report = ProbeReport(

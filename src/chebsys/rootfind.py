@@ -7,7 +7,8 @@ honest where per-root Newton would stall or double-count.  A caller that
 knows its roots approximately passes them as the seeds (the branch
 trinomial does); otherwise the seeds are placed on circles from the Newton
 polygon of the coefficients.  ``roots`` comes here only for an h_r that the
-probe found to be a counterexample, or that the step missed after one, and
+probe found to be a counterexample or not graded (not the graded image of
+its c = 1 polynomial), or that it left after one, and
 the branch solver only for a point its 53-bit fast path rejects, so the
 iteration runs on mpmath's own mpc and mpf operators.
 """

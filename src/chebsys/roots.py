@@ -10,13 +10,15 @@ unbounded star.
 The probe of the conjecture that the zeros of every ``h_r`` are real and
 simple is ``chebsys.probe``; its names are re-exported here.  It proves
 each index with exact signs, by its interlacing step or by Sturm's
-theorem, and isolates each zero of a proved index in a dyadic interval
-(``probe.isolate``).  The zeros of such an index are taken from those
-intervals, refined with exact signs to 2**-(precision + GUARD_BITS) of each
-zero (``probe.refined``), and mapped to t on the integer kernel: no root is
-solved and mpmath is not loaded.  Only a counterexample, and an index the
-step misses after it, is solved by Aberth iteration from the seeds of the
-Newton polygon (``rootfind``), and only that path imports mpmath.
+theorem, on the c = 1 polynomial in y = x/c, and isolates each zero of a
+proved index in a dyadic interval (``probe.isolate``).  The zeros of such
+an index are taken from those intervals, refined with exact signs to
+2**-(precision + GUARD_BITS) of each zero (``probe.refined``), and mapped
+to x = c*y and to t on the integer kernel: no root is solved and mpmath is
+not loaded.  Only an index the probe does not prove (a counterexample, a
+table off the c-grading, and what the probe leaves after either) is solved
+by Aberth iteration from the seeds of the Newton polygon (``rootfind``),
+and only that path imports mpmath.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import ConvergenceFailure, RootRefinementError
 from .exactpoly import Poly
 # the probe loads no numeric library; its names stay here too
 from .probe import Isolated, ProbeReport, conjecture_probe, isolate, refined
-from .rationals import to_float
+from .rationals import div_man_exp, rat_to_mpf, to_float
 from .recurrence import Params, TypeIRecord, gen_type1_records
 
 CLUSTER_RELATIVE_TOL = 1e-7
@@ -80,11 +82,14 @@ def roots_of_h(h: Poly, precision: int = 53) -> list:
 
     from .rootfind import coefficient_moduli, complex_roots, max_term
 
+    bits = precision + 32
+    # rounded from the integers at the working precision of complex_roots
+    with mpmath.workprec(bits):
+        coeffs = [rat_to_mpf(n, h.den) for n in h.nums]
     try:
-        raw = complex_roots(h.coeffs, precision=precision)
+        raw = complex_roots(coeffs, precision=precision)
     except RootRefinementError as exc:
         raise ConvergenceFailure(f"root refinement failed: {exc}", poly=h) from exc
-    bits = precision + 32
     with mpmath.workprec(bits):
         bound = mpmath.mpf(2) ** (8 - precision)
         moduli = coefficient_moduli(h, bits)
@@ -110,30 +115,31 @@ RootReport.__doc__ = """Zeros of one scalar term in both the reduced and the ori
 """
 
 
-def _proved_pairs(iso: Isolated, m: int, bits: int) -> tuple:
+def _proved_pairs(iso: Isolated, p: Params, bits: int) -> tuple:
     """The zeros of h_r off x = 0 and of t_r off the origin, each simple,
-    from the isolating intervals of a proved h_r, and the number of zeros of
-    h_r at x = 0 (0 or 1).
+    from the isolating intervals in y = x/c of a proved h_r, and the number
+    of zeros of h_r at x = 0 (0 or 1).
 
-    Each interval is refined to 2**-bits of its zero; its midpoint x is
-    written rounded once, and its (m+1)-th roots as ``mpmath.root`` orders
-    them for real x: modulus ``|x|**(1/(m+1))`` on the integer kernel, and
-    the exact ray angles ``pi*(2k + (x < 0))/(m+1)`` of ``_unit_roots``, each
-    part rounded once.
+    Each interval is refined to 2**-bits of its zero y; x = c*y at its
+    midpoint is formed exactly and written rounded once, and its (m+1)-th
+    roots as ``mpmath.root`` orders them for real x: modulus
+    ``|x|**(1/(m+1))`` on the integer kernel, and the exact ray angles
+    ``pi*(2k + (x < 0))/(m+1)`` of ``_unit_roots``, each part rounded once.
     """
-    n = m + 1
+    n, (P, Q) = p.m + 1, p.ratio
     units = _unit_roots(2 * n)
     h_pairs, t_pairs, at_origin = [], [], 0
     for lo, hi, k in refined(iso, bits):
-        man, exp = lo + hi, iso.E - k - 1  # x = man * 2**exp
+        man, exp = P * (lo + hi), -k - 1  # x = man * 2**exp / Q
         if not man:
             at_origin += 1
             continue
-        h_pairs.append((complex(to_float(man, exp)), 1))
-        # |x| * 2**shift of n*bits bits or more, shift = exp mod n
-        shift = n * bits - abs(man).bit_length()
+        h_pairs.append((complex(to_float(*div_man_exp(man, exp, Q, 0, 53))), 1))
+        # floor(|x| * 2**(shift - exp)) of more than n*bits bits, with n
+        # dividing exp - shift
+        shift = n * bits + 1 + Q.bit_length() - abs(man).bit_length()
         shift += (exp - shift) % n
-        size = abs(man) << shift if shift >= 0 else abs(man) >> -shift
+        size = (abs(man) << shift) // Q if shift >= 0 else abs(man) // (Q << -shift)
         modulus, e = _iroot(size, n), (exp - shift) // n - _STAR_BITS
         for j in range(n):
             cos, sin = units[2 * j + (man < 0)]
@@ -180,16 +186,19 @@ def roots_of_t(
     """Assemble the zero set of ``t_r`` from the zeros of its reduced polynomial.
 
     ``isolated`` holds the probe's isolating intervals of h_r
-    (``probe.isolate``); the zeros are taken from them, refined to
-    2**-(precision + GUARD_BITS) of each zero.  Without them h_r is solved
-    by Aberth iteration.
+    (``probe.isolate``); without them the probe runs on this index alone.
+    The zeros are taken from the intervals, refined to
+    2**-(precision + GUARD_BITS) of each zero.  An index the probe does not
+    prove is solved by Aberth iteration.
     """
     if rec.t.is_zero:
         raise ValueError(f"t_{rec.r} is the zero polynomial")
     m = p.m
     origin_mult = rec.ell
+    if isolated is None:
+        isolated = isolate(p, [rec])[1].get(rec.r)
     if isolated is not None:
-        h_pairs, t_pairs, low_zeros = _proved_pairs(isolated, m, precision + GUARD_BITS)
+        h_pairs, t_pairs, low_zeros = _proved_pairs(isolated, p, precision + GUARD_BITS)
     else:
         h = rec.h
         low_zeros = 0
@@ -250,7 +259,7 @@ def solve_indices(p: Params, records, r_list, precision: int = 53, isolated=None
     ``result`` is the RootReport of ``t_r``, None where ``t_r`` is zero or
     constant, or the ConvergenceFailure its solve raised.  ``isolated`` is
     the probe's ``{r: Isolated}`` (``probe.isolate``); an index it lacks is
-    solved by Aberth iteration.
+    given to ``roots_of_t`` without intervals.
     """
     isolated = isolated or {}
     out = []

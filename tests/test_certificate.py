@@ -39,6 +39,13 @@ def from_roots(*values):
     return poly
 
 
+def graded(h: Poly, p: Params) -> Poly:
+    """h(x/c), c = P/Q, up to a positive factor: the x**j coefficient times
+    Q**j * P**(d-j)."""
+    (P, Q), d = p.ratio, h.degree
+    return Poly.scaled([n * Q**j * P ** (d - j) for j, n in enumerate(h.nums)], h.den)
+
+
 def test_dyadic_sign_is_the_sign_of_the_exact_value():
     rng = random.Random(5)
     for _ in range(300):
@@ -51,8 +58,9 @@ def test_dyadic_sign_is_the_sign_of_the_exact_value():
 
 def test_c1_has_exact_dyadic_roots_and_still_certifies():
     # 4 cos(pi/4)**2 = 2, 4 cos(pi/3)**2 = 1, 4 cos(pi/6)**2 = 3; at c = 1
-    # the probe's y is x itself, so each zero lies in one of its intervals,
-    # perhaps as its end or as the one point of an interval (y, y)
+    # the probe's y = x/c is x itself and its polynomial is h_r, so each
+    # zero lies in one of its intervals, perhaps as its end or as the one
+    # point of an interval (y, y)
     p = Params(1, "1")
     records = gen_type1_records(p, 11)
     report, proved = probe.isolate(p, records)
@@ -61,7 +69,7 @@ def test_c1_has_exact_dyadic_roots_and_still_certifies():
     for r, y in ((3, 2), (2, 1), (5, 3), (5, 1), (7, 2), (11, 2), (11, 3), (11, 1)):
         assert dyadic_sign(records[r].h, y, 0) == 0, (r, y)
         iso = proved[r]
-        assert iso.E == 0 and len(iso.intervals) == records[r].h.degree
+        assert iso.g == records[r].h and len(iso.intervals) == records[r].h.degree
         holding = [
             (lo, hi) for lo, hi, _ in iso.intervals
             if Fraction(lo[0], 2 ** lo[1]) <= y <= Fraction(hi[0], 2 ** hi[1])
@@ -74,7 +82,7 @@ def test_c1_has_exact_dyadic_roots_and_still_certifies():
 )
 def test_a_c_beyond_double_range_certifies_in_the_scaled_variable(c):
     # the zeros 4c*cos(k pi/(r+1))**2 overflow or underflow a double; in
-    # y = x/2**E, E = floor(log2 c), they are of the order of one
+    # y = x/c they are those of c = 1, of the order of one
     p = Params(1, c)
     records = gen_type1_records(p, 12)
     report, proved = probe.isolate(p, records)
@@ -146,7 +154,7 @@ def test_probe_certifies_the_acceptance_range_without_a_solve(no_solve, m, c, r_
 
 def switch_off_the_signs(monkeypatch):
     """The step proves nothing."""
-    monkeypatch.setattr(probe, "_step", lambda h, E, last: None)
+    monkeypatch.setattr(probe, "_step", lambda g, last: None)
 
 
 # the probe's indices checked at (m, c, r_max)
@@ -192,10 +200,11 @@ def test_only_uncertified_indices_are_solved(monkeypatch, no_solve):
     p = Params(2, "59/62")
     records = gen_type1_records(p, 40)
     proved = probe.isolate(p, records)[1]
-    refused = {records[r].h for r in (17, 23, 40)}
+    # the step is given the c = 1 polynomials
+    refused = {proved[r].g for r in (17, 23, 40)}
     step = probe._step
     monkeypatch.setattr(
-        probe, "_step", lambda h, E, last: None if h in refused else step(h, E, last)
+        probe, "_step", lambda g, last: None if g in refused else step(g, last)
     )
     counted = spy_sturm(monkeypatch)
     report, isolated = probe.isolate(p, records)
@@ -215,7 +224,7 @@ UNCERTIFIED = """
 import json, sys
 from chebsys import probe
 from chebsys.recurrence import Params
-probe._step = lambda h, E, last: None
+probe._step = lambda g, last: None
 report = probe.conjecture_probe(Params(2, "59/62"), 40)
 print(json.dumps([report.classification, report.certified, "mpmath" in sys.modules]))
 """
@@ -266,13 +275,6 @@ def test_the_step_proves_every_index_without_a_count(monkeypatch, m, c):
 
     monkeypatch.setattr(probe, "_sturm_isolated", count)
     tiny = c == Fraction(1, 10**400)
-    if tiny:
-        # the zeros of each index span less than the least normal double,
-        # so the search for the least gap would only find it underflow
-        def search(proved):
-            raise AssertionError("the least gap was searched for")
-
-        monkeypatch.setattr(probe, "_least_gap", search)
     report = conjecture_probe(Params(m, c), 120)
     assert report.classification == "PASS"
     assert report.certified == report.checked > 90
@@ -316,12 +318,18 @@ COUNTEREXAMPLES = {
 )
 def test_the_step_leaves_a_counterexample_to_the_count(monkeypatch, no_solve, m, c, h, reason):
     # the step cannot count more sign changes than h has real zeros, so the
-    # index goes to the count, and the next is proved from the index before
+    # index goes to the count, and the next is proved from the index before;
+    # at c the fed table is the graded image of the fed c = 1 table, h at c
+    # being h(x/c), so that the probe's check passes
     p = Params(m, c)
     records = gen_type1_records(p, 30)
     bad = next(rec.r for rec in records if rec.tau == h.degree)
-    fed = [rec._replace(h=h) if rec.r == bad else rec for rec in records]
-    monkeypatch.setattr(probe, "gen_type1_records", lambda p, r_max: fed)
+    fed = [rec._replace(h=graded(h, p)) if rec.r == bad else rec for rec in records]
+    ones = [
+        rec._replace(h=h) if rec.r == bad else rec
+        for rec in gen_type1_records(Params(m, 1), 30)
+    ]
+    monkeypatch.setattr(probe, "gen_type1_records", lambda q, r_max: fed if q == p else ones)
     report = conjecture_probe(p, 30)
     assert report.classification == "COUNTEREXAMPLE"
     assert report.reason == reason
@@ -376,3 +384,96 @@ def test_split_points_are_short_and_in_the_middle_half():
         if n:
             coarse = math.ceil((lo + quarter) * 2 ** (n - 1))
             assert Fraction(coarse, 2 ** (n - 1)) > hi - quarter
+
+
+# ---------------------------------------------------------------- the c-grading
+#
+# h_r(x; c) = kappa_r * h_r(x/c; 1) with kappa_r > 0, so the probe proves the
+# c = 1 polynomials in y = x/c once each h_r passes the exact grading check
+
+
+@pytest.mark.parametrize(
+    "c",
+    ["3/7", "59/62", 10**40, Fraction(1, 10**40), 10**400, Fraction(1, 10**400)],
+    ids=["3/7", "59/62", "1e40", "1e-40", "1e400", "1e-400"],
+)
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_every_c_isolates_the_zeros_of_c_1(m, c):
+    one = probe.isolate(Params(m, 1), gen_type1_records(Params(m, 1), 60))[1]
+    report, proved = probe.isolate(Params(m, c), gen_type1_records(Params(m, c), 60))
+    assert report.classification == "PASS"
+    assert report.certified == report.checked == len(one)
+    assert proved.keys() == one.keys()
+    for r, iso in proved.items():
+        assert iso.g == one[r].g, r
+        assert iso.intervals == one[r].intervals, r
+
+
+def tampered(p: Params, r: int, j: int, factor: tuple) -> list:
+    """The records at p up to 30, with the x**j coefficient of h_r times the
+    rational ``factor``."""
+    num, den = factor
+    records = gen_type1_records(p, 30)
+    h = records[r].h
+    nums = [n * (num if i == j else den) for i, n in enumerate(h.nums)]
+    h = Poly.scaled(nums, h.den * den)
+    return [rec._replace(h=h) if rec.r == r else rec for rec in records]
+
+
+@pytest.mark.parametrize("c", ["3/7", "7/3", 10**40], ids=["3/7", "7/3", "1e40"])
+@pytest.mark.parametrize("by", ["P", "c"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_table_off_the_grading_is_not_graded(monkeypatch, m, c, by):
+    p = Params(m, c)
+    P, Q = p.ratio
+    records = gen_type1_records(p, 30)
+    r = next(rec.r for rec in records if rec.tau >= 2 and rec.r > 2 * m)
+    fed = tampered(p, r, 1, (P, 1) if by == "P" else (P, Q))
+    report, proved = probe.isolate(p, fed)
+    indices = [rec.r for rec in records if rec.tau >= 1]
+    assert report == roots_module.ProbeReport(
+        classification="NOT-GRADED",
+        max_imag_normalized=None,
+        min_separation_normalized=None,
+        offending_r=r,
+        reason=None,
+        checked=len(indices),
+        certified=indices.index(r),
+        first_uncertified_r=r,
+    )
+    # no index from r on is proved
+    assert sorted(proved) == indices[: indices.index(r)]
+    # the same through conjecture_probe, which generates the c = 1 table too
+    monkeypatch.setattr(
+        probe, "gen_type1_records", lambda q, r_max: fed if q == p else gen_type1_records(q, r_max)
+    )
+    assert conjecture_probe(p, 30) == report
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_table_at_another_c_is_not_graded(m):
+    # the records of c = 3/7 given as those of c = 7/3: the first index with
+    # two nonzero coefficients fails the check
+    records = gen_type1_records(Params(m, "3/7"), 30)
+    report, proved = probe.isolate(Params(m, "7/3"), records)
+    first = next(rec.r for rec in records if sum(map(bool, rec.h.nums)) >= 2)
+    assert report.classification == "NOT-GRADED"
+    assert report.offending_r == first == report.first_uncertified_r
+    assert all(r < first for r in proved)
+
+
+def test_the_check_is_exact_in_each_coefficient():
+    # h(x) = 6 - 5x + x**2 has the zeros 2 and 3; at c = 3/7 its graded image
+    # h(x/c) has 6/7 and 9/7, and kappa * h(x/c) is graded for every kappa > 0
+    h, c = Poly((6, -5, 1)), Params(1, "3/7")
+    image = graded(h, c)
+    assert image.eval_exact(Fraction(6, 7)) == image.eval_exact(Fraction(9, 7)) == 0
+    assert probe._graded(image, h, 3, 7)
+    assert probe._graded(image * 5, h, 3, 7)
+    assert not probe._graded(-image, h, 3, 7)
+    assert not probe._graded(image, h, 7, 3)
+    assert not probe._graded(image.shift(1), h.shift(1) + Poly((1,)), 3, 7)
+    for j in range(3):
+        nums = list(image.nums)
+        nums[j] *= 3
+        assert not probe._graded(Poly.scaled(nums), h, 3, 7), j

@@ -398,17 +398,19 @@ class TestRoots:
         step = probe._step
         for m, c, r_list in ((1, "1", (9, 24, 40)), (2, "59/62", (20, 30, 40))):
             records = roots_module.gen_type1_records(Params(m, c), r_list[-1])
+            # the step is given the c = 1 polynomials
+            ones = roots_module.gen_type1_records(Params(m, 1), r_list[-1])
             missed = {
                 "none": set(),
-                "one": {records[r_list[1]].h},
-                "all": {rec.h for rec in records},
+                "one": {ones[r_list[1]].h},
+                "all": {rec.h for rec in ones},
             }
             runs = {}
             for name, refused in missed.items():
                 monkeypatch.setattr(
                     probe,
                     "_step",
-                    lambda h, E, last, refused=refused: None if h in refused else step(h, E, last),
+                    lambda g, last, refused=refused: None if g in refused else step(g, last),
                 )
                 # the config line holds --out: one name, in a directory per run
                 (tmp_path / name).mkdir(exist_ok=True)
@@ -558,7 +560,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("c", [str(10**400), f"1/{10**400}"], ids=["huge", "tiny"])
     @pytest.mark.parametrize("m", ["2", "3", "4"])
     def test_verify_m2_to_4_proves_a_c_beyond_a_double(self, tmp_path, m, c):
-        # the step runs in y = x/2**E, E = floor(log2 c), and proves every
+        # the step runs in y = x/c on the c = 1 polynomials and proves every
         # index; the gaps of the zeros underflow a double at the tiny c
         out = tmp_path / "x.json"
         assert run("verify", "--m", m, "--c", c, "--R", "40", "--out", str(out)) == 0

@@ -163,7 +163,7 @@ MISSED = """
 import hashlib, json, sys
 from chebsys import probe
 from chebsys.cli import main
-probe._step = lambda h, E, last: None
+probe._step = lambda g, last: None
 assert main(sys.argv[1:]) == 0
 print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 print(json.dumps(hashlib.sha256(open(sys.argv[-1], "rb").read()).hexdigest()))
@@ -238,8 +238,9 @@ print(json.dumps("csv" in sys.modules))
 # no argparse, gettext or locale after the import and after each command,
 # and no fractions (with its decimal and numbers) or json: the CLI reads --c
 # into two integers and writes its JSON itself.  The operators are loaded
-# only for verify, which runs last, and they bring fractions, decimal and
-# numbers, for the Fractions the operator API returns; json never.  The
+# only for verify, which runs last, and bring no fractions: verify compares
+# the Gram entries and the adjoint identity as integers, and the operators
+# import fractions only in the functions that return Fractions.  The
 # script itself imports no json: each command is one argument, its words
 # split at spaces, and each line lists the modules loaded by then.
 LEAN = """
@@ -396,8 +397,26 @@ def test_commands_load_no_argparse_and_operators_only_for_verify(tmp_path):
     done = python(LEAN, *(" ".join(argv) for argv in LEAN_COMMANDS), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert [line.split() for line in done.stdout.splitlines()] == [[]] * 5 + [
-        ["fractions", "decimal", "numbers", "chebsys.operators"]
+        ["chebsys.operators"]
     ]
+
+
+# an Aberth solve of h_r rounds its coefficients into mpmath from the
+# integers, so it loads mpmath (which brings numbers) and no fractions
+ABERTH = """
+import sys
+from chebsys.recurrence import Params, gen_type1_records
+from chebsys.roots import roots_of_h
+h = gen_type1_records(Params(2, "59/62"), 20)[20].h
+assert len(roots_of_h(h, 53)) == h.degree
+print(" ".join(name for name in ("fractions", "decimal", "mpmath") if name in sys.modules))
+"""
+
+
+def test_an_aberth_solve_loads_no_fractions():
+    done = python(ABERTH)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["mpmath"]
 
 
 def test_import_timer_lists_the_modules_a_command_loads(tmp_path):
@@ -418,7 +437,8 @@ def test_import_timer_lists_the_modules_a_command_loads(tmp_path):
 # ---------------------------------------------------------------- records
 
 # every record type of the package, with the fields it had as a
-# typing.NamedTuple; none has a default
+# typing.NamedTuple but for probe.Isolated, which lost its E when the probe
+# came to work in y = x/c; none has a default
 RECORDS = {
     "algebraic": {
         "BranchBatch": ("results", "batched", "fallback"),
@@ -438,7 +458,7 @@ RECORDS = {
     },
     "operators": {"Scaled": ("nums", "scale")},
     "probe": {
-        "Isolated": ("g", "E", "intervals"),
+        "Isolated": ("g", "intervals"),
         "ProbeReport": (
             "classification", "max_imag_normalized", "min_separation_normalized",
             "offending_r", "reason", "checked", "certified", "first_uncertified_r",

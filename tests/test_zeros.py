@@ -3,9 +3,10 @@
 ``roots`` takes the zeros of every index the probe proved from the intervals
 that proved it (``probe.enclosure``), and solves nothing.  Aberth iteration
 (``rootfind.complex_roots``) from numpy's companion-matrix seeds is the
-reference here, at 256 bits, in y = x/2**E where the zeros are of the order
-of one whatever c is.  Exact signs of h_r at the two doubles next to each
-written zero confirm that a zero lies between them.
+reference here, at 256 bits, on the probe's c = 1 polynomial in y = x/c,
+where the zeros are of the order of one whatever c is.  Exact signs of h_r
+at the two doubles next to each written zero confirm that a zero lies
+between them.
 """
 
 import math
@@ -62,7 +63,8 @@ def test_proved_zeros_agree_with_the_aberth_solve_at_256_bits(m, c):
         assert len(nonzero) == n * rec.h.degree
         with mpmath.workprec(256):
             for i, ((x, _), y) in enumerate(zip(got.h_roots, ref)):
-                want = mpmath.ldexp(y.real, iso.E)
+                # x = c*y
+                want = y.real * p.ratio[0] / p.ratio[1]
                 assert x.imag == 0 and x.real == pytest.approx(float(want), rel=2**-52), r
                 below, above = math.nextafter(x.real, -math.inf), math.nextafter(x.real, math.inf)
                 assert sign_at(rec.h, below) * sign_at(rec.h, above) == -1, (r, x)
