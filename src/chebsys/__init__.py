@@ -57,14 +57,10 @@ _LAZY_NAMES = {
     name: "operators"
     for name in (
         "BandedOperator",
-        "apply_T",
-        "apply_T_transpose",
-        "basis_vector",
         "biorthogonality",
         "gram_matrix",
         "jump_check_typeI",
         "jump_check_typeII",
-        "poly_of_operator",
     )
 } | {
     name: "algebraic"

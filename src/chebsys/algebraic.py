@@ -553,7 +553,7 @@ def explicit_t(p: Params, r: int, z, precision: int = 53):
 
 StarGeometry = namedtuple(
     "StarGeometry",
-    "m c_float a s0_angles even_angles odd_angles attractor attractor_angles"
+    "m a s0_angles even_angles odd_angles attractor attractor_angles"
     " even_rotations odd_rotations attractor_rotations",
 )
 StarGeometry.__doc__ = """Ray/segment skeleton for one parameter pair.
@@ -713,7 +713,6 @@ def star_geometry(p: Params) -> StarGeometry:
     odd_rotations = tuple(cmath.exp(-1j * angle) for angle in odd)
     return StarGeometry(
         m=m,
-        c_float=p.ratio[0] / p.ratio[1],
         a=star_radius(p),
         s0_angles=odd,
         even_angles=even,

@@ -29,11 +29,11 @@ operator truncation that overflowed); the error classes live in
 ``chebsys.errors``.  A process imports only what its command runs: the
 operator checks (``operators``) only for ``verify``, the numeric half, and
 with it mpmath, only for the commands that use it, and numpy, ``fractions``
-and ``json`` for none.  The CLI reads --c into two integers, compares the
-Gram entries and the adjoint identity as integers, and writes its JSON
-itself (``_to_json``), so no command loads ``fractions`` or ``json``; a --c
-that is not a plain ``[+-]digits[/digits]`` loads ``fractions`` to be read
-as ``Fraction`` reads it.
+and ``json`` for none.  The CLI reads --c into two integers, ``verify``
+reads the operators' integer verdicts on the Gram matrix and the adjoint
+identity, and the CLI writes its JSON itself (``_to_json``), so no command
+loads ``fractions`` or ``json``; a --c that is not a plain
+``[+-]digits[/digits]`` loads ``fractions`` to be read as ``Fraction`` reads it.
 ``gen`` and ``verify`` load no mpmath, as the probe is exact; ``branches`` and
 ``asymptote`` load it only for a point that falls back to the Aberth
 solver, at any precision, as their branch values, and the scan's
@@ -65,7 +65,6 @@ import gc
 import itertools
 import math
 import os
-import random
 import sys
 from types import SimpleNamespace
 
@@ -474,20 +473,8 @@ def _check_adjointness(p: Params, seed: int, trials: int = 20):
     from . import operators
 
     size = 12 + p.m
-    op = operators.BandedOperator.for_params(p, size)
-    rng = random.Random(seed)
-
-    def random_vector():
-        # entries n/d, d in 1..3, times 6: integers
-        return [rng.randint(-9, 9) * 6 // rng.randint(1, 3) for _ in range(size)]
-
-    # <Tv, w> = <v, T^t w>, both sides times Q, by the integer operator Q*T
-    for _ in range(trials):
-        v, w = random_vector(), random_vector()
-        tv, _ = operators._step(op, v, False)
-        tw, _ = operators._step(op, w, True)
-        if operators._int_dot(tv, w) != operators._int_dot(v, tw):
-            return "FAIL", {"witness": "adjoint identity broke on a random vector"}
+    if not operators.adjoint_holds(p, seed, trials, size):
+        return "FAIL", {"witness": "adjoint identity broke on a random vector"}
     return "PASS", {"trials": trials, "size": size}
 
 
@@ -547,12 +534,7 @@ def cmd_verify(args) -> int:
     bad_r = [r for r, u in enumerate(us) if not operators.is_unit(u, r)]
     hard("jump_type1", not bad_r, {"checked": args.R + 1, "failures": bad_r})
 
-    off = [
-        (r, n)
-        for r, u in enumerate(us)
-        for n, w in enumerate(ws)
-        if operators._int_dot(u.nums, w.nums) != (u.scale * w.scale if n == r else 0)
-    ]
+    off = operators.gram_offenders(us, ws)
     hard("biorthogonality_gram", not off,
          {"shape": [args.R + 1, n_max + 1], "offenders": off[:10]})
 

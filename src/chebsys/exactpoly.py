@@ -75,10 +75,6 @@ class Poly:
     def zero(cls) -> "Poly":
         return cls.scaled(())
 
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls.scaled((0, 1))
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -6,38 +6,38 @@ vectors this reads ``T e_j = e_{j-1} + c e_{j+m}`` (with ``e_{-1}`` dropped)
 and ``T^t e_j = e_{j+1} + c e_{j-m}`` (with ``e_{j-m}`` dropped for j < m).
 
 Everything runs on one integer kernel.  With ``c = P/Q`` the scaled operator
-``Q*T`` has integer entries, so ``Q**d * D * p(T) v`` is an integer vector
-for a polynomial ``p`` of degree d with denominator D applied to an integer
-vector v, and Horner's rule computes it without a single fraction.  An
-operator image is therefore an integer vector with a tracked scale
-(``Scaled``), and a Gram entry is an integer dot product over the product of
-two scales.  ``apply_T``, ``apply_T_transpose``, ``poly_of_operator``,
-``dot``, ``gram_matrix``, ``biorthogonality`` and ``BandedOperator.c``
-convert to and from rationals at the edges, and only they load
-``fractions`` (as ``rationals.Rational``).
-Every image comes from one routine, ``_image``.  ``images`` builds all of
-them from a pair of generated tables at one size, so ``verify`` reads both
-jump identities and the Gram matrix off one pass over the tables it holds;
-the per-index functions generate their tables and call the same routine.
+``Q*T`` has integer entries, so ``Q**d * D * sum_j p_j(T) e_j`` is an
+integer vector for polynomials ``p_j`` of degree at most d over a common
+denominator D, and one Horner pass whose coefficients are vectors computes
+it without a single fraction (``_image``).  An operator image is therefore
+an integer vector with a tracked scale (``Scaled``), and a Gram entry is an
+integer dot product over the product of two scales (``_pairing``).
+``images`` builds every image from a pair of generated tables at one size,
+so ``verify`` reads both jump identities (``is_unit``) and the Gram matrix
+(``gram_offenders``) off one pass over the tables it holds, and checks the
+adjoint identity with ``adjoint_holds``; the jump checks build their own
+tables and call the same routine.  Only ``gram_matrix``,
+``biorthogonality`` and ``BandedOperator.c`` return rationals, and only
+they load ``fractions`` (as ``rationals.Rational``).
 
 Truncation to N components is exact as long as the support of every
 intermediate vector stays below the top band; the boolean overflow flag
-returned by each application reports when entries of the untruncated image
+returned with each image reports when entries of the untruncated image
 would have landed at or beyond index N, letting callers decide whether the
 truncated result still serves their purpose.  The matrix is never
-materialized: each application walks the band in O(N).
+materialized: each step walks the band in O(N).
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import namedtuple
 from operator import attrgetter, mul
 
 from . import rationals
 from .errors import TruncationOverflow
-from .exactpoly import Poly
-from .rationals import ratio, scaled
+from .rationals import ratio
 from .recurrence import Params, gen_type1_vectors, gen_type2
 
 
@@ -89,15 +89,6 @@ Scaled = namedtuple("Scaled", "nums scale")
 Scaled.__doc__ = "The vector ``nums[i] / scale`` with integer entries and ``scale > 0``."
 
 
-def basis_vector(size: int, j: int) -> tuple:
-    if not 0 <= j < size:
-        raise ValueError(f"basis index {j} outside 0..{size - 1}")
-    return tuple(1 if i == j else 0 for i in range(size))
-
-
-# ---------------------------------------------------------------- integer kernel
-
-
 def _step(op: BandedOperator, v: list, transpose: bool) -> tuple[list, bool]:
     """``(Q*T) v`` or ``(Q*T^t) v`` for an integer vector, with the overflow flag.
 
@@ -114,110 +105,45 @@ def _step(op: BandedOperator, v: list, transpose: bool) -> tuple[list, bool]:
     return [Q * a + P * b for a, b in zip(qv, pv)], any(v[max(0, n - m) :])
 
 
-def _poly_image(op: BandedOperator, nums, transpose: bool, v: list) -> tuple[Scaled, bool]:
-    """The integer polynomial ``nums`` at the (transposed) operator, applied to v.
-
-    Horner's rule on ``Q*T``: with ``d = len(nums) - 1`` the accumulator
-    after the step for power k holds ``Q**(d-k) * sum_{i>=k} nums[i] T**(i-k) v``,
-    so the result is the image scaled by ``Q**d``.  The overflow flag is
-    sticky over the d applications.
-    """
-    if not nums:
-        return Scaled([0] * op.size, 1), False
-    Q = op.ratio[1]
-    top = nums[-1]
-    acc = [top * x for x in v]
-    qpow = 1
-    overflow = False
-    for coeff in reversed(nums[:-1]):
-        acc, flag = _step(op, acc, transpose)
-        overflow = overflow or flag
-        qpow *= Q
-        if coeff:
-            weight = qpow * coeff
-            acc = [a + weight * x for a, x in zip(acc, v)]
-    return Scaled(acc, qpow), overflow
-
-
 def _image(op: BandedOperator, polys, transpose: bool) -> tuple[Scaled, bool]:
-    """``sum_j polys[j](T) e_j`` (at ``T^t`` when transposed), one Horner
-    application per member, with the sticky overflow flag."""
-    acc, scale, overflow = [0] * op.size, 1, False
-    for j, poly in enumerate(polys):
-        part, flag = _poly_image(op, poly.nums, transpose, list(basis_vector(op.size, j)))
-        overflow = overflow or flag
-        part_scale = part.scale * poly.den
-        common = math.lcm(scale, part_scale)
-        a, b = common // scale, common // part_scale
-        acc = [a * x + b * y for x, y in zip(acc, part.nums)]
-        scale = common
-    return Scaled(acc, scale), overflow
+    """``sum_j polys[j](T) e_j`` (at ``T^t`` when transposed), with the
+    overflow flag, sticky over the steps.
+
+    One Horner pass on ``Q*T`` whose coefficients are vectors: over D, the
+    lcm of the denominators, the coefficient of power k is the integer
+    vector ``sum_j D*polys[j][k] e_j``.  With d the largest degree, the
+    accumulator after the step for power k holds
+    ``Q**(d-k) * D * sum_j sum_{i>=k} polys[j][i] T**(i-k) e_j``, so the
+    image is scaled by ``Q**d * D`` and costs d steps.
+    """
+    den = math.lcm(*(poly.den for poly in polys))
+    rows = [[x * (den // poly.den) for x in poly.nums] for poly in polys]
+    d = max(map(len, rows), default=0) - 1
+    acc, qpow, overflow = [0] * op.size, 1, False
+    for k in range(d, -1, -1):
+        if k < d:
+            acc, flag = _step(op, acc, transpose)
+            overflow = overflow or flag
+            qpow *= op.ratio[1]
+        for j, row in enumerate(rows):
+            if k < len(row) and row[k]:
+                acc[j] += qpow * row[k]
+    return Scaled(acc, qpow * den), overflow
 
 
 def _int_dot(u: list, w: list) -> int:
     return sum(map(mul, u, w))
 
 
+def _pairing(u: Scaled, w: Scaled) -> tuple[int, int]:
+    """``<u, w>`` as an integer over a positive integer."""
+    return _int_dot(u.nums, w.nums), u.scale * w.scale
+
+
 def is_unit(image: Scaled, j: int) -> bool:
     """True iff the image is exactly ``e_j``."""
     nums = image.nums
     return nums[j] == image.scale and not any(nums[:j]) and not any(nums[j + 1 :])
-
-
-# ---------------------------------------------------------------- rational edges
-
-
-def apply_T(op: BandedOperator, v: tuple) -> tuple[tuple, bool]:
-    """Apply the truncated operator: ``(T v)_i = v_{i+1} + c*v_{i-m}``.
-
-    The overflow flag is set when the untruncated image would be nonzero at
-    some index >= N, i.e. when v has support in the top m slots.
-    """
-    return poly_of_operator(op, Poly.x(), False, v)
-
-
-def apply_T_transpose(op: BandedOperator, v: tuple) -> tuple[tuple, bool]:
-    """Apply the transposed truncation: ``(T^t v)_i = v_{i-1} + c*v_{i+m}``."""
-    return poly_of_operator(op, Poly.x(), True, v)
-
-
-def poly_of_operator(
-    op: BandedOperator, p: Poly, transpose: bool, v: tuple
-) -> tuple[tuple, bool]:
-    """Horner application of ``p`` evaluated at the (transposed) operator to ``v``.
-
-    Exact whenever the truncation size exceeds the maximal index the repeated
-    applications can reach (each application shifts support by at most m);
-    otherwise the sticky overflow flag is raised.
-    """
-    if len(v) != op.size:
-        raise ValueError(f"vector length {len(v)} != operator size {op.size}")
-    nums, den = scaled(v)
-    image, overflow = _poly_image(op, p.nums, transpose, nums)
-    scale = image.scale * p.den * den
-    return tuple(rationals.Rational(x, scale) for x in image.nums), overflow
-
-
-def dot(u: tuple, v: tuple) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError("length mismatch")
-    (a, a_den), (b, b_den) = scaled(u), scaled(v)
-    return rationals.Rational(_int_dot(a, b), a_den * b_den)
-
-
-# ---------------------------------------------------------------- images and pairings
-
-
-def type1_image(p: Params, r: int, size: int) -> tuple[Scaled, bool]:
-    """``sum_j t_{j,r}(T) e_j`` over the m vector components, truncated to size."""
-    op = BandedOperator.for_params(p, size)
-    return _image(op, gen_type1_vectors(p, r)[r].components, False)
-
-
-def type2_image(p: Params, n: int, size: int) -> tuple[Scaled, bool]:
-    """``T_n(T^t) e_0`` truncated to size."""
-    op = BandedOperator.for_params(p, size)
-    return _image(op, [gen_type2(p, n)[n]], True)
 
 
 def images(p: Params, vectors: list, type2: list, size: int) -> tuple[list, list]:
@@ -240,20 +166,54 @@ def images(p: Params, vectors: list, type2: list, size: int) -> tuple[list, list
     return us, ws
 
 
+def gram_offenders(us: list, ws: list) -> list:
+    """The ``(r, n)`` at which ``<us[r], ws[n]>`` is not the Kronecker delta."""
+    off = []
+    for r, u in enumerate(us):
+        for n, w in enumerate(ws):
+            num, den = _pairing(u, w)
+            if num != (den if n == r else 0):
+                off.append((r, n))
+    return off
+
+
+def adjoint_holds(p: Params, seed: int, trials: int, size: int) -> bool:
+    """True iff ``<T v, w> = <v, T^t w>`` at the given size for ``trials``
+    pairs of random vectors drawn from ``seed``.
+
+    The entries are n/d for d in 1..3, times 6, so integers, and both sides
+    are taken times Q, by the integer operator ``Q*T``.
+    """
+    op = BandedOperator.for_params(p, size)
+    rng = random.Random(seed)
+
+    def random_vector():
+        return [rng.randint(-9, 9) * 6 // rng.randint(1, 3) for _ in range(size)]
+
+    for _ in range(trials):
+        v, w = random_vector(), random_vector()
+        if _int_dot(_step(op, v, False)[0], w) != _int_dot(v, _step(op, w, True)[0]):
+            return False
+    return True
+
+
+def _lands_on(p: Params, j: int, polys, transpose: bool) -> bool:
+    image, overflow = _image(BandedOperator.for_params(p, j + p.m + 2), polys, transpose)
+    return not overflow and is_unit(image, j)
+
+
 def jump_check_typeII(p: Params, n: int) -> bool:
     """True iff the n-th companion polynomial maps e_0 onto e_n exactly."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    image, overflow = type2_image(p, n, n + p.m + 2)
-    return not overflow and is_unit(image, n)
+    return _lands_on(p, n, [gen_type2(p, n)[n]], True)
 
 
 def jump_check_typeI(p: Params, r: int) -> bool:
     """True iff the r-th vector term applied to the operator hits e_r exactly."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    image, overflow = type1_image(p, r, r + p.m + 2)
-    return not overflow and is_unit(image, r)
+    return _lands_on(p, r, gen_type1_vectors(p, r)[r].components, False)
 
 
 def biorthogonality(p: Params, n: int, r: int) -> Fraction:
@@ -268,6 +228,4 @@ def gram_matrix(p: Params, r_max: int, n_max: int, size: int | None = None) -> l
     if size is None:
         size = max(r_max, n_max) + p.m + 2
     us, ws = images(p, gen_type1_vectors(p, r_max), gen_type2(p, n_max), size)
-    return [
-        [rationals.Rational(_int_dot(u.nums, w.nums), u.scale * w.scale) for w in ws] for u in us
-    ]
+    return [[rationals.Rational(*_pairing(u, w)) for w in ws] for u in us]

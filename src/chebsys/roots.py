@@ -191,12 +191,17 @@ def roots_of_t(
     2**-(precision + GUARD_BITS) of each zero.  An index the probe does not
     prove is solved by Aberth iteration.
     """
+    if isolated is None:
+        isolated = isolate(p, [rec])[1].get(rec.r)
+    return _zeros_of_t(rec, p, precision, isolated)
+
+
+def _zeros_of_t(rec: TypeIRecord, p: Params, precision: int, isolated) -> RootReport:
+    """``roots_of_t`` from the intervals, or by Aberth iteration without them."""
     if rec.t.is_zero:
         raise ValueError(f"t_{rec.r} is the zero polynomial")
     m = p.m
     origin_mult = rec.ell
-    if isolated is None:
-        isolated = isolate(p, [rec])[1].get(rec.r)
     if isolated is not None:
         h_pairs, t_pairs, low_zeros = _proved_pairs(isolated, p, precision + GUARD_BITS)
     else:
@@ -253,15 +258,14 @@ def _trend(values, slack: float = 1e-9) -> str:
     return "mixed"
 
 
-def solve_indices(p: Params, records, r_list, precision: int = 53, isolated=None) -> list:
+def solve_indices(p: Params, records, r_list, precision: int, isolated: dict) -> list:
     """``(r, result)`` for every r of ``r_list``.
 
     ``result`` is the RootReport of ``t_r``, None where ``t_r`` is zero or
     constant, or the ConvergenceFailure its solve raised.  ``isolated`` is
     the probe's ``{r: Isolated}`` (``probe.isolate``); an index it lacks is
-    given to ``roots_of_t`` without intervals.
+    solved by Aberth iteration, without a second probe.
     """
-    isolated = isolated or {}
     out = []
     for r in r_list:
         rec = records[r]
@@ -269,7 +273,7 @@ def solve_indices(p: Params, records, r_list, precision: int = 53, isolated=None
             out.append((r, None))
             continue
         try:
-            out.append((r, roots_of_t(rec, p, precision, isolated.get(r))))
+            out.append((r, _zeros_of_t(rec, p, precision, isolated.get(r))))
         except ConvergenceFailure as exc:
             out.append((r, exc))
     return out

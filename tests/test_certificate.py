@@ -367,6 +367,46 @@ def test_a_counterexample_is_solved_by_aberth(monkeypatch):
     assert zeros == pytest.approx(want, rel=1e-15)
 
 
+def test_an_index_the_probe_left_is_not_probed_again(monkeypatch):
+    # the counterexample is isolated by Sturm's theorem once, in isolate;
+    # solve_indices sends it straight to Aberth
+    p = Params(2, "1")
+    records = gen_type1_records(p, 30)
+    h, _ = COUNTEREXAMPLES["complex-pair"]
+    bad = next(rec for rec in records if rec.tau == h.degree)
+    assert bad.r == 24
+    fed = [
+        rec._replace(h=h, t=compose_star(h, p.m, rec.k, rec.ell)) if rec is bad else rec
+        for rec in records
+    ]
+    sturm = spy_sturm(monkeypatch)
+    report, isolated = probe.isolate(p, fed)
+    results = roots_module.solve_indices(p, fed, [bad.r], 53, isolated)
+    assert report.offending_r == bad.r
+    assert results[0][1].total_root_count == bad.t.degree
+    assert len(sturm) == 1
+
+
+def test_a_not_graded_index_generates_the_c1_table_once(monkeypatch):
+    p = Params(2, "3/7")
+    P, _ = p.ratio
+    records = gen_type1_records(p, 30)
+    r = next(rec.r for rec in records if rec.tau >= 2 and rec.r > 2 * p.m)
+    fed = tampered(p, r, 1, (P, 1))
+    rec = fed[r]
+    fed[r] = rec._replace(t=compose_star(rec.h, p.m, rec.k, rec.ell))
+    generated = []
+    monkeypatch.setattr(
+        probe, "gen_type1_records", lambda q, r_max: generated.append(q) or gen_type1_records(q, r_max)
+    )
+    report, isolated = probe.isolate(p, fed)
+    assert report.classification == "NOT-GRADED" and report.offending_r == r
+    later = [rec.r for rec in fed if rec.r >= r and rec.tau >= 1]
+    results = roots_module.solve_indices(p, fed, later, 53, isolated)
+    assert all(not isinstance(result, Exception) for _, result in results)
+    assert len(generated) == 1
+
+
 def test_split_points_are_short_and_in_the_middle_half():
     rng = random.Random(3)
     for _ in range(2000):

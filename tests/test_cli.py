@@ -15,7 +15,7 @@ from chebsys import roots as roots_module
 from chebsys.algebraic import DegenerateBranches
 from chebsys.cli import EXIT_NUMERIC, main
 from chebsys.exactpoly import Poly
-from chebsys.recurrence import NoVariantMatches, Params
+from chebsys.recurrence import NoVariantMatches, Params, gen_type1_vectors, gen_type2
 from chebsys.rootfind import RootRefinementError
 from chebsys.roots import ConvergenceFailure
 
@@ -136,23 +136,33 @@ class TestVerify:
 
     def test_each_image_runs_horner_once_per_polynomial(self, tmp_path, monkeypatch):
         # the adjointness trials apply T to random vectors; with them stubbed
-        # out, only the operator images run Horner's rule: m per type I
-        # image and one per type II image, each built once
+        # out, only the operator images step the operator: one Horner pass
+        # per image, each built once, of max_j deg t_{j,r} steps for a type I
+        # image and deg T_n for a type II image
         monkeypatch.setattr(cli, "_check_adjointness", lambda p, seed: ("PASS", {}))
-        horner = operators._poly_image
-        calls = []
+        image, step = operators._image, operators._step
+        images, steps = [], []
 
-        def counted(*args):
-            calls.append(args)
-            return horner(*args)
+        def counted_image(*args):
+            images.append(args)
+            return image(*args)
 
-        monkeypatch.setattr(operators, "_poly_image", counted)
-        m, R, n_max = 3, 9, 13
+        def counted_step(*args):
+            steps.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(operators, "_image", counted_image)
+        monkeypatch.setattr(operators, "_step", counted_step)
+        m, c, R, n_max = 3, "23/41", 9, 13
         assert run(
-            "verify", "--m", str(m), "--c", "23/41", "--R", str(R), "--n-max", str(n_max),
+            "verify", "--m", str(m), "--c", c, "--R", str(R), "--n-max", str(n_max),
             "--out", str(tmp_path / "verify.json"),
         ) == 0
-        assert len(calls) == m * (R + 1) + (n_max + 1)
+        p = Params(m, c)
+        assert len(images) == (R + 1) + (n_max + 1)
+        assert len(steps) == sum(
+            max(poly.degree for poly in rec.components) for rec in gen_type1_vectors(p, R)
+        ) + sum(T.degree for T in gen_type2(p, n_max))
 
 
 class TestBranches:
@@ -298,16 +308,18 @@ class TestRoots:
     R_LIST = "5,9,12,15"  # for m = 3, t_5 is zero and the others are not constant
 
     def spy_roots_of_t(self, monkeypatch, fail=()):
+        # solve_indices solves each index through the helper it shares with
+        # roots_of_t
         calls = []
-        solve = roots_module.roots_of_t
+        solve = roots_module._zeros_of_t
 
-        def roots_of_t(rec, p, precision=53, isolated=None):
+        def zeros_of_t(rec, p, precision, isolated):
             calls.append(rec.r)
             if rec.r in fail:
                 raise ConvergenceFailure(f"stuck at r={rec.r}")
             return solve(rec, p, precision, isolated)
 
-        monkeypatch.setattr(roots_module, "roots_of_t", roots_of_t)
+        monkeypatch.setattr(roots_module, "_zeros_of_t", zeros_of_t)
         return calls
 
     def test_each_index_is_solved_once(self, tmp_path, monkeypatch):

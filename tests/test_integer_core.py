@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from chebsys import cli
 from chebsys.exactpoly import Poly
-from chebsys.operators import gram_matrix, type1_image, type2_image
+from chebsys.operators import gram_matrix, images
 from chebsys.rationals import as_rational, rat_strs, rat_to_mpf, ratio
 from chebsys.recurrence import (
     Params,
@@ -149,13 +149,11 @@ def test_images_and_gram_match_fraction_reference(m, c, R):
     p = Params(m, c)
     size = R + m + 2
     ref1, ref2 = ref_images(m, c, R, size)
+    # images raises TruncationOverflow if any image overflowed
+    us, ws = images(p, gen_type1_vectors(p, R), gen_type2(p, R), size)
     for r in range(R + 1):
-        image, overflow = type1_image(p, r, size)
-        assert not overflow
-        assert as_fractions(image) == ref1[r]
-        image, overflow = type2_image(p, r, size)
-        assert not overflow
-        assert as_fractions(image) == ref2[r]
+        assert as_fractions(us[r]) == ref1[r]
+        assert as_fractions(ws[r]) == ref2[r]
     ref_gram = [[sum(a * b for a, b in zip(u, w)) for w in ref2] for u in ref1]
     assert gram_matrix(p, R, R) == ref_gram
 
