@@ -28,7 +28,6 @@ from .errors import (
     DegenerateBranches,
     OnStarSet,
     SolverDivergence,
-    TruncationOverflow,
 )
 from .exactpoly import DEFAULT_PRECISION, Poly, compose_star, poly_gcd
 from .rationals import BACKEND, as_rational, rat_str
@@ -56,7 +55,6 @@ _LAZY_MODULES = ("operators", "algebraic", "rootfind", "roots")
 _LAZY_NAMES = {
     name: "operators"
     for name in (
-        "BandedOperator",
         "biorthogonality",
         "gram_matrix",
         "jump_check_typeI",

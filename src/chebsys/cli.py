@@ -24,8 +24,8 @@ rationals are serialized losslessly as "p/q" strings, floats are written with
 17 significant digits, and no timestamps or environment details leak into
 the files, so identical configurations (seed included) produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 numeric failure (a solver that did not converge, tied branches, or an
-operator truncation that overflowed); the error classes live in
+3 numeric failure (a solver that did not converge, tied branches, or no
+matching sign variant); the error classes live in
 ``chebsys.errors``.  A process imports only what its command runs: the
 operator checks (``operators``) only for ``verify``, the numeric half, and
 with it mpmath, only for the commands that use it, and numpy, ``fractions``
@@ -77,7 +77,6 @@ from .errors import (
     OnStarSet,
     RootRefinementError,
     SolverDivergence,
-    TruncationOverflow,
     UsageError,
 )
 from .exactpoly import Poly, compose_star
@@ -107,7 +106,6 @@ NUMERIC_FAILURES = (
     ConvergenceFailure,
     NoVariantMatches,
     RootRefinementError,
-    TruncationOverflow,
 )
 
 
@@ -522,13 +520,7 @@ def cmd_verify(args) -> int:
     add("leading_coefficient_structure", "hard", *_check_leading_structure(p, records))
     add("denominator_structure", "hard", *_check_denominators(p, records, vectors, type2))
 
-    # One size for every image.  By the shift identity deg t_{j,r} <= (r-j)/m,
-    # and deg T_n = n, so no Horner intermediate of an index reaches the top
-    # band at its own size r+m+2 (resp. n+m+2), nor at any larger one: each
-    # image, and with it each jump verdict, is the one the index's own size
-    # gives.  A vector table that breaks the bound already fails
-    # factorization, shift_identity or vector_scalar_agreement.
-    us, ws = operators.images(p, vectors, type2, max(args.R, n_max) + p.m + 2)
+    us, ws = operators.images(p, vectors, type2)
     bad_n = [n for n, w in enumerate(ws) if not operators.is_unit(w, n)]
     hard("jump_type2", not bad_n, {"checked": n_max + 1, "failures": bad_n})
     bad_r = [r for r, u in enumerate(us) if not operators.is_unit(u, r)]

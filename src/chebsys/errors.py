@@ -45,8 +45,3 @@ class ConvergenceFailure(Exception):
 
 class NoVariantMatches(Exception):
     """Neither sign variant reproduces an extracted h-polynomial exactly."""
-
-
-class TruncationOverflow(RuntimeError):
-    """An operator image reached past a truncation size chosen to contain it."""
-

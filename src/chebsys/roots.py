@@ -217,9 +217,7 @@ def _zeros_of_t(rec: TypeIRecord, p: Params, precision: int, isolated) -> RootRe
         t_pairs.insert(0, (complex(0), origin_mult))
     geom = star_geometry(p)
     distances = [distance_to_star(z, geom) for z, _ in t_pairs]
-    nonzero_distances = [
-        distance_to_star(z, geom) for z, _ in t_pairs if z != 0
-    ]
+    nonzero_distances = [dist for (z, _), dist in zip(t_pairs, distances) if z != 0]
     return RootReport(
         r=rec.r,
         h_roots=tuple(h_pairs),
