@@ -18,9 +18,8 @@ mpmath, the one dependency, is loaded with ``rootfind`` and where
 mpmath values (its fast path at any precision, its scan and star geometry
 do without).  The probe (``probe``) works on integer signs and loads no
 mpmath, and ``roots`` takes the zeros of every h_r the probe proved, by its
-step or by Sturm's theorem, from its isolating intervals: only a
-counterexample, an index whose table breaks the c-grading, and an index the
-probe leaves after either, is solved in mpmath.
+step or by Sturm's theorem, from its isolating intervals, and reports no
+zeros of an index it did not prove: ``roots`` loads no mpmath either.
 """
 
 from .errors import (
@@ -88,7 +87,6 @@ _LAZY_NAMES = {
         "RootReport",
         "attraction_study",
         "distance_to_star",
-        "roots_of_h",
         "roots_of_t",
     )
 } | {

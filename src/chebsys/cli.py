@@ -9,7 +9,8 @@
 
     COMMON: [--precision BITS] [--seed INT] [--format json|csv] --out PATH
     defaults: --R 20 (gen) or 40 (verify), --n-max the --R, --r-max 60,
-    --r-list ceil(r_max/3),ceil(2*r_max/3),r_max, --seed 0, --format json
+    --r-list ceil(r_max/3),ceil(2*r_max/3),r_max, --precision 53, --seed 0,
+    --format json
 
 Options follow the command, each as ``--opt value`` or ``--opt=value``.  A
 value is the next argument whatever it starts with, so ``--z -2,1`` and
@@ -37,14 +38,14 @@ loads ``fractions`` or ``json``; a --c that is not a plain
 ``gen`` and ``verify`` load no mpmath, as the probe is exact; ``branches`` and
 ``asymptote`` load it only for a point that falls back to the Aberth
 solver, at any precision, as their branch values, and the scan's
-fixed-point recursion, run on the integer kernel.  ``roots`` loads it only
-for an index the probe does not prove: the probe proves the c = 1
-polynomials in y = x/c once each h_r is checked to be their graded image,
-and ``roots`` takes the zeros of every index it proves, by its step or by
-Sturm's theorem, from the probe's isolating intervals, refined with exact
-signs, at x = c*y; only a counterexample, an index whose table breaks the
-grading, and an index the probe leaves after either, is solved by Aberth
-iteration in mpmath.  Every command runs in one process.
+fixed-point recursion, run on the integer kernel.  ``roots`` loads no
+mpmath: the probe proves the c = 1 polynomials in y = x/c once each h_r is
+checked to be their graded image, and ``roots`` takes the zeros of every
+index it proves, by its step or by Sturm's theorem, from the probe's
+isolating intervals, refined with exact signs, at x = c*y.  It writes an
+index the probe does not prove (zeros not real and simple, or a table off
+the grading from that index on) as one ``unproved`` error row.  Every
+command runs in one process.
 
 Output layout: with --format json a command writes one JSON file at --out.
 With --format csv each table goes to --out plus a suffix (none for the main
@@ -53,9 +54,6 @@ config=...`` line, and what is not a table goes to a JSON sidecar,
 ``<out>.geometry.json`` for ``branches`` and ``<out>.summary.json`` for
 ``roots``, or to a ``# summary=...`` line under the schema line for
 ``asymptote``.  ``verify`` always writes JSON.
-
-The environment variable CHEBSYS_PRECISION overrides the default working
-precision (53 bits) when --precision is not given.
 """
 
 from __future__ import annotations
@@ -64,7 +62,6 @@ import cmath
 import gc
 import itertools
 import math
-import os
 import sys
 from types import SimpleNamespace
 
@@ -170,20 +167,9 @@ def _params(args) -> Params:
 
 
 def _precision(args) -> int:
-    if args.precision is not None:
-        precision = args.precision
-    else:
-        env = os.environ.get("CHEBSYS_PRECISION")
-        if env is not None:
-            try:
-                precision = int(env)
-            except ValueError as exc:
-                raise UsageError(f"bad CHEBSYS_PRECISION value {env!r}") from exc
-        else:
-            precision = 53
-    if precision < 53:
+    if args.precision < 53:
         raise UsageError("precision must be at least 53 bits")
-    return precision
+    return args.precision
 
 
 def _cell(value) -> str:
@@ -699,7 +685,7 @@ def cmd_roots(args) -> int:
     for r, report in roots.solve_indices(p, records, r_list, precision, isolated):
         if isinstance(report, ConvergenceFailure):
             failure = failure or report
-            rows.append({"r": r, "error": "convergence-failure"})
+            rows.append({"r": r, "error": "unproved"})
             continue
         reports.append((r, report))
         if report is None:
@@ -752,7 +738,7 @@ def cmd_roots(args) -> int:
 _COMMON = {
     "--m": (int, ...),
     "--c": (str, ...),
-    "--precision": (int, None),
+    "--precision": (int, 53),
     "--seed": (int, 0),
     "--format": (("json", "csv"), "json"),
     "--out": (str, ...),

@@ -36,7 +36,8 @@ class RootRefinementError(Exception):
 
 
 class ConvergenceFailure(Exception):
-    """Root extraction failed; the offending polynomial is attached."""
+    """``roots`` has no zeros for an index: the probe did not prove that its
+    h_r has real, simple zeros.  That h_r is attached."""
 
     def __init__(self, message: str, poly=None):
         super().__init__(message)

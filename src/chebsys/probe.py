@@ -16,7 +16,8 @@ Van Assche, J. Math. Anal. Appl. 2012), but only the sign count proves
 anything.  An index the signs miss is isolated by bisection with the sign
 changes of the remainder chain of (h_r, h_r') (``_sturm_isolated``), which
 proves its zeros real and simple or finds a counterexample; the step goes
-on from its intervals.
+on from its intervals.  Every index of the table is decided, a
+counterexample's successors too, up to the first index off the grading.
 
 ``isolate`` hands the intervals of every proved index on, and
 ``enclosure`` refines one of them to any width relative to its zero:
@@ -516,8 +517,14 @@ def isolate(p: Params, records) -> tuple:
     the graded image of its c = 1 polynomial (``_graded``), up to the first
     that is not; that polynomial is tried with the step from the last index
     proved, and an index the step misses is isolated by Sturm's theorem
-    (``_sturm_isolated``), up to the first counterexample, and the step goes
-    on from its intervals.  At c = 1 the c = 1 table is ``records``.
+    (``_sturm_isolated``), and the step goes on from its intervals.  Past
+    the first counterexample, which alone sets the classification and the
+    reason, Sturm's theorem still isolates every index the step misses, but
+    no longer moves the index the step starts from, so that the report is
+    what it would be without those intervals.  An index is missing from the
+    dict if its zeros are not real and simple, or if it is the first index
+    off the grading or lies beyond it.  At c = 1 the c = 1 table is
+    ``records``.
     """
     records = [rec for rec in records if rec.tau >= 1]
     P, Q = p.ratio
@@ -541,14 +548,18 @@ def isolate(p: Params, records) -> tuple:
             found = found[0]
         else:
             missed.append(rec.r)
-            if offending is not None:
-                continue
             intervals, gcd_degree = _sturm_isolated(g)
             if len(intervals) < g.degree:
-                classification, max_imag, offending = "COUNTEREXAMPLE", None, rec.r
-                reason = "repeated-root" if gcd_degree > 0 else "complex-root"
+                if offending is None:
+                    classification, max_imag, offending = "COUNTEREXAMPLE", None, rec.r
+                    reason = "repeated-root" if gcd_degree > 0 else "complex-root"
                 continue
             found = Isolated(g, intervals)
+            if offending is not None:
+                # past a counterexample the step starts from where it did
+                # without these intervals, and the report stays as it was
+                proved[rec.r] = found
+                continue
         proved[rec.r] = last = found
         last_r = rec.r
     min_sep = None

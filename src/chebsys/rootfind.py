@@ -6,11 +6,11 @@ precision.  The simultaneous scheme keeps clustered and multiple roots
 honest where per-root Newton would stall or double-count.  A caller that
 knows its roots approximately passes them as the seeds (the branch
 trinomial does); otherwise the seeds are placed on circles from the Newton
-polygon of the coefficients.  ``roots`` comes here only for an h_r that the
-probe found to be a counterexample or not graded (not the graded image of
-its c = 1 polynomial), or that it left after one, and
-the branch solver only for a point its 53-bit fast path rejects, so the
-iteration runs on mpmath's own mpc and mpf operators.
+polygon of the coefficients.  The branch solver comes here only for a
+point its fast path rejects, so the iteration runs on mpmath's own mpc and
+mpf operators.  ``roots`` never does: it reports only the zeros the probe
+proves, and an h_r the probe finds to be a counterexample can be solved
+here by hand (``complex_roots(h.coeffs)``).
 """
 
 from __future__ import annotations
@@ -180,28 +180,3 @@ def _aberth(cs, abs_cs, xs, prec, maxiter):
         if all(done):
             return xs, True
     return xs, False
-
-
-def coefficient_moduli(poly, prec: int) -> list:
-    """``|c_i|`` of an exact polynomial's coefficients rounded to ``prec`` bits,
-    as ``rat_to_mpf`` rounds them."""
-    with mpmath.workprec(prec):
-        return [abs(rat_to_mpf(n, poly.den)) for n in poly.nums]
-
-
-def max_term(moduli, x) -> mpmath.mpf:
-    """``max_i moduli[i] * |x|**i`` at the current precision.
-
-    With ``coefficient_moduli`` at the current precision this is the
-    backward-error denominator of the polynomial at x, each coefficient
-    rounded once and not again at every point.
-    """
-    ax = abs(mpmath.mpc(x))
-    best = mpmath.mpf(0)
-    power = mpmath.mpf(1)
-    for c in moduli:
-        term = c * power
-        if term > best:
-            best = term
-        power *= ax
-    return best

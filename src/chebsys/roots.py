@@ -15,10 +15,11 @@ proved index in a dyadic interval (``probe.isolate``).  The zeros of such
 an index are taken from those intervals, refined with exact signs to
 2**-(precision + GUARD_BITS) of each zero (``probe.refined``), and mapped
 to x = c*y and to t on the integer kernel: no root is solved and mpmath is
-not loaded.  Only an index the probe does not prove (a counterexample, a
-table off the c-grading, and what the probe leaves after either) is solved
-by Aberth iteration from the seeds of the Newton polygon (``rootfind``),
-and only that path imports mpmath.
+not loaded.  An index the probe does not prove (one whose zeros are not
+real and simple, or a table off the c-grading from its first such index
+on) has no zeros here: it raises ``ConvergenceFailure``, and ``roots``
+writes it as an ``unproved`` row.  ``rootfind.complex_roots`` still solves
+such an h_r numerically for a caller who wants its zeros.
 """
 
 from __future__ import annotations
@@ -33,75 +34,13 @@ from .algebraic import (
     ray_family_distance,
     star_geometry,
 )
-from .errors import ConvergenceFailure, RootRefinementError
-from .exactpoly import Poly
+from .errors import ConvergenceFailure
 # the probe loads no numeric library; its names stay here too
 from .probe import Isolated, ProbeReport, conjecture_probe, isolate, refined
-from .rationals import div_man_exp, rat_to_mpf, to_float
+from .rationals import div_man_exp, to_float
 from .recurrence import Params, TypeIRecord, gen_type1_records
 
-CLUSTER_RELATIVE_TOL = 1e-7
-RESIDUAL_RELATIVE_TOL = 1e-8
 GUARD_BITS = 32  # bits beyond the precision to which a proved zero is refined
-
-
-def _cluster(roots) -> list:
-    """Group numerically coincident roots into (center, multiplicity) pairs.
-
-    Roots coincide within ``CLUSTER_RELATIVE_TOL`` of the larger of the
-    centre's modulus and the least modulus of the set, so zeros far below
-    one in modulus are told apart as well as zeros near one.
-    """
-    floor = min((abs(y) for y in roots), default=0)
-    clusters: list[list] = []  # [sum, count]
-    for y in sorted(roots, key=lambda v: (float(v.real), float(v.imag))):
-        for entry in clusters:
-            center = entry[0] / entry[1]
-            if abs(y - center) <= CLUSTER_RELATIVE_TOL * max(floor, abs(center)):
-                entry[0] += y
-                entry[1] += 1
-                break
-        else:
-            clusters.append([y, 1])
-    return [(entry[0] / entry[1], entry[1]) for entry in clusters]
-
-
-def roots_of_h(h: Poly, precision: int = 53) -> list:
-    """Zeros of a nonzero reduced polynomial as (value, multiplicity) pairs.
-
-    Roots are found by Aberth iteration from the seeds of the Newton polygon
-    (``rootfind.complex_roots``), refined against the exact rational
-    coefficients and required to have backward error at the
-    2**(8-precision) level.
-    """
-    if h.is_zero:
-        raise ValueError("the zero polynomial has no root set")
-    if h.degree == 0:
-        return []
-    import mpmath
-
-    from .rootfind import coefficient_moduli, complex_roots, max_term
-
-    bits = precision + 32
-    # rounded from the integers at the working precision of complex_roots
-    with mpmath.workprec(bits):
-        coeffs = [rat_to_mpf(n, h.den) for n in h.nums]
-    try:
-        raw = complex_roots(coeffs, precision=precision)
-    except RootRefinementError as exc:
-        raise ConvergenceFailure(f"root refinement failed: {exc}", poly=h) from exc
-    with mpmath.workprec(bits):
-        bound = mpmath.mpf(2) ** (8 - precision)
-        moduli = coefficient_moduli(h, bits)
-        for y in raw:
-            value = h.eval_complex(y, bits)
-            if abs(value) > bound * max_term(moduli, y):
-                raise ConvergenceFailure(
-                    f"residual {float(abs(value)):.3e} too large at root {complex(y)}",
-                    poly=h,
-                )
-        # the centres at the working precision, not the caller's
-        return _cluster(raw)
 
 
 RootReport = namedtuple(
@@ -147,39 +86,6 @@ def _proved_pairs(iso: Isolated, p: Params, bits: int) -> tuple:
     return h_pairs, t_pairs, at_origin
 
 
-def _solved_pairs(rec: TypeIRecord, h: Poly, m: int, precision: int) -> tuple:
-    """The zeros of h, h_r of degree >= 1 without its zeros at 0, solved by
-    Aberth iteration (``roots_of_h``), and the zeros of t_r off the origin
-    that they map to.
-
-    Every mapped root is residual-checked against the exact coefficients of
-    ``t_r`` at >= 128-bit precision.
-    """
-    import mpmath
-
-    from .rootfind import coefficient_moduli, max_term
-
-    h_pairs = roots_of_h(h, precision)
-    check_bits = max(precision, 128)
-    t_pairs = []
-    with mpmath.workprec(check_bits + 32):
-        moduli = coefficient_moduli(rec.t, check_bits + 32)
-        coeff_norm = max_term(moduli, 1)  # max coefficient magnitude
-        for y, mult in h_pairs:
-            for k in range(m + 1):
-                root = mpmath.root(y, m + 1, k)
-                value = rec.t.eval_complex(root, check_bits)
-                scale = max(max_term(moduli, root), coeff_norm)
-                if abs(value) > RESIDUAL_RELATIVE_TOL * scale:
-                    raise ConvergenceFailure(
-                        f"mapped root {complex(root)} of t_{rec.r} has residual "
-                        f"{float(abs(value)):.3e}",
-                        poly=rec.t,
-                    )
-                t_pairs.append((complex(root), mult))
-    return h_pairs, t_pairs
-
-
 def roots_of_t(
     rec: TypeIRecord, p: Params, precision: int = 53, isolated: Isolated | None = None
 ) -> RootReport:
@@ -189,7 +95,7 @@ def roots_of_t(
     (``probe.isolate``); without them the probe runs on this index alone.
     The zeros are taken from the intervals, refined to
     2**-(precision + GUARD_BITS) of each zero.  An index the probe does not
-    prove is solved by Aberth iteration.
+    prove raises ConvergenceFailure.
     """
     if isolated is None:
         isolated = isolate(p, [rec])[1].get(rec.r)
@@ -197,20 +103,18 @@ def roots_of_t(
 
 
 def _zeros_of_t(rec: TypeIRecord, p: Params, precision: int, isolated) -> RootReport:
-    """``roots_of_t`` from the intervals, or by Aberth iteration without them."""
+    """``roots_of_t`` from the intervals; without them only a constant h_r
+    (tau = 0), whose zeros are those of t_r at the origin."""
     if rec.t.is_zero:
         raise ValueError(f"t_{rec.r} is the zero polynomial")
     m = p.m
     origin_mult = rec.ell
     if isolated is not None:
         h_pairs, t_pairs, low_zeros = _proved_pairs(isolated, p, precision + GUARD_BITS)
+    elif rec.h.degree == 0:
+        h_pairs, t_pairs, low_zeros = [], [], 0
     else:
-        h = rec.h
-        low_zeros = 0
-        while low_zeros < len(h.nums) and not h.nums[low_zeros]:
-            low_zeros += 1
-        h = Poly.scaled(h.nums[low_zeros:], h.den)
-        h_pairs, t_pairs = _solved_pairs(rec, h, m, precision) if h.degree >= 1 else ([], [])
+        raise ConvergenceFailure(f"the probe proved no zeros of h_{rec.r}", poly=rec.h)
     # a zero of h at the origin lifts to m+1 extra zeros of t at the origin
     origin_mult += (m + 1) * low_zeros
     if origin_mult:
@@ -260,9 +164,9 @@ def solve_indices(p: Params, records, r_list, precision: int, isolated: dict) ->
     """``(r, result)`` for every r of ``r_list``.
 
     ``result`` is the RootReport of ``t_r``, None where ``t_r`` is zero or
-    constant, or the ConvergenceFailure its solve raised.  ``isolated`` is
-    the probe's ``{r: Isolated}`` (``probe.isolate``); an index it lacks is
-    solved by Aberth iteration, without a second probe.
+    constant, or the ConvergenceFailure of an index the probe did not prove.
+    ``isolated`` is the probe's ``{r: Isolated}`` (``probe.isolate``); an
+    index it lacks is not probed a second time.
     """
     out = []
     for r in r_list:

@@ -132,18 +132,8 @@ def test_m1_separation_is_the_closed_form_to_the_last_bits(c, r_max):
     assert abs(sep - exact) <= 4 * 2.0**-53 * exact
 
 
-@pytest.fixture
-def no_solve(monkeypatch):
-    """Fails the test if the probe solves any h_r."""
-
-    def solve(h, precision=53):
-        raise AssertionError("a certified probe solved h_r")
-
-    monkeypatch.setattr(roots_module, "roots_of_h", solve)
-
-
 @pytest.mark.parametrize("m, c, r_max", [(1, "1", 60), (2, "1", 60), (3, "1", 60), (1, "1", 200)])
-def test_probe_certifies_the_acceptance_range_without_a_solve(no_solve, m, c, r_max):
+def test_probe_certifies_the_acceptance_range_without_a_solve(m, c, r_max):
     report = conjecture_probe(Params(m, c), r_max)
     assert report.checked > 0
     assert report.certified == report.checked
@@ -162,7 +152,7 @@ CHECKED = {(1, "1", 40): 39, (2, "59/62", 40): 34, (1, "3/2", 12): 11}
 
 
 @pytest.mark.parametrize("key", list(CHECKED))
-def test_without_the_certificate_the_probe_is_the_numeric_path(monkeypatch, no_solve, key):
+def test_without_the_certificate_the_probe_is_the_numeric_path(monkeypatch, key):
     # every index the signs miss is isolated by Sturm's theorem, and the
     # least gap is measured from those intervals as from the step's
     m, c, r_max = key
@@ -196,7 +186,7 @@ def spy_sturm(monkeypatch) -> list:
     return counted
 
 
-def test_only_uncertified_indices_are_solved(monkeypatch, no_solve):
+def test_only_uncertified_indices_are_solved(monkeypatch):
     p = Params(2, "59/62")
     records = gen_type1_records(p, 40)
     proved = probe.isolate(p, records)[1]
@@ -249,7 +239,7 @@ def test_the_count_loads_no_mpmath():
     ],
     ids=["complex-pair", "double-root"],
 )
-def test_an_index_without_real_simple_zeros_is_a_counterexample(monkeypatch, no_solve, h, reason):
+def test_an_index_without_real_simple_zeros_is_a_counterexample(monkeypatch, h, reason):
     p = Params(2, "1")
     records = gen_type1_records(p, 30)
     bad = next(rec.r for rec in records if rec.tau == h.degree)
@@ -316,7 +306,7 @@ COUNTEREXAMPLES = {
     ids=["complex-pair", "double-root"]
     + [f"m1-{c}-{key}" for c in ("1", "3/7") for key in COUNTEREXAMPLES],
 )
-def test_the_step_leaves_a_counterexample_to_the_count(monkeypatch, no_solve, m, c, h, reason):
+def test_the_step_leaves_a_counterexample_to_the_count(monkeypatch, m, c, h, reason):
     # the step cannot count more sign changes than h has real zeros, so the
     # index goes to the count, and the next is proved from the index before;
     # at c the fed table is the graded image of the fed c = 1 table, h at c
@@ -339,52 +329,68 @@ def test_the_step_leaves_a_counterexample_to_the_count(monkeypatch, no_solve, m,
     assert report.min_separation_normalized is None
 
 
-def test_a_counterexample_is_solved_by_aberth(monkeypatch):
-    # the one index the probe isolates nothing of is solved from the Newton
-    # polygon's seeds; its neighbours keep their intervals
-    p = Params(2, "1")
-    records = gen_type1_records(p, 30)
+def fed_counterexample(p: Params, records: list) -> list:
+    """The records with the complex-pair h in place of the first h_r of its
+    degree (r = 24 at m = 2), and t_r composed from it."""
     h, _ = COUNTEREXAMPLES["complex-pair"]
     bad = next(rec for rec in records if rec.tau == h.degree)
-    fed = [
+    return [
         rec._replace(h=h, t=compose_star(h, p.m, rec.k, rec.ell)) if rec is bad else rec
         for rec in records
     ]
+
+
+def test_a_counterexample_is_unproved():
+    # the one index the probe isolates nothing of has no zeros, and its
+    # failure names it; its neighbours keep their intervals and their zeros
+    p = Params(2, "1")
+    fed = fed_counterexample(p, gen_type1_records(p, 30))
     report, isolated = probe.isolate(p, fed)
-    assert report.offending_r == bad.r and bad.r not in isolated
-    assert {bad.r - 1, bad.r + 1} <= set(isolated)
-    solved = []
-    solve = roots_module.roots_of_h
-    monkeypatch.setattr(
-        roots_module, "roots_of_h", lambda h, precision=53: solved.append(h) or solve(h, precision)
-    )
-    results = roots_module.solve_indices(p, fed, [bad.r - 1, bad.r, bad.r + 1], 53, isolated)
-    assert solved == [h]
-    got = results[1][1]
-    assert got.total_root_count == fed[bad.r].t.degree
-    zeros = sorted((z for z, _ in got.h_roots), key=lambda z: (z.real, z.imag))
-    want = [complex(-0.5, -math.sqrt(3) / 2), complex(-0.5, math.sqrt(3) / 2), 2, 5]
-    assert zeros == pytest.approx(want, rel=1e-15)
+    assert report.offending_r == 24 and 24 not in isolated
+    assert {23, 25} <= set(isolated)
+    results = roots_module.solve_indices(p, fed, [23, 24, 25], 53, isolated)
+    failure = results[1][1]
+    assert isinstance(failure, roots_module.ConvergenceFailure)
+    assert str(failure) == "the probe proved no zeros of h_24"
+    assert failure.poly == fed[24].h
+    for r, got in (results[0], results[2]):
+        assert got.total_root_count == fed[r].t.degree, r
 
 
 def test_an_index_the_probe_left_is_not_probed_again(monkeypatch):
     # the counterexample is isolated by Sturm's theorem once, in isolate;
-    # solve_indices sends it straight to Aberth
+    # solve_indices reports it unproved without a second probe
     p = Params(2, "1")
-    records = gen_type1_records(p, 30)
-    h, _ = COUNTEREXAMPLES["complex-pair"]
-    bad = next(rec for rec in records if rec.tau == h.degree)
-    assert bad.r == 24
-    fed = [
-        rec._replace(h=h, t=compose_star(h, p.m, rec.k, rec.ell)) if rec is bad else rec
-        for rec in records
-    ]
+    fed = fed_counterexample(p, gen_type1_records(p, 30))
     sturm = spy_sturm(monkeypatch)
     report, isolated = probe.isolate(p, fed)
-    results = roots_module.solve_indices(p, fed, [bad.r], 53, isolated)
-    assert report.offending_r == bad.r
-    assert results[0][1].total_root_count == bad.t.degree
+    assert report.offending_r == 24
+    results = roots_module.solve_indices(p, fed, [24], 53, isolated)
+    assert isinstance(results[0][1], roots_module.ConvergenceFailure)
     assert len(sturm) == 1
+
+
+@pytest.mark.parametrize("key", ["complex-pair", "double-root"])
+def test_sturm_isolates_the_indices_after_a_counterexample(monkeypatch, key):
+    # with the step switched off every index goes to Sturm's theorem, those
+    # after the first counterexample too: each has its intervals, and the
+    # report names the first counterexample alone
+    p = Params(2, "1")
+    records = gen_type1_records(p, 40)
+    proved = probe.isolate(p, records)[1]
+    h, reason = COUNTEREXAMPLES[key]
+    bad = [rec.r for rec in records if rec.tau == h.degree][:2]
+    fed = [rec._replace(h=h) if rec.r in bad else rec for rec in records]
+    switch_off_the_signs(monkeypatch)
+    report, isolated = probe.isolate(p, fed)
+    assert (report.classification, report.offending_r, report.reason) == (
+        "COUNTEREXAMPLE", bad[0], reason
+    )
+    assert report.certified == 0 and report.first_uncertified_r == min(proved)
+    later = [rec.r for rec in records if rec.r > bad[0] and rec.tau >= 1 and rec.r not in bad]
+    assert later and set(isolated) == set(proved) - set(bad)
+    for r in later:
+        assert isolated[r].intervals == probe._sturm_isolated(records[r].h)[0], r
 
 
 def test_a_not_graded_index_generates_the_c1_table_once(monkeypatch):
@@ -401,9 +407,10 @@ def test_a_not_graded_index_generates_the_c1_table_once(monkeypatch):
     )
     report, isolated = probe.isolate(p, fed)
     assert report.classification == "NOT-GRADED" and report.offending_r == r
+    # that index and every later one of degree >= 1 is unproved
     later = [rec.r for rec in fed if rec.r >= r and rec.tau >= 1]
     results = roots_module.solve_indices(p, fed, later, 53, isolated)
-    assert all(not isinstance(result, Exception) for _, result in results)
+    assert all(isinstance(result, roots_module.ConvergenceFailure) for _, result in results)
     assert len(generated) == 1
 
 
@@ -447,6 +454,21 @@ def test_every_c_isolates_the_zeros_of_c_1(m, c):
     for r, iso in proved.items():
         assert iso.g == one[r].g, r
         assert iso.intervals == one[r].intervals, r
+
+
+@pytest.mark.parametrize(
+    "c",
+    ["1", "3/7", "59/62", "640/17", Fraction(1, 10**40), 10**40],
+    ids=["1", "3/7", "59/62", "640/17", "1e-40", "1e40"],
+)
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_every_generated_index_has_intervals(m, c):
+    # roots reports the zeros of proved indices only, so every index of a
+    # generated table must be proved
+    p = Params(m, c)
+    report, isolated = probe.isolate(p, gen_type1_records(p, 100))
+    assert report.classification == "PASS"
+    assert len(isolated) == report.checked > 0
 
 
 def tampered(p: Params, r: int, j: int, factor: tuple) -> list:

@@ -4,9 +4,9 @@ Each kernel reference below is the libmp call that ``round_ratio`` and the
 53-bit branch values made before they moved onto the kernel in
 ``chebsys.rationals``; the kernel must return the same raw tuples, or the
 same doubles, not merely close values.  The loop references are the raw
-libmp calls that ``Poly.eval_complex``, the Aberth sweep's Horner loop
-(``rootfind._horner``) and ``rootfind.max_term`` make through mpmath's
-operators, in the same order, so their bits are pinned too.
+libmp calls that ``Poly.eval_complex`` and the Aberth sweep's Horner loop
+(``rootfind._horner``) make through mpmath's operators, in the same order,
+so their bits are pinned too.
 """
 
 import math
@@ -25,10 +25,8 @@ from mpmath.libmp import (
     mpc_add,
     mpc_add_mpf,
     mpc_mul,
-    mpf_abs,
     mpf_add,
     mpf_div,
-    mpf_gt,
     mpf_mul,
     mpf_sqrt,
     mpf_sub,
@@ -83,18 +81,6 @@ def libmp_fused(cs, abs_cs, x, ax, prec):
     return p, dp, scale
 
 
-def libmp_max_term(poly, x, prec):
-    ax = mpc_abs(mpmath.mpc(x)._mpc_, prec, RND)
-    best = fzero
-    power = fone
-    for c in rounded(poly, prec):
-        term = mpf_mul(mpf_abs(c), power, prec, RND)
-        if mpf_gt(term, best):
-            best = term
-        power = mpf_mul(power, ax, prec, RND)
-    return best
-
-
 def operator_fused(cs, abs_cs, x, ax, prec):
     make, makef = mpmath.mp.make_mpc, mpmath.mp.make_mpf
     with mpmath.workprec(prec):
@@ -102,11 +88,6 @@ def operator_fused(cs, abs_cs, x, ax, prec):
             [make(c) for c in cs], [makef(a) for a in abs_cs], make(x), makef(ax)
         )
     return p._mpc_, dp._mpc_, scale._mpf_
-
-
-def operator_max_term(poly, x, prec):
-    with mpmath.workprec(prec):
-        return rootfind.max_term(rootfind.coefficient_moduli(poly, prec), x)._mpf_
 
 
 def raw(man, exp):
@@ -356,20 +337,3 @@ def test_fused_horner_is_the_libmp_loop(prec):
                 assert operator_fused(cs, abs_cs, x, ax, prec) == libmp_fused(cs, abs_cs, x, ax, prec)
 
 
-@pytest.mark.parametrize("prec", PRECISIONS)
-def test_max_term_is_the_libmp_loop(prec):
-    rng = random.Random(prec + 3)
-    for _ in range(20):
-        poly = spread_poly(rng, rng.randint(0, 40), rng.choice((4, 60, 300)))
-        for point in (random_point(rng), 1, 0, complex(0, 0.5), 2.0**-70):
-            with mpmath.workprec(prec):
-                assert operator_max_term(poly, point, prec) == libmp_max_term(poly, point, prec)
-
-
-def test_max_term_keeps_the_first_of_equal_terms_and_reads_zero_when_all_vanish():
-    poly = Poly([1, 2, 4, 8, 0])
-    with mpmath.workprec(80):
-        moduli = rootfind.coefficient_moduli(poly, 80)
-        assert rootfind.max_term(moduli, 0.5) == 1
-        assert rootfind.max_term(moduli, 0.5)._mpf_ == libmp_max_term(poly, 0.5, 80)
-        assert rootfind.max_term([mpmath.mpf(0)] * 3, 2)._mpf_ == fzero

@@ -5,67 +5,27 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from chebsys import roots as roots_module
 from chebsys.algebraic import star_geometry
 from chebsys.exactpoly import Poly, compose_star
 from chebsys.recurrence import Params, gen_type1_records
-from chebsys.rootfind import coefficient_moduli, complex_roots, max_term
 from chebsys.roots import (
+    ConvergenceFailure,
     attraction_study,
     conjecture_probe,
     distance_to_star,
     isolate,
-    refined,
-    roots_of_h,
     roots_of_t,
 )
 
 
-def P(*coeffs):
-    return Poly(coeffs)
+def max_term(poly: Poly, z) -> mpmath.mpf:
+    """``max_i |c_i| * |z|**i`` over the coefficients of poly, at the current
+    precision: the backward-error denominator of poly at z."""
+    az = abs(mpmath.mpc(z))
+    return max(abs(mpmath.mpf(c.numerator) / c.denominator) * az**i
+               for i, c in enumerate(poly.coeffs))
 
 
-class TestRootsOfH:
-    def test_linear(self):
-        pairs = roots_of_h(P(1, 1), 80)
-        assert len(pairs) == 1
-        root, mult = pairs[0]
-        assert abs(complex(root) + 1) < 1e-12 and mult == 1
-
-    def test_constant_has_no_roots(self):
-        assert roots_of_h(P(5), 80) == []
-
-    def test_quadratic(self):
-        pairs = roots_of_h(P(-1, 0, 1), 80)
-        values = sorted(complex(root).real for root, _ in pairs)
-        assert abs(values[0] + 1) < 1e-12 and abs(values[1] - 1) < 1e-12
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            roots_of_h(Poly(), 80)
-
-    def test_zeros_keep_the_working_precision(self):
-        # the clusters are averaged at the working precision, not at the
-        # caller's 53 bits
-        pairs = roots_of_h(P(-2, 0, 1), 200)
-        with mpmath.workprec(200):
-            assert max(abs(abs(root) - mpmath.sqrt(2)) for root, _ in pairs) < mpmath.mpf(2) ** -190
-
-    def test_repeated_root_multiplicity(self):
-        # (y - 1)^2 clusters into one double root
-        pairs = roots_of_h(P(1, -2, 1), 80)
-        assert sum(mult for _, mult in pairs) == 2
-        assert len(pairs) == 1 and pairs[0][1] == 2
-
-
-@pytest.fixture
-def aberth(monkeypatch):
-    """roots_of_t without intervals proves its index first; here the probe
-    proves nothing, so that h_r is solved by Aberth iteration."""
-    monkeypatch.setattr(roots_module, "isolate", lambda p, records: (None, {}))
-
-
-@pytest.mark.usefixtures("aberth")
 class TestRootsOfT:
     def test_linear_term_has_only_origin(self):
         p = Params(2, "1")
@@ -120,41 +80,19 @@ class TestRootsOfT:
         for r in (60, 90):
             rec = gen_type1_records(p, 90)[r]
             report = roots_of_t(rec, p, 128)
-            moduli = coefficient_moduli(rec.t, mpmath.mp.prec)
             for z, _ in report.t_roots:
                 value = rec.t.eval_complex(z, 128)
-                scale = max(float(max_term(moduli, z)), float(max_term(moduli, 1)))
+                scale = max(float(max_term(rec.t, z)), float(max_term(rec.t, 1)))
                 assert abs(value) <= 1e-8 * scale
-
-    def test_zeros_far_below_one_are_simple_on_the_aberth_path(self):
-        # at c = 10**-12 the four zeros of h_9 are of the order of 1e-12, far
-        # below the 1e-7 that once merged them into one of multiplicity 4;
-        # each is simple and lies in the probe's enclosure of its zero
-        p = Params(1, Fraction(1, 10**12))
-        records = gen_type1_records(p, 9)
-        report = roots_of_t(records[9], p, 53)
-        # the probe's own intervals: this name is not the one patched
-        iso = isolate(p, records)[1][9]
-        enclosures = refined(iso, 40)
-        assert len(enclosures) == records[9].h.degree == 4
-        assert [mult for _, mult in report.h_roots] == [1] * 4
-        zeros = sorted((complex(x) for x, _ in report.h_roots), key=lambda x: x.real)
-        for x, (lo, hi, k) in zip(zeros, enclosures):
-            # x = c*y
-            low, high = (float(p.c * Fraction(v, 2**k)) for v in (lo, hi))
-            assert abs(x.imag) <= 1e-12 * abs(x)
-            assert low - 1e-12 * abs(x) <= x.real <= high + 1e-12 * abs(x)
-
 
 class TestRootsOfTProvesItsIndex:
     @pytest.mark.parametrize("m, c", [(1, "3/2"), (2, "59/62"), (3, Fraction(1, 10**40))])
-    def test_without_intervals_the_index_is_proved_first(self, monkeypatch, m, c):
+    def test_without_intervals_the_index_is_proved_first(self, m, c):
         # roots_of_t given no intervals runs the probe on its own index, and
         # writes the zeros that the intervals of the whole table give
         p = Params(m, c)
         records = gen_type1_records(p, 40)
         isolated = isolate(p, records)[1]
-        monkeypatch.setattr(roots_module, "roots_of_h", _no_solve)
         for r in (20, 33, 40):
             rec = records[r]
             if rec.tau < 1:
@@ -164,41 +102,29 @@ class TestRootsOfTProvesItsIndex:
                     rec, p, precision, isolated[r]
                 ), (r, precision)
 
-    def test_an_index_off_the_grading_is_solved_by_aberth(self, monkeypatch):
+    def test_an_index_off_the_grading_is_unproved(self):
         # h_20 at c = 3/7 with one coefficient times c is not the graded
-        # image of its c = 1 polynomial: nothing proves it, Aberth solves it
+        # image of its c = 1 polynomial: nothing proves it, and it has no zeros
         p = Params(2, "3/7")
         rec = gen_type1_records(p, 20)[20]
         nums = [n * (3 if i == 1 else 7) for i, n in enumerate(rec.h.nums)]
         h = Poly.scaled(nums, rec.h.den * 7)
         bad = rec._replace(h=h, t=compose_star(h, p.m, rec.k, rec.ell))
         assert isolate(p, [bad])[0].classification == "NOT-GRADED"
-        solved = []
-        solve = roots_module.roots_of_h
-        monkeypatch.setattr(
-            roots_module, "roots_of_h",
-            lambda h, precision=53: solved.append(h) or solve(h, precision),
-        )
-        report = roots_of_t(bad, p, 53)
-        assert solved == [bad.h]
-        assert len(report.h_roots) == bad.h.degree
+        with pytest.raises(ConvergenceFailure, match="the probe proved no zeros of h_20"):
+            roots_of_t(bad, p, 53)
 
-
-def _no_solve(h, precision=53):
-    raise AssertionError("h_r was solved by Aberth")
-
-
-@pytest.mark.parametrize("precision", [53, 128])
-def test_aberth_rounds_the_integers_as_it_rounded_the_fractions(precision):
-    # roots_of_h hands complex_roots mpmath values rounded from nums/den,
-    # the values complex_roots rounded from the Fractions of coeffs
-    for m, c, r in ((2, "59/62", 20), (1, "3/7", 17), (3, Fraction(1, 10**40), 30)):
-        h = gen_type1_records(Params(m, c), r)[r].h
-        got = roots_of_h(h, precision)
-        with mpmath.workprec(precision + 32):
-            raw = complex_roots(h.coeffs, precision=precision)
-            want = roots_module._cluster(raw)
-        assert got == want, (m, c, r)
+    @pytest.mark.parametrize("precision", [53, 128])
+    def test_a_counterexample_is_unproved(self, precision):
+        # h_24 at m = 2 with a complex pair in place of two of its zeros
+        p = Params(2, "1")
+        rec = gen_type1_records(p, 24)[24]
+        h = Poly((1, 1, 1)) * Poly((10, -7, 1))
+        bad = rec._replace(h=h, t=compose_star(h, p.m, rec.k, rec.ell))
+        assert isolate(p, [bad])[0].classification == "COUNTEREXAMPLE"
+        with pytest.raises(ConvergenceFailure) as caught:
+            roots_of_t(bad, p, precision)
+        assert caught.value.poly == h
 
 
 class TestStarDistance:
@@ -262,7 +188,6 @@ class TestConjectureProbe:
         with pytest.raises(ValueError):
             conjecture_probe(Params(3, "1"), 2)
 
-    @pytest.mark.usefixtures("aberth")
     def test_all_real_roots_imply_star_rays(self):
         # with real h-roots every nonzero root argument is a multiple of
         # pi/(m+1); positive roots map to even multiples, negative to odd

@@ -168,6 +168,25 @@ print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 print(json.dumps(hashlib.sha256(open(sys.argv[-1], "rb").read()).hexdigest()))
 """
 
+# roots on a table forged with a counterexample at r = 24 (m = 2, c = 1): a
+# complex pair in place of two zeros of h_24.  What it loaded.
+FORGED = """
+import json, sys
+from chebsys import cli
+from chebsys.exactpoly import Poly, compose_star
+from chebsys.recurrence import gen_type1_records
+
+def forged(p, r_max):
+    records = gen_type1_records(p, r_max)
+    rec, h = records[24], Poly((1, 1, 1)) * Poly((10, -7, 1))
+    records[24] = rec._replace(h=h, t=compose_star(h, p.m, rec.k, rec.ell))
+    return records
+
+cli.gen_type1_records = forged
+assert cli.main(sys.argv[1:]) == 0
+print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
+"""
+
 # one 53-bit solve at a point the fast path accepts; 1+1j would not do, as it
 # lies on the even star of m = 3, where two moduli tie and the point falls
 # back to mpmath
@@ -209,8 +228,7 @@ PUBLIC = {
     ),
     "roots": (
         "AttractionStudy", "ConvergenceFailure", "ProbeReport", "RootReport",
-        "attraction_study", "conjecture_probe", "distance_to_star", "roots_of_h",
-        "roots_of_t",
+        "attraction_study", "conjecture_probe", "distance_to_star", "roots_of_t",
     ),
 }
 SUBMODULES = (
@@ -280,7 +298,6 @@ def python(script: str, *argv: str, cwd=None, flags=()) -> subprocess.CompletedP
     src = str(Path(chebsys.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop("CHEBSYS_PRECISION", None)
     return subprocess.run(
         [sys.executable, *flags, "-c", script, *argv],
         env=env, capture_output=True, text=True, timeout=120, cwd=cwd,
@@ -354,16 +371,56 @@ def test_roots_with_every_index_missed_loads_neither_numpy_nor_mpmath(tmp_path):
     assert got_digest == files[argv[-1]]
 
 
+def test_roots_writes_an_index_the_probe_did_not_prove_unproved(tmp_path):
+    # the counterexample is one error row, the attraction study names it,
+    # and the probe block reports it; nothing is solved, so nothing loads
+    argv = ["roots", "--m", "2", "--c", "1", "--r-list", "20,24,28", "--out", "roots.json"]
+    done = python(FORGED, *argv, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+    payload = json.loads((tmp_path / "roots.json").read_text(encoding="utf-8"))
+    failed = [row for row in payload["roots"] if row["error"]]
+    assert failed == [{"r": 24, "error": "unproved"}]
+    assert {row["r"] for row in payload["roots"]} == {20, 24, 28}
+    summary = payload["summary"]
+    assert summary["attraction"] == {"error": "the probe proved no zeros of h_24"}
+    conjecture = summary["conjecture"]
+    assert (conjecture["classification"], conjecture["offending_r"], conjecture["reason"]) == (
+        "COUNTEREXAMPLE", 24, "complex-root"
+    )
+
+
+# the modules that import no mpmath, not even in a function, and the
+# functions of the exact half that round into mpmath and import it there
+NO_MPMATH = ("roots.py", "probe.py", "recurrence.py", "operators.py")
+ROUNDS_INTO_MPMATH = {"rationals.py": {"rat_to_mpf"}, "exactpoly.py": {"eval_complex"}}
+
+
 def test_no_module_of_the_package_imports_numpy():
+    # nor roots, the probe or the exact half mpmath, but where the exact
+    # half rounds into it
     for path in sorted(Path(chebsys.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        homes = {
+            id(node): fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
             else:
                 continue
-            assert "numpy" not in {name.split(".")[0] for name in names}, (path.name, node.lineno)
+            where = (path.name, node.lineno)
+            tops = {name.split(".")[0] for name in names}
+            assert "numpy" not in tops, where
+            if "mpmath" in tops:
+                assert path.name not in NO_MPMATH, where
+                if path.name in ROUNDS_INTO_MPMATH:
+                    assert homes.get(id(node)) in ROUNDS_INTO_MPMATH[path.name], where
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
@@ -424,24 +481,6 @@ def test_commands_load_no_argparse_and_operators_only_for_verify(tmp_path):
     assert [line.split() for line in done.stdout.splitlines()] == [[]] * 5 + [
         ["chebsys.operators"]
     ]
-
-
-# an Aberth solve of h_r rounds its coefficients into mpmath from the
-# integers, so it loads mpmath (which brings numbers) and no fractions
-ABERTH = """
-import sys
-from chebsys.recurrence import Params, gen_type1_records
-from chebsys.roots import roots_of_h
-h = gen_type1_records(Params(2, "59/62"), 20)[20].h
-assert len(roots_of_h(h, 53)) == h.degree
-print(" ".join(name for name in ("fractions", "decimal", "mpmath") if name in sys.modules))
-"""
-
-
-def test_an_aberth_solve_loads_no_fractions():
-    done = python(ABERTH)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["mpmath"]
 
 
 def test_import_timer_lists_the_modules_a_command_loads(tmp_path):
