@@ -13,13 +13,12 @@ beyond the standard library, and compute in integers without ``fractions``.
 The names of the banded-operator checks (``operators``) and of the numeric
 half, their modules ``operators``, ``algebraic``, ``rootfind`` and
 ``roots``, and ``Rational`` (``fractions.Fraction``) resolve on first use.
-mpmath, the one dependency, is loaded with ``rootfind`` and where
-``algebraic`` computes in it: its Aberth fallback and its converters to
-mpmath values (its fast path at any precision, its scan and star geometry
-do without).  The probe (``probe``) works on integer signs and loads no
-mpmath, and ``roots`` takes the zeros of every h_r the probe proved, by its
-step or by Sturm's theorem, from its isolating intervals, and reports no
-zeros of an index it did not prove: ``roots`` loads no mpmath either.
+mpmath, the one dependency, is loaded with ``rootfind``, the Aberth solver
+for a polynomial given by hand, and where ``algebraic`` returns mpmath
+values; its branch solver, scan and star geometry compute on the integer
+kernel.  The probe (``probe``) works on integer signs, and ``roots`` takes
+the zeros of every h_r the probe proved from its isolating intervals, so
+neither loads mpmath.
 """
 
 from .errors import (
@@ -75,7 +74,6 @@ _LAZY_NAMES = {
         "region_classify",
         "seeded_offstar_points",
         "solve_branches",
-        "solve_branches_aberth",
         "solve_branches_many",
         "star_geometry",
         "star_radius",

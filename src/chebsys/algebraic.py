@@ -15,26 +15,17 @@ the recurrence's initial data, evaluates the branch-sum representation
 and realizes the large-r limit ``t_r / lambda_m**r -> c/(c*m - lambda_m**-(m+1))``
 together with its observed geometric error decay.
 
-Each point is first solved by a fast path, after the seed-then-polish
-scheme of MPSolve (Bini and Robol, JCAM 2014): the roots of the trinomial
-found in complex doubles, two Newton steps in double, and two on the
-integer kernel of ``chebsys.rationals``, where each value is a Gaussian
-integer in fixed point, the trinomial at it is exact, and only the
-correction is formed in doubles.  Above 53 bits, exact Newton steps of
-doubling width follow, up to the working bits plus a guard.  A point whose
-result fails the residual gate, or whose moduli come close to a tie, is
-solved again by per-point mpmath Aberth iteration, seeded with the same
-roots in doubles, so every tie decision is made at full working precision.
-An accepted point keeps each value rounded once to the working precision
-on the kernel, with the exact residual of that value, so a run whose every
-point is accepted loads no mpmath; a point solved by Aberth keeps each
-root as the kernel value its mpmath value is, so every branch value
-outside the Aberth fallback has that one form.  The asymptotic scan steps
-``t_r/lambda_m**r`` in fixed point on the same kernel, so it loads mpmath
-only for a point that the fast path rejects.  This module imports mpmath
-only where it is used: the Aberth fallback and the converters to mpmath
-values, ``BranchSet.lambdas``, ``limit_L``, ``coefficients_b`` and
-``explicit_t``.
+Each point is solved on the integer kernel of ``chebsys.rationals``, after
+the seed-then-polish scheme of MPSolve (Bini and Robol, JCAM 2014): the
+roots of the trinomial in complex doubles, then Newton steps on the kernel,
+where each value is a Gaussian integer in fixed point and the trinomial at
+it is exact.  Every value, rounded once to the working precision, is
+certified by its inclusion disc (Bini and Fiorentino, Numer. Algorithms 23,
+2000); a point whose discs meet is refined by Aberth's iteration (Math.
+Comp. 27, 1973) on the kernel, or proved an exact double root.  No solve
+and no asymptotic scan loads mpmath: this module imports it only for the
+values it returns, ``BranchSet.lambdas``, ``limit_L``, ``coefficients_b``
+and ``explicit_t``.
 
 Star geometry: the bounded star is the m+1 segments of length
 ``a = ((m+1)/m) * (m*c)**(1/(m+1))`` along the angles ``2*pi*k/(m+1)``, whose
@@ -51,12 +42,13 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import random
 import sys
 from collections import namedtuple
 
-from .errors import DegenerateBranches, OnStarSet, RootRefinementError, SolverDivergence
+from .errors import DegenerateBranches, OnStarSet, SolverDivergence
 from .rationals import (
     from_float,
     hypot_man_exp,
@@ -68,9 +60,6 @@ from .rationals import (
 from .recurrence import Params
 
 TIE_RELATIVE_GAP = 1e-10
-# the fast path accepts a point only if consecutive moduli differ by more
-# than this relative gap, far above the tie threshold
-BATCH_RELATIVE_GAP = 1e4 * TIE_RELATIVE_GAP
 
 
 class BranchSet(namedtuple("BranchSet", "z parts residuals tie_flag precision")):
@@ -122,31 +111,6 @@ def _work_bits(precision: int, m: int, z) -> int:
     return precision + 48 + max(0, int((m + 1) * math.log2(1 + size)))
 
 
-def _residual_tolerance(precision: int):
-    """``10**(2 - 0.3*precision)``, a float while that does not underflow to
-    0.0 (to about 1085 bits) and beyond that the same power, rounded to 53
-    bits, as a kernel value ``(man, exp)``, ``man * 2**exp``."""
-    exponent = 2 - 0.3 * precision
-    if tolerance := 10.0**exponent:
-        return tolerance
-    scaled = exponent * math.log2(10)
-    whole = math.floor(scaled)
-    return round(2.0 ** (scaled - whole) * 2**52), whole - 52
-
-
-def _within(residual: tuple, den: int, gate: tuple) -> bool:
-    """Whether ``|re + i*im| * 2**exp / den <= man * 2**gate_exp`` for the
-    exact residual ``(re, im, exp)`` and the gate ``(man, gate_exp)``,
-    compared exactly in integers."""
-    re, im, exp = residual
-    man, gate_exp = gate
-    square, bound = re * re + im * im, (man * den) ** 2
-    shift = 2 * (exp - gate_exp)
-    if shift >= 0:
-        return square << shift <= bound
-    return square <= bound << -shift
-
-
 # sweeps of the double-precision seed iteration; from the Newton-polygon
 # circles it settles in far fewer
 _SEED_SWEEPS = 64
@@ -157,17 +121,13 @@ _SEED_PHASE = 0.7
 
 def _trinomial_seeds(m: int, c, z) -> list:
     """The roots of ``c*w**(m+1) - z*w + 1`` in complex doubles, by Aberth
-    iteration, or an empty list where a root lies beyond the range of a
-    double (or the iteration divides by zero).
-
-    The start is the Newton polygon of the trinomial: when
-    ``|z|**(m+1) > c``, one point of modulus ``1/|z|`` and m spread on
+    iteration, or [] where it overflows or divides by zero; a value may
+    still be non-finite.  The start is the Newton polygon of the trinomial:
+    when ``|z|**(m+1) > c``, one point of modulus ``1/|z|`` and m spread on
     ``|w| = (|z|/c)**(1/m)``, otherwise m+1 on ``|w| = c**(-1/(m+1))``, each
     turned by ``_SEED_PHASE``.  Newton's correction is taken as
-    ``w * (P(w)/w) / P'(w)`` with ``c*w**m`` formed as
-    ``(c**(1/m) * w)**m``, so no intermediate is much larger than z or the
-    roots.  The values may still be non-finite; ``rootfind.complex_roots``
-    then takes its seeds from the Newton polygon instead.
+    ``w * (P(w)/w) / P'(w)`` with ``c*w**m`` formed as ``(c**(1/m) * w)**m``,
+    so no intermediate is much larger than z or the roots.
     """
     n = m + 1
     try:
@@ -200,71 +160,6 @@ def _trinomial_seeds(m: int, c, z) -> list:
     return ws
 
 
-def solve_branches_aberth(p: Params, z, precision: int) -> BranchSet:
-    """The branches at one point by mpmath Aberth iteration at the working
-    precision, seeded with the trinomial's roots in doubles.
-
-    A root passes when its residual is at most ``10**(2 - 0.3*precision)``
-    times the largest of 1, ``|c*lambda**(m+1)|`` and ``|z*lambda|``;
-    ``residuals`` are the absolute values.  Each root is then kept as the
-    kernel value its mpmath value is, exactly; a root that is not finite
-    raises SolverDivergence.
-    """
-    import mpmath
-
-    from .rootfind import complex_roots
-
-    m, (num, den) = p.m, p.ratio
-    workbits = _work_bits(precision, m, z)
-    try:
-        seeds = _trinomial_seeds(m, num / den, z)
-    except OverflowError:  # c beyond the range of a double
-        seeds = []
-    with mpmath.workprec(workbits):
-        zz = mpmath.mpc(z)
-        cmpf = rat_to_mpf(num, den)
-        coeffs = [mpmath.mpc(1), -zz] + [mpmath.mpc(0)] * (m - 1) + [mpmath.mpc(cmpf)]
-        try:
-            roots = complex_roots(coeffs, precision=workbits - 16, seeds=seeds)
-        except RootRefinementError as exc:
-            raise SolverDivergence(f"branch solve failed at z={complex(z)}") from exc
-        roots.sort(key=lambda l: (abs(l), mpmath.arg(l)))
-        residuals = []
-        # each residual against the gate, relative to the larger of 1 and the
-        # trinomial's terms, which far from the origin are much larger than 1
-        relative = []
-        for lam in roots:
-            power, linear = cmpf * lam ** (m + 1), zz * lam
-            residual = abs(power - linear + 1)
-            residuals.append(float(residual))
-            relative.append(residual / max(1, abs(power), abs(linear)))
-        tolerance = _residual_tolerance(precision)
-        if isinstance(tolerance, tuple):
-            tolerance = mpmath.mp.make_mpf(raw_mpf(*tolerance))
-        if max(relative) > tolerance:
-            # a value below the range of a double is shown by mpmath
-            worst, gate = (
-                f"{float(v):.3e}" if float(v) or not v else mpmath.nstr(v, 4)
-                for v in (max(relative), tolerance)
-            )
-            raise SolverDivergence(f"relative residual {worst} above {gate} at z={complex(z)}")
-        tie = False
-        for lo, hi in zip(roots, roots[1:]):
-            gap = abs(hi) - abs(lo)
-            if gap < TIE_RELATIVE_GAP * max(abs(hi), mpmath.mpf(1e-300)):
-                tie = True
-        parts = []
-        for lam in roots:
-            part = []
-            for x in (lam.real, lam.imag):
-                sign, man, exp, _ = x._mpf_
-                if not man and exp:  # an infinity or a nan
-                    raise SolverDivergence(f"branch value {complex(lam)} is not finite at z={complex(z)}")
-                part += [-man if sign else man, exp]
-            parts.append(tuple(part))
-        return BranchSet(complex(z), tuple(parts), tuple(residuals), tie, precision)
-
-
 # ---- the polish on the integer kernel
 #
 # Each value is a Gaussian integer in fixed point, (X + iY) * 2**e, with a
@@ -280,11 +175,17 @@ _POLISH_BITS = 112
 _GUARD_BITS = 16
 
 
-def _fixed(x: complex) -> tuple:
-    """The complex double x as ``(re, im, exp)``, its value ``(re + i*im) * 2**exp``."""
-    (a, ea), (b, eb) = from_float(x.real), from_float(x.imag)
-    low = min(ea, eb)
-    return a << ea - low, b << eb - low, low
+def _fixed(z, bits: int = 0) -> tuple:
+    """z as ``(re, im, exp)``, its value ``(re + i*im) * 2**exp``: exactly
+    where z is a complex double, else each part of its mpmath value rounded
+    to ``bits``."""
+    if complex(z) == z:
+        z = complex(z)
+        (a, ea), (b, eb) = from_float(z.real), from_float(z.imag)
+    else:
+        parts = z.real._mpf_, z.imag._mpf_
+        (a, ea), (b, eb) = (round_man_exp((-1) ** s * man, exp, bits) for s, man, exp, _ in parts)
+    return _add((a, 0, ea), (0, b, eb))
 
 
 def _power(X: int, Y: int, n: int) -> tuple:
@@ -335,19 +236,26 @@ def _cut(re: int, im: int, exp: int, width: int) -> tuple:
     return re, im, exp
 
 
-def _newton_fixed(X: int, Y: int, e: int, m: int, c: tuple, z_fixed: tuple, width: int) -> tuple:
+def _newton_fixed(
+    X: int, Y: int, e: int, m: int, c: tuple, z_fixed: tuple, width: int, others=()
+) -> tuple:
     """One Newton step from ``w = (X + iY) * 2**e`` to a value of ``width``
     bits: the trinomial and its derivative are exact, each is cut to
     ``width`` bits, and the correction is their quotient rounded to the
-    last bit of the value."""
+    last bit of the value.  With ``others``, the values ``(re, im, exp)``
+    of the other roots, it is Aberth's step: the derivative less
+    ``p(w)/(w - v)`` for each other value v."""
     shift = width - max(abs(X), abs(Y)).bit_length()
     if shift > 0:
         X, Y, e = X << shift, Y << shift, e - shift
     # w**(m+1) is one product beyond w**m
     wr, wi = _power(X, Y, m)
     power = wr * X - wi * Y, wr * Y + wi * X
-    pr, pi, pe = _cut(*_branch_poly(X, Y, e, m, c, z_fixed, power), width)
+    pr, pi, pe = p = _cut(*_branch_poly(X, Y, e, m, c, z_fixed, power), width)
     dr, di, de = _cut(*_branch_slope(wr, wi, e, m, c, z_fixed), width)
+    for gap in (_add((X, Y, e), v, -1) for v in others):
+        if gap[0] or gap[1]:
+            dr, di, de = _cut(*_add((dr, di, de), _quotient(p, gap, width), -1), width)
     # (pr + i*pi) / (dr + i*di) * 2**(pe - de) in units of 2**e
     norm = dr * dr + di * di
     qr, qi = pr * dr + pi * di, pi * dr - pr * di
@@ -360,135 +268,284 @@ def _newton_fixed(X: int, Y: int, e: int, m: int, c: tuple, z_fixed: tuple, widt
     return X - (qr + half) // norm, Y - (qi + half) // norm, e
 
 
-def _solve_fast(m: int, c: tuple, z: complex, precision: int):
-    """The BranchSet of the fast path at the complex double z for
-    ``c = (num, den)``, or None where the point fails its acceptance test.
+def _to_complex(re: int, im: int, exp: int, den: int = 1) -> complex:
+    """``(re + i*im) * 2**exp / den`` in doubles, to within a few units in the
+    60th bit of the larger part."""
+    shift = max(re.bit_length(), im.bit_length()) - den.bit_length() - 60
+    re, im = (re >> shift, im >> shift) if shift >= 0 else (re << -shift, im << -shift)
+    return complex(math.ldexp(re // den, exp + shift), math.ldexp(im // den, exp + shift))
 
-    The trinomial's roots in doubles are polished by two Newton steps in
-    double and two on the integer kernel at ``_POLISH_BITS``: there the
-    residual is exact, and each correction, formed in doubles, is
-    subtracted exactly.  Above 53 bits, Newton steps with the derivative
-    and the correction exact as well follow, each at twice the width of
-    the one before, up to the working bits plus ``_GUARD_BITS``.  Each value
-    is rounded once to the working bits, and its residual is the exact one
-    of that rounded value, rounded to a double.  The point is accepted when
-    every value is finite, every residual passes the gate
-    ``10**(2 - 0.3*precision)`` (compared exactly where the gate is below
-    the range of a double) and consecutive moduli differ by more than
-    ``BATCH_RELATIVE_GAP`` relative to the larger.
+
+def _add(a: tuple, b: tuple, sign: int = 1) -> tuple:
+    """``a + sign*b`` for values ``(re, im, exp)``, exactly."""
+    (ar, ai, ae), (br, bi, be) = a, b
+    low = min(ae, be)
+    return (ar << ae - low) + sign * (br << be - low), (ai << ae - low) + sign * (bi << be - low), low
+
+
+def _quotient(a: tuple, b: tuple, width: int) -> tuple:
+    """``a/b`` for values ``(re, im, exp)``, b not 0, to ``width`` bits, truncated."""
+    (ar, ai, ae), (br, bi, be) = a, b
+    norm = br * br + bi * bi
+    qr, qi = ar * br + ai * bi, ai * br - ar * bi
+    k = width - max(abs(qr), abs(qi)).bit_length() + norm.bit_length()
+    if k >= 0:
+        qr, qi = qr << k, qi << k
+    else:
+        norm <<= -k
+    return qr // norm, qi // norm, ae - be - k
+
+
+def _below(a: int, ea: int, b: int, eb: int) -> bool:
+    """``a * 2**ea < b * 2**eb``, exactly."""
+    return a << max(ea - eb, 0) < b << max(eb - ea, 0)
+
+
+def _log_polar(re: int, im: int, exp: int) -> tuple:
+    """``(log2|x|, arg x)`` in doubles of ``x = (re + i*im) * 2**exp``; log2|0| is -inf."""
+    shift = max(max(re.bit_length(), im.bit_length()) - 60, 0)
+    x = complex(re >> shift, im >> shift)
+    return (math.log2(abs(x)) + exp + shift if x else -math.inf), cmath.phase(x)
+
+
+def _polar(size: float, angle: float) -> tuple:
+    """The value of modulus ``2**size`` and argument ``angle``, to 53 bits."""
+    k = math.floor(size)
+    re, im, exp = _fixed(cmath.rect(2.0 ** (size - k), angle))
+    return re, im, exp + k
+
+
+def _radius(a: int, b: int, k: int) -> tuple:
+    """An upper bound ``(s, e)``, ``s * 2**e``, of ``sqrt(a/b * 4**k)``."""
+    t = (64 - a.bit_length() + b.bit_length()) // 2
+    q = -(-(a << 2 * t) // b) if t >= 0 else -(-a // (b << -2 * t))
+    return math.isqrt(q) + 1, k - t
+
+
+def _discs(ws: list, m: int, c: tuple, z_fixed: tuple, bits: int, precision: int, double: bool):
+    """Each value rounded to ``bits``, as ``[log2(|w|**2), part, exact]``
+    (``exact`` its exact residual), and the pairs ``(i, j)`` that fail the
+    disc rule: i < j where the discs of radius ``(m+1)*|p(w)|/|p'(w)|``
+    meet, i == j where one exceeds ``2**-(precision+16)*|w|``.  All is
+    compared in integers, but two small discs whose keys differ by more than
+    ``2**-20`` are disjoint.  With ``double``, the first two values are
+    a double root rounded from ``bits + 8`` bits, with radius ``2**(2-bits)``
+    times the leading power of two of their modulus, and their own pair is
+    not tested.
     """
-    num, den = c
-    c_float = num / den
-    # a point whose z/c overflows is rejected
-    ws = _trinomial_seeds(m, c_float, z) if cmath.isfinite(z / c_float) else []
-    if not ws:
-        return None
-    size, bits = m + 1, _work_bits(precision, m, z)
-    target = _POLISH_BITS if precision == 53 else bits + _GUARD_BITS
-    z_fixed = _fixed(z)
-
-    def derivative(v):
-        return c_float * size * v**m - z
-
-    def as_complex(exact):
-        # to within a few units in the 60th bit of the larger part
-        re, im, exp = exact
-        shift = max(re.bit_length(), im.bit_length()) - den.bit_length() - 60
-        re, im = (re >> shift, im >> shift) if shift >= 0 else (re << -shift, im << -shift)
-        return complex(math.ldexp(re // den, exp + shift), math.ldexp(im // den, exp + shift))
-
-    polished = []
-    try:
-        for _ in range(2):
-            ws = [v - (c_float * v**size - z * v + 1) / derivative(v) for v in ws]
-        for v in ws:
-            e = math.frexp(max(abs(v.real), abs(v.imag)))[1] - _POLISH_BITS
-            X, Y = int(math.ldexp(v.real, -e)), int(math.ldexp(v.imag, -e))
-            for _ in range(2):
-                step = as_complex(_branch_poly(X, Y, e, m, c, z_fixed)) / derivative(v)
-                X -= int(math.ldexp(step.real, -e))
-                Y -= int(math.ldexp(step.imag, -e))
-                v = complex(math.ldexp(X, e), math.ldexp(Y, e))
-            width = _POLISH_BITS
-            while width < target:
-                width = min(2 * width, target)
-                X, Y, e = _newton_fixed(X, Y, e, m, c, z_fixed, width)
-            re, ere = round_man_exp(X, e, bits)
-            im, eim = round_man_exp(Y, e, bits)
-            low = min(ere, eim)
-            written = _branch_poly(re << ere - low, im << eim - low, low, m, c, z_fixed)
-            polished.append((abs(v), abs(as_complex(written)), written, (re, ere, im, eim)))
-    except (OverflowError, ValueError, ZeroDivisionError):
-        # a power, a modulus or a correction beyond the range of a double
-        # (or not a number), or a vanishing derivative
-        return None
-    polished.sort(key=lambda entry: entry[0])
-    moduli, residuals, exact, parts = zip(*polished)
-    tolerance = _residual_tolerance(precision)
-    if isinstance(tolerance, float):
-        if not all(r <= tolerance for r in residuals):
-            return None
-    elif not all(_within(written, den, tolerance) for written in exact):
-        return None
-    # a gap between consecutive moduli bounds every pairwise distance from
-    # below, so this one test also rejects collided or duplicated roots
-    if not all(high - low > BATCH_RELATIVE_GAP * high for low, high in zip(moduli, moduli[1:])):
-        return None
-    return BranchSet(z, parts, residuals, False, precision)
+    found, discs = [], []
+    for X, Y, e in ws:
+        re, ere = round_man_exp(X, e, bits)
+        im, eim = round_man_exp(Y, e, bits)
+        e = min(ere, eim)
+        X, Y = re << ere - e, im << eim - e
+        wr, wi = _power(X, Y, m)
+        exact = _branch_poly(X, Y, e, m, c, z_fixed, (wr * X - wi * Y, wr * Y + wi * X))
+        (pr, pi, pe), (dr, di, de) = exact, _branch_slope(wr, wi, e, m, c, z_fixed)
+        # the radius is sqrt(a/b * 4**k), and |w|**2 is size * 4**e
+        a, b, k, size = (m + 1) ** 2 * (pr * pr + pi * pi), dr * dr + di * di, pe - de, X * X + Y * Y
+        if double and len(discs) < 2:
+            a, b, k = 1, 1, (size.bit_length() + 1) // 2 + e + 2 - bits
+        small = b and not _below(b * size, 2 * (e - precision - 16), a, 2 * k)
+        found.append([math.log2(size) + 2 * e, (re, ere, im, eim), exact])
+        discs.append((X, Y, e, small, a, b, k))
+    failed = [(i, i) for i, disc in enumerate(discs) if not disc[3]]
+    for i, j in itertools.combinations(range(len(discs)), 2):
+        one, two = discs[i], discs[j]
+        if not (one[5] and two[5]) or double and j == 1:
+            continue
+        if one[3] and two[3] and abs(found[i][0] - found[j][0]) > 2**-20:
+            continue
+        gr, gi, ge = _add(one[:3], two[:3], -1)
+        (s, k), (t, l) = _radius(*one[4:]), _radius(*two[4:])
+        low = min(k, l)
+        total = (s << k - low) + (t << l - low)
+        if not _below(total * total, 2 * low, gr * gr + gi * gi, 2 * ge):
+            failed.append((i, j))
+    return found, failed
 
 
-# the fast path's range of c, exclusive: 1e-300 and 1e300 as the exact values
-# of the doubles
+def _sweep(ws: list, fixed: int, m: int, c: tuple, z_fixed: tuple, width: int) -> bool:
+    """One Gauss-Seidel sweep of Aberth's steps (``_newton_fixed``) at
+    ``width`` bits over the values after the first ``fixed``, in place;
+    whether a value moved above its last 8 bits."""
+    moved = False
+    for i in range(fixed, len(ws)):
+        try:
+            new = _newton_fixed(*ws[i], m, c, z_fixed, width, ws[:i] + ws[i + 1 :])
+        except ZeroDivisionError:  # the coupled derivative vanishes
+            continue
+        step, top = _add(new, ws[i], -1), max(abs(new[0]), abs(new[1])).bit_length() + new[2]
+        moved = moved or max(abs(step[0]), abs(step[1])).bit_length() + step[2] > top - width + 8
+        ws[i] = new
+    return moved
+
+
+# the widest refinement, as a multiple of the polish's width
+_WIDTH_CAP = 16
+
+
+def _refine(ws: list, m: int, c: tuple, z_fixed: tuple, bits: int, target: int, precision: int, failed: list):
+    """Values that pass the disc rule, as ``_discs`` gives them, from ``ws``,
+    whose discs ``failed`` names.  Where ``m**m * z**(m+1) = (m+1)**(m+1) * c``,
+    the double root ``(m+1)/(m*z)`` replaces the two values nearest it.  Else
+    each pair whose discs meet is put on the circle of radius
+    ``sqrt(2*|p(w)|/|p''(w)|)`` around its centre w, turned off the real axis
+    (a real iteration at a real z stays on it).  Aberth sweeps run until no
+    value moves, at widths doubling from the polish's to ``_WIDTH_CAP`` times it.
+    """
+    (num, den), (zr, zi, ez) = c, z_fixed
+    (pr, pi), shift = _power(zr, zi, m + 1), (m + 1) * ez
+    double = not pi and m**m * pr * den << max(shift, 0) == (m + 1) ** (m + 1) * num << max(-shift, 0)
+    if double:
+        root = _quotient((m + 1, 0, 0), (m * zr, m * zi, ez), bits + 8)
+        ws = [root, root, *sorted(ws, key=lambda w: _log_polar(*_add(w, root, -1))[0])[2:]]
+    else:
+        ws, split = list(ws), set()
+        for i, j in failed:
+            if i == j or split & {i, j}:
+                continue
+            split |= {i, j}
+            X, Y, e = _add(ws[i], ws[j])
+            X, Y, e = centre = X, Y, e - 1
+            pr, pi = _power(X, Y, m - 1)
+            size = _log_polar(*_branch_poly(X, Y, e, m, c, z_fixed))[0]
+            size -= _log_polar(num * (m + 1) * m * pr, num * (m + 1) * m * pi, (m - 1) * e)[0]
+            if math.isfinite(size):
+                offset = _polar((1 + size) / 2, _SEED_PHASE)
+                ws[i], ws[j] = _add(centre, offset), _add(centre, offset, -1)
+    width = target
+    while width <= _WIDTH_CAP * target:
+        for _ in range(_SEED_SWEEPS):
+            if not _sweep(ws, 2 if double else 0, m, c, z_fixed, width):
+                break
+        found, failed = _discs(ws, m, c, z_fixed, bits, precision, double)
+        if not failed:
+            return found
+        width *= 2
+    raise SolverDivergence(
+        f"branch values not certified at {width // 2} bits: discs that meet or exceed"
+        f" 2**-{precision + 16} of their values"
+    )
+
+
+# c is solved as it is inside this window, exclusive: 1e-300 and 1e300 as the
+# exact values of the doubles
 _C_LOW = (1e-300).as_integer_ratio()
 _C_HIGH = int(1e300)
 
-BranchBatch = namedtuple("BranchBatch", "results batched fallback")
-BranchBatch.__doc__ = """Branch sets of many points, in input order, and the path that solved them.
 
-``results[i]`` is the BranchSet of the i-th point, or the
-SolverDivergence raised there.  ``batched`` counts the points accepted
-by the fast path and ``fallback`` those solved by per-point mpmath
-Aberth iteration.
-"""
+def _solve_fast(m: int, c: tuple, z, precision: int) -> BranchSet:
+    """The BranchSet at z for ``c = (num, den)``, each value certified by its
+    inclusion disc.
+
+    z is exact where it is a complex double, else rounded to the working
+    bits; outside the window of c, ``w = 2**-s * v`` makes the leading
+    coefficient near 1, exactly.  The trinomial's roots in doubles take two
+    Newton steps in double and two on the kernel at ``_POLISH_BITS``, the
+    correction formed in doubles; above 53 bits, exact Newton steps of
+    doubling width follow, up to the working bits plus ``_GUARD_BITS``.
+    Where z/c is beyond a double the Newton polygon's seeds, and where the
+    steps in doubles overflow the seeds themselves, go to the disc rule
+    (``_discs``) as they are; a point that fails it is refined
+    (``_refine``).  The values are sorted by modulus, then argument, their
+    residuals are the exact ones as doubles, and the tie flag marks
+    consecutive moduli closer than ``TIE_RELATIVE_GAP`` of the larger.
+    """
+    bits = _work_bits(precision, m, z)
+    target = _POLISH_BITS if precision == 53 else bits + _GUARD_BITS
+    z_fixed = _fixed(z, bits)
+    num, den = c
+    s = 0
+    if not (_C_LOW[0] * den < num * _C_LOW[1] and num < _C_HIGH * den):
+        s = (num.bit_length() - den.bit_length()) // (m + 1)
+        c = (num, den << s * (m + 1)) if s >= 0 else (num << -s * (m + 1), den)
+        z_fixed = z_fixed[0], z_fixed[1], z_fixed[2] - s
+    num, den = c
+    c_float, size = num / den, m + 1
+    try:
+        point = _to_complex(*z_fixed)
+        seeds = _trinomial_seeds(m, c_float, point) if cmath.isfinite(point / c_float) else []
+    except OverflowError:
+        seeds = []
+    if not (seeds and all(map(cmath.isfinite, seeds))):
+        # the Newton polygon's: 1/z, and (z/c)**(1/m) times the m-th roots of 1
+        log2z, arg = _log_polar(*z_fixed)
+        log2w = (log2z - math.log2(num) + math.log2(den)) / m
+        values = [_quotient((1, 0, 0), z_fixed, 64)]
+        values += [_polar(log2w, (arg + 2 * math.pi * k) / m) for k in range(m)]
+    else:
+        values, ws = [], seeds
+        try:
+            for _ in range(2):
+                ws = [
+                    v - (c_float * v**size - point * v + 1) / (c_float * size * v**m - point)
+                    for v in ws
+                ]
+            for v in ws:
+                e = math.frexp(max(abs(v.real), abs(v.imag)))[1] - _POLISH_BITS
+                X, Y = int(math.ldexp(v.real, -e)), int(math.ldexp(v.imag, -e))
+                for _ in range(2):
+                    exact = _to_complex(*_branch_poly(X, Y, e, m, c, z_fixed), den)
+                    step = exact / (c_float * size * v**m - point)
+                    X -= int(math.ldexp(step.real, -e))
+                    Y -= int(math.ldexp(step.imag, -e))
+                    v = complex(math.ldexp(X, e), math.ldexp(Y, e))
+                width = _POLISH_BITS
+                while width < target:
+                    width = min(2 * width, target)
+                    X, Y, e = _newton_fixed(X, Y, e, m, c, z_fixed, width)
+                values.append((X, Y, e))
+        except (OverflowError, ValueError, ZeroDivisionError):
+            # a power or a correction beyond the range of a double (or not
+            # a number), or a vanishing derivative
+            values = list(map(_fixed, seeds))
+    found, failed = _discs(values, m, c, z_fixed, bits, precision, False)
+    if failed:
+        found = _refine(values, m, c, z_fixed, bits, target, precision, failed)
+    found.sort()
+    tie = False
+    if any(high - low <= 2**-20 for (low, *_), (high, *_) in zip(found, found[1:])):
+        # near moduli go by the moduli rounded to 53 bits, then by argument
+        for entry in found:
+            re, ere, im, eim = entry[1]
+            modulus = to_float(*hypot_man_exp(re, ere - s, im, eim - s, 53))
+            entry[0] = modulus, math.atan2(to_float(im, eim - s), to_float(re, ere - s))
+        found.sort()
+        moduli = [modulus for (modulus, _), *_ in found]
+        tie = any(hi - lo < TIE_RELATIVE_GAP * max(hi, 1e-300) for lo, hi in zip(moduli, moduli[1:]))
+    parts, residuals = [], []
+    for _, (re, ere, im, eim), exact in found:
+        parts.append((re, ere - s, im, eim - s))
+        try:
+            residuals.append(abs(_to_complex(*exact, den)))
+        except OverflowError:
+            residuals.append(math.inf)
+    return BranchSet(complex(z), tuple(parts), tuple(residuals), tie, precision)
+
+
+BranchBatch = namedtuple("BranchBatch", "results")
+BranchBatch.__doc__ = """Branch sets of many points, in input order: each the
+point's BranchSet, or the SolverDivergence raised there."""
 
 
 def solve_branches_many(p: Params, points, precision: int = 53) -> BranchBatch:
-    """``solve_branches`` at every point, by the fast path where it can.
-
-    When c lies well inside the range of a double, a point that is an exact
-    complex double is first solved by ``_solve_fast``, at any precision,
-    whose accepted points have a false tie flag.  Every point it rejects,
-    and every other point, is solved by ``solve_branches_aberth``.
-    """
+    """``solve_branches`` at every point, by ``_solve_fast``."""
     if precision < 53:
         raise ValueError("precision must be at least 53 bits")
-    points = list(points)
-    results: list = [None] * len(points)
-    # c must lie well inside the range of a double for the steps in
-    # doubles; a point that is not a double (an exact branch point from
-    # ``branch_points``, say) must not be rounded to one
-    num, den = p.ratio
-    if _C_LOW[0] * den < num * _C_LOW[1] and num < _C_HIGH * den:
-        for i, z in enumerate(points):
-            if complex(z) == z:
-                results[i] = _solve_fast(p.m, p.ratio, complex(z), precision)
-    batched = sum(bs is not None for bs in results)
-    for i, z in enumerate(points):
-        if results[i] is None:
-            try:
-                results[i] = solve_branches_aberth(p, z, precision)
-            except SolverDivergence as exc:
-                results[i] = exc
-    return BranchBatch(tuple(results), batched, len(points) - batched)
+    results = []
+    for z in points:
+        try:
+            results.append(_solve_fast(p.m, p.ratio, z, precision))
+        except SolverDivergence as exc:
+            results.append(exc)
+    return BranchBatch(tuple(results))
 
 
 def solve_branches(p: Params, z, precision: int = 53) -> BranchSet:
-    """All m+1 roots of ``c*w**(m+1) - z*w + 1`` at the point z, modulus-sorted.
-
-    Each root is refined until its residual is below ``10**(2 - 0.3*precision)``;
-    the tie flag marks consecutive moduli closer than a relative 1e-10.  This
-    is the one-point case of ``solve_branches_many``.
-    """
+    """All m+1 roots of ``c*w**(m+1) - z*w + 1`` at the point z, each
+    certified by its inclusion disc (see ``_solve_fast``): the one-point case
+    of ``solve_branches_many``."""
     result = solve_branches_many(p, [z], precision).results[0]
     if isinstance(result, SolverDivergence):
         raise result

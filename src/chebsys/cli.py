@@ -28,24 +28,21 @@ output.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 numeric failure (a solver that did not converge, tied branches, or no
 matching sign variant); the error classes live in
 ``chebsys.errors``.  A process imports only what its command runs: the
-operator checks (``operators``) only for ``verify``, the numeric half, and
-with it mpmath, only for the commands that use it, and numpy, ``fractions``
-and ``json`` for none.  The CLI reads --c into two integers, ``verify``
-reads the operators' integer verdicts on the Gram matrix and the adjoint
-identity, and the CLI writes its JSON itself (``_to_json``), so no command
-loads ``fractions`` or ``json``; a --c that is not a plain
-``[+-]digits[/digits]`` loads ``fractions`` to be read as ``Fraction`` reads it.
-``gen`` and ``verify`` load no mpmath, as the probe is exact; ``branches`` and
-``asymptote`` load it only for a point that falls back to the Aberth
-solver, at any precision, as their branch values, and the scan's
-fixed-point recursion, run on the integer kernel.  ``roots`` loads no
-mpmath: the probe proves the c = 1 polynomials in y = x/c once each h_r is
-checked to be their graded image, and ``roots`` takes the zeros of every
-index it proves, by its step or by Sturm's theorem, from the probe's
-isolating intervals, refined with exact signs, at x = c*y.  It writes an
-index the probe does not prove (zeros not real and simple, or a table off
-the grading from that index on) as one ``unproved`` error row.  Every
-command runs in one process.
+operator checks (``operators``) only for ``verify``, the numeric half only
+for the commands that use it, and mpmath, numpy, ``fractions`` and ``json``
+for none.  The CLI reads --c into two integers, ``verify`` reads the
+operators' integer verdicts on the Gram matrix and the adjoint identity,
+and the CLI writes its JSON itself (``_to_json``); a --c that is not a plain
+``[+-]digits[/digits]`` loads ``fractions`` to be read as ``Fraction``
+reads it.  ``branches`` and ``asymptote`` solve and certify every branch
+value on the integer kernel, at any precision, and the scan steps its terms
+there in fixed point.  ``gen`` and ``verify`` are exact; ``roots`` takes
+the zeros of every index the probe proves (on the c = 1 polynomials in
+y = x/c, once each h_r is checked to be their graded image), by its step or
+by Sturm's theorem, from its isolating intervals, refined with exact signs,
+at x = c*y, and writes an index it does not prove (zeros not real and
+simple, or a table off the grading from that index on) as one ``unproved``
+error row.  Every command runs in one process.
 
 Output layout: with --format json a command writes one JSON file at --out.
 With --format csv each table goes to --out plus a suffix (none for the main
@@ -332,7 +329,7 @@ def _setup(args, **extra):
 
 def _numeric_setup(args, **extra):
     """``_setup`` for ``branches``, ``asymptote`` and ``roots``, whose star
-    geometry and 53-bit solver take c as a normal double."""
+    geometry takes c as a normal double."""
     p, precision, config = _setup(args, **extra)
     num, den = p.ratio
     try:
@@ -573,10 +570,8 @@ def cmd_branches(args) -> int:
         "attractor": geom.attractor,
         "branch_points": [[pt.real, pt.imag] for pt in algebraic.branch_points(p)],
     }
-    batch = algebraic.solve_branches_many(p, points, precision)
-    solver = {"batched": batch.batched, "fallback": batch.fallback}
     rows = []
-    for z, bs in zip(points, batch.results):
+    for z, bs in zip(points, algebraic.solve_branches_many(p, points, precision).results):
         row: dict = {"z_re": z.real, "z_im": z.imag}
         rows.append(row)
         if isinstance(bs, SolverDivergence):
@@ -614,8 +609,8 @@ def cmd_branches(args) -> int:
             row["dist_even_star"], row["dist_odd_star"], *row["omega"], "",
         ]
 
-    doc = {"geometry": geometry, "solver": solver, "rows": rows}
-    emit(args, config, doc, [("", header, map(cells, rows))], sidecar=("geometry", "solver"))
+    doc = {"geometry": geometry, "rows": rows}
+    emit(args, config, doc, [("", header, map(cells, rows))], sidecar=("geometry",))
     return EXIT_OK
 
 
@@ -821,6 +816,9 @@ def build_parser() -> Parser:
 
 
 def main(argv=None) -> int:
+    # every coefficient a command makes is written in decimal, at any size
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)

@@ -20,12 +20,12 @@ multiplied, divided and square-rooted in plain integers and rounded
 exactly as mpmath's libmp rounds (see ``add_man_exp``).  It carries the
 hot paths that would otherwise make one mpmath call per step: the
 rounding of every rational into mpmath (``round_ratio``, returned as a raw
-value by ``raw_mpf``), and the branch values of ``algebraic``'s fast path
-at every precision, with their exact polish, moduli (``hypot_man_exp``)
-and double conversions (``from_float``, ``to_float``), and the fixed-point
-asymptotic scan built on them, its errors and ratio rounded here, so
-neither needs mpmath at all.  The cold Horner and Aberth loops of
-``exactpoly`` and ``rootfind`` run on mpmath's own operators.
+value by ``raw_mpf``), and the branch values of ``algebraic`` at every
+precision, with their exact polish, moduli (``hypot_man_exp``) and double
+conversions (``from_float``, ``to_float``), and the fixed-point asymptotic
+scan built on them, its errors and ratio rounded here, so neither needs
+mpmath at all.  The cold Horner and Aberth loops of ``exactpoly`` and
+``rootfind`` run on mpmath's own operators.
 """
 
 from __future__ import annotations

@@ -4,13 +4,12 @@ Strategy: seed, then refine all roots simultaneously with Aberth-Ehrlich
 iteration evaluated against the original coefficients at the working
 precision.  The simultaneous scheme keeps clustered and multiple roots
 honest where per-root Newton would stall or double-count.  A caller that
-knows its roots approximately passes them as the seeds (the branch
-trinomial does); otherwise the seeds are placed on circles from the Newton
-polygon of the coefficients.  The branch solver comes here only for a
-point its fast path rejects, so the iteration runs on mpmath's own mpc and
-mpf operators.  ``roots`` never does: it reports only the zeros the probe
-proves, and an h_r the probe finds to be a counterexample can be solved
-here by hand (``complex_roots(h.coeffs)``).
+knows its roots approximately passes them as the seeds (the tests' branch
+reference passes the trinomial's roots in doubles); otherwise the seeds are
+placed on circles from the Newton polygon of the coefficients.  No module of
+the package calls it; it is the tests' reference solver, and solves by hand
+an h_r the probe finds to be a counterexample (``complex_roots(h.coeffs)``),
+on mpmath's operators.
 """
 
 from __future__ import annotations

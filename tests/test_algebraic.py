@@ -18,11 +18,11 @@ from chebsys.algebraic import (
     region_classify,
     seeded_offstar_points,
     solve_branches,
-    solve_branches_aberth,
     star_geometry,
     star_radius,
 )
 from chebsys.recurrence import Params, gen_type1_scalar
+from chebsys.rootfind import complex_roots
 
 
 def horner_scan_errors(p, z, r_max, precision):
@@ -40,12 +40,12 @@ def horner_scan_errors(p, z, r_max, precision):
 
 def mpmath_scan_errors(p, z, r_max, bits):
     """The scan's errors with t_r stepped by its own recurrence, all in mpmath
-    at ``bits``: the top branch from an Aberth solve, and L as
+    at ``bits``: the top branch from an Aberth solve (``rootfind``), and L as
     ``c/(c*m - lambda_m**-(m+1))``."""
     m = p.m
     with mpmath.workprec(bits):
-        top = solve_branches_aberth(p, z, bits).lambdas[-1]
         c, zz = mpmath.mpf(p.c.numerator) / p.c.denominator, mpmath.mpc(z)
+        top = max(complex_roots([1, -zz] + [0] * (m - 1) + [c], precision=bits), key=abs)
         limit = c / (c * m - top ** -(m + 1))
         values = [mpmath.mpc(0)] * (m + 1) + [mpmath.mpc(1)] + [mpmath.mpc(0)] * (m - 1)
         for _ in range(m, r_max + 1):
@@ -81,21 +81,20 @@ class TestSolveBranches:
 
     @pytest.mark.parametrize("precision", [1090, 1200])
     def test_solves_above_the_range_of_a_float_gate(self, precision):
-        # 10**(2 - 0.3*precision) is below the smallest double here, so the
-        # gate is the kernel value man * 2**exp
-        man, exp = algebraic._residual_tolerance(precision)
-        assert man > 0 and math.ldexp(man, exp) == 0.0
+        # the disc rule's bound 2**-(precision+16) is below the smallest
+        # double here, and is compared in integers
+        assert math.ldexp(1.0, -(precision + 16)) == 0.0
         p, z = Params(2, "1"), complex(3, 1)
         deep, double = solve_branches(p, z, precision), solve_branches(p, z)
         assert all(abs(a - b) < 1e-14 for a, b in zip(deep.values, double.values))
 
     def test_divergence_message_keeps_values_below_a_double(self, monkeypatch):
-        # 10**-2000 to 53 bits, as the kernel value (man, exp) of a gate
-        # below the range of a double
-        _, man, exp, _ = (mpmath.mpf(10) ** -2000)._mpf_
-        monkeypatch.setattr(algebraic, "_residual_tolerance", lambda precision: (man, exp))
-        with pytest.raises(SolverDivergence, match=r"above 1\.0e-2000 at"):
-            solve_branches(Params(2, "1"), complex(3, 1), 1100)
+        # the bound of the disc rule at 1100 bits, 2**-1116, lies below the
+        # range of a double, and the message names it as a power of two
+        monkeypatch.setattr(algebraic, "_sweep", lambda *args: False)
+        tip = max(branch_points(Params(2, "1")), key=lambda z: z.real)
+        with pytest.raises(SolverDivergence, match=r"meet or exceed 2\*\*-1116 of their values$"):
+            solve_branches(Params(2, "1"), tip, 1100)
 
     def test_vieta_sum_and_product(self):
         # the coefficient of w^m is -z when m == 1 and 0 for m >= 2

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -10,13 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebsys import algebraic, cli, operators, probe, rootfind
+from chebsys import algebraic, cli, operators, probe
 from chebsys import roots as roots_module
 from chebsys.algebraic import DegenerateBranches
 from chebsys.cli import EXIT_NUMERIC, main
+from chebsys.errors import RootRefinementError
 from chebsys.exactpoly import Poly
-from chebsys.recurrence import NoVariantMatches, Params, gen_type1_vectors, gen_type2
-from chebsys.rootfind import RootRefinementError
+from chebsys.recurrence import (
+    NoVariantMatches,
+    Params,
+    gen_type1_scalar,
+    gen_type1_vectors,
+    gen_type2,
+)
 from chebsys.roots import ConvergenceFailure
 
 
@@ -73,6 +82,33 @@ class TestGen:
         assert "1/1;0/1;0/1;1/1" in text
         assert (tmp_path / "gen.csv.type2.csv").exists()
         assert (tmp_path / "gen.csv.vectors.csv").exists()
+
+    def test_coefficients_beyond_the_int_string_limit_are_written(self, tmp_path):
+        # c = 10**400 written out: at R = 40 the coefficients of t_r have
+        # about 8000 digits, beyond the 4300 a fresh interpreter converts by
+        # default; gen lifts the cap and exits 0
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter converts integers to strings without a limit")
+        c = str(10**400)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "chebsys.cli", "gen", "--m", "2", "--c", c, "--R", "40",
+             "--out", "gen.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        last = load(tmp_path / "gen.json")["scalar"][-1]["t"][-1]
+        assert len(last) > 4300
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = gen_type1_scalar(Params(2, Fraction(10**400)), 40)[-1].coeffs[-1]
+            assert Fraction(last) == want
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -246,15 +282,14 @@ class TestBranches:
         assert abs(sidecar["geometry"]["a"] - 1.8898815748423097) < 1e-9
         assert len(sidecar["geometry"]["branch_points"]) == 3
 
-    def test_solver_counts_which_path_ran(self, tmp_path):
+    def test_one_solver_writes_no_solver_block(self, tmp_path):
         # z = 1 has a conjugate pair of branches and z = 2 is a branch point,
-        # so both go to mpmath; z = 3 is solved by the fast path, at 53 bits
-        # and above
+        # so both tie; z = 3 does not, at 53 bits and above
         grid = ["--grid", "1:3:3,0:0:1"]
         out = tmp_path / "branches.json"
         assert run("branches", "--m", "1", "--c", "1", *grid, "--out", str(out)) == 0
         payload = load(out)
-        assert payload["solver"] == {"batched": 1, "fallback": 2}
+        assert "solver" not in payload
         assert [row["tie_flag"] for row in payload["rows"]] == [True, True, False]
         csv_out = tmp_path / "branches.csv"
         assert run(
@@ -262,13 +297,13 @@ class TestBranches:
             "--format", "csv", "--out", str(csv_out),
         ) == 0
         sidecar = load(tmp_path / "branches.csv.geometry.json")
-        assert sidecar["solver"] == {"batched": 1, "fallback": 2}
+        assert set(sidecar) == {"config", "geometry", "schema"}
         assert len(csv_out.read_text().splitlines()) == 2 + 3
         assert run(
             "branches", "--m", "1", "--c", "1", *grid,
             "--precision", "80", "--out", str(out),
         ) == 0
-        assert load(out)["solver"] == {"batched": 1, "fallback": 2}
+        assert [row["tie_flag"] for row in load(out)["rows"]] == [True, True, False]
 
     def test_requires_point_or_grid(self, tmp_path):
         out = tmp_path / "branches.json"
@@ -904,14 +939,12 @@ class TestNumericFailures:
         assert err.count("\n") == 1
 
     def test_solver_divergence(self, tmp_path, monkeypatch, capsys):
-        # the fast path rejects the point, and the Aberth fallback fails
-        monkeypatch.setattr(algebraic, "_solve_fast", lambda *args: None)
-        monkeypatch.setattr(
-            rootfind, "complex_roots", _raise(RootRefinementError("stuck"))
-        )
+        # the real tip of m = 2 is refined, and with Aberth sweeps that move
+        # nothing its discs still meet when the width reaches its cap
+        monkeypatch.setattr(algebraic, "_sweep", lambda *args: False)
         self.expect_numeric(
             capsys, "SolverDivergence",
-            "asymptote", "--m", "1", "--c", "1", "--z", "3,0",
+            "asymptote", "--m", "2", "--c", "1", "--z", "1.8898815748423097,0",
             "--precision", "80", "--out", str(tmp_path / "scan.json"),
         )
 

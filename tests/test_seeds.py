@@ -1,11 +1,13 @@
 """Aberth seeds without numpy: the branch trinomial solved in plain doubles,
 and the companion-matrix seeds it replaces, kept here as the reference, and
 the Newton polygon's circles that take over where the trinomial's seeds do
-not exist."""
+not exist.  Both seed the same Aberth solve, ``rootfind.complex_roots`` at
+the branch solver's working bits."""
 
 import cmath
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import mpmath
@@ -13,16 +15,39 @@ import numpy as np
 import pytest
 
 from chebsys import algebraic, rootfind
-from chebsys.algebraic import SolverDivergence
+from chebsys.errors import RootRefinementError
 from chebsys.recurrence import Params
 
+Solved = namedtuple("Solved", "values tie_flag residuals relative")
 
-def solve(p, z, precision):
-    """The per-point Aberth solve, or the SolverDivergence its residual gate raised."""
-    try:
-        return algebraic.solve_branches_aberth(p, z, precision)
-    except SolverDivergence as exc:
-        return exc
+
+def solve(p, z, precision, seeds):
+    """The roots of ``c*w**(m+1) - z*w + 1`` by Aberth iteration at the
+    branch solver's working bits from ``seeds``, sorted by modulus and then
+    argument, or the RootRefinementError raised: their values, the tie rule,
+    their absolute residuals, and the largest residual relative to the
+    largest of 1, ``|c*w**(m+1)|`` and ``|z*w|``."""
+    m, workbits = p.m, algebraic._work_bits(precision, p.m, z)
+    with mpmath.workprec(workbits):
+        zz, c = mpmath.mpc(z), mpmath.mpf(p.c.numerator) / p.c.denominator
+        coeffs = [mpmath.mpc(1), -zz] + [mpmath.mpc(0)] * (m - 1) + [mpmath.mpc(c)]
+        try:
+            roots = rootfind.complex_roots(coeffs, precision=workbits - 16, seeds=seeds)
+        except RootRefinementError as exc:
+            return exc
+        roots.sort(key=lambda l: (abs(l), mpmath.arg(l)))
+        moduli = [abs(l) for l in roots]
+        tie = any(hi - lo < algebraic.TIE_RELATIVE_GAP * max(hi, 1e-300) for lo, hi in zip(moduli, moduli[1:]))
+        residuals = [c * l ** (m + 1) - zz * l + 1 for l in roots]
+        relative = max(
+            abs(r) / max(1, abs(c * l ** (m + 1)), abs(zz * l)) for r, l in zip(residuals, roots)
+        )
+        return Solved(tuple(map(complex, roots)), tie, tuple(float(abs(r)) for r in residuals), relative)
+
+
+def gate(precision):
+    """The relative residual a solve at ``precision`` bits reaches."""
+    return mpmath.mpf(10) ** (2 - 0.3 * precision)
 
 
 def companion_seeds(m, c, z) -> list:
@@ -38,11 +63,14 @@ def companion_seeds(m, c, z) -> list:
         return []
 
 
-def companion_seeded(monkeypatch, p, z, precision):
+def trinomial_seeded(p, z, precision):
+    """The solve seeded with the trinomial's roots in doubles."""
+    return solve(p, z, precision, algebraic._trinomial_seeds(p.m, p.c, z))
+
+
+def companion_seeded(p, z, precision):
     """The same solve seeded with numpy's companion eigenvalues, as before."""
-    with monkeypatch.context() as patch:
-        patch.setattr(algebraic, "_trinomial_seeds", companion_seeds)
-        return solve(p, z, precision)
+    return solve(p, z, precision, companion_seeds(p.m, p.c, z))
 
 
 def seeded_points(rng):
@@ -81,34 +109,32 @@ CASES = [(m, c) for m in range(1, 7) for c in ("1", "7/3", "2/97")]
 
 @pytest.mark.parametrize("precision", [53, 200])
 @pytest.mark.parametrize("m, c", CASES)
-def test_trinomial_seeds_give_the_companion_seeded_branches(monkeypatch, m, c, precision):
+def test_trinomial_seeds_give_the_companion_seeded_branches(m, c, precision):
     p = Params(m, c)
     rng = random.Random(f"{m}:{c}:{precision}")
     for z in seeded_points(rng):
         seeds = algebraic._trinomial_seeds(m, p.c, z)
         assert len(seeds) == m + 1 and all(map(cmath.isfinite, seeds)), z
-        got, ref = solve(p, z, precision), companion_seeded(monkeypatch, p, z, precision)
+        got, ref = trinomial_seeded(p, z, precision), companion_seeded(p, z, precision)
         assert type(got) is type(ref), z
-        if isinstance(ref, SolverDivergence):
+        if isinstance(ref, RootRefinementError):
             continue
         assert got.values == ref.values, z
         assert got.tie_flag == ref.tie_flag, z
-        tolerance = algebraic._residual_tolerance(precision)
-        assert max(got.residuals) <= tolerance and max(ref.residuals) <= tolerance
+        assert got.relative <= gate(precision) and ref.relative <= gate(precision)
 
 
 @pytest.mark.parametrize("m, c", CASES)
-def test_tied_and_star_points_differ_only_in_noise_and_tie_order(monkeypatch, m, c):
+def test_tied_and_star_points_differ_only_in_noise_and_tie_order(m, c):
     p = Params(m, c)
     for z in star_points(p):
-        got, ref = solve(p, z, 53), companion_seeded(monkeypatch, p, z, 53)
+        got, ref = trinomial_seeded(p, z, 53), companion_seeded(p, z, 53)
         assert type(got) is type(ref), z
-        if isinstance(ref, SolverDivergence):
+        if isinstance(ref, RootRefinementError):
             continue
         assert denoised(got, 53) == denoised(ref, 53), z
         assert got.tie_flag == ref.tie_flag, z
-        tolerance = algebraic._residual_tolerance(53)
-        assert max(got.residuals) <= tolerance and max(ref.residuals) <= tolerance
+        assert got.relative <= gate(53) and ref.relative <= gate(53)
 
 
 @pytest.mark.parametrize("z", [1e300, cmath.rect(3e299, 2.0)])
@@ -126,12 +152,12 @@ def test_a_root_beyond_a_double_takes_the_circle_seeds(monkeypatch, z):
         return initial(coeffs, seeds)
 
     monkeypatch.setattr(rootfind, "_initial_guesses", spy)
-    got = solve(p, z, 53)
+    got = trinomial_seeded(p, z, 53)
     assert circles == [True]
-    ref = companion_seeded(monkeypatch, p, z, 53)
-    # the gate is relative to the trinomial's terms, about |z|**2/c here, so
-    # the non-real z solves as the real one does
-    assert not isinstance(got, SolverDivergence) and not isinstance(ref, SolverDivergence)
+    ref = companion_seeded(p, z, 53)
+    # the residual is relative to the trinomial's terms, about |z|**2/c
+    # here, so the non-real z solves as the real one does
+    assert got.relative <= gate(53) and ref.relative <= gate(53)
     assert got.values == ref.values and got.residuals == ref.residuals
 
 

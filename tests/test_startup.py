@@ -71,27 +71,32 @@ print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 # eigenvalues, and again when it came to polish its values on the integer
 # kernel: each time only the max_residual cells of accepted points changed
 # (the same digests pin branches.json in test_cli_outputs.py, and the
-# asymptote digest asymptote.json there).  No command loads numpy: the fast
-# path, a fallback point, a scan and the probe run in plain doubles or in
-# integers, and roots refines the probe's intervals in integers.  mpmath is
-# loaded only for a point the fast path rejects: the fast path runs at every
-# precision, and a scan steps its terms on the kernel.
+# asymptote digest asymptote.json there).  No command loads numpy: the
+# solver, a scan and the probe run in plain doubles or in integers, and
+# roots refines the probe's intervals in integers.  Nor does any command
+# load mpmath: every branch point is solved and certified on the kernel, at
+# every precision, ties, exact branch points and huge z included.  The
+# branches digests were re-taken again when the solver block of the output
+# went, with the Aberth fallback it counted.
 BRANCHES = ["branches", "--m", "2", "--c", "7/3"]
 LOADS = {
     "batched-grid": (
         [*BRANCHES, "--grid=-2:2:3,-1:1:2", "--out", "branches.json"],
         [],
-        {"branches.json": "b350078bc27bfbe8483a42a266f9d554dad78bd0c0bed97bcdd0beb9c825342c"},
+        {"branches.json": "3549a1fdfe1f033f993c37c76c9ca3985d5b079924c082028010b65880670345"},
     ),
     # z = -2 lies on the attractor star and z = 0 ties all three moduli;
     # re-taken when the Aberth path was seeded from the trinomial in
     # doubles: at those tied points the noise below the working precision,
     # and the order of exactly tied branches, changed; and again with the
-    # grids above, where the max_residual cells of its accepted points moved
+    # grids above, where the max_residual cells of its accepted points
+    # moved.  Re-taken when these points moved from Aberth to the kernel:
+    # the max_residual cells of the four tied points, and two imaginary
+    # parts of real branches, 8.9e-53 and 5.3e-52, now 0.0
     "fallback-grid": (
         [*BRANCHES, "--grid=-2:2:3,0:1:2", "--out", "branches_fallback.json"],
-        ["mpmath"],
-        {"branches_fallback.json": "c9342a5dd036b4b0e92fb930aa69a2b052365cb86099d1b3ea3846b8920a9762"},
+        [],
+        {"branches_fallback.json": "d636f481c452775af4f1be8dbbeab553b009d84427d4fdc82d46505aea297871"},
     ),
     # re-taken when the fast path came to run above 53 bits: its six points
     # were Aberth's and are now the kernel's, so the solver counts and the
@@ -99,7 +104,41 @@ LOADS = {
     "precision-64": (
         [*BRANCHES, "--grid=-2:2:3,-1:1:2", "--precision", "64", "--out", "branches64.json"],
         [],
-        {"branches64.json": "507c9b513ed179ad8978856531c39eee39580ccdbeaa121702eb3bcc62b3543d"},
+        {"branches64.json": "9164d1f9d076db42f6a39205c972949bfc4c8902d814b0ffa044eef0b7a58e5b"},
+    ),
+    # z = 0, where the three moduli tie; against the Aberth solve before, an
+    # imaginary part of 5.3e-52 is now 0.0, and max_residual moved
+    "zero": (
+        [*BRANCHES, "--z", "0,0", "--out", "zero.json"],
+        [],
+        {"zero.json": "e862f82593c7c87e16eb8708d4baf18c00f4a5a5f49a6eb043979c1298501b25"},
+    ),
+    # the exact branch point: its double root w = 1, twice, with residual 0;
+    # the Aberth solve before left imaginary parts near 1e-35
+    "exact-tip": (
+        ["branches", "--m", "1", "--c", "1", "--z", "2,0", "--out", "tip.json"],
+        [],
+        {"tip.json": "bc205962762f185bc72d784397b014d89490ccc2cb43192e4f6761810f3c13d9"},
+    ),
+    # the real tip of branch_points at m = 2, c = 1, rounded to a double:
+    # the pair 4.9e-9 off the real axis is split off it and refined; the
+    # real branch's imaginary part of 2.2e-61 is now 0.0, and max_residual
+    # is the exact one of the values at 53 bits
+    "rounded-tip": (
+        ["branches", "--m", "2", "--c", "1", "--z", "1.8898815748423097,0", "--out", "rtip.json"],
+        [],
+        {"rtip.json": "48d5f4d15f76fc06b9419cce46639651819eb5f3d417bc2d2f6b58ce04317808"},
+    ),
+    # z/c overflows a double: the Newton polygon's seeds on the kernel.
+    # The branches near 1.4e154 make the residual's terms about 1e462, so
+    # max_residual, the exact residual rounded to a double, is Infinity,
+    # where the Aberth solve's mpmath residual cancelled to 0.0; an
+    # imaginary part that is a zero below the range of a double went
+    # -0.0 -> 0.0
+    "huge-z": (
+        ["branches", "--m", "2", "--c", "1/2", "--z", "1e308,0", "--out", "huge.json"],
+        [],
+        {"huge.json": "8fa06132fdf98921a8037c1b38b042a94284c3ba3832390e5dc38e4a997b5e35"},
     ),
     # re-taken when the scan came to step t_r/lambda_m**r in fixed point:
     # the e_r cells from r = 15 on, which lie near the floor of 53 bits, and
@@ -123,13 +162,20 @@ LOADS = {
         {"asymptote400.json": "70e7bc6e318412c1055c45ca54ca78b103bbd18096a644332a14c6bdde04dfab"},
     ),
     # two lower branches at the real z = 1.5 are a conjugate pair, whose
-    # equal moduli send the point to Aberth: the limit reads the top branch
-    # of an Aberth solve
+    # equal moduli sent the point to Aberth; their discs are disjoint, so the
+    # kernel certifies it, to the same file
     "asymptote-fallback": (
         ["asymptote", "--m", "2", "--c", "1", "--z", "1.5,0", "--r-max", "20",
          "--out", "asymptote-fallback.json"],
-        ["mpmath"],
+        [],
         {"asymptote-fallback.json": "ea19d7ce2c9f1e7dde0d012d52be06f63a20b497f7145b91d3a80c7a78129892"},
+    ),
+    # the same point at 1400 bits, to the same file as the Aberth solve wrote
+    "asymptote-fallback-1400": (
+        ["asymptote", "--m", "2", "--c", "1", "--z", "1.5,0", "--r-max", "1400",
+         "--precision", "1400", "--out", "asymptote1400.json"],
+        [],
+        {"asymptote1400.json": "9c98d9f7a1865e95fa479c63492d819ac75418488e3ebd66eebc3eb4c70c8dc7"},
     ),
     # the zeros refined from the probe's intervals, at m = 2 and m = 1; both
     # re-taken with them, as roots60 and roots.csv in test_cli_outputs.py
@@ -187,31 +233,29 @@ assert cli.main(sys.argv[1:]) == 0
 print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 """
 
-# one 53-bit solve at a point the fast path accepts; 1+1j would not do, as it
-# lies on the even star of m = 3, where two moduli tie and the point falls
-# back to mpmath
+# one 53-bit solve at a point off the stars, and one at 1+1j, which lies on
+# the even star of m = 3, where two moduli tie
 ONE_POINT = """
 import json, sys
-from chebsys.algebraic import solve_branches, solve_branches_many
+from chebsys.algebraic import solve_branches
 from chebsys.recurrence import Params
-p, z = Params(3, "7/3"), complex(1, 0.5)
-bs = solve_branches(p, z)
-print(json.dumps([solve_branches_many(p, [z]).batched == 1, bs.tie_flag]))
+p = Params(3, "7/3")
+print(json.dumps([solve_branches(p, z).tie_flag for z in (complex(1, 0.5), complex(1, 1))]))
 print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 """
 
 # every public name of chebsys at the commit before the numeric half was
 # loaded on demand, by the module that defines it, less the rational-vector
 # helpers of operators (apply_T, apply_T_transpose, basis_vector,
-# poly_of_operator), which are gone
+# poly_of_operator), which are gone, and solve_branches_aberth, which went
+# with the Aberth fallback of the branch solver
 PUBLIC = {
     "algebraic": (
         "BranchBatch", "BranchCoefficients", "BranchSet", "DegenerateBranches",
         "OnStarSet", "ScanResult", "SolverDivergence", "StarGeometry",
         "asymptotic_scan", "branch_points", "coefficients_b", "explicit_t",
         "limit_L", "region_classify", "seeded_offstar_points", "solve_branches",
-        "solve_branches_aberth", "solve_branches_many", "star_geometry",
-        "star_radius",
+        "solve_branches_many", "star_geometry", "star_radius",
     ),
     "exactpoly": (
         "DEFAULT_PRECISION", "Poly", "compose_star", "poly_gcd",
@@ -345,14 +389,14 @@ def test_algebraic_loads_neither_numpy_nor_mpmath():
 def test_one_point_solve_loads_neither_numpy_nor_mpmath():
     done = python(ONE_POINT)
     assert done.returncode == 0, done.stderr
-    assert list(map(json.loads, done.stdout.splitlines())) == [[True, False], []]
+    assert list(map(json.loads, done.stdout.splitlines())) == [[False, True], []]
 
 
 @pytest.mark.parametrize("case", list(LOADS))
 def test_mpmath_loads_only_where_a_command_solves_in_it(tmp_path, case):
-    # a grid whose every point the fast path accepts loads neither, at any
-    # precision, and nor do a scan and roots, whose zeros come from the
-    # probe's intervals; a fallback point loads mpmath
+    # no command loads either: a grid at any precision, its ties and branch
+    # points included, a scan, and roots, whose zeros come from the probe's
+    # intervals
     argv, loaded, files = LOADS[case]
     done = python(COMMAND, *argv, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
@@ -391,14 +435,21 @@ def test_roots_writes_an_index_the_probe_did_not_prove_unproved(tmp_path):
 
 
 # the modules that import no mpmath, not even in a function, and the
-# functions of the exact half that round into mpmath and import it there
+# functions of the other modules that import it: where the exact half rounds
+# into mpmath, and the library API of the branch solver that returns mpmath
+# values, which no command calls
 NO_MPMATH = ("roots.py", "probe.py", "recurrence.py", "operators.py")
-ROUNDS_INTO_MPMATH = {"rationals.py": {"rat_to_mpf"}, "exactpoly.py": {"eval_complex"}}
+MPMATH_HOMES = {
+    "rationals.py": {"rat_to_mpf"},
+    "exactpoly.py": {"eval_complex"},
+    "algebraic.py": {"_to_mpc", "coefficients_b", "explicit_t"},
+}
 
 
 def test_no_module_of_the_package_imports_numpy():
-    # nor roots, the probe or the exact half mpmath, but where the exact
-    # half rounds into it
+    # nor rootfind, which only the tests and a user at the prompt call; nor
+    # roots, the probe or the exact half mpmath, but where the exact half
+    # rounds into it and where the branch solver converts into it
     for path in sorted(Path(chebsys.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         homes = {
@@ -410,17 +461,20 @@ def test_no_module_of_the_package_imports_numpy():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
+                targets = names
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
+                targets = [f"{names[0]}.{alias.name}" for alias in node.names]
             else:
                 continue
             where = (path.name, node.lineno)
+            assert not any("rootfind" in name.split(".") for name in names + targets), where
             tops = {name.split(".")[0] for name in names}
             assert "numpy" not in tops, where
             if "mpmath" in tops:
                 assert path.name not in NO_MPMATH, where
-                if path.name in ROUNDS_INTO_MPMATH:
-                    assert homes.get(id(node)) in ROUNDS_INTO_MPMATH[path.name], where
+                if path.name in MPMATH_HOMES:
+                    assert homes.get(id(node)) in MPMATH_HOMES[path.name], where
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
@@ -502,11 +556,12 @@ def test_import_timer_lists_the_modules_a_command_loads(tmp_path):
 
 # every record type of the package, with the fields it had as a
 # typing.NamedTuple but for probe.Isolated, which lost its E when the probe
-# came to work in y = x/c, and algebraic.StarGeometry, which lost the
-# c_float nothing read; none has a default
+# came to work in y = x/c, algebraic.StarGeometry, which lost the c_float
+# nothing read, and algebraic.BranchBatch, which lost the counts of the two
+# solver paths when one was left; none has a default
 RECORDS = {
     "algebraic": {
-        "BranchBatch": ("results", "batched", "fallback"),
+        "BranchBatch": ("results",),
         "BranchCoefficients": ("values", "identity_error"),
         "BranchSet": ("z", "parts", "residuals", "tie_flag", "precision"),
         "RegionReport": (
