@@ -61,7 +61,6 @@ _LAZY_NAMES = {
 } | {
     name: "algebraic"
     for name in (
-        "BranchBatch",
         "BranchCoefficients",
         "BranchSet",
         "ScanResult",

@@ -17,15 +17,15 @@ together with its observed geometric error decay.
 
 Each point is solved on the integer kernel of ``chebsys.rationals``, after
 the seed-then-polish scheme of MPSolve (Bini and Robol, JCAM 2014): the
-roots of the trinomial in complex doubles, then Newton steps on the kernel,
-where each value is a Gaussian integer in fixed point and the trinomial at
-it is exact.  Every value, rounded once to the working precision, is
-certified by its inclusion disc (Bini and Fiorentino, Numer. Algorithms 23,
-2000); a point whose discs meet is refined by Aberth's iteration (Math.
-Comp. 27, 1973) on the kernel, or proved an exact double root.  No solve
-and no asymptotic scan loads mpmath: this module imports it only for the
-values it returns, ``BranchSet.lambdas``, ``limit_L``, ``coefficients_b``
-and ``explicit_t``.
+roots of the trinomial in complex doubles, then one Newton step on the
+kernel (more above 53 bits), where each value is a Gaussian integer in fixed
+point and the trinomial at it is exact.  Every value, rounded once to the
+working precision, is certified by its inclusion disc (Bini and Fiorentino,
+Numer. Algorithms 23, 2000); a point whose discs meet is refined by Aberth's
+iteration (Math. Comp. 27, 1973) on the kernel, or proved an exact double
+root.  No solve and no asymptotic scan loads mpmath: this module imports it
+only for the values it returns, ``BranchSet.lambdas``, ``limit_L``,
+``coefficients_b`` and ``explicit_t``.
 
 Star geometry: the bounded star is the m+1 segments of length
 ``a = ((m+1)/m) * (m*c)**(1/(m+1))`` along the angles ``2*pi*k/(m+1)``, whose
@@ -144,12 +144,16 @@ def _trinomial_seeds(m: int, c, z) -> list:
         root_c = c ** (1 / m)
         for _ in range(_SEED_SWEEPS):
             moved = False
-            for i, w in enumerate(ws):
+            for i in range(n):
+                w = ws[i]
                 cw = scaled = root_c * w  # c*w**m
                 for _ in range(m - 1):
                     cw *= scaled
                 newton = w * ((cw - z + 1 / w) / (n * cw - z))
-                coupling = sum(1 / (w - v) for j, v in enumerate(ws) if j != i)
+                coupling = 0
+                for j in range(n):
+                    if j != i:
+                        coupling += 1 / (w - ws[j])
                 step = newton / (1 - newton * coupling)
                 ws[i] = w - step
                 moved = moved or abs(step) > 1e-15 * abs(w)
@@ -168,8 +172,8 @@ def _trinomial_seeds(m: int, c, z) -> list:
 # ``(num, den)``, so the trinomial and its derivative at such a value are
 # exact in integers.
 
-# the width of the two steps whose correction is formed in doubles, and the
-# whole polish at 53 bits
+# the width of the one step from the seeds: it takes a seed good to about
+# 2**-50 to about 2**-100, where the disc rule at 53 bits asks for 2**-69
 _POLISH_BITS = 112
 # bits the polish above 53 bits carries beyond the working bits
 _GUARD_BITS = 16
@@ -441,12 +445,12 @@ def _solve_fast(m: int, c: tuple, z, precision: int) -> BranchSet:
 
     z is exact where it is a complex double, else rounded to the working
     bits; outside the window of c, ``w = 2**-s * v`` makes the leading
-    coefficient near 1, exactly.  The trinomial's roots in doubles take two
-    Newton steps in double and two on the kernel at ``_POLISH_BITS``, the
-    correction formed in doubles; above 53 bits, exact Newton steps of
-    doubling width follow, up to the working bits plus ``_GUARD_BITS``.
-    Where z/c is beyond a double the Newton polygon's seeds, and where the
-    steps in doubles overflow the seeds themselves, go to the disc rule
+    coefficient near 1, exactly.  Each of the trinomial's roots in doubles
+    takes one Newton step on the kernel at ``_POLISH_BITS``, its residual
+    exact and its correction formed in doubles; above 53 bits, exact Newton
+    steps follow up to the working bits plus ``_GUARD_BITS``.  Where z/c is
+    beyond a double the Newton polygon's seeds, and where the step in
+    doubles overflows the seeds themselves, go to the disc rule
     (``_discs``) as they are; a point that fails it is refined
     (``_refine``).  The values are sorted by modulus, then argument, their
     residuals are the exact ones as doubles, and the tie flag marks
@@ -475,25 +479,21 @@ def _solve_fast(m: int, c: tuple, z, precision: int) -> BranchSet:
         values = [_quotient((1, 0, 0), z_fixed, 64)]
         values += [_polar(log2w, (arg + 2 * math.pi * k) / m) for k in range(m)]
     else:
-        values, ws = [], seeds
+        # the widths of the exact steps, halved down from the target with 8
+        # bits to spare: none asks for more than twice the bits of its input
+        values, widths, width = [], [], target
+        while width > _POLISH_BITS:
+            widths.insert(0, width)
+            width = width // 2 + _GUARD_BITS // 2
         try:
-            for _ in range(2):
-                ws = [
-                    v - (c_float * v**size - point * v + 1) / (c_float * size * v**m - point)
-                    for v in ws
-                ]
-            for v in ws:
+            for v in seeds:
                 e = math.frexp(max(abs(v.real), abs(v.imag)))[1] - _POLISH_BITS
                 X, Y = int(math.ldexp(v.real, -e)), int(math.ldexp(v.imag, -e))
-                for _ in range(2):
-                    exact = _to_complex(*_branch_poly(X, Y, e, m, c, z_fixed), den)
-                    step = exact / (c_float * size * v**m - point)
-                    X -= int(math.ldexp(step.real, -e))
-                    Y -= int(math.ldexp(step.imag, -e))
-                    v = complex(math.ldexp(X, e), math.ldexp(Y, e))
-                width = _POLISH_BITS
-                while width < target:
-                    width = min(2 * width, target)
+                exact = _to_complex(*_branch_poly(X, Y, e, m, c, z_fixed), den)
+                step = exact / (c_float * size * v**m - point)
+                X -= int(math.ldexp(step.real, -e))
+                Y -= int(math.ldexp(step.imag, -e))
+                for width in widths:
                     X, Y, e = _newton_fixed(X, Y, e, m, c, z_fixed, width)
                 values.append((X, Y, e))
         except (OverflowError, ValueError, ZeroDivisionError):
@@ -524,13 +524,9 @@ def _solve_fast(m: int, c: tuple, z, precision: int) -> BranchSet:
     return BranchSet(complex(z), tuple(parts), tuple(residuals), tie, precision)
 
 
-BranchBatch = namedtuple("BranchBatch", "results")
-BranchBatch.__doc__ = """Branch sets of many points, in input order: each the
-point's BranchSet, or the SolverDivergence raised there."""
-
-
-def solve_branches_many(p: Params, points, precision: int = 53) -> BranchBatch:
-    """``solve_branches`` at every point, by ``_solve_fast``."""
+def solve_branches_many(p: Params, points, precision: int = 53) -> tuple:
+    """``solve_branches`` at every point, by ``_solve_fast``: in input order,
+    each point's BranchSet, or the SolverDivergence raised there."""
     if precision < 53:
         raise ValueError("precision must be at least 53 bits")
     results = []
@@ -539,14 +535,14 @@ def solve_branches_many(p: Params, points, precision: int = 53) -> BranchBatch:
             results.append(_solve_fast(p.m, p.ratio, z, precision))
         except SolverDivergence as exc:
             results.append(exc)
-    return BranchBatch(tuple(results))
+    return tuple(results)
 
 
 def solve_branches(p: Params, z, precision: int = 53) -> BranchSet:
     """All m+1 roots of ``c*w**(m+1) - z*w + 1`` at the point z, each
     certified by its inclusion disc (see ``_solve_fast``): the one-point case
     of ``solve_branches_many``."""
-    result = solve_branches_many(p, [z], precision).results[0]
+    result = solve_branches_many(p, [z], precision)[0]
     if isinstance(result, SolverDivergence):
         raise result
     return result

@@ -239,13 +239,17 @@ def _scalar(value):
 
 
 def _strings(items, sep: str):
-    """The JSON texts of ``items`` joined by ``sep`` in one pass where every
-    item is a string, such as a polynomial's coefficients, or None."""
-    if isinstance(items[0], str):
-        try:
+    """The JSON texts of ``items`` joined by ``sep`` in one pass where all are
+    strings, such as a polynomial's coefficients, or finite floats; else None."""
+    try:
+        if isinstance(items[0], str):
             return sep.join(map(_quote, items))
-        except TypeError:  # _quote refuses an item that is not a string
-            pass
+        if isinstance(items[0], float):
+            text = sep.join(map(float.__repr__, items))
+            # json writes inf and nan as Infinity and NaN; no other text has an "n"
+            return None if "n" in text else text
+    except TypeError:  # an item of another kind
+        pass
     return None
 
 
@@ -571,7 +575,7 @@ def cmd_branches(args) -> int:
         "branch_points": [[pt.real, pt.imag] for pt in algebraic.branch_points(p)],
     }
     rows = []
-    for z, bs in zip(points, algebraic.solve_branches_many(p, points, precision).results):
+    for z, bs in zip(points, algebraic.solve_branches_many(p, points, precision)):
         row: dict = {"z_re": z.real, "z_im": z.imag}
         rows.append(row)
         if isinstance(bs, SolverDivergence):

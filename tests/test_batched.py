@@ -146,7 +146,7 @@ def test_matches_aberth_on_seeded_grids(m, c, far):
     p = Params(m, c)
     rng = random.Random(f"{m}:{c}:{far}")
     points = box(rng, star_radius(p), far)
-    results = solve_branches_many(p, points).results
+    results = solve_branches_many(p, points)
     assert len(results) == len(points)
     assert sum(refined(p, z) for z in points) <= 2
     for z, bs in zip(points, results):
@@ -155,12 +155,54 @@ def test_matches_aberth_on_seeded_grids(m, c, far):
         assert bs.tie_flag == reference_tie(p, z)
 
 
+def job_box(rng, m):
+    """The points of a grid shaped as the benchmark's grid jobs draw them: c
+    of one digit over one digit, a box around the origin that crosses the
+    stars, or one at 10 to 300 star radii."""
+    c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    a = star_radius(Params(m, c))
+    if rng.random() < 0.5:
+        rho, angle = a * 10 ** rng.uniform(1.0, 2.5), rng.uniform(0, 2 * math.pi)
+        half, center = rho * rng.uniform(0.05, 0.3), cmath.rect(rho, angle)
+    else:
+        half, center = a * rng.uniform(0.8, 2.5), a * complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+    n_re = rng.randint(10, 20)
+    n_im = max(2, round({1: 240, 2: 190, 3: 135, 4: 100}[m] / n_re))
+    res = [center.real - half + 2 * half * k / (n_re - 1) for k in range(n_re)]
+    ims = [center.imag - half + 2 * half * k / (n_im - 1) for k in range(n_im)]
+    return Params(m, c), [complex(re, im) for im in ims for re in res]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_one_polish_step_certifies_every_grid_point(m):
+    # the one Newton step from each seed leaves every value within the disc
+    # rule at 53 bits, on the seeded grids and on boxes shaped as the grid
+    # jobs: no point is refined
+    c = {1: "37/91", 2: "640/17", 3: "5/23", 4: "118/7"}[m]
+    p = Params(m, c)
+    grids = [(p, box(random.Random(f"{m}:{c}:{far}"), star_radius(p), far)) for far in (False, True)]
+    rng = random.Random(f"jobs:{m}")
+    grids += [job_box(rng, m) for _ in range(8)]
+    assert not any(refined(p, z) for p, points in grids for z in points)
+
+
+@pytest.mark.parametrize("precision", [128, 400, 800, 1600])
+def test_the_exact_steps_above_53_bits_certify_every_point(precision):
+    # the steps above 53 bits, their widths halved down from the target,
+    # leave every value within the disc rule: no point is refined
+    for m, c in [(1, "37/91"), (2, "640/17"), (3, "5/23"), (4, "118/7")]:
+        p = Params(m, c)
+        for far in (False, True):
+            points = box(random.Random(f"{m}:{c}:{far}:{precision}"), star_radius(p), far)
+            assert not any(refined(p, z, precision) for z in points)
+
+
 def test_branch_point_falls_back_and_ties():
     # the exact branch point fails the disc rule, and the refinement proves
     # it a double root by its discriminant: w = (m+1)/(m*z) = 1, twice
     p = Params(1, "1")
     assert refined(p, 2)
-    bs = solve_branches_many(p, [2]).results[0]
+    bs = solve_branches_many(p, [2])[0]
     assert bs.tie_flag
     assert bs.values == (1, 1) and bs.residuals == (0.0, 0.0)
 
@@ -171,7 +213,7 @@ def test_equal_moduli_fall_back_and_tie():
     # and their equal moduli tie
     p = Params(2, "1")
     tip = max(branch_points(p), key=lambda z: z.real)
-    tied, apart = solve_branches_many(p, [tip, 3]).results
+    tied, apart = solve_branches_many(p, [tip, 3])
     assert refined(p, tip) and not refined(p, 3)
     assert tied.tie_flag
     assert not apart.tie_flag
@@ -195,7 +237,7 @@ def mixed_points():
 def test_mixed_points_keep_their_input_order():
     p = Params(1, "1/2")
     points = mixed_points()
-    results = solve_branches_many(p, points).results
+    results = solve_branches_many(p, points)
     assert [bs.z for bs in results] == [complex(z) for z in points]
     # the Newton polygon's seeds of the last but one are refined on the kernel
     assert [refined(p, z) for z in points] == [False] * 4 + [True, False]
@@ -213,7 +255,7 @@ def test_fallback_values_are_those_of_their_mpmath_roots(precision):
     p = Params(2, "1")
     tips = branch_points(p)
     assert all(refined(p, z, precision) for z in tips)
-    for z, bs in zip(tips, solve_branches_many(p, tips, precision).results):
+    for z, bs in zip(tips, solve_branches_many(p, tips, precision)):
         assert_certified(p, z, bs)
     low, high, _ = solve_branches(p, max(tips, key=lambda z: z.real), precision).values
     assert low == high.conjugate() and high.imag == pytest.approx(4.9e-9, rel=0.01)
@@ -238,7 +280,7 @@ def test_above_53_bits_points_run_on_the_kernel():
     p = Params(3, "5/2")
     points = [complex(1.3, 0.4), complex(-2.2, 1.9)]
     for precision in (80, 400, 1200):
-        results = solve_branches_many(p, points, precision).results
+        results = solve_branches_many(p, points, precision)
         assert not any(refined(p, z, precision) for z in points)
         for z, bs in zip(points, results):
             bits = algebraic._work_bits(precision, p.m, z)
@@ -262,7 +304,7 @@ def test_point_that_is_not_a_double_uses_aberth(monkeypatch):
         points = [mpmath.mpc(1) / 3 + mpmath.mpc(0, 1), mpmath.mpf(1.5) * mpmath.cbrt(2)]
     for z in points:
         sweeps.clear()
-        bs = solve_branches_many(p, [z]).results[0]
+        bs = solve_branches_many(p, [z])[0]
         assert bs.z == complex(z)
         bits = algebraic._work_bits(53, p.m, z)
         with mpmath.workprec(bits):
@@ -294,7 +336,7 @@ def test_kernel_values_are_the_mpmath_values_rounded(monkeypatch, m, c, far):
     monkeypatch.setattr(algebraic, "round_man_exp", record)
     p = Params(m, c)
     points = box(random.Random(f"kernel:{m}:{far}"), star_radius(p), far)
-    for bs in solve_branches_many(p, points).results:
+    for bs in solve_branches_many(p, points):
         want = [
             mpmath.mp.make_mpc((rounded[re, ere], rounded[im, eim]))
             for re, ere, im, eim in bs.parts
@@ -321,7 +363,7 @@ def exact_residual(p, z, part):
 def test_residuals_are_the_exact_residuals_of_the_written_values(m, c, far):
     p = Params(m, c)
     points = box(random.Random(f"residual:{m}:{far}"), star_radius(p), far)
-    for z, bs in zip(points, solve_branches_many(p, points).results):
+    for z, bs in zip(points, solve_branches_many(p, points)):
         for part, residual in zip(bs.parts, bs.residuals):
             assert residual == pytest.approx(exact_residual(p, z, part), rel=1e-3, abs=0)
 
@@ -332,7 +374,7 @@ def test_fast_path_values_match_aberth_at_256_bits(m, c, far):
     p = Params(m, c)
     points = box(random.Random(f"aberth256:{m}:{far}"), star_radius(p), far)
     with mpmath.workprec(256):
-        for z, bs in zip(points, solve_branches_many(p, points).results):
+        for z, bs in zip(points, solve_branches_many(p, points)):
             ref = sorted(reference(p, z), key=lambda l: (abs(l), mpmath.arg(l)))
             for got, want in zip(bs.lambdas, ref):
                 assert abs(got - want) <= mpmath.ldexp(abs(want), -100), z
@@ -351,7 +393,7 @@ def test_divergence_is_returned_for_its_point(monkeypatch):
     p = Params(2, "1")
     tip = max(branch_points(p), key=lambda z: z.real)
     monkeypatch.setattr(algebraic, "_sweep", lambda *args: False)
-    results = solve_branches_many(p, [tip, 3]).results
+    results = solve_branches_many(p, [tip, 3])
     assert isinstance(results[0], SolverDivergence)
     assert str(results[0]).startswith(f"branch values not certified at {16 * 112} bits")
     assert not isinstance(results[1], SolverDivergence)
@@ -437,7 +479,7 @@ def test_real_axis_grids_are_certified_with_the_reference_ties(m, c):
     p = Params(m, c)
     a = star_radius(p)
     points = [complex(x * a / 8, 0) for x in range(-24, 25)]
-    for z, bs in zip(points, solve_branches_many(p, points).results):
+    for z, bs in zip(points, solve_branches_many(p, points)):
         assert_certified(p, z, bs)
         if min(abs(z - tip) for tip in branch_points(p)) > 1e-3 * a:
             assert bs.tie_flag == reference_tie(p, z), z

@@ -149,8 +149,12 @@ def test_odd_m_puts_the_negative_tip_at_angle_pi():
 # again when it came to polish its values on the integer kernel: each time
 # only max_residual cells of its accepted points changed.  Re-taken when the
 # Aberth fallback went: the solver block is gone, and the max_residual cells
-# of z = -2i and 2i, which lie on the star, moved 1.2e-32 -> 2.2e-32
-PINNED_ODD = "526e18d53004b84d8736f138aa09bd7d1f8f8c4d15c6fa331f108ae390915fec"
+# of z = -2i and 2i, which lie on the star, moved 1.2e-32 -> 2.2e-32.
+# Re-taken when the polish came down to one Newton step per value: only
+# max_residual cells moved, and UNMOVED_ODD, the file less those cells,
+# was taken before
+PINNED_ODD = "e77a356c31a7f7e46dbf76d8b23e82bbb78f04bb78529dd5f7f294322f41a0ed"
+UNMOVED_ODD = "3424cfab96206111a252313a12812f3fd1c5fd31366632e27b2c3d4f8407d808"
 
 
 def test_odd_m_branches_output_is_pinned(tmp_path, monkeypatch):
@@ -162,6 +166,11 @@ def test_odd_m_branches_output_is_pinned(tmp_path, monkeypatch):
     a = geometry["a"]
     assert geometry["branch_points"] == [[0.0, -a], [a, 0.0], [0.0, a], [-a, 0.0]]
     assert hashlib.sha256(data).hexdigest() == PINNED_ODD
+    payload = json.loads(data)
+    for row in payload["rows"]:
+        del row["max_residual"]
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == UNMOVED_ODD
 
 
 # ---------------------------------------------------------------- star distances

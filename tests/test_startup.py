@@ -3,6 +3,7 @@
 import ast
 import functools
 import gc
+import hashlib
 import importlib
 import json
 import os
@@ -77,13 +78,14 @@ print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 # load mpmath: every branch point is solved and certified on the kernel, at
 # every precision, ties, exact branch points and huge z included.  The
 # branches digests were re-taken again when the solver block of the output
-# went, with the Aberth fallback it counted.
+# went, with the Aberth fallback it counted, and when the polish came down
+# to one Newton step per value, which moved max_residual cells alone.
 BRANCHES = ["branches", "--m", "2", "--c", "7/3"]
 LOADS = {
     "batched-grid": (
         [*BRANCHES, "--grid=-2:2:3,-1:1:2", "--out", "branches.json"],
         [],
-        {"branches.json": "3549a1fdfe1f033f993c37c76c9ca3985d5b079924c082028010b65880670345"},
+        {"branches.json": "e1b2d40a0e2810f7f62a4268fbda6b2ce385c2777daae45c4eadf6f672eac58c"},
     ),
     # z = -2 lies on the attractor star and z = 0 ties all three moduli;
     # re-taken when the Aberth path was seeded from the trinomial in
@@ -92,11 +94,12 @@ LOADS = {
     # grids above, where the max_residual cells of its accepted points
     # moved.  Re-taken when these points moved from Aberth to the kernel:
     # the max_residual cells of the four tied points, and two imaginary
-    # parts of real branches, 8.9e-53 and 5.3e-52, now 0.0
+    # parts of real branches, 8.9e-53 and 5.3e-52, now 0.0; and as the
+    # batched grid when the polish came to one step
     "fallback-grid": (
         [*BRANCHES, "--grid=-2:2:3,0:1:2", "--out", "branches_fallback.json"],
         [],
-        {"branches_fallback.json": "d636f481c452775af4f1be8dbbeab553b009d84427d4fdc82d46505aea297871"},
+        {"branches_fallback.json": "83174e1fed1f450c5d5e728cc44b677367f89d63f8e0ce730cb18fcba00c13ff"},
     ),
     # re-taken when the fast path came to run above 53 bits: its six points
     # were Aberth's and are now the kernel's, so the solver counts and the
@@ -247,11 +250,12 @@ print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 # every public name of chebsys at the commit before the numeric half was
 # loaded on demand, by the module that defines it, less the rational-vector
 # helpers of operators (apply_T, apply_T_transpose, basis_vector,
-# poly_of_operator), which are gone, and solve_branches_aberth, which went
-# with the Aberth fallback of the branch solver
+# poly_of_operator), which are gone, solve_branches_aberth, which went
+# with the Aberth fallback of the branch solver, and BranchBatch, whose one
+# field gave way to the tuple of results
 PUBLIC = {
     "algebraic": (
-        "BranchBatch", "BranchCoefficients", "BranchSet", "DegenerateBranches",
+        "BranchCoefficients", "BranchSet", "DegenerateBranches",
         "OnStarSet", "ScanResult", "SolverDivergence", "StarGeometry",
         "asymptotic_scan", "branch_points", "coefficients_b", "explicit_t",
         "limit_L", "region_classify", "seeded_offstar_points", "solve_branches",
@@ -392,6 +396,16 @@ def test_one_point_solve_loads_neither_numpy_nor_mpmath():
     assert list(map(json.loads, done.stdout.splitlines())) == [[False, True], []]
 
 
+# the two 53-bit grids' files less the max_residual of each row, taken while
+# each value had four polish steps: nothing else moved when it came to one
+UNMOVED = {
+    "batched-grid": ("branches.json", "431520dfb849edab1f17010e56ff043155edf0c04b39451d1e6f979ba23c575e"),
+    "fallback-grid": (
+        "branches_fallback.json", "d8f370b112bcfe03d037abf6891af653eaf26241c62376331ed3cec630121a02",
+    ),
+}
+
+
 @pytest.mark.parametrize("case", list(LOADS))
 def test_mpmath_loads_only_where_a_command_solves_in_it(tmp_path, case):
     # no command loads either: a grid at any precision, its ties and branch
@@ -403,6 +417,13 @@ def test_mpmath_loads_only_where_a_command_solves_in_it(tmp_path, case):
     got_loaded, got_files = map(json.loads, done.stdout.splitlines())
     assert got_loaded == loaded
     assert got_files == files
+    if case in UNMOVED:
+        name, want = UNMOVED[case]
+        payload = json.loads((tmp_path / name).read_bytes())
+        for row in payload["rows"]:
+            del row["max_residual"]
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 def test_roots_with_every_index_missed_loads_neither_numpy_nor_mpmath(tmp_path):
@@ -557,11 +578,9 @@ def test_import_timer_lists_the_modules_a_command_loads(tmp_path):
 # every record type of the package, with the fields it had as a
 # typing.NamedTuple but for probe.Isolated, which lost its E when the probe
 # came to work in y = x/c, algebraic.StarGeometry, which lost the c_float
-# nothing read, and algebraic.BranchBatch, which lost the counts of the two
-# solver paths when one was left; none has a default
+# nothing read; none has a default
 RECORDS = {
     "algebraic": {
-        "BranchBatch": ("results",),
         "BranchCoefficients": ("values", "identity_error"),
         "BranchSet": ("z", "parts", "residuals", "tie_flag", "precision"),
         "RegionReport": (
