@@ -73,7 +73,7 @@ from .errors import (
     SolverDivergence,
     UsageError,
 )
-from .exactpoly import Poly, compose_star
+from .exactpoly import compose_star
 from .rationals import rat_strs, ratio
 from .recurrence import (
     FactorizationViolation,
@@ -358,25 +358,9 @@ def cmd_gen(args) -> int:
         raise UsageError("--R must be >= 0")
     records = gen_type1_records(p, args.R)
     type2 = gen_type2(p, args.R)
-    # each distinct coefficient is formatted once; those of h_r are the
-    # coefficients of t_r up to sign
-    memo = {}  # den -> {num: rat_str of num/den}
-
-    def strings(poly: Poly) -> list:
-        den = poly.den
-        known = memo.setdefault(den, {})
-
-        def miss(num):
-            mag = abs(num)
-            text = known.get(mag) or rat_strs((mag,), den)[0]
-            known[mag] = text
-            if num < 0:
-                text = known[num] = "-" + text
-            return text
-
-        return [known.get(num) or miss(num) for num in poly.nums]
-
-    ts = [strings(rec.t) for rec in records]
+    # each coefficient of t_r and T_n is written once, straight from its
+    # integers; h_r's strings are picked from t_r's (_h_strs)
+    ts = [rat_strs(rec.t.nums, rec.t.den) for rec in records]
     doc = {
         "scalar": [
             {
@@ -388,12 +372,12 @@ def cmd_gen(args) -> int:
                 "t_degree": rec.t.degree,
                 "h_degree": rec.h.degree,
                 "t": t,
-                "h": strings(rec.h),
+                "h": _h_strs(t, rec, p.m),
             }
             for rec, t in zip(records, ts)
         ],
         "type2": [
-            {"n": n, "degree": poly.degree, "coeffs": strings(poly)}
+            {"n": n, "degree": poly.degree, "coeffs": rat_strs(poly.nums, poly.den)}
             for n, poly in enumerate(type2)
         ],
         # t_{j,r} = t_{r-j}, and 0 for r < j: the shift identity and the
@@ -413,6 +397,16 @@ def cmd_gen(args) -> int:
           for row in doc["vectors"] for j, coeffs in enumerate(row["components"]))),
     ])
     return EXIT_OK
+
+
+def _h_strs(t: list, rec, m: int) -> list:
+    """h_r's strings, picked from ``t``, t_r's: ``extract_h`` takes h_r from
+    t_r's coefficients at the powers ell + (m+1)*j, times (-1)^k, over t_r's
+    denominator, so each picked fraction is h_r's, reduced."""
+    picked = t[rec.ell :: m + 1]
+    if rec.k % 2:
+        picked = [s if s == "0/1" else s[1:] if s[0] == "-" else "-" + s for s in picked]
+    return picked
 
 
 # ---------------------------------------------------------------- verify
@@ -513,7 +507,9 @@ def cmd_verify(args) -> int:
     bad_r = [r for r, u in enumerate(us) if not operators.is_unit(u, r)]
     hard("jump_type1", not bad_r, {"checked": args.R + 1, "failures": bad_r})
 
-    off = operators.gram_offenders(us, ws)
+    # with u_r = e_r and w_n = e_n, <u_r, w_n> is the Kronecker delta: the
+    # pairings are formed only when a jump check failed
+    off = operators.gram_offenders(us, ws) if bad_r or bad_n else []
     hard("biorthogonality_gram", not off,
          {"shape": [args.R + 1, n_max + 1], "offenders": off[:10]})
 

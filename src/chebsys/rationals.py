@@ -120,7 +120,8 @@ def rat_str(q) -> str:
 
 
 def rat_strs(nums, den: int) -> list:
-    """``rat_str`` of every ``num/den`` (``den > 0``), straight from the integers."""
+    """``rat_str`` of every ``num/den`` (``den > 0``), straight from the
+    integers: one gcd per nonzero entry, and a zero as ``"0/1"`` without one."""
     out = []
     for num in nums:
         if not num:

@@ -248,6 +248,23 @@ class TestVerify:
             max(poly.degree for poly in rec.components) for rec in gen_type1_vectors(p, R)
         ) + sum(T.degree for T in gen_type2(p, n_max))
 
+    @pytest.mark.parametrize("c", ["3/7", "1"])
+    def test_a_passing_run_forms_no_gram_pairing(self, tmp_path, monkeypatch, c):
+        # every image a unit vector makes the Gram matrix the identity, so a
+        # run whose jump checks pass reads it off them and pairs nothing
+        def refused(us, ws):
+            raise AssertionError("gram_offenders called on a passing run")
+
+        monkeypatch.setattr(operators, "gram_offenders", refused)
+        out = tmp_path / "verify.json"
+        assert run("verify", "--m", "2", "--c", c, "--R", "14", "--n-max", "17",
+                   "--out", str(out)) == 0
+        names = {check["name"]: check for check in load(out)["checks"]}
+        assert names["biorthogonality_gram"] == {
+            "name": "biorthogonality_gram", "kind": "hard", "status": "PASS",
+            "details": {"shape": [15, 18], "offenders": []},
+        }
+
 
 class TestBranches:
     def test_single_point_values(self, tmp_path):

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from chebsys import cli
 from chebsys.cli import main
 from chebsys.rationals import rat_strs
-from chebsys.recurrence import Params, gen_type1_vectors
+from chebsys.recurrence import Params, gen_type1_records, gen_type1_vectors, gen_type2
 
 PINNED = {
     "gen.json": "0616b9332e5d54d00e60072b2bf659f0ce9693b66b1690fc22e22c80d36865dc",
@@ -83,6 +83,16 @@ PINNED = {
     "gen5.csv": "035e2081f26c3fdc86f063ac092179b40bb6deb0989a29b63c3825a997d3919f",
     "gen5.csv.type2.csv": "79b3ae9344cfe48dbdcd99cfcdc6913b8c0ee73019884b7467ba432d1c4fe7ca",
     "gen5.csv.vectors.csv": "75130f23f7d41e719c0d2ac6afa84e83a6bd53e54dc06fc3635ceda973dd6f25",
+    # m = 2, R = 40 at c = 10**40 and 1/10**40, written in digits; taken while
+    # gen still formatted each distinct coefficient once per denominator
+    "gen_huge.json": "153e37f47261fcfb7a59aa5a095cf161bc0b45473a64886158992ada48251c78",
+    "gen_huge.csv": "a4700abd44aa02da7d799c1b78bdeff8696315d7c2098385029fb7109c1465e3",
+    "gen_huge.csv.type2.csv": "7cd68b678c70a917db2bd86a2aebbb65c47167a09ee8d1e6d310a94379f186fb",
+    "gen_huge.csv.vectors.csv": "8320da5cc96e70279fcd60ec0ee8327da7932b98732843283f277c625f153e0b",
+    "gen_tiny.json": "010cdc97d68941c24dd3b441ac3149ed0b7638d78d8b676a067dcf918349de42",
+    "gen_tiny.csv": "cf8735678b8a5f88770b8a9575893e49d4feb586a685758e8c4128302545c624",
+    "gen_tiny.csv.type2.csv": "6672f35a04dfca1f744f8a86d8cfc3cedac6065a0f278d7ebc8e67f812250db5",
+    "gen_tiny.csv.vectors.csv": "3d351554c4a090c4a9607da160b503e7f35b52a5d2715059aacdaa1f5443922e",
 }
 
 # the verify and asymptote digests were taken before the root work was
@@ -252,6 +262,55 @@ def test_each_vector_row_is_the_generated_component(workdir, m):
             for j, comp in enumerate(rec.components)
         ]
         assert lines[2:] == expected, R
+
+
+@pytest.mark.parametrize(
+    "c, name", [(str(10**40), "gen_huge"), (f"1/{10**40}", "gen_tiny")], ids=["huge", "tiny"]
+)
+def test_gen_at_an_extreme_c_is_pinned(workdir, c, name):
+    # denominators of up to hundreds of digits, and h_r = -t_r's picks at odd k
+    argv = ["gen", "--m", "2", "--c", c, "--R", "40"]
+    assert main(argv + ["--out", f"{name}.json"]) == 0
+    assert main(argv + ["--format", "csv", "--out", f"{name}.csv"]) == 0
+    for path in (f"{name}.json", f"{name}.csv", f"{name}.csv.type2.csv",
+                 f"{name}.csv.vectors.csv"):
+        assert digest((workdir / path).read_bytes()) == PINNED[path], path
+
+
+@pytest.mark.parametrize("c", ["1", "3/7", "7/3", 10**40, Fraction(1, 10**40)],
+                         ids=["1", "3/7", "7/3", "huge", "tiny"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_h_strings_picked_from_t_are_those_of_h(m, c):
+    records = gen_type1_records(Params(m, c), 60)
+    for rec in records:
+        t = rat_strs(rec.t.nums, rec.t.den)
+        assert cli._h_strs(t, rec, m) == rat_strs(rec.h.nums, rec.h.den), rec.r
+    # the vanishing indices (tau = -1, at m > 1) and both parities of k are covered
+    assert any(rec.tau == -1 for rec in records) == (m > 1)
+    assert {rec.k % 2 for rec in records if rec.tau >= 0} == ({0} if m == 1 else {0, 1})
+
+
+def test_a_picked_zero_stays_0_over_1_at_odd_k():
+    # a generated h_r has no zero coefficient, so the tables above never
+    # pick one; the rule is that of rat_strs all the same
+    rec = type("Rec", (), {"ell": 1, "k": 1})
+    t = ["0/1", "1/2", "0/1", "0/1", "-3/4", "0/1", "0/1", "0/1"]
+    assert cli._h_strs(t, rec, 2) == ["-1/2", "3/4", "0/1"]
+
+
+def test_gen_writes_each_t_and_T_once_and_no_h(workdir, monkeypatch):
+    calls = []
+
+    def counted(nums, den):
+        calls.append((tuple(nums), den))
+        return rat_strs(nums, den)
+
+    monkeypatch.setattr(cli, "rat_strs", counted)
+    m, c, R = 3, "311/457", 40
+    assert main(["gen", "--m", str(m), "--c", c, "--R", str(R), "--out", "gen.json"]) == 0
+    p = Params(m, c)
+    polys = [rec.t for rec in gen_type1_records(p, R)] + gen_type2(p, R)
+    assert calls == [(poly.nums, poly.den) for poly in polys]
 
 
 # rows of cells as emit hands them to its row writer
