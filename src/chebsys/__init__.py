@@ -27,8 +27,8 @@ from .errors import (
     OnStarSet,
     SolverDivergence,
 )
-from .exactpoly import DEFAULT_PRECISION, Poly, compose_star, poly_gcd
-from .rationals import BACKEND, as_rational, rat_str
+from .exactpoly import DEFAULT_PRECISION, Poly, compose_star
+from .rationals import BACKEND, as_rational
 from .recurrence import (
     FactorizationViolation,
     NoVariantMatches,
@@ -52,12 +52,7 @@ _LAZY_MODULES = ("operators", "algebraic", "rootfind", "roots")
 # name -> the module that defines it, imported on first access
 _LAZY_NAMES = {
     name: "operators"
-    for name in (
-        "biorthogonality",
-        "gram_matrix",
-        "jump_check_typeI",
-        "jump_check_typeII",
-    )
+    for name in ("gram_matrix", "jump_check_typeI", "jump_check_typeII")
 } | {
     name: "algebraic"
     for name in (
@@ -69,7 +64,6 @@ _LAZY_NAMES = {
         "branch_points",
         "coefficients_b",
         "explicit_t",
-        "limit_L",
         "region_classify",
         "seeded_offstar_points",
         "solve_branches",

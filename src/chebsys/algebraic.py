@@ -24,8 +24,8 @@ working precision, is certified by its inclusion disc (Bini and Fiorentino,
 Numer. Algorithms 23, 2000); a point whose discs meet is refined by Aberth's
 iteration (Math. Comp. 27, 1973) on the kernel, or proved an exact double
 root.  No solve and no asymptotic scan loads mpmath: this module imports it
-only for the values it returns, ``BranchSet.lambdas``, ``limit_L``,
-``coefficients_b`` and ``explicit_t``.
+only for the values it returns, ``BranchSet.lambdas``, ``coefficients_b`` and
+``explicit_t``.
 
 Star geometry: the bounded star is the m+1 segments of length
 ``a = ((m+1)/m) * (m*c)**(1/(m+1))`` along the angles ``2*pi*k/(m+1)``, whose
@@ -881,20 +881,6 @@ def _limit(p: Params, z, precision: int, tol: float) -> tuple:
     norm = mr * mr + bi * bi
     lr, li = _round_div(mr << 2 * bits, norm), _round_div(bi << 2 * bits, norm)
     return top, second / high, (br, -bits, bi, -bits), (lr, -bits, li, -bits)
-
-
-def limit_L(p: Params, z, precision: int = 53, tol: float = 1e-9):
-    """The limit value ``c / (c*m - lambda_m**-(m+1))`` of ``t_r / lambda_m**r``,
-    as an mpmath complex number.
-
-    It is ``b_m * lambda_m**m = c * lambda_m**m / P'(lambda_m)`` for
-    ``P(w) = c*w**(m+1) - z*w + 1``, with ``P'(w) = c*m*w**m - 1/w`` on the
-    roots of P.
-
-    Raises OnStarSet when z is within ``tol`` of the attractor set (or when
-    the top two branch moduli tie, which is the same set seen numerically).
-    """
-    return _to_mpc(_limit(p, z, precision, tol)[3])
 
 
 ScanResult = namedtuple(

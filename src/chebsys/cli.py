@@ -539,16 +539,7 @@ def cmd_verify(args) -> int:
 
 def _probe_block(probe) -> dict:
     """The probe's report, as ``verify`` and ``roots`` both write it."""
-    return {
-        "classification": probe.classification,
-        "max_imag_normalized": _json_safe(probe.max_imag_normalized),
-        "min_separation_normalized": _json_safe(probe.min_separation_normalized),
-        "offending_r": probe.offending_r,
-        "reason": probe.reason,
-        "checked": probe.checked,
-        "certified": probe.certified,
-        "first_uncertified_r": probe.first_uncertified_r,
-    }
+    return {key: _json_safe(value) for key, value in probe._asdict().items()}
 
 
 # ---------------------------------------------------------------- branches

@@ -105,14 +105,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._nums
 
-    @property
-    def leading(self) -> Fraction:
-        if not self._nums:
-            raise ValueError("zero polynomial has no leading coefficient")
-        from fractions import Fraction
-
-        return Fraction(self._nums[-1], self._den)
-
     def __bool__(self) -> bool:
         return bool(self._nums)
 
@@ -167,19 +159,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly.scaled([i * n for i, n in enumerate(self._nums) if i], self._den)
 
-    def eval_exact(self, x) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
-        from fractions import Fraction
-
-        p, q = ratio(x)
-        # sum nums[i] * p**i * q**(deg-i), over den * q**deg
-        acc = 0
-        qpow = 1
-        for n in reversed(self._nums):
-            acc = acc * p + n * qpow
-            qpow *= q
-        return Fraction(acc, self._den * qpow // q if self._nums else 1)
-
     def eval_complex(self, z, precision: int = DEFAULT_PRECISION):
         """Horner evaluation ``acc*z + c`` at a complex point.
 
@@ -202,21 +181,6 @@ class Poly:
                 if n:
                     acc += rat_to_mpf(n, self._den)
             return acc
-
-    def __str__(self) -> str:
-        if not self._nums:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(f"{c}")
-            elif i == 1:
-                parts.append(f"({c})*x")
-            else:
-                parts.append(f"({c})*x^{i}")
-        return " + ".join(parts)
 
 
 def compose_star(h: Poly, m: int, k: int, ell: int) -> Poly:
@@ -275,15 +239,6 @@ def _remainder_chain(a: list, b: list):
         if b:
             g = math.gcd(*b)
             b = [-n // g for n in b]
-
-
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd (exact), by Euclid's algorithm on primitive integer remainders."""
-    for last in _remainder_chain(list(p.nums), list(q.nums)):
-        pass
-    if not last:
-        return Poly.zero()
-    return Poly.scaled(last, last[-1])
 
 
 def dyadic_sign(p: Poly, a: int, k: int) -> int:

@@ -20,9 +20,8 @@ integer dot product over the product of two scales (``_pairing``).
 reads both jump identities (``is_unit``) and the Gram matrix
 (``gram_offenders``) off one pass over the tables it holds, and checks the
 adjoint identity with ``adjoint_holds``; the jump checks build their own
-tables and call the same routine.  Only ``gram_matrix`` and
-``biorthogonality`` return rationals, and only they load ``fractions`` (as
-``rationals.Rational``).
+tables and call the same routine.  Only ``gram_matrix`` returns rationals,
+and only it loads ``fractions`` (as ``rationals.Rational``).
 """
 
 from __future__ import annotations
@@ -151,16 +150,6 @@ def jump_check_typeI(p: Params, r: int) -> bool:
     if r < 0:
         raise ValueError("r must be >= 0")
     return is_unit(_image(p, gen_type1_vectors(p, r)[r].components, False), r)
-
-
-def biorthogonality(p: Params, n: int, r: int) -> Fraction:
-    """Exact pairing of the type I image r with the type II image n; equals
-    1 iff n == r, else 0."""
-    if n < 0 or r < 0:
-        raise ValueError("indices must be >= 0")
-    u = _image(p, gen_type1_vectors(p, r)[r].components, False)
-    w = _image(p, [gen_type2(p, n)[n]], True)
-    return rationals.Rational(*_pairing(u, w))
 
 
 def gram_matrix(p: Params, r_max: int, n_max: int, size: int | None = None) -> list:

@@ -5,8 +5,8 @@ polynomial or vector is a tuple of integer numerators over one positive
 denominator (see ``exactpoly.Poly`` and ``operators``), and the weight c is
 the reduced pair ``(num, den)`` (``recurrence.Params.ratio``).  Input is read
 into such a pair by ``ratio``, which parses a plain ``[+-]digits[/digits]``
-itself, and canonical strings (``rat_str``, ``rat_strs``) and the rounding
-into mpmath (``rat_to_mpf``, ``round_ratio``) are formed from the integers.
+itself, and the canonical strings (``rat_strs``) and the rounding into
+mpmath (``rat_to_mpf``, ``round_ratio``) are formed from the integers.
 ``fractions.Fraction`` appears only at the edges of the API, and the module
 is loaded only then: on the first use of ``as_rational``, ``Rational``,
 ``Params.c``, ``Poly.coeffs`` and the like, or for an input that is not
@@ -114,13 +114,8 @@ def scaled(values) -> tuple[list, int]:
     return [n * (den // d) for n, d in pairs], den
 
 
-def rat_str(q) -> str:
-    """Canonical lossless string form ``"p/q"`` (denominator always shown)."""
-    return "%d/%d" % ratio(q)
-
-
 def rat_strs(nums, den: int) -> list:
-    """``rat_str`` of every ``num/den`` (``den > 0``), straight from the
+    """``"p/q"`` in lowest terms for every ``num/den`` (``den > 0``), from the
     integers: one gcd per nonzero entry, and a zero as ``"0/1"`` without one."""
     out = []
     for num in nums:

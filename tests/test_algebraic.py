@@ -14,7 +14,6 @@ from chebsys.algebraic import (
     branch_points,
     coefficients_b,
     explicit_t,
-    limit_L,
     region_classify,
     seeded_offstar_points,
     solve_branches,
@@ -166,27 +165,29 @@ class TestExplicitT:
 
 
 class TestLimit:
+    # the limit value c/(c*m - l_m^-(m+1)) of t_r/l_m^r, as a scan of no
+    # steps reports it
     def test_m1_value(self):
-        value = complex(limit_L(Params(1, "1"), 3))
+        value = asymptotic_scan(Params(1, "1"), 3, 0).limit_value
         assert abs(value - 1.1708203932499369) < 1e-9
 
     def test_large_z_tends_to_reciprocal_cm(self):
         p = Params(2, "1")
-        value = complex(limit_L(p, 1e5 * cmath.exp(0.4j)))
+        value = asymptotic_scan(p, 1e5 * cmath.exp(0.4j), 0).limit_value
         assert abs(value - 1 / 2) < 1e-3
 
     def test_large_z_tends_to_reciprocal_m_for_c_other_than_one(self):
         # c / (c*m - l_m^-(m+1)) -> 1/m as |z| grows, whatever c is
-        value = complex(limit_L(Params(2, "3"), 1e5 * cmath.exp(0.4j)))
+        value = asymptotic_scan(Params(2, "3"), 1e5 * cmath.exp(0.4j), 0).limit_value
         assert abs(value - 1 / 2) < 1e-3
 
     def test_on_star_rejected_for_even_m(self):
         with pytest.raises(OnStarSet):
-            limit_L(Params(2, "1"), cmath.exp(1j * math.pi / 3))
+            asymptotic_scan(Params(2, "1"), cmath.exp(1j * math.pi / 3), 0)
 
     def test_on_segment_rejected_for_m1(self):
         with pytest.raises(OnStarSet):
-            limit_L(Params(1, "1"), 1.0)
+            asymptotic_scan(Params(1, "1"), 1.0, 0)
 
 
 class TestAsymptoticScan:

@@ -39,6 +39,11 @@ def from_roots(*values):
     return poly
 
 
+def value_at(poly: Poly, x: Fraction) -> Fraction:
+    """``poly(x)`` at a rational x, exactly, term by term."""
+    return sum(Fraction(n, poly.den) * x**i for i, n in enumerate(poly.nums))
+
+
 def graded(h: Poly, p: Params) -> Poly:
     """h(x/c), c = P/Q, up to a positive factor: the x**j coefficient times
     Q**j * P**(d-j)."""
@@ -52,7 +57,7 @@ def test_dyadic_sign_is_the_sign_of_the_exact_value():
         nums = [rng.randint(-50, 50) for _ in range(rng.randint(1, 7))]
         poly = Poly.scaled(nums, rng.randint(1, 9))
         a, k = rng.randint(-200, 200), rng.randint(0, 6)
-        value = poly.eval_exact(Fraction(a, 2**k))
+        value = value_at(poly, Fraction(a, 2**k))
         assert dyadic_sign(poly, a, k) == (value > 0) - (value < 0)
 
 
@@ -529,7 +534,7 @@ def test_the_check_is_exact_in_each_coefficient():
     # h(x/c) has 6/7 and 9/7, and kappa * h(x/c) is graded for every kappa > 0
     h, c = Poly((6, -5, 1)), Params(1, "3/7")
     image = graded(h, c)
-    assert image.eval_exact(Fraction(6, 7)) == image.eval_exact(Fraction(9, 7)) == 0
+    assert value_at(image, Fraction(6, 7)) == value_at(image, Fraction(9, 7)) == 0
     assert probe._graded(image, h, 3, 7)
     assert probe._graded(image * 5, h, 3, 7)
     assert not probe._graded(-image, h, 3, 7)

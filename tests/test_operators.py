@@ -10,7 +10,6 @@ from chebsys.operators import (
     _image,
     _int_dot,
     _step,
-    biorthogonality,
     gram_matrix,
     images,
     is_unit,
@@ -104,14 +103,15 @@ class TestJumpChecks:
 
 
 class TestBiorthogonality:
+    # one Gram entry <u_r, w_n> is gram_matrix(p, r, n)[r][n]
     def test_diagonal(self):
-        assert biorthogonality(Params(2, "1"), 5, 5) == 1
+        assert gram_matrix(Params(2, "1"), 5, 5)[5][5] == 1
 
     def test_off_diagonal(self):
-        assert biorthogonality(Params(2, "1"), 4, 7) == 0
+        assert gram_matrix(Params(2, "1"), 7, 4)[7][4] == 0
 
     def test_corner(self):
-        assert biorthogonality(Params(3, "9/4"), 0, 0) == 1
+        assert gram_matrix(Params(3, "9/4"), 0, 0)[0][0] == 1
 
     def test_small_gram_identity(self):
         gram = gram_matrix(Params(2, "3/2"), 12, 12)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -214,7 +215,7 @@ class TestStructuralProperties:
             for rec in gen_type1_records(p, 60):
                 if rec.tau < 0:
                     continue
-                scaled = abs(rec.t.leading) * p.c**rec.d
+                scaled = Fraction(abs(rec.t.nums[-1]), rec.t.den) * p.c**rec.d
                 assert scaled.denominator == 1 and scaled > 0, (m, c, rec.r)
 
     def test_m1_reduction_to_second_kind(self):

@@ -251,23 +251,24 @@ print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 # loaded on demand, by the module that defines it, less the rational-vector
 # helpers of operators (apply_T, apply_T_transpose, basis_vector,
 # poly_of_operator), which are gone, solve_branches_aberth, which went
-# with the Aberth fallback of the branch solver, and BranchBatch, whose one
-# field gave way to the tuple of results
+# with the Aberth fallback of the branch solver, BranchBatch, whose one
+# field gave way to the tuple of results, and poly_gcd, rat_str, limit_L
+# and biorthogonality, which only the tests called (see USERS below)
 PUBLIC = {
     "algebraic": (
         "BranchCoefficients", "BranchSet", "DegenerateBranches",
         "OnStarSet", "ScanResult", "SolverDivergence", "StarGeometry",
         "asymptotic_scan", "branch_points", "coefficients_b", "explicit_t",
-        "limit_L", "region_classify", "seeded_offstar_points", "solve_branches",
+        "region_classify", "seeded_offstar_points", "solve_branches",
         "solve_branches_many", "star_geometry", "star_radius",
     ),
     "exactpoly": (
-        "DEFAULT_PRECISION", "Poly", "compose_star", "poly_gcd",
+        "DEFAULT_PRECISION", "Poly", "compose_star",
     ),
     "operators": (
-        "biorthogonality", "gram_matrix", "jump_check_typeI", "jump_check_typeII",
+        "gram_matrix", "jump_check_typeI", "jump_check_typeII",
     ),
-    "rationals": ("BACKEND", "Rational", "as_rational", "rat_str"),
+    "rationals": ("BACKEND", "Rational", "as_rational"),
     "recurrence": (
         "FactorizationViolation", "NoVariantMatches", "Params", "TypeIRecord",
         "TypeIVectorRecord", "decompose_index", "extract_h", "gen_type1_records",
@@ -305,7 +306,7 @@ print(json.dumps("csv" in sys.modules))
 # into two integers and writes its JSON itself.  The operators are loaded
 # only for verify, which runs last, and bring no fractions: the operators
 # compare the Gram entries and the adjoint identity as integers, and import
-# fractions only in the functions that return Fractions.  The
+# fractions only in gram_matrix, which returns Fractions.  The
 # script itself imports no json: each command is one argument, its words
 # split at spaces, and each line lists the modules loaded by then.
 LEAN = """
@@ -536,6 +537,52 @@ def test_public_names_resolve_to_their_home_objects():
     for name in SUBMODULES:
         assert getattr(chebsys, name) is sys.modules[f"chebsys.{name}"]
     assert set(dir(chebsys)) >= {*SUBMODULES, *(n for ns in PUBLIC.values() for n in ns)}
+
+
+# the code that the package serves: its own modules, the acceptance battery
+# and the benchmark (read only, never imported here); a public name none of
+# them uses is kept only for the tests
+MODULES = [path for path in sorted(Path(chebsys.__file__).parent.glob("*.py"))
+           if path.name != "__init__.py"]
+USERS = [*MODULES, ROOT / "tests" / "test_acceptance.py",
+         *sorted((ROOT / "perfbench").glob("*.py"))]
+UNUSED_BY_DESIGN = {
+    # the benchmark's run record reads it inside a `python -c` string
+    "rationals.BACKEND",
+}
+# the tests' 256-bit reference, which the benchmark's tracer imports; it goes
+# as a whole once the tracer drops that import (ROADMAP item 16)
+UNCHECKED_MODULES = {"rootfind"}
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    used = set()
+    for path in USERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    # module-level functions, classes and constants, and the methods and
+    # properties a class defines with def
+    defined = set()
+    for path in MODULES:
+        if path.stem in UNCHECKED_MODULES:
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = []
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [fn.name for fn in node.body if isinstance(fn, ast.FunctionDef)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names += [target.id for target in targets if isinstance(target, ast.Name)]
+            defined.update(f"{path.stem}.{name}" for name in names if not name.startswith("_"))
+    unused = {name for name in defined if name.rpartition(".")[2] not in used}
+    assert unused == UNUSED_BY_DESIGN
 
 
 def test_no_module_loads_dataclasses():
