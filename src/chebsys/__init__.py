@@ -11,14 +11,13 @@ complex evaluation.
 Importing the package loads only the exact generators, which need nothing
 beyond the standard library, and compute in integers without ``fractions``.
 The names of the banded-operator checks (``operators``) and of the numeric
-half, their modules ``operators``, ``algebraic``, ``rootfind`` and
-``roots``, and ``Rational`` (``fractions.Fraction``) resolve on first use.
-mpmath, the one dependency, is loaded with ``rootfind``, the Aberth solver
-for a polynomial given by hand, and where ``algebraic`` returns mpmath
-values; its branch solver, scan and star geometry compute on the integer
-kernel.  The probe (``probe``) works on integer signs, and ``roots`` takes
-the zeros of every h_r the probe proved from its isolating intervals, so
-neither loads mpmath.
+half, their modules ``operators``, ``algebraic`` and ``roots``, and
+``Rational`` (``fractions.Fraction``) resolve on first use.  mpmath, the one
+dependency, is loaded only where a value is returned in it
+(``Poly.eval_complex`` and the mpmath values of ``algebraic``); the branch
+solver, scan and star geometry compute on the integer kernel.  The probe
+(``probe``) works on integer signs, and ``roots`` takes the zeros of every
+h_r the probe proved from its isolating intervals, so neither loads mpmath.
 """
 
 from .errors import (
@@ -47,7 +46,7 @@ from .recurrence import (
 
 __version__ = "0.1.0"
 
-_LAZY_MODULES = ("operators", "algebraic", "rootfind", "roots")
+_LAZY_MODULES = ("operators", "algebraic", "roots")
 
 # name -> the module that defines it, imported on first access
 _LAZY_NAMES = {

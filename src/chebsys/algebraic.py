@@ -606,15 +606,14 @@ def explicit_t(p: Params, r: int, z, precision: int = 53):
 
 StarGeometry = namedtuple(
     "StarGeometry",
-    "m a s0_angles even_angles odd_angles attractor attractor_angles"
-    " even_rotations odd_rotations attractor_rotations",
+    "m a even_angles odd_angles attractor even_rotations odd_rotations attractor_rotations",
 )
 StarGeometry.__doc__ = """Ray/segment skeleton for one parameter pair.
 
 Each family's ``*_rotations`` are ``cmath.exp(-1j*angle)`` of its
 angles, which turn a point onto the family's rays; the bounded star's
 segments lie along the odd angles.  ``attractor`` is "even" for even m
-and "odd" for odd m.
+and "odd" for odd m, and names the family of the attractor star.
 """
 
 
@@ -767,11 +766,9 @@ def star_geometry(p: Params) -> StarGeometry:
     return StarGeometry(
         m=m,
         a=star_radius(p),
-        s0_angles=odd,
         even_angles=even,
         odd_angles=odd,
         attractor=attractor,
-        attractor_angles=even if attractor == "even" else odd,
         even_rotations=even_rotations,
         odd_rotations=odd_rotations,
         attractor_rotations=even_rotations if attractor == "even" else odd_rotations,
@@ -800,9 +797,7 @@ def segment_family_distance(z, rotations, length: float) -> float:
     return best
 
 
-RegionReport = namedtuple(
-    "RegionReport", "z tol dist_s0 dist_even_star dist_odd_star dist_attractor omega"
-)
+RegionReport = namedtuple("RegionReport", "z dist_s0 dist_even_star dist_odd_star omega")
 RegionReport.__doc__ = """Distances from a point to the three stars and the induced domain flags.
 
 ``omega[j]`` is True when the point lies in the holomorphy domain of
@@ -825,7 +820,7 @@ def region_classify(p: Params, z, tol: float) -> RegionReport:
     for _ in range(1, p.m):
         flags.append(min(de, do) >= tol)
     flags.append(da >= tol)
-    return RegionReport(z, tol, d0, de, do, da, tuple(flags))
+    return RegionReport(z, d0, de, do, tuple(flags))
 
 
 def _limit_gate_distance(p: Params, geom: StarGeometry, z) -> float:

@@ -69,7 +69,6 @@ from .errors import (
     DegenerateBranches,
     NoVariantMatches,
     OnStarSet,
-    RootRefinementError,
     SolverDivergence,
     UsageError,
 )
@@ -99,7 +98,6 @@ NUMERIC_FAILURES = (
     DegenerateBranches,
     ConvergenceFailure,
     NoVariantMatches,
-    RootRefinementError,
 )
 
 
@@ -555,7 +553,7 @@ def cmd_branches(args) -> int:
     geom = algebraic.star_geometry(p)
     geometry = {
         "a": geom.a,
-        "s0_angles": list(geom.s0_angles),
+        "s0_angles": list(geom.odd_angles),
         "even_star_angles": list(geom.even_angles),
         "odd_star_angles": list(geom.odd_angles),
         "attractor": geom.attractor,

@@ -27,14 +27,6 @@ class DegenerateBranches(Exception):
     """Two branch moduli are numerically tied; coefficients are ill-conditioned."""
 
 
-class RootRefinementError(Exception):
-    """Root iteration failed to converge; the offending coefficients are attached."""
-
-    def __init__(self, message: str, coeffs=None):
-        super().__init__(message)
-        self.coeffs = coeffs
-
-
 class ConvergenceFailure(Exception):
     """``roots`` has no zeros for an index: the probe did not prove that its
     h_r has real, simple zeros.  That h_r is attached."""

@@ -24,8 +24,8 @@ value by ``raw_mpf``), and the branch values of ``algebraic`` at every
 precision, with their exact polish, moduli (``hypot_man_exp``) and double
 conversions (``from_float``, ``to_float``), and the fixed-point asymptotic
 scan built on them, its errors and ratio rounded here, so neither needs
-mpmath at all.  The cold Horner and Aberth loops of ``exactpoly`` and
-``rootfind`` run on mpmath's own operators.
+mpmath at all.  The cold Horner loop of ``exactpoly`` runs on mpmath's own
+operators.
 """
 
 from __future__ import annotations

@@ -18,8 +18,9 @@ to x = c*y and to t on the integer kernel: no root is solved and mpmath is
 not loaded.  An index the probe does not prove (one whose zeros are not
 real and simple, or a table off the c-grading from its first such index
 on) has no zeros here: it raises ``ConvergenceFailure``, and ``roots``
-writes it as an ``unproved`` row.  ``rootfind.complex_roots`` still solves
-such an h_r numerically for a caller who wants its zeros.
+writes it as an ``unproved`` row.  A caller who wants the zeros of such an
+h_r solves it by hand: ``mpmath.polyroots`` on h's coefficients, highest
+first.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from chebsys.algebraic import (
     star_radius,
 )
 from chebsys.recurrence import Params, gen_type1_scalar
-from chebsys.rootfind import complex_roots
+from trinomial import trinomial_roots
 
 
 def horner_scan_errors(p, z, r_max, precision):
@@ -39,12 +39,12 @@ def horner_scan_errors(p, z, r_max, precision):
 
 def mpmath_scan_errors(p, z, r_max, bits):
     """The scan's errors with t_r stepped by its own recurrence, all in mpmath
-    at ``bits``: the top branch from an Aberth solve (``rootfind``), and L as
+    at ``bits``: the top branch by Newton's steps (``trinomial``), and L as
     ``c/(c*m - lambda_m**-(m+1))``."""
     m = p.m
+    top = max(trinomial_roots(m, p.c, z, bits), key=abs)
     with mpmath.workprec(bits):
         c, zz = mpmath.mpf(p.c.numerator) / p.c.denominator, mpmath.mpc(z)
-        top = max(complex_roots([1, -zz] + [0] * (m - 1) + [c], precision=bits), key=abs)
         limit = c / (c * m - top ** -(m + 1))
         values = [mpmath.mpc(0)] * (m + 1) + [mpmath.mpc(1)] + [mpmath.mpc(0)] * (m - 1)
         for _ in range(m, r_max + 1):

@@ -1,5 +1,5 @@
 """The branch solver: every value certified by its inclusion disc, against a
-256-bit Aberth reference (``rootfind.complex_roots``)."""
+256-bit reference by Newton's steps in mpmath (``trinomial.trinomial_roots``)."""
 
 import cmath
 import math
@@ -22,7 +22,7 @@ from chebsys.algebraic import (
 )
 from chebsys.rationals import raw_mpf
 from chebsys.recurrence import Params
-from chebsys.rootfind import complex_roots
+from trinomial import double_root, trinomial_roots
 
 
 def cells(bs):
@@ -63,15 +63,9 @@ def box(rng, a, far):
 
 
 def reference(p, z, bits=256):
-    """The roots of ``c*w**(m+1) - z*w + 1`` by ``rootfind.complex_roots`` at
-    ``bits``, seeded with the trinomial's roots in doubles where they exist."""
-    try:
-        seeds = algebraic._trinomial_seeds(p.m, float(p.c), complex(z))
-    except (OverflowError, ValueError):
-        seeds = None
-    with mpmath.workprec(bits + 32):
-        coeffs = [1, -mpmath.mpc(z)] + [0] * (p.m - 1) + [p.c]
-        return complex_roots(coeffs, precision=bits, seeds=seeds)
+    """The roots of ``c*w**(m+1) - z*w + 1`` by Newton's steps in mpmath at
+    ``bits``, from the trinomial's roots in doubles where they exist."""
+    return trinomial_roots(p.m, p.c, z, bits)
 
 
 def exact(part):
@@ -105,14 +99,10 @@ def assert_certified(p, z, bs, bits=256):
     no two values take the same root.  Where the discriminant vanishes,
     ``m**m * z**(m+1) = (m+1)**(m+1) * c``, two values are instead the
     double root ``(m+1)/(m*z)`` rounded to the working bits."""
-    m, zr, zi = p.m, Fraction(z.real), Fraction(z.imag)
     parts = list(bs.parts)
-    pr, pi = Fraction(1), Fraction(0)
-    for _ in range(m + 1):
-        pr, pi = pr * zr - pi * zi, pr * zi + pi * zr
-    if not pi and m**m * pr == (m + 1) ** (m + 1) * p.c:
-        norm, tolerance = m * (zr * zr + zi * zi), Fraction(2) ** (1 - algebraic._work_bits(bs.precision, m, z))
-        double = ((m + 1) * zr / norm, -(m + 1) * zi / norm)
+    double = double_root(p.m, p.c, z)
+    if double is not None:
+        tolerance = Fraction(2) ** (1 - algebraic._work_bits(bs.precision, p.m, z))
         near = [
             part for part in parts
             if all(abs(x - y) <= tolerance * abs(y) for x, y in zip(exact(part), double))
@@ -250,7 +240,7 @@ def test_mixed_points_keep_their_input_order():
 @pytest.mark.parametrize("precision", [53, 128])
 def test_fallback_values_are_those_of_their_mpmath_roots(precision):
     # the points the refinement solves, at the tips of the star: each value
-    # is certified against the Aberth roots, and the conjugate pair at the
+    # is certified against the mpmath roots, and the conjugate pair at the
     # real tip of m = 2 is split off the real axis
     p = Params(2, "1")
     tips = branch_points(p)
@@ -276,7 +266,7 @@ def test_seeds_that_are_not_finite_give_way_to_the_polygon(monkeypatch, bad):
 
 def test_above_53_bits_points_run_on_the_kernel():
     # the exact Newton steps carry each value to the working bits: it agrees
-    # with an Aberth solve at 64 more bits to within its last working bit
+    # with the mpmath reference at 64 more bits to within its last working bit
     p = Params(3, "5/2")
     points = [complex(1.3, 0.4), complex(-2.2, 1.9)]
     for precision in (80, 400, 1200):

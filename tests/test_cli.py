@@ -17,7 +17,6 @@ from chebsys import algebraic, cli, operators, probe
 from chebsys import roots as roots_module
 from chebsys.algebraic import DegenerateBranches
 from chebsys.cli import EXIT_NUMERIC, main
-from chebsys.errors import RootRefinementError
 from chebsys.exactpoly import Poly
 from chebsys.recurrence import (
     NoVariantMatches,
@@ -963,18 +962,6 @@ class TestNumericFailures:
             capsys, "SolverDivergence",
             "asymptote", "--m", "2", "--c", "1", "--z", "1.8898815748423097,0",
             "--precision", "80", "--out", str(tmp_path / "scan.json"),
-        )
-
-    def test_root_refinement_error(self, tmp_path, monkeypatch, capsys):
-        # every caller of the root finder now catches its error; one that
-        # escaped from the geometry would still map to the numeric exit
-        monkeypatch.setattr(
-            algebraic, "branch_points", _raise(RootRefinementError("stuck"))
-        )
-        self.expect_numeric(
-            capsys, "RootRefinementError",
-            "branches", "--m", "2", "--c", "1", "--z", "3,1",
-            "--out", str(tmp_path / "branches.json"),
         )
 
     def test_degenerate_branches(self, tmp_path, monkeypatch, capsys):

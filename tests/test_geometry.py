@@ -1,11 +1,12 @@
 """The exact star geometry against the mpmath geometry it replaced.
 
 ``star_radius`` was the 80-bit ``mpmath.root`` of m*c, and ``branch_points``
-an 80-bit Aberth solve of the critical-point system, both kept below as the
-reference.  On a seeded sample the exact versions must give the same
-doubles, except that a component that is exactly zero reads 0.0 where the
-solve left noise; next to a half-way point they round correctly where the
-80-bit radius did not.
+came from an 80-bit solve of the critical-point system; the reference below
+takes the same radius, and the critical points in closed form at 80 bits.
+On a seeded sample the exact versions must give the same doubles, except
+that a component that is exactly zero reads 0.0 where mpmath left noise;
+next to a half-way point they round correctly where the 80-bit radius did
+not.
 """
 
 import cmath
@@ -23,7 +24,6 @@ from chebsys.algebraic import branch_points, star_radius
 from chebsys.cli import main
 from chebsys.rationals import as_rational, rat_to_mpf
 from chebsys.recurrence import Params
-from chebsys.rootfind import complex_roots
 
 # ---------------------------------------------------------------- references
 
@@ -38,9 +38,9 @@ def mpmath_star_radius(p):
 def mpmath_branch_points(p, precision=80):
     m, c = p.m, p.c
     with mpmath.workprec(precision + 32):
+        # the critical points of the trinomial in closed form, w**(m+1) = 1/(c*m)
         cm = rat_to_mpf(as_rational(m) * c)
-        coeffs = [mpmath.mpc(-1) / cm] + [mpmath.mpc(0)] * m + [mpmath.mpc(1)]
-        crit = complex_roots(coeffs, precision=precision)
+        crit = [mpmath.root(1 / cm, m + 1, k) for k in range(m + 1)]
         cmpf = rat_to_mpf(c)
         return [complex(cmpf * (m + 1) * w**m) for w in crit]
 
@@ -198,8 +198,11 @@ def test_star_distances_from_cached_rotations_are_the_per_angle_ones(seed):
         points += [0j, *branch_points(p)]
         for z in points:
             region = algebraic.region_classify(p, z, 1e-9)
-            assert region.dist_s0 == min(angle_segment_distance(z, a, geom.a) for a in geom.s0_angles)
+            # the bounded star's segments lie along the odd angles, and the
+            # attractor star is the family its parity names
+            assert region.dist_s0 == min(angle_segment_distance(z, a, geom.a) for a in geom.odd_angles)
             assert region.dist_even_star == min(angle_ray_distance(z, a) for a in geom.even_angles)
             assert region.dist_odd_star == min(angle_ray_distance(z, a) for a in geom.odd_angles)
-            attractor = min(angle_ray_distance(z, a) for a in geom.attractor_angles)
-            assert region.dist_attractor == attractor
+            angles = geom.even_angles if geom.attractor == "even" else geom.odd_angles
+            attractor = min(angle_ray_distance(z, a) for a in angles)
+            assert region.omega[-1] == (attractor >= 1e-9)

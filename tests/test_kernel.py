@@ -3,10 +3,9 @@
 Each kernel reference below is the libmp call that ``round_ratio`` and the
 53-bit branch values made before they moved onto the kernel in
 ``chebsys.rationals``; the kernel must return the same raw tuples, or the
-same doubles, not merely close values.  The loop references are the raw
-libmp calls that ``Poly.eval_complex`` and the Aberth sweep's Horner loop
-(``rootfind._horner``) make through mpmath's operators, in the same order,
-so their bits are pinned too.
+same doubles, not merely close values.  The loop reference is the raw
+libmp calls that ``Poly.eval_complex`` makes through mpmath's operators, in
+the same order, so its bits are pinned too.
 """
 
 import math
@@ -22,7 +21,6 @@ from mpmath.libmp import (
     from_man_exp,
     fzero,
     mpc_abs,
-    mpc_add,
     mpc_add_mpf,
     mpc_mul,
     mpf_add,
@@ -34,7 +32,6 @@ from mpmath.libmp import (
     to_float,
 )
 
-from chebsys import rootfind
 from chebsys.exactpoly import Poly
 from chebsys import rationals
 from chebsys.rationals import (
@@ -68,26 +65,6 @@ def libmp_eval(poly, z, bits):
         if n:
             acc = mpc_add_mpf(acc, c, bits, RND)
     return acc
-
-
-def libmp_fused(cs, abs_cs, x, ax, prec):
-    p = cs[-1]
-    dp = (fzero, fzero)
-    scale = abs_cs[-1]
-    for i in range(len(cs) - 2, -1, -1):
-        dp = mpc_add(mpc_mul(dp, x, prec, RND), p, prec, RND)
-        p = mpc_add(mpc_mul(p, x, prec, RND), cs[i], prec, RND)
-        scale = mpf_add(mpf_mul(scale, ax, prec, RND), abs_cs[i], prec, RND)
-    return p, dp, scale
-
-
-def operator_fused(cs, abs_cs, x, ax, prec):
-    make, makef = mpmath.mp.make_mpc, mpmath.mp.make_mpf
-    with mpmath.workprec(prec):
-        p, dp, scale = rootfind._horner(
-            [make(c) for c in cs], [makef(a) for a in abs_cs], make(x), makef(ax)
-        )
-    return p._mpc_, dp._mpc_, scale._mpf_
 
 
 def raw(man, exp):
@@ -315,25 +292,5 @@ def test_eval_complex_over_a_point_of_more_bits_than_the_precision():
         with mpmath.workprec(bits + 32):
             z = mpmath.mpc(1) / 3 + mpmath.mpc(0, 2) / 7
         assert poly.eval_complex(z, bits)._mpc_ == libmp_eval(poly, z, bits)
-
-
-@pytest.mark.parametrize("prec", PRECISIONS)
-def test_fused_horner_is_the_libmp_loop(prec):
-    rng = random.Random(prec + 2)
-    for _ in range(12):
-        poly = spread_poly(rng, rng.randint(1, 25), rng.choice((4, 60, 300)))
-        with mpmath.workprec(prec):
-            cs = [mpmath.mpc(mpmath.mp.make_mpf(c), 0)._mpc_ for c in rounded(poly, prec)]
-            if rng.random() < 0.5:  # complex coefficients, some imaginary only
-                cs = [
-                    (fzero, a) if i % 3 == 1 else (a, mpmath.mpf(rng.uniform(-1, 1))._mpf_)
-                    for i, (a, _) in enumerate(cs)
-                ]
-            abs_cs = [mpc_abs(c, prec, RND) for c in cs]
-            points = [random_point(rng), rng.uniform(-2, 2), complex(0, rng.uniform(-2, 2)), 0]
-        for point in points:
-            x = complex_at(point, prec)
-            for ax in (mpc_abs(x, prec, RND), fzero):
-                assert operator_fused(cs, abs_cs, x, ax, prec) == libmp_fused(cs, abs_cs, x, ax, prec)
 
 

@@ -1,8 +1,8 @@
-"""Aberth seeds without numpy: the branch trinomial solved in plain doubles,
-and the companion-matrix seeds it replaces, kept here as the reference, and
-the Newton polygon's circles that take over where the trinomial's seeds do
-not exist.  Both seed the same Aberth solve, ``rootfind.complex_roots`` at
-the branch solver's working bits."""
+"""Seeds without numpy: the branch trinomial solved in plain doubles, and the
+companion-matrix seeds it replaces, kept here as the reference.  Both start
+the same Newton's steps in mpmath (``trinomial.trinomial_roots``) at the
+branch solver's working bits, which take the leading-order roots, on the
+Newton polygon's circles, where the seeds do not exist."""
 
 import cmath
 import math
@@ -14,27 +14,23 @@ import mpmath
 import numpy as np
 import pytest
 
-from chebsys import algebraic, rootfind
-from chebsys.errors import RootRefinementError
+from chebsys import algebraic
 from chebsys.recurrence import Params
+from trinomial import trinomial_roots
 
 Solved = namedtuple("Solved", "values tie_flag residuals relative")
 
 
 def solve(p, z, precision, seeds):
-    """The roots of ``c*w**(m+1) - z*w + 1`` by Aberth iteration at the
-    branch solver's working bits from ``seeds``, sorted by modulus and then
-    argument, or the RootRefinementError raised: their values, the tie rule,
-    their absolute residuals, and the largest residual relative to the
-    largest of 1, ``|c*w**(m+1)|`` and ``|z*w|``."""
+    """The roots of ``c*w**(m+1) - z*w + 1`` by Newton's steps at the branch
+    solver's working bits from ``seeds``, sorted by modulus and then
+    argument: their values, the tie rule, their absolute residuals, and the
+    largest residual relative to the largest of 1, ``|c*w**(m+1)|`` and
+    ``|z*w|``."""
     m, workbits = p.m, algebraic._work_bits(precision, p.m, z)
+    roots = trinomial_roots(m, p.c, z, workbits - 16, seeds)
     with mpmath.workprec(workbits):
         zz, c = mpmath.mpc(z), mpmath.mpf(p.c.numerator) / p.c.denominator
-        coeffs = [mpmath.mpc(1), -zz] + [mpmath.mpc(0)] * (m - 1) + [mpmath.mpc(c)]
-        try:
-            roots = rootfind.complex_roots(coeffs, precision=workbits - 16, seeds=seeds)
-        except RootRefinementError as exc:
-            return exc
         roots.sort(key=lambda l: (abs(l), mpmath.arg(l)))
         moduli = [abs(l) for l in roots]
         tie = any(hi - lo < algebraic.TIE_RELATIVE_GAP * max(hi, 1e-300) for lo, hi in zip(moduli, moduli[1:]))
@@ -53,7 +49,7 @@ def gate(precision):
 def companion_seeds(m, c, z) -> list:
     """numpy's companion eigenvalues of ``c*w**(m+1) - z*w + 1``, normalized
     by its largest coefficient, in double precision, or none where a root
-    overflows, which leaves the solve to the polygon's seeds."""
+    overflows, which leaves the solve to the leading-order roots."""
     cs = [1, -complex(z)] + [0] * (m - 1) + [float(c)]
     scale = max(map(abs, cs))
     try:
@@ -85,7 +81,8 @@ def star_points(p):
     geom = algebraic.star_geometry(p)
     points = [0j, *algebraic.branch_points(p)]
     points.append(cmath.rect(geom.a / 2, geom.odd_angles[0]))
-    points.append(cmath.rect(2 * geom.a, geom.attractor_angles[-1]))
+    attractor = geom.even_angles if geom.attractor == "even" else geom.odd_angles
+    points.append(cmath.rect(2 * geom.a, attractor[-1]))
     return points
 
 
@@ -116,9 +113,6 @@ def test_trinomial_seeds_give_the_companion_seeded_branches(m, c, precision):
         seeds = algebraic._trinomial_seeds(m, p.c, z)
         assert len(seeds) == m + 1 and all(map(cmath.isfinite, seeds)), z
         got, ref = trinomial_seeded(p, z, precision), companion_seeded(p, z, precision)
-        assert type(got) is type(ref), z
-        if isinstance(ref, RootRefinementError):
-            continue
         assert got.values == ref.values, z
         assert got.tie_flag == ref.tie_flag, z
         assert got.relative <= gate(precision) and ref.relative <= gate(precision)
@@ -129,46 +123,23 @@ def test_tied_and_star_points_differ_only_in_noise_and_tie_order(m, c):
     p = Params(m, c)
     for z in star_points(p):
         got, ref = trinomial_seeded(p, z, 53), companion_seeded(p, z, 53)
-        assert type(got) is type(ref), z
-        if isinstance(ref, RootRefinementError):
-            continue
         assert denoised(got, 53) == denoised(ref, 53), z
         assert got.tie_flag == ref.tie_flag, z
         assert got.relative <= gate(53) and ref.relative <= gate(53)
 
 
 @pytest.mark.parametrize("z", [1e300, cmath.rect(3e299, 2.0)])
-def test_a_root_beyond_a_double_takes_the_circle_seeds(monkeypatch, z):
+def test_a_root_beyond_a_double_takes_the_circle_seeds(z):
     # for m = 1 the large root is about z/c, here beyond the range of a
-    # double; the seeds are then on the Newton polygon's circles, at the
-    # working precision
+    # double; neither kind of seeds exists, and both solves start from the
+    # leading-order roots 1/z and z/c, on the Newton polygon's circles, at
+    # the working precision
     p = Params(1, Fraction(1, 10**20))
     assert algebraic._trinomial_seeds(1, p.c, z) == []
-    circles = []
-    initial = rootfind._initial_guesses
-
-    def spy(coeffs, seeds=None):
-        circles.append(seeds is not None)
-        return initial(coeffs, seeds)
-
-    monkeypatch.setattr(rootfind, "_initial_guesses", spy)
+    assert companion_seeds(1, p.c, z) == []
     got = trinomial_seeded(p, z, 53)
-    assert circles == [True]
     ref = companion_seeded(p, z, 53)
     # the residual is relative to the trinomial's terms, about |z|**2/c
     # here, so the non-real z solves as the real one does
     assert got.relative <= gate(53) and ref.relative <= gate(53)
     assert got.values == ref.values and got.residuals == ref.residuals
-
-
-def test_unusable_caller_seeds_fall_back_to_the_circle():
-    # x**2 - 3x + 2: the polygon's circles have radii 2/3 and 3
-    with mpmath.workprec(80):
-        cs = [rootfind.to_mpc(q) for q in (2, -3, 1)]
-        circle = rootfind._initial_guesses(cs, [])
-        assert rootfind._initial_guesses(cs, [1.0, math.inf]) == circle
-        assert rootfind._initial_guesses(cs, [1.0]) == circle
-        assert rootfind._initial_guesses(cs) == circle
-        assert rootfind._initial_guesses(cs, [1.0, 2.5]) == [mpmath.mpc(1), mpmath.mpc(2.5)]
-        radii = [abs(x) for x in circle]
-        assert radii == pytest.approx([mpmath.mpf(2) / 3, mpmath.mpf(3)], rel=2**-70)

@@ -280,9 +280,7 @@ PUBLIC = {
         "attraction_study", "conjecture_probe", "distance_to_star", "roots_of_t",
     ),
 }
-SUBMODULES = (
-    "algebraic", "exactpoly", "operators", "rationals", "recurrence", "rootfind", "roots"
-)
+SUBMODULES = ("algebraic", "exactpoly", "operators", "rationals", "recurrence", "roots")
 
 
 # the records are namedtuples and slots classes, so nothing loads dataclasses
@@ -469,7 +467,7 @@ MPMATH_HOMES = {
 
 
 def test_no_module_of_the_package_imports_numpy():
-    # nor rootfind, which only the tests and a user at the prompt call; nor
+    # nor the empty rootfind, which only the benchmark's tracer imports; nor
     # roots, the probe or the exact half mpmath, but where the exact half
     # rounds into it and where the branch solver converts into it
     for path in sorted(Path(chebsys.__file__).parent.glob("*.py")):
@@ -550,9 +548,6 @@ UNUSED_BY_DESIGN = {
     # the benchmark's run record reads it inside a `python -c` string
     "rationals.BACKEND",
 }
-# the tests' 256-bit reference, which the benchmark's tracer imports; it goes
-# as a whole once the tracer drops that import (ROADMAP item 16)
-UNCHECKED_MODULES = {"rootfind"}
 
 
 def test_every_public_name_is_used_outside_the_tests():
@@ -569,8 +564,6 @@ def test_every_public_name_is_used_outside_the_tests():
     # properties a class defines with def
     defined = set()
     for path in MODULES:
-        if path.stem in UNCHECKED_MODULES:
-            continue
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             names = []
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -583,6 +576,29 @@ def test_every_public_name_is_used_outside_the_tests():
             defined.update(f"{path.stem}.{name}" for name in names if not name.startswith("_"))
     unused = {name for name in defined if name.rpartition(".")[2] not in used}
     assert unused == UNUSED_BY_DESIGN
+
+
+# the benchmark's tracer, loaded by path as its runner loads it, wraps the
+# layer functions it finds in the package; install() imports every module it
+# patches, rootfind included, so it fails if one of them is gone
+TRACER = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+print(json.dumps(tracer.install(tracer.Recorder()), sort_keys=True))
+"""
+
+
+def test_the_benchmark_tracer_installs_against_the_package():
+    # in a fresh interpreter, since install() patches the modules' globals
+    done = python(TRACER, str(ROOT / "perfbench" / "tracer.py"))
+    assert done.returncode == 0, done.stderr
+    table = json.loads(done.stdout)
+    assert "complex_roots" not in table
+    assert table["solve_branches"] == ["algebraic"]
+    assert table["gen_type1_records"] == ["recurrence", "roots", "cli"]
+    assert table["Poly.eval_complex"] == ["exactpoly"]
 
 
 def test_no_module_loads_dataclasses():
@@ -625,21 +641,21 @@ def test_import_timer_lists_the_modules_a_command_loads(tmp_path):
 # every record type of the package, with the fields it had as a
 # typing.NamedTuple but for probe.Isolated, which lost its E when the probe
 # came to work in y = x/c, algebraic.StarGeometry, which lost the c_float
-# nothing read; none has a default
+# nothing read and the s0_angles and attractor_angles that copied another
+# field, and algebraic.RegionReport, which lost the caller's tol and the
+# dist_attractor that copied another distance; none has a default
 RECORDS = {
     "algebraic": {
         "BranchCoefficients": ("values", "identity_error"),
         "BranchSet": ("z", "parts", "residuals", "tie_flag", "precision"),
-        "RegionReport": (
-            "z", "tol", "dist_s0", "dist_even_star", "dist_odd_star", "dist_attractor", "omega",
-        ),
+        "RegionReport": ("z", "dist_s0", "dist_even_star", "dist_odd_star", "omega"),
         "ScanResult": (
             "z", "r_max", "precision", "window", "ratio", "limit_value", "errors", "rates",
             "decay_estimate",
         ),
         "StarGeometry": (
-            "m", "a", "s0_angles", "even_angles", "odd_angles", "attractor",
-            "attractor_angles", "even_rotations", "odd_rotations", "attractor_rotations",
+            "m", "a", "even_angles", "odd_angles", "attractor", "even_rotations",
+            "odd_rotations", "attractor_rotations",
         ),
     },
     "operators": {"Scaled": ("nums", "scale")},

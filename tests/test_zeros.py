@@ -1,12 +1,11 @@
 """The zeros of a proved h_r, refined from the probe's isolating intervals.
 
 ``roots`` takes the zeros of every index the probe proved from the intervals
-that proved it (``probe.enclosure``), and solves nothing.  Aberth iteration
-(``rootfind.complex_roots``) from numpy's companion-matrix seeds is the
-reference here, at 256 bits, on the probe's c = 1 polynomial in y = x/c,
-where the zeros are of the order of one whatever c is.  Exact signs of h_r
-at the two doubles next to each written zero confirm that a zero lies
-between them.
+that proved it (``probe.enclosure``), and solves nothing.
+``mpmath.polyroots`` from numpy's companion-matrix seeds is the reference
+here, at 256 bits, on the probe's c = 1 polynomial in y = x/c, where the
+zeros are of the order of one whatever c is.  Exact signs of h_r at the two
+doubles next to each written zero confirm that a zero lies between them.
 """
 
 import math
@@ -16,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from chebsys import probe, rootfind, roots
+from chebsys import probe, roots
 from chebsys.exactpoly import Poly, dyadic_sign
 from chebsys.recurrence import Params, gen_type1_records
 
@@ -31,6 +30,17 @@ def companion_seeds(g) -> list:
     coefficient, in double precision."""
     scale = max(map(abs, g.nums))
     return [complex(s) for s in np.roots([n / scale for n in reversed(g.nums)])]
+
+
+def polyroots(g, bits=256) -> list:
+    """The zeros of g to ``2**-bits`` by ``mpmath.polyroots`` on 64 more bits
+    (32 more leave the floor of its steps above ``2**-bits`` at m = 1,
+    r = 40), on its integer coefficients, highest first, seeded with
+    ``companion_seeds``."""
+    with mpmath.workprec(bits):
+        return mpmath.polyroots(
+            g.nums[::-1], maxsteps=100, extraprec=64, roots_init=companion_seeds(g)
+        )
 
 
 def sign_at(h, x: float) -> int:
@@ -55,8 +65,7 @@ def test_proved_zeros_agree_with_the_aberth_solve_at_256_bits(m, c):
         got = roots.roots_of_t(rec, p, 256, iso)
         assert got.total_root_count == rec.t.degree
         assert got.origin_multiplicity == rec.ell
-        ref = rootfind.complex_roots(iso.g.coeffs, 256, seeds=companion_seeds(iso.g))
-        ref = sorted(ref, key=lambda y: y.real)
+        ref = sorted(polyroots(iso.g), key=lambda y: y.real)
         assert len(ref) == rec.h.degree
         assert [mult for _, mult in got.h_roots] == [1] * rec.h.degree
         nonzero = [z for z, _ in got.t_roots if z != 0]
