@@ -179,16 +179,10 @@ _POLISH_BITS = 112
 _GUARD_BITS = 16
 
 
-def _fixed(z, bits: int = 0) -> tuple:
-    """z as ``(re, im, exp)``, its value ``(re + i*im) * 2**exp``: exactly
-    where z is a complex double, else each part of its mpmath value rounded
-    to ``bits``."""
-    if complex(z) == z:
-        z = complex(z)
-        (a, ea), (b, eb) = from_float(z.real), from_float(z.imag)
-    else:
-        parts = z.real._mpf_, z.imag._mpf_
-        (a, ea), (b, eb) = (round_man_exp((-1) ** s * man, exp, bits) for s, man, exp, _ in parts)
+def _fixed(z: complex) -> tuple:
+    """The complex double z as ``(re, im, exp)``, exactly: its value is
+    ``(re + i*im) * 2**exp``."""
+    (a, ea), (b, eb) = from_float(z.real), from_float(z.imag)
     return _add((a, 0, ea), (0, b, eb))
 
 
@@ -439,26 +433,26 @@ _C_LOW = (1e-300).as_integer_ratio()
 _C_HIGH = int(1e300)
 
 
-def _solve_fast(m: int, c: tuple, z, precision: int) -> BranchSet:
+def _solve_fast(m: int, c: tuple, z: complex, precision: int) -> BranchSet:
     """The BranchSet at z for ``c = (num, den)``, each value certified by its
     inclusion disc.
 
-    z is exact where it is a complex double, else rounded to the working
-    bits; outside the window of c, ``w = 2**-s * v`` makes the leading
-    coefficient near 1, exactly.  Each of the trinomial's roots in doubles
-    takes one Newton step on the kernel at ``_POLISH_BITS``, its residual
-    exact and its correction formed in doubles; above 53 bits, exact Newton
-    steps follow up to the working bits plus ``_GUARD_BITS``.  Where z/c is
-    beyond a double the Newton polygon's seeds, and where the step in
-    doubles overflows the seeds themselves, go to the disc rule
-    (``_discs``) as they are; a point that fails it is refined
-    (``_refine``).  The values are sorted by modulus, then argument, their
-    residuals are the exact ones as doubles, and the tie flag marks
-    consecutive moduli closer than ``TIE_RELATIVE_GAP`` of the larger.
+    z is a complex double, taken exactly; outside the window of c,
+    ``w = 2**-s * v`` makes the leading coefficient near 1, exactly.  Each
+    of the trinomial's roots in doubles takes one Newton step on the kernel
+    at ``_POLISH_BITS``, its residual exact and its correction formed in
+    doubles; above 53 bits, exact Newton steps follow up to the working
+    bits plus ``_GUARD_BITS``.  Where z/c is beyond a double the Newton
+    polygon's seeds, and where the step in doubles overflows the seeds
+    themselves, go to the disc rule (``_discs``) as they are; a point that
+    fails it is refined (``_refine``).  The values are sorted by modulus,
+    then argument, their residuals are the exact ones as doubles, and the
+    tie flag marks consecutive moduli closer than ``TIE_RELATIVE_GAP`` of
+    the larger.
     """
     bits = _work_bits(precision, m, z)
     target = _POLISH_BITS if precision == 53 else bits + _GUARD_BITS
-    z_fixed = _fixed(z, bits)
+    z_fixed = _fixed(z)
     num, den = c
     s = 0
     if not (_C_LOW[0] * den < num * _C_LOW[1] and num < _C_HIGH * den):
@@ -521,18 +515,19 @@ def _solve_fast(m: int, c: tuple, z, precision: int) -> BranchSet:
             residuals.append(abs(_to_complex(*exact, den)))
         except OverflowError:
             residuals.append(math.inf)
-    return BranchSet(complex(z), tuple(parts), tuple(residuals), tie, precision)
+    return BranchSet(z, tuple(parts), tuple(residuals), tie, precision)
 
 
 def solve_branches_many(p: Params, points, precision: int = 53) -> tuple:
     """``solve_branches`` at every point, by ``_solve_fast``: in input order,
-    each point's BranchSet, or the SolverDivergence raised there."""
+    each point's BranchSet, or the SolverDivergence raised there.  A point
+    is solved as ``complex(z)``, the z its BranchSet reports."""
     if precision < 53:
         raise ValueError("precision must be at least 53 bits")
     results = []
     for z in points:
         try:
-            results.append(_solve_fast(p.m, p.ratio, z, precision))
+            results.append(_solve_fast(p.m, p.ratio, complex(z), precision))
         except SolverDivergence as exc:
             results.append(exc)
     return tuple(results)
@@ -606,7 +601,7 @@ def explicit_t(p: Params, r: int, z, precision: int = 53):
 
 StarGeometry = namedtuple(
     "StarGeometry",
-    "m a even_angles odd_angles attractor even_rotations odd_rotations attractor_rotations",
+    "a even_angles odd_angles attractor even_rotations odd_rotations attractor_rotations",
 )
 StarGeometry.__doc__ = """Ray/segment skeleton for one parameter pair.
 
@@ -764,7 +759,6 @@ def star_geometry(p: Params) -> StarGeometry:
     even_rotations = tuple(cmath.exp(-1j * angle) for angle in even)
     odd_rotations = tuple(cmath.exp(-1j * angle) for angle in odd)
     return StarGeometry(
-        m=m,
         a=star_radius(p),
         even_angles=even,
         odd_angles=odd,
@@ -797,7 +791,7 @@ def segment_family_distance(z, rotations, length: float) -> float:
     return best
 
 
-RegionReport = namedtuple("RegionReport", "z dist_s0 dist_even_star dist_odd_star omega")
+RegionReport = namedtuple("RegionReport", "dist_s0 dist_even_star dist_odd_star omega")
 RegionReport.__doc__ = """Distances from a point to the three stars and the induced domain flags.
 
 ``omega[j]`` is True when the point lies in the holomorphy domain of
@@ -820,7 +814,7 @@ def region_classify(p: Params, z, tol: float) -> RegionReport:
     for _ in range(1, p.m):
         flags.append(min(de, do) >= tol)
     flags.append(da >= tol)
-    return RegionReport(z, d0, de, do, tuple(flags))
+    return RegionReport(d0, de, do, tuple(flags))
 
 
 def _limit_gate_distance(p: Params, geom: StarGeometry, z) -> float:
@@ -878,9 +872,7 @@ def _limit(p: Params, z, precision: int, tol: float) -> tuple:
     return top, second / high, (br, -bits, bi, -bits), (lr, -bits, li, -bits)
 
 
-ScanResult = namedtuple(
-    "ScanResult", "z r_max precision window ratio limit_value errors rates decay_estimate"
-)
+ScanResult = namedtuple("ScanResult", "window ratio limit_value errors rates decay_estimate")
 ScanResult.__doc__ = """Observed error decay of the scaled scalar terms against the limit value.
 
 ``errors[r] = |t_r(z)/lambda_m**r - L|`` with t_r(z)/lambda_m**r stepped
@@ -953,9 +945,6 @@ def asymptotic_scan(
     tail = window * max(1, r_max // (2 * window))
     estimate = root(r_max, r_max - tail, tail) if r_max >= window else None
     return ScanResult(
-        z=complex(z),
-        r_max=r_max,
-        precision=precision,
         window=window,
         ratio=ratio,
         limit_value=complex(to_float(lr, exp), to_float(li, exp)),
@@ -992,19 +981,18 @@ def seeded_offstar_points(
     seed: int,
     rmin: float | None = None,
     rmax: float | None = None,
-    margin: float | None = None,
 ) -> list:
     """Reproducible sample of points avoiding all stars and branch points.
 
     Points are drawn uniformly from an annulus (defaults sized by the segment
-    radius) and rejected within ``margin`` of the bounded star, either
+    radius a) and rejected within ``0.1 * a`` of the bounded star, either
     unbounded star, or any branch point.
     """
     geom = star_geometry(p)
     a = geom.a
     rmin = 0.3 * a if rmin is None else rmin
     rmax = 3.0 * a if rmax is None else rmax
-    margin = 0.1 * a if margin is None else margin
+    margin = 0.1 * a
     if not 0 < rmin < rmax:
         raise ValueError("need 0 < rmin < rmax")
     bps = branch_points(p)

@@ -21,7 +21,7 @@ reads both jump identities (``is_unit``) and the Gram matrix
 (``gram_offenders``) off one pass over the tables it holds, and checks the
 adjoint identity with ``adjoint_holds``; the jump checks build their own
 tables and call the same routine.  Only ``gram_matrix`` returns rationals,
-and only it loads ``fractions`` (as ``rationals.Rational``).
+and only it loads ``fractions``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import random
 from collections import namedtuple
 from operator import mul
 
-from . import rationals
 from .recurrence import Params, gen_type1_vectors, gen_type2
 
 Scaled = namedtuple("Scaled", "nums scale")
@@ -158,5 +157,7 @@ def gram_matrix(p: Params, r_max: int, n_max: int, size: int | None = None) -> l
     ``size`` is accepted and ignored: every image is exact, so no size
     changes the result.
     """
+    from fractions import Fraction
+
     us, ws = images(p, gen_type1_vectors(p, r_max), gen_type2(p, n_max))
-    return [[rationals.Rational(*_pairing(u, w)) for w in ws] for u in us]
+    return [[Fraction(*_pairing(u, w)) for w in ws] for u in us]

@@ -5,27 +5,26 @@ polynomial or vector is a tuple of integer numerators over one positive
 denominator (see ``exactpoly.Poly`` and ``operators``), and the weight c is
 the reduced pair ``(num, den)`` (``recurrence.Params.ratio``).  Input is read
 into such a pair by ``ratio``, which parses a plain ``[+-]digits[/digits]``
-itself, and the canonical strings (``rat_strs``) and the rounding into
-mpmath (``rat_to_mpf``, ``round_ratio``) are formed from the integers.
-``fractions.Fraction`` appears only at the edges of the API, and the module
-is loaded only then: on the first use of ``as_rational``, ``Rational``,
-``Params.c``, ``Poly.coeffs`` and the like, or for an input that is not
-plain (``0.5``, ``1e3``, ``1_000``, surrounding spaces, non-ASCII digits),
-which ``ratio`` hands to ``Fraction`` so that it is read, or refused with
-the same message, as ``Fraction`` reads it.
+itself, and the canonical strings (``rat_strs``) are formed from the
+integers.  ``fractions.Fraction`` appears only at the edges of the API, and
+the module is loaded only then: on the first use of ``as_rational``,
+``Params.c``, ``Poly.coeffs``, ``operators.gram_matrix`` and the like, or
+for an input that is not plain (``0.5``, ``1e3``, ``1_000``, surrounding
+spaces, non-ASCII digits), which ``ratio`` hands to ``Fraction`` so that it
+is read, or refused with the same message, as ``Fraction`` reads it.
 
 The same boundary holds the numeric half's integer kernel: a binary float
 as a signed integer mantissa and an exponent, ``man * 2**exp``, added,
 multiplied, divided and square-rooted in plain integers and rounded
 exactly as mpmath's libmp rounds (see ``add_man_exp``).  It carries the
-hot paths that would otherwise make one mpmath call per step: the
-rounding of every rational into mpmath (``round_ratio``, returned as a raw
-value by ``raw_mpf``), and the branch values of ``algebraic`` at every
-precision, with their exact polish, moduli (``hypot_man_exp``) and double
-conversions (``from_float``, ``to_float``), and the fixed-point asymptotic
-scan built on them, its errors and ratio rounded here, so neither needs
-mpmath at all.  The cold Horner loop of ``exactpoly`` runs on mpmath's own
-operators.
+branch values of ``algebraic`` at every precision, with their exact
+polish, moduli (``hypot_man_exp``), double conversions (``from_float``,
+``to_float``) and raw mpmath values (``raw_mpf``), and the fixed-point
+asymptotic scan built on them, its errors and ratio rounded here, so
+neither needs mpmath at all.  Where a value is returned in mpmath, as by
+``Poly.eval_complex`` and ``algebraic.coefficients_b``, which no command
+calls, the rationals are rounded into it by mpmath itself (``rat_to_mpf``)
+and the Horner loop runs on mpmath's own operators.
 """
 
 from __future__ import annotations
@@ -35,16 +34,6 @@ import math
 # the representation the exact half computes in: integer numerators over one
 # positive denominator per polynomial or vector
 BACKEND = "scaled-int"
-
-
-def __getattr__(name):
-    # Rational is fractions.Fraction, imported on first use
-    if name != "Rational":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from fractions import Fraction
-
-    globals()["Rational"] = Fraction
-    return Fraction
 
 
 def as_rational(value) -> Fraction:
@@ -128,12 +117,14 @@ def rat_strs(nums, den: int) -> list:
 
 
 def rat_to_mpf(q, den: int = 1):
-    """Round the exact rational ``q / den`` to an mpmath float at the current
-    precision; ``den`` is a positive integer."""
+    """The exact rational ``q / den`` (``den`` a positive integer) as
+    ``mpf(p) / mpf(q)`` at the current precision, ``p/q`` in lowest terms."""
     import mpmath
 
     num, q_den = ratio(q)
-    return mpmath.mp.make_mpf(round_ratio(num, q_den * den, mpmath.mp.prec))
+    den *= q_den
+    g = math.gcd(num, den)
+    return mpmath.mpf(num // g) / mpmath.mpf(den // g)
 
 
 # ---------------------------------------------------------------- the kernel
@@ -146,13 +137,10 @@ def rat_to_mpf(q, den: int = 1):
 # value alone, and ``raw_mpf`` strips the trailing zeros libmp strips.
 
 
-_RAW_ZERO = (0, 0, 0, 0)
-
-
 def raw_mpf(man: int, exp: int) -> tuple:
     """The raw mpmath float of ``man * 2**exp``, in libmp's normal form."""
     if not man:
-        return _RAW_ZERO
+        return (0, 0, 0, 0)
     sign = 0
     if man < 0:
         sign, man = 1, -man
@@ -287,19 +275,3 @@ def hypot_man_exp(a: int, ea: int, b: int, eb: int, prec: int) -> tuple:
         return round_man_exp(abs(b), eb, prec)
     total = add_man_exp(a * a, 2 * ea, b * b, 2 * eb, prec + 4, truncate_man_exp)
     return sqrt_man_exp(*total, prec)
-
-
-def round_ratio(num: int, den: int, prec: int) -> tuple:
-    """``num/den`` (``den > 0``) rounded as the raw mpmath value of
-    ``mpf(p) / mpf(q)`` at ``prec`` bits, ``p/q`` being the reduced fraction.
-
-    p and q are each rounded to ``prec`` bits first, as ``mpf`` rounds them,
-    and their quotient is then rounded once, on the integer kernel.
-    """
-    if not num:
-        return _RAW_ZERO
-    g = math.gcd(num, den)
-    a, ea = round_man_exp(num // g, 0, prec)
-    if den == g:
-        return raw_mpf(a, ea)
-    return raw_mpf(*div_man_exp(a, ea, *round_man_exp(den // g, 0, prec), prec))

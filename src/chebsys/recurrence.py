@@ -295,7 +295,7 @@ def verify_denominators(
 SignCheckRow = namedtuple("SignCheckRow", "r k ell signs degenerate")
 
 HRecurrenceReport = namedtuple(
-    "HRecurrenceReport", "m rows empirical_table ell_parity_rule_holds k_parity_rule_holds"
+    "HRecurrenceReport", "rows empirical_table ell_parity_rule_holds k_parity_rule_holds"
 )
 HRecurrenceReport.__doc__ = """Empirical sign study for the induced recurrence of the h-polynomials.
 
@@ -345,4 +345,4 @@ def verify_h_recurrence(hs: list[Poly], p: Params) -> HRecurrenceReport:
         ell_rule_ok = ell_rule_ok and s_ell in signs
         k_rule_ok = k_rule_ok and s_k in signs
     empirical = {label: tuple(sorted(sgns)) for label, sgns in sorted(table.items())}
-    return HRecurrenceReport(m, tuple(rows), empirical, ell_rule_ok, k_rule_ok)
+    return HRecurrenceReport(tuple(rows), empirical, ell_rule_ok, k_rule_ok)

@@ -8,19 +8,18 @@ attraction study quantifies how close these zeros sit to the parity-selected
 unbounded star.
 
 The probe of the conjecture that the zeros of every ``h_r`` are real and
-simple is ``chebsys.probe``; its names are re-exported here.  It proves
-each index with exact signs, by its interlacing step or by Sturm's
+simple is ``chebsys.probe``; ``conjecture_probe`` is also read from here.
+It proves each index with exact signs, by its interlacing step or by Sturm's
 theorem, on the c = 1 polynomial in y = x/c, and isolates each zero of a
-proved index in a dyadic interval (``probe.isolate``).  The zeros of such
-an index are taken from those intervals, refined with exact signs to
-2**-(precision + GUARD_BITS) of each zero (``probe.refined``), and mapped
-to x = c*y and to t on the integer kernel: no root is solved and mpmath is
-not loaded.  An index the probe does not prove (one whose zeros are not
-real and simple, or a table off the c-grading from its first such index
-on) has no zeros here: it raises ``ConvergenceFailure``, and ``roots``
-writes it as an ``unproved`` row.  A caller who wants the zeros of such an
-h_r solves it by hand: ``mpmath.polyroots`` on h's coefficients, highest
-first.
+proved index in a dyadic interval (``probe.isolate``).  The zeros of such an
+index are taken from those intervals, refined with exact signs to
+2**-(precision + GUARD_BITS) of each zero (``probe.refined``), and mapped to
+x = c*y and to t on the integer kernel: no root is solved and mpmath is not
+loaded.  An index the probe does not prove (one whose zeros are not real and
+simple, or a table off the c-grading from its first such index on) has no
+zeros here: it raises ``ConvergenceFailure``, and ``roots`` writes it as an
+``unproved`` row.  A caller who wants the zeros of such an h_r solves it by
+hand: ``mpmath.polyroots`` on h's coefficients, highest first.
 """
 
 from __future__ import annotations
@@ -36,8 +35,9 @@ from .algebraic import (
     star_geometry,
 )
 from .errors import ConvergenceFailure
-# the probe loads no numeric library; its names stay here too
-from .probe import Isolated, ProbeReport, conjecture_probe, isolate, refined
+# the probe loads no numeric library; the acceptance battery and the
+# benchmark's tracer read conjecture_probe from here
+from .probe import Isolated, conjecture_probe, isolate, refined
 from .rationals import div_man_exp, to_float
 from .recurrence import Params, TypeIRecord, gen_type1_records
 
@@ -149,14 +149,17 @@ AttractionRow = namedtuple("AttractionRow", "r root_count max_distance mean_dist
 # each verdict: non-increasing, increasing, mixed or vacuous
 AttractionStudy = namedtuple("AttractionStudy", "rows verdict_max verdict_mean")
 
+# how far a distance may rise and still count as non-increasing
+_TREND_SLACK = 1e-9
 
-def _trend(values, slack: float = 1e-9) -> str:
+
+def _trend(values) -> str:
     values = [v for v in values if v is not None]
     if len(values) < 2:
         return "vacuous"
-    if all(b <= a + slack for a, b in zip(values, values[1:])):
+    if all(b <= a + _TREND_SLACK for a, b in zip(values, values[1:])):
         return "non-increasing"
-    if all(b > a + slack for a, b in zip(values, values[1:])):
+    if all(b > a + _TREND_SLACK for a, b in zip(values, values[1:])):
         return "increasing"
     return "mixed"
 

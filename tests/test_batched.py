@@ -281,31 +281,6 @@ def test_above_53_bits_points_run_on_the_kernel():
                     assert abs(got - want) <= mpmath.ldexp(abs(want), 1 - bits)
 
 
-def test_point_that_is_not_a_double_uses_aberth(monkeypatch):
-    # z is rounded once to the working bits, as mpmath rounds it, and the
-    # values are certified for that point; the tip of m = 2 to 120 bits,
-    # rounded so, still has a pair of branches closer than the polish
-    # resolves, which the Aberth sweeps separate
-    sweeps = []
-    sweep = algebraic._sweep
-    monkeypatch.setattr(algebraic, "_sweep", lambda *args: sweeps.append(1) or sweep(*args))
-    p = Params(2, "1")
-    with mpmath.workprec(120):
-        points = [mpmath.mpc(1) / 3 + mpmath.mpc(0, 1), mpmath.mpf(1.5) * mpmath.cbrt(2)]
-    for z in points:
-        sweeps.clear()
-        bs = solve_branches_many(p, [z])[0]
-        assert bs.z == complex(z)
-        bits = algebraic._work_bits(53, p.m, z)
-        with mpmath.workprec(bits):
-            rounded = mpmath.mpc(+z.real, +z.imag)
-        refs = reference(p, rounded)
-        with mpmath.workprec(256):
-            for w in bs.lambdas:
-                assert min(abs(w - r) for r in refs) <= mpmath.ldexp(abs(w), -69)
-        assert bool(sweeps) == (z.imag == 0)
-
-
 @pytest.mark.parametrize("m, c", [(1, "3/7"), (2, "7/3"), (3, "5/2"), (4, "9/8")])
 @pytest.mark.parametrize("far", [False, True])
 def test_kernel_values_are_the_mpmath_values_rounded(monkeypatch, m, c, far):

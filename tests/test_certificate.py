@@ -165,7 +165,7 @@ def test_without_the_certificate_the_probe_is_the_numeric_path(monkeypatch, key)
     switch_off_the_signs(monkeypatch)
     report = conjecture_probe(Params(m, c), r_max)
     first = next(rec.r for rec in gen_type1_records(Params(m, c), r_max) if rec.tau >= 1)
-    assert report == roots_module.ProbeReport(
+    assert report == probe.ProbeReport(
         classification="PASS",
         max_imag_normalized=0.0,
         min_separation_normalized=proved.min_separation_normalized,
@@ -498,7 +498,7 @@ def test_a_table_off_the_grading_is_not_graded(monkeypatch, m, c, by):
     fed = tampered(p, r, 1, (P, 1) if by == "P" else (P, Q))
     report, proved = probe.isolate(p, fed)
     indices = [rec.r for rec in records if rec.tau >= 1]
-    assert report == roots_module.ProbeReport(
+    assert report == probe.ProbeReport(
         classification="NOT-GRADED",
         max_imag_normalized=None,
         min_separation_normalized=None,

@@ -1,11 +1,12 @@
 """The integer kernel, and the numeric loops, against libmp, bit for bit.
 
-Each kernel reference below is the libmp call that ``round_ratio`` and the
-53-bit branch values made before they moved onto the kernel in
-``chebsys.rationals``; the kernel must return the same raw tuples, or the
-same doubles, not merely close values.  The loop reference is the raw
-libmp calls that ``Poly.eval_complex`` makes through mpmath's operators, in
-the same order, so its bits are pinned too.
+Each kernel reference below is the libmp call that the 53-bit branch values
+made before they moved onto the kernel in ``chebsys.rationals``; the kernel
+must return the same raw tuples, or the same doubles, not merely close
+values.  The rounding of a rational into mpmath (``rat_to_mpf``) is held to
+the raw libmp division of its rounded numerator and denominator.  The loop
+reference is the raw libmp calls that ``Poly.eval_complex`` makes through
+mpmath's operators, in the same order, so its bits are pinned too.
 """
 
 import math
@@ -38,9 +39,9 @@ from chebsys.rationals import (
     add_man_exp,
     div_man_exp,
     hypot_man_exp,
+    rat_to_mpf,
     raw_mpf,
     round_man_exp,
-    round_ratio,
     sqrt_man_exp,
 )
 from chebsys.recurrence import Params, gen_type1_records
@@ -53,7 +54,8 @@ PRECISIONS = (53, 64, 113, 200, 333, 640, 1200)
 
 
 def rounded(poly, bits):
-    return [round_ratio(n, poly.den, bits) for n in poly.nums]
+    with mpmath.workprec(bits):
+        return [rat_to_mpf(n, poly.den)._mpf_ for n in poly.nums]
 
 
 def libmp_eval(poly, z, bits):
@@ -217,7 +219,8 @@ def test_round_ratio_is_mpf_over_mpf(prec):
         want = mpf_div(
             from_int(q.numerator, prec, RND), from_int(q.denominator, prec, RND), prec, RND
         )
-        assert round_ratio(num, den, prec) == want
+        with mpmath.workprec(prec):
+            assert rat_to_mpf(num, den)._mpf_ == want
 
 
 @pytest.mark.parametrize("prec", PRECISIONS)

@@ -247,42 +247,6 @@ print(json.dumps([solve_branches(p, z).tie_flag for z in (complex(1, 0.5), compl
 print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 """
 
-# every public name of chebsys at the commit before the numeric half was
-# loaded on demand, by the module that defines it, less the rational-vector
-# helpers of operators (apply_T, apply_T_transpose, basis_vector,
-# poly_of_operator), which are gone, solve_branches_aberth, which went
-# with the Aberth fallback of the branch solver, BranchBatch, whose one
-# field gave way to the tuple of results, and poly_gcd, rat_str, limit_L
-# and biorthogonality, which only the tests called (see USERS below)
-PUBLIC = {
-    "algebraic": (
-        "BranchCoefficients", "BranchSet", "DegenerateBranches",
-        "OnStarSet", "ScanResult", "SolverDivergence", "StarGeometry",
-        "asymptotic_scan", "branch_points", "coefficients_b", "explicit_t",
-        "region_classify", "seeded_offstar_points", "solve_branches",
-        "solve_branches_many", "star_geometry", "star_radius",
-    ),
-    "exactpoly": (
-        "DEFAULT_PRECISION", "Poly", "compose_star",
-    ),
-    "operators": (
-        "gram_matrix", "jump_check_typeI", "jump_check_typeII",
-    ),
-    "rationals": ("BACKEND", "Rational", "as_rational"),
-    "recurrence": (
-        "FactorizationViolation", "NoVariantMatches", "Params", "TypeIRecord",
-        "TypeIVectorRecord", "decompose_index", "extract_h", "gen_type1_records",
-        "gen_type1_scalar", "gen_type1_vectors", "gen_type2",
-        "verify_h_recurrence", "verify_shift",
-    ),
-    "roots": (
-        "AttractionStudy", "ConvergenceFailure", "ProbeReport", "RootReport",
-        "attraction_study", "conjecture_probe", "distance_to_star", "roots_of_t",
-    ),
-}
-SUBMODULES = ("algebraic", "exactpoly", "operators", "rationals", "recurrence", "roots")
-
-
 # the records are namedtuples and slots classes, so nothing loads dataclasses
 DIET = """
 import json, sys
@@ -527,14 +491,37 @@ def test_only_operators_reads_its_private_names():
                 assert base not in aliases, (path.name, node.lineno, f"{base}.{node.attr}")
 
 
-def test_public_names_resolve_to_their_home_objects():
-    for home, names in PUBLIC.items():
-        module = importlib.import_module(f"chebsys.{home}")
-        for name in names:
-            assert getattr(chebsys, name) is getattr(module, name), name
-    for name in SUBMODULES:
-        assert getattr(chebsys, name) is sys.modules[f"chebsys.{name}"]
-    assert set(dir(chebsys)) >= {*SUBMODULES, *(n for ns in PUBLIC.values() for n in ns)}
+# the package root binds BACKEND, which the benchmark's run record reads as
+# chebsys.BACKEND, and __version__: every other name is read from the
+# module that defines it, and importing the package loads rationals alone
+ROOT_IMPORT = """
+import json, sys
+import chebsys
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("chebsys."))))
+"""
+
+
+def test_package_root_binds_only_backend_and_version():
+    tree = ast.parse(Path(chebsys.__file__).read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    assert bound == {"BACKEND", "__version__"}
+    # nor does any module resolve a name on first access
+    for path in sorted(Path(chebsys.__file__).parent.glob("*.py")):
+        defined = {
+            node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef)
+        }
+        assert not defined & {"__getattr__", "__dir__"}, path.name
+    done = python(ROOT_IMPORT)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["chebsys.rationals"]
 
 
 # the code that the package serves: its own modules, the acceptance battery
@@ -643,18 +630,20 @@ def test_import_timer_lists_the_modules_a_command_loads(tmp_path):
 # came to work in y = x/c, algebraic.StarGeometry, which lost the c_float
 # nothing read and the s0_angles and attractor_angles that copied another
 # field, and algebraic.RegionReport, which lost the caller's tol and the
-# dist_attractor that copied another distance; none has a default
+# dist_attractor that copied another distance; and but for the fields that
+# copied the caller's arguments, z, r_max and precision of ScanResult, z of
+# RegionReport and m of StarGeometry and HRecurrenceReport, which nothing
+# read.  None has a default
 RECORDS = {
     "algebraic": {
         "BranchCoefficients": ("values", "identity_error"),
         "BranchSet": ("z", "parts", "residuals", "tie_flag", "precision"),
-        "RegionReport": ("z", "dist_s0", "dist_even_star", "dist_odd_star", "omega"),
+        "RegionReport": ("dist_s0", "dist_even_star", "dist_odd_star", "omega"),
         "ScanResult": (
-            "z", "r_max", "precision", "window", "ratio", "limit_value", "errors", "rates",
-            "decay_estimate",
+            "window", "ratio", "limit_value", "errors", "rates", "decay_estimate",
         ),
         "StarGeometry": (
-            "m", "a", "even_angles", "odd_angles", "attractor", "even_rotations",
+            "a", "even_angles", "odd_angles", "attractor", "even_rotations",
             "odd_rotations", "attractor_rotations",
         ),
     },
@@ -669,7 +658,7 @@ RECORDS = {
     "recurrence": {
         "DenominatorReport": ("checked", "witness"),
         "HRecurrenceReport": (
-            "m", "rows", "empirical_table", "ell_parity_rule_holds", "k_parity_rule_holds",
+            "rows", "empirical_table", "ell_parity_rule_holds", "k_parity_rule_holds",
         ),
         "ShiftReport": ("checked", "mismatches"),
         "SignCheckRow": ("r", "k", "ell", "signs", "degenerate"),
