@@ -55,7 +55,6 @@ config=...`` line, and what is not a table goes to a JSON sidecar,
 
 from __future__ import annotations
 
-import cmath
 import gc
 import itertools
 import math
@@ -115,7 +114,7 @@ def parse_point(text: str) -> complex:
         z = complex(float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise UsageError(f"bad --z value {text!r}") from exc
-    if not cmath.isfinite(z):
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise UsageError(f"--z value {text!r} is not finite")
     return z
 
@@ -567,7 +566,8 @@ def cmd_branches(args) -> int:
             row["error"] = "solver-divergence"
             continue
         lambdas, moduli = bs.values, bs.moduli
-        if not all(map(cmath.isfinite, lambdas)) or not all(map(math.isfinite, moduli)):
+        parts = [x for value in lambdas for x in (value.real, value.imag)]
+        if not all(map(math.isfinite, parts + list(moduli))):
             # a finite branch value beyond the range of a double
             row["error"] = "overflow"
             continue

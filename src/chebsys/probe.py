@@ -1,29 +1,29 @@
 """The probe of the conjecture that the zeros of every ``h_r`` are real and
-simple, and the isolating intervals that prove it.
+simple, and the isolating intervals that prove it, in two layers.
 
-The probe decides that exactly, index by index, with integer signs at dyadic
-points: d sign changes along them prove d real, simple zeros, one in each
-gap where the sign changes.  c only scales x (the c-grading, in the README):
-h_r(x; c) = kappa_r * h_r(x/c; 1), kappa_r > 0, so the probe works in
-y = x/c on the c = 1 polynomials, once each h_r is checked exactly to be
-their graded image (``_graded``).
-At every m each index is proved from the isolating intervals of the last
-index proved before it (``_step``): their ends are the points, and an
-interval whose ends show h_r no sign change is split by the sign of the
-previous polynomial until the count comes out right.  The zeros of
-consecutive h_r interlace, which is why the points are found (Haneczok and
-Van Assche, J. Math. Anal. Appl. 2012), but only the sign count proves
-anything.  An index the signs miss is isolated by bisection with the sign
-changes of the remainder chain of (h_r, h_r') (``_sturm_isolated``), which
-proves its zeros real and simple or finds a counterexample; the step goes
-on from its intervals.  Every index of the table is decided, a
-counterexample's successors too, up to the first index off the grading.
+The core, ``prove``, proves the zeros of integer polynomials g of degree
+>= 1, given in an order where consecutive members should interlace, real
+and simple, exactly, with integer signs at dyadic points: d sign changes
+along them prove d real, simple zeros, one in each gap where the sign
+changes.  Each g is proved from the isolating intervals of the last g
+proved before it (``_step``): their ends are the points, and an interval
+whose ends show g no sign change is split by the sign of the previous
+polynomial until the count comes out right.  The zeros of consecutive h_r
+interlace, which is why the points are found (Haneczok and Van Assche,
+J. Math. Anal. Appl. 2012), but only the sign count proves anything.  A g
+the signs miss is isolated by bisection with the sign changes of the
+remainder chain of (g, g') (``_sturm_isolated``), which proves its zeros
+real and simple or finds a counterexample; the step goes on from its
+intervals.  ``enclosure`` refines an isolating interval to any width
+relative to its zero, and the core measures the least gap between zeros
+with it.  The probe imports nothing beyond the exact half: no numeric library.
 
-``isolate`` hands the intervals of every proved index on, and
-``enclosure`` refines one of them to any width relative to its zero:
-``roots`` reports the zeros of every proved h_r from them (``refined``),
-and the probe measures the least gap between zeros with them.  The probe
-imports nothing beyond the exact half: no numeric library.
+The record layer, ``isolate``, alone reads a table's records.  c only
+scales x (the c-grading, in the README): h_r(x; c) = kappa_r * h_r(x/c; 1),
+kappa_r > 0, so it checks each h_r exactly to be the graded image of its
+c = 1 polynomial (``_graded``), up to the first index off the grading, and
+has the core prove those in y = x/c.  ``roots`` reports the zeros of every
+proved h_r from their intervals (``refined``).
 """
 
 from __future__ import annotations
@@ -48,28 +48,22 @@ ProbeReport = namedtuple(
     "classification max_imag_normalized min_separation_normalized offending_r reason"
     " checked certified first_uncertified_r",
 )
-ProbeReport.__doc__ = """Realness and simplicity of the zeros of every h_r, proven index by index.
+ProbeReport.__doc__ = """Realness and simplicity of the zeros of every h_r, proven index by index
+(``isolate``).
 
-Each index is decided on g = h_r(y; 1), y = x/c, once h_r is checked to be
-its graded image.  It is certified when g has d sign changes along
-increasing dyadic points with nonzero signs, which proves d distinct
-real zeros, at points the step takes from the previous index's isolating
-intervals.  Every other index is decided by Sturm's theorem on the
-remainder chain of (g, g'), which isolates d distinct real zeros or
-finds fewer.  Classification is PASS, a proof for every index;
-COUNTEREXAMPLE, with the first offending index and its ``reason``:
-``repeated-root`` when gcd(h_r, h_r') is not constant, ``complex-root``
-otherwise; or NOT-GRADED, with the first index whose h_r is not the graded
-image of its c = 1 polynomial as ``offending_r`` and no ``reason``: neither
-it nor any later index is proved.  ``max_imag_normalized`` is 0.0 on a PASS
-and None otherwise, where no zero is computed.  ``min_separation_normalized``
-is the least of ``|x - y| / max(1, |x|, |y|)`` over consecutive zeros of
-every index, from isolating intervals refined to 2**-64 of their zeros.
-It is None unless the classification is PASS, and where the least gap
-underflows a double: the zeros are proven distinct, so a gap that reads
-0.0 there has lost its digits and does not mean a repeated zero.
-``certified`` counts the indices the signs proved, and
-``first_uncertified_r`` names the first they missed.
+Classification is PASS, a proof for every index; COUNTEREXAMPLE, with the
+first index whose zeros are not real and simple as ``offending_r`` and the
+``reason`` of ``prove``; or NOT-GRADED, with the first index whose h_r is
+not the graded image of its c = 1 polynomial as ``offending_r`` and no
+``reason``: neither it nor any later index is proved.
+``max_imag_normalized`` is 0.0 on a PASS and None otherwise, where no zero
+is computed.  ``min_separation_normalized`` is the least of
+``|x - y| / max(1, |x|, |y|)`` over consecutive zeros of every index, from
+isolating intervals refined to 2**-64 of their zeros.  It is None unless
+the classification is PASS, and where the least gap underflows a double:
+the zeros are proven distinct, so a gap that reads 0.0 there has lost its
+digits and does not mean a repeated zero.  ``certified`` counts the indices
+the signs proved, and ``first_uncertified_r`` names the first they missed.
 """
 
 
@@ -82,9 +76,9 @@ underflows a double: the zeros are proven distinct, so a gap that reads
 
 
 Isolated = namedtuple("Isolated", "g intervals")
-Isolated.__doc__ = """The zeros of one h_r, proven real and simple: ``g``, the c = 1
-polynomial h_r(y; 1), whose zeros are those of h_r(x; c) in y = x/c, and its
-isolating intervals in y in increasing order."""
+Isolated.__doc__ = """The zeros of one polynomial ``g``, proven real and simple, and its
+isolating intervals in increasing order; for h_r, g is the c = 1 polynomial
+h_r(y; 1), whose zeros are those of h_r(x; c) in y = x/c."""
 
 
 def _reduced(a: int, k: int) -> tuple:
@@ -456,10 +450,11 @@ def refined(iso: Isolated, bits: int) -> list:
     return [enclosure(iso.g, _as_span(iv), bits, floats)[:3] for iv in iso.intervals]
 
 
-def _least_gap(proved: list, ratio: tuple) -> float:
+def _least_gap(proved: list, ratio: tuple) -> float | None:
     """The least normalized gap between consecutive zeros over the proved
-    indices, in x = c*y, c = P/Q given as ``ratio``, or inf if none has two
-    zeros.
+    indices, in x = c*y, c = P/Q given as ``ratio``, inf if none has two
+    zeros, or None where it underflows a double: the zeros are proven
+    distinct, so such a gap has lost its digits.
 
     Every interval is first bisected once by the sign of its polynomial.
     Then the gap of least lower bound is refined first, and the search ends
@@ -506,71 +501,77 @@ def _least_gap(proved: list, ratio: tuple) -> float:
         lower, upper = _gap_bounds(row[i], row[i + 1], inverse)
         least = min(least, upper)
         heapq.heappush(heap, (lower, upper, tries + 1, n, i))
-    return least
+    return least if least >= sys.float_info.min else None
+
+
+def prove(pairs, ratio: tuple) -> tuple:
+    """The core: ``(proved, missed, offending, reason, gap)`` for ``pairs``,
+    an ordered sequence of ``(label, g)``, g of degree >= 1.
+
+    ``proved`` is ``{label: Isolated}`` for every g proved by the step from
+    the last g proved or by Sturm's theorem, and ``missed`` the labels the
+    step missed, in order.  ``offending`` labels the first g of neither,
+    with its ``reason``: ``repeated-root`` when gcd(g, g') is not constant,
+    ``complex-root`` otherwise.  Past it Sturm's theorem still isolates
+    every g the step misses, but the step no longer starts from those
+    intervals, so that the result is what it would be without them.  ``gap``
+    is ``_least_gap`` at c = P/Q, ``ratio``, and None on a counterexample.
+    """
+    proved, missed, offending, reason = {}, [], None, None
+    last_label, last = None, Isolated(None, ())
+    for label, g in pairs:
+        found = _step(g, last)
+        if found is not None:
+            if last.g is not None:
+                proved[last_label] = found[1]
+            found = found[0]
+        else:
+            missed.append(label)
+            intervals, gcd_degree = _sturm_isolated(g)
+            if len(intervals) < g.degree:
+                if offending is None:
+                    offending, reason = label, "repeated-root" if gcd_degree > 0 else "complex-root"
+                continue
+            found = Isolated(g, intervals)
+            if offending is not None:
+                # past a counterexample the step starts from where it did
+                # without these intervals, and the result stays as it was
+                proved[label] = found
+                continue
+        proved[label] = last = found
+        last_label = label
+    gap = _least_gap(list(proved.values()), ratio) if offending is None else None
+    return proved, missed, offending, reason, gap
 
 
 def isolate(p: Params, records) -> tuple:
     """The probe of the h_r of ``records``, and the zeros it isolated:
     ``(ProbeReport, {r: Isolated})``, with an entry for every index proved.
 
-    In one pass over the indices of degree >= 1, each h_r is checked to be
-    the graded image of its c = 1 polynomial (``_graded``), up to the first
-    that is not; that polynomial is tried with the step from the last index
-    proved, and an index the step misses is isolated by Sturm's theorem
-    (``_sturm_isolated``), and the step goes on from its intervals.  Past
-    the first counterexample, which alone sets the classification and the
-    reason, Sturm's theorem still isolates every index the step misses, but
-    no longer moves the index the step starts from, so that the report is
-    what it would be without those intervals.  An index is missing from the
-    dict if its zeros are not real and simple, or if it is the first index
-    off the grading or lies beyond it.  At c = 1 the c = 1 table is
-    ``records``.
+    The record layer: it takes the indices of degree >= 1 up to the first
+    whose h_r is not the graded image of its c = 1 polynomial (``_graded``),
+    and has ``prove`` prove those c = 1 polynomials (``records`` at c = 1),
+    labelled by r.  An index whose zeros are not real and simple, or which
+    lies off the grading or beyond, is missing from the dict.
     """
     records = [rec for rec in records if rec.tau >= 1]
     P, Q = p.ratio
     R = max((rec.r for rec in records), default=0)
     table = records if P == Q else gen_type1_records(Params(p.m, 1), R)
     ones = {rec.r: rec.h for rec in table}
-    proved, missed = {}, []
-    last_r, last = None, Isolated(None, ())
-    classification, max_imag, offending, reason = "PASS", 0.0, None, None
-    for i, rec in enumerate(records):
-        g = ones[rec.r]
-        if not _graded(rec.h, g, P, Q):
-            missed += [later.r for later in records[i:]]
-            if offending is None:
-                classification, max_imag, offending = "NOT-GRADED", None, rec.r
-            break
-        found = _step(g, last)
-        if found is not None:
-            if last_r is not None:
-                proved[last_r] = found[1]
-            found = found[0]
-        else:
-            missed.append(rec.r)
-            intervals, gcd_degree = _sturm_isolated(g)
-            if len(intervals) < g.degree:
-                if offending is None:
-                    classification, max_imag, offending = "COUNTEREXAMPLE", None, rec.r
-                    reason = "repeated-root" if gcd_degree > 0 else "complex-root"
-                continue
-            found = Isolated(g, intervals)
-            if offending is not None:
-                # past a counterexample the step starts from where it did
-                # without these intervals, and the report stays as it was
-                proved[rec.r] = found
-                continue
-        proved[rec.r] = last = found
-        last_r = rec.r
-    min_sep = None
-    if offending is None:
-        gap = _least_gap(list(proved.values()), p.ratio)
-        # a gap of proven zeros that underflows a double has lost its digits
-        min_sep = gap if gap >= sys.float_info.min else None
+    n = 0  # the first index off the grading
+    while n < len(records) and _graded(records[n].h, ones[records[n].r], P, Q):
+        n += 1
+    pairs = [(rec.r, ones[rec.r]) for rec in records[:n]]
+    proved, missed, offending, reason, gap = prove(pairs, p.ratio)
+    missed += [rec.r for rec in records[n:]]
+    classification = "PASS" if offending is None else "COUNTEREXAMPLE"
+    if n < len(records) and offending is None:
+        classification, offending, gap = "NOT-GRADED", records[n].r, None
     report = ProbeReport(
         classification=classification,
-        max_imag_normalized=max_imag,
-        min_separation_normalized=min_sep,
+        max_imag_normalized=0.0 if classification == "PASS" else None,
+        min_separation_normalized=gap,
         offending_r=offending,
         reason=reason,
         checked=len(records),
@@ -581,8 +582,7 @@ def isolate(p: Params, records) -> tuple:
 
 
 def conjecture_probe(p: Params, r_max: int) -> ProbeReport:
-    """Realness and simplicity of the zeros of every h_r with r <= r_max
-    (``isolate``)."""
+    """Realness and simplicity of the zeros of every h_r, r <= r_max (``isolate``)."""
     if r_max < p.m:
         raise ValueError("r_max must be at least m")
     return isolate(p, gen_type1_records(p, r_max))[0]

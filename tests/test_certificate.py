@@ -28,7 +28,7 @@ import chebsys
 from chebsys import probe
 from chebsys import roots as roots_module
 from chebsys.exactpoly import Poly, compose_star, dyadic_sign
-from chebsys.recurrence import Params, gen_type1_records
+from chebsys.recurrence import Params, gen_type1_records, gen_type2
 from chebsys.roots import conjecture_probe
 
 
@@ -436,6 +436,49 @@ def test_split_points_are_short_and_in_the_middle_half():
         if n:
             coarse = math.ceil((lo + quarter) * 2 ** (n - 1))
             assert Fraction(coarse, 2 ** (n - 1)) > hi - quarter
+
+
+# ---------------------------------------------------------------- the core
+#
+# prove takes any sequence of integer polynomials whose consecutive members
+# should interlace, without records or grading: here the companion family,
+# T_n(x) = x**s * Q_n(x**(m+1)), s = n mod (m+1), whose zeros lie on the
+# star and interlace (Ben Romdhane, J. Math. Anal. Appl. 344, 2008)
+
+
+def companion(m: int, n_max: int) -> list:
+    """``(n, Q_n)`` for every Q_n of degree >= 1 with n <= n_max, at c = 1."""
+    pairs = []
+    for n, t in enumerate(gen_type2(Params(m, 1), n_max)):
+        s = n % (m + 1)
+        assert not any(x for j, x in enumerate(t.nums) if j % (m + 1) != s), n
+        q = Poly.scaled(t.nums[s :: m + 1], t.den)
+        if q.degree >= 1:
+            pairs.append((n, q))
+    return pairs
+
+
+def test_the_core_proves_the_companion_family(monkeypatch):
+    counted = spy_sturm(monkeypatch)
+    pairs = companion(2, 120)
+    proved, missed, offending, reason, gap = probe.prove(pairs, (1, 1))
+    assert len(pairs) == 118
+    assert counted == [] and missed == []
+    assert (offending, reason) == (None, None)
+    assert proved.keys() == dict(pairs).keys()
+    for n, q in pairs:
+        assert proved[n].g == q and len(proved[n].intervals) == q.degree, n
+    assert 0 < gap < 1
+
+
+def test_the_core_names_a_forged_companion_term():
+    # Q_60 times x**2 + x + 1, which has a complex pair
+    pairs = [(n, q * Poly((1, 1, 1)) if n == 60 else q) for n, q in companion(2, 120)]
+    proved, missed, offending, reason, gap = probe.prove(pairs, (1, 1))
+    assert (offending, reason) == (60, "complex-root")
+    assert missed[0] == 60 and 60 not in proved
+    assert len(proved) == len(pairs) - 1
+    assert gap is None
 
 
 # ---------------------------------------------------------------- the c-grading

@@ -16,20 +16,20 @@ from pathlib import Path
 import pytest
 
 import chebsys
-from chebsys import cli
+from chebsys import cli, probe
 from chebsys.errors import ConvergenceFailure
 from chebsys.exactpoly import Poly
-from chebsys.recurrence import Params
+from chebsys.recurrence import Params, TypeIRecord
 
-# gen in JSON and CSV must not load the numeric half, and neither must
-# verify, whose probe is exact
+# gen in JSON and CSV must not load the numeric half, nor cmath, and neither
+# must verify, whose probe is exact
 SCRIPT = """
 import json, sys
 from chebsys.cli import main
 
 out = sys.argv[1]
 common = ["--m", "2", "--c", "3/7", "--R", "8"]
-loaded = lambda: [name for name in ("numpy", "mpmath") if name in sys.modules]
+loaded = lambda: [name for name in ("numpy", "mpmath", "cmath") if name in sys.modules]
 assert main(["gen", *common, "--out", out + "/gen.json"]) == 0
 assert main(["gen", *common, "--format", "csv", "--out", out + "/gen.csv"]) == 0
 print(json.dumps(loaded()))
@@ -58,6 +58,9 @@ print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 files = {f: hashlib.sha256(open(f, "rb").read()).hexdigest() for f in sorted(os.listdir())}
 print(json.dumps(files))
 """
+
+# COMMAND, and then whether the command loaded cmath
+COMMAND_CMATH = COMMAND + 'print(json.dumps("cmath" in sys.modules))\n'
 
 # the branch solver and the star geometry load neither numpy nor mpmath
 # until a solve needs one
@@ -328,11 +331,14 @@ def test_gen_loads_neither_numpy_nor_mpmath(tmp_path):
     "m, c, R", [(1, "3/7", 30), (3, "23/41", 40), (4, "5/2", 48)], ids=["m1", "m3", "m4"]
 )
 def test_verify_loads_neither_numpy_nor_mpmath(tmp_path, m, c, R):
-    # the probe proves every h_r from exact signs, at every m
+    # the probe proves every h_r from exact signs, at every m, and only the
+    # numeric commands load cmath
     argv = ["verify", "--m", str(m), "--c", c, "--R", str(R), "--out", "verify.json"]
-    done = python(COMMAND, *argv, cwd=tmp_path)
+    done = python(COMMAND_CMATH, *argv, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[0]) == []
+    lines = done.stdout.splitlines()
+    assert json.loads(lines[0]) == []
+    assert json.loads(lines[2]) is False
     (probe,) = [
         ch["details"]
         for ch in json.loads((tmp_path / "verify.json").read_text())["checks"]
@@ -489,6 +495,24 @@ def test_only_operators_reads_its_private_names():
             if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
                 base = ast.unparse(node.value)
                 assert base not in aliases, (path.name, node.lineno, f"{base}.{node.attr}")
+
+
+# the probe's core proves (label, g) pairs: only its record layer knows the
+# TypeIRecord format and the c = 1 table
+RECORD_LAYER = ("isolate", "conjecture_probe", "_graded")
+
+
+def test_only_the_record_layer_of_the_probe_reads_records():
+    fields = set(TypeIRecord._fields)
+    tree = ast.parse(Path(probe.__file__).read_text(encoding="utf-8"))
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name in RECORD_LAYER:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                assert node.attr not in fields, (node.lineno, ast.unparse(node))
+            elif isinstance(node, ast.Name):
+                assert node.id != "gen_type1_records", node.lineno
 
 
 # the package root binds BACKEND, which the benchmark's run record reads as
