@@ -603,10 +603,10 @@ class TestUsageErrors:
         [
             ("branches", ["--z", "inf,0"]),
             ("branches", ["--z", "nan,0"]),
-            ("branches", ["--z", "0,-inf"]),
             ("asymptote", ["--z", "inf,1", "--r-max", "5"]),
             # finite ends, but the step overflows to inf and the points to NaN
             ("branches", ["--grid=-1e308:1e308:3,0:1:1"]),
+            ("branches", ["--z", "0,-inf"]),
         ],
     )
     def test_non_finite_coordinates(self, tmp_path, capsys, command, where):
