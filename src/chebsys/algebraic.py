@@ -34,8 +34,10 @@ and the tips are correctly rounded without mpmath.  The unbounded stars are
 the ray families at ``2*pi*k/(m+1)`` ("odd") and ``(2k+1)*pi/(m+1)``
 ("even").  For odd m each family is closed under the antipode, so rays and
 full lines coincide; both families are therefore implemented as rays
-uniformly.  The attractor of the root sets is the even family for even m
-and the odd family for odd m.
+uniformly, a ray being a segment of infinite length.  The attractor of the
+root sets is the even family for even m and the odd family for odd m.  A
+point within ``STAR_TOL`` of a star lies on it, for ``region_classify``'s
+flags and for the gate of the asymptotic scan alike.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .rationals import (
 from .recurrence import Params
 
 TIE_RELATIVE_GAP = 1e-10
+STAR_TOL = 1e-9  # the distance within which a point lies on a star
 
 
 class BranchSet(namedtuple("BranchSet", "z parts residuals tie_flag precision")):
@@ -769,25 +772,21 @@ def star_geometry(p: Params) -> StarGeometry:
     )
 
 
-def ray_family_distance(z, rotations) -> float:
-    """Euclidean distance from z to the nearest ray ``[0, inf) * exp(i*angle)``,
-    each ray given by its rotation ``exp(-1j*angle)``."""
-    z = complex(z)
-    best = math.inf
-    for rotation in rotations:
-        u = z * rotation
-        best = min(best, abs(u.imag) if u.real >= 0 else abs(u))
-    return best
-
-
 def segment_family_distance(z, rotations, length: float) -> float:
     """Euclidean distance from z to the nearest segment ``[0, length] * exp(i*angle)``,
-    each segment given by its rotation ``exp(-1j*angle)``."""
+    each segment given by its rotation ``exp(-1j*angle)``; a ray is the
+    segment of length ``math.inf``.
+
+    Each case measures one distance, to the segment's line beside it, to the
+    origin before it and to its far end beyond it, so that a rotated point
+    with an infinite part is never set against an infinite length.
+    """
     z = complex(z)
     best = math.inf
     for rotation in rotations:
         u = z * rotation
-        best = min(best, abs(u - min(max(u.real, 0.0), length)))
+        x = u.real
+        best = min(best, abs(u.imag) if 0 <= x <= length else abs(u) if x < 0 else abs(u - length))
     return best
 
 
@@ -797,33 +796,22 @@ RegionReport.__doc__ = """Distances from a point to the three stars and the indu
 ``omega[j]`` is True when the point lies in the holomorphy domain of
 branch j: off the bounded star for j = 0, off both unbounded stars for
 0 < j < m, and off the parity-selected attractor star for j = m.
-Distances below the tolerance count as membership in the excluded set.
+Distances below ``STAR_TOL`` count as membership in the excluded set.
 """
 
 
-def region_classify(p: Params, z, tol: float) -> RegionReport:
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def region_classify(p: Params, z) -> RegionReport:
     geom = star_geometry(p)
     z = complex(z)
     d0 = segment_family_distance(z, geom.odd_rotations, geom.a)
-    de = ray_family_distance(z, geom.even_rotations)
-    do = ray_family_distance(z, geom.odd_rotations)
+    de = segment_family_distance(z, geom.even_rotations, math.inf)
+    do = segment_family_distance(z, geom.odd_rotations, math.inf)
     da = de if geom.attractor == "even" else do
-    flags = [d0 >= tol]
+    flags = [d0 >= STAR_TOL]
     for _ in range(1, p.m):
-        flags.append(min(de, do) >= tol)
-    flags.append(da >= tol)
+        flags.append(min(de, do) >= STAR_TOL)
+    flags.append(da >= STAR_TOL)
     return RegionReport(d0, de, do, tuple(flags))
-
-
-def _limit_gate_distance(p: Params, geom: StarGeometry, z) -> float:
-    # For m = 1 the top-two moduli tie exactly on the bounded segments, not on
-    # the full real line, so the gate uses the segments there; for m >= 2 the
-    # tie set is the unbounded parity star.
-    if p.m == 1:
-        return segment_family_distance(z, geom.odd_rotations, geom.a)
-    return ray_family_distance(z, geom.attractor_rotations)
 
 
 def _round_div(num: int, den: int) -> int:
@@ -836,7 +824,7 @@ def _round_div(num: int, den: int) -> int:
 _SCAN_GUARD_BITS = 16
 
 
-def _limit(p: Params, z, precision: int, tol: float) -> tuple:
+def _limit(p: Params, z, precision: int) -> tuple:
     """``(lambda_m, ratio, beta, L)`` at z, behind the star gate and the tie check.
 
     lambda_m is a kernel value ``(re, re_exp, im, im_exp)`` and ratio is
@@ -846,8 +834,13 @@ def _limit(p: Params, z, precision: int, tol: float) -> tuple:
     below the binary point.
     """
     geom = star_geometry(p)
-    if _limit_gate_distance(p, geom, z) < tol:
-        raise OnStarSet(f"z={complex(z)} lies within {tol} of the attractor star")
+    # For m = 1 the top-two moduli tie exactly on the bounded segments, not on
+    # the full real line, so the gate uses the segments there, along the odd
+    # angles that are its attractor's; for m >= 2 the tie set is the
+    # unbounded parity star.
+    length = geom.a if p.m == 1 else math.inf
+    if segment_family_distance(z, geom.attractor_rotations, length) < STAR_TOL:
+        raise OnStarSet(f"z={complex(z)} lies within {STAR_TOL} of the attractor star")
     bs = solve_branches(p, z, precision)
     # the moduli, their gap and their ratio in doubles are those of mpmath's
     # default 53-bit context: each operation is rounded once, to 53 bits
@@ -887,9 +880,7 @@ it compares is zero.
 """
 
 
-def asymptotic_scan(
-    p: Params, z, r_max: int, precision: int = 53, tol: float = 1e-9
-) -> ScanResult:
+def asymptotic_scan(p: Params, z, r_max: int, precision: int = 53) -> ScanResult:
     """Error table ``e_r = |t_r/lambda_m**r - L|`` for r = 0..r_max.
 
     ``u_r = t_r/lambda_m**r`` is stepped by ``u_r = alpha*u_{r-m} - beta*u_{r-m-1}``,
@@ -910,7 +901,7 @@ def asymptotic_scan(
     """
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
-    _, ratio, (br, exp, bi, _), (lr, _, li, _) = _limit(p, z, precision, tol)
+    _, ratio, (br, exp, bi, _), (lr, _, li, _) = _limit(p, z, precision)
     m, bits = p.m, -exp
     work, half = bits - _SCAN_GUARD_BITS, 1 << bits - 1
     # u_{-m-1} .. u_{-1} are zero, then u_0 .. u_{m-1} are the unit start;
@@ -1004,9 +995,9 @@ def seeded_offstar_points(
         z = complex(rho * math.cos(theta), rho * math.sin(theta))
         if segment_family_distance(z, geom.odd_rotations, a) < margin:
             continue
-        if ray_family_distance(z, geom.even_rotations) < margin:
+        if segment_family_distance(z, geom.even_rotations, math.inf) < margin:
             continue
-        if ray_family_distance(z, geom.odd_rotations) < margin:
+        if segment_family_distance(z, geom.odd_rotations, math.inf) < margin:
             continue
         if min(abs(z - bp) for bp in bps) < margin:
             continue

@@ -85,7 +85,6 @@ from .recurrence import (
 )
 
 SCHEMA = "chebsys/1"
-REGION_TOL = 1e-9
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
@@ -571,7 +570,7 @@ def cmd_branches(args) -> int:
             # a finite branch value beyond the range of a double
             row["error"] = "overflow"
             continue
-        region = algebraic.region_classify(p, z, REGION_TOL)
+        region = algebraic.region_classify(p, z)
         row["lambdas"] = [[l.real, l.imag] for l in lambdas]
         row["moduli"] = moduli
         row["tie_flag"] = bs.tie_flag

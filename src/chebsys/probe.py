@@ -14,15 +14,17 @@ J. Math. Anal. Appl. 2012), but only the sign count proves anything.  A g
 the signs miss is isolated by bisection with the sign changes of the
 remainder chain of (g, g') (``_sturm_isolated``), which proves its zeros
 real and simple or finds a counterexample; the step goes on from its
-intervals.  ``enclosure`` refines an isolating interval to any width
-relative to its zero, and the core measures the least gap between zeros
-with it.  The probe imports nothing beyond the exact half: no numeric library.
+intervals.  The core proves and does nothing else: it knows no records and
+no c.  The probe imports nothing beyond the exact half: no numeric library.
 
-The record layer, ``isolate``, alone reads a table's records.  c only
-scales x (the c-grading, in the README): h_r(x; c) = kappa_r * h_r(x/c; 1),
-kappa_r > 0, so it checks each h_r exactly to be the graded image of its
-c = 1 polynomial (``_graded``), up to the first index off the grading, and
-has the core prove those in y = x/c.  ``roots`` reports the zeros of every
+The record layer, ``isolate``, alone reads a table's records, grades them
+and, on a PASS, measures.  c only scales x (the c-grading, in the README):
+h_r(x; c) = kappa_r * h_r(x/c; 1), kappa_r > 0, so it checks each h_r
+exactly to be the graded image of its c = 1 polynomial (``_graded``), up to
+the first index off the grading, and has the core prove those in y = x/c.
+When every index is proved it measures the least gap between zeros in x
+(``_least_gap``), with ``enclosure``, which refines an isolating interval
+to any width relative to its zero.  ``roots`` reports the zeros of every
 proved h_r from their intervals (``refined``).
 """
 
@@ -504,9 +506,9 @@ def _least_gap(proved: list, ratio: tuple) -> float | None:
     return least if least >= sys.float_info.min else None
 
 
-def prove(pairs, ratio: tuple) -> tuple:
-    """The core: ``(proved, missed, offending, reason, gap)`` for ``pairs``,
-    an ordered sequence of ``(label, g)``, g of degree >= 1.
+def prove(pairs) -> tuple:
+    """The core: ``(proved, missed, offending, reason)`` for ``pairs``, an
+    ordered sequence of ``(label, g)``, g of degree >= 1.
 
     ``proved`` is ``{label: Isolated}`` for every g proved by the step from
     the last g proved or by Sturm's theorem, and ``missed`` the labels the
@@ -514,8 +516,7 @@ def prove(pairs, ratio: tuple) -> tuple:
     with its ``reason``: ``repeated-root`` when gcd(g, g') is not constant,
     ``complex-root`` otherwise.  Past it Sturm's theorem still isolates
     every g the step misses, but the step no longer starts from those
-    intervals, so that the result is what it would be without them.  ``gap``
-    is ``_least_gap`` at c = P/Q, ``ratio``, and None on a counterexample.
+    intervals, so that the result is what it would be without them.
     """
     proved, missed, offending, reason = {}, [], None, None
     last_label, last = None, Isolated(None, ())
@@ -540,8 +541,7 @@ def prove(pairs, ratio: tuple) -> tuple:
                 continue
         proved[label] = last = found
         last_label = label
-    gap = _least_gap(list(proved.values()), ratio) if offending is None else None
-    return proved, missed, offending, reason, gap
+    return proved, missed, offending, reason
 
 
 def isolate(p: Params, records) -> tuple:
@@ -551,8 +551,9 @@ def isolate(p: Params, records) -> tuple:
     The record layer: it takes the indices of degree >= 1 up to the first
     whose h_r is not the graded image of its c = 1 polynomial (``_graded``),
     and has ``prove`` prove those c = 1 polynomials (``records`` at c = 1),
-    labelled by r.  An index whose zeros are not real and simple, or which
-    lies off the grading or beyond, is missing from the dict.
+    labelled by r; on a PASS it measures their least gap (``_least_gap``).
+    An index whose zeros are not real and simple, or which lies off the
+    grading or beyond, is missing from the dict.
     """
     records = [rec for rec in records if rec.tau >= 1]
     P, Q = p.ratio
@@ -563,15 +564,16 @@ def isolate(p: Params, records) -> tuple:
     while n < len(records) and _graded(records[n].h, ones[records[n].r], P, Q):
         n += 1
     pairs = [(rec.r, ones[rec.r]) for rec in records[:n]]
-    proved, missed, offending, reason, gap = prove(pairs, p.ratio)
+    proved, missed, offending, reason = prove(pairs)
     missed += [rec.r for rec in records[n:]]
     classification = "PASS" if offending is None else "COUNTEREXAMPLE"
     if n < len(records) and offending is None:
-        classification, offending, gap = "NOT-GRADED", records[n].r, None
+        classification, offending = "NOT-GRADED", records[n].r
+    passed = classification == "PASS"
     report = ProbeReport(
         classification=classification,
-        max_imag_normalized=0.0 if classification == "PASS" else None,
-        min_separation_normalized=gap,
+        max_imag_normalized=0.0 if passed else None,
+        min_separation_normalized=_least_gap(list(proved.values()), p.ratio) if passed else None,
         offending_r=offending,
         reason=reason,
         checked=len(records),

@@ -24,6 +24,7 @@ hand: ``mpmath.polyroots`` on h's coefficients, highest first.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from .algebraic import (
@@ -31,7 +32,7 @@ from .algebraic import (
     StarGeometry,
     _iroot,
     _unit_roots,
-    ray_family_distance,
+    segment_family_distance,
     star_geometry,
 )
 from .errors import ConvergenceFailure
@@ -87,20 +88,15 @@ def _proved_pairs(iso: Isolated, p: Params, bits: int) -> tuple:
     return h_pairs, t_pairs, at_origin
 
 
-def roots_of_t(
-    rec: TypeIRecord, p: Params, precision: int = 53, isolated: Isolated | None = None
-) -> RootReport:
+def roots_of_t(rec: TypeIRecord, p: Params, precision: int = 53) -> RootReport:
     """Assemble the zero set of ``t_r`` from the zeros of its reduced polynomial.
 
-    ``isolated`` holds the probe's isolating intervals of h_r
-    (``probe.isolate``); without them the probe runs on this index alone.
-    The zeros are taken from the intervals, refined to
+    The probe runs on this index alone (``probe.isolate``), and the zeros
+    are taken from its isolating intervals, refined to
     2**-(precision + GUARD_BITS) of each zero.  An index the probe does not
     prove raises ConvergenceFailure.
     """
-    if isolated is None:
-        isolated = isolate(p, [rec])[1].get(rec.r)
-    return _zeros_of_t(rec, p, precision, isolated)
+    return _zeros_of_t(rec, p, precision, isolate(p, [rec])[1].get(rec.r))
 
 
 def _zeros_of_t(rec: TypeIRecord, p: Params, precision: int, isolated) -> RootReport:
@@ -140,7 +136,7 @@ def _zeros_of_t(rec: TypeIRecord, p: Params, precision: int, isolated) -> RootRe
 
 def distance_to_star(z, geom: StarGeometry) -> float:
     """Distance to the parity-selected attractor rays."""
-    return ray_family_distance(z, geom.attractor_rotations)
+    return segment_family_distance(z, geom.attractor_rotations, math.inf)
 
 
 # the distances are None in the empty row of a zero or constant t_r

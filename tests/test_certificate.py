@@ -461,24 +461,24 @@ def companion(m: int, n_max: int) -> list:
 def test_the_core_proves_the_companion_family(monkeypatch):
     counted = spy_sturm(monkeypatch)
     pairs = companion(2, 120)
-    proved, missed, offending, reason, gap = probe.prove(pairs, (1, 1))
+    proved, missed, offending, reason = probe.prove(pairs)
     assert len(pairs) == 118
     assert counted == [] and missed == []
     assert (offending, reason) == (None, None)
     assert proved.keys() == dict(pairs).keys()
     for n, q in pairs:
         assert proved[n].g == q and len(proved[n].intervals) == q.degree, n
-    assert 0 < gap < 1
+    # the core measures nothing; its intervals measure as the record layer's do
+    assert 0 < probe._least_gap(list(proved.values()), (1, 1)) < 1
 
 
 def test_the_core_names_a_forged_companion_term():
     # Q_60 times x**2 + x + 1, which has a complex pair
     pairs = [(n, q * Poly((1, 1, 1)) if n == 60 else q) for n, q in companion(2, 120)]
-    proved, missed, offending, reason, gap = probe.prove(pairs, (1, 1))
+    proved, missed, offending, reason = probe.prove(pairs)
     assert (offending, reason) == (60, "complex-root")
     assert missed[0] == 60 and 60 not in proved
     assert len(proved) == len(pairs) - 1
-    assert gap is None
 
 
 # ---------------------------------------------------------------- the c-grading
@@ -558,6 +558,49 @@ def test_a_table_off_the_grading_is_not_graded(monkeypatch, m, c, by):
         probe, "gen_type1_records", lambda q, r_max: fed if q == p else gen_type1_records(q, r_max)
     )
     assert conjecture_probe(p, 30) == report
+
+
+def spy_least_gap(monkeypatch) -> list:
+    """The calls of the record layer's least-gap search."""
+    calls = []
+    least_gap = probe._least_gap
+
+    def spied(proved, ratio):
+        calls.append(ratio)
+        return least_gap(proved, ratio)
+
+    monkeypatch.setattr(probe, "_least_gap", spied)
+    return calls
+
+
+def test_a_table_off_the_grading_late_measures_nothing(monkeypatch):
+    # m = 1, c = 3/7, R = 200, the x**1 coefficient of h_190 times P: every
+    # index before 190 is proved, and no gap is measured over them
+    p = Params(1, "3/7")
+    P, _ = p.ratio
+    records = gen_type1_records(p, 200)
+    h = records[190].h
+    forged = Poly.scaled([n * P if i == 1 else n for i, n in enumerate(h.nums)], h.den)
+    fed = [rec._replace(h=forged) if rec.r == 190 else rec for rec in records]
+    calls = spy_least_gap(monkeypatch)
+    report, proved = probe.isolate(p, fed)
+    indices = [rec.r for rec in records if rec.tau >= 1]
+    assert report == probe.ProbeReport(
+        classification="NOT-GRADED",
+        max_imag_normalized=None,
+        min_separation_normalized=None,
+        offending_r=190,
+        reason=None,
+        checked=len(indices),
+        certified=indices.index(190),
+        first_uncertified_r=190,
+    )
+    assert sorted(proved) == indices[: indices.index(190)]
+    assert calls == []
+    # the table as generated passes and is measured once
+    report = probe.isolate(p, records)[0]
+    assert report.classification == "PASS" and 0 < report.min_separation_normalized < 1
+    assert calls == [(3, 7)]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -197,7 +198,7 @@ def test_star_distances_from_cached_rotations_are_the_per_angle_ones(seed):
         points += [cmath.rect(geom.a * rng.uniform(0, 3), angle) for angle in geom.even_angles]
         points += [0j, *branch_points(p)]
         for z in points:
-            region = algebraic.region_classify(p, z, 1e-9)
+            region = algebraic.region_classify(p, z)
             # the bounded star's segments lie along the odd angles, and the
             # attractor star is the family its parity names
             assert region.dist_s0 == min(angle_segment_distance(z, a, geom.a) for a in geom.odd_angles)
@@ -206,3 +207,92 @@ def test_star_distances_from_cached_rotations_are_the_per_angle_ones(seed):
             angles = geom.even_angles if geom.attractor == "even" else geom.odd_angles
             attractor = min(angle_ray_distance(z, a) for a in angles)
             assert region.omega[-1] == (attractor >= 1e-9)
+
+
+# ---------------------------------------------------------------- one distance
+#
+# one function measures the distance to a family of segments and, at length
+# inf, of rays; these are the two functions it replaced, as they were
+
+
+def ray_family_distance(z, rotations):
+    z = complex(z)
+    best = math.inf
+    for rotation in rotations:
+        u = z * rotation
+        best = min(best, abs(u.imag) if u.real >= 0 else abs(u))
+    return best
+
+
+def segment_family_distance(z, rotations, length):
+    z = complex(z)
+    best = math.inf
+    for rotation in rotations:
+        u = z * rotation
+        best = min(best, abs(u - min(max(u.real, 0.0), length)))
+    return best
+
+
+def extreme_points() -> list:
+    """Points at the ends of the double range: signed zeros, the least
+    subnormal, the corner where products overflow, and their mixtures."""
+    parts = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1.7e308, -1.7e308, sys.float_info.max]
+    return [complex(x, y) for x in parts for y in parts]
+
+
+def sampled_points(rng, geom) -> list:
+    """Points over the whole double range, and points near the stars."""
+    points = [
+        complex(
+            rng.choice((-1, 1)) * math.ldexp(rng.random(), rng.randint(-1074, 1024)),
+            rng.choice((-1, 1)) * math.ldexp(rng.random(), rng.randint(-1074, 1024)),
+        )
+        for _ in range(150)
+    ]
+    for angle in geom.even_angles + geom.odd_angles:
+        points.append(cmath.rect(geom.a * rng.uniform(0, 3), angle))
+        points.append(cmath.rect(geom.a * rng.uniform(0, 3), angle) * (1 + 1e-12j))
+        points.append(cmath.rect(geom.a, angle))
+    return points
+
+
+def outcome(distance, *args) -> str:
+    """The distance bit for bit, as repr tells -0.0 from 0.0 and reads back
+    exactly, or the error: ``abs`` of a rotated point of modulus beyond the
+    doubles raises OverflowError, in both old functions alike."""
+    try:
+        return repr(distance(*args))
+    except OverflowError:
+        return "OverflowError"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_one_distance_is_both_old_ones_bit_for_bit(seed):
+    rng = random.Random(seed)
+    compared = 0
+    for m in range(1, 7):
+        for c in ("1", "3/7", Fraction(1, 10**300), 10**300):
+            geom = algebraic.star_geometry(Params(m, c))
+            for z in sampled_points(rng, geom) + extreme_points():
+                for rotations in (geom.even_rotations, geom.odd_rotations):
+                    new = outcome(algebraic.segment_family_distance, z, rotations, math.inf)
+                    assert new == outcome(ray_family_distance, z, rotations), (m, c, z)
+                    new = outcome(algebraic.segment_family_distance, z, rotations, geom.a)
+                    assert new == outcome(segment_family_distance, z, rotations, geom.a), (m, c, z)
+                    compared += 2
+    assert compared > 10000
+
+
+@pytest.mark.parametrize("m, ray", [(3, 1.99584030953472e292), (4, 1.0914671872643506e308)])
+def test_a_ray_is_a_segment_of_infinite_length_where_products_overflow(m, ray):
+    # along the even rays at this corner a rotated point has an infinite
+    # real part: the old segment rule at length inf subtracted inf from it,
+    # where the ray rule, and the one distance, read a finite distance
+    geom = algebraic.star_geometry(Params(m, 1))
+    z = complex(-1.7e308, 1.7e308)
+    assert ray_family_distance(z, geom.even_rotations) == ray
+    assert algebraic.segment_family_distance(z, geom.even_rotations, math.inf) == ray
+    assert segment_family_distance(z, geom.even_rotations, math.inf) != ray
+    for rotations in (geom.even_rotations, geom.odd_rotations):
+        new = outcome(algebraic.segment_family_distance, z, rotations, math.inf)
+        assert new == outcome(ray_family_distance, z, rotations)

@@ -15,6 +15,7 @@ from chebsys.roots import (
     distance_to_star,
     isolate,
     roots_of_t,
+    solve_indices,
 )
 
 
@@ -88,8 +89,8 @@ class TestRootsOfT:
 class TestRootsOfTProvesItsIndex:
     @pytest.mark.parametrize("m, c", [(1, "3/2"), (2, "59/62"), (3, Fraction(1, 10**40))])
     def test_without_intervals_the_index_is_proved_first(self, m, c):
-        # roots_of_t given no intervals runs the probe on its own index, and
-        # writes the zeros that the intervals of the whole table give
+        # roots_of_t runs the probe on its own index, and writes the zeros
+        # that the intervals of the whole table give
         p = Params(m, c)
         records = gen_type1_records(p, 40)
         isolated = isolate(p, records)[1]
@@ -98,9 +99,8 @@ class TestRootsOfTProvesItsIndex:
             if rec.tau < 1:
                 continue
             for precision in (53, 128):
-                assert roots_of_t(rec, p, precision) == roots_of_t(
-                    rec, p, precision, isolated[r]
-                ), (r, precision)
+                [(_, whole)] = solve_indices(p, records, [r], precision, isolated)
+                assert roots_of_t(rec, p, precision) == whole, (r, precision)
 
     def test_an_index_off_the_grading_is_unproved(self):
         # h_20 at c = 3/7 with one coefficient times c is not the graded

@@ -515,6 +515,34 @@ def test_only_the_record_layer_of_the_probe_reads_records():
                 assert node.id != "gen_type1_records", node.lineno
 
 
+# the core proves and does nothing else: it takes no c and measures no gap,
+# and the record layer alone measures, on a PASS
+CORE = ("prove", "_step", "_sturm_isolated")
+MEASURES = {"_least_gap", "_measured", "_gap_bounds"}
+
+
+def test_the_core_of_the_probe_takes_no_c_and_measures_nothing():
+    tree = ast.parse(Path(probe.__file__).read_text(encoding="utf-8"))
+    functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    for name in CORE:
+        args = functions[name].args
+        assert "ratio" not in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs], name
+        called = {ast.unparse(node.func) for node in ast.walk(functions[name]) if isinstance(node, ast.Call)}
+        assert not called & MEASURES, (name, called & MEASURES)
+    # in the whole package, only isolate reads the least-gap search
+    readers = set()
+    for path in sorted(Path(chebsys.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Name) and node.id == "_least_gap"
+                    or isinstance(node, ast.Attribute) and node.attr == "_least_gap"
+                    or isinstance(node, ast.alias) and node.name == "_least_gap"
+                ):
+                    readers.add((path.stem, getattr(top, "name", None)))
+    assert readers == {("probe", "isolate")}
+
+
 # the package root binds BACKEND, which the benchmark's run record reads as
 # chebsys.BACKEND, and __version__: every other name is read from the
 # module that defines it, and importing the package loads rationals alone

@@ -62,7 +62,7 @@ def test_proved_zeros_agree_with_the_aberth_solve_at_256_bits(m, c):
             r -= 1
             rec = records[r]
         iso = isolated[r]
-        got = roots.roots_of_t(rec, p, 256, iso)
+        [(_, got)] = roots.solve_indices(p, records, [r], 256, isolated)
         assert got.total_root_count == rec.t.degree
         assert got.origin_multiplicity == rec.ell
         ref = sorted(polyroots(iso.g), key=lambda y: y.real)
