@@ -115,6 +115,8 @@ def parse_point(text: str) -> complex:
         raise UsageError(f"bad --z value {text!r}") from exc
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise UsageError(f"--z value {text!r} is not finite")
+    if not math.isfinite(math.hypot(z.real, z.imag)):
+        raise UsageError(f"--z value {text!r} has a modulus beyond the largest double")
     return z
 
 
@@ -144,6 +146,9 @@ def parse_grid(text: str) -> list:
         raise UsageError(f"expected re0:re1:n,im0:im1:n for --grid, got {text!r}")
     res = _parse_axis(parts[0])
     ims = _parse_axis(parts[1])
+    # the point of the largest modulus has the largest |re| and |im| both
+    if not math.isfinite(math.hypot(max(map(abs, res)), max(map(abs, ims)))):
+        raise UsageError(f"--grid {text!r} has a point of modulus beyond the largest double")
     return [complex(re, im) for im in ims for re in res]
 
 
@@ -649,30 +654,32 @@ def _resolve_r_list(args) -> list:
 
 
 def cmd_roots(args) -> int:
-    from . import algebraic, roots
+    from . import roots
 
     p, precision, config = _numeric_setup(args, r_max=args.r_max)
     if args.r_max < 0:
         raise UsageError("--r-max must be >= 0")
     r_list = config["r_list"] = _resolve_r_list(args)
     records = gen_type1_records(p, max(r_list))
-    geom = algebraic.star_geometry(p)
     # the probe isolates the zeros of every index it proves, and the solve
     # takes them from there
     probe, isolated = roots.isolate(p, records)
     rows = []
     # each index is solved once: its report feeds the rows and the attraction
-    # study, which reports the first failing index
-    reports = []
+    # rows, which the first failing index replaces
+    attraction = []
     failure = None
     for r, report in roots.solve_indices(p, records, r_list, precision, isolated):
         if isinstance(report, ConvergenceFailure):
             failure = failure or report
             rows.append({"r": r, "error": "unproved"})
             continue
-        reports.append((r, report))
         if report is None:
+            attraction.append({"r": r, "root_count": 0, "off_attractor": 0})
             continue
+        attraction.append(
+            {"r": r, "root_count": report.total_root_count, "off_attractor": report.off_attractor}
+        )
         for root, mult in report.t_roots:
             rows.append(
                 {
@@ -680,31 +687,15 @@ def cmd_roots(args) -> int:
                     "root_re": root.real,
                     "root_im": root.imag,
                     "multiplicity": mult,
-                    "star_distance": roots.distance_to_star(root, geom),
                     "is_origin": root == 0,
                     "error": "",
                 }
             )
-    summary: dict = {}
-    if failure is not None:
-        summary["attraction"] = {"error": str(failure)}
-    else:
-        study = roots.summarize_attraction(reports)
-        summary["attraction"] = {
-            "rows": [
-                {
-                    "r": row.r,
-                    "root_count": row.root_count,
-                    "max_distance": _json_safe(row.max_distance),
-                    "mean_distance": _json_safe(row.mean_distance),
-                }
-                for row in study.rows
-            ],
-            "verdict_max": study.verdict_max,
-            "verdict_mean": study.verdict_mean,
-        }
-    summary["conjecture"] = _probe_block(probe)
-    header = ["r", "root_re", "root_im", "multiplicity", "star_distance", "is_origin", "error"]
+    summary = {
+        "attraction": {"rows": attraction} if failure is None else {"error": str(failure)},
+        "conjecture": _probe_block(probe),
+    }
+    header = ["r", "root_re", "root_im", "multiplicity", "is_origin", "error"]
     emit(
         args, config, {"summary": summary, "roots": rows},
         [("", header, (row.values() for row in rows))], sidecar=("summary",),

@@ -151,12 +151,8 @@ def jump_check_typeI(p: Params, r: int) -> bool:
     return is_unit(_image(p, gen_type1_vectors(p, r)[r].components, False), r)
 
 
-def gram_matrix(p: Params, r_max: int, n_max: int, size: int | None = None) -> list:
-    """Full exact pairing matrix, entry [r][n], from one image per index.
-
-    ``size`` is accepted and ignored: every image is exact, so no size
-    changes the result.
-    """
+def gram_matrix(p: Params, r_max: int, n_max: int) -> list:
+    """Full exact pairing matrix, entry [r][n], from one image per index."""
     from fractions import Fraction
 
     us, ws = images(p, gen_type1_vectors(p, r_max), gen_type2(p, n_max))

@@ -1,11 +1,15 @@
-"""Zero sets of the scalar terms and their attraction to the star.
+"""Zero sets of the scalar terms, and the rays of the star they lie on.
 
 The factorization ``t_r(z) = (-1)**k z**ell h_r(z**(m+1))`` reduces every
 root computation to the far smaller polynomial ``h_r`` (degree roughly
 ``r/(m*(m+1))`` instead of ``r/m``): the zeros of ``t_r`` are the origin with
-multiplicity ``ell`` plus all (m+1)-th roots of each zero of ``h_r``.  The
-attraction study quantifies how close these zeros sit to the parity-selected
-unbounded star.
+multiplicity ``ell`` plus all (m+1)-th roots of each zero of ``h_r``.  Those
+over a real zero x lie exactly on m+1 rays of the star: on the even rays
+``(2k+1)*pi/(m+1)`` where x < 0 and on the odd rays ``2*pi*k/(m+1)`` where
+x > 0.  The attractor star is the even family for even m and the odd family
+for odd m (``algebraic``), so ``RootReport.off_attractor`` counts exactly
+the zeros of ``t_r`` off it: m+1 for each zero x of ``h_r`` on the wrong
+side of 0.
 
 The probe of the conjecture that the zeros of every ``h_r`` are real and
 simple is ``chebsys.probe``; ``conjecture_probe`` is also read from here.
@@ -24,57 +28,58 @@ hand: ``mpmath.polyroots`` on h's coefficients, highest first.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
-from .algebraic import (
-    _STAR_BITS,
-    StarGeometry,
-    _iroot,
-    _unit_roots,
-    segment_family_distance,
-    star_geometry,
-)
+from .algebraic import _STAR_BITS, _iroot, _unit_roots
 from .errors import ConvergenceFailure
 # the probe loads no numeric library; the acceptance battery and the
 # benchmark's tracer read conjecture_probe from here
 from .probe import Isolated, conjecture_probe, isolate, refined
 from .rationals import div_man_exp, to_float
-from .recurrence import Params, TypeIRecord, gen_type1_records
+from .recurrence import Params, TypeIRecord
 
 GUARD_BITS = 32  # bits beyond the precision to which a proved zero is refined
 
 
 RootReport = namedtuple(
     "RootReport",
-    "r h_roots t_roots max_star_distance mean_star_distance origin_multiplicity total_root_count",
+    "r h_roots t_roots off_attractor origin_multiplicity total_root_count",
 )
 RootReport.__doc__ = """Zeros of one scalar term in both the reduced and the original plane.
 
 ``h_roots`` are (complex, multiplicity) pairs in the reduced variable, and
 ``t_roots`` the same in the original variable, origin included.
+``off_attractor`` is the number of zeros of ``t_r`` off the rays of the
+attractor star, counted exactly from the sides of 0 of the proved zeros of
+``h_r``; the origin lies on every ray.
 """
 
 
 def _proved_pairs(iso: Isolated, p: Params, bits: int) -> tuple:
     """The zeros of h_r off x = 0 and of t_r off the origin, each simple,
-    from the isolating intervals in y = x/c of a proved h_r, and the number
-    of zeros of h_r at x = 0 (0 or 1).
+    from the isolating intervals in y = x/c of a proved h_r, the number of
+    zeros of h_r at x = 0 (0 or 1), and the number of zeros of t_r off the
+    attractor rays.
 
-    Each interval is refined to 2**-bits of its zero y; x = c*y at its
-    midpoint is formed exactly and written rounded once, and its (m+1)-th
-    roots as ``mpmath.root`` orders them for real x: modulus
-    ``|x|**(1/(m+1))`` on the integer kernel, and the exact ray angles
-    ``pi*(2k + (x < 0))/(m+1)`` of ``_unit_roots``, each part rounded once.
+    Each interval is refined to 2**-bits of its zero y; an interval across 0
+    is cut there first (``probe.enclosure``), so each lies on one side of 0
+    and its midpoint has the sign of its zero.  x = c*y at the midpoint is
+    formed exactly and written rounded once, and its (m+1)-th roots as
+    ``mpmath.root`` orders them for real x: modulus ``|x|**(1/(m+1))`` on
+    the integer kernel, and the exact ray angles ``pi*(2k + (x < 0))/(m+1)``
+    of ``_unit_roots``, each part rounded once.
     """
     n, (P, Q) = p.m + 1, p.ratio
     units = _unit_roots(2 * n)
-    h_pairs, t_pairs, at_origin = [], [], 0
+    h_pairs, t_pairs, at_origin, off = [], [], 0, 0
     for lo, hi, k in refined(iso, bits):
         man, exp = P * (lo + hi), -k - 1  # x = man * 2**exp / Q
         if not man:
             at_origin += 1
             continue
+        # the attractor's rays are the even ones (x < 0) for even m
+        if (man > 0) == (n % 2 == 1):
+            off += n
         h_pairs.append((complex(to_float(*div_man_exp(man, exp, Q, 0, 53))), 1))
         # floor(|x| * 2**(shift - exp)) of more than n*bits bits, with n
         # dividing exp - shift
@@ -85,7 +90,7 @@ def _proved_pairs(iso: Isolated, p: Params, bits: int) -> tuple:
         for j in range(n):
             cos, sin = units[2 * j + (man < 0)]
             t_pairs.append((complex(to_float(modulus * cos, e), to_float(modulus * sin, e)), 1))
-    return h_pairs, t_pairs, at_origin
+    return h_pairs, t_pairs, at_origin, off
 
 
 def roots_of_t(rec: TypeIRecord, p: Params, precision: int = 53) -> RootReport:
@@ -104,60 +109,25 @@ def _zeros_of_t(rec: TypeIRecord, p: Params, precision: int, isolated) -> RootRe
     (tau = 0), whose zeros are those of t_r at the origin."""
     if rec.t.is_zero:
         raise ValueError(f"t_{rec.r} is the zero polynomial")
-    m = p.m
     origin_mult = rec.ell
     if isolated is not None:
-        h_pairs, t_pairs, low_zeros = _proved_pairs(isolated, p, precision + GUARD_BITS)
+        h_pairs, t_pairs, low_zeros, off = _proved_pairs(isolated, p, precision + GUARD_BITS)
     elif rec.h.degree == 0:
-        h_pairs, t_pairs, low_zeros = [], [], 0
+        h_pairs, t_pairs, low_zeros, off = [], [], 0, 0
     else:
         raise ConvergenceFailure(f"the probe proved no zeros of h_{rec.r}", poly=rec.h)
     # a zero of h at the origin lifts to m+1 extra zeros of t at the origin
-    origin_mult += (m + 1) * low_zeros
+    origin_mult += (p.m + 1) * low_zeros
     if origin_mult:
         t_pairs.insert(0, (complex(0), origin_mult))
-    geom = star_geometry(p)
-    distances = [distance_to_star(z, geom) for z, _ in t_pairs]
-    nonzero_distances = [dist for (z, _), dist in zip(t_pairs, distances) if z != 0]
     return RootReport(
         r=rec.r,
         h_roots=tuple(h_pairs),
         t_roots=tuple(t_pairs),
-        max_star_distance=max(distances, default=0.0),
-        mean_star_distance=(
-            sum(nonzero_distances) / len(nonzero_distances)
-            if nonzero_distances
-            else 0.0
-        ),
+        off_attractor=off,
         origin_multiplicity=origin_mult,
         total_root_count=sum(mult for _, mult in t_pairs),
     )
-
-
-def distance_to_star(z, geom: StarGeometry) -> float:
-    """Distance to the parity-selected attractor rays."""
-    return segment_family_distance(z, geom.attractor_rotations, math.inf)
-
-
-# the distances are None in the empty row of a zero or constant t_r
-AttractionRow = namedtuple("AttractionRow", "r root_count max_distance mean_distance")
-
-# each verdict: non-increasing, increasing, mixed or vacuous
-AttractionStudy = namedtuple("AttractionStudy", "rows verdict_max verdict_mean")
-
-# how far a distance may rise and still count as non-increasing
-_TREND_SLACK = 1e-9
-
-
-def _trend(values) -> str:
-    values = [v for v in values if v is not None]
-    if len(values) < 2:
-        return "vacuous"
-    if all(b <= a + _TREND_SLACK for a, b in zip(values, values[1:])):
-        return "non-increasing"
-    if all(b > a + _TREND_SLACK for a, b in zip(values, values[1:])):
-        return "increasing"
-    return "mixed"
 
 
 def solve_indices(p: Params, records, r_list, precision: int, isolated: dict) -> list:
@@ -179,41 +149,3 @@ def solve_indices(p: Params, records, r_list, precision: int, isolated: dict) ->
         except ConvergenceFailure as exc:
             out.append((r, exc))
     return out
-
-
-def attraction_study(p: Params, r_list, precision: int = 53) -> AttractionStudy:
-    """Star distances of the zero sets over an ascending index grid."""
-    r_list = list(r_list)
-    if r_list != sorted(r_list):
-        raise ValueError("r_list must be ascending")
-    records = gen_type1_records(p, max(r_list)) if r_list else []
-    reports = solve_indices(p, records, r_list, precision, isolate(p, records)[1])
-    for _, result in reports:
-        if isinstance(result, ConvergenceFailure):
-            raise result
-    return summarize_attraction(reports)
-
-
-def summarize_attraction(reports) -> AttractionStudy:
-    """The attraction study of zero sets already computed.
-
-    ``reports`` holds ``(r, report)`` pairs in ascending ``r``; ``report`` is
-    the ``RootReport`` of ``t_r``, or None where ``t_r`` is zero or constant,
-    which gives an empty row.
-    """
-    rows = [
-        AttractionRow(r, 0, None, None)
-        if report is None
-        else AttractionRow(
-            r,
-            report.total_root_count,
-            report.max_star_distance,
-            report.mean_star_distance,
-        )
-        for r, report in reports
-    ]
-    return AttractionStudy(
-        rows=tuple(rows),
-        verdict_max=_trend([row.max_distance for row in rows]),
-        verdict_mean=_trend([row.mean_distance for row in rows]),
-    )

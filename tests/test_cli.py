@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -17,10 +18,11 @@ from chebsys import algebraic, cli, operators, probe
 from chebsys import roots as roots_module
 from chebsys.algebraic import DegenerateBranches
 from chebsys.cli import EXIT_NUMERIC, main
-from chebsys.exactpoly import Poly
+from chebsys.exactpoly import Poly, compose_star
 from chebsys.recurrence import (
     NoVariantMatches,
     Params,
+    gen_type1_records,
     gen_type1_scalar,
     gen_type1_vectors,
     gen_type2,
@@ -429,21 +431,20 @@ class TestRoots:
         ) == 0
         assert calls == [9, 12, 15]
         monkeypatch.undo()
-        study = roots_module.attraction_study(Params(3, "1"), [5, 9, 12, 15])
-        attraction = load(out)["summary"]["attraction"]
-        assert attraction["rows"][0] == {
-            "r": 5, "root_count": 0, "max_distance": None, "mean_distance": None
-        }
-        assert [
-            (row["r"], row["root_count"], row["max_distance"], row["mean_distance"])
-            for row in attraction["rows"]
-        ] == [
-            (row.r, row.root_count, row.max_distance, row.mean_distance)
-            for row in study.rows
-        ]
-        assert (attraction["verdict_max"], attraction["verdict_mean"]) == (
-            study.verdict_max, study.verdict_mean
+        p = Params(3, "1")
+        records = gen_type1_records(p, 15)
+        reports = roots_module.solve_indices(
+            p, records, [5, 9, 12, 15], 53, roots_module.isolate(p, records)[1]
         )
+        attraction = load(out)["summary"]["attraction"]
+        assert attraction["rows"][0] == {"r": 5, "root_count": 0, "off_attractor": 0}
+        assert attraction["rows"][1:] == [
+            {"r": r, "root_count": report.total_root_count, "off_attractor": report.off_attractor}
+            for r, report in reports[1:]
+        ]
+        assert [row["root_count"] for row in attraction["rows"][1:]] == [
+            records[r].t.degree for r in (9, 12, 15)
+        ]
 
     def test_failing_indices_keep_their_rows_and_name_the_first(
         self, tmp_path, monkeypatch
@@ -488,7 +489,7 @@ class TestRoots:
             "roots", "--m", "2", "--c", "59/62", "--r-max", "30", "--out", str(out)
         ) == 0
         assert calls == [31]
-        records = roots_module.gen_type1_records(Params(2, "59/62"), 30)
+        records = gen_type1_records(Params(2, "59/62"), 30)
         assert load(out)["summary"]["conjecture"]["checked"] == sum(
             rec.tau >= 1 for rec in records
         )
@@ -503,9 +504,9 @@ class TestRoots:
         # missed and with all
         step = probe._step
         for m, c, r_list in ((1, "1", (9, 24, 40)), (2, "59/62", (20, 30, 40))):
-            records = roots_module.gen_type1_records(Params(m, c), r_list[-1])
+            records = gen_type1_records(Params(m, c), r_list[-1])
             # the step is given the c = 1 polynomials
-            ones = roots_module.gen_type1_records(Params(m, 1), r_list[-1])
+            ones = gen_type1_records(Params(m, 1), r_list[-1])
             missed = {
                 "none": set(),
                 "one": {ones[r_list[1]].h},
@@ -550,14 +551,51 @@ class TestRoots:
             "PASS", "COUNTEREXAMPLE",
         }
 
-    def test_attraction_trend_field(self, tmp_path):
+    def test_attraction_rows_count_the_zeros_off_the_attractor(self, tmp_path):
+        # one row per index, with no verdict: every zero of t_r lies on the
+        # attractor's rays
         out = tmp_path / "roots.json"
         assert run(
             "roots", "--m", "2", "--c", "1", "--r-list", "30,60,90",
             "--precision", "128", "--out", str(out),
         ) == 0
-        payload = load(out)
-        assert payload["summary"]["attraction"]["verdict_max"] == "non-increasing"
+        records = gen_type1_records(Params(2, "1"), 90)
+        assert load(out)["summary"]["attraction"] == {
+            "rows": [
+                {"r": r, "root_count": records[r].t.degree, "off_attractor": 0}
+                for r in (30, 60, 90)
+            ]
+        }
+
+    @pytest.mark.parametrize("m, forged", [(1, 30), (2, 60), (3, 90)])
+    def test_a_table_with_the_zeros_of_h_mirrored_is_off_the_attractor(
+        self, tmp_path, monkeypatch, m, forged
+    ):
+        # h_r(-y) in place of h_r at one index: its zeros are real and simple,
+        # so the probe passes, but each lies on the wrong side of 0, and puts
+        # m+1 zeros of t_r off the attractor
+        def mirrored(p, r_max):
+            records = gen_type1_records(p, r_max)
+            rec = records[forged]
+            nums = [-n if i % 2 else n for i, n in enumerate(rec.h.nums)]
+            h = Poly.scaled(nums, rec.h.den)
+            records[forged] = rec._replace(h=h, t=compose_star(h, p.m, rec.k, rec.ell))
+            return records
+
+        monkeypatch.setattr(cli, "gen_type1_records", mirrored)
+        out = tmp_path / "roots.json"
+        assert run("roots", "--m", str(m), "--c", "1", "--r-max", "90", "--out", str(out)) == 0
+        summary = load(out)["summary"]
+        assert summary["conjecture"]["classification"] == "PASS"
+        tau = gen_type1_records(Params(m, "1"), forged)[forged].tau
+        assert summary["attraction"]["rows"] == [
+            {
+                "r": r,
+                "root_count": row["root_count"],
+                "off_attractor": (m + 1) * tau if r == forged else 0,
+            }
+            for r, row in zip((30, 60, 90), summary["attraction"]["rows"])
+        ]
 
     def test_csv_with_summary_sidecar(self, tmp_path):
         out = tmp_path / "roots.csv"
@@ -568,6 +606,24 @@ class TestRoots:
         assert out.read_text().splitlines()[1].startswith("r,root_re")
         sidecar = load(tmp_path / "roots.csv.summary.json")
         assert "attraction" in sidecar["summary"]
+
+
+class TestExitCodes:
+    def test_fuzzed_command_lines_exit_by_the_contract(self, tmp_path, monkeypatch, capsys):
+        # exit 0, 1, 2 or 3 and never a traceback; 1 means a failed
+        # verification, so only verify returns it
+        monkeypatch.chdir(tmp_path)
+        rng = random.Random(22)
+        codes = {}
+        for _ in range(200):
+            argv = fuzz_argv(rng)
+            code = main(argv)
+            assert code in (0, 1, 2, 3), argv
+            assert code != 1 or argv[0] == "verify", argv
+            codes[code] = codes.get(code, 0) + 1
+        capsys.readouterr()
+        # the draws reach both a run and a refusal
+        assert codes.get(0) and codes.get(2)
 
 
 class TestUsageErrors:
@@ -691,6 +747,26 @@ class TestUsageErrors:
         assert probe["min_separation_normalized"] is None
         assert '"min_separation_normalized": null' in out.read_text()
 
+    @pytest.mark.parametrize(
+        "command, where",
+        [
+            ("branches", ["--z=1.7e308,1.7e308"]),
+            ("branches", ["--grid=1.7e308:1.7e308:1,1.7e308:1.7e308:1"]),
+            ("asymptote", ["--z=-1.7e308,1.7e308", "--r-max", "10"]),
+        ],
+        ids=["branches-point", "branches-grid", "asymptote-point"],
+    )
+    def test_a_point_beyond_the_largest_double_is_refused(
+        self, tmp_path, capsys, command, where
+    ):
+        # each part is finite, but the modulus is not
+        out = tmp_path / "x.json"
+        assert run(command, "--m", "2", "--c", "1", *where, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("chebsys: error: ") and err.count("\n") == 1
+        assert where[0].partition("=")[0] in err and "modulus" in err
+        assert not out.exists()
+
     def test_point_and_grid_exclude_each_other(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert run(
@@ -699,6 +775,67 @@ class TestUsageErrors:
         ) == 2
         assert "exactly one of --z and --grid" in capsys.readouterr().err
         assert not out.exists()
+
+
+# ---------------------------------------------------------------- the exit codes
+
+# the values a fuzzed command line draws from, each table as (valid,
+# refused): valid values and their extremes, and values that the option, or
+# the command for that option, refuses
+FUZZ = {
+    "m": (["1", "2", "3", "4", "6"], ["0", "-1", "2.5", ""]),
+    "c": (
+        ["1", "3/7", "59/62", "7/3", "0.5", "1e3", " 3/7 ", str(10**40), f"1/{10**40}",
+         f"{10**307}/3", str(10**400), f"1/{10**400}"],
+        ["-2/3", "0", "1/0", "a/b"],
+    ),
+    "coordinate": (
+        ["0", "-0", "1", "-2.5", "3.75", "1e-300", "5e-324", "1e308", "1.7e308", "-1.7e308",
+         "1.7976931348623157e308"],
+        ["1e309", "inf", "-inf", "nan", "x", ""],
+    ),
+    "count": (["1", "2", "3"], ["0", "x"]),
+    "index": (["0", "1", "3", "7", "12", "20"], ["-1", "x", ""]),
+    "r_list": (["0,1,5", "3", "12,7", "20"], ["-1", "x,2", ""]),
+    "precision": (["53", "64", "200", "400"], ["12", "x"]),
+    "format": (["json", "csv"], ["xml"]),
+}
+FUZZ_OPTIONS = {
+    "gen": {"--R": "index"},
+    "verify": {"--R": "index", "--n-max": "index"},
+    "branches": {"--z": "point", "--grid": "grid"},
+    "asymptote": {"--z": "point", "--r-max": "index"},
+    "roots": {"--r-max": "index", "--r-list": "r_list"},
+}
+
+
+def fuzz_argv(rng) -> list:
+    """A command line of the CLI grammar: each value drawn from ``FUZZ``,
+    refused one time in ten, each option given four times in five, and now
+    and then an unknown command or option, a stray argument or an option
+    with no value."""
+
+    def pick(kind):
+        valid, refused = FUZZ[kind]
+        return rng.choice(valid if rng.random() < 0.9 else refused)
+
+    def value(kind):
+        if kind == "point":
+            return f"{pick('coordinate')},{pick('coordinate')}"
+        if kind == "grid":
+            return ",".join(
+                f"{pick('coordinate')}:{pick('coordinate')}:{pick('count')}" for _ in "ri"
+            )
+        return pick(kind)
+
+    command = rng.choice([*FUZZ_OPTIONS, "bogus"] if rng.random() < 0.05 else list(FUZZ_OPTIONS))
+    argv = [command, "--m", pick("m"), "--c", pick("c")]
+    for name, kind in FUZZ_OPTIONS.get(command, {}).items():
+        if rng.random() < 0.8:
+            argv.append(f"{name}={value(kind)}")
+    argv += ["--precision", pick("precision"), "--format", pick("format")]
+    argv += rng.choice([[]] * 17 + [["--frobnicate", "1"], ["stray"], ["--seed"]])
+    return argv + ["--out", "out"]
 
 
 # ---------------------------------------------------------------- the parser

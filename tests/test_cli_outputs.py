@@ -37,8 +37,11 @@ PINNED = {
     "verify.json": "d2733d3446829d4101797855a7fea839f376cb13c13163126b912b96763de1a0",
     # m = 1 roots, re-taken when the zeros came to be refined from the
     # probe's isolating intervals: two roots and their star distances moved
-    # by one unit in the last place, each now the correctly rounded value
-    "roots.json": "ce2c3b4f83bf9856bc90bac27f7f3753063cc1d36ca0220c0c37d87516ab71df",
+    # by one unit in the last place, each now the correctly rounded value.
+    # Every roots digest was re-taken when the star distances and the trend
+    # verdicts went and each attraction row came to count its zeros off the
+    # attractor: UNMOVED pins the files less those as they were before
+    "roots.json": "8d2e55ac8387804ff995bd43a16c79f481612cfd8084609fd50fcad07ac275d9",
     # the two asymptote digests were re-taken at the same change: the branch
     # values carry their bits below the double-double ones, so the error and
     # rate cells near the 53-bit floor and decay_estimate moved at roundoff;
@@ -59,12 +62,12 @@ PINNED = {
     "branches.csv.geometry.json": "86286c12701074898fddadcf4defaa00f31b29773f385e698b3f8e3d472d7eb2",
     "branches.json": "e1b2d40a0e2810f7f62a4268fbda6b2ce385c2777daae45c4eadf6f672eac58c",
     "asymptote.csv": "145d11532be95e35e2ce3e981cf5b5db2995eb2694568cdf403509e0d75b0f27",
-    "roots.csv": "7bf144c518f151bd6c5d57d59fefd954836b411588d6e8152787edf5ab429f6b",  # m = 1, as roots.json
+    "roots.csv": "9be3fa11f36f5ce291975731fbc15f0c8de4594b41ea93b76e68f9c5c49829ba",  # m = 1, as roots.json
     # re-taken when m = 1 came to be proved by the step: the summary's
     # min_separation_normalized, now measured between isolating intervals
     # instead of taken from cos**2 in doubles, went 0.06613613724197481 ->
     # 0.06613613724197477, the closed form's value correctly rounded
-    "roots.csv.summary.json": "e2d0be3a03ee19a14c7e2a25945625773fc5e08dea66d63ec322260295fe871c",
+    "roots.csv.summary.json": "a8b54a2c3230fdbe89cc45ebdbc0bc96955e9208036e066be35d16762aeabc3d",
     "verify.csv": "9da81417cf577e25460dcc56c88112e2878ea190503e82f68adfffb9ba6ee05c",
     "gen0.json": "5a441dde49a99ff2fc0451428805746c67ef4d5eca05eb4de00b1a1ce99480a5",
     "gen0.csv": "c6714aad9a13c42253bef2299bf64a8a07310117883b30207eede69d6ca945c2",
@@ -100,11 +103,12 @@ PINNED = {
 # were re-taken when the zeros came to be refined from the probe's isolating
 # intervals: values moved by a unit in the last place or less, the two
 # conjugate roots of each negative zero of h_r now come in mpmath.root's
-# order, +pi/3 first, and the attraction distances moved as little
+# order, +pi/3 first, and the attraction distances moved as little.  They
+# were re-taken again with the roots digests above
 PINNED_PARALLEL = {
-    "roots60.json": "6646268f489c4a1e8d463e2956dce48bd8ac2bed75019d41cb2812e5bf957ad8",
-    "roots60.csv": "a14f6023ac45d2f71eaf6dbb4136321cab4a6c4f898e736f7f532bae33f7e336",
-    "roots60.csv.summary.json": "aea215f3a91b3e4516a5de1689e85f95cedc439f8f5c50a0373505226685c2ce",
+    "roots60.json": "17676315d2324eba7f3a7acdded9badc9572bcd2b15a3c9976c54fb06f522789",
+    "roots60.csv": "81654876c3bf97d32b960072d45ab4f4f7038fb8fc7bd8965f265f09f179d332",
+    "roots60.csv.summary.json": "b807d821a827473610adf27ded3c69c1fa574f63f5b53346b6c2d79106c8901c",
     "verify30.json": "e670741bdcd583275c2fd2c3c8ad8aa04ab368e439e9c84f0f3c08406d4d550c",
     "asymptote200.json": "61998cedf6d6c90167da414b8642c6d5a37b8e41036662adf4a87dbd871a382e",
 }
@@ -172,10 +176,19 @@ def digest(data: bytes) -> str:
 # the branches outputs less their max_residual cells
 # (digest_without_max_residual), taken while each value had four polish
 # steps: the values, moduli, tie flags, distances and omegas did not move
-# when it came down to one
+# when it came down to one.  The roots outputs less their star distances
+# and the measured fields of their attraction rows
+# (digest_without_the_attraction), taken while roots still wrote them: no
+# zero, count or probe field moved when they went
 UNMOVED = {
     "branches.csv": "6dc3992e0d03e4fdf0e09301dc4f2f1c46b958251a5edbd8f921e1defab742ab",
     "branches.json": "431520dfb849edab1f17010e56ff043155edf0c04b39451d1e6f979ba23c575e",
+    "roots.json": "a9d8dba50849d548cff24dda296eddd7f34e1837785aa17d6ae1425f54c11c04",
+    "roots.csv": "9be3fa11f36f5ce291975731fbc15f0c8de4594b41ea93b76e68f9c5c49829ba",
+    "roots.csv.summary.json": "ce2aaf02ea2a5a3e7fb2eeab54198c7e56dbd3b20e788cbda3ab560c3e0a92e5",
+    "roots60.json": "7011ea104110f1b90ac5c8366b568a457bef3aea9006b7c6125147d1bdad25e9",
+    "roots60.csv": "81654876c3bf97d32b960072d45ab4f4f7038fb8fc7bd8965f265f09f179d332",
+    "roots60.csv.summary.json": "41c2e9979cb163a4370703f66ee0634af7767ca6c8bf17b47a7911529036b7df",
 }
 
 
@@ -195,6 +208,37 @@ def digest_without_max_residual(name: str, data: bytes) -> str:
         cells = lines[i].split(",")
         if len(cells) == len(header):
             lines[i] = ",".join(cells[:column] + cells[column + 1 :])
+    return digest("\n".join(lines).encode())
+
+
+def digest_without_the_attraction(name: str, data: bytes) -> str:
+    """The digest of a roots output less what the attraction study measured
+    in doubles: the star_distance key of each JSON row, or column of the CSV,
+    if any, and every field of an attraction row but r and root_count, with
+    the verdicts.  Before the study came to count the zeros off the
+    attractor exactly, it wrote distances and verdicts; what is left must
+    not have moved."""
+    if name.endswith(".json"):
+        payload = json.loads(data)
+        for row in payload.get("roots", ()):
+            row.pop("star_distance", None)
+        summary = payload["summary"]
+        if "rows" in summary["attraction"]:
+            summary["attraction"] = {
+                "rows": [
+                    {"r": row["r"], "root_count": row["root_count"]}
+                    for row in summary["attraction"]["rows"]
+                ]
+            }
+        return digest((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
+    lines = data.decode().split("\n")
+    header = lines[1].split(",")
+    if "star_distance" in header:
+        column = header.index("star_distance")
+        for i in range(1, len(lines)):
+            cells = lines[i].split(",")
+            if len(cells) == len(header):
+                lines[i] = ",".join(cells[:column] + cells[column + 1 :])
     return digest("\n".join(lines).encode())
 
 
@@ -493,7 +537,9 @@ def test_verify_reports_a_broken_denominator(workdir, monkeypatch):
 def test_roots_is_pinned(workdir):
     argv = ["roots", "--m", "1", "--c", "3/2", "--r-max", "12", "--out", "roots.json"]
     assert main(argv) == 0
-    payload = json.loads((workdir / "roots.json").read_text())
+    data = (workdir / "roots.json").read_bytes()
+    assert digest_without_the_attraction("roots.json", data) == UNMOVED["roots.json"]
+    payload = json.loads(data)
     assert digest_apart_from_the_probe(payload, "roots.json") == PINNED["roots.json"]
 
 
@@ -534,7 +580,9 @@ def test_each_layout_is_pinned(workdir, argv, names):
     for name in names:
         data = (workdir / name).read_bytes()
         assert digest(data) == PINNED[name], name
-        if name in UNMOVED:
+        if name.startswith("roots"):
+            assert digest_without_the_attraction(name, data) == UNMOVED[name], name
+        elif name in UNMOVED:
             assert digest_without_max_residual(name, data) == UNMOVED[name], name
 
 
@@ -577,10 +625,13 @@ def test_roots_json_csv_and_summary_are_pinned(workdir):
     argv = ["roots", "--m", "2", "--c", "59/62", "--r-max", "60"]
     assert main(argv + ["--out", "roots60.json"]) == 0
     assert main(argv + ["--format", "csv", "--out", "roots60.csv"]) == 0
-    csv_digest = digest((workdir / "roots60.csv").read_bytes())
-    assert csv_digest == PINNED_PARALLEL["roots60.csv"]
+    data = (workdir / "roots60.csv").read_bytes()
+    assert digest(data) == PINNED_PARALLEL["roots60.csv"]
+    assert digest_without_the_attraction("roots60.csv", data) == UNMOVED["roots60.csv"]
     for name in ("roots60.json", "roots60.csv.summary.json"):
-        payload = json.loads((workdir / name).read_text())
+        data = (workdir / name).read_bytes()
+        assert digest_without_the_attraction(name, data) == UNMOVED[name], name
+        payload = json.loads(data)
         assert digest_apart_from_the_probe(payload, name) == PINNED_PARALLEL[name], name
 
 

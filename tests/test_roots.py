@@ -5,14 +5,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from chebsys.algebraic import star_geometry
+from chebsys.algebraic import segment_family_distance, star_geometry
 from chebsys.exactpoly import Poly, compose_star
 from chebsys.recurrence import Params, gen_type1_records
 from chebsys.roots import (
     ConvergenceFailure,
-    attraction_study,
     conjecture_probe,
-    distance_to_star,
     isolate,
     roots_of_t,
     solve_indices,
@@ -127,45 +125,53 @@ class TestRootsOfTProvesItsIndex:
         assert caught.value.poly == h
 
 
+def distance_to_attractor(z, p: Params) -> float:
+    """Distance from z to the rays of the attractor star of p."""
+    return segment_family_distance(z, star_geometry(p).attractor_rotations, math.inf)
+
+
 class TestStarDistance:
+    # the attractor rays, which the asymptotic scan refuses to start on
     def test_point_on_ray_is_zero(self):
-        geom = star_geometry(Params(2, "1"))
-        assert distance_to_star(cmath.exp(1j * math.pi / 3), geom) < 1e-15
+        assert distance_to_attractor(cmath.exp(1j * math.pi / 3), Params(2, "1")) < 1e-15
 
     def test_unit_point_against_even_rays(self):
-        geom = star_geometry(Params(2, "1"))
-        assert abs(distance_to_star(1.0, geom) - math.sin(math.pi / 3)) < 1e-12
+        assert abs(distance_to_attractor(1.0, Params(2, "1")) - math.sin(math.pi / 3)) < 1e-12
 
     def test_origin(self):
-        geom = star_geometry(Params(4, "2"))
-        assert distance_to_star(0, geom) == 0
+        assert distance_to_attractor(0, Params(4, "2")) == 0
 
     def test_m1_star_is_real_axis(self):
-        geom = star_geometry(Params(1, "1"))
-        assert distance_to_star(-3.7, geom) < 1e-15
-        assert abs(distance_to_star(2 + 1j, geom) - 1) < 1e-12
+        assert distance_to_attractor(-3.7, Params(1, "1")) < 1e-15
+        assert abs(distance_to_attractor(2 + 1j, Params(1, "1")) - 1) < 1e-12
 
 
 class TestAttraction:
+    # off_attractor counts the zeros of t_r off the attractor rays exactly,
+    # from the sides of 0 of the proved zeros of h_r
     def test_m2_roots_sit_on_star(self):
-        study = attraction_study(Params(2, "1"), [30, 60, 90], 128)
-        assert study.verdict_max == "non-increasing"
-        for row in study.rows:
-            assert row.max_distance < 1e-8
+        p = Params(2, "1")
+        records = gen_type1_records(p, 90)
+        for r in (30, 60, 90):
+            report = roots_of_t(records[r], p, 128)
+            assert report.off_attractor == 0
+            assert all(x.real < 0 for x, _ in report.h_roots)
+            assert report.total_root_count == records[r].t.degree
 
     def test_vacuous_entry(self):
-        study = attraction_study(Params(2, "1"), [0], 80)
-        assert study.rows[0].root_count == 0
-        assert study.verdict_max == "vacuous"
+        p = Params(2, "1")
+        report = roots_of_t(gen_type1_records(p, 0)[0], p, 80)
+        assert (report.total_root_count, report.off_attractor) == (0, 0)
 
     def test_m1_roots_near_real_axis(self):
-        study = attraction_study(Params(1, "1"), [20, 40], 128)
-        for row in study.rows:
-            assert row.max_distance < 1e-9
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            attraction_study(Params(1, "1"), [10, 5])
+        # the odd rays of m = 1 are the two halves of the real axis, and a
+        # zero x > 0 of h_r lifts to +-sqrt(x) with no imaginary part at all
+        p = Params(1, "1")
+        records = gen_type1_records(p, 40)
+        for r in (20, 40):
+            report = roots_of_t(records[r], p, 128)
+            assert report.off_attractor == 0
+            assert all(z.imag == 0.0 for z, _ in report.t_roots)
 
 
 class TestConjectureProbe:

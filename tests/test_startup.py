@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_cli_outputs import digest_without_the_attraction
 
 import chebsys
 from chebsys import cli, probe
@@ -184,14 +185,15 @@ LOADS = {
         {"asymptote1400.json": "9c98d9f7a1865e95fa479c63492d819ac75418488e3ebd66eebc3eb4c70c8dc7"},
     ),
     # the zeros refined from the probe's intervals, at m = 2 and m = 1; both
-    # re-taken with them, as roots60 and roots.csv in test_cli_outputs.py
+    # re-taken with them, as roots60 and roots.csv in test_cli_outputs.py,
+    # and again there when the star distances and trend verdicts went
     "roots-m2": (
         ["roots", "--m", "2", "--c", "59/62", "--r-list", "20,30", "--format", "csv",
          "--out", "roots2.csv"],
         [],
         {
-            "roots2.csv": "8f6613c22858fdffad7a5574e03120463060cc87d6cf791aa6822ce04a467602",
-            "roots2.csv.summary.json": "174a1f5b4a7450ce6b0b2dd5a055f39e32b244ebeb629bf1c0bac156f49d4694",
+            "roots2.csv": "318f3bc523df03d98f68068a87d50ff045f37d9f0665721bcf15ca20ed9b8743",
+            "roots2.csv.summary.json": "4869dbd5fb8654a8599062fbc6c0dd3922da90e1e433ac26ba2a204db64de9df",
         },
     ),
     # the m = 1 digests of test_cli_outputs.py, re-taken there; the summary
@@ -202,8 +204,8 @@ LOADS = {
          "--out", "roots.csv"],
         [],
         {
-            "roots.csv": "7bf144c518f151bd6c5d57d59fefd954836b411588d6e8152787edf5ab429f6b",
-            "roots.csv.summary.json": "e2d0be3a03ee19a14c7e2a25945625773fc5e08dea66d63ec322260295fe871c",
+            "roots.csv": "9be3fa11f36f5ce291975731fbc15f0c8de4594b41ea93b76e68f9c5c49829ba",
+            "roots.csv.summary.json": "a8b54a2c3230fdbe89cc45ebdbc0bc96955e9208036e066be35d16762aeabc3d",
         },
     ),
 }
@@ -374,6 +376,15 @@ UNMOVED = {
     ),
 }
 
+# the m = 2 roots files less their star distances and the measured fields
+# of the attraction rows (test_cli_outputs.digest_without_the_attraction),
+# taken while roots still wrote them; the m = 1 case's files are those of
+# test_cli_outputs.py, whose UNMOVED pins them
+UNMOVED_ROOTS = {
+    "roots2.csv": "318f3bc523df03d98f68068a87d50ff045f37d9f0665721bcf15ca20ed9b8743",
+    "roots2.csv.summary.json": "d5dcb588418ac4e7382da51725c84c76bdd008dd21b77731816edf263685f9bb",
+}
+
 
 @pytest.mark.parametrize("case", list(LOADS))
 def test_mpmath_loads_only_where_a_command_solves_in_it(tmp_path, case):
@@ -393,6 +404,10 @@ def test_mpmath_loads_only_where_a_command_solves_in_it(tmp_path, case):
             del row["max_residual"]
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == want
+    for name in files:
+        if name in UNMOVED_ROOTS:
+            data = (tmp_path / name).read_bytes()
+            assert digest_without_the_attraction(name, data) == UNMOVED_ROOTS[name], name
 
 
 def test_roots_with_every_index_missed_loads_neither_numpy_nor_mpmath(tmp_path):
@@ -406,7 +421,7 @@ def test_roots_with_every_index_missed_loads_neither_numpy_nor_mpmath(tmp_path):
 
 
 def test_roots_writes_an_index_the_probe_did_not_prove_unproved(tmp_path):
-    # the counterexample is one error row, the attraction study names it,
+    # the counterexample is one error row, the attraction summary names it,
     # and the probe block reports it; nothing is solved, so nothing loads
     argv = ["roots", "--m", "2", "--c", "1", "--r-list", "20,24,28", "--out", "roots.json"]
     done = python(FORGED, *argv, cwd=tmp_path)
@@ -619,7 +634,8 @@ def test_every_public_name_is_used_outside_the_tests():
 
 # the benchmark's tracer, loaded by path as its runner loads it, wraps the
 # layer functions it finds in the package; install() imports every module it
-# patches, rootfind included, so it fails if one of them is gone
+# patches, rootfind included, so it fails if one of them is gone, and skips
+# a function that is gone, such as roots.attraction_study
 TRACER = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
@@ -634,9 +650,9 @@ def test_the_benchmark_tracer_installs_against_the_package():
     done = python(TRACER, str(ROOT / "perfbench" / "tracer.py"))
     assert done.returncode == 0, done.stderr
     table = json.loads(done.stdout)
-    assert "complex_roots" not in table
+    assert "complex_roots" not in table and "attraction_study" not in table
     assert table["solve_branches"] == ["algebraic"]
-    assert table["gen_type1_records"] == ["recurrence", "roots", "cli"]
+    assert table["gen_type1_records"] == ["recurrence", "cli"]
     assert table["Poly.eval_complex"] == ["exactpoly"]
 
 
@@ -718,11 +734,9 @@ RECORDS = {
         "TypeIVectorRecord": ("r", "components"),
     },
     "roots": {
-        "AttractionRow": ("r", "root_count", "max_distance", "mean_distance"),
-        "AttractionStudy": ("rows", "verdict_max", "verdict_mean"),
         "RootReport": (
-            "r", "h_roots", "t_roots", "max_star_distance", "mean_star_distance",
-            "origin_multiplicity", "total_root_count",
+            "r", "h_roots", "t_roots", "off_attractor", "origin_multiplicity",
+            "total_root_count",
         ),
     },
 }
