@@ -37,12 +37,11 @@ and the CLI writes its JSON itself (``_to_json``); a --c that is not a plain
 reads it.  ``branches`` and ``asymptote`` solve and certify every branch
 value on the integer kernel, at any precision, and the scan steps its terms
 there in fixed point.  ``gen`` and ``verify`` are exact; ``roots`` takes
-the zeros of every index the probe proves (on the c = 1 polynomials in
-y = x/c, once each h_r is checked to be their graded image), by its step or
-by Sturm's theorem, from its isolating intervals, refined with exact signs,
-at x = c*y, and writes an index it does not prove (zeros not real and
-simple, or a table off the grading from that index on) as one ``unproved``
-error row.  Every command runs in one process.
+the zeros of every index the probe proves (in y = x/c, on the c = 1
+polynomials for a generated table), by its step or by Sturm's theorem,
+from its isolating intervals, refined with exact signs, at x = c*y, and
+writes an index it does not prove (zeros not real and simple) as one
+``unproved`` error row.  Every command runs in one process.
 
 Output layout: with --format json a command writes one JSON file at --out.
 With --format csv each table goes to --out plus a suffix (none for the main
@@ -647,7 +646,7 @@ def _resolve_r_list(args) -> list:
             raise UsageError(f"bad --r-list value {args.r_list!r}") from exc
     else:
         r_max = args.r_max
-        values = sorted({math.ceil(r_max / 3), math.ceil(2 * r_max / 3), r_max})
+        values = sorted({-(-r_max // 3), -(-2 * r_max // 3), r_max})
     if any(v < 0 for v in values):
         raise UsageError("--r-list entries must be >= 0")
     return values
@@ -801,7 +800,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
-    except (UsageError, OnStarSet, ValueError, TypeError, OSError) as exc:
+    except (UsageError, OnStarSet, OSError) as exc:
         print(f"chebsys: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NUMERIC_FAILURES as exc:

@@ -17,11 +17,11 @@ real and simple or finds a counterexample; the step goes on from its
 intervals.  The core proves and does nothing else: it knows no records and
 no c.  The probe imports nothing beyond the exact half: no numeric library.
 
-The record layer, ``isolate``, alone reads a table's records, grades them
-and, on a PASS, measures.  c only scales x (the c-grading, in the README):
-h_r(x; c) = kappa_r * h_r(x/c; 1), kappa_r > 0, so it checks each h_r
-exactly to be the graded image of its c = 1 polynomial (``_graded``), up to
-the first index off the grading, and has the core prove those in y = x/c.
+The record layer, ``isolate``, alone reads a table's records, changes their
+variable and, on a PASS, measures.  The core proves each h_r of the table
+it is given in y = x/c, as g_r(y) = c**(d-tau) * h_r(c*y) (``_in_y``), at
+any c; by the c-grading (in the README) g_r is the c = 1 polynomial
+h_r(y; 1) on a generated table, so the core's integers do not grow with c.
 When every index is proved it measures the least gap between zeros in x
 (``_least_gap``), with ``enclosure``, which refines an isolating interval
 to any width relative to its zero.  ``roots`` reports the zeros of every
@@ -53,11 +53,9 @@ ProbeReport = namedtuple(
 ProbeReport.__doc__ = """Realness and simplicity of the zeros of every h_r, proven index by index
 (``isolate``).
 
-Classification is PASS, a proof for every index; COUNTEREXAMPLE, with the
-first index whose zeros are not real and simple as ``offending_r`` and the
-``reason`` of ``prove``; or NOT-GRADED, with the first index whose h_r is
-not the graded image of its c = 1 polynomial as ``offending_r`` and no
-``reason``: neither it nor any later index is proved.
+Classification is PASS, a proof for every index; or COUNTEREXAMPLE, with
+the first index whose zeros are not real and simple as ``offending_r`` and
+the ``reason`` of ``prove``.
 ``max_imag_normalized`` is 0.0 on a PASS and None otherwise, where no zero
 is computed.  ``min_separation_normalized`` is the least of
 ``|x - y| / max(1, |x|, |y|)`` over consecutive zeros of every index, from
@@ -79,8 +77,9 @@ the signs proved, and ``first_uncertified_r`` names the first they missed.
 
 Isolated = namedtuple("Isolated", "g intervals")
 Isolated.__doc__ = """The zeros of one polynomial ``g``, proven real and simple, and its
-isolating intervals in increasing order; for h_r, g is the c = 1 polynomial
-h_r(y; 1), whose zeros are those of h_r(x; c) in y = x/c."""
+isolating intervals in increasing order; for h_r, g is
+c**(d-tau) * h_r(c*y), whose zeros are those of h_r(x; c) in y = x/c: the
+c = 1 polynomial h_r(y; 1) on a generated table."""
 
 
 def _reduced(a: int, k: int) -> tuple:
@@ -88,24 +87,6 @@ def _reduced(a: int, k: int) -> tuple:
         return 0, 0
     t = min((a & -a).bit_length() - 1, k)
     return a >> t, k - t
-
-
-def _graded(h: Poly, g: Poly, P: int, Q: int) -> bool:
-    """True if h(x) = kappa * g(x/c) for some kappa > 0, c = P/Q, exactly.
-
-    The x**j coefficient of h must be kappa * g_j / c**j: h and g have the
-    same zero coefficients and leading signs, and for consecutive nonzero
-    coefficients j < k, ``h_k * g_j * P**(k-j) == h_j * g_k * Q**(k-j)``.
-    Each product pairs one coefficient of h with one small number.
-    """
-    a, b = h.nums, g.nums
-    support = [j for j, x in enumerate(a) if x]
-    if support != [j for j, y in enumerate(b) if y] or (a[-1] > 0) != (b[-1] > 0):
-        return False
-    return all(
-        a[k] * (b[j] * P ** (k - j)) == a[j] * (b[k] * Q ** (k - j))
-        for j, k in zip(support, support[1:])
-    )
 
 
 def _outer_exponent(g: Poly) -> int:
@@ -544,34 +525,52 @@ def prove(pairs) -> tuple:
     return proved, missed, offending, reason
 
 
+def _in_y(records, P: int, Q: int):
+    """``(r, g_r)`` for each record, g_r(y) = c**(d-tau) * h_r(c*y) exactly,
+    c = P/Q: the y**j coefficient is h_j * c**(d-tau+j).
+
+    By the c-grading g_r is the c = 1 polynomial, of small integers, so it is
+    formed by exact divisions that pair each coefficient of h_r with small
+    numbers: the leading one by the powers of P and Q carried from index to
+    index, each other by its ratio to the one above.  Only a table off the
+    grading leaves a remainder; its g_r is then formed in full, rational.
+    """
+    e, Pe, Qe = 0, 1, 1  # P**e and Q**e
+    for rec in records:
+        h, s = rec.h, rec.d - rec.tau
+        top = s + h.degree  # the power of c in the leading coefficient
+        if top < e:
+            e, Pe, Qe = 0, 1, 1
+        Pe, Qe, e = Pe * P ** (top - e), Qe * Q ** (top - e), top
+        nums, k = h.nums, h.degree
+        # on the grading h_k = a * (Q/P)**top, a an integer: Q**top divides
+        # its numerator, and the denominator divides P**top
+        lead, rest = divmod(nums[-1], Qe)
+        scale, left = divmod(Pe, h.den)
+        g, rest = [0] * k + [lead * scale], rest or left
+        for j in range(k - 1, -1, -1):
+            if nums[j] and not rest:
+                g[j], rest = divmod(g[k] * Q ** (k - j) * nums[j], nums[k] * P ** (k - j))
+                k = j
+        if rest:
+            g = [n * P ** (s + j) * Q ** (top - s - j) for j, n in enumerate(nums)]
+        yield rec.r, Poly.scaled(g, h.den * Qe if rest else 1)
+
+
 def isolate(p: Params, records) -> tuple:
     """The probe of the h_r of ``records``, and the zeros it isolated:
     ``(ProbeReport, {r: Isolated})``, with an entry for every index proved.
 
-    The record layer: it takes the indices of degree >= 1 up to the first
-    whose h_r is not the graded image of its c = 1 polynomial (``_graded``),
-    and has ``prove`` prove those c = 1 polynomials (``records`` at c = 1),
-    labelled by r; on a PASS it measures their least gap (``_least_gap``).
-    An index whose zeros are not real and simple, or which lies off the
-    grading or beyond, is missing from the dict.
+    The record layer: it takes the indices of degree >= 1, has ``prove``
+    prove each h_r in y = x/c (``_in_y``), labelled by r, and on a PASS
+    measures their least gap (``_least_gap``).  An index whose zeros are not
+    real and simple is missing from the dict.
     """
-    records = [rec for rec in records if rec.tau >= 1]
-    P, Q = p.ratio
-    R = max((rec.r for rec in records), default=0)
-    table = records if P == Q else gen_type1_records(Params(p.m, 1), R)
-    ones = {rec.r: rec.h for rec in table}
-    n = 0  # the first index off the grading
-    while n < len(records) and _graded(records[n].h, ones[records[n].r], P, Q):
-        n += 1
-    pairs = [(rec.r, ones[rec.r]) for rec in records[:n]]
-    proved, missed, offending, reason = prove(pairs)
-    missed += [rec.r for rec in records[n:]]
-    classification = "PASS" if offending is None else "COUNTEREXAMPLE"
-    if n < len(records) and offending is None:
-        classification, offending = "NOT-GRADED", records[n].r
-    passed = classification == "PASS"
+    records = [rec for rec in records if rec.h.degree >= 1]
+    proved, missed, offending, reason = prove(_in_y(records, *p.ratio))
+    passed = offending is None
     report = ProbeReport(
-        classification=classification,
+        classification="PASS" if passed else "COUNTEREXAMPLE",
         max_imag_normalized=0.0 if passed else None,
         min_separation_normalized=_least_gap(list(proved.values()), p.ratio) if passed else None,
         offending_r=offending,

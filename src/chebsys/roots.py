@@ -14,14 +14,13 @@ side of 0.
 The probe of the conjecture that the zeros of every ``h_r`` are real and
 simple is ``chebsys.probe``; ``conjecture_probe`` is also read from here.
 It proves each index with exact signs, by its interlacing step or by Sturm's
-theorem, on the c = 1 polynomial in y = x/c, and isolates each zero of a
-proved index in a dyadic interval (``probe.isolate``).  The zeros of such an
-index are taken from those intervals, refined with exact signs to
-2**-(precision + GUARD_BITS) of each zero (``probe.refined``), and mapped to
-x = c*y and to t on the integer kernel: no root is solved and mpmath is not
-loaded.  An index the probe does not prove (one whose zeros are not real and
-simple, or a table off the c-grading from its first such index on) has no
-zeros here: it raises ``ConvergenceFailure``, and ``roots`` writes it as an
+theorem, in y = x/c, and isolates each zero of a proved index in a dyadic
+interval (``probe.isolate``).  The zeros of such an index are taken from
+those intervals, refined with exact signs to 2**-(precision + GUARD_BITS)
+of each zero (``probe.refined``), and mapped to x = c*y and to t on the
+integer kernel: no root is solved and mpmath is not loaded.  An index the
+probe does not prove, one whose zeros are not real and simple, has no zeros
+here: it raises ``ConvergenceFailure``, and ``roots`` writes it as an
 ``unproved`` row.  A caller who wants the zeros of such an h_r solves it by
 hand: ``mpmath.polyroots`` on h's coefficients, highest first.
 """

@@ -314,17 +314,12 @@ COUNTEREXAMPLES = {
 def test_the_step_leaves_a_counterexample_to_the_count(monkeypatch, m, c, h, reason):
     # the step cannot count more sign changes than h has real zeros, so the
     # index goes to the count, and the next is proved from the index before;
-    # at c the fed table is the graded image of the fed c = 1 table, h at c
-    # being h(x/c), so that the probe's check passes
+    # at c the fed h_r is h(x/c), whose zeros are those of h times c
     p = Params(m, c)
     records = gen_type1_records(p, 30)
     bad = next(rec.r for rec in records if rec.tau == h.degree)
     fed = [rec._replace(h=graded(h, p)) if rec.r == bad else rec for rec in records]
-    ones = [
-        rec._replace(h=h) if rec.r == bad else rec
-        for rec in gen_type1_records(Params(m, 1), 30)
-    ]
-    monkeypatch.setattr(probe, "gen_type1_records", lambda q, r_max: fed if q == p else ones)
+    monkeypatch.setattr(probe, "gen_type1_records", lambda q, r_max: fed)
     report = conjecture_probe(p, 30)
     assert report.classification == "COUNTEREXAMPLE"
     assert report.reason == reason
@@ -398,7 +393,9 @@ def test_sturm_isolates_the_indices_after_a_counterexample(monkeypatch, key):
         assert isolated[r].intervals == probe._sturm_isolated(records[r].h)[0], r
 
 
-def test_a_not_graded_index_generates_the_c1_table_once(monkeypatch):
+def test_a_forged_index_is_judged_on_its_own_zeros(monkeypatch):
+    # the x**1 coefficient of one h_r times P: no c = 1 table is generated,
+    # and the probe's verdict on that index is Sturm's count on the forged h
     p = Params(2, "3/7")
     P, _ = p.ratio
     records = gen_type1_records(p, 30)
@@ -411,12 +408,21 @@ def test_a_not_graded_index_generates_the_c1_table_once(monkeypatch):
         probe, "gen_type1_records", lambda q, r_max: generated.append(q) or gen_type1_records(q, r_max)
     )
     report, isolated = probe.isolate(p, fed)
-    assert report.classification == "NOT-GRADED" and report.offending_r == r
-    # that index and every later one of degree >= 1 is unproved
-    later = [rec.r for rec in fed if rec.r >= r and rec.tau >= 1]
-    results = roots_module.solve_indices(p, fed, later, 53, isolated)
-    assert all(isinstance(result, roots_module.ConvergenceFailure) for _, result in results)
-    assert len(generated) == 1
+    assert generated == []
+    real = distinct_real_zeros(rec.h) == rec.h.degree
+    assert report.classification == ("PASS" if real else "COUNTEREXAMPLE")
+    # every index of degree >= 1 is proved, the forged one where its zeros
+    # are real and simple, and the forged t_r has its zeros there
+    indices = [rec.r for rec in fed if rec.tau >= 1]
+    assert sorted(isolated) == [n for n in indices if real or n != r]
+    if real:
+        assert_isolates(rec.h, p.c, isolated[r])
+    results = dict(roots_module.solve_indices(p, fed, indices, 53, isolated))
+    for n in indices:
+        if n == r and not real:
+            assert isinstance(results[n], roots_module.ConvergenceFailure)
+        else:
+            assert results[n].total_root_count == fed[n].t.degree, n
 
 
 def test_split_points_are_short_and_in_the_middle_half():
@@ -483,8 +489,54 @@ def test_the_core_names_a_forged_companion_term():
 
 # ---------------------------------------------------------------- the c-grading
 #
-# h_r(x; c) = kappa_r * h_r(x/c; 1) with kappa_r > 0, so the probe proves the
-# c = 1 polynomials in y = x/c once each h_r passes the exact grading check
+# h_r(x; c) = kappa_r * h_r(x/c; 1) with kappa_r > 0, so the polynomial the
+# probe proves for h_r, g_r(y) = c**(d-tau) * h_r(c*y), is the c = 1
+# polynomial h_r(y; 1) on every generated table.  No check at run time
+# compares the tables: these tests hold the lemma, exactly.
+
+
+def distinct_real_zeros(h: Poly) -> int:
+    """The number of distinct real zeros of h: Sturm's theorem between -inf
+    and inf, on the remainder sequence of (h, h') in Fractions, from the
+    signs of its leading coefficients."""
+    a = list(h.coeffs)
+    chain = [a, [j * x for j, x in enumerate(a)][1:]]
+    while len(chain[-1]) > 1:
+        rest, b = chain[-2][:], chain[-1]
+        while len(rest) >= len(b):
+            q = rest[-1] / b[-1]
+            for i, x in enumerate(b):
+                rest[len(rest) - len(b) + i] -= q * x
+            rest.pop()
+        while rest and not rest[-1]:
+            rest.pop()
+        if not rest:
+            break
+        chain.append([-x for x in rest])
+
+    def changes(signs):
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    at_inf = [f[-1] > 0 for f in chain]
+    at_minus_inf = [(f[-1] > 0) == (len(f) % 2 == 1) for f in chain]
+    return changes(at_minus_inf) - changes(at_inf)
+
+
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def assert_isolates(h: Poly, c: Fraction, iso) -> None:
+    """Each interval of ``iso``, in y = x/c, holds one zero of h in x: h has
+    the interval's signs at its ends, and h has as many intervals as its
+    degree."""
+    assert len(iso.intervals) == h.degree
+    for (a, k), (b, j), s in iso.intervals:
+        lo, hi = c * Fraction(a, 2**k), c * Fraction(b, 2**j)
+        if lo == hi:
+            assert value_at(h, lo) == 0
+        else:
+            assert (sign(value_at(h, lo)), sign(value_at(h, hi))) == (s, -s)
 
 
 @pytest.mark.parametrize(
@@ -502,6 +554,36 @@ def test_every_c_isolates_the_zeros_of_c_1(m, c):
     for r, iso in proved.items():
         assert iso.g == one[r].g, r
         assert iso.intervals == one[r].intervals, r
+
+
+@pytest.mark.parametrize(
+    "m, c",
+    [(m, c) for m in range(1, 6) for c in ("3/7", "7/3", "59/62", 10**40, Fraction(1, 10**40))]
+    + [(m, c) for m in (1, 2) for c in (10**400, Fraction(1, 10**400))],
+    ids=[f"{m}-{c}" for m in range(1, 6) for c in ("3/7", "7/3", "59/62", "1e40", "1e-40")]
+    + [f"{m}-{c}" for m in (1, 2) for c in ("1e400", "1e-400")],
+)
+def test_the_probe_proves_the_c1_polynomial_of_every_index(m, c):
+    ones = gen_type1_records(Params(m, 1), 120)
+    p = Params(m, c)
+    proved = probe.isolate(p, gen_type1_records(p, 120))[1]
+    assert sorted(proved) == [rec.r for rec in ones if rec.tau >= 1]
+    for r, iso in proved.items():
+        assert iso.g == ones[r].h, r
+
+
+@pytest.mark.parametrize("c", ["3/7", 10**40], ids=["3/7", "1e40"])
+def test_the_probe_generates_no_table(monkeypatch, c):
+    p = Params(2, c)
+    records = gen_type1_records(p, 60)
+
+    def generate(q, r_max):
+        raise AssertionError("the probe generated a table")
+
+    monkeypatch.setattr(probe, "gen_type1_records", generate)
+    report, proved = probe.isolate(p, records)
+    assert report.classification == "PASS"
+    assert len(proved) == report.certified == report.checked
 
 
 @pytest.mark.parametrize(
@@ -534,29 +616,34 @@ def tampered(p: Params, r: int, j: int, factor: tuple) -> list:
 @pytest.mark.parametrize("by", ["P", "c"])
 @pytest.mark.parametrize("m", [1, 2])
 def test_a_table_off_the_grading_is_not_graded(monkeypatch, m, c, by):
+    # h_r with its x**1 coefficient times P or c is off the grading: its g_r
+    # is not the c = 1 polynomial, and the probe proves or refutes it on its
+    # own zeros, as Sturm's count on the forged h has it
     p = Params(m, c)
     P, Q = p.ratio
     records = gen_type1_records(p, 30)
     r = next(rec.r for rec in records if rec.tau >= 2 and rec.r > 2 * m)
     fed = tampered(p, r, 1, (P, 1) if by == "P" else (P, Q))
+    h = fed[r].h
     report, proved = probe.isolate(p, fed)
     indices = [rec.r for rec in records if rec.tau >= 1]
-    assert report == probe.ProbeReport(
-        classification="NOT-GRADED",
-        max_imag_normalized=None,
-        min_separation_normalized=None,
-        offending_r=r,
-        reason=None,
-        checked=len(indices),
-        certified=indices.index(r),
-        first_uncertified_r=r,
-    )
-    # no index from r on is proved
-    assert sorted(proved) == indices[: indices.index(r)]
-    # the same through conjecture_probe, which generates the c = 1 table too
-    monkeypatch.setattr(
-        probe, "gen_type1_records", lambda q, r_max: fed if q == p else gen_type1_records(q, r_max)
-    )
+    ones = gen_type1_records(Params(m, 1), 30)
+    if distinct_real_zeros(h) == h.degree:
+        assert report.classification == "PASS" and report.certified == report.checked
+        assert sorted(proved) == indices
+        assert proved[r].g != ones[r].h
+        assert_isolates(h, p.c, proved[r])
+    else:
+        assert (report.classification, report.offending_r, report.reason) == (
+            "COUNTEREXAMPLE", r, "complex-root"
+        )
+        assert sorted(proved) == [n for n in indices if n != r]
+    assert report.checked == len(indices)
+    for n in indices:
+        if n != r:
+            assert proved[n].g == ones[n].h, n
+    # the same through conjecture_probe
+    monkeypatch.setattr(probe, "gen_type1_records", lambda q, r_max: fed)
     assert conjecture_probe(p, 30) == report
 
 
@@ -574,28 +661,26 @@ def spy_least_gap(monkeypatch) -> list:
 
 
 def test_a_table_off_the_grading_late_measures_nothing(monkeypatch):
-    # m = 1, c = 3/7, R = 200, the x**1 coefficient of h_190 times P: every
-    # index before 190 is proved, and no gap is measured over them
+    # m = 1, c = 3/7, R = 200, a complex pair forged into h_190: it is the
+    # counterexample, every other index is proved, and no gap is measured
     p = Params(1, "3/7")
-    P, _ = p.ratio
     records = gen_type1_records(p, 200)
-    h = records[190].h
-    forged = Poly.scaled([n * P if i == 1 else n for i, n in enumerate(h.nums)], h.den)
+    forged = records[190].h * Poly((1, 1, 1))  # x**2 + x + 1 has no real zero
     fed = [rec._replace(h=forged) if rec.r == 190 else rec for rec in records]
     calls = spy_least_gap(monkeypatch)
     report, proved = probe.isolate(p, fed)
     indices = [rec.r for rec in records if rec.tau >= 1]
     assert report == probe.ProbeReport(
-        classification="NOT-GRADED",
+        classification="COUNTEREXAMPLE",
         max_imag_normalized=None,
         min_separation_normalized=None,
         offending_r=190,
-        reason=None,
+        reason="complex-root",
         checked=len(indices),
-        certified=indices.index(190),
+        certified=len(indices) - 1,
         first_uncertified_r=190,
     )
-    assert sorted(proved) == indices[: indices.index(190)]
+    assert sorted(proved) == [r for r in indices if r != 190]
     assert calls == []
     # the table as generated passes and is measured once
     report = probe.isolate(p, records)[0]
@@ -605,28 +690,52 @@ def test_a_table_off_the_grading_late_measures_nothing(monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_a_table_at_another_c_is_not_graded(m):
-    # the records of c = 3/7 given as those of c = 7/3: the first index with
-    # two nonzero coefficients fails the check
+    # the records of c = 3/7 given as those of c = 7/3: each g_r is a
+    # positive multiple of h_r(49/9 * y; 1), not the c = 1 polynomial from
+    # the first index with two nonzero coefficients on, and each is proved
     records = gen_type1_records(Params(m, "3/7"), 30)
+    ones = gen_type1_records(Params(m, 1), 30)
     report, proved = probe.isolate(Params(m, "7/3"), records)
+    assert report.classification == "PASS" and report.certified == report.checked
     first = next(rec.r for rec in records if sum(map(bool, rec.h.nums)) >= 2)
-    assert report.classification == "NOT-GRADED"
-    assert report.offending_r == first == report.first_uncertified_r
-    assert all(r < first for r in proved)
+    assert proved[first].g != ones[first].h
+    for r, iso in proved.items():
+        assert primitive(iso.g) == primitive(graded(ones[r].h, Params(m, "9/49"))), r
+        assert_isolates(records[r].h, Fraction(7, 3), iso)
 
 
-def test_the_check_is_exact_in_each_coefficient():
-    # h(x) = 6 - 5x + x**2 has the zeros 2 and 3; at c = 3/7 its graded image
-    # h(x/c) has 6/7 and 9/7, and kappa * h(x/c) is graded for every kappa > 0
-    h, c = Poly((6, -5, 1)), Params(1, "3/7")
-    image = graded(h, c)
-    assert value_at(image, Fraction(6, 7)) == value_at(image, Fraction(9, 7)) == 0
-    assert probe._graded(image, h, 3, 7)
-    assert probe._graded(image * 5, h, 3, 7)
-    assert not probe._graded(-image, h, 3, 7)
-    assert not probe._graded(image, h, 7, 3)
-    assert not probe._graded(image.shift(1), h.shift(1) + Poly((1,)), 3, 7)
-    for j in range(3):
-        nums = list(image.nums)
-        nums[j] *= 3
-        assert not probe._graded(Poly.scaled(nums), h, 3, 7), j
+def primitive(poly: Poly) -> tuple:
+    """The integer coefficients of poly over their positive gcd: equal for
+    two polynomials exactly when one is a positive multiple of the other."""
+    g = math.gcd(*poly.nums)
+    return tuple(n // g for n in poly.nums)
+
+
+def in_y(h: Poly, c: Fraction, s: int) -> Poly:
+    """c**s * h(c*y), term by term in Fractions."""
+    return Poly([x * c ** (s + j) for j, x in enumerate(h.coeffs)])
+
+
+def test_the_substitution_is_exact_in_each_coefficient():
+    # B(y) = 6 - 5y + y**2 has the zeros 2 and 3.  At c = 3/7 the h whose g
+    # is B is c**-s * B(x/c), s = d - tau, and kappa * h gives kappa * B for
+    # every rational kappa, through exact divisions, with the powers of c
+    # carried from one record to the next, up or down; an h off the grading
+    # gives c**s * h(c*y) in full
+    c, B = Fraction(3, 7), Poly((6, -5, 1))
+    rec = gen_type1_records(Params(1, 1), 4)[4]  # d = 4, tau = 2
+    h = in_y(B, 1 / c, 2)
+    off = Poly.scaled([n * (3 if j == 1 else 1) for j, n in enumerate(h.nums)], h.den)
+    cases = [
+        (4, h, B),
+        (4, h * Poly((5,)), B * Poly((5,))),
+        (4, -h, -B),
+        (4, off, in_y(off, c, 2)),
+        (7, in_y(B, 1 / c, 5), B),
+        (4, h, B),
+        (4, B, in_y(B, c, 2)),
+    ]
+    fed = [rec._replace(r=n, d=d, h=poly) for n, (d, poly, _) in enumerate(cases)]
+    got = dict(probe._in_y(fed, 3, 7))
+    assert [got[n] for n in range(len(cases))] == [want for _, _, want in cases]
+    assert value_at(got[6], 2 / c) == value_at(got[6], 3 / c) == 0

@@ -9,6 +9,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -473,6 +474,24 @@ class TestRoots:
         assert payload["config"]["r_list"] == r_list
         assert [row["r"] for row in payload["summary"]["attraction"]["rows"]] == r_list
 
+    @pytest.mark.parametrize("r_max", [10**400, 3 * 10**400 + 1, 2**53 + 1])
+    def test_the_default_r_list_is_integer_at_any_r_max(self, r_max):
+        # ceil(r_max/3) and ceil(2*r_max/3) in integers; in floats the first
+        # raised OverflowError, and beyond 2**53 it rounds.  The resolver is
+        # called alone: a run would generate the table up to r_max
+        third, two_thirds = -(-r_max // 3), -(-2 * r_max // 3)
+        assert 3 * third - 3 < r_max <= 3 * third
+        assert 3 * two_thirds - 3 < 2 * r_max <= 3 * two_thirds
+        args = SimpleNamespace(r_list=None, r_max=r_max)
+        assert cli._resolve_r_list(args) == [third, two_thirds, r_max]
+
+    def test_the_default_r_list_is_the_float_one_below_2_to_the_50(self):
+        rng = random.Random(50)
+        for r_max in [*range(3000), *(rng.randrange(2**50) for _ in range(3000))]:
+            args = SimpleNamespace(r_list=None, r_max=r_max)
+            floats = sorted({math.ceil(r_max / 3), math.ceil(2 * r_max / 3), r_max})
+            assert cli._resolve_r_list(args) == floats, r_max
+
     def test_each_h_is_solved_once_with_the_probe(self, tmp_path, monkeypatch):
         # the probe isolates the zeros of every h_r once, and the r-list
         # zeros are refined from its intervals: no h_r is solved again
@@ -624,6 +643,17 @@ class TestExitCodes:
         capsys.readouterr()
         # the draws reach both a run and a refusal
         assert codes.get(0) and codes.get(2)
+
+    @pytest.mark.parametrize("error", [ValueError, TypeError])
+    def test_a_stray_error_of_a_command_is_not_a_usage_error(self, monkeypatch, tmp_path, error):
+        # a ValueError or TypeError that a command lets out is a bug, not
+        # invalid input: it leaves main as a traceback instead of exit 2
+        def broken(args):
+            raise error("a bug")
+
+        monkeypatch.setitem(cli.COMMANDS, "gen", (broken, cli.COMMANDS["gen"][1]))
+        with pytest.raises(error, match="a bug"):
+            main(["gen", "--m", "1", "--c", "1", "--out", str(tmp_path / "x.json")])
 
 
 class TestUsageErrors:

@@ -102,13 +102,21 @@ class TestRootsOfTProvesItsIndex:
 
     def test_an_index_off_the_grading_is_unproved(self):
         # h_20 at c = 3/7 with one coefficient times c is not the graded
-        # image of its c = 1 polynomial: nothing proves it, and it has no zeros
+        # image of its c = 1 polynomial, and it has a complex pair (mpmath's
+        # zeros at 256 bits): the probe refutes it on its own zeros, and it
+        # has no zeros here
         p = Params(2, "3/7")
         rec = gen_type1_records(p, 20)[20]
         nums = [n * (3 if i == 1 else 7) for i, n in enumerate(rec.h.nums)]
         h = Poly.scaled(nums, rec.h.den * 7)
+        with mpmath.workprec(256):
+            zeros = mpmath.polyroots([mpmath.mpf(n) for n in reversed(h.nums)], extraprec=256)
+            assert sum(abs(z.imag) > 2**-128 * abs(z) for z in zeros) == 2
         bad = rec._replace(h=h, t=compose_star(h, p.m, rec.k, rec.ell))
-        assert isolate(p, [bad])[0].classification == "NOT-GRADED"
+        report = isolate(p, [bad])[0]
+        assert (report.classification, report.offending_r, report.reason) == (
+            "COUNTEREXAMPLE", 20, "complex-root"
+        )
         with pytest.raises(ConvergenceFailure, match="the probe proved no zeros of h_20"):
             roots_of_t(bad, p, 53)
 

@@ -513,8 +513,8 @@ def test_only_operators_reads_its_private_names():
 
 
 # the probe's core proves (label, g) pairs: only its record layer knows the
-# TypeIRecord format and the c = 1 table
-RECORD_LAYER = ("isolate", "conjecture_probe", "_graded")
+# TypeIRecord format and forms each g from its h_r
+RECORD_LAYER = ("isolate", "conjecture_probe", "_in_y")
 
 
 def test_only_the_record_layer_of_the_probe_reads_records():
