@@ -37,4 +37,4 @@ class ConvergenceFailure(Exception):
 
 
 class NoVariantMatches(Exception):
-    """Neither sign variant reproduces an extracted h-polynomial exactly."""
+    """Neither sign variant reproduces a generated h-polynomial exactly."""

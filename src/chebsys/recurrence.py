@@ -12,33 +12,33 @@ Two families are produced for a parameter pair ``(m, c)`` with ``m >= 1`` and
   ``T_{n+1} = x*T_n - c*T_{n-m}``.
 
 Every scalar ``t_r`` factors as ``(-1)**k * z**ell * h_r(z**(m+1))`` where
-``r = d*m + k`` and ``d - k = (m+1)*tau + ell``; ``extract_h`` recovers the
-reduced polynomial ``h_r`` exactly from that support structure, and the
+``r = d*m + k`` and ``d - k = (m+1)*tau + ell``.  The generating function
+``c/(c - z*v**m + v**(m+1))`` makes every coefficient of ``h_r`` and of
+``T_n`` one signed binomial times powers of c (README "The closed form"), so
+``gen_type1_records`` and ``gen_type2`` build them from those formulas; the
 ``verify_*`` helpers check the shift identity and the induced sign-variant
 recurrence for the ``h_r`` without assuming either.
 
 Generation runs in integers.  With ``c = P/Q`` the denominators have a
 fixed structure: ``P**(r//m) * t_r`` and ``P**(r//m) * t_{j,r}`` have integer
-coefficients, and so does ``Q**(n//(m+1)) * T_n``.  One generic three-term
-recurrence steps these integer numerators (Bareiss's fraction-free idea) and
-each term is returned as a ``Poly`` over its known denominator;
-``verify_denominators`` checks the structure on the reduced terms.  Nothing
-is cached: every call generates afresh, and the returned records are
-immutable and safe to share across threads.
+coefficients, and so do ``P**d * h_r`` and ``Q**(n//(m+1)) * T_n``.  The
+recurrence steps the numerators of ``t_r`` and ``t_{j,r}`` (Bareiss's
+fraction-free idea), and each term is returned as a ``Poly`` over its known
+denominator; ``verify_denominators`` checks the structure on the reduced
+terms.  Nothing is cached: every call generates afresh, and the returned
+records are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import attrgetter
+from itertools import accumulate, repeat
+from math import comb
+from operator import attrgetter, mul
 
 from .errors import NoVariantMatches
 from .exactpoly import Poly
 from .rationals import ratio
-
-
-class FactorizationViolation(Exception):
-    """The coefficient support of a scalar term contradicts its star factorization."""
 
 
 class Params:
@@ -85,7 +85,7 @@ class Params:
 TypeIVectorRecord = namedtuple("TypeIVectorRecord", "r components")
 
 TypeIRecord = namedtuple("TypeIRecord", "r d k tau ell t h")
-TypeIRecord.__doc__ = "One scalar index with its decomposition and extracted reduced polynomial."
+TypeIRecord.__doc__ = "An index's decomposition, its t_r (recurrence) and h_r (closed form)."
 
 
 def decompose_index(r: int, m: int) -> tuple[int, int, int, int]:
@@ -104,29 +104,9 @@ def decompose_index(r: int, m: int) -> tuple[int, int, int, int]:
     return d, k, tau, ell
 
 
-def _recurrence(first: list, R: int, i: int, j: int, a, b) -> list:
-    """Integer coefficient lists ``u_0 .. u_R`` of a three-term recurrence.
-
-    ``u_r`` is ``first[r]`` for ``r < len(first)`` and otherwise
-    ``a(r) * x * u_{r-i} + b(r) * u_{r-j}`` with integer weights, terms of
-    negative index being zero.
-    """
-    seq = [list(u) for u in first[: R + 1]]
-    for r in range(len(seq), R + 1):
-        xs = seq[r - i]
-        ys = seq[r - j] if r >= j else ()
-        ar = a(r)
-        out = [0] + [ar * v for v in xs] if xs else []
-        if ys:
-            br = b(r)
-            if len(out) < len(ys):
-                out += [0] * (len(ys) - len(out))
-            for k, v in enumerate(ys):
-                out[k] += br * v
-        while out and not out[-1]:
-            out.pop()
-        seq.append(out)
-    return seq
+def _powers(base: int, top: int) -> list:
+    """``base**0 .. base**top``."""
+    return list(accumulate(repeat(base, top), mul, initial=1))
 
 
 def _type1_polys(p: Params, j: int, R: int) -> list[Poly]:
@@ -138,10 +118,18 @@ def _type1_polys(p: Params, j: int, R: int) -> list[Poly]:
     ``u_r = Q*(x*u_{r-m} - P**[m | r] * u_{r-m-1})``.
     """
     m, (P, Q) = p.m, p.ratio
-    first = [[1] if r == j else [] for r in range(m)]
-    us = _recurrence(
-        first, R, m, m + 1, lambda r: Q, lambda r: -Q * P if r % m == 0 else -Q
-    )
+    us = [[1] if r == j else [] for r in range(min(m, R + 1))]
+    for r in range(m, R + 1):
+        u = [0] + [Q * v for v in us[r - m]] if us[r - m] else []
+        if r > m:
+            b = -Q * P if r % m == 0 else -Q
+            prev = us[r - m - 1]
+            u += [0] * (len(prev) - len(u))
+            for i, v in enumerate(prev):
+                u[i] += b * v
+        while u and not u[-1]:
+            u.pop()
+        us.append(u)
     return [Poly.scaled(u, P ** (r // m)) for r, u in enumerate(us)]
 
 
@@ -163,69 +151,44 @@ def gen_type1_vectors(p: Params, R: int) -> list[TypeIVectorRecord]:
 def gen_type2(p: Params, N: int) -> list[Poly]:
     """Companion terms ``T_0 .. T_N``; ``T_n = x**n`` for ``n < m``.
 
-    With ``c = P/Q`` the integer numerators ``U_n = Q**(n//(m+1)) * T_n``
-    satisfy ``U_n = Q**[(m+1) | n] * x*U_{n-1} - P*U_{n-m-1}``.
+    With ``c = P/Q`` and ``D = n//(m+1)``, the closed form gives the
+    ``x**(n-(m+1)*j)`` numerator of ``T_n`` over ``Q**D`` as
+    ``(-1)**j * C(n-m*j, j) * P**j * Q**(D-j)``.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     m, (P, Q) = p.m, p.ratio
-    us = _recurrence(
-        [[1]], N, 1, m + 1, lambda n: Q if n % (m + 1) == 0 else 1, lambda n: -P
-    )
-    return [Poly.scaled(u, Q ** (n // (m + 1))) for n, u in enumerate(us)]
-
-
-def extract_h(t: Poly, r: int, m: int) -> Poly:
-    """Recover ``h`` with ``t(z) == (-1)**k * z**ell * h(z**(m+1))`` exactly.
-
-    Raises FactorizationViolation when the coefficient support of ``t`` is not
-    confined to the residue class ``ell`` modulo ``m+1``, or when the degree
-    disagrees with the index decomposition; either signals a generator bug or
-    a genuine counterexample to the factorization.
-    """
-    d, k, tau, ell = decompose_index(r, m)
-    if t.is_zero:
-        if tau != -1:
-            raise FactorizationViolation(
-                f"t_{r} vanishes but tau={tau} predicts degree {tau} for h (m={m})"
-            )
-        return Poly.zero()
-    if tau < 0:
-        raise FactorizationViolation(
-            f"t_{r} is nonzero but tau=-1 predicts the zero polynomial (m={m})"
-        )
-    sign = -1 if k % 2 else 1
-    nums = [0] * (tau + 1)
-    for i, c in enumerate(t.nums):
-        if not c:
-            continue
-        if i % (m + 1) != ell:
-            raise FactorizationViolation(
-                f"t_{r} has coefficient support at power {i}, outside residue "
-                f"class {ell} mod {m + 1}"
-            )
-        j = (i - ell) // (m + 1)
-        if j > tau:
-            raise FactorizationViolation(
-                f"t_{r} has degree {t.degree} exceeding ell + (m+1)*tau = "
-                f"{ell + (m + 1) * tau}"
-            )
-        nums[j] = sign * c
-    h = Poly.scaled(nums, t.den)
-    if h.degree != tau:
-        raise FactorizationViolation(
-            f"extracted h for r={r} has degree {h.degree}, expected tau={tau}"
-        )
-    return h
+    Ps, Qs = _powers(P, N // (m + 1)), _powers(Q, N // (m + 1))
+    terms = []
+    for n in range(N + 1):
+        D = n // (m + 1)
+        nums = [0] * (n + 1)
+        for j in range(D + 1):
+            v = comb(n - m * j, j) * Ps[j] * Qs[D - j]
+            nums[n - (m + 1) * j] = -v if j % 2 else v
+        terms.append(Poly.scaled(nums, Qs[D]))
+    return terms
 
 
 def gen_type1_records(p: Params, R: int) -> list[TypeIRecord]:
-    """Scalar terms bundled with their index decomposition and extracted h."""
-    ts = gen_type1_scalar(p, R)
+    """Scalar terms t_r from the recurrence, bundled with their index
+    decomposition and h_r from the closed form.
+
+    With ``c = P/Q`` and ``s = d - tau``, the ``y**q`` numerator of h_r over
+    ``P**d`` is ``(-1)**(m*(tau-q)) * C(s+q, ell+(m+1)*q) * Q**(s+q) *
+    P**(tau-q)``; h_r is zero when ``tau == -1``.
+    """
+    m, (P, Q) = p.m, p.ratio
+    Ps, Qs = _powers(P, R // m), _powers(Q, R // m)
     records = []
-    for r, t in enumerate(ts):
-        d, k, tau, ell = decompose_index(r, p.m)
-        records.append(TypeIRecord(r, d, k, tau, ell, t, extract_h(t, r, p.m)))
+    for r, t in enumerate(gen_type1_scalar(p, R)):
+        d, k, tau, ell = decompose_index(r, m)
+        s = d - tau
+        nums = []
+        for q in range(tau + 1):
+            v = comb(s + q, ell + (m + 1) * q) * Qs[s + q] * Ps[tau - q]
+            nums.append(-v if m % 2 and (tau - q) % 2 else v)
+        records.append(TypeIRecord(r, d, k, tau, ell, t, Poly.scaled(nums, Ps[d])))
     return records
 
 
@@ -316,8 +279,8 @@ def _class_label(k: int, ell: int) -> str:
 def verify_h_recurrence(hs: list[Poly], p: Params) -> HRecurrenceReport:
     """Determine the empirically valid sign variant(s) for each index.
 
-    ``hs`` must be the extracted h-polynomials for ``r = 0..R``.  Raises
-    NoVariantMatches if some index admits neither sign.
+    ``hs`` must be the h-polynomials for ``r = 0..R``, as the records carry
+    them.  Raises NoVariantMatches if some index admits neither sign.
     """
     m, (P, Q) = p.m, p.ratio
     rows = []

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebsys import algebraic, cli, operators, probe
+from chebsys import algebraic, cli, operators, probe, recurrence
 from chebsys import roots as roots_module
 from chebsys.algebraic import DegenerateBranches
 from chebsys.cli import EXIT_NUMERIC, main
@@ -219,6 +219,62 @@ class TestVerify:
         names = {check["name"]: check for check in payload["checks"]}
         assert names["jump_type2"]["details"]["failures"] == [3]
         assert names["biorthogonality_gram"]["details"]["offenders"] == [[3, 3]]
+
+    def _forged_t(self, tmp_path, monkeypatch, r, forge):
+        """verify at m = 2 on a scalar table whose t_r is forge(t_r): the
+        closed form's h_r no longer composes to it."""
+        real = recurrence.gen_type1_scalar
+
+        def tampered(p, R):
+            ts = real(p, R)
+            ts[r] = forge(ts[r])
+            return ts
+
+        monkeypatch.setattr(recurrence, "gen_type1_scalar", tampered)
+        out = tmp_path / "verify.json"
+        assert run("verify", "--m", "2", "--c", "3/7", "--R", "12", "--out", str(out)) == 1
+        payload = load(out)
+        assert payload["passed"] is False
+        # the full battery is still reported
+        assert [c["name"] for c in payload["checks"]] == [
+            "factorization", "shift_identity", "vector_scalar_agreement",
+            "leading_coefficient_structure", "denominator_structure", "jump_type2",
+            "jump_type1", "biorthogonality_gram", "transpose_adjointness",
+            "h_recurrence_signs", "conjecture_probe",
+        ]
+        return payload["checks"][0]
+
+    def test_a_stray_coefficient_fails_the_factorization(self, tmp_path, monkeypatch):
+        # t_7 at m = 2 lives on the powers 2 mod 3; a constant term is stray
+        check = self._forged_t(tmp_path, monkeypatch, 7, lambda t: t + Poly((1,)))
+        assert check["status"] == "FAIL"
+        assert check["details"]["witness"].endswith("at (r, i) = (7, 0)")
+
+    def test_a_nonzero_t_where_tau_is_negative_fails_the_factorization(
+        self, tmp_path, monkeypatch
+    ):
+        assert recurrence.decompose_index(1, 2)[2] == -1
+        check = self._forged_t(tmp_path, monkeypatch, 1, lambda t: Poly((0, 5)))
+        assert check["status"] == "FAIL"
+        assert check["details"]["witness"].endswith("at (r, i) = (1, 1)")
+
+    def test_a_t_of_the_wrong_degree_fails_the_factorization(self, tmp_path, monkeypatch):
+        # t_6 at m = 2 has degree 3; z^6 is in its residue class, past it
+        check = self._forged_t(tmp_path, monkeypatch, 6, lambda t: t + Poly((0,) * 6 + (1,)))
+        assert check["status"] == "FAIL"
+        assert check["details"]["witness"].endswith("at (r, i) = (6, 6)")
+
+    @pytest.mark.parametrize("r,h", [(6, Poly((1, 0, 1))), (1, Poly((1,)))])
+    def test_a_forged_h_that_composes_fails_the_degree_test(self, r, h):
+        # t_r forged as the star image of an h of the wrong degree passes the
+        # round trip; deg h_r != tau still fails it (tau is 1 at r = 6, -1 at 1)
+        p = Params(2, "3/7")
+        records = gen_type1_records(p, 8)
+        rec = records[r]
+        records[r] = rec._replace(h=h, t=compose_star(h, 2, rec.k, rec.ell))
+        assert cli._check_factorization(p, records) == (
+            "FAIL", {"witness": f"degree mismatch at r={r}: deg h_r != tau"}
+        )
 
     def test_each_image_runs_horner_once_per_polynomial(self, tmp_path, monkeypatch):
         # the adjointness trials apply T to random vectors; with them stubbed

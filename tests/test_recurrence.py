@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from chebsys.exactpoly import Poly, compose_star
 from chebsys.rationals import as_rational
 from chebsys.recurrence import (
-    FactorizationViolation,
     Params,
     decompose_index,
-    extract_h,
     gen_type1_records,
     gen_type1_scalar,
     gen_type1_vectors,
@@ -128,26 +126,22 @@ class TestDecomposeIndex:
 
 
 class TestExtractH:
+    """h_r as the records carry it: the closed form's, which is the
+    polynomial read off t_r at the powers ell + (m+1)*j."""
+
     def test_cubic_plus_one(self):
-        assert extract_h(P(1, 0, 0, 1), 6, 2) == P(1, 1)
+        # t_6 = 1 + z^3 at m = 2
+        assert gen_type1_records(Params(2, "1"), 6)[6].h == P(1, 1)
 
     def test_negated_constant(self):
-        assert extract_h(P(-1), 3, 2) == P(1)
+        # t_3 = -1 at m = 2, with k = 1
+        assert gen_type1_records(Params(2, "1"), 3)[3].h == P(1)
 
     def test_initial_one(self):
-        assert extract_h(P(1), 0, 2) == P(1)
+        assert gen_type1_records(Params(2, "1"), 0)[0].h == P(1)
 
     def test_zero_term(self):
-        assert extract_h(Poly(), 1, 2) == Poly()
-
-    def test_support_violation_raises(self):
-        # r=6, m=2 demands support in residue class 0 mod 3
-        with pytest.raises(FactorizationViolation):
-            extract_h(P(1, 1), 6, 2)
-
-    def test_nonzero_where_tau_negative_raises(self):
-        with pytest.raises(FactorizationViolation):
-            extract_h(P(1), 1, 2)
+        assert gen_type1_records(Params(2, "1"), 1)[1].h == Poly()
 
     def test_round_trip_everywhere(self):
         for m, c in ((1, "1"), (2, "1/2"), (4, "3")):
@@ -157,6 +151,68 @@ class TestExtractH:
                 if rec.tau >= 0:
                     assert rec.h.degree == rec.tau
                     assert rec.t.degree == rec.d - rec.k
+
+
+def _picked_h(rec, m):
+    """h_r read off the recurrence's t_r: its coefficients at the powers
+    ell + (m+1)*j, times (-1)^k, over t_r's denominator."""
+    sign = -1 if rec.k % 2 else 1
+    return Poly.scaled([sign * v for v in rec.t.nums[rec.ell :: m + 1]], rec.t.den)
+
+
+def _stepped_type2(p, N):
+    """T_0 .. T_N stepped from T_{n+1} = x*T_n - c*T_{n-m} on the integer
+    numerators U_n = Q**(n//(m+1)) * T_n."""
+    m, (P_, Q) = p.m, p.ratio
+    us = [[1]]
+    for n in range(1, N + 1):
+        a = Q if n % (m + 1) == 0 else 1
+        u = [0] + [a * v for v in us[n - 1]]
+        if n > m:
+            for i, v in enumerate(us[n - m - 1]):
+                u[i] -= P_ * v
+        us.append(u)
+    return [Poly.scaled(u, Q ** (n // (m + 1))) for n, u in enumerate(us)]
+
+
+_C = {
+    "1": 1, "3/7": "3/7", "7/3": "7/3", "59/62": "59/62",
+    "1e40": 10**40, "1e-40": Fraction(1, 10**40),
+    "1e400": 10**400, "1e-400": Fraction(1, 10**400),
+}
+_CLOSED_FORM_CASES = [
+    pytest.param(m, _C[c], R, id=f"m{m}-c{c}-R{R}")
+    for ms, cs, R in (
+        (range(1, 7), ("1", "3/7", "7/3", "59/62", "1e40", "1e-40"), 200),
+        ((1, 2), ("1e400", "1e-400"), 120),
+    )
+    for m in ms
+    for c in cs
+]
+
+
+class TestClosedForm:
+    """h_r and T_n come from their closed forms; the recurrence, stepped on
+    its own, must give the same tables."""
+
+    @pytest.mark.parametrize("m,c,R", _CLOSED_FORM_CASES)
+    def test_h_is_the_one_read_off_t(self, m, c, R):
+        for rec in gen_type1_records(Params(m, c), R):
+            assert rec.h == _picked_h(rec, m), (m, c, rec.r)
+
+    @pytest.mark.parametrize("m,c,R", _CLOSED_FORM_CASES)
+    def test_type2_is_the_stepped_recurrence(self, m, c, R):
+        p = Params(m, c)
+        assert gen_type2(p, R) == _stepped_type2(p, R)
+
+    def test_small_tables(self):
+        # the first indices, where the recurrence has not yet started
+        for m in range(1, 5):
+            for R in range(0, m + 3):
+                p = Params(m, "2/5")
+                for rec in gen_type1_records(p, R):
+                    assert rec.h == _picked_h(rec, m), (m, R, rec.r)
+                assert gen_type2(p, R) == _stepped_type2(p, R)
 
 
 class TestShiftIdentity:
