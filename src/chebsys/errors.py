@@ -1,11 +1,13 @@
 """The typed errors of the package, in one module that imports nothing.
 
-``cli.main`` maps each of these to an exit code: ``UsageError`` and
-``OnStarSet`` to 2 (invalid input), the others to 3 (numeric failure).
-Keeping them here lets the CLI name every failure without importing the
-numeric half, which may load mpmath; the modules that raise them
-re-export them, so ``from chebsys.algebraic import SolverDivergence`` and the
-like keep working.
+``cli.main`` maps ``UsageError`` and ``OnStarSet`` to exit 2 (invalid
+input) and ``SolverDivergence`` to exit 3 (numeric failure).  No command lets
+the other two escape: ``roots`` writes a ``ConvergenceFailure`` as an error
+row, and ``DegenerateBranches`` comes only from ``algebraic.coefficients_b``,
+which no command calls, directly or through ``explicit_t``.  Keeping them
+here lets the CLI name every failure without importing the numeric half,
+which may load mpmath; the modules that raise them re-export them, so
+``from chebsys.algebraic import SolverDivergence`` and the like keep working.
 """
 
 from __future__ import annotations
@@ -35,6 +37,3 @@ class ConvergenceFailure(Exception):
         super().__init__(message)
         self.poly = poly
 
-
-class NoVariantMatches(Exception):
-    """Neither sign variant reproduces a generated h-polynomial exactly."""

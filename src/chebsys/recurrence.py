@@ -15,18 +15,18 @@ Every scalar ``t_r`` factors as ``(-1)**k * z**ell * h_r(z**(m+1))`` where
 ``r = d*m + k`` and ``d - k = (m+1)*tau + ell``.  The generating function
 ``c/(c - z*v**m + v**(m+1))`` makes every coefficient of ``h_r`` and of
 ``T_n`` one signed binomial times powers of c (README "The closed form"), so
-``gen_type1_records`` and ``gen_type2`` build them from those formulas; the
-``verify_*`` helpers check the shift identity and the induced sign-variant
-recurrence for the ``h_r`` without assuming either.
+``gen_type1_records`` and ``gen_type2`` build them from those formulas;
+``verify_shift`` checks the shift identity and ``verify_h_recurrence`` finds
+the sign of the induced recurrence for the ``h_r``, assuming neither.
 
 Generation runs in integers.  With ``c = P/Q`` the denominators have a
 fixed structure: ``P**(r//m) * t_r`` and ``P**(r//m) * t_{j,r}`` have integer
 coefficients, and so do ``P**d * h_r`` and ``Q**(n//(m+1)) * T_n``.  The
 recurrence steps the numerators of ``t_r`` and ``t_{j,r}`` (Bareiss's
 fraction-free idea), and each term is returned as a ``Poly`` over its known
-denominator; ``verify_denominators`` checks the structure on the reduced
-terms.  Nothing is cached: every call generates afresh, and the returned
-records are immutable and safe to share across threads.
+denominator in lowest terms, so its denominator divides the known one.
+Nothing is cached: every call generates afresh, and the returned records are
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from itertools import accumulate, repeat
 from math import comb
 from operator import attrgetter, mul
 
-from .errors import NoVariantMatches
 from .exactpoly import Poly
 from .rationals import ratio
 
@@ -215,44 +214,6 @@ def verify_shift(records: list[TypeIVectorRecord]) -> ShiftReport:
     return ShiftReport(checked, tuple(mismatches))
 
 
-class DenominatorReport(namedtuple("DenominatorReport", "checked witness")):
-    """``checked`` polynomials, and the ``witness`` text of the first whose
-    denominator breaks the structure, or None."""
-
-    __slots__ = ()
-
-    @property
-    def all_pass(self) -> bool:
-        return self.witness is None
-
-
-def verify_denominators(
-    p: Params, scalars: list[Poly], vectors: list[TypeIVectorRecord], type2: list[Poly]
-) -> DenominatorReport:
-    """Check that the reduced denominators of ``t_r`` and of every ``t_{j,r}``
-    divide ``P**(r//m)`` and those of ``T_n`` divide ``Q**(n//(m+1))``.
-
-    A ``Poly``'s denominator is the lcm of its reduced coefficient
-    denominators, so one divisibility test per polynomial decides it.
-    """
-    m, (P, Q) = p.m, p.ratio
-    polys = [(f"t_{r}", t, P, r // m) for r, t in enumerate(scalars)]
-    polys += [
-        (f"t_{j},{rec.r}", comp, P, rec.r // m)
-        for rec in vectors
-        for j, comp in enumerate(rec.components)
-    ]
-    polys += [(f"T_{n}", poly, Q, n // (m + 1)) for n, poly in enumerate(type2)]
-    for name, poly, base, power in polys:
-        if base**power % poly.den:
-            return DenominatorReport(
-                len(polys),
-                f"denominator {poly.den} of {name} does not divide "
-                f"{base}^{power} = {base**power}",
-            )
-    return DenominatorReport(len(polys), None)
-
-
 # signs: the sign variants s with c*h_r == z^[ell==0]*h_{r-m} + s*h_{r-m-1};
 # degenerate: h_{r-m-1} == 0, so both variants coincide
 SignCheckRow = namedtuple("SignCheckRow", "r k ell signs degenerate")
@@ -267,8 +228,9 @@ For each ``r >= m`` the report records which ``s in {+1, -1}`` satisfies
 aggregates the pattern over the four (k==0, ell==0) classes.  Two fixed
 candidate rules are scored against the data: ``ell_parity_rule`` uses
 ``s = (-1)**(m-1)`` when ell==0 and ``+1`` otherwise; ``k_parity_rule``
-uses ``s = (-1)**m`` when k==0 and ``+1`` otherwise.  ``empirical_table``
-maps each class label to the sorted tuple of its admissible signs.
+uses ``s = (-1)**m`` when k==0 and ``+1`` otherwise, which the closed form
+proves for every r (README "The k-parity sign").  ``empirical_table`` maps
+each class label to the sorted tuple of its admissible signs.
 """
 
 
@@ -280,7 +242,8 @@ def verify_h_recurrence(hs: list[Poly], p: Params) -> HRecurrenceReport:
     """Determine the empirically valid sign variant(s) for each index.
 
     ``hs`` must be the h-polynomials for ``r = 0..R``, as the records carry
-    them.  Raises NoVariantMatches if some index admits neither sign.
+    them.  An index that admits neither sign gets a row with ``signs == ()``:
+    its class's table entry is then empty, and neither rule holds.
     """
     m, (P, Q) = p.m, p.ratio
     rows = []
@@ -295,8 +258,6 @@ def verify_h_recurrence(hs: list[Poly], p: Params) -> HRecurrenceReport:
         lhs = Poly.scaled([P * n for n in h_r.nums], Q * h_r.den)
         base = h_rm.shift(1) if ell == 0 else h_rm
         signs = tuple(s for s in (1, -1) if lhs == base + s * h_rm1)
-        if not signs:
-            raise NoVariantMatches(f"no sign variant matches at r={r} (m={m})")
         degenerate = h_rm1.is_zero
         rows.append(SignCheckRow(r, k, ell, signs, degenerate))
         label = _class_label(k, ell)

@@ -17,16 +17,15 @@ from hypothesis import strategies as st
 
 from chebsys import algebraic, cli, operators, probe, recurrence
 from chebsys import roots as roots_module
-from chebsys.algebraic import DegenerateBranches
 from chebsys.cli import EXIT_NUMERIC, main
 from chebsys.exactpoly import Poly, compose_star
 from chebsys.recurrence import (
-    NoVariantMatches,
     Params,
     gen_type1_records,
     gen_type1_scalar,
     gen_type1_vectors,
     gen_type2,
+    verify_h_recurrence,
 )
 from chebsys.roots import ConvergenceFailure
 
@@ -238,9 +237,9 @@ class TestVerify:
         # the full battery is still reported
         assert [c["name"] for c in payload["checks"]] == [
             "factorization", "shift_identity", "vector_scalar_agreement",
-            "leading_coefficient_structure", "denominator_structure", "jump_type2",
-            "jump_type1", "biorthogonality_gram", "transpose_adjointness",
-            "h_recurrence_signs", "conjecture_probe",
+            "leading_coefficient_structure", "jump_type2", "jump_type1",
+            "biorthogonality_gram", "transpose_adjointness", "h_recurrence_signs",
+            "conjecture_probe",
         ]
         return payload["checks"][0]
 
@@ -275,6 +274,31 @@ class TestVerify:
         assert cli._check_factorization(p, records) == (
             "FAIL", {"witness": f"degree mismatch at r={r}: deg h_r != tau"}
         )
+
+    def test_a_forged_h_fails_verify_and_is_a_sign_row_with_no_sign(
+        self, tmp_path, monkeypatch
+    ):
+        # h_6 forged as 1 + y^2 with t_6 its star image: the full report is
+        # written, and the sign study records r = 6 as admitting no sign
+        p = Params(2, "3/7")
+        real = cli.gen_type1_records
+
+        def forged(p, R):
+            records = real(p, R)
+            rec, h = records[6], Poly((1, 0, 1))
+            records[6] = rec._replace(h=h, t=compose_star(h, p.m, rec.k, rec.ell))
+            return records
+
+        monkeypatch.setattr(cli, "gen_type1_records", forged)
+        out = tmp_path / "verify.json"
+        assert run("verify", "--m", "2", "--c", "3/7", "--R", "12", "--out", str(out)) == 1
+        names = {check["name"]: check for check in load(out)["checks"]}
+        assert names["factorization"]["status"] == "FAIL"
+        assert names["h_recurrence_signs"]["details"]["k_parity_rule_holds"] is False
+        report = verify_h_recurrence([rec.h for rec in forged(p, 12)], p)
+        row6 = next(row for row in report.rows if row.r == 6)
+        assert row6.signs == () and not row6.degenerate
+        assert report.k_parity_rule_holds is False
 
     def test_each_image_runs_horner_once_per_polynomial(self, tmp_path, monkeypatch):
         # the adjointness trials apply T to random vectors; with them stubbed
@@ -1162,60 +1186,18 @@ class TestRationalParameter:
         assert not out.exists()
 
 
-def _raise(exc):
-    def fail(*args, **kwargs):
-        raise exc
-
-    return fail
-
-
 class TestNumericFailures:
-    """Each numeric failure exits 3 with a one-line message, never a traceback."""
-
-    def expect_numeric(self, capsys, error, *argv):
-        assert run(*argv) == EXIT_NUMERIC == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"chebsys: error: {error}: ")
-        assert err.count("\n") == 1
+    """The one numeric failure a command lets out exits 3 with a one-line
+    message, never a traceback."""
 
     def test_solver_divergence(self, tmp_path, monkeypatch, capsys):
         # the real tip of m = 2 is refined, and with Aberth sweeps that move
         # nothing its discs still meet when the width reaches its cap
         monkeypatch.setattr(algebraic, "_sweep", lambda *args: False)
-        self.expect_numeric(
-            capsys, "SolverDivergence",
+        assert run(
             "asymptote", "--m", "2", "--c", "1", "--z", "1.8898815748423097,0",
             "--precision", "80", "--out", str(tmp_path / "scan.json"),
-        )
-
-    def test_degenerate_branches(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(
-            algebraic, "asymptotic_scan", _raise(DegenerateBranches("tied"))
-        )
-        self.expect_numeric(
-            capsys, "DegenerateBranches",
-            "asymptote", "--m", "1", "--c", "1", "--z", "3,0",
-            "--out", str(tmp_path / "scan.json"),
-        )
-
-    def test_convergence_failure(self, tmp_path, monkeypatch, capsys):
-        # ``roots`` writes a failed index as a row; one that escaped the
-        # per-index solves would still map to the numeric exit
-        monkeypatch.setattr(
-            roots_module, "solve_indices", _raise(ConvergenceFailure("stuck"))
-        )
-        self.expect_numeric(
-            capsys, "ConvergenceFailure",
-            "roots", "--m", "1", "--c", "1", "--r-list", "6",
-            "--out", str(tmp_path / "roots.json"),
-        )
-
-    def test_no_variant_matches(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(
-            cli, "verify_h_recurrence", _raise(NoVariantMatches("none"))
-        )
-        self.expect_numeric(
-            capsys, "NoVariantMatches",
-            "verify", "--m", "2", "--c", "1", "--R", "6",
-            "--out", str(tmp_path / "verify.json"),
-        )
+        ) == EXIT_NUMERIC == 3
+        err = capsys.readouterr().err
+        assert err.startswith("chebsys: error: SolverDivergence: ")
+        assert err.count("\n") == 1

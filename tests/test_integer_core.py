@@ -6,6 +6,7 @@ read, sharing no code with the package.  The package's scaled-integer
 generators, operator images and Gram matrix must agree with it exactly.
 """
 
+import json
 import random
 import re
 from fractions import Fraction
@@ -25,7 +26,6 @@ from chebsys.recurrence import (
     gen_type1_scalar,
     gen_type1_vectors,
     gen_type2,
-    verify_denominators,
 )
 
 
@@ -282,43 +282,58 @@ def test_params_keep_c_as_reduced_integers():
 
 
 class TestDenominatorStructure:
+    """The denominators P**(r//m) of t_r and t_{j,r} and Q**(n//(m+1)) of T_n
+    follow from the closed form, and verify reads no check of its own for
+    them: a forged denominator fails the checks that compare the tables."""
+
     def test_generated_terms_pass(self):
         p = Params(3, "311/457")
-        report = verify_denominators(
-            p,
-            gen_type1_scalar(p, 40),
-            gen_type1_vectors(p, 40),
-            gen_type2(p, 40),
-        )
-        assert report.all_pass
-        assert report.checked == 41 + 3 * 41 + 41
+        m, (P, Q) = p.m, p.ratio
+        for r, t in enumerate(gen_type1_scalar(p, 40)):
+            assert P ** (r // m) % t.den == 0
+        for rec in gen_type1_vectors(p, 40):
+            assert all(P ** (rec.r // m) % comp.den == 0 for comp in rec.components)
+        for n, T in enumerate(gen_type2(p, 40)):
+            assert Q ** (n // (m + 1)) % T.den == 0
 
-    def test_wrong_denominator_fails_with_witness(self):
-        p = Params(2, "3/2")
-        records = gen_type1_records(p, 10)
-        vectors = gen_type1_vectors(p, 10)
-        type2 = gen_type2(p, 10)
+    @staticmethod
+    def failed(tmp_path, monkeypatch, name, forge, *argv):
+        """The hard checks verify FAILs, with ``cli.name`` forged by ``forge``."""
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda p, R: forge(real(p, R)))
+        out = tmp_path / "verify.json"
+        assert cli.main(["verify", *argv, "--out", str(out)]) == 1
+        checks = json.loads(out.read_text())["checks"]
+        return [ch["name"] for ch in checks if ch["status"] == "FAIL"]
+
+    def test_wrong_denominator_fails_with_witness(self, tmp_path, monkeypatch):
         # t_5 may carry P**2 = 9 in its denominator, never 11
-        bad = [rec.t for rec in records]
-        bad[5] = bad[5] * Fraction(1, 11)
-        report = verify_denominators(p, bad, vectors, type2)
-        assert not report.all_pass
-        assert "t_5" in report.witness and "3^2 = 9" in report.witness
+        def forge_t5(records):
+            records[5] = records[5]._replace(t=records[5].t * Fraction(1, 11))
+            return records
 
-        status, details = cli._check_denominators(p, records, vectors, type2)
-        assert status == "PASS"
-        assert details["r_max"] == 10 and details["n_max"] == 10
-        type2[7] = type2[7] * Fraction(1, 11)
-        status, details = cli._check_denominators(p, records, vectors, type2)
-        assert status == "FAIL"
-        assert "T_7" in details["witness"]
+        argv = ("--m", "2", "--c", "3/2", "--R", "10")
+        assert self.failed(tmp_path, monkeypatch, "gen_type1_records", forge_t5, *argv) == [
+            "factorization", "vector_scalar_agreement", "leading_coefficient_structure",
+        ]
+        monkeypatch.undo()
 
-    def test_vector_component_is_checked(self):
-        p = Params(2, "5/7")
-        vectors = gen_type1_vectors(p, 8)
-        comps = list(vectors[6].components)
-        comps[1] = comps[1] * Fraction(1, 11)
-        vectors[6] = type(vectors[6])(6, tuple(comps))
-        report = verify_denominators(p, gen_type1_scalar(p, 8), vectors, gen_type2(p, 8))
-        assert report.witness.startswith("denominator")
-        assert "t_1,6" in report.witness
+        def forge_T7(terms):
+            terms[7] = terms[7] * Fraction(1, 11)
+            return terms
+
+        assert self.failed(tmp_path, monkeypatch, "gen_type2", forge_T7, *argv) == [
+            "jump_type2", "biorthogonality_gram",
+        ]
+
+    def test_vector_component_is_checked(self, tmp_path, monkeypatch):
+        def forge(vectors):
+            comps = list(vectors[6].components)
+            comps[1] = comps[1] * Fraction(1, 11)
+            vectors[6] = vectors[6]._replace(components=tuple(comps))
+            return vectors
+
+        argv = ("--m", "2", "--c", "5/7", "--R", "8")
+        assert self.failed(tmp_path, monkeypatch, "gen_type1_vectors", forge, *argv) == [
+            "shift_identity", "jump_type1", "biorthogonality_gram",
+        ]

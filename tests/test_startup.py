@@ -724,7 +724,6 @@ RECORDS = {
         ),
     },
     "recurrence": {
-        "DenominatorReport": ("checked", "witness"),
         "HRecurrenceReport": (
             "rows", "empirical_table", "ell_parity_rule_holds", "k_parity_rule_holds",
         ),
