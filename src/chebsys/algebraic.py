@@ -25,7 +25,7 @@ Numer. Algorithms 23, 2000); a point whose discs meet is refined by Aberth's
 iteration (Math. Comp. 27, 1973) on the kernel, or proved an exact double
 root.  No solve and no asymptotic scan loads mpmath: this module imports it
 only for the values it returns, ``BranchSet.lambdas``, ``coefficients_b`` and
-``explicit_t``.
+``explicit_t``, acceptance oracles that no command calls (``test`` extra).
 
 Star geometry: the bounded star is the m+1 segments of length
 ``a = ((m+1)/m) * (m*c)**(1/(m+1))`` along the angles ``2*pi*k/(m+1)``, whose
@@ -73,7 +73,8 @@ class BranchSet(namedtuple("BranchSet", "z parts residuals tie_flag precision"))
     ``values`` are them as ``complex(l)`` rounds each mpmath value l,
     ``moduli`` their moduli as ``float(abs(l))`` rounds them in the default
     53-bit context, and ``lambdas`` the mpmath values themselves, built on
-    each use.  ``residuals`` are the absolute residuals, as doubles.
+    each use by importing mpmath, which is in the ``test`` extra.
+    ``residuals`` are the absolute residuals, as doubles.
     """
 
     __slots__ = ()
@@ -551,6 +552,7 @@ def coefficients_b(bs: BranchSet, p: Params) -> BranchCoefficients:
 
     Requires well-separated branches (tie flag false).  The cross-check
     verifies ``c*lambda_j*prod = c*m*lambda_j**(m+1) - 1`` to relative 1e-8.
+    mpmath, in the ``test`` extra, is imported on the call.
     """
     if bs.tie_flag:
         raise DegenerateBranches(
@@ -586,7 +588,7 @@ def explicit_t(p: Params, r: int, z, precision: int = 53):
     """Branch-sum value ``sum_j b_j lambda_j**(r+m)`` of the scalar term at z.
 
     Indices ``r = -m .. -1`` are admitted and return (numerically) zero, the
-    initial data of the recurrence.
+    initial data of the recurrence; mpmath (``test`` extra) is imported.
     """
     import mpmath
 

@@ -11,8 +11,8 @@ integers; the reduced rational coefficients are available as ``coeffs``,
 probe proves that all roots are real and simple.
 Complex evaluation rounds each reduced coefficient to an explicit working
 precision (in bits) and runs Horner's rule on mpmath's complex operators;
-it is the single bridge between the exact and numeric halves of the
-package, and loads mpmath only when called.
+it is an acceptance oracle that no command calls, and imports mpmath, which
+is in the ``test`` extra only, when called.
 
 All values are immutable and the functions are pure, so everything here is
 safe to share across threads.
@@ -148,14 +148,6 @@ class Poly:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if not self._nums:
-            return self
-        return Poly.scaled((0,) * k + self._nums, self._den)
-
     def derivative(self) -> "Poly":
         return Poly.scaled([i * n for i, n in enumerate(self._nums) if i], self._den)
 
@@ -164,9 +156,8 @@ class Poly:
 
         Each reduced coefficient is rounded to ``precision`` bits by
         ``rat_to_mpf``; the result is an mpmath complex carrying that working
-        precision.
+        precision.  mpmath, in the ``test`` extra, is imported on the call.
         """
-        # imported here so that the exact half loads without mpmath
         import mpmath
 
         if precision < 53:

@@ -118,7 +118,8 @@ def rat_strs(nums, den: int) -> list:
 
 def rat_to_mpf(q, den: int = 1):
     """The exact rational ``q / den`` (``den`` a positive integer) as
-    ``mpf(p) / mpf(q)`` at the current precision, ``p/q`` in lowest terms."""
+    ``mpf(p) / mpf(q)`` at the current precision, ``p/q`` in lowest terms.
+    mpmath, in the ``test`` extra, is imported on the call."""
     import mpmath
 
     num, q_den = ratio(q)

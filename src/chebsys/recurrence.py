@@ -32,8 +32,8 @@ immutable and safe to share across threads.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate, repeat
-from math import comb
+from itertools import accumulate, repeat, zip_longest
+from math import comb, lcm
 from operator import attrgetter, mul
 
 from .exactpoly import Poly
@@ -252,12 +252,18 @@ def verify_h_recurrence(hs: list[Poly], p: Params) -> HRecurrenceReport:
     k_rule_ok = True
     for r in range(m, len(hs)):
         _, k, _, ell = decompose_index(r, m)
-        h_r = hs[r]
-        h_rm = hs[r - m]
-        h_rm1 = hs[r - m - 1] if r - m - 1 >= 0 else Poly.zero()
-        lhs = Poly.scaled([P * n for n in h_r.nums], Q * h_r.den)
-        base = h_rm.shift(1) if ell == 0 else h_rm
-        signs = tuple(s for s in (1, -1) if lhs == base + s * h_rm1)
+        h_r, h_rm = hs[r], hs[r - m]
+        h_rm1 = hs[r - m - 1] if r > m else Poly.zero()
+        # c*h_r - y**[ell==0]*h_{r-m} and h_{r-m-1} as integer rows over one
+        # denominator: a sign fits where the two rows agree up to it
+        den = lcm(Q * h_r.den, h_rm.den, h_rm1.den)
+        f, g, g1 = P * (den // (Q * h_r.den)), den // h_rm.den, den // h_rm1.den
+        lifted = [0] * (ell == 0) + [g * n for n in h_rm.nums]
+        diff = [f * a - b for a, b in zip_longest(h_r.nums, lifted, fillvalue=0)]
+        while diff and not diff[-1]:
+            diff.pop()
+        low = [g1 * n for n in h_rm1.nums]
+        signs = tuple(s for s in (1, -1) if diff == [s * n for n in low])
         degenerate = h_rm1.is_zero
         rows.append(SignCheckRow(r, k, ell, signs, degenerate))
         label = _class_label(k, ell)

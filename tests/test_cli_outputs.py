@@ -1,15 +1,12 @@
 """Pinned CLI outputs and the double-overflow guard of ``branches``.
 
-The digests were taken from the outputs of the ``Fraction``-based exact core
-that preceded the integer one (Python 3.11.7, NumPy 2.4.6, mpmath 1.3.0 with
-its pure-Python backend), so they pin both the integer exact half and the
-numeric outputs built on it.  Floats in ``roots``, ``asymptote`` and
-``branches`` depend on the NumPy and mpmath builds; the exact ``gen`` and
-``verify`` outputs do not.  Outputs embed the ``--out`` path, so every run
-writes to the same relative names inside a fresh directory.  The ``verify``
-and ``roots`` digests predate the exact sign certificate of the
-real-and-simple probe: those outputs are pinned apart from their probe
-block, which is pinned on its own.
+Each file a pinned run writes has one sha256 in ``PINNED``, the digest of
+the bytes the CLI wrote for that argv.  When an output moves, its digest is
+re-taken from the new file, and CHANGES.md records the moved cells and the
+reason; nothing else pins the file as it was.  No command loads numpy or
+mpmath, so the digests do not depend on their builds.  Outputs embed the
+``--out`` path, so every run writes to the same relative names inside a
+fresh directory.
 """
 
 import csv
@@ -34,43 +31,15 @@ PINNED = {
     "gen.csv": "e744ef640344c324a9c1b9cc78a5cc9595cb1f8026c66bd4df9e8cc1b1292eea",
     "gen.csv.type2.csv": "96454e25c3a8774c81925c357954a7a1c2e7c2f6769999749c6eaed3890ffa4b",
     "gen.csv.vectors.csv": "acc0452abceefe76c1bc07974c3383efc8410b04fc5f8fb953a0f4d13cdd4d4f",
-    "verify.json": "d2733d3446829d4101797855a7fea839f376cb13c13163126b912b96763de1a0",
-    # m = 1 roots, re-taken when the zeros came to be refined from the
-    # probe's isolating intervals: two roots and their star distances moved
-    # by one unit in the last place, each now the correctly rounded value.
-    # Every roots digest was re-taken when the star distances and the trend
-    # verdicts went and each attraction row came to count its zeros off the
-    # attractor: UNMOVED pins the files less those as they were before
-    "roots.json": "8d2e55ac8387804ff995bd43a16c79f481612cfd8084609fd50fcad07ac275d9",
-    # the two asymptote digests were re-taken at the same change: the branch
-    # values carry their bits below the double-double ones, so the error and
-    # rate cells near the 53-bit floor and decay_estimate moved at roundoff;
-    # L, ratio and window did not.  Both were re-taken again when the scan
-    # came to step t_r/lambda_m**r in fixed point on the integer kernel: the
-    # e_r cells from r = 15 on, near the floor of 53 bits, and with them the
-    # rates and decay_estimate moved; L, ratio and window did not
+    "verify.json": "a55cdefe15c9e115ce63327dbd9f2f955551f6215a2621b6ad0d7ccbf77e00c4",
+    "roots.json": "0ae7c557f9ff25f004a8fc9cd505218199cd3e3896a80fb9be9c431ce8209f93",
     "asymptote.json": "cd67a3069b446192606800d620b8693da24bf791ca722a08b0caceecedfae6a4",
-    # the two branches digests were re-taken when the 53-bit fast path came
-    # to polish its values on the integer kernel instead of in double-double:
-    # each max_residual cell is now the exact residual of the written value,
-    # and every value, modulus and flag is the same.  The JSON two were
-    # re-taken when the solver block went with the Aberth fallback: each file
-    # is the one before without that block.  Both were re-taken when the
-    # polish came down to one Newton step per value: the max_residual cells
-    # moved, and UNMOVED pins the files less those cells as they were before
     "branches.csv": "628223b9236f7312517f6a8871f9cc1c2795b5189fa673a941e0dce283472a71",
     "branches.csv.geometry.json": "86286c12701074898fddadcf4defaa00f31b29773f385e698b3f8e3d472d7eb2",
     "branches.json": "e1b2d40a0e2810f7f62a4268fbda6b2ce385c2777daae45c4eadf6f672eac58c",
     "asymptote.csv": "145d11532be95e35e2ce3e981cf5b5db2995eb2694568cdf403509e0d75b0f27",
-    "roots.csv": "9be3fa11f36f5ce291975731fbc15f0c8de4594b41ea93b76e68f9c5c49829ba",  # m = 1, as roots.json
-    # re-taken when m = 1 came to be proved by the step: the summary's
-    # min_separation_normalized, now measured between isolating intervals
-    # instead of taken from cos**2 in doubles, went 0.06613613724197481 ->
-    # 0.06613613724197477, the closed form's value correctly rounded
+    "roots.csv": "9be3fa11f36f5ce291975731fbc15f0c8de4594b41ea93b76e68f9c5c49829ba",
     "roots.csv.summary.json": "a8b54a2c3230fdbe89cc45ebdbc0bc96955e9208036e066be35d16762aeabc3d",
-    # verify.csv, verify_nlow and verify_nhigh, and verify30 below, were
-    # re-taken when the denominator_structure check went; UNMOVED pins each
-    # file less that entry as it was before
     "verify.csv": "caaa08caded0f1eb1728b61ac591fdd5d72b887272b9cddf8e7c688292192abf",
     "gen0.json": "5a441dde49a99ff2fc0451428805746c67ef4d5eca05eb4de00b1a1ce99480a5",
     "gen0.csv": "c6714aad9a13c42253bef2299bf64a8a07310117883b30207eede69d6ca945c2",
@@ -78,8 +47,6 @@ PINNED = {
     "gen0.csv.vectors.csv": "73910268105be546157f9afb41b6d6c2fa2a6109e5659bb6e39b7c4b4bb55b21",
     "verify_nlow.json": "b7a031773f5348df42910280a4a8c566164846b2c3665f7adedc0be3b0caf477",
     "verify_nhigh.json": "dfa1f734603e97b75b12f29207988eae26cfd884c8c22a52c8d048e224082c11",
-    # taken while gen still formatted every vector component on its own and
-    # wrote every CSV row through the csv module
     "gen1.json": "15b490862e0208635aebb3c96488f14abd0879b2f12a8cedc5d67fcb24fac515",
     "gen1.csv": "c5e4daa6934605b9de4c9cc5834038abb41d202c4eb1d64d0d81b45fe1b1d877",
     "gen1.csv.type2.csv": "d73d66892d7db9d2cd65c2c1d773678c915ac16a5f7b71f8ff5cfb05bee1a110",
@@ -88,8 +55,6 @@ PINNED = {
     "gen5.csv": "035e2081f26c3fdc86f063ac092179b40bb6deb0989a29b63c3825a997d3919f",
     "gen5.csv.type2.csv": "79b3ae9344cfe48dbdcd99cfcdc6913b8c0ee73019884b7467ba432d1c4fe7ca",
     "gen5.csv.vectors.csv": "75130f23f7d41e719c0d2ac6afa84e83a6bd53e54dc06fc3635ceda973dd6f25",
-    # m = 2, R = 40 at c = 10**40 and 1/10**40, written in digits; taken while
-    # gen still formatted each distinct coefficient once per denominator
     "gen_huge.json": "153e37f47261fcfb7a59aa5a095cf161bc0b45473a64886158992ada48251c78",
     "gen_huge.csv": "a4700abd44aa02da7d799c1b78bdeff8696315d7c2098385029fb7109c1465e3",
     "gen_huge.csv.type2.csv": "7cd68b678c70a917db2bd86a2aebbb65c47167a09ee8d1e6d310a94379f186fb",
@@ -98,183 +63,19 @@ PINNED = {
     "gen_tiny.csv": "cf8735678b8a5f88770b8a9575893e49d4feb586a685758e8c4128302545c624",
     "gen_tiny.csv.type2.csv": "6672f35a04dfca1f744f8a86d8cfc3cedac6065a0f278d7ebc8e67f812250db5",
     "gen_tiny.csv.vectors.csv": "3d351554c4a090c4a9607da160b503e7f35b52a5d2715059aacdaa1f5443922e",
-}
-
-# the verify and asymptote digests were taken before the root work was
-# spread over worker processes, and held while it was; the roots60 digests
-# were re-taken when the zeros came to be refined from the probe's isolating
-# intervals: values moved by a unit in the last place or less, the two
-# conjugate roots of each negative zero of h_r now come in mpmath.root's
-# order, +pi/3 first, and the attraction distances moved as little.  They
-# were re-taken again with the roots digests above
-PINNED_PARALLEL = {
-    "roots60.json": "17676315d2324eba7f3a7acdded9badc9572bcd2b15a3c9976c54fb06f522789",
+    "roots60.json": "98db50ffbd7be1b35a4520699202039b680b8d4afcabe65599e701bf7da79ed7",
     "roots60.csv": "81654876c3bf97d32b960072d45ab4f4f7038fb8fc7bd8965f265f09f179d332",
-    "roots60.csv.summary.json": "b807d821a827473610adf27ded3c69c1fa574f63f5b53346b6c2d79106c8901c",
-    "verify30.json": "1297162558ef90042db7ded57152dfb9b6302c4b35524e1eb2c2679015241440",
-    "asymptote200.json": "61998cedf6d6c90167da414b8642c6d5a37b8e41036662adf4a87dbd871a382e",
-}
-
-
-# the probe blocks those digests were taken with, before the sign
-# certificate; each output is pinned apart from its probe block by putting
-# the old block back in place of the current one
-_PROBE_BEFORE = {
-    "classification": "PASS", "offending_r": None, "reason": None,
-}
-PROBE_BEFORE = {
-    "verify.json": {
-        **_PROBE_BEFORE, "max_imag_normalized": 0.0,
-        "min_separation_normalized": 0.989794855663562,
-    },
-    "roots.json": {
-        **_PROBE_BEFORE, "checked": 11, "max_imag_normalized": 1.775728647249422e-40,
-        "min_separation_normalized": 0.16833661172876996,
-    },
-    "roots60.json": {
-        **_PROBE_BEFORE, "checked": 54, "max_imag_normalized": 1.4349296274686127e-42,
-        "min_separation_normalized": 0.020436633063239517,
-    },
-    "verify30.json": {
-        **_PROBE_BEFORE, "max_imag_normalized": 0.0,
-        "min_separation_normalized": 0.9959999359979519,
-    },
-}
-PROBE_BEFORE["roots60.csv.summary.json"] = PROBE_BEFORE["roots60.json"]
-
-# the current probe blocks: every index certified, so no imaginary part, and
-# the least separation of the zeros from isolating intervals refined to
-# 2**-64 relative.  roots60 was re-taken when the intervals replaced float
-# root hints; it moved by 3e-15 relative, and the other three did not move.
-# roots.json (m = 1) was re-taken when the step replaced the closed form's
-# gaps in doubles: 0.1683366117287698 -> 0.16833661172876996, 9e-16 relative,
-# the closed form's value correctly rounded
-_PROBE_AFTER = {**_PROBE_BEFORE, "first_uncertified_r": None, "max_imag_normalized": 0.0}
-PROBE_AFTER = {
-    "verify.json": {
-        **_PROBE_AFTER, "checked": 6, "certified": 6,
-        "min_separation_normalized": 0.989794855663562,
-    },
-    "roots.json": {
-        **_PROBE_AFTER, "checked": 11, "certified": 11,
-        "min_separation_normalized": 0.16833661172876996,
-    },
-    "roots60.json": {
-        **_PROBE_AFTER, "checked": 54, "certified": 54,
-        "min_separation_normalized": 0.020436633063239517,
-    },
-    "verify30.json": {
-        **_PROBE_AFTER, "checked": 16, "certified": 16,
-        "min_separation_normalized": 0.9959999359979519,
-    },
-}
-PROBE_AFTER["roots60.csv.summary.json"] = PROBE_AFTER["roots60.json"]
-
-
-def digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-# the branches outputs less their max_residual cells
-# (digest_without_max_residual), taken while each value had four polish
-# steps: the values, moduli, tie flags, distances and omegas did not move
-# when it came down to one.  The roots outputs less their star distances
-# and the measured fields of their attraction rows
-# (digest_without_the_attraction), taken while roots still wrote them: no
-# zero, count or probe field moved when they went.  The verify outputs less
-# their denominator_structure entry (digest_without_the_denominator_check),
-# taken from the files verify wrote while it ran that check, those of
-# verify_nlow and verify_nhigh from while verify still built each image on
-# its own, at its own size
-UNMOVED = {
-    "branches.csv": "6dc3992e0d03e4fdf0e09301dc4f2f1c46b958251a5edbd8f921e1defab742ab",
-    "branches.json": "431520dfb849edab1f17010e56ff043155edf0c04b39451d1e6f979ba23c575e",
-    "roots.json": "a9d8dba50849d548cff24dda296eddd7f34e1837785aa17d6ae1425f54c11c04",
-    "roots.csv": "9be3fa11f36f5ce291975731fbc15f0c8de4594b41ea93b76e68f9c5c49829ba",
-    "roots.csv.summary.json": "ce2aaf02ea2a5a3e7fb2eeab54198c7e56dbd3b20e788cbda3ab560c3e0a92e5",
-    "roots60.json": "7011ea104110f1b90ac5c8366b568a457bef3aea9006b7c6125147d1bdad25e9",
-    "roots60.csv": "81654876c3bf97d32b960072d45ab4f4f7038fb8fc7bd8965f265f09f179d332",
-    "roots60.csv.summary.json": "41c2e9979cb163a4370703f66ee0634af7767ca6c8bf17b47a7911529036b7df",
-    "verify.csv": "caaa08caded0f1eb1728b61ac591fdd5d72b887272b9cddf8e7c688292192abf",
-    "verify_nlow.json": "b7a031773f5348df42910280a4a8c566164846b2c3665f7adedc0be3b0caf477",
-    "verify_nhigh.json": "dfa1f734603e97b75b12f29207988eae26cfd884c8c22a52c8d048e224082c11",
+    "roots60.csv.summary.json": "c2912162f61b989cdd3012e2ac808227fcdbf1d6096eb42d90c9cb7fb7452c7f",
     "verify30.json": "e5775d5f197e22ee42981afc32b68d292b932e6772fd793628212044a2ee8d86",
+    "asymptote200.json": "61998cedf6d6c90167da414b8642c6d5a37b8e41036662adf4a87dbd871a382e",
+    "odd.json": "e77a356c31a7f7e46dbf76d8b23e82bbb78f04bb78529dd5f7f294322f41a0ed",
 }
 
 
-def digest_without_max_residual(name: str, data: bytes) -> str:
-    """The digest of a branches output less its max_residual cells: the key
-    of each JSON row, or the column of each CSV row of full width."""
-    if name.endswith(".json"):
-        payload = json.loads(data)
-        for row in payload["rows"]:
-            row.pop("max_residual", None)
-        return digest((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
-    lines = data.decode().split("\n")
-    start = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-    header = lines[start].split(",")
-    column = header.index("max_residual")
-    for i in range(start, len(lines)):
-        cells = lines[i].split(",")
-        if len(cells) == len(header):
-            lines[i] = ",".join(cells[:column] + cells[column + 1 :])
-    return digest("\n".join(lines).encode())
-
-
-def digest_without_the_attraction(name: str, data: bytes) -> str:
-    """The digest of a roots output less what the attraction study measured
-    in doubles: the star_distance key of each JSON row, or column of the CSV,
-    if any, and every field of an attraction row but r and root_count, with
-    the verdicts.  Before the study came to count the zeros off the
-    attractor exactly, it wrote distances and verdicts; what is left must
-    not have moved."""
-    if name.endswith(".json"):
-        payload = json.loads(data)
-        for row in payload.get("roots", ()):
-            row.pop("star_distance", None)
-        summary = payload["summary"]
-        if "rows" in summary["attraction"]:
-            summary["attraction"] = {
-                "rows": [
-                    {"r": row["r"], "root_count": row["root_count"]}
-                    for row in summary["attraction"]["rows"]
-                ]
-            }
-        return digest((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
-    lines = data.decode().split("\n")
-    header = lines[1].split(",")
-    if "star_distance" in header:
-        column = header.index("star_distance")
-        for i in range(1, len(lines)):
-            cells = lines[i].split(",")
-            if len(cells) == len(header):
-                lines[i] = ",".join(cells[:column] + cells[column + 1 :])
-    return digest("\n".join(lines).encode())
-
-
-def digest_without_the_denominator_check(data: bytes) -> str:
-    """The digest of a verify output less its denominator_structure entry, as
-    the json module writes it."""
-    payload = json.loads(data)
-    payload["checks"] = [ch for ch in payload["checks"] if ch["name"] != "denominator_structure"]
-    return digest((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
-
-
-def probe_block(payload: dict) -> dict:
-    if "checks" in payload:
-        (block,) = [ch["details"] for ch in payload["checks"] if ch["name"] == "conjecture_probe"]
-        return block
-    return payload["summary"]["conjecture"]
-
-
-def digest_apart_from_the_probe(payload: dict, name: str) -> str:
-    """The digest of ``payload`` as written with its probe block from before
-    the certificate, once its current block is checked."""
-    block = probe_block(payload)
-    assert block == PROBE_AFTER[name], name
-    block.clear()
-    block.update(PROBE_BEFORE[name])
-    return digest((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
+def assert_pinned(directory, *names: str) -> None:
+    """Each named file in ``directory`` has the sha256 ``PINNED`` gives it."""
+    for name in names:
+        assert hashlib.sha256((directory / name).read_bytes()).hexdigest() == PINNED[name], name
 
 
 @pytest.fixture
@@ -285,14 +86,13 @@ def workdir(tmp_path, monkeypatch):
 
 def test_gen_json_is_pinned(workdir):
     assert main(["gen", "--m", "2", "--c", "5/3", "--R", "30", "--out", "gen.json"]) == 0
-    assert digest((workdir / "gen.json").read_bytes()) == PINNED["gen.json"]
+    assert_pinned(workdir, "gen.json")
 
 
 def test_gen_csv_and_sidecars_are_pinned(workdir):
     argv = ["gen", "--m", "3", "--c", "311/457", "--R", "40", "--format", "csv"]
     assert main(argv + ["--out", "gen.csv"]) == 0
-    for name in ("gen.csv", "gen.csv.type2.csv", "gen.csv.vectors.csv"):
-        assert digest((workdir / name).read_bytes()) == PINNED[name], name
+    assert_pinned(workdir, "gen.csv", "gen.csv.type2.csv", "gen.csv.vectors.csv")
 
 
 @pytest.mark.parametrize(
@@ -304,8 +104,7 @@ def test_gen_at_the_smallest_and_largest_m_is_pinned(workdir, m, c, R, name):
     assert main(argv + ["--format", "csv", "--out", f"{name}.csv"]) == 0
     names = [f"{name}.json", f"{name}.csv", f"{name}.csv.type2.csv", f"{name}.csv.vectors.csv"]
     assert sorted(p.name for p in workdir.iterdir()) == sorted(names)
-    for path in names:
-        assert digest((workdir / path).read_bytes()) == PINNED[path], path
+    assert_pinned(workdir, *names)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -334,9 +133,8 @@ def test_gen_at_an_extreme_c_is_pinned(workdir, c, name):
     argv = ["gen", "--m", "2", "--c", c, "--R", "40"]
     assert main(argv + ["--out", f"{name}.json"]) == 0
     assert main(argv + ["--format", "csv", "--out", f"{name}.csv"]) == 0
-    for path in (f"{name}.json", f"{name}.csv", f"{name}.csv.type2.csv",
-                 f"{name}.csv.vectors.csv"):
-        assert digest((workdir / path).read_bytes()) == PINNED[path], path
+    assert_pinned(workdir, f"{name}.json", f"{name}.csv", f"{name}.csv.type2.csv",
+                  f"{name}.csv.vectors.csv")
 
 
 @pytest.mark.parametrize("c", ["1", "3/7", "7/3", 10**40, Fraction(1, 10**40)],
@@ -514,8 +312,7 @@ def test_int_cells_are_written_as_the_csv_module_writes_ints():
 def test_verify_is_pinned(workdir):
     argv = ["verify", "--m", "2", "--c", "3/2", "--R", "12", "--n-max", "12", "--seed", "4"]
     assert main(argv + ["--out", "verify.json"]) == 0
-    payload = json.loads((workdir / "verify.json").read_text())
-    assert digest_apart_from_the_probe(payload, "verify.json") == PINNED["verify.json"]
+    assert_pinned(workdir, "verify.json")
 
 
 @pytest.mark.parametrize(
@@ -528,9 +325,7 @@ def test_verify_is_pinned(workdir):
 )
 def test_verify_with_n_max_apart_from_r_is_pinned(workdir, argv, name):
     assert main(["verify", *argv, "--out", name]) == 0
-    data = (workdir / name).read_bytes()
-    assert digest(data) == PINNED[name]
-    assert digest_without_the_denominator_check(data) == UNMOVED[name]
+    assert_pinned(workdir, name)
 
 
 def test_verify_reports_a_broken_denominator(workdir, monkeypatch):
@@ -555,25 +350,19 @@ def test_verify_reports_a_broken_denominator(workdir, monkeypatch):
 def test_roots_is_pinned(workdir):
     argv = ["roots", "--m", "1", "--c", "3/2", "--r-max", "12", "--out", "roots.json"]
     assert main(argv) == 0
-    data = (workdir / "roots.json").read_bytes()
-    assert digest_without_the_attraction("roots.json", data) == UNMOVED["roots.json"]
-    payload = json.loads(data)
-    assert digest_apart_from_the_probe(payload, "roots.json") == PINNED["roots.json"]
+    assert_pinned(workdir, "roots.json")
 
 
 def test_asymptote_is_pinned(workdir):
     argv = ["asymptote", "--m", "1", "--c", "1", "--z", "3,1", "--r-max", "30"]
     assert main(argv + ["--out", "asymptote.json"]) == 0
-    assert digest((workdir / "asymptote.json").read_bytes()) == PINNED["asymptote.json"]
+    assert_pinned(workdir, "asymptote.json")
 
 
 def test_branches_is_pinned(workdir):
     argv = ["branches", "--m", "2", "--c", "7/3", "--grid=-2:2:3,-1:1:2", "--format", "csv"]
     assert main(argv + ["--out", "branches.csv"]) == 0
-    for name in ("branches.csv", "branches.csv.geometry.json"):
-        assert digest((workdir / name).read_bytes()) == PINNED[name], name
-    data = (workdir / "branches.csv").read_bytes()
-    assert digest_without_max_residual("branches.csv", data) == UNMOVED["branches.csv"]
+    assert_pinned(workdir, "branches.csv", "branches.csv.geometry.json")
 
 
 @pytest.mark.parametrize(
@@ -595,15 +384,7 @@ def test_branches_is_pinned(workdir):
 def test_each_layout_is_pinned(workdir, argv, names):
     assert main(argv + ["--out", names[0]]) == 0
     assert sorted(p.name for p in workdir.iterdir()) == sorted(names)
-    for name in names:
-        data = (workdir / name).read_bytes()
-        assert digest(data) == PINNED[name], name
-        if name.startswith("roots"):
-            assert digest_without_the_attraction(name, data) == UNMOVED[name], name
-        elif name.startswith("verify"):
-            assert digest_without_the_denominator_check(data) == UNMOVED[name], name
-        elif name in UNMOVED:
-            assert digest_without_max_residual(name, data) == UNMOVED[name], name
+    assert_pinned(workdir, *names)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -645,27 +426,16 @@ def test_roots_json_csv_and_summary_are_pinned(workdir):
     argv = ["roots", "--m", "2", "--c", "59/62", "--r-max", "60"]
     assert main(argv + ["--out", "roots60.json"]) == 0
     assert main(argv + ["--format", "csv", "--out", "roots60.csv"]) == 0
-    data = (workdir / "roots60.csv").read_bytes()
-    assert digest(data) == PINNED_PARALLEL["roots60.csv"]
-    assert digest_without_the_attraction("roots60.csv", data) == UNMOVED["roots60.csv"]
-    for name in ("roots60.json", "roots60.csv.summary.json"):
-        data = (workdir / name).read_bytes()
-        assert digest_without_the_attraction(name, data) == UNMOVED[name], name
-        payload = json.loads(data)
-        assert digest_apart_from_the_probe(payload, name) == PINNED_PARALLEL[name], name
+    assert_pinned(workdir, "roots60.json", "roots60.csv", "roots60.csv.summary.json")
 
 
 def test_verify_with_the_probe_is_pinned(workdir):
     argv = ["verify", "--m", "3", "--c", "23/41", "--R", "30", "--out", "verify30.json"]
     assert main(argv) == 0
-    data = (workdir / "verify30.json").read_bytes()
-    assert digest_without_the_denominator_check(data) == UNMOVED["verify30.json"]
-    digest_out = digest_apart_from_the_probe(json.loads(data), "verify30.json")
-    assert digest_out == PINNED_PARALLEL["verify30.json"]
+    assert_pinned(workdir, "verify30.json")
 
 
 def test_deep_asymptote_scan_is_pinned(workdir):
     argv = ["asymptote", "--m", "3", "--c", "1", "--z", "3,1", "--r-max", "200"]
     assert main(argv + ["--precision", "200", "--out", "asymptote200.json"]) == 0
-    digest_out = digest((workdir / "asymptote200.json").read_bytes())
-    assert digest_out == PINNED_PARALLEL["asymptote200.json"]
+    assert_pinned(workdir, "asymptote200.json")

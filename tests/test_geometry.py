@@ -10,7 +10,6 @@ not.
 """
 
 import cmath
-import hashlib
 import json
 import math
 import random
@@ -19,6 +18,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from test_cli_outputs import assert_pinned
 
 from chebsys import algebraic
 from chebsys.algebraic import branch_points, star_radius
@@ -143,35 +143,14 @@ def test_odd_m_puts_the_negative_tip_at_angle_pi():
     ]
 
 
-# taken after the geometry became exact: the Aberth solve it replaced left
-# noise such as -5.8e-47 in the zero components of these tips and listed -a
-# first, so the output before differs in its branch points.  Re-taken when
-# the 53-bit fast path was seeded from the trinomial's roots in doubles, and
-# again when it came to polish its values on the integer kernel: each time
-# only max_residual cells of its accepted points changed.  Re-taken when the
-# Aberth fallback went: the solver block is gone, and the max_residual cells
-# of z = -2i and 2i, which lie on the star, moved 1.2e-32 -> 2.2e-32.
-# Re-taken when the polish came down to one Newton step per value: only
-# max_residual cells moved, and UNMOVED_ODD, the file less those cells,
-# was taken before
-PINNED_ODD = "e77a356c31a7f7e46dbf76d8b23e82bbb78f04bb78529dd5f7f294322f41a0ed"
-UNMOVED_ODD = "3424cfab96206111a252313a12812f3fd1c5fd31366632e27b2c3d4f8407d808"
-
-
 def test_odd_m_branches_output_is_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ["branches", "--m", "3", "--c", "7/3", "--grid=-3:3:3,-2:2:2", "--out", "odd.json"]
     assert main(argv) == 0
-    data = (tmp_path / "odd.json").read_bytes()
-    geometry = json.loads(data)["geometry"]
+    geometry = json.loads((tmp_path / "odd.json").read_bytes())["geometry"]
     a = geometry["a"]
     assert geometry["branch_points"] == [[0.0, -a], [a, 0.0], [0.0, a], [-a, 0.0]]
-    assert hashlib.sha256(data).hexdigest() == PINNED_ODD
-    payload = json.loads(data)
-    for row in payload["rows"]:
-        del row["max_residual"]
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == UNMOVED_ODD
+    assert_pinned(tmp_path, "odd.json")
 
 
 # ---------------------------------------------------------------- star distances

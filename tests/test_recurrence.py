@@ -10,6 +10,7 @@ from chebsys.exactpoly import Poly, compose_star
 from chebsys.rationals import as_rational
 from chebsys.recurrence import (
     Params,
+    SignCheckRow,
     decompose_index,
     gen_type1_records,
     gen_type1_scalar,
@@ -229,6 +230,23 @@ class TestShiftIdentity:
         assert report.all_pass and report.checked == 60
 
 
+Y = Poly((0, 1))
+SIGN_C = [1, Fraction(3, 7), Fraction(7, 3), 10**40, Fraction(1, 10**40)]
+
+
+def poly_sign_rows(hs, p):
+    """The rows of verify_h_recurrence, with the identity
+    c*h_r = y**[ell==0]*h_{r-m} + s*h_{r-m-1} formed in Poly arithmetic."""
+    rows = []
+    for r in range(p.m, len(hs)):
+        _, k, _, ell = decompose_index(r, p.m)
+        h_rm1 = hs[r - p.m - 1] if r > p.m else Poly.zero()
+        base = hs[r - p.m] * Y if ell == 0 else hs[r - p.m]
+        signs = tuple(s for s in (1, -1) if hs[r] * p.c == base + s * h_rm1)
+        rows.append(SignCheckRow(r, k, ell, signs, h_rm1.is_zero))
+    return tuple(rows)
+
+
 class TestHRecurrenceSigns:
     def test_m2_r6_plus_variant(self):
         p = Params(2, "1")
@@ -262,6 +280,33 @@ class TestHRecurrenceSigns:
                 assert signs == (1,)
         if m % 2 == 0:
             assert not report.ell_parity_rule_holds
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_integer_rows_match_the_poly_identity_on_generated_tables(self, m):
+        for c in SIGN_C:
+            p = Params(m, c)
+            records = gen_type1_records(p, 40)
+            rows = verify_h_recurrence([rec.h for rec in records], p).rows
+            assert rows == poly_sign_rows([rec.h for rec in records], p), c
+            # the vanishing indices, at m > 1, and rows with h_{r-m-1} = 0
+            assert any(rec.tau == -1 for rec in records) == (m > 1)
+            assert {row.degenerate for row in rows} == {True, False}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.sampled_from(SIGN_C), st.integers(0, 30), st.data())
+    def test_integer_rows_match_the_poly_identity_on_a_forged_h(self, m, c, R, data):
+        p = Params(m, c)
+        hs = [rec.h for rec in gen_type1_records(p, R)]
+        r = data.draw(st.integers(0, R), label="r")
+        forgeries = [Poly.zero(), -hs[r], hs[r] * 2]
+        if r >= m:
+            # c*h_r = base + s*h_{r-m-1} with either sign, the generated one included
+            h_rm1 = hs[r - m - 1] if r > m else Poly.zero()
+            base = hs[r - m] * Y if decompose_index(r, m)[3] == 0 else hs[r - m]
+            forgeries += [(base + s * h_rm1) * (1 / p.c) for s in (1, -1)]
+        small = st.builds(Poly.scaled, st.lists(st.integers(-9, 9), max_size=5), st.integers(1, 9))
+        hs[r] = data.draw(st.one_of(st.sampled_from(forgeries), small), label="h_r")
+        assert verify_h_recurrence(hs, p).rows == poly_sign_rows(hs, p)
 
 
 class TestStructuralProperties:

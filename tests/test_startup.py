@@ -3,7 +3,6 @@
 import ast
 import functools
 import gc
-import hashlib
 import importlib
 import json
 import os
@@ -14,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from test_cli_outputs import digest_without_the_attraction
+from test_cli_outputs import PINNED
 
 import chebsys
 from chebsys import cli, probe
@@ -49,13 +48,15 @@ print(json.dumps(loaded()))
 print(json.dumps(callable(chebsys.rationals.add_man_exp)))
 """
 
-# one command in a fresh process, in the current directory: what it loaded,
-# and the digest of every file it wrote
+# one command in a fresh process, in the current directory, in which any
+# import of mpmath fails: whether it loaded numpy, and the digest of every
+# file it wrote
 COMMAND = """
 import hashlib, json, os, sys
+sys.modules["mpmath"] = None
 from chebsys.cli import main
 assert main(sys.argv[1:]) == 0
-print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
+print(json.dumps("numpy" in sys.modules))
 files = {f: hashlib.sha256(open(f, "rb").read()).hexdigest() for f in sorted(os.listdir())}
 print(json.dumps(files))
 """
@@ -71,142 +72,104 @@ import chebsys.algebraic
 print(json.dumps([name for name in ("numpy", "mpmath") if name in sys.modules]))
 """
 
-# the digests of the two 53-bit grids were re-taken when the fast path was
-# seeded from the trinomial's roots in doubles instead of numpy's companion
-# eigenvalues, and again when it came to polish its values on the integer
-# kernel: each time only the max_residual cells of accepted points changed
-# (the same digests pin branches.json in test_cli_outputs.py, and the
-# asymptote digest asymptote.json there).  No command loads numpy: the
-# solver, a scan and the probe run in plain doubles or in integers, and
-# roots refines the probe's intervals in integers.  Nor does any command
-# load mpmath: every branch point is solved and certified on the kernel, at
-# every precision, ties, exact branch points and huge z included.  The
-# branches digests were re-taken again when the solver block of the output
-# went, with the Aberth fallback it counted, and when the polish came down
-# to one Newton step per value, which moved max_residual cells alone.
+
+def pinned(*names: str) -> dict:
+    return {name: PINNED[name] for name in names}
+
+
+# No command loads numpy or mpmath: the solver, a scan and the probe run in
+# plain doubles or in integers, and roots refines the probe's intervals in
+# integers.  Every branch point is solved and certified on the kernel, at
+# every precision, ties, exact branch points and huge z included.
 BRANCHES = ["branches", "--m", "2", "--c", "7/3"]
 LOADS = {
-    "batched-grid": (
-        [*BRANCHES, "--grid=-2:2:3,-1:1:2", "--out", "branches.json"],
-        [],
-        {"branches.json": "e1b2d40a0e2810f7f62a4268fbda6b2ce385c2777daae45c4eadf6f672eac58c"},
+    "gen-json": (["gen", "--m", "2", "--c", "5/3", "--R", "30", "--out", "gen.json"],
+                 pinned("gen.json")),
+    "gen-csv": (
+        ["gen", "--m", "3", "--c", "311/457", "--R", "40", "--format", "csv", "--out", "gen.csv"],
+        pinned("gen.csv", "gen.csv.type2.csv", "gen.csv.vectors.csv"),
     ),
-    # z = -2 lies on the attractor star and z = 0 ties all three moduli;
-    # re-taken when the Aberth path was seeded from the trinomial in
-    # doubles: at those tied points the noise below the working precision,
-    # and the order of exactly tied branches, changed; and again with the
-    # grids above, where the max_residual cells of its accepted points
-    # moved.  Re-taken when these points moved from Aberth to the kernel:
-    # the max_residual cells of the four tied points, and two imaginary
-    # parts of real branches, 8.9e-53 and 5.3e-52, now 0.0; and as the
-    # batched grid when the polish came to one step
+    "verify": (
+        ["verify", "--m", "2", "--c", "3/2", "--R", "12", "--n-max", "12", "--seed", "4",
+         "--out", "verify.json"],
+        pinned("verify.json"),
+    ),
+    "batched-grid": (
+        [*BRANCHES, "--grid=-2:2:3,-1:1:2", "--out", "branches.json"], pinned("branches.json")
+    ),
+    # z = -2 lies on the attractor star and z = 0 ties all three moduli
     "fallback-grid": (
         [*BRANCHES, "--grid=-2:2:3,0:1:2", "--out", "branches_fallback.json"],
-        [],
         {"branches_fallback.json": "83174e1fed1f450c5d5e728cc44b677367f89d63f8e0ce730cb18fcba00c13ff"},
     ),
-    # re-taken when the fast path came to run above 53 bits: its six points
-    # were Aberth's and are now the kernel's, so the solver counts and the
-    # max_residual cells moved, and no value or modulus did
     "precision-64": (
         [*BRANCHES, "--grid=-2:2:3,-1:1:2", "--precision", "64", "--out", "branches64.json"],
-        [],
         {"branches64.json": "9164d1f9d076db42f6a39205c972949bfc4c8902d814b0ffa044eef0b7a58e5b"},
     ),
-    # z = 0, where the three moduli tie; against the Aberth solve before, an
-    # imaginary part of 5.3e-52 is now 0.0, and max_residual moved
+    # z = 0, where the three moduli tie
     "zero": (
         [*BRANCHES, "--z", "0,0", "--out", "zero.json"],
-        [],
         {"zero.json": "e862f82593c7c87e16eb8708d4baf18c00f4a5a5f49a6eb043979c1298501b25"},
     ),
-    # the exact branch point: its double root w = 1, twice, with residual 0;
-    # the Aberth solve before left imaginary parts near 1e-35
+    # the exact branch point: its double root w = 1, twice, with residual 0
     "exact-tip": (
         ["branches", "--m", "1", "--c", "1", "--z", "2,0", "--out", "tip.json"],
-        [],
         {"tip.json": "bc205962762f185bc72d784397b014d89490ccc2cb43192e4f6761810f3c13d9"},
     ),
     # the real tip of branch_points at m = 2, c = 1, rounded to a double:
-    # the pair 4.9e-9 off the real axis is split off it and refined; the
-    # real branch's imaginary part of 2.2e-61 is now 0.0, and max_residual
-    # is the exact one of the values at 53 bits
+    # the pair 4.9e-9 off the real axis is split off it and refined
     "rounded-tip": (
         ["branches", "--m", "2", "--c", "1", "--z", "1.8898815748423097,0", "--out", "rtip.json"],
-        [],
         {"rtip.json": "48d5f4d15f76fc06b9419cce46639651819eb5f3d417bc2d2f6b58ce04317808"},
     ),
-    # z/c overflows a double: the Newton polygon's seeds on the kernel.
-    # The branches near 1.4e154 make the residual's terms about 1e462, so
-    # max_residual, the exact residual rounded to a double, is Infinity,
-    # where the Aberth solve's mpmath residual cancelled to 0.0; an
-    # imaginary part that is a zero below the range of a double went
-    # -0.0 -> 0.0
+    # z/c overflows a double: the Newton polygon's seeds on the kernel.  The
+    # branches near 1.4e154 make the residual's terms about 1e462, so
+    # max_residual, the exact residual rounded to a double, is Infinity
     "huge-z": (
         ["branches", "--m", "2", "--c", "1/2", "--z", "1e308,0", "--out", "huge.json"],
-        [],
         {"huge.json": "8fa06132fdf98921a8037c1b38b042a94284c3ba3832390e5dc38e4a997b5e35"},
     ),
-    # re-taken when the scan came to step t_r/lambda_m**r in fixed point:
-    # the e_r cells from r = 15 on, which lie near the floor of 53 bits, and
-    # with them the rates and decay_estimate moved; L, ratio and window did not
     "asymptote": (
         ["asymptote", "--m", "1", "--c", "1", "--z", "3,1", "--r-max", "30", "--out", "asymptote.json"],
-        [],
-        {"asymptote.json": "cd67a3069b446192606800d620b8693da24bf791ca722a08b0caceecedfae6a4"},
+        pinned("asymptote.json"),
     ),
     "asymptote-200": (
         ["asymptote", "--m", "1", "--c", "1", "--z", "3,1", "--r-max", "30", "--precision", "200",
          "--out", "asymptote200.json"],
-        [],
         {"asymptote200.json": "e0909c73fe83c03fb21897db22e2f1140baf8b50dc2123e5cc7d4c1a6a8e68d3"},
     ),
     # the shape of the first scan of a round of the benchmark's deep workload
     "asymptote-400": (
         ["asymptote", "--m", "1", "--c", "1", "--z=-1.52171,-0.668481", "--r-max", "162",
          "--precision", "400", "--out", "asymptote400.json"],
-        [],
         {"asymptote400.json": "70e7bc6e318412c1055c45ca54ca78b103bbd18096a644332a14c6bdde04dfab"},
     ),
-    # two lower branches at the real z = 1.5 are a conjugate pair, whose
-    # equal moduli sent the point to Aberth; their discs are disjoint, so the
-    # kernel certifies it, to the same file
+    # two lower branches at the real z = 1.5 are a conjugate pair of equal
+    # moduli; their discs are disjoint, so the kernel certifies the point
     "asymptote-fallback": (
         ["asymptote", "--m", "2", "--c", "1", "--z", "1.5,0", "--r-max", "20",
          "--out", "asymptote-fallback.json"],
-        [],
         {"asymptote-fallback.json": "ea19d7ce2c9f1e7dde0d012d52be06f63a20b497f7145b91d3a80c7a78129892"},
     ),
-    # the same point at 1400 bits, to the same file as the Aberth solve wrote
+    # the same point at 1400 bits
     "asymptote-fallback-1400": (
         ["asymptote", "--m", "2", "--c", "1", "--z", "1.5,0", "--r-max", "1400",
          "--precision", "1400", "--out", "asymptote1400.json"],
-        [],
         {"asymptote1400.json": "9c98d9f7a1865e95fa479c63492d819ac75418488e3ebd66eebc3eb4c70c8dc7"},
     ),
-    # the zeros refined from the probe's intervals, at m = 2 and m = 1; both
-    # re-taken with them, as roots60 and roots.csv in test_cli_outputs.py,
-    # and again there when the star distances and trend verdicts went
+    # the zeros refined from the probe's intervals, at m = 2 and m = 1
     "roots-m2": (
         ["roots", "--m", "2", "--c", "59/62", "--r-list", "20,30", "--format", "csv",
          "--out", "roots2.csv"],
-        [],
         {
             "roots2.csv": "318f3bc523df03d98f68068a87d50ff045f37d9f0665721bcf15ca20ed9b8743",
             "roots2.csv.summary.json": "4869dbd5fb8654a8599062fbc6c0dd3922da90e1e433ac26ba2a204db64de9df",
         },
     ),
-    # the m = 1 digests of test_cli_outputs.py, re-taken there; the summary
-    # again when m = 1 came to be proved by the step, for its
-    # min_separation_normalized alone
     "roots": (
         ["roots", "--m", "1", "--c", "3/2", "--r-list", "0,1,5,20", "--format", "csv",
          "--out", "roots.csv"],
-        [],
-        {
-            "roots.csv": "9be3fa11f36f5ce291975731fbc15f0c8de4594b41ea93b76e68f9c5c49829ba",
-            "roots.csv.summary.json": "a8b54a2c3230fdbe89cc45ebdbc0bc96955e9208036e066be35d16762aeabc3d",
-        },
+        pinned("roots.csv", "roots.csv.summary.json"),
     ),
 }
 
@@ -339,7 +302,7 @@ def test_verify_loads_neither_numpy_nor_mpmath(tmp_path, m, c, R):
     done = python(COMMAND_CMATH, *argv, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert json.loads(lines[0]) == []
+    assert json.loads(lines[0]) is False
     assert json.loads(lines[2]) is False
     (probe,) = [
         ch["details"]
@@ -367,52 +330,22 @@ def test_one_point_solve_loads_neither_numpy_nor_mpmath():
     assert list(map(json.loads, done.stdout.splitlines())) == [[False, True], []]
 
 
-# the two 53-bit grids' files less the max_residual of each row, taken while
-# each value had four polish steps: nothing else moved when it came to one
-UNMOVED = {
-    "batched-grid": ("branches.json", "431520dfb849edab1f17010e56ff043155edf0c04b39451d1e6f979ba23c575e"),
-    "fallback-grid": (
-        "branches_fallback.json", "d8f370b112bcfe03d037abf6891af653eaf26241c62376331ed3cec630121a02",
-    ),
-}
-
-# the m = 2 roots files less their star distances and the measured fields
-# of the attraction rows (test_cli_outputs.digest_without_the_attraction),
-# taken while roots still wrote them; the m = 1 case's files are those of
-# test_cli_outputs.py, whose UNMOVED pins them
-UNMOVED_ROOTS = {
-    "roots2.csv": "318f3bc523df03d98f68068a87d50ff045f37d9f0665721bcf15ca20ed9b8743",
-    "roots2.csv.summary.json": "d5dcb588418ac4e7382da51725c84c76bdd008dd21b77731816edf263685f9bb",
-}
-
-
 @pytest.mark.parametrize("case", list(LOADS))
 def test_mpmath_loads_only_where_a_command_solves_in_it(tmp_path, case):
-    # no command loads either: a grid at any precision, its ties and branch
-    # points included, a scan, and roots, whose zeros come from the probe's
-    # intervals
-    argv, loaded, files = LOADS[case]
+    # no command imports mpmath, which would fail here, nor loads numpy: gen,
+    # verify, a grid at any precision, its ties and branch points included,
+    # a scan, and roots, whose zeros come from the probe's intervals
+    argv, files = LOADS[case]
     done = python(COMMAND, *argv, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    got_loaded, got_files = map(json.loads, done.stdout.splitlines())
-    assert got_loaded == loaded
+    got_numpy, got_files = map(json.loads, done.stdout.splitlines())
+    assert got_numpy is False
     assert got_files == files
-    if case in UNMOVED:
-        name, want = UNMOVED[case]
-        payload = json.loads((tmp_path / name).read_bytes())
-        for row in payload["rows"]:
-            del row["max_residual"]
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        assert hashlib.sha256(text.encode()).hexdigest() == want
-    for name in files:
-        if name in UNMOVED_ROOTS:
-            data = (tmp_path / name).read_bytes()
-            assert digest_without_the_attraction(name, data) == UNMOVED_ROOTS[name], name
 
 
 def test_roots_with_every_index_missed_loads_neither_numpy_nor_mpmath(tmp_path):
     # the Sturm intervals are refined as the step's are, to the same rows
-    argv, _, files = LOADS["roots-m2"]
+    argv, files = LOADS["roots-m2"]
     done = python(MISSED, *argv, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     got_loaded, got_digest = map(json.loads, done.stdout.splitlines())
@@ -483,7 +416,8 @@ def test_no_module_of_the_package_imports_numpy():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
-    assert not any(dep.startswith("numpy") for dep in project["dependencies"])
+    # numpy and mpmath are in the test extra alone
+    assert project["dependencies"] == []
 
 
 def test_only_operators_reads_its_private_names():
