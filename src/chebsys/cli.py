@@ -66,6 +66,8 @@ from .exactpoly import compose_star
 from .rationals import rat_strs, ratio
 from .recurrence import (
     Params,
+    closed_form_strs,
+    decompose_index,
     gen_type1_records,
     gen_type1_vectors,
     gen_type2,
@@ -339,30 +341,18 @@ def cmd_gen(args) -> int:
     p, precision, config = _setup(args, R=args.R)
     if args.R < 0:
         raise UsageError("--R must be >= 0")
-    records = gen_type1_records(p, args.R)
-    type2 = gen_type2(p, args.R)
-    # each coefficient of t_r and T_n is written once, straight from its
-    # integers; h_r's strings are picked from t_r's (_h_strs)
-    ts = [rat_strs(rec.t.nums, rec.t.den) for rec in records]
+    # every coefficient of t_r and T_n is written straight from the closed
+    # form, one small gcd each; the recurrence stays verify's reference, and
+    # h_r's strings are picked from t_r's (_h_strs)
+    ts, type2 = closed_form_strs(p, args.R)
+    scalar = []
+    for r, t in enumerate(ts):
+        d, k, tau, ell = decompose_index(r, p.m)
+        scalar.append({"r": r, "d": d, "k": k, "tau": tau, "ell": ell, "t_degree": len(t) - 1,
+                       "h_degree": tau, "t": t, "h": _h_strs(t, k, ell, p.m)})
     doc = {
-        "scalar": [
-            {
-                "r": rec.r,
-                "d": rec.d,
-                "k": rec.k,
-                "tau": rec.tau,
-                "ell": rec.ell,
-                "t_degree": rec.t.degree,
-                "h_degree": rec.h.degree,
-                "t": t,
-                "h": _h_strs(t, rec, p.m),
-            }
-            for rec, t in zip(records, ts)
-        ],
-        "type2": [
-            {"n": n, "degree": poly.degree, "coeffs": rat_strs(poly.nums, poly.den)}
-            for n, poly in enumerate(type2)
-        ],
+        "scalar": scalar,
+        "type2": [{"n": n, "degree": n, "coeffs": T} for n, T in enumerate(type2)],
         # t_{j,r} = t_{r-j}, and 0 for r < j: the shift identity and the
         # scalar agreement that verify checks on gen_type1_vectors
         "vectors": [
@@ -382,13 +372,13 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _h_strs(t: list, rec, m: int) -> list:
+def _h_strs(t: list, k: int, ell: int, m: int) -> list:
     """h_r's strings, picked from ``t``, t_r's: by the star factorization,
-    which ``verify`` checks, h_r is t_r's coefficients at the powers
-    ell + (m+1)*j, times (-1)^k, over t_r's denominator, so each picked
+    which the closed form proves and ``verify`` checks, h_r is t_r's
+    coefficients at the powers ell + (m+1)*j, times (-1)^k, so each picked
     fraction is h_r's, reduced."""
-    picked = t[rec.ell :: m + 1]
-    if rec.k % 2:
+    picked = t[ell :: m + 1]
+    if k % 2:
         picked = [s if s == "0/1" else s[1:] if s[0] == "-" else "-" + s for s in picked]
     return picked
 

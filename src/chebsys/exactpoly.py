@@ -53,7 +53,9 @@ class Poly:
         if not nums:
             den = 1
         else:
-            g = math.gcd(den, *nums)
+            # from the least numerator, every gcd step pairs a small number
+            # with a large one; the constant term may share most of den
+            g = math.gcd(min(filter(None, nums), key=abs), den, *nums)
             if den < 0:
                 g = -g
             if g != 1:

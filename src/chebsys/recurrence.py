@@ -15,9 +15,12 @@ Every scalar ``t_r`` factors as ``(-1)**k * z**ell * h_r(z**(m+1))`` where
 ``r = d*m + k`` and ``d - k = (m+1)*tau + ell``.  The generating function
 ``c/(c - z*v**m + v**(m+1))`` makes every coefficient of ``h_r`` and of
 ``T_n`` one signed binomial times powers of c (README "The closed form"), so
-``gen_type1_records`` and ``gen_type2`` build them from those formulas;
-``verify_shift`` checks the shift identity and ``verify_h_recurrence`` finds
-the sign of the induced recurrence for the ``h_r``, assuming neither.
+``gen_type1_records`` and ``gen_type2`` build them from those formulas, and
+``closed_form_strs`` writes the coefficients of ``t_r`` and ``T_n`` from them
+as reduced ``"p/q"`` strings, with no ``Poly``; the recurrence stays the
+reference for ``t_r``.  ``verify_shift`` checks the shift identity and
+``verify_h_recurrence`` finds the sign of the induced recurrence for the
+``h_r``, assuming neither.
 
 Generation runs in integers.  With ``c = P/Q`` the denominators have a
 fixed structure: ``P**(r//m) * t_r`` and ``P**(r//m) * t_{j,r}`` have integer
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import accumulate, repeat, zip_longest
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import attrgetter, mul
 
 from .exactpoly import Poly
@@ -189,6 +192,38 @@ def gen_type1_records(p: Params, R: int) -> list[TypeIRecord]:
             nums.append(-v if m % 2 and (tau - q) % 2 else v)
         records.append(TypeIRecord(r, d, k, tau, ell, t, Poly.scaled(nums, Ps[d])))
     return records
+
+
+def closed_form_strs(p: Params, R: int) -> tuple[list, list]:
+    """The ``"p/q"`` strings, in lowest terms, of t_0 .. t_R and T_0 .. T_R.
+
+    With ``c = P/Q``, the z^i entry of t_r is ``(-1)**(n-i) * C(n, i) * Q**n /
+    P**n`` with ``n = (r+i)/(m+1)``, and the ``x**(n-(m+1)*j)`` entry of T_n
+    is ``(-1)**j * C(n-m*j, j) * P**j / Q**j``.  As ``gcd(P, Q) == 1``, one
+    gcd of the binomial with the power in the denominator reduces each; every
+    other entry is ``"0/1"``.
+    """
+    m, (P, Q) = p.m, p.ratio
+    Ps, Qs = _powers(P, R // m), _powers(Q, R // m)
+    ts = []
+    for r in range(R + 1):
+        d, k, tau, ell = decompose_index(r, m)
+        row = ["0/1"] * (ell + (m + 1) * tau + 1)
+        for q in range(tau + 1):
+            n, i = d - tau + q, ell + (m + 1) * q
+            C = comb(n, i)
+            g = gcd(C, Ps[n])
+            row[i] = f"{'-' if (n - i) % 2 else ''}{C // g * Qs[n]}/{Ps[n] // g}"
+        ts.append(row)
+    Ts = []
+    for n in range(R + 1):
+        row = ["0/1"] * (n + 1)
+        for j in range(n // (m + 1) + 1):
+            C = comb(n - m * j, j)
+            g = gcd(C, Qs[j])
+            row[n - (m + 1) * j] = f"{'-' if j % 2 else ''}{C // g * Ps[j]}/{Qs[j] // g}"
+        Ts.append(row)
+    return ts, Ts
 
 
 class ShiftReport(namedtuple("ShiftReport", "checked mismatches")):

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from chebsys import cli
 from chebsys.cli import main
+from chebsys.exactpoly import Poly
 from chebsys.rationals import rat_strs
 from chebsys.recurrence import Params, gen_type1_records, gen_type1_vectors, gen_type2
 
@@ -144,7 +145,7 @@ def test_h_strings_picked_from_t_are_those_of_h(m, c):
     records = gen_type1_records(Params(m, c), 60)
     for rec in records:
         t = rat_strs(rec.t.nums, rec.t.den)
-        assert cli._h_strs(t, rec, m) == rat_strs(rec.h.nums, rec.h.den), rec.r
+        assert cli._h_strs(t, rec.k, rec.ell, m) == rat_strs(rec.h.nums, rec.h.den), rec.r
     # the vanishing indices (tau = -1, at m > 1) and both parities of k are covered
     assert any(rec.tau == -1 for rec in records) == (m > 1)
     assert {rec.k % 2 for rec in records if rec.tau >= 0} == ({0} if m == 1 else {0, 1})
@@ -153,24 +154,59 @@ def test_h_strings_picked_from_t_are_those_of_h(m, c):
 def test_a_picked_zero_stays_0_over_1_at_odd_k():
     # a generated h_r has no zero coefficient, so the tables above never
     # pick one; the rule is that of rat_strs all the same
-    rec = type("Rec", (), {"ell": 1, "k": 1})
     t = ["0/1", "1/2", "0/1", "0/1", "-3/4", "0/1", "0/1", "0/1"]
-    assert cli._h_strs(t, rec, 2) == ["-1/2", "3/4", "0/1"]
+    assert cli._h_strs(t, 1, 1, 2) == ["-1/2", "3/4", "0/1"]
 
 
-def test_gen_writes_each_t_and_T_once_and_no_h(workdir, monkeypatch):
-    calls = []
+# gen writes from the closed form; the recurrence and the Poly tables are
+# the reference it must match, string for string
+_GEN_C = {"1": "1", "3/7": "3/7", "7/3": "7/3", "12/18": "12/18", "1e40": str(10**40),
+          "1e-40": f"1/{10**40}", "1e400": str(10**400), "1e-400": f"1/{10**400}"}
+_GEN_CASES = [
+    pytest.param(m, c, R, id=f"m{m}-c{c}-R{R}")
+    for ms, cs, R in (
+        (range(1, 7), ("1", "3/7", "7/3", "12/18", "1e40", "1e-40"), 120),
+        ((1, 2), ("1e400", "1e-400"), 60),
+    )
+    for m in ms
+    for c in cs
+]
 
-    def counted(nums, den):
-        calls.append((tuple(nums), den))
-        return rat_strs(nums, den)
 
-    monkeypatch.setattr(cli, "rat_strs", counted)
-    m, c, R = 3, "311/457", 40
-    assert main(["gen", "--m", str(m), "--c", c, "--R", str(R), "--out", "gen.json"]) == 0
-    p = Params(m, c)
-    polys = [rec.t for rec in gen_type1_records(p, R)] + gen_type2(p, R)
-    assert calls == [(poly.nums, poly.den) for poly in polys]
+@pytest.mark.parametrize("m, c, R", _GEN_CASES)
+def test_gen_writes_the_strings_of_the_recurrence_tables(workdir, m, c, R):
+    p = Params(m, _GEN_C[c])
+    assert main(["gen", "--m", str(m), "--c", _GEN_C[c], "--R", str(R), "--out", "gen.json"]) == 0
+    doc = json.loads((workdir / "gen.json").read_text())
+    texts = {}  # by Poly: a vector component is a scalar term once more
+
+    def text(poly):
+        if poly not in texts:
+            texts[poly] = rat_strs(poly.nums, poly.den)
+        return texts[poly]
+
+    assert [(row["t_degree"], row["h_degree"], row["t"], row["h"]) for row in doc["scalar"]] == [
+        (rec.t.degree, rec.h.degree, text(rec.t), text(rec.h)) for rec in gen_type1_records(p, R)
+    ]
+    assert [(row["degree"], row["coeffs"]) for row in doc["type2"]] == [
+        (T.degree, text(T)) for T in gen_type2(p, R)
+    ]
+    assert [row["components"] for row in doc["vectors"]] == [
+        list(map(text, rec.components)) for rec in gen_type1_vectors(p, R)
+    ]
+
+
+def test_gen_builds_no_poly(workdir, monkeypatch):
+    # every Poly is normalised by _set, scaled ones included
+    def refuse(*args):
+        raise AssertionError("gen built a Poly")
+
+    monkeypatch.setattr(Poly, "scaled", refuse)
+    monkeypatch.setattr(Poly, "_set", refuse)
+    assert main(["gen", "--m", "2", "--c", "5/3", "--R", "30", "--out", "gen.json"]) == 0
+    argv = ["gen", "--m", "3", "--c", "311/457", "--R", "40", "--format", "csv"]
+    assert main(argv + ["--out", "gen.csv"]) == 0
+    assert_pinned(workdir, "gen.json", "gen.csv", "gen.csv.type2.csv", "gen.csv.vectors.csv")
 
 
 # rows of cells as emit hands them to its row writer

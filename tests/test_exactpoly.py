@@ -1,4 +1,5 @@
 import fractions
+import math
 import random
 
 import pytest
@@ -239,3 +240,18 @@ def test_float_coefficients_rejected():
 
 def test_fraction_coefficients_accepted():
     assert Poly((fractions.Fraction(1, 2),)).coeffs[0] == as_rational("1/2")
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("zeros", [0, 2])
+def test_normal_form_when_the_constant_term_shares_most_of_den(sign, zeros):
+    # the constant term shares all but a factor 7 with the denominator, as
+    # h_r's does at c = 10**400; the gcd found from the least numerator must
+    # still be the gcd of them all, and each coefficient reduced as Fraction does
+    den = sign * 21 * 10**400
+    nums = [10**400 * 3, *[0] * zeros, 6 * 10**200, -9 * 10**5, 21]
+    poly = Poly.scaled(nums, den)
+    assert poly.den == 7 * 10**400
+    assert poly.den == math.lcm(*(fractions.Fraction(n, den).denominator for n in nums))
+    assert poly.coeffs == tuple(fractions.Fraction(n, den) for n in nums)
+    assert poly == Poly(fractions.Fraction(n, den) for n in nums)
